@@ -511,9 +511,9 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		if mapOnly {
 			nParts = 1
 		}
-		// The O side partitions into per-destination send buffers; no
-		// sort is needed before communication (the A side sorts), but a
-		// local combine pass runs if configured.
+		// The O side partitions into per-destination send buffers. The
+		// collector sorts each one (and combines, if configured), so the
+		// A side receives sorted runs and only merges.
 		coll := kv.NewPartitionCollector(nParts, 0, spec.Combine, spec.Part)
 		for _, rec := range recs {
 			spec.Map(rec.Key, rec.Value, coll.Emit)
@@ -742,13 +742,10 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 			e.Prof.AddDiskRead(node, spilledNominal)
 		}
 	}
-	// Sort + merge + reduce CPU. The A side performs the only sort in the
-	// pipeline (the O side does not pre-sort).
-	var all []kv.Pair
-	for _, r := range runs {
-		all = append(all, r...)
-	}
-	kv.SortPairs(all)
+	// Merge + reduce CPU. Every run is one O task's partition, which its
+	// collector's Finish already sorted, so the A side merges the runs
+	// rather than sorting their concatenation.
+	all := mergeRuns(runs)
 	nominalRecords := float64(len(all)) * spec.EmitScale()
 	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteA*spec.ReduceCPUFactor*totalNominal +
 		cfg.CPUPerByteSort*totalNominal +
@@ -778,6 +775,10 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	}
 	return nil
 }
+
+// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
+// tests wrap it to assert that of every run the engine hands over.
+var mergeRuns = kv.MergeRuns
 
 // AttachProfiler wires a resource profiler into the engine.
 func (e *Engine) AttachProfiler(p *metrics.Profiler) { e.Prof = p }

@@ -182,14 +182,16 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 					rank := nO + a
 					node := world.NodeOf(rank)
 					p.Node = node
-					var all []kv.Pair
+					// Each payload is a partition an O task's collector
+					// sorted: merge the runs.
+					runs := make([][]kv.Pair, 0, nO)
 					totalNominal := 0.0
 					for i := 0; i < nO; i++ {
 						m := world.Recv(p, rank, -1, round)
-						all = append(all, m.Payload.([]kv.Pair)...)
+						runs = append(runs, m.Payload.([]kv.Pair))
 						totalNominal += m.Nominal
 					}
-					kv.SortPairs(all)
+					all := mergeRuns(runs)
 					e.C.Node(node).CPU.Use(p, cfg.CPUPerByteA*totalNominal+cfg.CPUPerRecord*float64(len(all))*scale, "cpu")
 					aggParts[a] = it.RunA(round, all)
 				})

@@ -1,0 +1,96 @@
+// Package enginetest holds what the tests of the three engine packages
+// (mr, rdd, core) share.
+package enginetest
+
+import (
+	"sort"
+	"testing"
+
+	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/kv"
+	"github.com/datampi/datampi-go/internal/sched"
+)
+
+// RunQueued runs spec on eng through a FIFO scheduling queue, so that the
+// task tracker can speculate and fail nodes; arm (optional) configures
+// the queue and schedules faults before the job is submitted. The job
+// must succeed and its output under outPrefix must match the sequential
+// reference.
+func RunQueued(t *testing.T, fs *dfs.FS, eng sched.Engine, spec job.Spec, outPrefix string, arm func(q *sched.Queue)) (job.Result, sched.TrackerStats) {
+	t.Helper()
+	c := eng.Cluster()
+	q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
+	if arm != nil {
+		arm(q)
+	}
+	q.Submit(eng, spec)
+	res := q.Run()[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	AssertMatchesSequential(t, fs, outPrefix, spec)
+	return res, q.TrackerStats()
+}
+
+// FailNodeAt schedules the failure of node at simulated time at, as the
+// scenario API's NodeDown event applies it: to the DFS, the cluster and
+// the task tracker together.
+func FailNodeAt(q *sched.Queue, fs *dfs.FS, eng sched.Engine, at float64, node int) {
+	q.At(at, "node-down", func() {
+		fs.NodeDown(node)
+		eng.Cluster().NodeDown(node)
+		q.NodeDown(node)
+	})
+}
+
+// CheckMerges points *seam (an engine's mergeRuns variable) at a
+// kv.MergeRuns that first asserts its precondition — every run sorted
+// under kv.Compare — and restores it when the test ends. The returned
+// counter holds how many non-empty runs have been checked so far.
+func CheckMerges(t *testing.T, seam *func([][]kv.Pair) []kv.Pair) *int {
+	t.Helper()
+	checked := new(int)
+	orig := *seam
+	t.Cleanup(func() { *seam = orig })
+	*seam = func(runs [][]kv.Pair) []kv.Pair {
+		for i, r := range runs {
+			if !kv.IsSorted(r) {
+				t.Errorf("run %d of %d handed to MergeRuns is not sorted (%d pairs)", i, len(runs), len(r))
+			}
+			if len(r) > 0 {
+				*checked++
+			}
+		}
+		return orig(runs)
+	}
+	return checked
+}
+
+func sortedStrings(ps []kv.Pair) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// AssertMatchesSequential compares, as multisets, the records of the DFS
+// files under outPrefix with what job.RunSequential computes for spec.
+func AssertMatchesSequential(t *testing.T, fs *dfs.FS, outPrefix string, spec job.Spec) {
+	t.Helper()
+	ref, err := job.RunSequential(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := sortedStrings(job.ReadTextOutput(fs, outPrefix)), sortedStrings(ref)
+	if len(got) != len(want) {
+		t.Fatalf("%d output records, sequential reference has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("output record %d is %s, sequential reference has %s", i, got[i], want[i])
+		}
+	}
+}

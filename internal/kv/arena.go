@@ -1,108 +1,79 @@
 package kv
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Record batching: instead of allocating two byte slices per emitted
-// record (the dominant allocation source in the figure benchmarks), an
-// Arena copies record bytes into reusable block buffers and hands out
-// sub-slices. A block holds hundreds of records, so the steady-state
-// allocation rate of the map-output, shuffle and merge paths drops from
-// O(records) to O(bytes / block size).
+// record, an Arena copies record bytes into fixed-size blocks and hands
+// out sub-slices. A block holds hundreds of records, so the allocation
+// rate of the map-output, shuffle and merge paths is O(bytes / block
+// size), not O(records).
 //
 // Ownership: records alias arena blocks, so a block lives as long as any
-// record cut from it — the GC reclaims blocks naturally when the records
-// die. Release returns blocks to the shared pool early and is only safe
-// in airtight lifecycles where no record escapes; engines that publish
-// records (map outputs, cached partitions, MPI payloads) must never call
-// it.
+// record cut from it and the GC reclaims it when the last one dies.
+// Blocks are never recycled: map outputs, cached partitions and MPI
+// payloads publish records that outlive the arena that cut them.
 //
 // Every sub-slice is cut with a full-capacity bound (three-index
 // slicing), so appending to one record's bytes can never clobber a
 // neighbouring record — in-place combiners rely on this.
 
-// DefaultBlockBytes is the arena block size. It intentionally matches
-// the order of magnitude of the testbed's block-size knob's sort-buffer
-// slices: big enough to amortize, small enough not to strand memory.
-const DefaultBlockBytes = 64 << 10
+// blockShift is log2 of the arena block size; a collector entry packs a
+// block index and an in-block offset around it.
+const blockShift = 16
 
-// batching is the package-wide knob for the differential battery: when
-// off, NewArena returns nil and the nil-receiver methods fall back to
-// the historical clone-per-record path.
-var batching atomic.Bool
+// DefaultBlockBytes is the arena block size: large enough that a block
+// holds hundreds of records and block allocation is amortised, small
+// enough that the unfilled tail a task leaves behind is negligible.
+const DefaultBlockBytes = 1 << blockShift
 
-func init() { batching.Store(true) }
-
-// SetBatching toggles block-granularity record batching (on by
-// default). The differential tests pin batched-vs-unbatched outputs
-// against each other; simulation results are identical either way.
-func SetBatching(on bool) { batching.Store(on) }
-
-// BatchingEnabled reports whether record batching is on.
-func BatchingEnabled() bool { return batching.Load() }
-
-// blockPool recycles arena blocks released by airtight lifecycles.
-var blockPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, DefaultBlockBytes)
-	return &b
-}}
-
-// Arena is a bump allocator over pooled blocks. The zero value is
-// ready; a nil *Arena is also valid and clones per record (the
-// unbatched path).
+// Arena is a bump allocator over blocks. The zero value is ready.
 type Arena struct {
-	cur  []byte    // block being filled
-	held []*[]byte // pool-origin blocks retained for Release
+	blocks [][]byte // every block cut since the last reset
+	cur    int      // index of the block being filled
 }
 
-// NewArena returns a fresh arena, or nil when batching is disabled so
-// call sites transparently fall back to per-record clones.
-func NewArena() *Arena {
-	if !batching.Load() {
-		return nil
+// alloc reserves n contiguous bytes and returns the index of the block
+// that holds them and their offset in it.
+func (a *Arena) alloc(n int) (bi, off int) {
+	if a.cur < len(a.blocks) {
+		if b := a.blocks[a.cur]; n <= cap(b)-len(b) {
+			a.blocks[a.cur] = b[:len(b)+n]
+			return a.cur, len(b)
+		}
 	}
-	return &Arena{}
+	if n >= DefaultBlockBytes/4 {
+		// Oversized: a dedicated block, and the current one keeps filling.
+		a.blocks = append(a.blocks, make([]byte, n))
+		return len(a.blocks) - 1, 0
+	}
+	a.blocks = append(a.blocks, make([]byte, n, DefaultBlockBytes))
+	a.cur = len(a.blocks) - 1
+	return a.cur, 0
+}
+
+// reset forgets every block but the one being filled, which becomes
+// block 0. Records already cut keep their blocks alive on their own.
+func (a *Arena) reset() {
+	if a.cur >= len(a.blocks) {
+		return
+	}
+	cur := a.blocks[a.cur]
+	clear(a.blocks)
+	a.blocks = append(a.blocks[:0], cur)
+	a.cur = 0
 }
 
 // Copy copies b into the arena and returns a capacity-bounded sub-slice.
 func (a *Arena) Copy(b []byte) []byte {
-	if a == nil {
-		return append([]byte(nil), b...)
-	}
 	n := len(b)
-	if n > cap(a.cur)-len(a.cur) {
-		if n >= DefaultBlockBytes/4 {
-			// Oversized record: dedicated allocation, current block kept.
-			out := make([]byte, n)
-			copy(out, b)
-			return out[:n:n]
-		}
-		bp := blockPool.Get().(*[]byte)
-		a.cur = (*bp)[:0]
-		a.held = append(a.held, bp)
+	if n == 0 {
+		return []byte{}
 	}
-	off := len(a.cur)
-	a.cur = append(a.cur, b...)
-	return a.cur[off : off+n : off+n]
+	bi, off := a.alloc(n)
+	out := a.blocks[bi][off : off+n : off+n]
+	copy(out, b)
+	return out
 }
 
 // CopyPair copies one record into the arena.
 func (a *Arena) CopyPair(key, value []byte) Pair {
 	return Pair{Key: a.Copy(key), Value: a.Copy(value)}
-}
-
-// Release returns every block to the shared pool. Only safe when no
-// record cut from this arena is still referenced.
-func (a *Arena) Release() {
-	if a == nil {
-		return
-	}
-	for _, bp := range a.held {
-		*bp = (*bp)[:0]
-		blockPool.Put(bp)
-	}
-	a.held = nil
-	a.cur = nil
 }

@@ -1,0 +1,410 @@
+package kv
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strconv"
+	"sync"
+	"testing"
+	"unsafe"
+)
+
+// oracleCollect is the PartitionCollector contract written the naive
+// way: clone every record, one growing []Pair per partition, sort.Slice,
+// group by scanning. It pins the index-sorted collector the way the
+// clone-per-record path once pinned the arena.
+func oracleCollect(recs []Pair, nParts, bufferBytes int, combine Combiner, part Partitioner) (parts [][]Pair, spillBytes, mergeBytes, spills int) {
+	if nParts < 1 {
+		nParts = 1
+	}
+	byKeyValue := func(ps []Pair) {
+		sort.Slice(ps, func(i, j int) bool {
+			if c := bytes.Compare(ps[i].Key, ps[j].Key); c != 0 {
+				return c < 0
+			}
+			return bytes.Compare(ps[i].Value, ps[j].Value) < 0
+		})
+	}
+	group := func(sorted []Pair) []Pair {
+		if combine == nil {
+			return sorted
+		}
+		out := []Pair{}
+		for i := 0; i < len(sorted); {
+			var vals [][]byte
+			j := i
+			for ; j < len(sorted) && string(sorted[j].Key) == string(sorted[i].Key); j++ {
+				vals = append(vals, append([]byte(nil), sorted[j].Value...))
+			}
+			for _, v := range combine(sorted[i].Key, vals) {
+				out = append(out, Pair{Key: sorted[i].Key, Value: append([]byte(nil), v...)})
+			}
+			i = j
+		}
+		return out
+	}
+	cur := make([][]Pair, nParts)
+	runs := make([][][]Pair, nParts)
+	pending, buffered := 0, 0
+	flush := func() {
+		if pending == 0 {
+			return
+		}
+		for pi := range cur {
+			if len(cur[pi]) == 0 {
+				continue
+			}
+			byKeyValue(cur[pi])
+			run := group(cur[pi])
+			for _, p := range run {
+				spillBytes += p.Size()
+			}
+			runs[pi] = append(runs[pi], run)
+			cur[pi] = nil
+		}
+		pending, buffered = 0, 0
+		spills++
+	}
+	for _, r := range recs {
+		pi := 0
+		if nParts > 1 {
+			pi = part.Partition(r.Key, nParts)
+		}
+		cur[pi] = append(cur[pi], r.Clone())
+		pending++
+		buffered += r.Size()
+		if bufferBytes > 0 && buffered >= bufferBytes {
+			flush()
+		}
+	}
+	hadSpills := spills > 0
+	flush()
+	parts = make([][]Pair, nParts)
+	for pi, rs := range runs {
+		switch len(rs) {
+		case 0:
+		case 1:
+			parts[pi] = rs[0]
+		default:
+			var all []Pair
+			for _, r := range rs {
+				all = append(all, r...)
+			}
+			byKeyValue(all)
+			parts[pi] = group(all)
+		}
+	}
+	if hadSpills && spills > 1 {
+		mergeBytes = spillBytes
+	}
+	return parts, spillBytes, mergeBytes, spills
+}
+
+func samePairs(a, b []Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+func clonePairs(ps []Pair) []Pair {
+	out := make([]Pair, len(ps))
+	for i, p := range ps {
+		out[i] = p.Clone()
+	}
+	return out
+}
+
+// checkAgainstOracle runs recs through a collector and through the
+// oracle and compares everything Finish and Spills report.
+func checkAgainstOracle(t testing.TB, recs []Pair, nParts, bufferBytes int, combine Combiner) {
+	t.Helper()
+	c := NewPartitionCollector(nParts, bufferBytes, combine, HashPartitioner{})
+	for _, r := range recs {
+		c.Emit(r.Key, r.Value)
+	}
+	parts, spillB, mergeB := c.Finish()
+	wantParts, wantSpillB, wantMergeB, wantSpills := oracleCollect(recs, nParts, bufferBytes, combine, HashPartitioner{})
+	if c.Spills() != wantSpills || spillB != wantSpillB || mergeB != wantMergeB {
+		t.Fatalf("parts=%d buffer=%d: spills/spillBytes/mergeBytes = %d/%d/%d, oracle %d/%d/%d",
+			nParts, bufferBytes, c.Spills(), spillB, mergeB, wantSpills, wantSpillB, wantMergeB)
+	}
+	if len(parts) != len(wantParts) {
+		t.Fatalf("parts=%d buffer=%d: %d partitions, oracle %d", nParts, bufferBytes, len(parts), len(wantParts))
+	}
+	for pi := range parts {
+		if !samePairs(parts[pi], wantParts[pi]) {
+			t.Fatalf("parts=%d buffer=%d: partition %d is\n%v\noracle\n%v", nParts, bufferBytes, pi, parts[pi], wantParts[pi])
+		}
+		if !IsSorted(parts[pi]) {
+			t.Fatalf("parts=%d buffer=%d: partition %d not sorted", nParts, bufferBytes, pi)
+		}
+	}
+}
+
+func pairsOf(kvs ...string) []Pair {
+	var out []Pair
+	for i := 0; i+1 < len(kvs); i += 2 {
+		out = append(out, Pair{Key: []byte(kvs[i]), Value: []byte(kvs[i+1])})
+	}
+	return out
+}
+
+func TestCollectorMatchesOracle(t *testing.T) {
+	long := "sharedprefix-0123456789"
+	cases := map[string][]Pair{
+		"nothing":      nil,
+		"empty keys":   pairsOf("", "2", "", "1", "", "", "a", "3"),
+		"empty record": pairsOf("", "", "", ""),
+		"short keys":   pairsOf("b", "1", "a", "1", "abc", "1", "ab", "1", "abcdefg", "1", "a", "1"),
+		"zero padding": pairsOf("a\x00", "1", "a", "2", "a\x00\x00", "3", "a", "1", "\x00", "5", "", "4"),
+		"eight bytes":  pairsOf("abcdefgh", "2", "abcdefgh", "1", "abcdefghi", "1", "abcdefg", "7"),
+		"shared prefix": pairsOf(long+"b", "1", long+"a", "1", long, "1", long+"a", "1",
+			long+"\x00", "1", long[:8], "9", long[:9], "9"),
+		"duplicates":  pairsOf("k", "9", "k", "9", "k", "9", "j", "1", "k", "90", "j", "-4"),
+		"high bytes":  pairsOf("\xff\xff", "1", "\xff", "1", "\x7f", "1", "\x80", "1", "\xff\xff\xff\xff\xff\xff\xff\xff\xff", "1"),
+		"growing sum": pairsOf("n", "5", "m", "1", "n", "7", "o", "1", "n", "99999", "m", "1"),
+	}
+	for name, recs := range cases {
+		for _, nParts := range []int{1, 2, 7, 64} {
+			for _, bufferBytes := range []int{0, 1, 5, 40} {
+				for _, combine := range []Combiner{nil, SumCombiner} {
+					t.Run(fmt.Sprintf("%s/p%d/b%d/combine=%t", name, nParts, bufferBytes, combine != nil), func(t *testing.T) {
+						checkAgainstOracle(t, recs, nParts, bufferBytes, combine)
+					})
+				}
+			}
+		}
+	}
+}
+
+// fuzzRecords decodes fuzz input into records. A control byte per record
+// picks the key and value lengths and whether key bytes come from a
+// four-symbol alphabet (NUL, 'a', 'b', 0xff), which makes equal padded
+// prefixes and long shared prefixes likely. Values are decimal so that
+// SumCombiner applies.
+func fuzzRecords(data []byte) []Pair {
+	alphabet := [4]byte{0, 'a', 'b', 0xff}
+	var recs []Pair
+	for len(data) > 0 && len(recs) < 512 {
+		ctl := data[0]
+		data = data[1:]
+		klen := int(ctl & 0x0f)
+		if klen > len(data) {
+			klen = len(data)
+		}
+		key := append([]byte(nil), data[:klen]...)
+		data = data[klen:]
+		if ctl&0x80 != 0 {
+			for i, b := range key {
+				key[i] = alphabet[b&3]
+			}
+		}
+		val := []byte{}
+		if ctl&0x40 != 0 && len(data) > 0 {
+			val = strconv.AppendInt(nil, int64(int8(data[0]))*int64(1+ctl>>4&3), 10)
+			data = data[1:]
+		}
+		recs = append(recs, Pair{Key: key, Value: val})
+	}
+	return recs
+}
+
+func FuzzCollectorMatchesOracle(f *testing.F) {
+	f.Add([]byte{}, uint8(1), uint16(0), false)
+	f.Add([]byte("\xc1a\x05\xc2a\x00\x07\xc1a\x05\x81a\x41b\x09"), uint8(2), uint16(0), true)
+	f.Add([]byte("\xc9abababab\x00\x63\xc8abababab\x01\xc9ababababa\x02\xc8abababab\x01"), uint8(1), uint16(0), true)
+	f.Add([]byte("\x43the\x01\x43the\x01\x42of\x01\x43the\x01\x41a\x01\x42of\x01\x43the\x7f"), uint8(32), uint16(6), true)
+	f.Add([]byte("\x00\x00\x40\x05\x80\xc0\x09\x4f0123456789abcde\x11"), uint8(64), uint16(1), false)
+	f.Add(bytes.Repeat([]byte("\xcf\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x7e"), 40), uint8(7), uint16(64), true)
+	f.Add(bytes.Repeat([]byte("\x4cwordcountkey\x01\x48sortkeys\x02"), 64), uint8(5), uint16(300), false)
+	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, bufferBytes uint16, combine bool) {
+		var comb Combiner
+		if combine {
+			comb = SumCombiner
+		}
+		checkAgainstOracle(t, fuzzRecords(data), 1+int(nParts)%64, int(bufferBytes), comb)
+	})
+}
+
+func TestEntryIsSixteenBytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d bytes, want 16", n)
+	}
+}
+
+// wordCountRecords is a WordCount-shaped map output: n ("word", "1")
+// records over a Zipf vocabulary.
+func wordCountRecords(seed int64, n int) []Pair {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 1.2, 4, 20000)
+	recs := make([]Pair, n)
+	for i := range recs {
+		recs[i] = Pair{Key: []byte("w" + strconv.FormatUint(zipf.Uint64(), 36)), Value: []byte("1")}
+	}
+	return recs
+}
+
+// TestCollectorSpillsEarlyWhenFillOutgrowsLoc lowers the number of slab
+// blocks an entry's loc may address: the collector must spill rather
+// than wrap, and the output must not change.
+func TestCollectorSpillsEarlyWhenFillOutgrowsLoc(t *testing.T) {
+	recs := wordCountRecords(3, 40000)
+	big := Pair{Key: []byte("big"), Value: bytes.Repeat([]byte("x"), DefaultBlockBytes)}
+	recs = append(recs[:20000:20000], append([]Pair{big}, recs[20000:]...)...)
+	c := NewPartitionCollector(4, 0, nil, HashPartitioner{})
+	c.fillBlocks = 2
+	for _, r := range recs {
+		c.Emit(r.Key, r.Value)
+	}
+	parts, _, _ := c.Finish()
+	if c.Spills() < 3 {
+		t.Fatalf("%d spills: the fill limit did not force any", c.Spills())
+	}
+	want, _, _, _ := oracleCollect(recs, 4, 0, nil, HashPartitioner{})
+	for pi := range parts {
+		if !samePairs(parts[pi], want[pi]) {
+			t.Fatalf("partition %d differs from the oracle after forced spills", pi)
+		}
+	}
+}
+
+// TestCollectorOutputSurvivesScratchReuse: what Finish returns aliases
+// the slab only. A second collector that takes the first one's pooled
+// scratch, and combiners that grow values in place, must leave it alone.
+func TestCollectorOutputSurvivesScratchReuse(t *testing.T) {
+	emitAll := func(recs []Pair, combine Combiner) [][]Pair {
+		c := NewPartitionCollector(8, 0, combine, HashPartitioner{})
+		for _, r := range recs {
+			c.Emit(r.Key, r.Value)
+		}
+		parts, _, _ := c.Finish()
+		return parts
+	}
+	a := emitAll(wordCountRecords(1, 5000), SumCombiner)
+	snapshot := make([][]Pair, len(a))
+	for pi := range a {
+		snapshot[pi] = clonePairs(a[pi])
+	}
+	// Same goroutine, so B gets A's scratch back from the pool.
+	for round := int64(0); round < 4; round++ {
+		emitAll(wordCountRecords(2+round, 9000), SumCombiner)
+		emitAll(wordCountRecords(9+round, 100), nil)
+	}
+	for pi := range a {
+		if !samePairs(a[pi], snapshot[pi]) {
+			t.Fatalf("partition %d of collector A changed after later collectors ran", pi)
+		}
+	}
+
+	// Growing one record's value past its capacity must reallocate, not
+	// run into the next record of the block.
+	parts := emitAll(pairsOf("k", "9", "l", "7", "m", "5"), nil)
+	var flat []Pair
+	for _, p := range parts {
+		flat = append(flat, p...)
+	}
+	SortPairs(flat)
+	grown := SumCombiner(flat[0].Key, [][]byte{flat[0].Value, []byte("995")})
+	if string(grown[0]) != "1004" {
+		t.Fatalf("SumCombiner = %q, want 1004", grown[0])
+	}
+	if got := fmt.Sprint(flat[1:]); got != `["l"="7" "m"="5"]` {
+		t.Fatalf("neighbouring records damaged by an in-place combine: %s", got)
+	}
+}
+
+// TestCollectorsConcurrently runs eight collectors at once, as the
+// harness sweep runner does with eight simulations. Run under -race.
+func TestCollectorsConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				recs := wordCountRecords(int64(10*g+round), 3000)
+				var combine Combiner
+				if round%2 == 0 {
+					combine = SumCombiner
+				}
+				c := NewPartitionCollector(1+g, 2000*(round%3), combine, HashPartitioner{})
+				for _, r := range recs {
+					c.Emit(r.Key, r.Value)
+				}
+				parts, spillB, mergeB := c.Finish()
+				want, wantSpillB, wantMergeB, wantSpills := oracleCollect(recs, 1+g, 2000*(round%3), combine, HashPartitioner{})
+				if spillB != wantSpillB || mergeB != wantMergeB || c.Spills() != wantSpills {
+					t.Errorf("goroutine %d round %d: byte or spill counts differ from the oracle", g, round)
+				}
+				for pi := range parts {
+					if !samePairs(parts[pi], want[pi]) {
+						t.Errorf("goroutine %d round %d: partition %d differs from the oracle", g, round, pi)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCollectAllocsPerRecord guards the steady-state allocation rate of
+// the WordCount-shaped collect: slab blocks, one run per partition and
+// the values SumCombiner grows, nothing per record.
+func TestCollectAllocsPerRecord(t *testing.T) {
+	recs := wordCountRecords(7, 40000)
+	collect := func() {
+		c := NewPartitionCollector(32, 0, SumCombiner, HashPartitioner{})
+		for _, r := range recs {
+			c.Emit(r.Key, r.Value)
+		}
+		c.Finish()
+	}
+	collect() // warm the scratch pool
+	perRec := testing.AllocsPerRun(5, collect) / float64(len(recs))
+	t.Logf("%.4f allocs/record", perRec)
+	if perRec > 0.03 {
+		t.Fatalf("%.4f allocs/record on the WordCount-shaped collect, want <= 0.03", perRec)
+	}
+}
+
+func BenchmarkCollectWordCount(b *testing.B) {
+	recs := wordCountRecords(7, 40000)
+	b.ReportAllocs()
+	for b.Loop() {
+		c := NewPartitionCollector(32, 0, SumCombiner, HashPartitioner{})
+		for _, r := range recs {
+			c.Emit(r.Key, r.Value)
+		}
+		c.Finish()
+	}
+}
+
+// BenchmarkMergeRuns merges what a reducer sees: one sorted, combined
+// partition from each of k map tasks.
+func BenchmarkMergeRuns(b *testing.B) {
+	for _, k := range []int{2, 8, 32} {
+		runs := make([][]Pair, k)
+		for i := range runs {
+			c := NewPartitionCollector(1, 0, SumCombiner, HashPartitioner{})
+			for _, r := range wordCountRecords(int64(i), 40000/k) {
+				c.Emit(r.Key, r.Value)
+			}
+			parts, _, _ := c.Finish()
+			runs[i] = parts[0]
+		}
+		b.Run(strconv.Itoa(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				MergeRuns(runs)
+			}
+		})
+	}
+}

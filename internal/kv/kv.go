@@ -1,17 +1,20 @@
 // Package kv provides the key-value record machinery shared by every
 // framework in this repository: record types, binary and text codecs,
-// partitioners, in-memory and external (spilling) sorters, and merge
-// iterators. It corresponds to the Writable/serialization layer of Hadoop
-// and the key-value pair model DataMPI's communication is built on.
+// partitioners, the spilling partition collector, and the sort, combine
+// and merge steps around it. It corresponds to the Writable/serialization
+// layer of Hadoop and the key-value pair model DataMPI's communication
+// is built on.
 //
-// The package is simulation-free: engines charge simulated resources
-// around these operations via callback hooks (see Sorter.OnSpill).
+// The package is simulation-free: engines charge simulated resources from
+// the byte and spill counts these operations report (see
+// PartitionCollector.Finish).
 package kv
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -40,19 +43,29 @@ func Compare(a, b Pair) int {
 	return bytes.Compare(a.Value, b.Value)
 }
 
-// SortPairs sorts in place by key (ties broken by value).
-func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool { return Compare(ps[i], ps[j]) < 0 })
+// keyPrefix is the first 8 bytes of key as a big-endian integer,
+// zero-padded. Prefix order never contradicts key order, so a sort or
+// merge compares prefixes first and falls through to Compare only when
+// they tie: the keys then share 8 bytes, or are equal, or differ only in
+// trailing zero bytes ("a" and "a\x00" pad to the same prefix).
+func keyPrefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var p uint64
+	for i, b := range key {
+		p |= uint64(b) << (56 - 8*i)
+	}
+	return p
 }
 
-// IsSorted reports whether ps is non-decreasing by key.
+// SortPairs sorts in place by key (ties broken by value).
+func SortPairs(ps []Pair) { slices.SortFunc(ps, Compare) }
+
+// IsSorted reports whether ps is non-decreasing under Compare, the order
+// every sorter produces and MergeRuns requires of its runs.
 func IsSorted(ps []Pair) bool {
-	for i := 1; i < len(ps); i++ {
-		if bytes.Compare(ps[i-1].Key, ps[i].Key) > 0 {
-			return false
-		}
-	}
-	return true
+	return slices.IsSortedFunc(ps, Compare)
 }
 
 // Encode appends the length-prefixed binary framing of p to dst and
@@ -191,12 +204,8 @@ type Reducer func(key []byte, values [][]byte) []Pair
 func GroupReduce(sorted []Pair, reduce Reducer) []Pair {
 	var out []Pair
 	var vals [][]byte // scratch, reused across groups
-	i := 0
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) && bytes.Equal(sorted[j].Key, sorted[i].Key) {
-			j++
-		}
+	for i := 0; i < len(sorted); {
+		j := sameKeyRun(sorted, i)
 		vals = vals[:0]
 		for k := i; k < j; k++ {
 			vals = append(vals, sorted[k].Value)

@@ -167,106 +167,43 @@ func TestFormatParseIntRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSorterNoSpill(t *testing.T) {
-	s := &Sorter{BufferBytes: 0}
-	rng := rand.New(rand.NewSource(3))
-	var want []Pair
-	for i := 0; i < 200; i++ {
-		p := Pair{Key: []byte(fmt.Sprintf("%05d", rng.Intn(10000))), Value: []byte{byte(i)}}
-		want = append(want, p)
-		s.Add(p)
-	}
-	out, mergeBytes := s.Finish()
-	if s.Spills() != 0 {
-		t.Fatalf("spilled %d times with unbounded buffer", s.Spills())
-	}
-	if mergeBytes != 0 {
-		t.Fatalf("mergeBytes = %d, want 0", mergeBytes)
-	}
-	if len(out) != len(want) || !IsSorted(out) {
-		t.Fatal("output not a sorted permutation of input")
-	}
-}
-
-func TestSorterSpillsAndMerges(t *testing.T) {
-	spilled := 0
-	s := &Sorter{
-		BufferBytes: 256,
-		OnSpill:     func(b int) { spilled += b },
-	}
-	rng := rand.New(rand.NewSource(4))
-	n := 500
-	keys := map[string]bool{}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("%06d", rng.Intn(1000000))
-		keys[k] = true
-		s.Add(Pair{Key: []byte(k), Value: []byte("v")})
-	}
-	out, mergeBytes := s.Finish()
-	if s.Spills() == 0 {
-		t.Fatal("expected spills with 256-byte buffer")
-	}
-	if spilled == 0 || mergeBytes == 0 {
-		t.Fatalf("spill hooks: spilled=%d mergeBytes=%d", spilled, mergeBytes)
-	}
-	if len(out) != n {
-		t.Fatalf("got %d records, want %d", len(out), n)
-	}
-	if !IsSorted(out) {
-		t.Fatal("merged output not sorted")
-	}
-	for _, p := range out {
-		if !keys[string(p.Key)] {
-			t.Fatalf("unexpected key %q in output", p.Key)
-		}
-	}
-}
-
-func TestSorterWithCombiner(t *testing.T) {
-	s := &Sorter{BufferBytes: 128, Combine: SumCombiner}
-	words := []string{"the", "quick", "the", "fox", "the", "quick"}
-	for i := 0; i < 100; i++ {
-		for _, w := range words {
-			s.Add(Pair{Key: []byte(w), Value: []byte("1")})
-		}
-	}
-	out, _ := s.Finish()
-	counts := map[string]int64{}
-	for _, p := range out {
-		counts[string(p.Key)] += ParseInt(p.Value)
-	}
-	if counts["the"] != 300 || counts["quick"] != 200 || counts["fox"] != 100 {
-		t.Fatalf("combined counts wrong: %v", counts)
-	}
-	// The combiner must have shrunk the stream: at most a few entries per
-	// key (one per spill run in the worst case).
-	if len(out) > 3*s.Spills()+3 {
-		t.Fatalf("combiner ineffective: %d output records from %d spills", len(out), s.Spills())
-	}
-}
-
+// TestMergeRunsProperty: merging sorted runs gives the bytes sorting
+// their concatenation gives, for every run count (0, 1 and 2 take short
+// cuts) and for keys that tie on their 8-byte prefix.
 func TestMergeRunsProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(5))}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nruns := 1 + rng.Intn(6)
+		nruns := rng.Intn(7)
+		format := []string{"%04d", "longsharedprefix%04d", "%d"}[rng.Intn(3)]
 		var runs [][]Pair
-		total := 0
+		var want []Pair
 		for r := 0; r < nruns; r++ {
-			n := rng.Intn(50)
 			var run []Pair
-			for i := 0; i < n; i++ {
-				run = append(run, Pair{Key: []byte(fmt.Sprintf("%04d", rng.Intn(500))), Value: []byte{byte(r)}})
+			for i := rng.Intn(50); i > 0; i-- {
+				run = append(run, Pair{Key: []byte(fmt.Sprintf(format, rng.Intn(500))), Value: []byte{byte(rng.Intn(3))}})
 			}
 			SortPairs(run)
 			runs = append(runs, run)
-			total += n
+			want = append(want, run...)
 		}
-		merged := MergeRuns(runs)
-		return len(merged) == total && IsSorted(merged)
+		SortPairs(want)
+		return samePairs(MergeRuns(runs), want)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestIsSortedOrdersByKeyThenValue(t *testing.T) {
+	if !IsSorted(pairsOf("a", "1", "a", "1", "a", "2", "b", "0")) {
+		t.Fatal("a sorted run reported unsorted")
+	}
+	if IsSorted(pairsOf("a", "2", "a", "1")) {
+		t.Fatal("equal keys with descending values reported sorted")
+	}
+	if IsSorted(pairsOf("b", "1", "a", "1")) {
+		t.Fatal("descending keys reported sorted")
 	}
 }
 

@@ -871,7 +871,7 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 			e.Prof.AddDiskRead(node, spilledNominal)
 		}
 	}
-	merged := kv.MergeRuns(runs)
+	merged := mergeRuns(runs)
 	// Intermediate record counts follow the same saturation rule as
 	// intermediate bytes.
 	nominalRecords := float64(len(merged)) * spec.EmitScale()
@@ -891,6 +891,10 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 	handoff = true
 	return &reduceOut{reduced: spec.GroupReduce(merged), release: release}, nil
 }
+
+// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
+// tests wrap it to assert that of every run the engine hands over.
+var mergeRuns = kv.MergeRuns
 
 // AttachProfiler wires a resource profiler into the engine.
 func (e *Engine) AttachProfiler(p *metrics.Profiler) { e.Prof = p }

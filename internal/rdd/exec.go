@@ -485,12 +485,15 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 		var lastFetch uint64
 		totalNominal := 0.0
 		buffered := 0.0
+		// One run per producing task: each is a partition a collector's
+		// Finish sorted, which is what lets the wide op below merge them.
+		var runs [][]kv.Pair
 		for fi, pd := range fetches {
 			if att != nil {
 				att.Report(0.1 + 0.6*float64(fi)/float64(len(fetches)))
 			}
 			if pd.nominal == 0 {
-				pairs = append(pairs, pd.pairs...)
+				runs = append(runs, pd.pairs)
 				continue
 			}
 			if !e.C.Alive(pd.node) {
@@ -503,7 +506,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 				}
 				pd = rep
 				if pd.nominal == 0 {
-					pairs = append(pairs, pd.pairs...)
+					runs = append(runs, pd.pairs)
 					continue
 				}
 			}
@@ -539,7 +542,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 				fsp.EndAt(eng.Now())
 				lastFetch = fsp.ID
 			}
-			pairs = append(pairs, pd.pairs...)
+			runs = append(runs, pd.pairs)
 			totalNominal += pd.nominal
 			buffered += pd.nominal
 			if buffered > cfg.ShuffleBufferBytes {
@@ -574,7 +577,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
 
 		if wide != nil {
-			kv.SortPairs(pairs)
+			pairs = mergeRuns(runs)
 			cpuSec += cfg.CPUPerByteSort * inputNominal
 			if wide.reduce != nil {
 				pairs = kv.GroupReduce(pairs, wide.reduce)
@@ -600,10 +603,29 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	}
 	nominalRecords := float64(len(pairs)) * recScale
 
-	// Apply the fused narrow chain (really).
-	for _, n := range st.narrow {
+	// Apply the fused narrow chain (really). A stage that feeds a shuffle
+	// ends in the partition collector: its last op emits straight into it
+	// and pairs is left empty. Every other op materialises its output,
+	// copying into the task's arena what does not alias the input (map
+	// functions may reuse their buffers).
+	next := findWideConsumer(st)
+	var coll *kv.PartitionCollector
+	if !isLast && next != nil {
+		coll = kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
+	}
+	var arena kv.Arena
+	for i, n := range st.narrow {
+		if coll != nil && i == len(st.narrow)-1 {
+			n.f(pairs, coll.Emit)
+			pairs = nil
+			break
+		}
 		var out []kv.Pair
-		n.f(pairs, func(pr kv.Pair) { out = append(out, pr) })
+		if n.aliasesInput {
+			n.f(pairs, func(k, v []byte) { out = append(out, kv.Pair{Key: k, Value: v}) })
+		} else {
+			n.f(pairs, func(k, v []byte) { out = append(out, arena.CopyPair(k, v)) })
+		}
 		pairs = out
 	}
 	cpuSec += cfg.CPUPerByteMap*cpuFactor*inputNominal + cfg.CPUPerRecord*nominalRecords
@@ -659,8 +681,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	// Not the last stage: this stage feeds a wide op — write shuffle
 	// output (Spark 0.8 hash shuffle materializes map outputs on the
 	// local disks of the map side).
-	next := findWideConsumer(st)
-	if next == nil {
+	if coll == nil {
 		// Feeding a cached materialization without shuffle: building the
 		// RDD's in-memory representation costs CPU (deserialization into
 		// JVM objects — the "creates the RDD" cost of the paper's Spark
@@ -682,7 +703,6 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	if next.combine != nil {
 		shufScale = 1
 	}
-	coll := kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
 	for _, pr := range pairs {
 		coll.Emit(pr.Key, pr.Value)
 	}
@@ -724,6 +744,10 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	p.BlockReason = ""
 	return out, nil
 }
+
+// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
+// tests wrap it to assert that of every run the engine hands over.
+var mergeRuns = kv.MergeRuns
 
 // findWideConsumer returns the wide op that consumes st's output, wired
 // up during planning (nil for the final stage of a lineage).

@@ -203,10 +203,15 @@ type RDD struct {
 	lostParts int // cached partitions dropped with failed nodes, awaiting recompute accounting
 }
 
+// narrowOp is one fused per-partition transformation. f emits through a
+// job.Emit so the last op of a stage that feeds a shuffle writes straight
+// into the partition collector; aliasesInput says the emitted bytes are
+// the input records' own (a sink that keeps them need not copy).
 type narrowOp struct {
-	parent    *RDD
-	f         func([]kv.Pair, func(kv.Pair))
-	cpuFactor float64
+	parent       *RDD
+	f            func(in []kv.Pair, emit job.Emit)
+	aliasesInput bool
+	cpuFactor    float64
 }
 
 type wideOp struct {
@@ -246,14 +251,7 @@ func (r *RDD) FlatMapKV(f job.MapFunc, cpuFactor float64) *RDD {
 	}
 	return &RDD{eng: r.eng, narrow: &narrowOp{
 		parent: r,
-		f: func(in []kv.Pair, out func(kv.Pair)) {
-			// One emit closure and one arena per partition invocation:
-			// record copies land in shared blocks instead of two fresh
-			// slices per record. The arena is never released — emitted
-			// records flow into shuffle/cache/collect results that may
-			// outlive this stage.
-			ar := kv.NewArena()
-			emit := func(k, v []byte) { out(ar.CopyPair(k, v)) }
+		f: func(in []kv.Pair, emit job.Emit) {
 			for _, p := range in {
 				f(p.Key, p.Value, emit)
 			}
@@ -266,14 +264,15 @@ func (r *RDD) FlatMapKV(f job.MapFunc, cpuFactor float64) *RDD {
 func (r *RDD) Filter(pred func(kv.Pair) bool) *RDD {
 	return &RDD{eng: r.eng, narrow: &narrowOp{
 		parent: r,
-		f: func(in []kv.Pair, out func(kv.Pair)) {
+		f: func(in []kv.Pair, emit job.Emit) {
 			for _, p := range in {
 				if pred(p) {
-					out(p)
+					emit(p.Key, p.Value)
 				}
 			}
 		},
-		cpuFactor: 1,
+		aliasesInput: true,
+		cpuFactor:    1,
 	}}
 }
 

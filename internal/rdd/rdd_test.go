@@ -3,6 +3,7 @@ package rdd
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -349,5 +350,70 @@ func TestDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// TestNarrowChainCopiesWhatMapFunctionsReuse chains narrow ops whose map
+// function emits from one reused buffer. An op in the middle of a chain
+// must copy what it is handed, a Filter may pass its input through, and
+// the last op of a stage that feeds a shuffle emits straight into the
+// partition collector: all three must see every record intact.
+func TestNarrowChainCopiesWhatMapFunctionsReuse(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	data := genText(9, 32*1024)
+	in := fs.PreloadAligned("/in", data, '\n')
+	var buf []byte
+	words := func(k, v []byte, emit job.Emit) {
+		for _, w := range bytes.Fields(v) {
+			buf = append(buf[:0], w...)
+			emit(buf, []byte("1"))
+		}
+	}
+	double := func(k, v []byte, emit job.Emit) {
+		buf = append(append(buf[:0], k...), k...)
+		emit(buf, v)
+	}
+	notBeta := func(p kv.Pair) bool { return !bytes.HasPrefix(p.Key, []byte("beta")) }
+	sum := func(key []byte, values [][]byte) []kv.Pair {
+		var n int64
+		for _, v := range values {
+			n += kv.ParseInt(v)
+		}
+		return []kv.Pair{{Key: key, Value: kv.FormatInt(n)}}
+	}
+	want := map[string]int64{}
+	for _, w := range bytes.Fields(data) {
+		if !bytes.Equal(w, []byte("beta")) {
+			want[string(w)+string(w)]++
+		}
+	}
+	chains := map[string]*RDD{
+		"filter last":   eng.TextFile(in).FlatMapKV(words, 1).FlatMapKV(double, 1).Filter(notBeta),
+		"flat-map last": eng.TextFile(in).FlatMapKV(words, 1).Filter(notBeta).FlatMapKV(double, 1),
+	}
+	for name, chain := range chains {
+		counted, res := chain.ReduceByKey(kv.SumCombiner, sum, 4).Collect()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		got := map[string]int64{}
+		for _, p := range counted {
+			got[string(p.Key)] += kv.ParseInt(p.Value)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, into a shuffle: counts %v, want %v", name, got, want)
+		}
+		// The same chain with no shuffle behind it: every op materialises.
+		flat, res := chain.Collect()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		got = map[string]int64{}
+		for _, p := range flat {
+			got[string(p.Key)] += kv.ParseInt(p.Value)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, collected: counts %v, want %v", name, got, want)
+		}
 	}
 }
