@@ -275,45 +275,6 @@ func (t *Testbed) SlowNode(i int, factor float64) {
 	t.Cluster.SlowNode(i, factor)
 }
 
-// RunAll co-schedules jobs on eng under policy and returns their results
-// in submission order. Every job must have FS set (the workload builders
-// do) and target the same testbed as eng.
-//
-// Deprecated: RunAll is a thin wrapper over the Scenario API and is kept
-// for compatibility. New code should use NewScenario, which also
-// expresses arrival times, tenants, timed perturbations and per-tenant
-// reporting.
-func RunAll(eng ConcurrentEngine, policy Policy, jobs ...Job) []Result {
-	if len(jobs) == 0 {
-		return nil
-	}
-	c := eng.Cluster()
-	for _, j := range jobs {
-		if j.FS == nil {
-			panic("datampi: RunAll needs jobs with FS set")
-		}
-		if j.FS.Cluster() != c {
-			panic("datampi: RunAll jobs must be staged on the engine's testbed")
-		}
-	}
-	opts := []ScenarioOption{WithPolicy(policy), Tenant("jobs", 1, eng)}
-	for _, j := range jobs {
-		opts = append(opts, Arrive("jobs", 0, j))
-	}
-	rep, err := NewScenario(&Testbed{Cluster: c, FS: jobs[0].FS}, opts...).Run()
-	if rep == nil {
-		// Run only returns a nil report for configuration errors, which
-		// RunAll's contract reports by panicking (misuse, like the FS
-		// checks above). Per-job failures come back inside the results.
-		panic(err)
-	}
-	out := make([]Result, len(jobs))
-	for i := range rep.Jobs {
-		out[i] = rep.Jobs[i].Result
-	}
-	return out
-}
-
 // NewProfiler attaches a resource profiler sampling every interval
 // simulated seconds; assign it to an engine's Prof field before running.
 func (t *Testbed) NewProfiler(interval float64) *metrics.Profiler {

@@ -38,6 +38,24 @@ func rig(hadoop bool) (*datampi.Testbed, datampi.ConcurrentEngine, []datampi.Job
 	return tb, eng, jobs
 }
 
+// runMix co-schedules jobs on eng under policy — one tenant, every job
+// arriving at time zero — and returns their results in submission order.
+func runMix(tb *datampi.Testbed, eng datampi.ConcurrentEngine, policy datampi.Policy, jobs ...datampi.Job) []datampi.Result {
+	opts := []datampi.ScenarioOption{datampi.WithPolicy(policy), datampi.Tenant("jobs", 1, eng)}
+	for _, j := range jobs {
+		opts = append(opts, datampi.Arrive("jobs", 0, j))
+	}
+	rep, err := datampi.NewScenario(tb, opts...).Run()
+	if rep == nil {
+		log.Fatal(err) // configuration error; per-job failures come back in the results
+	}
+	out := make([]datampi.Result, len(rep.Jobs))
+	for i := range rep.Jobs {
+		out[i] = rep.Jobs[i].Result
+	}
+	return out
+}
+
 func main() {
 	for _, engine := range []struct {
 		name   string
@@ -46,8 +64,8 @@ func main() {
 		// Isolated baselines: one fresh testbed per job.
 		alone := make([]float64, 3)
 		for i := range alone {
-			_, eng, jobs := rig(engine.hadoop)
-			res := datampi.RunAll(eng, datampi.FIFO, jobs[i])[0]
+			tb, eng, jobs := rig(engine.hadoop)
+			res := runMix(tb, eng, datampi.FIFO, jobs[i])[0]
 			if res.Err != nil {
 				log.Fatal(res.Err)
 			}
@@ -57,8 +75,8 @@ func main() {
 		fmt.Printf("== %s: WordCount + Grep + TextSort (8 GB each) on one 8-node testbed ==\n", engine.name)
 		fmt.Printf("%-10s %-10s %8s %8s %8s\n", "policy", "job", "alone(s)", "mix(s)", "slowdown")
 		for _, policy := range []datampi.Policy{datampi.FIFO, datampi.Fair} {
-			_, eng, jobs := rig(engine.hadoop)
-			results := datampi.RunAll(eng, policy, jobs...)
+			tb, eng, jobs := rig(engine.hadoop)
+			results := runMix(tb, eng, policy, jobs...)
 			makespan := 0.0
 			for i, res := range results {
 				if res.Err != nil {

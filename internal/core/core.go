@@ -21,20 +21,22 @@
 // overlaps computation and the intermediate data never touches disk
 // unless the A-side buffer overflows. Per-task processes are native (no
 // JVM), so startup and per-byte CPU costs are low; both constants come
-// from the paper's own measurements (see EXPERIMENTS.md).
+// from the paper's own measurements (see README "Transport model" and
+// bench/paper_refs.json).
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
-	"github.com/datampi/datampi-go/internal/metrics"
 	"github.com/datampi/datampi-go/internal/mpi"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
+	"github.com/datampi/datampi-go/internal/taskrt"
 	"github.com/datampi/datampi-go/internal/trace"
 	"github.com/datampi/datampi-go/internal/transport"
 )
@@ -109,115 +111,45 @@ func DefaultConfig() Config {
 
 // Engine runs DataMPI Common-mode jobs. It implements job.Engine
 // (exclusive single-job runs) and sched.Engine (job admission onto a
-// shared testbed).
+// shared testbed); the job lifecycle, A-side buffer and part-file commit
+// come from the embedded runtime.
 type Engine struct {
-	C    *cluster.Cluster
-	FS   *dfs.FS
-	Cfg  Config
-	Prof *metrics.Profiler
-	// Tracer records job/phase/recv spans for solo Run paths; queue
-	// submissions inherit the tracker's tracer instead.
-	Tracer *trace.Tracer
-
-	daemons   *sched.Residency // per-node runtime residency across jobs
-	profiling sched.Profiling  // refcounted sampling across jobs
-	tp        *transport.Transport
+	taskrt.Base
+	Cfg Config
 }
 
 var _ sched.Engine = (*Engine)(nil)
 
 // New creates a DataMPI engine over a filesystem.
 func New(fs *dfs.FS, cfg Config) *Engine {
-	prof := cfg.Transport
-	if prof.Name == "" {
-		prof = transport.DataMPIProfile()
-		prof.EmitCPUPerByte = cfg.CPUPerByteEmit // deprecated alias
-	}
-	return &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
+	return &Engine{Base: taskrt.NewBase("DataMPI", fs, cfg.Transport, transport.DataMPIProfile(), cfg.CPUPerByteEmit), Cfg: cfg}
 }
-
-// Transport exposes the engine's staged communication model (disabled
-// by default; the scenario WithTransport knob switches it on).
-func (e *Engine) Transport() *transport.Transport { return e.tp }
-
-// Name implements job.Engine.
-func (e *Engine) Name() string { return "DataMPI" }
-
-// Cluster implements sched.Engine.
-func (e *Engine) Cluster() *cluster.Cluster { return e.C }
-
-func (e *Engine) scale() float64 { return e.FS.Config().Scale }
 
 // Run executes a Common-mode job exclusively: the equivalent of one
 // MapReduce round, with spec.Map as the O function and spec.Reduce as the
-// A function. It drives the simulation engine to completion, so the
-// cluster must not have other foreground work; co-schedule jobs through a
-// sched.Queue instead.
+// A function (see taskrt.Base.RunSolo for the drain and accounting
+// contract).
 func (e *Engine) Run(spec job.Spec) job.Result {
-	eng := e.C.Eng
-	res := new(job.Result)
-	completed := false
-	e.submit(spec, sched.Solo(eng, e.C.N()), res, func(job.Result) { completed = true })
-	if err := eng.Run(); err != nil {
-		if res.Err == nil {
-			res.Err = err
-		}
-		if !completed {
-			// The driver never reached its cleanup (simulation deadlock):
-			// release what submit charged so the engine stays reusable.
-			e.profiling.Stop(e.Prof)
-			e.releaseDaemons()
-		}
-	}
-	// Exclusive-run accounting: the job ends when the simulation drains,
-	// and the A phase extends to that point.
-	res.End = eng.Now()
-	res.Elapsed = res.End - res.Start
-	if o, ok := res.Phases["O"]; ok {
-		res.Phases["A"] = res.End - (res.Start + o)
-	}
-	return *res
+	return e.RunSolo(func(ctl *sched.JobControl) *taskrt.Job { return e.submit(spec, ctl, nil) })
 }
 
 // Submit implements sched.Engine: it admits the job onto the shared
 // simulation without driving the event loop.
 func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) {
-	e.submit(spec, ctl, new(job.Result), done)
+	e.submit(spec, ctl, done)
 }
 
 // submit spawns the job's driver and task processes. done (optional) runs
 // in simulation context when the driver completes.
-func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, done func(job.Result)) {
+func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 	spec.Normalize()
-	*res = job.Result{Engine: e.Name(), Job: spec.Name, Phases: map[string]float64{}}
-	eng := e.C.Eng
-	res.Start = eng.Now()
-
 	blocks := spec.Input.Blocks
 	if len(blocks) == 0 {
-		res.Err = fmt.Errorf("datampi: job %s has empty input", spec.Name)
-		if done != nil {
-			done(*res)
-		}
-		return
+		return e.Reject(spec.Name, fmt.Errorf("datampi: job %s has empty input", spec.Name), done)
 	}
-
-	e.acquireDaemons()
-	e.profiling.Start(e.Prof, eng)
-
-	// Tracing: queue submissions carry the scenario's tracer on the
-	// tracker; solo runs fall back to the engine field.
-	tr := ctl.Tracker().Tracer()
-	if tr == nil && e.Tracer != nil {
-		tr = e.Tracer
-		ctl.Tracker().SetTracer(tr)
-	}
-	e.tp.SetTracer(tr)
-	var jsp *trace.Span
-	if tr != nil {
-		jsp = tr.Begin("job:"+spec.Name, "job", 0, trace.TidDriver, res.Start).
-			Annotate("engine", e.Name())
-	}
+	j := e.Begin(spec.Name, ctl, e.Cfg.DaemonMem)
+	res := &j.Res
+	eng := e.C.Eng
 
 	nO := e.Cfg.TasksPerNode * e.C.N()
 	if nO > len(blocks) {
@@ -242,28 +174,19 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 	}
 	aSlots := ctl.PoolGrow("dm-a", aPerNode)
 
-	var jobErr error
-	fail := func(err error) {
-		if jobErr == nil {
-			jobErr = err
-		}
-	}
-	var oPhaseEnd float64
-	oDone := 0
-
 	var wg sim.WaitGroup
 
-	// A-side recovery: a restarted A rank lost its in-memory intermediate
-	// data, so the engine replays the whole O side into it — every replay
-	// send reaches every A rank, and the live ones discard the duplicate
-	// streams by split tag. Rounds are shared: ranks restarted together
-	// ride one replay.
-	var rec *aRecovery
-	launchReplay := func(o, gen int) {
-		wg.Add(1)
-		ctl.Tracker().NoteRecompute()
+	// launchO launches O rank o as the task called name. O tasks are
+	// restartable: the body re-reads its immutable splits and re-streams
+	// partitions, and duplicate sends are harmless because the A side
+	// keeps one message per split tag and discards re-deliveries (the
+	// duplicate bytes still cross the simulated network, as real
+	// speculative shuffles do). Map-only O tasks write the DFS through
+	// the attempt-scoped committer, so they can race backups too. count
+	// is the launch's own accounting in the winner's Done.
+	launchO := func(o int, name string, count func(att *sched.Attempt), fail func(error), final func()) {
 		ctl.Launch(sched.TaskSpec{
-			Name:        fmt.Sprintf("O-%d~r%d", o, gen),
+			Name:        name,
 			Node:        world.NodeOf(o),
 			Pool:        oSlots,
 			Group:       "O",
@@ -274,16 +197,28 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 				return nil, e.runOTask(p, att, &spec, world, o, nO, nA, splitsOf[o])
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-				res.AddCounter("o_replays", 1)
+				count(att)
 				return nil
 			},
-			Fail: fail,
-			// taskDone may chain a pending round (wg.Add) and must run
-			// before wg.Done so the driver cannot slip through a zero.
-			Final: func() { rec.taskDone(eng.Now()); wg.Done() },
+			Fail:  fail,
+			Final: final,
 		})
 	}
-	rec = &aRecovery{nO: nO, launch: launchReplay, pendingAt: -1}
+
+	// A-side recovery: a restarted A rank lost its in-memory intermediate
+	// data, so the engine replays the whole O side into it — every replay
+	// send reaches every A rank, and the live ones discard the duplicate
+	// streams by split tag. Rounds are shared: ranks restarted together
+	// ride one replay.
+	var rec *aRecovery
+	rec = &aRecovery{nO: nO, pendingAt: -1, launch: func(o, gen int) {
+		wg.Add(1)
+		ctl.Tracker().NoteRecompute()
+		// taskDone may chain a pending round (wg.Add) and must run
+		// before wg.Done so the driver cannot slip through a zero.
+		launchO(o, fmt.Sprintf("O-%d~r%d", o, gen), func(*sched.Attempt) { res.AddCounter("o_replays", 1) },
+			j.Fail, func() { rec.taskDone(eng.Now()); wg.Done() })
+	}}
 
 	eng.Go("datampi-driver:"+spec.Name, func(driver *sim.Proc) {
 		// mpirun spawns every task process across the cluster at once —
@@ -291,44 +226,22 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 		driver.Sleep(e.Cfg.MPIRunLaunch)
 
 		wg.Add(nO + nA)
+		oDone := 0
 		oFinish := func() {
-			oDone++
-			if oDone == nO {
-				oPhaseEnd = eng.Now()
+			if oDone++; oDone == nO {
+				j.Phase("O", "A")
 			}
 		}
 		for o := 0; o < nO; o++ {
 			o := o
-			// O tasks are restartable: the body re-reads its immutable
-			// splits and re-streams partitions, and duplicate sends are
-			// harmless because the A side keeps one message per split tag
-			// and discards re-deliveries (the duplicate bytes still cross
-			// the simulated network, as real speculative shuffles do).
-			// Map-only O tasks write the DFS through the attempt-scoped
-			// committer, so they can race backups too.
-			ctl.Launch(sched.TaskSpec{
-				Name:        fmt.Sprintf("O-%d", o),
-				Node:        world.NodeOf(o),
-				Pool:        oSlots,
-				Group:       "O",
-				Restartable: true,
-				CommitFS:    e.FS,
-				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					oSpans[o] = att.TraceSpan().SpanID()
-					return nil, e.runOTask(p, att, &spec, world, o, nO, nA, splitsOf[o])
-				},
-				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-					res.AddCounter("o_tasks", 1)
-					oSpans[o] = att.TraceSpan().SpanID()
-					if nA == 0 {
-						jsp.DepOn(oSpans[o])
-					}
-					oFinish()
-					return nil
-				},
-				Fail:  func(err error) { fail(err); oFinish() },
-				Final: wg.Done,
-			})
+			launchO(o, fmt.Sprintf("O-%d", o), func(att *sched.Attempt) {
+				res.AddCounter("o_tasks", 1)
+				oSpans[o] = att.TraceSpan().SpanID()
+				if nA == 0 {
+					j.DependsOn(att)
+				}
+				oFinish()
+			}, func(err error) { j.Fail(err); oFinish() }, wg.Done)
 		}
 		totalSplits := len(blocks)
 		for a := 0; a < nA; a++ {
@@ -353,41 +266,18 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, res *job.Result, d
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					res.AddCounter("a_tasks", 1)
-					jsp.DepOn(att.TraceSpan().SpanID())
+					j.DependsOn(att)
 					return nil
 				},
-				Fail:  fail,
+				Fail:  j.Fail,
 				Final: wg.Done,
 			})
 		}
 		wg.Wait(driver)
 		driver.Sleep(e.Cfg.JobFinalize)
-		res.End = eng.Now()
-		res.Elapsed = res.End - res.Start
-		if oPhaseEnd > 0 {
-			res.Phases["O"] = oPhaseEnd - res.Start
-			res.Phases["A"] = res.End - oPhaseEnd
-		}
-		if jsp != nil {
-			jsp.EndAt(res.End)
-			if oPhaseEnd > 0 {
-				osp := tr.BeginChild(jsp, "O", "phase", 0, trace.TidDriver, res.Start)
-				osp.EndAt(oPhaseEnd)
-				asp := tr.BeginChild(jsp, "A", "phase", 0, trace.TidDriver, oPhaseEnd)
-				asp.EndAt(res.End)
-				// Phases derive from the spans; same floats as the legacy
-				// subtractions, so reports stay bit-identical.
-				res.Phases["O"] = osp.End - osp.Start
-				res.Phases["A"] = asp.End - asp.Start
-			}
-		}
-		res.Err = jobErr
-		e.profiling.Stop(e.Prof)
-		e.releaseDaemons()
-		if done != nil {
-			done(*res)
-		}
+		j.Finish(done)
 	})
+	return j
 }
 
 // aRecovery coordinates O-side replay for restarted A ranks. A restarted
@@ -444,17 +334,6 @@ func (r *aRecovery) taskDone(now float64) {
 	}
 }
 
-// acquireDaemons charges the per-node runtime residency when the first
-// concurrent job starts; releaseDaemons frees it with the last.
-func (e *Engine) acquireDaemons() {
-	if e.daemons == nil {
-		e.daemons = sched.NewResidency(e.C)
-	}
-	e.daemons.Acquire(e.Cfg.DaemonMem)
-}
-
-func (e *Engine) releaseDaemons() { e.daemons.Release() }
-
 // buildWorld lays out nO O-ranks followed by nA A-ranks, each side spread
 // round-robin across nodes.
 func (e *Engine) buildWorld(nO, nA int) *mpi.World {
@@ -466,7 +345,7 @@ func (e *Engine) buildWorld(nO, nA int) *mpi.World {
 		nodeOf[nO+a] = a % e.C.N()
 	}
 	w := mpi.NewWorld(e.C, nodeOf)
-	w.SetTransport(e.tp)
+	w.SetTransport(e.Transport())
 	return w
 }
 
@@ -488,7 +367,7 @@ func (e *Engine) assignSplits(pl sched.Placer, blocks []*dfs.Block, nO int, w *m
 // everything it allocates is released by defers even when cancelled.
 func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, rank, nO, nA int, splits []*dfs.Block) error {
 	cfg := &e.Cfg
-	scale := e.scale()
+	scale := e.Scale()
 	node := att.Node()
 	mem := e.C.Node(node).Mem
 	p.Sleep(cfg.TaskStart)
@@ -522,9 +401,7 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		emitScale := spec.EmitScale()
 		emittedNominal := 0.0
 		for _, part := range parts {
-			for _, pr := range part {
-				emittedNominal += float64(pr.Size()+6) * emitScale
-			}
+			emittedNominal = taskrt.FramedNominal(emittedNominal, part, emitScale)
 		}
 
 		// Send buffers hold one pipelining unit per destination. The held
@@ -538,27 +415,18 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		sendBufHeld += sendBufMem
 
 		cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteO*spec.MapCPUFactor*inflatedNominal +
-			e.tp.Profile().EmitCPUPerByte*emittedNominal +
+			e.Transport().Profile().EmitCPUPerByte*emittedNominal +
 			cfg.CPUPerRecord*nominalRecords)
 
 		var wg sim.WaitGroup
 		if err := e.FS.StartRead(blk, node, &wg); err != nil {
 			return err
 		}
-		wg.Add(1)
-		e.C.Node(node).CPU.Start(cpuSec, wg.Done)
-		if cfg.OverheadFactor > 0 {
-			wg.Add(1)
-			e.C.Node(node).CPU.Start(cfg.OverheadFactor*cpuSec, wg.Done)
-		}
+		e.StartCPU(&wg, node, cpuSec, cfg.OverheadFactor*cpuSec)
 		sendAll := func(sg *sim.WaitGroup) {
 			for a := 0; a < nA; a++ {
-				nominal := 0.0
-				for _, pr := range parts[a] {
-					nominal += float64(pr.Size()+6) * emitScale
-				}
 				sg.Add(1)
-				w.IsendFromRecords(node, rank, nO+a, splitTag(blk), nominal,
+				w.IsendFromRecords(node, rank, nO+a, splitTag(blk), taskrt.FramedNominal(0, parts[a], emitScale),
 					float64(len(parts[a]))*emitScale, parts[a], sg.Done)
 			}
 		}
@@ -568,31 +436,19 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 			// carries the real records.
 			sendAll(&wg)
 		}
-		p.BlockReason = "disk"
-		wg.Wait(p)
-		p.BlockReason = ""
+		wg.WaitAs(p, "disk")
 		if !mapOnly && cfg.DisablePipelining {
 			// Ablation: communication starts only after the task's read
 			// and computation finish, as in Hadoop's shuffle.
 			var sg sim.WaitGroup
 			sendAll(&sg)
-			p.BlockReason = "net-send"
-			sg.Wait(p)
-			p.BlockReason = ""
+			sg.WaitAs(p, "net-send")
 		}
 		mem.Free(sendBufMem)
 		sendBufHeld -= sendBufMem
 
 		if mapOnly && spec.Output != "" {
-			// Attempt-scoped temp write; the tracker renames the winner's
-			// file into place (exactly-once even under a speculative race).
-			enc := job.EncodeTextOutput(parts[0])
-			name := att.ScopedPath(fmt.Sprintf("%s/part-o-%05d", spec.Output, blk.ID))
-			fw := e.FS.CreateScaled(name, node, emitScale)
-			if err := fw.Write(p, enc); err != nil {
-				return err
-			}
-			if err := fw.Close(p); err != nil {
+			if err := e.WritePart(p, att, fmt.Sprintf("%s/part-o-%05d", spec.Output, blk.ID), emitScale, parts[0]); err != nil {
 				return err
 			}
 		}
@@ -637,10 +493,14 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	}
 
 	var runs [][]kv.Pair
-	bufferedNominal, bufferedMem, spilledNominal := 0.0, 0.0, 0.0
+	capBytes := cfg.ABufferBytes
+	if capBytes <= 0 {
+		capBytes = math.Inf(1) // no buffer limit configured: never spill
+	}
+	buf := e.Buffer(p, node, capBytes, mem)
 	// Registered before the receive loop so a kill mid-receive (node
 	// failure) releases the buffered intermediate data.
-	defer func() { mem.Free(bufferedMem) }()
+	defer func() { buf.Release() }()
 	// One recv span covers the whole receive window. Its O-span deps make
 	// the overlap visible to the critical-path walk: only the tail of the
 	// receive past the last O task's completion sits on the path, which is
@@ -665,21 +525,9 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 			runs = append(runs, pairs)
 		}
 		res.AddCounter("pipelined_bytes_nominal", int64(m.Nominal))
-		bufferedNominal += m.Nominal
-		bufferedMem += m.Nominal
 		checkpointNominal += m.Nominal
-		mem.MustAlloc(m.Nominal)
-		if cfg.ABufferBytes > 0 && bufferedNominal > cfg.ABufferBytes {
-			// Buffer overflow: spill the in-memory intermediate data.
-			e.C.Node(node).Disk.Use(p, bufferedNominal, "shuffle-io")
-			if e.Prof != nil {
-				e.Prof.AddDiskWrite(node, bufferedNominal)
-			}
-			res.AddCounter("a_spill_bytes_nominal", int64(bufferedNominal))
-			spilledNominal += bufferedNominal
-			bufferedNominal = 0
-			mem.Free(bufferedMem)
-			bufferedMem = 0
+		if spilled := buf.Add(m.Nominal); spilled > 0 {
+			res.AddCounter("a_spill_bytes_nominal", int64(spilled))
 		}
 	}
 	if rsp != nil {
@@ -715,8 +563,7 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 			return fmt.Errorf("datampi: A task %d failed with no checkpoint", a)
 		}
 		p.Sleep(cfg.RestartDelay)
-		mem.Free(bufferedMem)
-		bufferedMem = 0
+		buf.Release()
 		// Restart: read the checkpoint back from the DFS.
 		ck, err := e.FS.Open(fmt.Sprintf("%s/_checkpoint/a-%05d", spec.Output, a))
 		if err != nil {
@@ -727,21 +574,14 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 				return err
 			}
 		}
-		mem.MustAlloc(checkpointNominal)
-		bufferedMem = checkpointNominal
-		bufferedNominal = checkpointNominal
-		spilledNominal = 0
+		// The restarted task holds the whole checkpoint in memory.
+		buf = e.Buffer(p, node, math.Inf(1), mem)
+		buf.Add(checkpointNominal)
 	}
 
-	totalNominal := bufferedNominal + spilledNominal
+	totalNominal := buf.Total()
 	var wg sim.WaitGroup
-	if spilledNominal > 0 {
-		wg.Add(1)
-		e.C.Node(node).Disk.Start(spilledNominal, wg.Done)
-		if e.Prof != nil {
-			e.Prof.AddDiskRead(node, spilledNominal)
-		}
-	}
+	buf.StartReadBack(&wg)
 	// Merge + reduce CPU. Every run is one O task's partition, which its
 	// collector's Finish already sorted, so the A side merges the runs
 	// rather than sorting their concatenation.
@@ -750,28 +590,13 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteA*spec.ReduceCPUFactor*totalNominal +
 		cfg.CPUPerByteSort*totalNominal +
 		cfg.CPUPerRecord*nominalRecords)
-	wg.Add(1)
-	e.C.Node(node).CPU.Start(cpuSec, wg.Done)
-	if cfg.OverheadFactor > 0 {
-		wg.Add(1)
-		e.C.Node(node).CPU.Start(cfg.OverheadFactor*cpuSec, wg.Done)
-	}
-	p.BlockReason = "disk"
-	wg.Wait(p)
-	p.BlockReason = ""
+	e.StartCPU(&wg, node, cpuSec, cfg.OverheadFactor*cpuSec)
+	wg.WaitAs(p, "disk")
 
 	reduced := spec.GroupReduce(all)
 	res.OutRecords += int64(len(reduced))
 	if spec.Output != "" {
-		enc := job.EncodeTextOutput(reduced)
-		name := att.ScopedPath(fmt.Sprintf("%s/part-a-%05d", spec.Output, a))
-		fw := e.FS.CreateScaled(name, node, spec.EmitScale())
-		if err := fw.Write(p, enc); err != nil {
-			return err
-		}
-		if err := fw.Close(p); err != nil {
-			return err
-		}
+		return e.WritePart(p, att, fmt.Sprintf("%s/part-a-%05d", spec.Output, a), spec.EmitScale(), reduced)
 	}
 	return nil
 }
@@ -779,6 +604,3 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 // mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
 // tests wrap it to assert that of every run the engine hands over.
 var mergeRuns = kv.MergeRuns
-
-// AttachProfiler wires a resource profiler into the engine.
-func (e *Engine) AttachProfiler(p *metrics.Profiler) { e.Prof = p }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/enginetest"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/metrics"
@@ -88,6 +89,7 @@ func TestWordCountCorrectness(t *testing.T) {
 	if res.Phases["O"] <= 0 || res.Phases["A"] <= 0 {
 		t.Fatalf("phases missing: %v", res.Phases)
 	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestSortGlobalOrder(t *testing.T) {
@@ -177,6 +179,7 @@ func TestCheckpointRestartRecovers(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("job with checkpoint should survive failure: %v", res.Err)
 	}
+	enginetest.AssertQuiesced(t, eng)
 	got := map[string]int64{}
 	for _, p := range job.ReadTextOutput(fs, "/out/part-a-") {
 		got[string(p.Key)] += kv.ParseInt(p.Value)
@@ -198,6 +201,7 @@ func TestFailureWithoutCheckpointFailsJob(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("expected job failure without checkpointing")
 	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestCheckpointSlowerThanNoCheckpoint(t *testing.T) {
@@ -234,20 +238,6 @@ func TestABufferSpill(t *testing.T) {
 	for w, n := range want {
 		if got[w] != n {
 			t.Fatalf("with spills, count[%s]=%d want %d", w, got[w], n)
-		}
-	}
-}
-
-func TestMemoryReturnsToZero(t *testing.T) {
-	c, fs, eng := testSetup(16*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(9, 64*1024), '\n')
-	res := eng.Run(wcSpec(fs, in, "/out", 4))
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	for i := 0; i < c.N(); i++ {
-		if used := c.Node(i).Mem.Used(); used != 0 {
-			t.Fatalf("node %d leaked %.0f bytes", i, used)
 		}
 	}
 }
@@ -335,6 +325,39 @@ func TestIterationModeConverges(t *testing.T) {
 	}
 	if res.FirstRound <= 0 || res.FirstRound > res.Elapsed {
 		t.Fatalf("first round %v vs elapsed %v", res.FirstRound, res.Elapsed)
+	}
+}
+
+// TestIterationFailedLoadReleasesMemory: at replication 1 with the only
+// replica's node down, an O-load rank fails its first read after charging
+// its process memory; the failed job must hand back every rank's
+// ProcBaseMem and every cache already pinned, so the engine is reusable.
+func TestIterationFailedLoadReleasesMemory(t *testing.T) {
+	c := cluster.New(cluster.DefaultHardware())
+	fs := dfs.New(c, dfs.Config{BlockSize: 8 * cluster.KB, Replication: 1, Scale: 1, Seed: 1})
+	eng := New(fs, DefaultConfig())
+	in := fs.PreloadAligned("/in", genText(14, 64*1024), '\n')
+	lost := in.Blocks[len(in.Blocks)-1].Locations[0]
+	fs.NodeDown(lost)
+	c.NodeDown(lost)
+	it := IterationJob[int]{
+		Name: "lossy", Input: in, InputFormat: job.Text, Rounds: 2,
+		LoadO:      func(records []kv.Pair) any { return len(records) },
+		RunO:       func(round, state int, cached any, emit job.Emit) { emit([]byte("n"), []byte("1")) },
+		RunA:       func(round int, grouped []kv.Pair) []kv.Pair { return grouped },
+		MergeState: func(round, state int, aggs []kv.Pair) (int, bool) { return state, false },
+	}
+	res := RunIteration(eng, it, 0)
+	if res.Err == nil {
+		t.Fatal("reading a block whose only replica is down should fail the job")
+	}
+	if res.Rounds != 0 {
+		t.Fatalf("%d rounds ran after a failed load", res.Rounds)
+	}
+	for i := 0; i < c.N(); i++ {
+		if used := c.Node(i).Mem.Used(); used != 0 {
+			t.Fatalf("node %d still has %.0f bytes charged after the failed job", i, used)
+		}
 	}
 }
 

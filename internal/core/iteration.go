@@ -8,6 +8,7 @@ import (
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
+	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
 // IterationJob is DataMPI's Iteration mode: persistent O tasks cache their
@@ -60,7 +61,7 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 	res := IterationResult[S]{}
 	eng := e.C.Eng
 	cfg := &e.Cfg
-	scale := e.scale()
+	scale := e.Scale()
 	start := eng.Now()
 
 	if it.CPUFactorO <= 0 {
@@ -121,9 +122,7 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 					// Parse CPU overlapped with the read.
 					wgr.Add(1)
 					e.C.Node(node).CPU.Start(cfg.CPUPerByteO*float64(inf)*scale, wgr.Done)
-					p.BlockReason = "disk"
-					wgr.Wait(p)
-					p.BlockReason = ""
+					wgr.WaitAs(p, "disk")
 					recs = append(recs, r...)
 					inflated += inf
 				}
@@ -134,14 +133,9 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 			})
 		}
 		wg.Wait(driver)
-		if jobErr != nil {
-			if e.Prof != nil {
-				e.Prof.Stop()
-			}
-			return
-		}
 
-		for round := 1; round <= it.Rounds; round++ {
+		// A failed load skips the rounds and the finalize.
+		for round := 1; jobErr == nil && round <= it.Rounds; round++ {
 			aggParts := make([][]kv.Pair, nA)
 			// O compute + pipelined send.
 			wg.Add(nO)
@@ -161,16 +155,10 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 					for a := 0; a < nA; a++ {
 						// Round results are aggregates (cardinality-bound),
 						// charged unscaled.
-						nominal := 0.0
-						for _, pr := range parts[a] {
-							nominal += float64(pr.Size() + 6)
-						}
 						wgo.Add(1)
-						world.Isend(o, nO+a, round, nominal, parts[a], wgo.Done)
+						world.Isend(o, nO+a, round, taskrt.FramedNominal(0, parts[a], 1), parts[a], wgo.Done)
 					}
-					p.BlockReason = "cpu"
-					wgo.Wait(p)
-					p.BlockReason = ""
+					wgo.WaitAs(p, "cpu")
 				})
 			}
 			// A aggregate.
@@ -223,11 +211,15 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 				break
 			}
 		}
-		// Release cached data and process memory.
+		// Release cached data and process memory — after a failed load too:
+		// every rank charged its ProcBaseMem before its first read, and the
+		// ranks that finished loading pinned their cache.
 		for o := 0; o < nO; o++ {
 			e.C.Node(world.NodeOf(o)).Mem.Free(cachedNominal[o] + cfg.ProcBaseMem)
 		}
-		driver.Sleep(cfg.JobFinalize)
+		if jobErr == nil {
+			driver.Sleep(cfg.JobFinalize)
+		}
 		if e.Prof != nil {
 			e.Prof.Stop()
 		}

@@ -10,14 +10,48 @@ import (
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
+	"github.com/datampi/datampi-go/internal/sim"
 )
+
+// Engine is what mr, rdd and core engines are to these helpers: queueable,
+// and reporting how many jobs still hold their runtime's residency.
+type Engine interface {
+	sched.Engine
+	ActiveJobs() int
+}
+
+// AssertQuiesced drains the simulation (trailing lazy heap frees, DFS
+// repairs) and checks that the engine gave back everything its jobs took:
+// no job still holds the daemon residency, every node's memory account is
+// back at zero, and no proc is left parked. It is the first slice of the
+// conservation audit: call it after success, after a speculative race,
+// after node-loss recovery and after a failed job. The engine must hold
+// no cached data (a pinned rdd cache is residency by design).
+func AssertQuiesced(t *testing.T, eng Engine) {
+	t.Helper()
+	c := eng.Cluster()
+	if err := c.Eng.Run(); err != nil {
+		t.Fatalf("draining the simulation: %v", err)
+	}
+	if n := eng.ActiveJobs(); n != 0 {
+		t.Fatalf("%d jobs still hold the engine's daemon residency", n)
+	}
+	for i := 0; i < c.N(); i++ {
+		if used := c.Node(i).Mem.Used(); used != 0 {
+			t.Fatalf("node %d still has %.0f bytes allocated", i, used)
+		}
+	}
+	if n := c.Eng.CountBlocked(func(*sim.Proc) bool { return true }); n != 0 {
+		t.Fatalf("%d procs still live after the run", n)
+	}
+}
 
 // RunQueued runs spec on eng through a FIFO scheduling queue, so that the
 // task tracker can speculate and fail nodes; arm (optional) configures
 // the queue and schedules faults before the job is submitted. The job
-// must succeed and its output under outPrefix must match the sequential
-// reference.
-func RunQueued(t *testing.T, fs *dfs.FS, eng sched.Engine, spec job.Spec, outPrefix string, arm func(q *sched.Queue)) (job.Result, sched.TrackerStats) {
+// must succeed, its output under outPrefix must match the sequential
+// reference, and the engine must end quiesced.
+func RunQueued(t *testing.T, fs *dfs.FS, eng Engine, spec job.Spec, outPrefix string, arm func(q *sched.Queue)) (job.Result, sched.TrackerStats) {
 	t.Helper()
 	c := eng.Cluster()
 	q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
@@ -30,6 +64,7 @@ func RunQueued(t *testing.T, fs *dfs.FS, eng sched.Engine, spec job.Spec, outPre
 		t.Fatal(res.Err)
 	}
 	AssertMatchesSequential(t, fs, outPrefix, spec)
+	AssertQuiesced(t, eng)
 	return res, q.TrackerStats()
 }
 

@@ -134,11 +134,21 @@ func NewProfiler(c *cluster.Cluster, interval float64) *Profiler {
 	}
 }
 
-// AddDiskRead records nominal bytes read from node i's disk.
-func (pr *Profiler) AddDiskRead(node int, bytes float64) { pr.diskRead[node] += bytes }
+// AddDiskRead records nominal bytes read from node i's disk. Like
+// AddDiskWrite it is a no-op on a nil profiler, so engines with no
+// profiler attached call it unguarded.
+func (pr *Profiler) AddDiskRead(node int, bytes float64) {
+	if pr != nil {
+		pr.diskRead[node] += bytes
+	}
+}
 
 // AddDiskWrite records nominal bytes written to node i's disk.
-func (pr *Profiler) AddDiskWrite(node int, bytes float64) { pr.diskWrite[node] += bytes }
+func (pr *Profiler) AddDiskWrite(node int, bytes float64) {
+	if pr != nil {
+		pr.diskWrite[node] += bytes
+	}
+}
 
 // Start begins sampling at the current simulated time.
 func (pr *Profiler) Start() {

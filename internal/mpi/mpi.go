@@ -46,8 +46,8 @@ type World struct {
 	// protocol), charged once per Send.
 	LatencySecs float64
 
-	// tp, when set and enabled, routes sends through the staged
-	// transport model instead of the bare fabric flow.
+	// tp, when set, carries the sends: staged when enabled, else the
+	// bare fabric flow (as without one).
 	tp *transport.Transport
 }
 
@@ -122,7 +122,8 @@ func (w *World) Isend(from, to, tag int, nominalBytes float64, payload any, onDo
 
 // SetTransport attaches a staged transport model: when it is enabled,
 // sends run serialize/copy (or zero-copy) stages before the wire and
-// deserialize after it. Nil or disabled keeps the bare fabric path.
+// deserialize after it. Nil or disabled keeps the bare fabric path
+// (transport.Send makes the fluid-vs-staged choice).
 func (w *World) SetTransport(tp *transport.Transport) { w.tp = tp }
 
 // IsendFrom is Isend with the source node overridden: a speculative
@@ -155,7 +156,7 @@ func (w *World) IsendFromRecords(srcNode, from, to, tag int, nominalBytes, nomin
 		}
 	}
 	dstNode := w.nodeOf[to]
-	if w.tp.Enabled() {
+	if w.tp != nil {
 		w.tp.Send(srcNode, dstNode, nominalBytes, nominalRecords, arrive)
 		return
 	}

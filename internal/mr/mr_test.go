@@ -9,6 +9,7 @@ import (
 
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/enginetest"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/metrics"
@@ -100,6 +101,7 @@ func TestWordCountCorrectness(t *testing.T) {
 	if res.Phases["map"] <= 0 || res.Phases["reduce"] <= 0 {
 		t.Fatalf("phases not recorded: %v", res.Phases)
 	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestWordCountMatchesSequentialReference(t *testing.T) {
@@ -249,20 +251,6 @@ func TestJobOverheadDominatesSmallJobs(t *testing.T) {
 	}
 }
 
-func TestMemoryReturnsToZero(t *testing.T) {
-	c, fs, eng := testSetup(16*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(7, 64*1024), '\n')
-	res := eng.Run(wordCountSpec(fs, in, "/out", 4))
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	for i := 0; i < c.N(); i++ {
-		if used := c.Node(i).Mem.Used(); used != 0 {
-			t.Fatalf("node %d still has %.0f bytes allocated after job", i, used)
-		}
-	}
-}
-
 func TestProfilerCapturesActivity(t *testing.T) {
 	c, fs, eng := testSetup(4*cluster.MB, 64)
 	in := fs.PreloadAligned("/in", genText(8, 512*1024), '\n')
@@ -348,6 +336,7 @@ func TestEmptyInputFails(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("expected error for empty input")
 	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestMapPhaseShorterThanJob(t *testing.T) {

@@ -1,6 +1,8 @@
 package rdd
 
 import (
+	"strconv"
+
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
@@ -41,19 +43,12 @@ func (e *Engine) lineage(spec *job.Spec) *RDD {
 }
 
 // Run implements job.Engine: it executes the spec's lineage exclusively,
-// driving the simulation to completion.
+// driving the simulation to completion. The solo action (and its job
+// span) is called "action"; the result carries the spec's name.
 func (e *Engine) Run(spec job.Spec) job.Result {
 	spec.Normalize()
-	res := job.Result{Engine: e.Name(), Job: spec.Name, Phases: map[string]float64{}}
-	res.Start = e.C.Eng.Now()
-
-	jr := e.lineage(&spec).SaveAsTextFile(spec.Output)
-	res.End = e.C.Eng.Now()
-	res.Elapsed = jr.Elapsed
-	res.Err = jr.Err
-	for i, d := range jr.Stages {
-		res.Phases[stageName(i)] = d
-	}
+	res := e.lineage(&spec).SaveAsTextFile(spec.Output)
+	res.Job = spec.Name
 	return res
 }
 
@@ -61,30 +56,7 @@ func (e *Engine) Run(spec job.Spec) job.Result {
 // shared simulation without driving the event loop.
 func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) {
 	spec.Normalize()
-	res := job.Result{Engine: e.Name(), Job: spec.Name, Phases: map[string]float64{}}
-	res.Start = e.C.Eng.Now()
-
-	final := e.lineage(&spec)
-	e.submitAction(spec.Name, final, spec.Output, nil, ctl, new(JobResult), func(jr JobResult) {
-		res.End = e.C.Eng.Now()
-		res.Elapsed = jr.Elapsed
-		res.Err = jr.Err
-		for i, d := range jr.Stages {
-			res.Phases[stageName(i)] = d
-		}
-		if done != nil {
-			done(res)
-		}
-	})
+	e.submitAction(spec.Name, e.lineage(&spec), spec.Output, nil, ctl, done)
 }
 
-func stageName(i int) string {
-	switch i {
-	case 0:
-		return "stage0"
-	case 1:
-		return "stage1"
-	default:
-		return "stage" + string(rune('0'+i))
-	}
-}
+func stageName(i int) string { return "stage" + strconv.Itoa(i) }

@@ -8,7 +8,7 @@ import (
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
-	"github.com/datampi/datampi-go/internal/trace"
+	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
 // stage is a maximal chain of narrow ops rooted at a source RDD, a cached
@@ -72,20 +72,13 @@ func plan(r *RDD) []*stage {
 	return stages
 }
 
-// JobResult reports one action's execution.
-type JobResult struct {
-	Elapsed float64
-	Stages  []float64 // per-stage durations
-	Err     error
-}
-
 // SaveAsTextFile computes the RDD and writes one part file per partition.
-func (r *RDD) SaveAsTextFile(path string) JobResult {
+func (r *RDD) SaveAsTextFile(path string) job.Result {
 	return r.eng.runAction(r, path, nil)
 }
 
 // Collect computes the RDD and returns all pairs (partition order).
-func (r *RDD) Collect() ([]kv.Pair, JobResult) {
+func (r *RDD) Collect() ([]kv.Pair, job.Result) {
 	var out []kv.Pair
 	res := r.eng.runAction(r, "", func(parts []partData) {
 		for _, pd := range parts {
@@ -96,121 +89,53 @@ func (r *RDD) Collect() ([]kv.Pair, JobResult) {
 }
 
 // runAction executes the staged computation of target exclusively inside
-// the simulation, optionally writing output or collecting results. It
-// drives the simulation to completion; co-schedule actions through a
-// sched.Queue instead.
-func (e *Engine) runAction(target *RDD, outPath string, collect func([]partData)) JobResult {
-	eng := e.C.Eng
-	res := new(JobResult)
-	start := eng.Now()
-	completed := false
-	e.submitAction("action", target, outPath, collect, sched.Solo(eng, e.C.N()), res, func(JobResult) { completed = true })
-	if err := eng.Run(); err != nil {
-		if res.Err == nil {
-			res.Err = err
-		}
-		if !completed {
-			// The driver never reached its cleanup (simulation deadlock):
-			// release what submitAction charged so the engine stays usable.
-			e.profiling.Stop(e.Prof)
-			e.releaseApp()
-		}
-	}
-	// Exclusive-run accounting: the action ends when the simulation drains
-	// (trailing lazy GC frees included).
-	res.Elapsed = eng.Now() - start
-	return *res
+// the simulation, optionally writing output or collecting results (see
+// taskrt.Base.RunSolo for the drain and accounting contract).
+func (e *Engine) runAction(target *RDD, outPath string, collect func([]partData)) job.Result {
+	return e.RunSolo(func(ctl *sched.JobControl) *taskrt.Job {
+		return e.submitAction("action", target, outPath, collect, ctl, nil)
+	})
 }
 
 // submitAction spawns the action's driver and task processes. done
-// (optional) runs in simulation context when the driver completes.
+// (optional) runs in simulation context when the driver completes. Each
+// stage is one phase of the job ("stage0", "stage1", ...).
 func (e *Engine) submitAction(name string, target *RDD, outPath string, collect func([]partData),
-	ctl *sched.JobControl, res *JobResult, done func(JobResult)) {
+	ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 
-	eng := e.C.Eng
 	cfg := &e.Cfg
-	start := eng.Now()
-
-	e.acquireApp()
-	e.profiling.Start(e.Prof, eng)
-
-	// Tracing: queue submissions carry the scenario's tracer on the
-	// tracker; solo actions fall back to the engine field.
-	tr := ctl.Tracker().Tracer()
-	if tr == nil && e.Tracer != nil {
-		tr = e.Tracer
-		ctl.Tracker().SetTracer(tr)
-	}
-	e.tp.SetTracer(tr)
-	var jsp *trace.Span
-	if tr != nil {
-		jsp = tr.Begin("job:"+name, "job", 0, trace.TidDriver, start).
-			Annotate("engine", e.Name())
-	}
+	// The per-node daemon plus the executors' base residency.
+	j := e.Begin(name, ctl, cfg.DaemonMem+float64(cfg.WorkersPerNode)*cfg.ExecutorBaseMem)
 
 	stages := plan(target)
 	slots := ctl.Pool("spark-worker", cfg.WorkersPerNode)
 
-	var stageEnds []float64
-	eng.Go("spark-driver", func(driver *sim.Proc) {
+	e.C.Eng.Go("spark-driver", func(driver *sim.Proc) {
 		if !e.appStarted {
 			// Latch before sleeping so concurrently submitted actions do
 			// not each pay the one-off SparkContext launch cost.
 			e.appStarted = true
 			driver.Sleep(cfg.AppLaunch)
 		}
-		var jobErr error
 		var current []partData
 		var pf *stageFetch // previous stage's shuffle-recovery context
 		for si, st := range stages {
-			isLast := si == len(stages)-1
-			out, nf, err := e.runStage(driver, st, current, pf, slots, ctl, si, isLast, outPath, jsp)
+			out, nf, err := e.runStage(driver, st, current, pf, slots, ctl, si, si == len(stages)-1, outPath, j)
 			if err != nil {
-				jobErr = err
+				j.Fail(err)
 				break
 			}
-			current = out
-			pf = nf
-			stageEnds = append(stageEnds, eng.Now())
+			current, pf = out, nf
+			j.Phase(stageName(si), "")
 		}
-		if jobErr == nil && collect != nil {
+		if j.Err() == nil && collect != nil {
 			collect(current)
 		}
 		driver.Sleep(cfg.JobFinalize)
-		endT := eng.Now()
-		res.Elapsed = endT - start
-		prev := start
-		for i, t := range stageEnds {
-			res.Stages = append(res.Stages, t-prev)
-			if jsp != nil {
-				// Stage phase spans; durations derive from the spans, the
-				// same floats as the legacy subtraction.
-				sp := tr.BeginChild(jsp, stageName(i), "phase", 0, trace.TidDriver, prev)
-				sp.EndAt(t)
-				res.Stages[i] = sp.End - sp.Start
-			}
-			prev = t
-		}
-		jsp.EndAt(endT)
-		res.Err = jobErr
-		e.profiling.Stop(e.Prof)
-		e.releaseApp()
-		if done != nil {
-			done(*res)
-		}
+		j.Finish(done)
 	})
+	return j
 }
-
-// acquireApp charges the per-node daemon and executor base residency when
-// the first concurrent action starts; releaseApp frees it with the last.
-func (e *Engine) acquireApp() {
-	if e.app == nil {
-		e.app = sched.NewResidency(e.C)
-	}
-	e.app.Acquire(e.Cfg.DaemonMem + float64(e.Cfg.WorkersPerNode)*e.Cfg.ExecutorBaseMem)
-}
-
-func (e *Engine) releaseApp() { e.app.Release() }
 
 // taskIn is one stage task's immutable input — kept per stage so a lost
 // shuffle output can be regenerated by re-running the producing task.
@@ -249,7 +174,7 @@ type stageFetch struct {
 // Cached-root producers recompute from the stage's plan-time cache
 // snapshot; losing the executor cache itself drops the RDD for recompute
 // on the next action (see Engine.dropCachesOn).
-func (sf *stageFetch) recover(p *sim.Proc, att *sched.Attempt, node int, pd partData, pi int) (partData, error) {
+func (sf *stageFetch) recover(p *sim.Proc, att *sched.Attempt, pd partData, pi int) (partData, error) {
 	ti := pd.taskIdx
 	for sf.busy[ti] {
 		sf.cond.Wait(p, "recompute-wait")
@@ -266,8 +191,7 @@ func (sf *stageFetch) recover(p *sim.Proc, att *sched.Attempt, node int, pd part
 		sf.cond.Broadcast()
 	}()
 	sf.ctl.Tracker().NoteRecompute()
-	tin := &sf.inputs[ti]
-	out, err := sf.eng.runTask(p, att, sf.st, node, tin.blk, tin.pairs, tin.nominal, tin.fetches, tin.wide, false, "", ti, sf.prev)
+	out, err := sf.eng.runTask(p, att, sf.st, &sf.inputs[ti], false, "", ti, sf.prev)
 	if err != nil {
 		return partData{}, err
 	}
@@ -280,10 +204,9 @@ func (sf *stageFetch) recover(p *sim.Proc, att *sched.Attempt, node int, pd part
 // the recovery context the next stage fetches through.
 func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, prevFetch *stageFetch,
 	slots *sched.SlotPool, ctl *sched.JobControl, si int, isLast bool, outPath string,
-	jsp *trace.Span) ([]partData, *stageFetch, error) {
+	j *taskrt.Job) ([]partData, *stageFetch, error) {
 
 	cfg := &e.Cfg
-	scale := e.scale()
 
 	var tasks []taskIn
 
@@ -343,7 +266,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 		spans: make([]uint64, len(tasks))}
 
 	results := make([]partData, 0, len(tasks))
-	var firstErr error
 	var wg sim.WaitGroup
 	wg.Add(len(tasks))
 	for ti := range tasks {
@@ -361,32 +283,27 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 			Group:       fmt.Sprintf("stage%d", si),
 			Restartable: true,
 			CommitFS:    e.FS,
-			Pre:         func(p *sim.Proc) bool { return firstErr != nil },
+			Pre:         func(p *sim.Proc) bool { return j.Err() != nil },
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				p.Sleep(cfg.TaskDispatch)
 				att.Report(0.05)
-				out, err := e.runTask(p, att, st, att.Node(), tin.blk, tin.pairs, tin.nominal, tin.fetches, tin.wide, isLast, outPath, ti, prevFetch)
-				return out, err
+				return e.runTask(p, att, st, tin, isLast, outPath, ti, prevFetch)
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 				results = append(results, v.([]partData)...)
 				nf.spans[ti] = att.TraceSpan().SpanID()
 				if isLast {
-					jsp.DepOn(nf.spans[ti])
+					j.DependsOn(att)
 				}
 				return nil
 			},
-			Fail: func(err error) {
-				if firstErr == nil {
-					firstErr = err
-				}
-			},
+			Fail:  j.Fail,
 			Final: wg.Done,
 		})
 	}
 	wg.Wait(driver)
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if err := j.Err(); err != nil {
+		return nil, nil, err
 	}
 
 	// Cache materialization: pin this stage's output in executor memory.
@@ -420,7 +337,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 		// If it does not fit, Spark silently evicts: the RDD is simply
 		// not cached and later actions recompute it.
 	}
-	_ = scale
 	return results, nf, nil
 }
 
@@ -432,19 +348,20 @@ func (e *Engine) usedExecutorMem(node int) float64 {
 	return used
 }
 
-// runTask executes one task of a stage: obtain input (block read, cache,
-// or shuffle fetch), apply fused narrow ops, then either write shuffle
-// output, write the final file, or hand back collected pairs. att is the
-// owning attempt (nil when re-entered as a lost-shuffle recompute); prev
-// is the upstream stage's recovery context for fetches that target dead
-// nodes.
-func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, blk *dfs.Block,
-	cachedPairs []kv.Pair, cachedNominal float64, fetches []partData,
-	wide *wideOp, isLast bool, outPath string, taskIdx int, prev *stageFetch) ([]partData, error) {
+// runTask executes one task of a stage on att's node: obtain tin's input
+// (block read, cache, or shuffle fetch), apply fused narrow ops, then
+// either write shuffle output, write the final file, or hand back
+// collected pairs. att is the owning attempt — the consuming task's when
+// re-entered as a lost-shuffle recompute; prev is the upstream stage's
+// recovery context for fetches that target dead nodes.
+func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn,
+	isLast bool, outPath string, taskIdx int, prev *stageFetch) ([]partData, error) {
 
 	cfg := &e.Cfg
-	scale := e.scale()
+	scale := e.Scale()
 	eng := e.C.Eng
+	node := att.Node()
+	wide := tin.wide
 	var pairs []kv.Pair
 	var inputNominal float64
 	cpuFactor := 1.0
@@ -456,106 +373,51 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	var cpuSec float64
 
 	switch {
-	case blk != nil:
-		recs, inflated, err := job.Records(st.root.format, blk.Data)
+	case tin.blk != nil:
+		recs, inflated, err := job.Records(st.root.format, tin.blk.Data)
 		if err != nil {
 			return nil, fmt.Errorf("rdd: input: %w", err)
 		}
-		if err := e.FS.StartRead(blk, node, &wg); err != nil {
+		if err := e.FS.StartRead(tin.blk, node, &wg); err != nil {
 			return nil, err
 		}
 		pairs = recs
 		inputNominal = float64(inflated) * scale
-	case cachedPairs != nil:
-		pairs = cachedPairs
-		inputNominal = cachedNominal
+	case tin.pairs != nil:
+		pairs = tin.pairs
+		inputNominal = tin.nominal
 	default:
 		// Shuffle fetch: pull every map task's slice of this partition,
 		// reporting fractional per-fetch progress so the straggler monitor
-		// sees fetch rates rather than one opaque milestone. Fetch spans
-		// chain to the previous fetch and depend on the producing task's
-		// attempt span, so the shuffle's serialized wall time is a
-		// dependency path the critical-path walk attributes to "net".
-		var ftr *trace.Tracer
-		var tsp *trace.Span
-		if att != nil {
-			ftr = att.Tracer()
-			tsp = att.TraceSpan()
-		}
-		var lastFetch uint64
-		totalNominal := 0.0
-		buffered := 0.0
+		// sees fetch rates rather than one opaque milestone. Fetched data
+		// past the buffer spills to local disk; the heap it occupies is
+		// the transient working memory charged below.
+		fetches := e.Fetches(p, att, "t")
+		buf := e.Buffer(p, node, cfg.ShuffleBufferBytes, nil)
 		// One run per producing task: each is a partition a collector's
 		// Finish sorted, which is what lets the wide op below merge them.
 		var runs [][]kv.Pair
-		for fi, pd := range fetches {
-			if att != nil {
-				att.Report(0.1 + 0.6*float64(fi)/float64(len(fetches)))
-			}
-			if pd.nominal == 0 {
-				runs = append(runs, pd.pairs)
-				continue
-			}
-			if !e.C.Alive(pd.node) {
+		for fi, pd := range tin.fetches {
+			att.Report(0.1 + 0.6*float64(fi)/float64(len(tin.fetches)))
+			if pd.nominal > 0 && !e.C.Alive(pd.node) {
 				// The materialized map output died with its node:
 				// regenerate the producer's partitions locally (dedup'd
 				// across fetchers) and pull this partition from there.
-				rep, err := prev.recover(p, att, node, pd, taskIdx)
+				rep, err := prev.recover(p, att, pd, taskIdx)
 				if err != nil {
 					return nil, err
 				}
 				pd = rep
-				if pd.nominal == 0 {
-					runs = append(runs, pd.pairs)
-					continue
-				}
-			}
-			var fsp *trace.Span
-			if ftr != nil {
-				fsp = ftr.BeginChild(tsp, fmt.Sprintf("fetch:t%d", pd.taskIdx), "net", node, tsp.Tid, eng.Now()).
-					Annotate("src", fmt.Sprintf("%d", pd.node)).
-					Annotate("bytes", fmt.Sprintf("%.0f", pd.nominal))
-				if prev != nil && pd.taskIdx < len(prev.spans) {
-					fsp.DepOn(prev.spans[pd.taskIdx])
-				}
-				fsp.DepOn(lastFetch)
-			}
-			var fw sim.WaitGroup
-			fw.Add(1)
-			e.C.Node(pd.node).Disk.Start(pd.nominal, fw.Done)
-			if e.Prof != nil {
-				e.Prof.AddDiskRead(pd.node, pd.nominal)
-			}
-			if e.tp.Enabled() {
-				// Staged path: wire (remote only) + deserialize on the
-				// fetching worker, with per-record costs.
-				fw.Add(1)
-				e.tp.FetchStages(pd.node, node, pd.nominal, pd.records, fw.Done)
-			} else if pd.node != node {
-				fw.Add(1)
-				e.C.Net.StartFlow(pd.node, node, pd.nominal, fw.Done)
-			}
-			p.BlockReason = "shuffle-io"
-			fw.Wait(p)
-			p.BlockReason = ""
-			if fsp != nil {
-				fsp.EndAt(eng.Now())
-				lastFetch = fsp.ID
 			}
 			runs = append(runs, pd.pairs)
-			totalNominal += pd.nominal
-			buffered += pd.nominal
-			if buffered > cfg.ShuffleBufferBytes {
-				// Spill fetched data past the buffer to local disk.
-				e.C.Node(node).Disk.Use(p, buffered, "shuffle-io")
-				if e.Prof != nil {
-					e.Prof.AddDiskWrite(node, buffered)
-				}
-				buffered = 0
+			if pd.nominal == 0 {
+				continue
 			}
+			fetches.Fetch(pd.taskIdx, pd.node, pd.nominal, pd.records, prev.spans[pd.taskIdx])
+			inputNominal += pd.nominal
+			buf.Add(pd.nominal)
 		}
-		tsp.DepOn(lastFetch)
-		inputNominal = totalNominal
+		fetches.Done()
 
 		// Materialization for the wide op: sort stages hold the whole
 		// partition as objects — the OOM point.
@@ -586,7 +448,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 		}
 	}
 
-	if blk != nil {
+	if tin.blk != nil {
 		// Streaming stages hold only a window of the partition as live
 		// objects (the iterator pipeline), not the whole expansion.
 		transient := 0.35 * inputNominal * cfg.ExpansionFactor
@@ -595,20 +457,22 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
 	}
 
-	// Record-processing CPU is charged on the records entering the stage
-	// (shuffle-stage records saturate when the shuffle combined).
-	recScale := scale
+	// Record-processing CPU is charged on the records entering the stage;
+	// cardinality-bound data (records and outputs of combining shuffles)
+	// is charged unscaled — see job.Spec.SaturatingIntermediate for the
+	// rule.
+	outScale := scale
 	if wide != nil && wide.combine != nil {
-		recScale = 1
+		outScale = 1
 	}
-	nominalRecords := float64(len(pairs)) * recScale
+	nominalRecords := float64(len(pairs)) * outScale
 
 	// Apply the fused narrow chain (really). A stage that feeds a shuffle
 	// ends in the partition collector: its last op emits straight into it
 	// and pairs is left empty. Every other op materialises its output,
 	// copying into the task's arena what does not alias the input (map
 	// functions may reuse their buffers).
-	next := findWideConsumer(st)
+	next := st.consumer
 	var coll *kv.PartitionCollector
 	if !isLast && next != nil {
 		coll = kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
@@ -629,76 +493,35 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 		pairs = out
 	}
 	cpuSec += cfg.CPUPerByteMap*cpuFactor*inputNominal + cfg.CPUPerRecord*nominalRecords
+	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
 
-	wg.Add(1)
-	e.C.Node(node).CPU.Start(cpuSec, wg.Done)
-	gc := cfg.GCFactor * cpuSec
-	if press := e.C.Node(node).Mem.Pressure(); press > 0.7 {
-		gc += cfg.MemPressureGC * (press - 0.7) / 0.3 * cpuSec
-	}
-	if gc > 0 {
-		wg.Add(1)
-		e.C.Node(node).CPU.Start(gc, wg.Done)
-	}
-
-	// Cardinality-bound data (outputs of combining shuffles) is charged
-	// unscaled; see job.Spec.SaturatingIntermediate for the rule.
-	outScale := scale
-	if wide != nil && wide.combine != nil {
-		outScale = 1
-	}
-
-	if isLast {
-		p.BlockReason = "disk"
-		wg.Wait(p)
-		p.BlockReason = ""
-		if att != nil {
-			att.Report(0.9)
-		}
-		outNominal := 0.0
-		for _, pr := range pairs {
-			outNominal += float64(pr.Size()+6) * outScale
-		}
-		if outPath != "" {
-			// Attempt-scoped temp write; the tracker renames the winner's
-			// part file into place.
-			enc := job.EncodeTextOutput(pairs)
-			name := fmt.Sprintf("%s/part-%05d", outPath, taskIdx)
-			if att != nil {
-				name = att.ScopedPath(name)
-			}
-			w := e.FS.CreateScaled(name, node, outScale)
-			if err := w.Write(p, enc); err != nil {
-				return nil, err
-			}
-			if err := w.Close(p); err != nil {
-				return nil, err
-			}
-		}
-		return []partData{{pairs: pairs, nominal: outNominal, node: node, taskIdx: taskIdx}}, nil
-	}
-
-	// Not the last stage: this stage feeds a wide op — write shuffle
-	// output (Spark 0.8 hash shuffle materializes map outputs on the
-	// local disks of the map side).
 	if coll == nil {
-		// Feeding a cached materialization without shuffle: building the
-		// RDD's in-memory representation costs CPU (deserialization into
-		// JVM objects — the "creates the RDD" cost of the paper's Spark
-		// Stage 0).
-		outNominal := 0.0
-		for _, pr := range pairs {
-			outNominal += float64(pr.Size()+6) * outScale
-		}
-		if cfg.CacheCPUPerByte > 0 && st.target.cached {
+		// The action's last stage, or one feeding a cached
+		// materialization without a shuffle: the task's pairs are its one
+		// output partition.
+		outNominal := taskrt.FramedNominal(0, pairs, outScale)
+		if !isLast && cfg.CacheCPUPerByte > 0 && st.target.cached {
+			// Building the RDD's in-memory representation costs CPU
+			// (deserialization into JVM objects — the "creates the RDD"
+			// cost of the paper's Spark Stage 0).
 			wg.Add(1)
 			e.C.Node(node).CPU.Start(cfg.CacheCPUPerByte*outNominal, wg.Done)
 		}
-		p.BlockReason = "disk"
-		wg.Wait(p)
-		p.BlockReason = ""
+		wg.WaitAs(p, "disk")
+		if isLast {
+			att.Report(0.9)
+			if outPath != "" {
+				if err := e.WritePart(p, att, fmt.Sprintf("%s/part-%05d", outPath, taskIdx), outScale, pairs); err != nil {
+					return nil, err
+				}
+			}
+		}
 		return []partData{{pairs: pairs, nominal: outNominal, node: node, taskIdx: taskIdx}}, nil
 	}
+
+	// This stage feeds a wide op — write shuffle output (Spark 0.8 hash
+	// shuffle materializes map outputs on the local disks of the map
+	// side).
 	shufScale := scale
 	if next.combine != nil {
 		shufScale = 1
@@ -711,10 +534,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	writeNominal := 0.0
 	writeRecords := 0.0
 	for pi, part := range parts {
-		nom := 0.0
-		for _, pr := range part {
-			nom += float64(pr.Size()+6) * shufScale
-		}
+		nom := taskrt.FramedNominal(0, part, shufScale)
 		writeNominal += nom
 		recs := float64(len(part)) * shufScale
 		writeRecords += recs
@@ -723,34 +543,21 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, node int, b
 	if writeNominal > 0 {
 		wg.Add(1)
 		e.C.Node(node).Disk.Start(writeNominal, wg.Done)
-		if e.Prof != nil {
-			e.Prof.AddDiskWrite(node, writeNominal)
-		}
+		e.Prof.AddDiskWrite(node, writeNominal)
 		// Shuffle-write serialization runs on the shuffle writer thread
 		// (the consolidated emit constant, charged in both modes).
-		if emit := e.tp.Profile().EmitCPUPerByte; emit > 0 {
+		if emit := e.Transport().Profile().EmitCPUPerByte; emit > 0 {
 			wg.Add(1)
 			e.C.Node(node).CPU.Start(emit*writeNominal, wg.Done)
 		}
-		if e.tp.Enabled() {
-			// Staged sender-side path on top: serialize + copy (or
-			// zero-copy) into the shuffle file's transfer buffers.
-			wg.Add(1)
-			e.tp.SendStages(node, writeNominal, writeRecords, wg.Done)
-		}
+		// Staged sender-side path on top: serialize + copy (or zero-copy)
+		// into the shuffle file's transfer buffers.
+		e.StartSend(&wg, node, writeNominal, writeRecords)
 	}
-	p.BlockReason = "disk"
-	wg.Wait(p)
-	p.BlockReason = ""
+	wg.WaitAs(p, "disk")
 	return out, nil
 }
 
 // mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
 // tests wrap it to assert that of every run the engine hands over.
 var mergeRuns = kv.MergeRuns
-
-// findWideConsumer returns the wide op that consumes st's output, wired
-// up during planning (nil for the final stage of a lineage).
-func findWideConsumer(st *stage) *wideOp {
-	return st.consumer
-}

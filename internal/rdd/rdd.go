@@ -19,9 +19,7 @@ import (
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
-	"github.com/datampi/datampi-go/internal/metrics"
-	"github.com/datampi/datampi-go/internal/sched"
-	"github.com/datampi/datampi-go/internal/trace"
+	"github.com/datampi/datampi-go/internal/taskrt"
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
@@ -44,7 +42,7 @@ type Config struct {
 	CacheCPUPerByte   float64 // building cached RDD objects per nominal byte
 	CPUPerRecord      float64
 	GCFactor          float64
-	MemPressureGC     float64 // GC storm overhead above 60% node memory
+	MemPressureGC     float64 // GC storm overhead above 70% node memory
 
 	// ExpansionFactor is the in-memory size of data as JVM objects
 	// relative to its serialized bytes; SortOverheadFactor is the extra
@@ -94,41 +92,25 @@ func DefaultConfig() Config {
 // RDDs persist across jobs run on the same engine (as they do across
 // actions in one SparkContext) — until an executor holding cached
 // partitions dies, which invalidates the affected RDDs for recompute.
+// The job lifecycle, shuffle edge and part-file commit come from the
+// embedded runtime.
 type Engine struct {
-	C    *cluster.Cluster
-	FS   *dfs.FS
-	Cfg  Config
-	Prof *metrics.Profiler
-	// Tracer records job/stage/fetch spans for solo action paths; queue
-	// submissions inherit the tracker's tracer instead.
-	Tracer *trace.Tracer
+	taskrt.Base
+	Cfg Config
 
 	appStarted bool
-	app        *sched.Residency // executor residency across actions
-	profiling  sched.Profiling  // refcounted sampling across actions
 
 	// cachedRDDs registers every RDD materialized into executor memory,
 	// so a node failure can drop the partitions that died with it.
 	cachedRDDs []*RDD
-
-	tp *transport.Transport
 }
-
-// Transport exposes the engine's staged communication model (disabled
-// by default; the scenario WithTransport knob switches it on).
-func (e *Engine) Transport() *transport.Transport { return e.tp }
 
 // New creates an engine (a SparkContext, in effect) over a filesystem.
 // The engine subscribes to datanode failures: executors are co-located
 // with datanodes, so a node going down also loses the executor cache
 // partitions it held (see dropCachesOn).
 func New(fs *dfs.FS, cfg Config) *Engine {
-	prof := cfg.Transport
-	if prof.Name == "" {
-		prof = transport.SparkProfile()
-		prof.EmitCPUPerByte = cfg.CPUPerByteShuffle // deprecated alias
-	}
-	e := &Engine{C: fs.Cluster(), FS: fs, Cfg: cfg, tp: transport.New(fs.Cluster(), prof)}
+	e := &Engine{Base: taskrt.NewBase("Spark", fs, cfg.Transport, transport.SparkProfile(), cfg.CPUPerByteShuffle), Cfg: cfg}
 	fs.OnNodeEvent(func(node int, down bool) {
 		if down {
 			e.dropCachesOn(node)
@@ -177,14 +159,6 @@ func (e *Engine) registerCached(r *RDD) {
 	}
 	e.cachedRDDs = append(e.cachedRDDs, r)
 }
-
-// Name implements job.Engine.
-func (e *Engine) Name() string { return "Spark" }
-
-// Cluster implements sched.Engine.
-func (e *Engine) Cluster() *cluster.Cluster { return e.C }
-
-func (e *Engine) scale() float64 { return e.FS.Config().Scale }
 
 // RDD is a lazily evaluated dataset. Narrow transformations extend the
 // lineage; wide (shuffle) transformations mark stage boundaries.
@@ -306,6 +280,3 @@ func (r *RDD) Cache() *RDD {
 	r.cached = true
 	return r
 }
-
-// AttachProfiler wires a resource profiler into the engine.
-func (e *Engine) AttachProfiler(p *metrics.Profiler) { e.Prof = p }

@@ -2,12 +2,14 @@ package rdd
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/enginetest"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sim"
@@ -86,6 +88,7 @@ func TestWordCountViaAdapter(t *testing.T) {
 	if res.Phases["stage0"] <= 0 || res.Phases["stage1"] <= 0 {
 		t.Fatalf("stage phases missing: %v", res.Phases)
 	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestSortByKeyTotalOrder(t *testing.T) {
@@ -154,6 +157,7 @@ func TestSortOOMOnLargePartitions(t *testing.T) {
 	if !errorsAs(res.Err, &oom) {
 		t.Fatalf("error = %v, want OOMError", res.Err)
 	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func errorsAs(err error, target **sim.OOMError) bool {
@@ -324,18 +328,38 @@ func TestAppLaunchOnlyOnce(t *testing.T) {
 	}
 }
 
-func TestMemoryReturnsToZero(t *testing.T) {
-	c, fs, eng := testSetup(16*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(9, 64*1024), '\n')
-	res := eng.Run(wcSpec(fs, in, "/out", 4))
+// TestStageNamesPastNine: an 11-stage lineage (ten chained ReduceByKey)
+// reports its phases as stage0..stage10 — the decimal index the task
+// groups already use, not a rune offset from '0' (which made stage 10
+// "stage:").
+func TestStageNamesPastNine(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	in := fs.PreloadAligned("/in", genText(15, 32*1024), '\n')
+	spec := wcSpec(fs, in, "", 4)
+	sum := func(key []byte, values [][]byte) []kv.Pair {
+		var n int64
+		for _, v := range values {
+			n += kv.ParseInt(v)
+		}
+		return []kv.Pair{{Key: key, Value: kv.FormatInt(n)}}
+	}
+	chain := eng.TextFile(in).FlatMapKV(spec.Map, 1)
+	for i := 0; i < 10; i++ {
+		chain = chain.ReduceByKey(kv.SumCombiner, sum, 4)
+	}
+	_, res := chain.Collect()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	for i := 0; i < c.N(); i++ {
-		if used := c.Node(i).Mem.Used(); used != 0 {
-			t.Fatalf("node %d has %.0f bytes leaked", i, used)
+	if len(res.Phases) != 11 {
+		t.Fatalf("%d phases for 11 stages: %v", len(res.Phases), res.Phases)
+	}
+	for i := 0; i <= 10; i++ {
+		if d, ok := res.Phases[fmt.Sprintf("stage%d", i)]; !ok || d <= 0 {
+			t.Fatalf("phase stage%d missing or empty: %v", i, res.Phases)
 		}
 	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestDeterministic(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
@@ -63,15 +64,23 @@ func TestLifecycleRefactorPreservesPR1Timings(t *testing.T) {
 	}
 }
 
-// stragglerRun executes one WordCount on a fresh testbed, optionally with
-// node 7 slowed 4x and speculation on, and returns the elapsed time plus
-// tracker stats.
-func stragglerRun(t *testing.T, engine string, slow, speculate bool) (float64, sched.TrackerStats) {
-	t.Helper()
+// stragglerRig stages the straggler workload — one WordCount over 256 MB
+// nominal — on a fresh testbed.
+func stragglerRig() (*cluster.Cluster, *dfs.FS, job.Spec) {
 	c := cluster.New(cluster.DefaultHardware())
 	fs := dfs.New(c, dfs.Config{BlockSize: 8 * cluster.MB, Replication: 3, Scale: 64, Seed: 7})
 	in := bdb.GenerateTextFile(fs, "/in", bdb.LDAWiki1W(), 8, 256*cluster.MB)
-	spec := bdb.WordCountSpec(fs, in, "/out", 16)
+	return c, fs, bdb.WordCountSpec(fs, in, "/out", 16)
+}
+
+// stragglerRun executes the straggler workload on a fresh testbed,
+// optionally with node 7 slowed 4x and speculation on, and returns the
+// elapsed time plus tracker stats. want is the job's sorted sequential
+// reference output: it depends on neither the engine nor the fault, so
+// the caller computes it once.
+func stragglerRun(t *testing.T, engine string, slow, speculate bool, want []kv.Pair) (float64, sched.TrackerStats) {
+	t.Helper()
+	c, fs, spec := stragglerRig()
 	q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
 	if speculate {
 		q.SetSpeculation(sched.SpeculationConfig{Enabled: true, MinRuntime: 1, CheckInterval: 0.5})
@@ -85,12 +94,8 @@ func stragglerRun(t *testing.T, engine string, slow, speculate bool) (float64, s
 		t.Fatalf("%s straggler run: %v", engine, res.Err)
 	}
 	// The output must stay correct when losers are killed mid-flight.
-	want, err := job.RunSequential(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := job.ReadTextOutput(fs, spec.Output)
-	if !pairsEqual(sortedPairs(got), sortedPairs(want)) {
+	if !pairsEqual(sortedPairs(got), want) {
 		t.Fatalf("%s speculative run corrupted output: got %d pairs, want %d",
 			engine, len(got), len(want))
 	}
@@ -101,14 +106,20 @@ func stragglerRun(t *testing.T, engine string, slow, speculate bool) (float64, s
 // speculative execution to claw back a healthy fraction of the slowdown
 // on every engine, deterministically.
 func TestSpeculationRecoversStraggler(t *testing.T) {
+	_, _, refSpec := stragglerRig()
+	ref, err := job.RunSequential(refSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedPairs(ref)
 	for _, engine := range []string{"Hadoop", "Spark", "DataMPI"} {
 		t.Run(engine, func(t *testing.T) {
-			clean, _ := stragglerRun(t, engine, false, false)
-			slow, _ := stragglerRun(t, engine, true, false)
+			clean, _ := stragglerRun(t, engine, false, false, want)
+			slow, _ := stragglerRun(t, engine, true, false, want)
 			if slow <= clean {
 				t.Fatalf("slow node had no effect: clean %.2f, slow %.2f", clean, slow)
 			}
-			spec, st := stragglerRun(t, engine, true, true)
+			spec, st := stragglerRun(t, engine, true, true, want)
 			recovered := (slow - spec) / (slow - clean)
 			if recovered < 0.30 {
 				t.Fatalf("speculation recovered only %.0f%% of the slowdown (clean %.2f slow %.2f spec %.2f)",
@@ -117,7 +128,7 @@ func TestSpeculationRecoversStraggler(t *testing.T) {
 			if st.Backups == 0 || st.BackupWins == 0 {
 				t.Fatalf("no speculative wins recorded: %+v", st)
 			}
-			spec2, st2 := stragglerRun(t, engine, true, true)
+			spec2, st2 := stragglerRun(t, engine, true, true, want)
 			if spec2 != spec || st2 != st {
 				t.Fatalf("speculative run not deterministic: %.17g vs %.17g, %+v vs %+v",
 					spec, spec2, st, st2)

@@ -494,6 +494,15 @@ func (w *WaitGroup) Wait(p *Proc) {
 	p.Park("")
 }
 
+// WaitAs is Wait with the composite wait labelled reason for the span of
+// the call, so the blocked-proc counters attribute it (e.g. "disk" for a
+// task waiting on overlapped read, CPU and spill flows).
+func (w *WaitGroup) WaitAs(p *Proc, reason string) {
+	p.BlockReason = reason
+	w.Wait(p)
+	p.BlockReason = ""
+}
+
 // Cond is a simulation-aware condition variable with FIFO wakeup order.
 type Cond struct {
 	waiters []*Proc

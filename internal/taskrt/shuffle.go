@@ -1,0 +1,168 @@
+package taskrt
+
+import (
+	"strconv"
+
+	"github.com/datampi/datampi-go/internal/kv"
+	"github.com/datampi/datampi-go/internal/sched"
+	"github.com/datampi/datampi-go/internal/sim"
+	"github.com/datampi/datampi-go/internal/trace"
+)
+
+// recordFraming is the per-record framing overhead, in actual bytes, of an
+// intermediate pair on disk or on the wire (key and value lengths plus the
+// record marker). Every engine pays it at the same point.
+const recordFraming = 6
+
+// FramedBytes returns part's framed size in actual bytes — the integer
+// form, for callers that scale the total once.
+func FramedBytes(part []kv.Pair) int {
+	b := 0
+	for _, pr := range part {
+		b += pr.Size() + recordFraming
+	}
+	return b
+}
+
+// FramedNominal adds part's framed size in nominal bytes to acc, scaling
+// record by record. The two forms round differently, and acc keeps a
+// running sum over several partitions in one accumulation order, so each
+// call site keeps the floats it always produced.
+func FramedNominal(acc float64, part []kv.Pair, scale float64) float64 {
+	for _, pr := range part {
+		acc += float64(pr.Size()+recordFraming) * scale
+	}
+	return acc
+}
+
+// StartSend charges the staged sender-side path (serialize, then copy or
+// zero-copy into the transfer buffers) for bytes of shuffle output
+// produced on node. It is a no-op on the fluid model, where the wire is
+// the whole transfer and nothing is charged at write time.
+func (b *Base) StartSend(wg *sim.WaitGroup, node int, bytes, records float64) {
+	if b.tp.Enabled() && bytes > 0 {
+		wg.Add(1)
+		b.tp.SendStages(node, bytes, records, wg.Done)
+	}
+}
+
+// Fetches is one consuming attempt's side of a disk-materialized shuffle
+// edge. Its fetch spans chain each to the previous fetch and to the
+// producing attempt's span: the shuffle's serialized wall time becomes a
+// dependency path the critical-path walk attributes to "net".
+type Fetches struct {
+	b     *Base
+	p     *sim.Proc
+	att   *sched.Attempt
+	label string // span name prefix: "fetch:" + label + producer index
+	last  uint64 // previous fetch's span ID
+}
+
+// Fetches opens the consuming side of a shuffle edge for att, running on p.
+func (b *Base) Fetches(p *sim.Proc, att *sched.Attempt, label string) Fetches {
+	return Fetches{b: b, p: p, att: att, label: label}
+}
+
+// Fetch pulls nominal bytes (records nominal records) that producer
+// number idx materialized on src's disk to the attempt's node: the source
+// disk read overlapped with the transfer, as the serving daemon streams
+// it. On the fluid model the transfer is a bare fabric flow, skipped when
+// the source is local; on the staged model it is wire (remote only) plus
+// deserialize with per-record costs on the consumer. producerSpan is the
+// producing attempt's span ID (0 when unknown).
+func (f *Fetches) Fetch(idx, src int, nominal, records float64, producerSpan uint64) {
+	b, dst := f.b, f.att.Node()
+	var fsp *trace.Span
+	if tr := f.att.Tracer(); tr != nil {
+		tsp := f.att.TraceSpan()
+		fsp = tr.BeginChild(tsp, "fetch:"+f.label+strconv.Itoa(idx), "net", dst, tsp.Tid, b.C.Eng.Now()).
+			Annotate("src", strconv.Itoa(src)).
+			Annotate("bytes", strconv.FormatFloat(nominal, 'f', 0, 64)).
+			DepOn(producerSpan).
+			DepOn(f.last)
+	}
+	var wg sim.WaitGroup
+	wg.Add(1)
+	b.C.Node(src).Disk.Start(nominal, wg.Done)
+	// A disabled FetchStages would post a zero-delay event for a local
+	// fetch where the fluid model posts none, so branch before calling it.
+	if b.tp.Enabled() {
+		wg.Add(1)
+		b.tp.FetchStages(src, dst, nominal, records, wg.Done)
+	} else if src != dst {
+		wg.Add(1)
+		b.C.Net.StartFlow(src, dst, nominal, wg.Done)
+	}
+	b.Prof.AddDiskRead(src, nominal)
+	wg.WaitAs(f.p, "shuffle-io")
+	if fsp != nil {
+		fsp.EndAt(b.C.Eng.Now())
+		f.last = fsp.ID
+	}
+}
+
+// Done closes the edge: the attempt's span depends on its last fetch.
+func (f *Fetches) Done() { f.att.TraceSpan().DepOn(f.last) }
+
+// Buffer is a reduce-side task's in-memory shuffle buffer: fetched bytes
+// accumulate in memory and spill to the local disk as one merged run
+// whenever they exceed the cap; the final merge reads the spilled runs
+// back.
+type Buffer struct {
+	b        *Base
+	p        *sim.Proc
+	node     int
+	cap      float64
+	buffered float64     // nominal bytes held in memory
+	spilled  float64     // nominal bytes spilled to the local disk
+	mem      *sim.Memory // charged for the buffered bytes; nil when the engine accounts its heap itself
+	held     float64     // bytes currently charged to mem
+}
+
+// Buffer opens a shuffle buffer for the task running on p at node that
+// spills past capBytes. A non-nil mem is charged for the bytes buffered.
+func (b *Base) Buffer(p *sim.Proc, node int, capBytes float64, mem *sim.Memory) Buffer {
+	return Buffer{b: b, p: p, node: node, cap: capBytes, mem: mem}
+}
+
+// Add accounts nominal bytes pulled into the buffer and returns the bytes
+// it spilled to make room (0 when the buffer still fits).
+func (rb *Buffer) Add(nominal float64) float64 {
+	rb.buffered += nominal
+	if rb.mem != nil {
+		rb.held += nominal
+		rb.mem.MustAlloc(nominal)
+	}
+	if rb.buffered <= rb.cap {
+		return 0
+	}
+	// In-memory buffer overflow: spill the merged runs to local disk.
+	spill := rb.buffered
+	rb.b.C.Node(rb.node).Disk.Use(rb.p, spill, "shuffle-io")
+	rb.b.Prof.AddDiskWrite(rb.node, spill)
+	rb.spilled += spill
+	rb.buffered = 0
+	rb.Release()
+	return spill
+}
+
+// Release frees the memory the buffered bytes hold. Tasks defer it so a
+// kill mid-fetch releases the buffer too.
+func (rb *Buffer) Release() {
+	if rb.mem != nil {
+		rb.mem.Free(rb.held)
+		rb.held = 0
+	}
+}
+
+// Total returns every nominal byte added, in memory or spilled.
+func (rb *Buffer) Total() float64 { return rb.buffered + rb.spilled }
+
+// StartReadBack starts the final merge's read of the spilled runs.
+func (rb *Buffer) StartReadBack(wg *sim.WaitGroup) {
+	if rb.spilled > 0 {
+		wg.Add(1)
+		rb.b.C.Node(rb.node).Disk.Start(rb.spilled, wg.Done)
+		rb.b.Prof.AddDiskRead(rb.node, rb.spilled)
+	}
+}

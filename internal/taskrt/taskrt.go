@@ -1,0 +1,257 @@
+// Package taskrt is the job runtime the three engines (internal/mr,
+// internal/rdd, internal/core) share. The paper compares Hadoop, Spark and
+// DataMPI on identical workloads and attributes the gap to execution and
+// communication style only; this package owns what is *not* style, so the
+// engines differ where the paper says they do and nowhere else:
+//
+//   - lifecycle: Base is the state every engine embeds and Job the per-job
+//     handle (result, daemon residency, profiler sampling, tracer
+//     resolution, job and phase spans, the solo-run drain);
+//   - shuffle edge: Fetches pulls a materialized partition to its consumer
+//     (fluid or staged wire, chosen here and in internal/transport only),
+//     Buffer is the reduce-side shuffle buffer, and FramedBytes /
+//     FramedNominal name the per-record framing once;
+//   - commit: WritePart is the attempt-scoped part-file writer;
+//   - charges every engine makes the same way: StartCPU, StartSend,
+//     GCOverhead.
+//
+// Cost constants, task shapes and recovery protocols stay in the engines.
+package taskrt
+
+import (
+	"github.com/datampi/datampi-go/internal/cluster"
+	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/kv"
+	"github.com/datampi/datampi-go/internal/metrics"
+	"github.com/datampi/datampi-go/internal/sched"
+	"github.com/datampi/datampi-go/internal/sim"
+	"github.com/datampi/datampi-go/internal/trace"
+	"github.com/datampi/datampi-go/internal/transport"
+)
+
+// Base is the engine-independent half of an engine, embedded by value.
+type Base struct {
+	C    *cluster.Cluster
+	FS   *dfs.FS
+	Prof *metrics.Profiler // optional resource profiler
+	// Tracer records job/phase/fetch spans for solo Run paths; queue
+	// submissions inherit the tracker's tracer instead.
+	Tracer *trace.Tracer
+
+	name      string
+	residency *sched.Residency // per-node runtime daemons, held while any job is active
+	profiling sched.Profiling  // refcounted sampling across jobs
+	tp        *transport.Transport
+}
+
+// NewBase builds the shared half of the engine called name over fs. An
+// unset override (Name == "") resolves to def with emitCPUPerByte as its
+// EmitCPUPerByte — the engines' inline serialization constants
+// (mr CPUPerByteSort, rdd CPUPerByteShuffle, core CPUPerByteEmit) are
+// deprecated aliases of that profile field.
+func NewBase(name string, fs *dfs.FS, override, def transport.Profile, emitCPUPerByte float64) Base {
+	if override.Name == "" {
+		override = def
+		override.EmitCPUPerByte = emitCPUPerByte
+	}
+	c := fs.Cluster()
+	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, override)}
+}
+
+// Name implements job.Engine.
+func (b *Base) Name() string { return b.name }
+
+// Cluster implements sched.Engine.
+func (b *Base) Cluster() *cluster.Cluster { return b.C }
+
+// Transport exposes the engine's staged communication model (disabled by
+// default; the scenario WithTransport knob switches it on).
+func (b *Base) Transport() *transport.Transport { return b.tp }
+
+// AttachProfiler wires a resource profiler into the engine.
+func (b *Base) AttachProfiler(p *metrics.Profiler) { b.Prof = p }
+
+// Scale returns nominal bytes per actual byte.
+func (b *Base) Scale() float64 { return b.FS.Config().Scale }
+
+// ActiveJobs reports how many begun jobs have not finished — the holders
+// of the daemon residency.
+func (b *Base) ActiveJobs() int { return b.residency.Jobs() }
+
+// Job is one admitted job's handle: its result, error, phase marks and
+// trace span. Begin charges what Finish (or a deadlocked RunSolo) releases,
+// exactly once.
+type Job struct {
+	Res job.Result
+
+	b        *Base
+	tr       *trace.Tracer
+	span     *trace.Span
+	marks    []mark
+	rest     string // phase running from the last mark to the job's end ("" = none)
+	finished bool
+}
+
+// mark is the end of one named phase; phases run back to back from the
+// job's start.
+type mark struct {
+	name string
+	end  float64
+}
+
+// Begin admits a job: it stamps the result, charges residentPerNode bytes
+// of daemon residency on every node with the first concurrent job, starts
+// profiler sampling and opens the job span. Queue submissions carry the
+// scenario's tracer on the tracker; solo runs fall back to Base.Tracer.
+// Tracing is pure observation either way — no simulation events.
+func (b *Base) Begin(name string, ctl *sched.JobControl, residentPerNode float64) *Job {
+	eng := b.C.Eng
+	j := b.newJob(name)
+	b.residency.Acquire(residentPerNode)
+	b.profiling.Start(b.Prof, eng)
+
+	j.tr = ctl.Tracker().Tracer()
+	if j.tr == nil && b.Tracer != nil {
+		j.tr = b.Tracer
+		ctl.Tracker().SetTracer(j.tr)
+	}
+	b.tp.SetTracer(j.tr)
+	if j.tr != nil {
+		j.span = j.tr.Begin("job:"+name, "job", 0, trace.TidDriver, j.Res.Start).Annotate("engine", b.name)
+	}
+	return j
+}
+
+func (b *Base) newJob(name string) *Job {
+	return &Job{b: b, Res: job.Result{Engine: b.name, Job: name, Phases: map[string]float64{}, Start: b.C.Eng.Now()}}
+}
+
+// Reject is Begin and Finish for a job that cannot start (no input): it
+// charges nothing, so there is nothing to release, and done (optional)
+// receives the failed result at once.
+func (b *Base) Reject(name string, err error, done func(job.Result)) *Job {
+	j := b.newJob(name)
+	j.Res.Err, j.finished = err, true
+	if done != nil {
+		done(j.Res)
+	}
+	return j
+}
+
+// Phase ends the phase called name now. A non-empty rest names the phase
+// that runs from here to the end of the job (until a later Phase call
+// says otherwise).
+func (j *Job) Phase(name, rest string) {
+	j.marks = append(j.marks, mark{name, j.b.C.Eng.Now()})
+	j.rest = rest
+}
+
+// Fail records the job's first error.
+func (j *Job) Fail(err error) {
+	if j.Res.Err == nil {
+		j.Res.Err = err
+	}
+}
+
+// Err returns the first error passed to Fail.
+func (j *Job) Err() error { return j.Res.Err }
+
+// DependsOn records that the job's completion waited on att — the edge the
+// critical-path walk follows from the job span into its last tasks.
+func (j *Job) DependsOn(att *sched.Attempt) { j.span.DepOn(att.TraceSpan().SpanID()) }
+
+// Finish completes the job in simulation context: it stamps End, Elapsed
+// and Phases (one subtraction per phase, shared by the result and the
+// phase spans), releases what Begin charged and hands the result to done
+// (optional).
+func (j *Job) Finish(done func(job.Result)) {
+	res := &j.Res
+	res.End = j.b.C.Eng.Now()
+	res.Elapsed = res.End - res.Start
+	j.span.EndAt(res.End)
+	if j.rest != "" {
+		j.marks = append(j.marks, mark{j.rest, res.End})
+	}
+	from := res.Start
+	for _, m := range j.marks {
+		res.Phases[m.name] = m.end - from
+		j.tr.BeginChild(j.span, m.name, "phase", 0, trace.TidDriver, from).EndAt(m.end)
+		from = m.end
+	}
+	j.finished = true
+	j.release()
+	if done != nil {
+		done(*res)
+	}
+}
+
+func (j *Job) release() {
+	j.b.profiling.Stop(j.b.Prof)
+	j.b.residency.Release()
+}
+
+// RunSolo runs one job exclusively: submit admits it under a control that
+// owns the whole testbed, and RunSolo drives the simulation to completion,
+// so the cluster must not have other foreground work (co-schedule jobs
+// through a sched.Queue instead). The job ends when the simulation drains
+// — trailing lazy heap frees included — and its open-ended phase extends
+// to that point.
+func (b *Base) RunSolo(submit func(ctl *sched.JobControl) *Job) job.Result {
+	eng := b.C.Eng
+	j := submit(sched.Solo(eng, b.C.N()))
+	res := &j.Res
+	if err := eng.Run(); err != nil {
+		if res.Err == nil {
+			res.Err = err
+		}
+		if !j.finished {
+			// The driver never reached Finish (simulation deadlock):
+			// release what Begin charged so the engine stays reusable.
+			j.release()
+		}
+	}
+	res.End = eng.Now()
+	res.Elapsed = res.End - res.Start
+	if j.finished && j.rest != "" {
+		before := j.marks[len(j.marks)-2].end - res.Start // the phases ahead of rest
+		res.Phases[j.rest] = res.End - (res.Start + before)
+	}
+	return *res
+}
+
+// WritePart commits one task's output partition: pairs are text-encoded
+// and written to the attempt-scoped temp path of final on the attempt's
+// node; the tracker renames the winning attempt's file into place, so
+// DFS-writing tasks can race speculative backups with exactly-once output.
+func (b *Base) WritePart(p *sim.Proc, att *sched.Attempt, final string, scale float64, pairs []kv.Pair) error {
+	w := b.FS.CreateScaled(att.ScopedPath(final), att.Node(), scale)
+	if err := w.Write(p, job.EncodeTextOutput(pairs)); err != nil {
+		return err
+	}
+	return w.Close(p)
+}
+
+// StartCPU charges cpuSec of task compute on node, plus overhead (JVM GC,
+// library background work) as a second flow contending for the CPU in
+// parallel; wg completes when both have.
+func (b *Base) StartCPU(wg *sim.WaitGroup, node int, cpuSec, overhead float64) {
+	cpu := b.C.Node(node).CPU
+	wg.Add(1)
+	cpu.Start(cpuSec, wg.Done)
+	if overhead > 0 {
+		wg.Add(1)
+		cpu.Start(overhead, wg.Done)
+	}
+}
+
+// GCOverhead returns the background JVM CPU charged alongside cpuSec of
+// task compute on node: the baseline gcFactor plus a memory-pressure GC
+// storm term once the node's memory utilization exceeds 70 %.
+func (b *Base) GCOverhead(node int, cpuSec, gcFactor, pressureGC float64) float64 {
+	gc := gcFactor * cpuSec
+	if press := b.C.Node(node).Mem.Pressure(); press > 0.7 {
+		gc += pressureGC * (press - 0.7) / 0.3 * cpuSec
+	}
+	return gc
+}

@@ -212,26 +212,3 @@ func TestScenarioValidation(t *testing.T) {
 		t.Fatalf("fidelity pin mismatch not caught: %v", err)
 	}
 }
-
-// TestRunAllMatchesScenario: the deprecated wrapper must agree with an
-// equivalent explicit scenario.
-func TestRunAllMatchesScenario(t *testing.T) {
-	tb1, eng1, mk1 := scenarioRig(t)
-	j1 := mk1("/out/w-")(0)
-	_ = tb1
-	res := datampi.RunAll(eng1, datampi.FIFO, j1)
-	if len(res) != 1 || res[0].Err != nil {
-		t.Fatalf("RunAll: %+v", res)
-	}
-	tb2, eng2, mk2 := scenarioRig(t)
-	rep, err := datampi.NewScenario(tb2,
-		datampi.Tenant("jobs", 1, eng2),
-		datampi.Arrive("jobs", 0, mk2("/out/w-")(0)),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Elapsed != rep.Jobs[0].Result.Elapsed {
-		t.Fatalf("RunAll elapsed %v != scenario elapsed %v", res[0].Elapsed, rep.Jobs[0].Result.Elapsed)
-	}
-}
