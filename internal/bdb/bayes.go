@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
@@ -43,13 +42,21 @@ func (m *NBModel) Classify(words [][]byte) string {
 // nbSep separates label and term in composite keys.
 const nbSep = '\x01'
 
-// splitDoc parses "label<TAB>text" into label and words.
-func splitDoc(line []byte) (label []byte, words [][]byte, ok bool) {
+// docLabel cuts "label<TAB>text" at the tab; the counting jobs' map
+// functions walk text with nextField.
+func docLabel(line []byte) (label, text []byte, ok bool) {
 	i := bytes.IndexByte(line, '\t')
 	if i <= 0 {
 		return nil, nil, false
 	}
-	return line[:i], bytes.Fields(line[i+1:]), true
+	return line[:i], line[i+1:], true
+}
+
+// splitDoc parses "label<TAB>text" into label and words, for the callers
+// that need the words as a slice (Classify, NBReference).
+func splitDoc(line []byte) (label []byte, words [][]byte, ok bool) {
+	label, text, ok := docLabel(line)
+	return label, bytes.Fields(text), ok
 }
 
 // NBTermFreqSpec is job 1 of the Mahout-style pipeline: overall term
@@ -61,12 +68,12 @@ func NBTermFreqSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Sp
 		Name: "NB-termfreq", FS: fsys, Input: in, InputFormat: job.Text,
 		Output: out, Reducers: reducers,
 		Map: func(key, value []byte, emit job.Emit) {
-			_, words, ok := splitDoc(value)
+			_, text, ok := docLabel(value)
 			if !ok {
 				return
 			}
-			for _, w := range words {
-				emit(w, one)
+			for i, j := nextField(text, 0); j > i; i, j = nextField(text, j) {
+				emit(text[i:j], one)
 			}
 		},
 		Combine:         kv.SumCombiner,
@@ -90,16 +97,13 @@ func NBLabelTermSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.S
 		Name: "NB-labelterm", FS: fsys, Input: in, InputFormat: job.Text,
 		Output: out, Reducers: reducers,
 		Map: func(key, value []byte, emit job.Emit) {
-			label, words, ok := splitDoc(value)
+			label, text, ok := docLabel(value)
 			if !ok {
 				return
 			}
-			var k []byte
-			for _, w := range words {
-				k = k[:0]
-				k = append(k, label...)
-				k = append(k, nbSep)
-				k = append(k, w...)
+			k := append(append([]byte(nil), label...), nbSep)
+			for i, j := nextField(text, 0); j > i; i, j = nextField(text, j) {
+				k = append(k[:len(label)+1], text[i:j]...)
 				emit(k, one)
 			}
 		},
@@ -116,7 +120,7 @@ func NBLabelCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.
 		Name: "NB-prior", FS: fsys, Input: in, InputFormat: job.Text,
 		Output: out, Reducers: reducers,
 		Map: func(key, value []byte, emit job.Emit) {
-			label, _, ok := splitDoc(value)
+			label, _, ok := docLabel(value)
 			if !ok {
 				return
 			}
@@ -191,10 +195,7 @@ func fitNB(fsys *dfs.FS, prefix string) (*NBModel, error) {
 	}
 	sortStrings(m.Labels)
 	// Vocabulary size from the term-frequency job.
-	vocab := 0
-	for range job.ReadTextOutput(fsys, prefix+"/termfreq") {
-		vocab++
-	}
+	vocab := countLines(fsys, prefix+"/termfreq")
 	if vocab == 0 {
 		return nil, fmt.Errorf("bdb: empty vocabulary")
 	}
@@ -225,6 +226,28 @@ func fitNB(fsys *dfs.FS, prefix string) (*NBModel, error) {
 		m.DefaultLog[lbl] = math.Log(1 / denom)
 	}
 	return m, nil
+}
+
+// countLines counts the non-empty lines — the records — of the files
+// under prefix without materialising them. A line may straddle blocks.
+func countLines(fsys *dfs.FS, prefix string) int {
+	n := 0
+	for _, f := range fsys.ListPrefix(prefix) {
+		inLine := false
+		for _, blk := range f.Blocks {
+			for _, c := range blk.Data {
+				if c != '\n' {
+					inLine = true
+				} else if inLine {
+					n, inLine = n+1, false
+				}
+			}
+		}
+		if inLine {
+			n++
+		}
+	}
+	return n
 }
 
 func sortStrings(s []string) {
@@ -325,5 +348,3 @@ func NBReference(in *dfs.File) (*NBModel, error) {
 	}
 	return m, nil
 }
-
-var _ = strconv.Itoa

@@ -1,0 +1,507 @@
+package bdb
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"slices"
+	"strconv"
+	"sync"
+	"testing"
+
+	"github.com/datampi/datampi-go/internal/cluster"
+	"github.com/datampi/datampi-go/internal/core"
+	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/mr"
+)
+
+// The oracle below is the K-means codec and kernels as they were before
+// the sparse accumulator: bytes.Fields, a fresh KMeansDim dense vector per
+// record and per key, a walk over all 10,000 slots through fmt.Fprintf.
+// One thing is added: where the old code narrowed an index with int32()
+// and then indexed (or panicked) with it, the oracle calls the vector
+// malformed, which is what the kernels now do with it.
+
+func oracleParse(b []byte) (idx []int, val []float64, err error) {
+	for _, tok := range bytes.Fields(b) {
+		c := bytes.IndexByte(tok, ':')
+		if c < 0 {
+			return idx, val, fmt.Errorf("bdb: bad vector component %q", tok)
+		}
+		i, err := strconv.Atoi(string(tok[:c]))
+		if err != nil {
+			return idx, val, fmt.Errorf("bdb: bad index in %q: %v", tok, err)
+		}
+		x, err := strconv.ParseFloat(string(tok[c+1:]), 64)
+		if err != nil {
+			return idx, val, fmt.Errorf("bdb: bad value in %q: %v", tok, err)
+		}
+		idx = append(idx, i)
+		val = append(val, x)
+	}
+	return idx, val, nil
+}
+
+// oracleTermVec is oracleParse for the kernels: in the term space or not
+// a vector at all.
+func oracleTermVec(b []byte) (SparseVec, bool) {
+	idx, val, err := oracleParse(b)
+	if err != nil {
+		return SparseVec{}, false
+	}
+	v := SparseVec{Val: val}
+	for _, i := range idx {
+		if i < 0 || i >= KMeansDim {
+			return SparseVec{}, false
+		}
+		v.Idx = append(v.Idx, int32(i))
+	}
+	return v, true
+}
+
+func oracleEncode(n int64, sum []float64) []byte {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%d|", n)
+	first := true
+	for i, x := range sum {
+		if x == 0 {
+			continue
+		}
+		if !first {
+			buf.WriteByte(' ')
+		}
+		first = false
+		fmt.Fprintf(&buf, "%d:%.6g", i, x)
+	}
+	return buf.Bytes()
+}
+
+func oracleSum(values [][]byte) (int64, []float64) {
+	var total int64
+	sum := make([]float64, KMeansDim)
+	for _, val := range values {
+		i := bytes.IndexByte(val, '|')
+		if i < 0 {
+			continue
+		}
+		n, err := strconv.ParseInt(string(val[:i]), 10, 64)
+		if err != nil {
+			continue
+		}
+		v, ok := oracleTermVec(val[i+1:])
+		if !ok {
+			continue
+		}
+		total += n
+		v.AddTo(sum)
+	}
+	return total, sum
+}
+
+func oracleCombine(values [][]byte) []byte { return oracleEncode(oracleSum(values)) }
+
+func oracleReduce(values [][]byte) []byte {
+	total, sum := oracleSum(values)
+	if total > 0 {
+		for i := range sum {
+			sum[i] /= float64(total)
+		}
+	}
+	return oracleEncode(total, sum)
+}
+
+func oracleAssign(line []byte, cents [][]float64, norms []float64) (key, val []byte, ok bool) {
+	v, ok := oracleTermVec(line)
+	if !ok || len(v.Idx) == 0 {
+		return nil, nil, false
+	}
+	sum := make([]float64, KMeansDim)
+	v.AddTo(sum)
+	return []byte(strconv.Itoa(NearestCentroid(v, cents, norms))), oracleEncode(1, sum), true
+}
+
+// testCentroids are three fixed dense centroids for the assign step.
+func testCentroids() ([][]float64, []float64) {
+	cents := make([][]float64, 3)
+	for ci := range cents {
+		cents[ci] = make([]float64, KMeansDim)
+		for j := ci; j < KMeansDim; j += 7 + ci {
+			cents[ci][j] = 1 / float64(1+j%13)
+		}
+	}
+	return cents, norms2(cents)
+}
+
+// checkKernelsAgainstOracle treats each line of data as one partial value
+// ("count|vector") for combine and reduce, and its vector part as one
+// input record for the assign map.
+func checkKernelsAgainstOracle(t *testing.T, data []byte) {
+	t.Helper()
+	values := bytes.Split(data, []byte("\n"))
+	key := []byte("2")
+	if got, want := kmeansCombine(key, values), oracleCombine(values); len(got) != 1 || !bytes.Equal(got[0], want) {
+		t.Fatalf("combine: got %q, oracle %q", got, want)
+	}
+	got, want := kmeansReduce(key, values), oracleReduce(values)
+	if len(got) != 1 || !bytes.Equal(got[0].Key, key) || !bytes.Equal(got[0].Value, want) {
+		t.Fatalf("reduce: got %q, oracle %q", got, want)
+	}
+	cents, norms := testCentroids()
+	assign := kmeansAssign(cents, norms)
+	for _, val := range values {
+		line := val[bytes.IndexByte(val, '|')+1:]
+		var gotK, gotV []byte
+		emitted := 0
+		assign(nil, line, func(k, v []byte) {
+			gotK, gotV = bytes.Clone(k), bytes.Clone(v)
+			emitted++
+		})
+		wantK, wantV, ok := oracleAssign(line, cents, norms)
+		if (emitted == 1) != ok || emitted > 1 || !bytes.Equal(gotK, wantK) || !bytes.Equal(gotV, wantV) {
+			t.Fatalf("assign %q: got %d x (%q, %q), oracle %v (%q, %q)", line, emitted, gotK, gotV, ok, wantK, wantV)
+		}
+	}
+	// Every accumulator went back to the pool empty.
+	p := partialPool.Get().(*partialSum)
+	defer partialPool.Put(p)
+	if len(p.touched) != 0 || slices.ContainsFunc(p.sum, func(x float64) bool { return x != 0 }) || slices.Contains(p.seen, true) {
+		t.Fatal("a pooled accumulator is not empty")
+	}
+}
+
+var partialCases = []struct{ name, data string }{
+	{"plain", "1|3:0.25 17:0.5 9999:0.125\n1|3:0.75 40:1"},
+	{"duplicate indices in one vector", "1|5:1 5:2 5:0.5 2:1\n2|2:1 5:1 2:1"},
+	{"sums cancelling to exactly 0", "1|7:0.5 8:1\n1|7:-0.5 9:2\n1|7:0.25\n1|7:-0.25"},
+	{"cancelled then touched again", "1|7:1 7:-1 7:3"},
+	{"negative and exponent-form values", "1|1:-0.000012345678 2:1e-5 3:-1e-7 4:123456789 5:0.00009999995\n3|1:1e21 2:5e-324 6:-0.1234567891"},
+	{"unsorted indices", "1|9000:1 3:2 500:3 4:4"},
+	{"empty vector", "4|\n1|1:1"},
+	{"only an empty vector", "4|"},
+	{"count zero", "0|1:2 3:4"},
+	{"negative count", "-3|1:2 3:4\n1|1:1"},
+	{"non-finite values", "1|1:Inf 2:-Inf 3:NaN 4:+Inf 5:infinity\n1|1:1 2:Inf 4:-Inf"},
+	{"overflow to infinity", "1|1:1e308 2:-1e308\n1|1:1e308 2:-1e308"},
+	{"last index of the term space", "1|9999:1 0:2\n1|9999:0.5"},
+	{"index just outside the term space", "1|10000:1\n1|3:1"},
+	{"negative index", "1|-1:1\n1|3:1"},
+	{"index that int32 would wrap into range", "1|4294967297:1\n1|3:1"},
+	{"index beyond int", "1|99999999999999999999:1\n1|3:1"},
+	{"malformed tokens", "1|3\n1|x:1\n1|3:y\n1|3:1 4\nx|3:1\n|3:1\n3:1\n1|:1\n1|3:\n\n1|+3:1 -0:2"},
+	{"runs of ASCII space", "1| 3:1\t\t4:2 \r5:3\v\f \n1|  "},
+	{"second separator", "1|2|3:1\n1|3:1|4"},
+}
+
+func TestPartialMatchesDenseOracle(t *testing.T) {
+	for _, c := range partialCases {
+		t.Run(c.name, func(t *testing.T) { checkKernelsAgainstOracle(t, []byte(c.data)) })
+	}
+	t.Run("generated block", func(t *testing.T) {
+		var data []byte
+		for i, ln := range vectorLines(t, 29) {
+			data = append(append(strconv.AppendInt(data, int64(i%3), 10), '|'), ln...)
+			data = append(data, '\n')
+		}
+		checkKernelsAgainstOracle(t, data)
+	})
+}
+
+// FuzzPartialMatchesDenseOracle pins the accumulator and the strconv
+// codec to the dense fmt oracle byte for byte, on ASCII input: a
+// non-ASCII space (U+0085, U+00A0) separated fields for bytes.Fields and
+// is part of a — then malformed — token for the ASCII scanner, and no
+// generator writes one.
+func FuzzPartialMatchesDenseOracle(f *testing.F) {
+	for _, c := range partialCases {
+		f.Add([]byte(c.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if slices.ContainsFunc(data, func(b byte) bool { return b >= 0x80 }) {
+			t.Skip("non-ASCII input")
+		}
+		checkKernelsAgainstOracle(t, data)
+	})
+}
+
+// TestParseSparseVecMatchesOldParser: same components, and an error
+// exactly where the old parser had one — or narrowed an index that does
+// not fit in an int32.
+func TestParseSparseVecMatchesOldParser(t *testing.T) {
+	lines := []string{"", "  ", "1:2", "1:2 3:4.5", "+1:2", "-0:2", "1:+2", "01:1e3", "1:0x1p-2", "1:1_0",
+		"1", "1:", ":1", ":", "1:2:3", "a:1", "1:a", "1:2 x", "1.5:2", "1:2,3:4", "1 :2", "0x10:1", "1_0:1",
+		"2147483647:1", "2147483648:1", "-1:1", "-2147483648:1", "4294967297:1", "99999999999999999999:1",
+		"1:Inf", "1:NaN", "1:-inf", "1:1e999", "\t1:2\r\n", "1:2\v3:4\f5:6"}
+	for _, c := range partialCases {
+		lines = append(lines, c.data)
+	}
+	for _, ln := range lines {
+		idx, val, oldErr := oracleParse([]byte(ln))
+		narrowed := slices.ContainsFunc(idx, func(i int) bool { return i < 0 || i > math.MaxInt32 })
+		v, err := ParseSparseVec([]byte(ln))
+		if (err != nil) != (oldErr != nil || narrowed) {
+			t.Fatalf("%q: error %v, old parser %v, index outside int32 %v", ln, err, oldErr, narrowed)
+		}
+		if err != nil {
+			continue
+		}
+		if len(v.Idx) != len(idx) {
+			t.Fatalf("%q: %d components, old parser %d", ln, len(v.Idx), len(idx))
+		}
+		for i := range idx {
+			if int(v.Idx[i]) != idx[i] || math.Float64bits(v.Val[i]) != math.Float64bits(val[i]) {
+				t.Fatalf("%q: component %d is %d:%v, old parser %d:%v", ln, i, v.Idx[i], v.Val[i], idx[i], val[i])
+			}
+		}
+	}
+}
+
+// TestMarshalTextMatchesFmt pins the strconv vector writer to the old
+// "%d:%.4g" one.
+func TestMarshalTextMatchesFmt(t *testing.T) {
+	v := SparseVec{
+		Idx: []int32{0, 7, 123, 9999, 5, 6, 8, 9},
+		Val: []float64{1, 0.5, 0.123456789, 1e-5, -3.25e7, math.Inf(1), math.Inf(-1), math.NaN()},
+	}
+	var want bytes.Buffer
+	for i := range v.Idx {
+		if i > 0 {
+			want.WriteByte(' ')
+		}
+		fmt.Fprintf(&want, "%d:%.4g", v.Idx[i], v.Val[i])
+	}
+	if got := v.MarshalText(); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("MarshalText %q, fmt %q", got, want.Bytes())
+	}
+	if got := (SparseVec{}).MarshalText(); len(got) != 0 {
+		t.Fatalf("empty vector marshals to %q", got)
+	}
+}
+
+// vectorLines generates one 32 KB block of K-means input and returns its
+// lines.
+func vectorLines(t testing.TB, seed int64) [][]byte {
+	t.Helper()
+	in, _ := GenerateVectorFile(freshFS(32*cluster.KB, 1), "/vec", seed, 32*1024)
+	var lines [][]byte
+	for _, ln := range bytes.Split(in.Blocks[0].Data, []byte("\n")) {
+		if len(ln) > 0 {
+			lines = append(lines, ln)
+		}
+	}
+	if len(lines) < 20 {
+		t.Fatalf("only %d vectors generated", len(lines))
+	}
+	return lines
+}
+
+// partialsOf is what a combiner sees for one cluster: each line as a
+// "1|vector" partial.
+func partialsOf(lines [][]byte) [][]byte {
+	vals := make([][]byte, len(lines))
+	for i, ln := range lines {
+		vals[i] = append([]byte("1|"), ln...)
+	}
+	return vals
+}
+
+// medianAllocs runs f n times and returns the median heap allocations and
+// bytes of one call. The median and not testing.AllocsPerRun's mean:
+// under the race detector sync.Pool drops a quarter of what is Put, and a
+// kernel call that finds the pool empty builds a new 90 KB accumulator.
+func medianAllocs(n int, f func()) (mallocs, size uint64) {
+	ms, bs := make([]uint64, n), make([]uint64, n)
+	var before, after runtime.MemStats
+	for i := range ms {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		ms[i], bs[i] = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	}
+	slices.Sort(ms)
+	slices.Sort(bs)
+	return ms[n/2], bs[n/2]
+}
+
+// TestKMeansAllocs guards the steady state of the three kernels on real
+// generated vectors: no 80 KB dense vector, no SparseVec and no boxed
+// fmt argument per record or per key.
+func TestKMeansAllocs(t *testing.T) {
+	lines := vectorLines(t, 31)
+	cents, norms := testCentroids()
+	assign := kmeansAssign(cents, norms)
+	drop := func(k, v []byte) {}
+	i := 0
+	mallocs, size := medianAllocs(101, func() {
+		assign(nil, lines[i%len(lines)], drop)
+		i++
+	})
+	t.Logf("assign map: %d allocs, %d B per record", mallocs, size)
+	if mallocs > 2 || size >= 1024 {
+		t.Errorf("assign map: %d allocs, %d B per record, want <= 2 allocs and < 1 KB", mallocs, size)
+	}
+	vals := partialsOf(lines[:20])
+	mallocs, size = medianAllocs(101, func() { kmeansCombine(nil, vals) })
+	t.Logf("combine: %d allocs, %d B per key", mallocs, size)
+	if mallocs > 3 || size >= 40<<10 {
+		t.Errorf("combine: %d allocs, %d B per key of 20 partials, want <= 3 allocs and well under 80 KB", mallocs, size)
+	}
+	mallocs, size = medianAllocs(101, func() { kmeansReduce(nil, vals) })
+	t.Logf("reduce: %d allocs, %d B per key", mallocs, size)
+	if mallocs > 3 || size >= 40<<10 {
+		t.Errorf("reduce: %d allocs, %d B per key of 20 partials, want <= 3 allocs and well under 80 KB", mallocs, size)
+	}
+}
+
+// TestKMeansIgnoresOutOfRangeIndices: vector lines whose indices the
+// dense centroids cannot hold — 10000, -1, and 4294967297, which int32()
+// used to turn into 1 — are skipped like any other malformed record
+// (they used to panic the simulator in AddTo), and training comes out as
+// the reference's on the clean lines.
+func TestKMeansIgnoresOutOfRangeIndices(t *testing.T) {
+	const k = 5
+	cleanFS := freshFS(32*cluster.KB, 1)
+	clean, _ := GenerateVectorFile(cleanFS, "/vec", 37, 96*1024)
+	bad := [][]byte{[]byte("10000:1"), []byte("-1:1"), []byte("4294967297:1"), []byte("3:0.5 10000:0.5 7:0.5"), []byte("2147483648:1")}
+	var dirty []byte
+	n := 0
+	for _, blk := range clean.Blocks {
+		for _, ln := range bytes.Split(blk.Data, []byte("\n")) {
+			if len(ln) == 0 {
+				continue
+			}
+			dirty = append(append(dirty, ln...), '\n')
+			if n++; n >= k && n%9 == 0 {
+				dirty = append(append(dirty, bad[n/9%len(bad)]...), '\n')
+			}
+		}
+	}
+	init, err := InitialCentroids(clean, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := KMeansReference(clean, init, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := freshFS(32*cluster.KB, 1)
+	in := fsys.PreloadAligned("/dirty", dirty, '\n')
+	res := KMeansMR(mr.New(fsys, mr.DefaultConfig()), fsys, in, "/km", k, 5, 2, 0)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for ci := range want {
+		for j := range want[ci] {
+			if math.Abs(res.Centroids[ci][j]-want[ci][j]) > 1e-6 {
+				t.Fatalf("centroid %d component %d: %v, reference on the clean lines %v", ci, j, res.Centroids[ci][j], want[ci][j])
+			}
+		}
+	}
+	// The cold callers report such a line instead of panicking on it.
+	if _, err := InitialCentroids(fsys.PreloadAligned("/bad", []byte("10000:1\n"), '\n'), 1); err == nil {
+		t.Fatal("InitialCentroids accepted index 10000")
+	}
+	if _, err := KMeansReference(in, init, 1); err == nil {
+		t.Fatal("KMeansReference accepted the dirty file")
+	}
+}
+
+// TestKernelsConcurrently runs two K-means trainings and one Naive Bayes
+// training, each on a cluster and file system of its own, first one after
+// the other and then in parallel goroutines — the shape harness's parallel
+// sweep runner produces, with every simulation drawing on partialPool at
+// once. Run under -race.
+func TestKernelsConcurrently(t *testing.T) {
+	type outcome struct {
+		cents   [][]float64
+		model   *NBModel
+		elapsed float64
+		err     error
+	}
+	vecs := func() (*dfs.FS, *dfs.File) {
+		fsys := freshFS(32*cluster.KB, 1)
+		in, _ := GenerateVectorFile(fsys, "/vec", 41, 96*1024)
+		return fsys, in
+	}
+	trainings := []func() outcome{
+		func() outcome {
+			fsys, in := vecs()
+			r := KMeansMR(mr.New(fsys, mr.DefaultConfig()), fsys, in, "/km", 5, 5, 2, 0)
+			return outcome{cents: r.Centroids, elapsed: r.Elapsed, err: r.Err}
+		},
+		func() outcome {
+			fsys, in := vecs()
+			r := KMeansDataMPI(core.New(fsys, core.DefaultConfig()), in, 5, 2, 0)
+			return outcome{cents: r.Centroids, elapsed: r.Elapsed, err: r.Err}
+		},
+		func() outcome {
+			fsys := freshFS(32*cluster.KB, 1)
+			in := GenerateLabeledDocs(fsys, "/docs", 43, 96*1024)
+			r := NaiveBayesTrain(core.New(fsys, core.DefaultConfig()), fsys, in, "/nb", 4)
+			return outcome{model: r.Model, elapsed: r.Elapsed, err: r.Err}
+		},
+	}
+	want := make([]outcome, len(trainings))
+	for i, train := range trainings {
+		if want[i] = train(); want[i].err != nil {
+			t.Fatal(want[i].err)
+		}
+	}
+	got := make([]outcome, len(trainings))
+	var wg sync.WaitGroup
+	for i, train := range trainings {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = train()
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("training %d in parallel differs from the same training run alone (err %v)", i, got[i].err)
+		}
+	}
+}
+
+var benchSink int
+
+func BenchmarkKMeansAssign(b *testing.B) {
+	lines := vectorLines(b, 31)
+	cents, norms := testCentroids()
+	assign := kmeansAssign(cents, norms)
+	emit := func(k, v []byte) { benchSink += len(k) + len(v) }
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, ln := range lines {
+			assign(nil, ln, emit)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/rec")
+}
+
+func BenchmarkKMeansCombine(b *testing.B) {
+	vals := partialsOf(vectorLines(b, 31))
+	scratch := make([][]byte, len(vals))
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(scratch, vals)
+		benchSink += len(kmeansCombine(nil, scratch)[0])
+	}
+}
+
+func BenchmarkParseSparseVec(b *testing.B) {
+	lines := vectorLines(b, 31)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, ln := range lines {
+			v, err := ParseSparseVec(ln)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(v.Idx)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/rec")
+}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"github.com/datampi/datampi-go/internal/core"
 	"github.com/datampi/datampi-go/internal/dfs"
@@ -30,24 +32,44 @@ type KMeansResult struct {
 // (deterministic, data-driven — Mahout's canopy-less default is similar).
 func InitialCentroids(in *dfs.File, k int) ([][]float64, error) {
 	cents := make([][]float64, 0, k)
+	var v SparseVec
 	for _, blk := range in.Blocks {
-		for _, line := range bytes.Split(blk.Data, []byte("\n")) {
-			if len(line) == 0 {
+		for line := range bytes.Lines(blk.Data) { // lazy: stops after k lines
+			if line = bytes.TrimSuffix(line, []byte("\n")); len(line) == 0 {
 				continue
 			}
-			v, err := ParseSparseVec(line)
-			if err != nil {
+			if err := v.parseTerms(line); err != nil {
 				return nil, err
 			}
-			c := make([]float64, KMeansDim)
-			v.AddTo(c)
-			cents = append(cents, c)
-			if len(cents) == k {
+			if cents = append(cents, v.dense()); len(cents) == k {
 				return cents, nil
 			}
 		}
 	}
 	return nil, fmt.Errorf("bdb: input has fewer than %d vectors", k)
+}
+
+// parseTerms is parse for K-means input and partial sums: an index the
+// KMeansDim-wide dense centroids and sums cannot hold makes the vector
+// malformed too (parse already rejected negative ones). Every vector the
+// kernels add or expand has passed it.
+func (v *SparseVec) parseTerms(line []byte) error {
+	if err := v.parse(line); err != nil {
+		return err
+	}
+	for _, idx := range v.Idx {
+		if idx >= KMeansDim {
+			return fmt.Errorf("bdb: index %d outside the %d-term space", idx, KMeansDim)
+		}
+	}
+	return nil
+}
+
+// dense expands a parseTerms vector into a fresh dense centroid.
+func (v SparseVec) dense() []float64 {
+	c := make([]float64, KMeansDim)
+	v.AddTo(c)
+	return c
 }
 
 func norm2(c []float64) float64 {
@@ -56,6 +78,14 @@ func norm2(c []float64) float64 {
 		s += x * x
 	}
 	return s
+}
+
+func norms2(cents [][]float64) []float64 {
+	norms := make([]float64, len(cents))
+	for i := range cents {
+		norms[i] = norm2(cents[i])
+	}
+	return norms
 }
 
 // NearestCentroid returns the index of the closest centroid.
@@ -70,116 +100,161 @@ func NearestCentroid(v SparseVec, cents [][]float64, norms []float64) int {
 	return best
 }
 
-// encodePartial renders "count|idx:val ..." for a cluster partial sum.
-func encodePartial(n int64, sum []float64) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%d|", n)
-	first := true
-	for i, x := range sum {
-		if x == 0 {
-			continue
-		}
-		if !first {
-			buf.WriteByte(' ')
-		}
-		first = false
-		fmt.Fprintf(&buf, "%d:%.6g", i, x)
-	}
-	return buf.Bytes()
+// partialSum is the one accumulator behind every K-means kernel: a
+// cluster's partial sum held dense, plus the list of slots it touched, so
+// adding a ~70-term vector, encoding the sum and emptying the accumulator
+// cost O(terms touched), never O(KMeansDim). It carries the kernels'
+// parse target and encode buffers too. Accumulators live in partialPool;
+// a kernel call takes what it needs and puts it back, empty, before it
+// returns — per call and not per job, because a Map that is emitting may
+// re-enter the combiner through a collector spill.
+type partialSum struct {
+	sum      []float64 // KMeansDim wide, zero outside touched
+	seen     []bool    // seen[i]: i is in touched (its sum may have cancelled to 0 since)
+	touched  []int32
+	vec      SparseVec // parse target
+	key, buf []byte    // encode scratch, handed to emit
 }
 
-func decodePartial(b []byte) (int64, SparseVec, error) {
-	i := bytes.IndexByte(b, '|')
-	if i < 0 {
-		return 0, SparseVec{}, fmt.Errorf("bdb: bad partial %q", b)
+var partialPool = sync.Pool{New: func() any {
+	return &partialSum{sum: make([]float64, KMeansDim), seen: make([]bool, KMeansDim)}
+}}
+
+// partialSep separates the count from the vector in "count|idx:val ...".
+var partialSep = []byte{'|'}
+
+// add accumulates v, which has passed parseTerms, in v's order (the order
+// the dense AddTo used, so sums round the same way).
+func (p *partialSum) add(v SparseVec) {
+	for i, idx := range v.Idx {
+		if !p.seen[idx] {
+			p.seen[idx] = true
+			p.touched = append(p.touched, idx)
+		}
+		p.sum[idx] += v.Val[i]
 	}
-	n, err := strconv.ParseInt(string(b[:i]), 10, 64)
-	if err != nil {
-		return 0, SparseVec{}, err
+}
+
+// addPartials decodes and accumulates "count|idx:val ..." values,
+// skipping malformed ones whole, and returns the summed counts.
+func (p *partialSum) addPartials(values [][]byte) (total int64) {
+	for _, val := range values {
+		count, vec, ok := bytes.Cut(val, partialSep)
+		if !ok {
+			continue
+		}
+		n, err := strconv.ParseInt(string(count), 10, 64)
+		if err != nil || p.vec.parseTerms(vec) != nil {
+			continue
+		}
+		total += n
+		p.add(p.vec)
 	}
-	v, err := ParseSparseVec(b[i+1:])
-	return n, v, err
+	return total
+}
+
+// divide turns the sum into a mean, over exactly the slots add touched.
+func (p *partialSum) divide(n int64) {
+	for _, idx := range p.touched {
+		p.sum[idx] /= float64(n)
+	}
+}
+
+// encode renders the partial sum as "count|idx:val ..." — indices
+// ascending, %.6g values, sums that are exactly 0 dropped — and empties
+// the accumulator, zeroing only what was touched. The result is p's own
+// buffer, valid until p is used again: emit copies it; a combiner or
+// reducer, whose result is retained, must clone it.
+func (p *partialSum) encode(n int64) []byte {
+	slices.Sort(p.touched)
+	dst := append(strconv.AppendInt(p.buf[:0], n, 10), partialSep...)
+	head := len(dst)
+	for _, idx := range p.touched {
+		if x := p.sum[idx]; x != 0 {
+			if len(dst) > head {
+				dst = append(dst, ' ')
+			}
+			dst = appendComponent(dst, idx, x, 6)
+		}
+		p.sum[idx], p.seen[idx] = 0, false
+	}
+	p.touched, p.buf = p.touched[:0], dst
+	return dst
+}
+
+// emitPartial emits cluster ci's partial sum from p's own buffers.
+func (p *partialSum) emitPartial(ci int, n int64, emit job.Emit) {
+	p.key = strconv.AppendInt(p.key[:0], int64(ci), 10)
+	emit(p.key, p.encode(n))
 }
 
 // kmeansCombine sums partial sums per cluster (the Mahout combiner).
 func kmeansCombine(key []byte, values [][]byte) [][]byte {
-	var total int64
-	sum := make([]float64, KMeansDim)
-	for _, val := range values {
-		n, v, err := decodePartial(val)
-		if err != nil {
-			continue
-		}
-		total += n
-		v.AddTo(sum)
-	}
-	return [][]byte{encodePartial(total, sum)}
+	p := partialPool.Get().(*partialSum)
+	defer partialPool.Put(p)
+	total := p.addPartials(values)
+	return [][]byte{bytes.Clone(p.encode(total))}
 }
 
 // kmeansReduce computes the new centroid from the cluster's partials.
 func kmeansReduce(key []byte, values [][]byte) []kv.Pair {
-	var total int64
-	sum := make([]float64, KMeansDim)
-	for _, val := range values {
-		n, v, err := decodePartial(val)
-		if err != nil {
-			continue
-		}
-		total += n
-		v.AddTo(sum)
-	}
+	p := partialPool.Get().(*partialSum)
+	defer partialPool.Put(p)
+	total := p.addPartials(values)
 	if total > 0 {
-		for i := range sum {
-			sum[i] /= float64(total)
-		}
+		p.divide(total)
 	}
-	return []kv.Pair{{Key: key, Value: encodePartial(total, sum)}}
+	return []kv.Pair{{Key: key, Value: bytes.Clone(p.encode(total))}}
+}
+
+// kmeansAssign is the assign step of one Lloyd iteration as a map
+// function: each input vector becomes (nearest cluster, "1|vector").
+func kmeansAssign(cents [][]float64, norms []float64) job.MapFunc {
+	return func(key, value []byte, emit job.Emit) {
+		p := partialPool.Get().(*partialSum)
+		defer partialPool.Put(p)
+		if p.vec.parseTerms(value) != nil || len(p.vec.Idx) == 0 {
+			return
+		}
+		p.add(p.vec)
+		p.emitPartial(NearestCentroid(p.vec, cents, norms), 1, emit)
+	}
 }
 
 // kmeansIterSpec builds one Lloyd iteration as a MapReduce job against
 // the current centroids — exactly Mahout's per-iteration job shape.
-func kmeansIterSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int,
-	cents [][]float64, norms []float64) job.Spec {
+func kmeansIterSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int, cents [][]float64) job.Spec {
 	return job.Spec{
 		Name: "KMeansIter", FS: fsys, Input: in, InputFormat: job.Text,
 		Output: out, Reducers: reducers,
-		Map: func(key, value []byte, emit job.Emit) {
-			v, err := ParseSparseVec(value)
-			if err != nil || len(v.Idx) == 0 {
-				return
-			}
-			ci := NearestCentroid(v, cents, norms)
-			sum := make([]float64, KMeansDim)
-			v.AddTo(sum)
-			emit([]byte(strconv.Itoa(ci)), encodePartial(1, sum))
-		},
+		Map:          kmeansAssign(cents, norms2(cents)),
 		Combine:      kmeansCombine,
 		Reduce:       kmeansReduce,
 		MapCPUFactor: KMeansCPUFactor,
 	}
 }
 
-// parseCentroidOutput reads an iteration job's reduce output into dense
-// centroids, keeping previous centroids for empty clusters.
-func parseCentroidOutput(fsys *dfs.FS, prefix string, prev [][]float64) ([][]float64, error) {
-	next := make([][]float64, len(prev))
-	for i := range prev {
-		next[i] = append([]float64(nil), prev[i]...)
-	}
-	for _, p := range job.ReadTextOutput(fsys, prefix) {
-		ci, err := strconv.Atoi(string(p.Key))
+// nextCentroids turns one iteration's reduce output into the next dense
+// centroids — an empty cluster keeps its previous centroid — and reports
+// how far they moved.
+func nextCentroids(prev [][]float64, reduced []kv.Pair) ([][]float64, float64, error) {
+	next := slices.Clone(prev) // centroids are never written after they are built
+	var v SparseVec
+	for _, r := range reduced {
+		ci, err := strconv.Atoi(string(r.Key))
 		if err != nil || ci < 0 || ci >= len(next) {
 			continue
 		}
-		_, v, err := decodePartial(p.Value)
-		if err != nil {
-			return nil, err
+		_, vec, ok := bytes.Cut(r.Value, partialSep)
+		if !ok {
+			return nil, 0, fmt.Errorf("bdb: bad partial %q", r.Value)
 		}
-		c := make([]float64, KMeansDim)
-		v.AddTo(c)
-		next[ci] = c
+		if err := v.parseTerms(vec); err != nil {
+			return nil, 0, err
+		}
+		next[ci] = v.dense()
 	}
-	return next, nil
+	return next, centroidShift(prev, next), nil
 }
 
 func centroidShift(a, b [][]float64) float64 {
@@ -206,13 +281,8 @@ func KMeansMR(eng job.Engine, fsys *dfs.FS, in *dfs.File, outPrefix string,
 	}
 	start := fsys.Cluster().Eng.Now()
 	for iter := 1; iter <= maxIter; iter++ {
-		norms := make([]float64, k)
-		for i := range cents {
-			norms[i] = norm2(cents[i])
-		}
 		out := fmt.Sprintf("%s/clusters-%d", outPrefix, iter)
-		t0 := fsys.Cluster().Eng.Now()
-		jr := eng.Run(kmeansIterSpec(fsys, in, out, reducers, cents, norms))
+		jr := eng.Run(kmeansIterSpec(fsys, in, out, reducers, cents))
 		if jr.Err != nil {
 			res.Err = jr.Err
 			return res
@@ -221,15 +291,13 @@ func KMeansMR(eng job.Engine, fsys *dfs.FS, in *dfs.File, outPrefix string,
 		if iter == 1 {
 			res.FirstIter = fsys.Cluster().Eng.Now() - start
 		}
-		next, err := parseCentroidOutput(fsys, out, cents)
+		next, shift, err := nextCentroids(cents, job.ReadTextOutput(fsys, out))
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		shift := centroidShift(cents, next)
 		cents = next
 		res.Iterations = iter
-		_ = t0
 		if shift < epsilon {
 			break
 		}
@@ -253,21 +321,8 @@ func KMeansSpark(e *rdd.Engine, in *dfs.File, k, reducers, maxIter int, epsilon 
 	start := e.C.Eng.Now()
 	vectors := e.TextFile(in).Cache()
 	for iter := 1; iter <= maxIter; iter++ {
-		cs := cents
-		norms := make([]float64, k)
-		for i := range cs {
-			norms[i] = norm2(cs[i])
-		}
-		partials := vectors.FlatMapKV(func(key, value []byte, emit job.Emit) {
-			v, err := ParseSparseVec(value)
-			if err != nil || len(v.Idx) == 0 {
-				return
-			}
-			ci := NearestCentroid(v, cs, norms)
-			sum := make([]float64, KMeansDim)
-			v.AddTo(sum)
-			emit([]byte(strconv.Itoa(ci)), encodePartial(1, sum))
-		}, KMeansCPUFactor).ReduceByKey(kmeansCombine, kmeansReduce, reducers)
+		partials := vectors.FlatMapKV(kmeansAssign(cents, norms2(cents)), KMeansCPUFactor).
+			ReduceByKey(kmeansCombine, kmeansReduce, reducers)
 		pairs, jr := partials.Collect()
 		if jr.Err != nil {
 			res.Err = jr.Err
@@ -277,25 +332,11 @@ func KMeansSpark(e *rdd.Engine, in *dfs.File, k, reducers, maxIter int, epsilon 
 		if iter == 1 {
 			res.FirstIter = e.C.Eng.Now() - start
 		}
-		next := make([][]float64, len(cents))
-		for i := range cents {
-			next[i] = append([]float64(nil), cents[i]...)
+		next, shift, err := nextCentroids(cents, pairs)
+		if err != nil {
+			res.Err = err
+			return res
 		}
-		for _, p := range pairs {
-			ci, err := strconv.Atoi(string(p.Key))
-			if err != nil || ci < 0 || ci >= k {
-				continue
-			}
-			_, v, err := decodePartial(p.Value)
-			if err != nil {
-				res.Err = err
-				return res
-			}
-			c := make([]float64, KMeansDim)
-			v.AddTo(c)
-			next[ci] = c
-		}
-		shift := centroidShift(cents, next)
 		cents = next
 		res.Iterations = iter
 		if shift < epsilon {
@@ -313,6 +354,14 @@ type kmState struct {
 	norms []float64
 }
 
+// vecBlock is one O task's cached vectors as one CSR block: vector i is
+// idx[off[i]:off[i+1]] / val[off[i]:off[i+1]].
+type vecBlock struct {
+	idx []int32
+	val []float64
+	off []int
+}
+
 // KMeansDataMPI trains K-means in DataMPI's Iteration mode: vectors stay
 // cached in the O tasks' memory, partial sums pipeline to A tasks each
 // round, and the merged centroids broadcast back.
@@ -323,74 +372,61 @@ func KMeansDataMPI(e *core.Engine, in *dfs.File, k, maxIter int, epsilon float64
 		res.Err = err
 		return res
 	}
-	init := kmState{cents: cents, norms: make([]float64, k)}
-	for i := range cents {
-		init.norms[i] = norm2(cents[i])
-	}
+	var mergeErr error
 	itJob := core.IterationJob[kmState]{
 		Name: "KMeans", Input: in, InputFormat: job.Text,
 		Rounds:     maxIter,
 		CPUFactorO: KMeansCPUFactor,
 		LoadO: func(records []kv.Pair) any {
-			var vecs []SparseVec
+			blk := &vecBlock{off: make([]int, 1, len(records)+1)}
+			var v SparseVec
 			for _, r := range records {
-				v, err := ParseSparseVec(r.Value)
-				if err == nil && len(v.Idx) > 0 {
-					vecs = append(vecs, v)
+				if v.parseTerms(r.Value) == nil && len(v.Idx) > 0 {
+					blk.idx = append(blk.idx, v.Idx...)
+					blk.val = append(blk.val, v.Val...)
+					blk.off = append(blk.off, len(blk.idx))
 				}
 			}
-			return vecs
+			return blk
 		},
 		RunO: func(round int, st kmState, cached any, emit job.Emit) {
-			vecs := cached.([]SparseVec)
-			sums := make([][]float64, k)
+			blk := cached.(*vecBlock)
+			accs := make([]*partialSum, k)
+			for ci := range accs {
+				accs[ci] = partialPool.Get().(*partialSum)
+			}
 			counts := make([]int64, k)
-			for _, v := range vecs {
+			for i, lo := range blk.off[:len(blk.off)-1] {
+				v := SparseVec{Idx: blk.idx[lo:blk.off[i+1]], Val: blk.val[lo:blk.off[i+1]]}
 				ci := NearestCentroid(v, st.cents, st.norms)
-				if sums[ci] == nil {
-					sums[ci] = make([]float64, KMeansDim)
-				}
-				v.AddTo(sums[ci])
+				accs[ci].add(v)
 				counts[ci]++
 			}
-			for ci := range sums {
+			for ci, p := range accs {
 				if counts[ci] > 0 {
-					emit([]byte(strconv.Itoa(ci)), encodePartial(counts[ci], sums[ci]))
+					p.emitPartial(ci, counts[ci], emit)
 				}
+				partialPool.Put(p)
 			}
 		},
 		RunA: func(round int, grouped []kv.Pair) []kv.Pair {
 			return kv.GroupReduce(grouped, kmeansReduce)
 		},
 		MergeState: func(round int, st kmState, aggs []kv.Pair) (kmState, bool) {
-			next := make([][]float64, k)
-			for i := range st.cents {
-				next[i] = append([]float64(nil), st.cents[i]...)
+			next, shift, err := nextCentroids(st.cents, aggs)
+			if err != nil {
+				mergeErr = err
+				return st, true
 			}
-			for _, p := range aggs {
-				ci, err := strconv.Atoi(string(p.Key))
-				if err != nil || ci < 0 || ci >= k {
-					continue
-				}
-				_, v, err := decodePartial(p.Value)
-				if err != nil {
-					continue
-				}
-				c := make([]float64, KMeansDim)
-				v.AddTo(c)
-				next[ci] = c
-			}
-			shift := centroidShift(st.cents, next)
-			ns := kmState{cents: next, norms: make([]float64, k)}
-			for i := range next {
-				ns.norms[i] = norm2(next[i])
-			}
-			return ns, shift < epsilon
+			return kmState{cents: next, norms: norms2(next)}, shift < epsilon
 		},
 		StateNominalBytes: float64(k * KMeansDim * 8),
 	}
-	ir := core.RunIteration(e, itJob, init)
+	ir := core.RunIteration(e, itJob, kmState{cents: cents, norms: norms2(cents)})
 	res.Err = ir.Err
+	if res.Err == nil {
+		res.Err = mergeErr
+	}
 	res.Centroids = ir.State.cents
 	res.Iterations = ir.Rounds
 	res.IterTimes = ir.RoundTimes
@@ -409,8 +445,8 @@ func KMeansReference(in *dfs.File, cents [][]float64, iters int) ([][]float64, e
 			if len(line) == 0 {
 				continue
 			}
-			v, err := ParseSparseVec(line)
-			if err != nil {
+			var v SparseVec
+			if err := v.parseTerms(line); err != nil {
 				return nil, err
 			}
 			if len(v.Idx) > 0 {
@@ -420,10 +456,7 @@ func KMeansReference(in *dfs.File, cents [][]float64, iters int) ([][]float64, e
 	}
 	cur := cents
 	for it := 0; it < iters; it++ {
-		norms := make([]float64, k)
-		for i := range cur {
-			norms[i] = norm2(cur[i])
-		}
+		norms := norms2(cur)
 		sums := make([][]float64, k)
 		counts := make([]int64, k)
 		for i := range sums {

@@ -53,37 +53,63 @@ func (v SparseVec) DistanceSq(c []float64, cNorm2 float64) float64 {
 }
 
 // MarshalText renders "idx:val idx:val ..." — the on-DFS vector format.
-func (v SparseVec) MarshalText() []byte {
-	var buf bytes.Buffer
+func (v SparseVec) MarshalText() []byte { return v.appendText(nil) }
+
+func (v SparseVec) appendText(dst []byte) []byte {
 	for i := range v.Idx {
 		if i > 0 {
-			buf.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		fmt.Fprintf(&buf, "%d:%.4g", v.Idx[i], v.Val[i])
+		dst = appendComponent(dst, v.Idx[i], v.Val[i], 4)
 	}
-	return buf.Bytes()
+	return dst
 }
 
-// ParseSparseVec parses the MarshalText format.
+// appendComponent appends "idx:val" with val as %.<prec>g would print it
+// (strconv's 'g' and fmt's %g agree byte for byte, non-finite values
+// included), without fmt's boxed arguments.
+func appendComponent(dst []byte, idx int32, val float64, prec int) []byte {
+	dst = strconv.AppendInt(dst, int64(idx), 10)
+	dst = append(dst, ':')
+	return strconv.AppendFloat(dst, val, 'g', prec, 64)
+}
+
+// ParseSparseVec parses the MarshalText format into a fresh vector, sized
+// from the line's component count.
 func ParseSparseVec(b []byte) (SparseVec, error) {
-	var v SparseVec
-	for _, tok := range bytes.Fields(b) {
+	n := bytes.Count(b, []byte(":"))
+	v := SparseVec{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
+	err := v.parse(b)
+	return v, err
+}
+
+// parse replaces v with the components of a MarshalText line, reusing
+// v's slices: a caller that keeps v across lines parses without
+// allocating. Fields are split on ASCII space (every generated line is
+// ASCII). An index outside [0, 2^31) is malformed, not narrowed.
+func (v *SparseVec) parse(b []byte) error {
+	v.Idx, v.Val = v.Idx[:0], v.Val[:0]
+	for i, j := nextField(b, 0); j > i; i, j = nextField(b, j) {
+		tok := b[i:j]
 		c := bytes.IndexByte(tok, ':')
 		if c < 0 {
-			return v, fmt.Errorf("bdb: bad vector component %q", tok)
+			return fmt.Errorf("bdb: bad vector component %q", tok)
 		}
 		idx, err := strconv.Atoi(string(tok[:c]))
 		if err != nil {
-			return v, fmt.Errorf("bdb: bad index in %q: %v", tok, err)
+			return fmt.Errorf("bdb: bad index in %q: %v", tok, err)
+		}
+		if idx < 0 || idx > math.MaxInt32 {
+			return fmt.Errorf("bdb: index out of range in %q", tok)
 		}
 		val, err := strconv.ParseFloat(string(tok[c+1:]), 64)
 		if err != nil {
-			return v, fmt.Errorf("bdb: bad value in %q: %v", tok, err)
+			return fmt.Errorf("bdb: bad value in %q: %v", tok, err)
 		}
 		v.Idx = append(v.Idx, int32(idx))
 		v.Val = append(v.Val, val)
 	}
-	return v, nil
+	return nil
 }
 
 // stopwordCutoff drops the Zipf head when vectorizing, as Mahout's
@@ -170,7 +196,7 @@ func GenerateVectorFile(fsys *dfs.FS, name string, seed int64, nominalBytes floa
 			words = append(words, []byte(s.NextWord()))
 		}
 		vec := DocToVector(models[mi], words)
-		buf.Write(vec.MarshalText())
+		buf.Write(vec.appendText(buf.AvailableBuffer()))
 		buf.WriteByte('\n')
 		truth = append(truth, mi)
 	}

@@ -37,22 +37,8 @@ func WordCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Spe
 		Name: "WordCount", FS: fsys, Input: in, InputFormat: job.Text,
 		Output: out, Reducers: reducers,
 		Map: func(key, value []byte, emit job.Emit) {
-			// Manual tokenizer over the same separator set as
-			// bytes.Fields on ASCII text (all generated input is ASCII):
-			// avoids allocating a [][]byte per line.
-			i := 0
-			for i < len(value) {
-				for i < len(value) && asciiSpace(value[i]) {
-					i++
-				}
-				j := i
-				for j < len(value) && !asciiSpace(value[j]) {
-					j++
-				}
-				if j > i {
-					emit(value[i:j], one)
-				}
-				i = j
+			for i, j := nextField(value, 0); j > i; i, j = nextField(value, j) {
+				emit(value[i:j], one)
 			}
 		},
 		Combine:      kv.SumCombiner,
@@ -61,8 +47,22 @@ func WordCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Spe
 	}
 }
 
-// asciiSpace matches the ASCII subset of unicode.IsSpace, the separator
-// set bytes.Fields uses for ASCII input.
+// nextField returns the bounds of the first field of b at or after i
+// (end == start: none left), fields being separated by the ASCII subset
+// of unicode.IsSpace — bytes.Fields on ASCII text, which all generated
+// input is. The WordCount, Naive Bayes and vector-parsing kernels loop
+// over it in place: no [][]byte per line, no closure call per token.
+func nextField(b []byte, i int) (start, end int) {
+	for i < len(b) && asciiSpace(b[i]) {
+		i++
+	}
+	j := i
+	for j < len(b) && !asciiSpace(b[j]) {
+		j++
+	}
+	return i, j
+}
+
 func asciiSpace(b byte) bool {
 	switch b {
 	case '\t', '\n', '\v', '\f', '\r', ' ':

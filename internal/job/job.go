@@ -45,7 +45,11 @@ func (f Format) String() string {
 	}
 }
 
-// Emit passes one intermediate record out of a map function.
+// Emit passes one intermediate record out of a map function. Every
+// receiver copies key and value before it returns (the kv collector into
+// its slab, the rdd mid-chain ops into the task arena, RunSequential into
+// fresh slices), so the caller may emit from a buffer it reuses for the
+// next record — and an Emit implementation must keep copying.
 type Emit func(key, value []byte)
 
 // MapFunc transforms one input record into intermediate records.

@@ -196,7 +196,9 @@ func SampleBoundaries(sample [][]byte, n int) [][]byte {
 
 // Reducer folds all values of one key into output pairs. The values
 // slice is reused between keys: a reducer must not retain it after
-// returning.
+// returning. The pairs it returns are retained as they are (they become
+// the job's output), so their values must be fresh memory, never a
+// buffer the reducer will write again; the key may be the one passed in.
 type Reducer func(key []byte, values [][]byte) []Pair
 
 // GroupReduce walks sorted pairs, grouping equal keys and applying reduce.

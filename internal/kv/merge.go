@@ -8,7 +8,10 @@ import (
 // used for map-side aggregation (Hadoop's combiner, Spark's map-side
 // combine, DataMPI's local aggregation). The values slice (and the
 // slices it holds) is reused between keys: a combiner may rewrite it in
-// place but must not retain it after returning.
+// place but must not retain it after returning. What it returns is
+// retained as it is (the collector's runs point at it): each result is
+// one of the values passed in or fresh memory, never a buffer the
+// combiner will write again.
 type Combiner func(key []byte, values [][]byte) [][]byte
 
 // SumCombiner adds decimal-encoded integer values — the WordCount
