@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/datampi/datampi-go/internal/harness"
-	"github.com/datampi/datampi-go/internal/sim"
 )
 
 func main() {
@@ -46,7 +45,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: datampi-bench list | run <id>...|all [-scale N] [-quick] [-csv] [-plots] [-seed N] [-workers N] [-fidelity fast|reference] [-trace F] [-profile-out DIR] [-cpuprofile F] [-memprofile F]")
+	fmt.Fprintln(os.Stderr, "usage: datampi-bench list | run <id>...|all [-scale N] [-quick] [-csv] [-plots] [-seed N] [-workers N] [-trace F] [-profile-out DIR] [-cpuprofile F] [-memprofile F]")
 }
 
 func runCmd(args []string) {
@@ -57,7 +56,6 @@ func runCmd(args []string) {
 	plots := fs.Bool("plots", false, "render ASCII time-series plots for the fig4 experiments")
 	seed := fs.Int64("seed", 0, "data generation seed (0 = default)")
 	workers := fs.Int("workers", 0, "max concurrent sims per sweep (0 = GOMAXPROCS); results are identical at any setting")
-	fidelity := fs.String("fidelity", "fast", "simulation kernel fidelity: fast (incremental allocators) or reference (original rescan allocators)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof allocation profile (after the runs) to this file")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of a traced experiment (e.g. tracecheck) to this file; load it in Perfetto")
@@ -83,11 +81,6 @@ func runCmd(args []string) {
 		sort.Strings(ids)
 	}
 
-	fid, ok := sim.ParseFidelity(*fidelity)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown fidelity %q (want fast or reference)\n", *fidelity)
-		os.Exit(2)
-	}
 	exps := make([]harness.Experiment, 0, len(ids))
 	for _, id := range ids {
 		exp, ok := harness.Lookup(id)
@@ -101,8 +94,7 @@ func runCmd(args []string) {
 	// The experiments run inside a closure so the pprof teardown defers
 	// always flush — even when an experiment fails — before os.Exit.
 	harness.SetWorkers(*workers)
-	opt := harness.Options{Scale: *scale, Quick: *quick, Seed: *seed, Fidelity: fid,
-		TracePath: *tracePath}
+	opt := harness.Options{Scale: *scale, Quick: *quick, Seed: *seed, TracePath: *tracePath}
 	code := func() int {
 		if *cpuprofile != "" {
 			f, err := os.Create(*cpuprofile)

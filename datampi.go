@@ -37,7 +37,6 @@ import (
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/sched"
-	"github.com/datampi/datampi-go/internal/sim"
 	"github.com/datampi/datampi-go/internal/trace"
 	"github.com/datampi/datampi-go/internal/transport"
 )
@@ -100,9 +99,6 @@ type (
 	ReplicationMonitorStats = dfs.MonitorStats
 	// FsckReport summarizes DFS replica health (FS.Fsck).
 	FsckReport = dfs.FsckReport
-	// Fidelity selects the simulation kernel's fluid allocators
-	// (FidelityFast or FidelityReference).
-	Fidelity = sim.Fidelity
 	// TransportProfile is one engine's staged communication cost
 	// profile (serialize/copy/wire/deserialize stages, zero-copy
 	// threshold, pipelining); see WithTransport.
@@ -151,18 +147,6 @@ const (
 	PipelineOff = transport.PipelineOff
 )
 
-// Kernel fidelities for TestbedConfig.Fidelity.
-const (
-	// FidelityFast (the default) runs the incremental O(log n)
-	// allocators: virtual-time processor sharing and the dirty-component
-	// max-min fabric.
-	FidelityFast = sim.FidelityFast
-	// FidelityReference runs the original full-rescan allocators — the
-	// executable spec the fast path is differenced against, and the path
-	// the golden-timing pins were captured on.
-	FidelityReference = sim.FidelityReference
-)
-
 // Queue scheduling policies.
 const (
 	// FIFO gives earlier-submitted jobs strict priority for freed slots;
@@ -198,11 +182,6 @@ type TestbedConfig struct {
 	Scale float64
 	// Seed drives replica placement and data generation.
 	Seed int64
-	// Fidelity selects the simulation kernel's fluid allocators: the
-	// zero value is the fast incremental path (FidelityFast);
-	// FidelityReference runs the original rescan allocators. Results
-	// agree within floating-point noise either way.
-	Fidelity Fidelity
 }
 
 // Testbed bundles a simulated cluster and its filesystem.
@@ -221,7 +200,7 @@ func NewTestbed(tc TestbedConfig) *Testbed {
 	if tc.Racks > 1 {
 		hw.Topology = cluster.Topology{Racks: tc.Racks}
 	}
-	c := cluster.NewWith(hw, tc.Fidelity)
+	c := cluster.New(hw)
 	cfg := dfs.DefaultConfig()
 	if tc.BlockSize > 0 {
 		cfg.BlockSize = tc.BlockSize

@@ -89,21 +89,13 @@ type Cluster struct {
 	npr   int // nodes per rack
 }
 
-// New builds a cluster on a fresh simulation engine with the default
-// (fast) kernel fidelity.
-func New(hw Hardware) *Cluster {
-	eng := sim.NewEngine()
-	return NewOn(eng, hw)
-}
+// New builds a cluster on a fresh simulation engine.
+func New(hw Hardware) *Cluster { return NewOn(sim.NewEngine(), hw) }
 
-// NewWith builds a cluster on a fresh engine with the given kernel
-// fidelity — FidelityReference selects the original full-rescan fluid
-// allocators that the golden-timing pins were captured against.
-func NewWith(hw Hardware, f sim.Fidelity) *Cluster {
-	eng := sim.NewEngine()
-	eng.SetFidelity(f)
-	return NewOn(eng, hw)
-}
+// NewWith is New. bench/surface.go binds it (with sim.Fidelity and
+// sim.FidelityFast) and bench/ is frozen between benchmark PRs; the next
+// one rebinds to New and this alias goes.
+func NewWith(hw Hardware, _ sim.Fidelity) *Cluster { return New(hw) }
 
 // NewOn builds a cluster on an existing engine, allowing several clusters
 // (or repeated runs) to share one simulated timeline.

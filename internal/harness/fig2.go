@@ -79,7 +79,6 @@ func init() {
 						Scale:        opt.scaleOr(4096),
 						TasksPerNode: tpn,
 						Seed:         opt.seedOr(1),
-						Fidelity:     opt.Fidelity,
 					}
 					rig := NewRig(fw, rc)
 					in := bdb.GenerateTextFile(rig.FS, "/tune/text", bdb.LDAWiki1W(), opt.seedOr(1), nominal)

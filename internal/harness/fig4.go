@@ -16,7 +16,6 @@ func profileRun(fw Framework, wl microWorkload, nominalGB float64, opt Options) 
 		Seed:         opt.seedOr(1),
 		Profile:      true,
 		ProfInterval: 1.0,
-		Fidelity:     opt.Fidelity,
 	}
 	res, rig := runMicro(fw, wl, nominalGB, rc)
 	return res, rig.Prof.Series()

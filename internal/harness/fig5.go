@@ -37,7 +37,6 @@ func init() {
 						// 128MB input on a 256MB-block DFS: one split; use
 						// 16MB blocks so each node still gets work.
 						BlockSize: 16 * cluster.MB,
-						Fidelity:  opt.Fidelity,
 					}
 					rig := NewRig(fw, rc)
 					nominal := 128.0 * cluster.MB

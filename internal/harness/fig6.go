@@ -20,7 +20,7 @@ func init() {
 				seed := opt.seedOr(1)
 				var hT, sT, dT float64
 				{
-					rig := NewRig(Hadoop, RigConfig{Scale: opt.scaleOr(16384), Seed: seed, Fidelity: opt.Fidelity})
+					rig := NewRig(Hadoop, RigConfig{Scale: opt.scaleOr(16384), Seed: seed})
 					in, _ := bdb.GenerateVectorFile(rig.FS, "/km/vec", seed, nominal)
 					r := bdb.KMeansMR(rig.Engine, rig.FS, in, "/km/out", 5, 4*rig.Cluster.N(), 1, 0)
 					if r.Err != nil {
@@ -29,7 +29,7 @@ func init() {
 					hT = r.FirstIter
 				}
 				{
-					rig := NewRig(Spark, RigConfig{Scale: opt.scaleOr(16384), Seed: seed, Fidelity: opt.Fidelity})
+					rig := NewRig(Spark, RigConfig{Scale: opt.scaleOr(16384), Seed: seed})
 					in, _ := bdb.GenerateVectorFile(rig.FS, "/km/vec", seed, nominal)
 					r := bdb.KMeansSpark(rig.RDD, in, 5, 4*rig.Cluster.N(), 1, 0)
 					if r.Err != nil {
@@ -38,7 +38,7 @@ func init() {
 					sT = r.FirstIter
 				}
 				{
-					rig := NewRig(DataMPI, RigConfig{Scale: opt.scaleOr(16384), Seed: seed, Fidelity: opt.Fidelity})
+					rig := NewRig(DataMPI, RigConfig{Scale: opt.scaleOr(16384), Seed: seed})
 					in, _ := bdb.GenerateVectorFile(rig.FS, "/km/vec", seed, nominal)
 					r := bdb.KMeansDataMPI(rig.DM, in, 5, 1, 0)
 					if r.Err != nil {
@@ -68,7 +68,7 @@ func init() {
 				seed := opt.seedOr(1)
 				var hT, dT float64
 				{
-					rig := NewRig(Hadoop, RigConfig{Scale: opt.scaleOr(16384), Seed: seed, Fidelity: opt.Fidelity})
+					rig := NewRig(Hadoop, RigConfig{Scale: opt.scaleOr(16384), Seed: seed})
 					in := bdb.GenerateLabeledDocs(rig.FS, "/nb/docs", seed, nominal)
 					r := bdb.NaiveBayesTrain(rig.Engine, rig.FS, in, "/nb/out", 4*rig.Cluster.N())
 					if r.Err != nil {
@@ -77,7 +77,7 @@ func init() {
 					hT = r.Elapsed
 				}
 				{
-					rig := NewRig(DataMPI, RigConfig{Scale: opt.scaleOr(16384), Seed: seed, Fidelity: opt.Fidelity})
+					rig := NewRig(DataMPI, RigConfig{Scale: opt.scaleOr(16384), Seed: seed})
 					in := bdb.GenerateLabeledDocs(rig.FS, "/nb/docs", seed, nominal)
 					r := bdb.NaiveBayesTrain(rig.Engine, rig.FS, in, "/nb/out", 4*rig.Cluster.N())
 					if r.Err != nil {

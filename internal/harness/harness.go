@@ -19,7 +19,6 @@ import (
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/sched"
-	"github.com/datampi/datampi-go/internal/sim"
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
@@ -33,10 +32,6 @@ type Options struct {
 	Quick bool
 	// Seed varies the generated data.
 	Seed int64
-	// Fidelity selects the simulation kernel's fluid allocators (the
-	// zero value is the fast incremental path; sim.FidelityReference the
-	// original rescan allocators). Results agree within float noise.
-	Fidelity sim.Fidelity
 	// TracePath, when non-empty, makes trace-aware experiments (e.g.
 	// tracecheck) write a Chrome trace-event JSON there.
 	TracePath string
@@ -195,13 +190,8 @@ type RigConfig struct {
 	Profile      bool    // attach a resource profiler
 	ProfInterval float64
 	Seed         int64
-	// Fidelity selects the kernel's fluid allocators: the zero value is
-	// the fast incremental path; sim.FidelityReference runs the original
-	// rescan allocators (the differential battery runs both).
-	Fidelity sim.Fidelity
 	// Transport overrides the engine's staged-transport profile. The
-	// zero value keeps each framework's default profile (with the
-	// engine's legacy emit constant as the alias target).
+	// zero value keeps each framework's default profile.
 	Transport transport.Profile
 }
 
@@ -226,7 +216,7 @@ func NewRig(fw Framework, rc RigConfig) *Rig {
 	if rc.Racks > 1 {
 		hw.Topology = cluster.Topology{Racks: rc.Racks}
 	}
-	c := cluster.NewWith(hw, rc.Fidelity)
+	c := cluster.New(hw)
 	fsys := dfs.New(c, dfs.Config{
 		BlockSize:        rc.BlockSize,
 		Replication:      rc.Replication,

@@ -11,7 +11,7 @@ var wantIDs = []string{
 	"fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d",
 	"fig4sort", "fig4wc", "fig5", "fig6a", "fig6b", "fig7",
 	"table1", "table2", "mix1", "straggler", "delaysweep",
-	"kernelchurn", "kernelscale", "tenants", "faultsweep",
+	"kernelscale", "tenants", "faultsweep",
 	"datacenter", "recordsweep", "tracecheck",
 }
 

@@ -62,7 +62,7 @@ func init() {
 				frameworks = []Framework{Hadoop, DataMPI}
 				nominalGB = 4.0
 			}
-			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1), Fidelity: opt.Fidelity}
+			rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 			nominal := nominalGB * cluster.GB
 			slowIdx := cluster.DefaultHardware().Nodes - 1
 			for _, fw := range frameworks {

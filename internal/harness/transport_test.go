@@ -8,10 +8,7 @@ import (
 	datampi "github.com/datampi/datampi-go"
 	"github.com/datampi/datampi-go/internal/bdb"
 	"github.com/datampi/datampi-go/internal/cluster"
-	"github.com/datampi/datampi-go/internal/core"
 	"github.com/datampi/datampi-go/internal/job"
-	"github.com/datampi/datampi-go/internal/mr"
-	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
@@ -52,17 +49,17 @@ func transportRun(t *testing.T, fw Framework, prof transport.Profile, nominal fl
 }
 
 // zeroStageProfile is a profile with every staged cost zero but the
-// engine's own legacy emit constant as the alias target, so enabling
-// the transport with it must not move any timing.
+// framework's default emit constant, so enabling the transport with it
+// must not move any timing.
 func zeroStageProfile(fw Framework) transport.Profile {
 	p := transport.Profile{Name: "zerostage"}
 	switch fw {
 	case Hadoop:
-		p.EmitCPUPerByte = mr.DefaultConfig().CPUPerByteSort
+		p.EmitCPUPerByte = transport.HadoopProfile().EmitCPUPerByte
 	case Spark:
-		p.EmitCPUPerByte = rdd.DefaultConfig().CPUPerByteShuffle
+		p.EmitCPUPerByte = transport.SparkProfile().EmitCPUPerByte
 	case DataMPI:
-		p.EmitCPUPerByte = core.DefaultConfig().CPUPerByteEmit
+		p.EmitCPUPerByte = transport.DataMPIProfile().EmitCPUPerByte
 	}
 	return p
 }
@@ -106,8 +103,8 @@ func TestTransportDifferential(t *testing.T) {
 }
 
 // TestTransportZeroStageEquals pins the lower bound of the staged>=fluid
-// inequality: with all stage costs zero (and the legacy emit alias in
-// place) the staged path reproduces the legacy timings exactly.
+// inequality: with all stage costs zero (and the default emit constant
+// in place) the staged path reproduces the legacy timings exactly.
 func TestTransportZeroStageEquals(t *testing.T) {
 	for _, fw := range []Framework{Hadoop, Spark, DataMPI} {
 		fw := fw
@@ -153,7 +150,7 @@ func TestPipelinedShuffleOverlap(t *testing.T) {
 }
 
 // TestRecordSweepDeterminism pins the experiment byte-for-byte across
-// two runs — the CI determinism gate for BENCH_transport.json.
+// two runs — the CI determinism gate.
 func TestRecordSweepDeterminism(t *testing.T) {
 	exp, ok := Lookup("recordsweep")
 	if !ok {

@@ -61,12 +61,10 @@ type Config struct {
 	OutputReplication int
 
 	// Transport overrides the engine's staged communication profile
-	// (transport.HadoopProfile when unset, i.e. Name == ""). The
-	// CPUPerByteSort field above is mr's inline serialization constant:
-	// when Transport is unset it populates the profile's EmitCPUPerByte
-	// (map-side spill/output serialization), so existing callers keep
-	// their exact cost. Merge passes still read CPUPerByteSort directly
-	// — merging is sorting, not serialization.
+	// (transport.HadoopProfile when unset, i.e. Name == ""). Map-side
+	// spill/output serialization is the profile's EmitCPUPerByte; the
+	// merge passes read CPUPerByteSort — merging is sorting, not
+	// serialization.
 	Transport transport.Profile
 }
 
@@ -108,7 +106,7 @@ var _ sched.Engine = (*Engine)(nil)
 
 // New creates an engine over a cluster and filesystem.
 func New(fs *dfs.FS, cfg Config) *Engine {
-	return &Engine{Base: taskrt.NewBase("Hadoop", fs, cfg.Transport, transport.HadoopProfile(), cfg.CPUPerByteSort), Cfg: cfg}
+	return &Engine{Base: taskrt.NewBase("Hadoop", fs, cfg.Transport, transport.HadoopProfile()), Cfg: cfg}
 }
 
 // mapOutput is a completed map task's partitioned, sorted output sitting
@@ -385,8 +383,7 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	mem.MustAlloc(heap)
 	defer mem.FreeLazy(e.C.Eng, heap, cfg.HeapLingerSecs)
 
-	// Spill/output serialization reads the consolidated profile constant
-	// (CPUPerByteSort populates it as a deprecated alias).
+	// Spill/output serialization reads the consolidated profile constant.
 	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteMap*spec.MapCPUFactor*inflatedNominal +
 		cfg.CPUPerRecord*nominalRecords +
 		e.Transport().Profile().EmitCPUPerByte*(float64(spillActual+outActual)*emitScale))

@@ -34,15 +34,10 @@ type Config struct {
 	CPUPerByteMap    float64
 	CPUPerByteReduce float64
 	CPUPerByteSort   float64
-	// CPUPerByteShuffle is the shuffle-write serialization cost per
-	// nominal byte. Deprecated alias: when Transport is unset it
-	// populates the profile's EmitCPUPerByte, so existing callers keep
-	// their exact cost.
-	CPUPerByteShuffle float64
-	CacheCPUPerByte   float64 // building cached RDD objects per nominal byte
-	CPUPerRecord      float64
-	GCFactor          float64
-	MemPressureGC     float64 // GC storm overhead above 70% node memory
+	CacheCPUPerByte  float64 // building cached RDD objects per nominal byte
+	CPUPerRecord     float64
+	GCFactor         float64
+	MemPressureGC    float64 // GC storm overhead above 70% node memory
 
 	// ExpansionFactor is the in-memory size of data as JVM objects
 	// relative to its serialized bytes; SortOverheadFactor is the extra
@@ -73,7 +68,6 @@ func DefaultConfig() Config {
 		CPUPerByteMap:      0.28e-7,
 		CPUPerByteReduce:   0.35e-7,
 		CPUPerByteSort:     0.20e-7,
-		CPUPerByteShuffle:  0.8e-7,
 		CacheCPUPerByte:    1.0e-7,
 		CPUPerRecord:       0.8e-6,
 		GCFactor:           0.35,
@@ -110,7 +104,7 @@ type Engine struct {
 // with datanodes, so a node going down also loses the executor cache
 // partitions it held (see dropCachesOn).
 func New(fs *dfs.FS, cfg Config) *Engine {
-	e := &Engine{Base: taskrt.NewBase("Spark", fs, cfg.Transport, transport.SparkProfile(), cfg.CPUPerByteShuffle), Cfg: cfg}
+	e := &Engine{Base: taskrt.NewBase("Spark", fs, cfg.Transport, transport.SparkProfile()), Cfg: cfg}
 	fs.OnNodeEvent(func(node int, down bool) {
 		if down {
 			e.dropCachesOn(node)

@@ -10,23 +10,23 @@ import (
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/sched"
-	"github.com/datampi/datampi-go/internal/sim"
 )
 
 // Pre-tracker timings captured from PR 1 (seed 77, the testRig workload):
 // the attempt-based lifecycle must not move a single event when
 // speculation and preemption are off, so these must match to the last
 // bit. Solo runs go through each engine's Run (drain accounting); queue
-// runs through sched.Queue under both policies. The pins were captured
-// against the original fluid allocators, so they run on
-// sim.FidelityReference; the fast kernel's agreement with them is pinned
-// separately by the differential battery in internal/harness.
+// runs through sched.Queue under both policies. Hadoop and DataMPI are
+// the PR 1 values to the bit; the two Spark values that end in float
+// noise were re-recorded once in PR 16, when the rescan allocators they
+// were captured on became internal/sim's test oracle (largest relative
+// move 3.4e-13; the oracle bounds the allocators' disagreement at 1e-9).
 var pr1Goldens = map[string]struct {
 	solo  float64
 	queue [2]float64 // FIFO == Fair for this uncontended pair
 }{
 	"Hadoop":  {24.075422262406022, [2]float64{15.075422262406024, 14.489117543645266}},
-	"Spark":   {10.284867455994922, [2]float64{5.2848022849105725, 1.5165090039168541}},
+	"Spark":   {10.284867455998368, [2]float64{5.2848022849106266, 1.5165090039168541}},
 	"DataMPI": {9.011275255000001, [2]float64{9.012376385875001, 8.7155390610500003}},
 }
 
@@ -35,7 +35,7 @@ var pr1Goldens = map[string]struct {
 func TestLifecycleRefactorPreservesPR1Timings(t *testing.T) {
 	for name, want := range pr1Goldens {
 		t.Run(name, func(t *testing.T) {
-			fs, specs := testRigFidelity(t, 77, sim.FidelityReference)
+			fs, specs := testRig(t, 77)
 			res := engineFor(name, fs).(job.Engine).Run(specs[0])
 			if res.Err != nil {
 				t.Fatal(res.Err)
@@ -44,7 +44,7 @@ func TestLifecycleRefactorPreservesPR1Timings(t *testing.T) {
 				t.Fatalf("solo elapsed = %.17g, want %.17g (PR 1)", res.Elapsed, want.solo)
 			}
 			for _, policy := range []sched.Policy{sched.FIFO, sched.Fair} {
-				fs, specs := testRigFidelity(t, 77, sim.FidelityReference)
+				fs, specs := testRig(t, 77)
 				eng := engineFor(name, fs)
 				q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), policy)
 				for _, sp := range specs {

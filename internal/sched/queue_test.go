@@ -13,20 +13,13 @@ import (
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/sched"
-	"github.com/datampi/datampi-go/internal/sim"
 )
 
 // testRig builds a small testbed with two WordCount-able inputs staged
 // and returns the filesystem plus the two job specs.
 func testRig(t *testing.T, seed int64) (*dfs.FS, []job.Spec) {
-	return testRigFidelity(t, seed, sim.FidelityFast)
-}
-
-// testRigFidelity is testRig on a chosen kernel fidelity; the PR 1
-// golden-timing pins were captured against the reference allocators.
-func testRigFidelity(t *testing.T, seed int64, f sim.Fidelity) (*dfs.FS, []job.Spec) {
 	t.Helper()
-	c := cluster.NewWith(cluster.DefaultHardware(), f)
+	c := cluster.New(cluster.DefaultHardware())
 	fs := dfs.New(c, dfs.Config{BlockSize: 4 * cluster.MB, Replication: 3, Scale: 64, Seed: seed})
 	in1 := bdb.GenerateTextFile(fs, "/in/one", bdb.LDAWiki1W(), seed+1, 64*cluster.MB)
 	in2 := bdb.GenerateTextFile(fs, "/in/two", bdb.LDAWiki1W(), seed+2, 64*cluster.MB)

@@ -86,14 +86,13 @@ func (h *eventHeap) Pop() any {
 // Engine is a deterministic discrete-event simulation kernel.
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
-	now      float64
-	seq      int64
-	events   eventHeap
-	parked   chan struct{} // signaled by a proc when it parks or exits
-	procs    map[*Proc]struct{}
-	nlive    int
-	trace    func(string)
-	fidelity Fidelity
+	now    float64
+	seq    int64
+	events eventHeap
+	parked chan struct{} // signaled by a proc when it parks or exits
+	procs  map[*Proc]struct{}
+	nlive  int
+	trace  func(string)
 
 	// blocked counts parked procs by (block reason, node), maintained at
 	// Park/resume so the metrics profiler's wait-I/O attribution is O(1)

@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"math"
-	"sort"
-)
-
 // Fabric models a non-blocking switched network (the paper's 1 Gigabit
 // Ethernet switch): every node has a full-duplex link to the switch, and
 // concurrent flows receive progressive-filling max-min fair rates over
@@ -19,19 +14,8 @@ type Fabric struct {
 	linkBW     float64 // bytes/sec, per direction, per node
 	loopbackBW float64
 
-	// ref selects the reference full-refill allocator (FidelityReference,
-	// snapshot from the engine at construction).
-	ref bool
-
-	// flows is kept in start order so rate allocation and completion
-	// callbacks are deterministic across runs (see PSResource.flows).
-	// Reference allocator only.
-	flows []*Flow
-	last  float64
-	timer *Timer
-
-	// Per-node traffic integrals for utilization accounting. On the fast
-	// path they are settled lazily from the running rate sums below.
+	// Per-node traffic integrals for utilization accounting, settled
+	// lazily from the running rate sums below.
 	rxIntegral []float64
 	txIntegral []float64
 
@@ -50,27 +34,24 @@ type Fabric struct {
 	fbatch []*Flow
 	dirty  []int
 
-	// fpool is the fast path's flow free list: completed flows return
-	// here after their callback is dispatched. No caller retains flow
-	// handles past completion (StartFlow's return value is only a
-	// handle for the in-flight transfer), so recycling is safe; the
-	// reference allocator keeps its historical allocate-per-flow
-	// behavior untouched.
+	// fpool is the flow free list: completed flows return here after
+	// their callback is dispatched. No caller retains flow handles past
+	// completion (StartFlow's return value is only a handle for the
+	// in-flight transfer), so recycling is safe.
 	fpool []*Flow
 
-	// Zero-byte flow queue (fast path): empty-partition sends complete
-	// on the next event tick without ever registering on a link, but
-	// their handles are pooled too. One Post per flow of the prebound
-	// zfire func preserves callback order against interleaved events.
+	// Zero-byte flow queue: empty-partition sends complete on the next
+	// event tick without ever registering on a link, but their handles
+	// are pooled too. One Post per flow of the prebound zfire func
+	// preserves callback order against interleaved events.
 	zq    []*Flow
 	zhead int
 	zfire func()
 }
 
 // fLink is one directed link's flow registry, kept sorted by
-// (Src, Dst, seq) so refills touch flows in the same order as the
-// reference allocator's globally sorted sweep. cap/count/mark are
-// scratch state for the current fill pass.
+// (Src, Dst, seq) so refills touch flows in a deterministic order.
+// cap/count/mark are scratch state for the current fill pass.
 type fLink struct {
 	flows []*Flow
 	cap   float64
@@ -85,7 +66,6 @@ type Flow struct {
 	rate      float64
 	onDone    func()
 
-	// Incremental allocator fields.
 	seq       int64
 	settledAt float64 // sim time at which remaining was last materialized
 	finish    float64 // predicted completion time, absolute
@@ -100,22 +80,18 @@ func NewFabric(eng *Engine, n int, linkBW float64) *Fabric {
 	if n <= 0 || linkBW <= 0 {
 		panic("sim: fabric needs nodes and positive bandwidth")
 	}
-	fb := &Fabric{
+	return &Fabric{
 		eng:        eng,
 		nodes:      n,
 		linkBW:     linkBW,
 		loopbackBW: 40 * linkBW, // loopback is effectively a memcpy
 		rxIntegral: make([]float64, n),
 		txIntegral: make([]float64, n),
-		ref:        eng.fidelity == FidelityReference,
+		links:      make([]fLink, 2*n),
+		rxRate:     make([]float64, n),
+		txRate:     make([]float64, n),
+		nodeLast:   make([]float64, n),
 	}
-	if !fb.ref {
-		fb.links = make([]fLink, 2*n)
-		fb.rxRate = make([]float64, n)
-		fb.txRate = make([]float64, n)
-		fb.nodeLast = make([]float64, n)
-	}
-	return fb
 }
 
 // Nodes returns the number of endpoints.
@@ -130,7 +106,7 @@ func (fb *Fabric) Transfer(p *Proc, src, dst int, bytes float64, reason string) 
 	if bytes <= workEpsilon {
 		return
 	}
-	fb.startFlow(fb.newFlow(src, dst, bytes, p.Unpark))
+	fb.fastStart(fb.newFlow(src, dst, bytes, p.Unpark))
 	p.Park(reason)
 }
 
@@ -140,18 +116,14 @@ func (fb *Fabric) Transfer(p *Proc, src, dst int, bytes float64, reason string) 
 func (fb *Fabric) StartFlow(src, dst int, bytes float64, onDone func()) *Flow {
 	if bytes <= workEpsilon {
 		// The flow never registers on a link; it completes on the next
-		// event tick. The fast path pools these handles like any other
-		// flow (empty-partition sends make them common): each queues
-		// FIFO behind one Post of the prebound zfire func, so callbacks
+		// event tick. These handles are pooled like any other flow
+		// (empty-partition sends make them common): each queues FIFO
+		// behind one Post of the prebound zfire func, so callbacks
 		// interleave with other events exactly as direct Posts would.
-		if fb.ref || onDone == nil {
-			if onDone != nil {
-				fb.eng.Post(0, onDone)
-			}
-			return &Flow{Src: src, Dst: dst, remaining: bytes, onDone: onDone}
+		if onDone == nil {
+			return &Flow{Src: src, Dst: dst, remaining: bytes}
 		}
-		f := fb.acquireFlow()
-		*f = Flow{Src: src, Dst: dst, remaining: bytes, onDone: onDone}
+		f := fb.newFlow(src, dst, bytes, onDone)
 		if fb.zfire == nil {
 			fb.zfire = fb.zeroFire
 		}
@@ -160,7 +132,7 @@ func (fb *Fabric) StartFlow(src, dst int, bytes float64, onDone func()) *Flow {
 		return f
 	}
 	f := fb.newFlow(src, dst, bytes, onDone)
-	fb.startFlow(f)
+	fb.fastStart(f)
 	return f
 }
 
@@ -181,230 +153,41 @@ func (fb *Fabric) zeroFire() {
 	cb()
 }
 
-// acquireFlow pops a pooled flow handle or allocates a fresh one.
-func (fb *Fabric) acquireFlow() *Flow {
+// newFlow pops a pooled flow handle or allocates a fresh one.
+func (fb *Fabric) newFlow(src, dst int, bytes float64, onDone func()) *Flow {
+	var f *Flow
 	if n := len(fb.fpool); n > 0 {
-		f := fb.fpool[n-1]
+		f = fb.fpool[n-1]
 		fb.fpool[n-1] = nil
 		fb.fpool = fb.fpool[:n-1]
-		return f
+	} else {
+		f = &Flow{}
 	}
-	return &Flow{}
-}
-
-// newFlow acquires a flow object: from the free list on the fast path,
-// freshly allocated on the reference path (whose allocator is pinned).
-func (fb *Fabric) newFlow(src, dst int, bytes float64, onDone func()) *Flow {
-	if fb.ref {
-		return &Flow{Src: src, Dst: dst, remaining: bytes, onDone: onDone}
-	}
-	f := fb.acquireFlow()
 	*f = Flow{Src: src, Dst: dst, remaining: bytes, onDone: onDone}
 	return f
 }
 
-func (fb *Fabric) startFlow(f *Flow) {
-	if !fb.ref {
-		fb.fastStart(f)
-		return
-	}
-	fb.advance()
-	fb.flows = append(fb.flows, f)
-	fb.reallocate()
-}
-
-// advance applies elapsed time to all flows. Reference allocator only.
-func (fb *Fabric) advance() {
-	now := fb.eng.now
-	dt := now - fb.last
-	fb.last = now
-	if dt <= 0 || len(fb.flows) == 0 {
-		return
-	}
-	for _, f := range fb.flows {
-		f.remaining -= f.rate * dt
-		if f.Src != f.Dst {
-			fb.txIntegral[f.Src] += f.rate * dt
-			fb.rxIntegral[f.Dst] += f.rate * dt
-		}
-	}
-}
-
-// reallocate computes progressive-filling max-min fair rates. Each network
-// flow consumes capacity on two links: egress(src) and ingress(dst).
-// Loopback flows get fixed loopback bandwidth.
-func (fb *Fabric) reallocate() {
-	if fb.timer != nil {
-		fb.timer.Cancel()
-		fb.timer = nil
-	}
-	var finished []*Flow
-	kept := fb.flows[:0]
-	for _, f := range fb.flows {
-		if flowDone(f.remaining, f.rate) {
-			finished = append(finished, f)
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	fb.flows = kept
-	// Deterministic callback order: (Src, Dst), ties in start order.
-	sort.SliceStable(finished, func(i, j int) bool {
-		if finished[i].Src != finished[j].Src {
-			return finished[i].Src < finished[j].Src
-		}
-		return finished[i].Dst < finished[j].Dst
-	})
-	for _, f := range finished {
-		if f.onDone != nil {
-			fb.eng.Schedule(0, f.onDone)
-		}
-	}
-	if len(fb.flows) == 0 {
-		return
-	}
-
-	// Progressive filling. Links are indexed: egress i -> i, ingress i -> nodes+i.
-	type linkState struct {
-		cap   float64
-		count int
-	}
-	links := make([]linkState, 2*fb.nodes)
-	for i := range links {
-		links[i].cap = fb.linkBW
-	}
-	var netFlows []*Flow
-	for _, f := range fb.flows {
-		if f.Src == f.Dst {
-			f.rate = fb.loopbackBW
-			continue
-		}
-		f.rate = -1 // unassigned
-		links[f.Src].count++
-		links[fb.nodes+f.Dst].count++
-		netFlows = append(netFlows, f)
-	}
-	sort.SliceStable(netFlows, func(i, j int) bool {
-		if netFlows[i].Src != netFlows[j].Src {
-			return netFlows[i].Src < netFlows[j].Src
-		}
-		return netFlows[i].Dst < netFlows[j].Dst
-	})
-	unassigned := len(netFlows)
-	for unassigned > 0 {
-		// Find the bottleneck link: smallest fair share among links with
-		// unassigned flows.
-		bottleneck := -1
-		best := math.Inf(1)
-		for li := range links {
-			if links[li].count == 0 {
-				continue
-			}
-			share := links[li].cap / float64(links[li].count)
-			if share < best {
-				best = share
-				bottleneck = li
-			}
-		}
-		if bottleneck < 0 {
-			break
-		}
-		// Fix every unassigned flow crossing the bottleneck at the share.
-		for _, f := range netFlows {
-			if f.rate >= 0 {
-				continue
-			}
-			eg, in := f.Src, fb.nodes+f.Dst
-			if eg != bottleneck && in != bottleneck {
-				continue
-			}
-			f.rate = best
-			links[eg].cap -= best
-			links[eg].count--
-			links[in].cap -= best
-			links[in].count--
-			unassigned--
-		}
-		if links[bottleneck].cap < 0 {
-			links[bottleneck].cap = 0
-		}
-	}
-
-	next := math.Inf(1)
-	for _, f := range fb.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.remaining / f.rate; t < next {
-			next = t
-		}
-	}
-	if math.IsInf(next, 1) {
-		return
-	}
-	fb.timer = fb.eng.Schedule(next, func() {
-		fb.advance()
-		fb.reallocate()
-	})
-}
-
 // RxRate returns the instantaneous receive rate (bytes/sec) at node i,
-// excluding loopback. O(1) on the fast path (running sum); the reference
-// allocator scans all flows.
-func (fb *Fabric) RxRate(i int) float64 {
-	if !fb.ref {
-		return fb.rxRate[i]
-	}
-	r := 0.0
-	for _, f := range fb.flows {
-		if f.Dst == i && f.Src != f.Dst {
-			r += f.rate
-		}
-	}
-	return r
-}
+// excluding loopback. O(1): a running sum.
+func (fb *Fabric) RxRate(i int) float64 { return fb.rxRate[i] }
 
 // TxRate returns the instantaneous transmit rate (bytes/sec) at node i,
-// excluding loopback. O(1) on the fast path.
-func (fb *Fabric) TxRate(i int) float64 {
-	if !fb.ref {
-		return fb.txRate[i]
-	}
-	r := 0.0
-	for _, f := range fb.flows {
-		if f.Src == i && f.Src != f.Dst {
-			r += f.rate
-		}
-	}
-	return r
-}
+// excluding loopback. O(1).
+func (fb *Fabric) TxRate(i int) float64 { return fb.txRate[i] }
 
-// RxIntegral returns total bytes received by node i so far. O(1) on the
-// fast path: only node i's integral is settled from its running rate sum,
-// instead of advancing every flow in the fabric per profiler sample.
+// RxIntegral returns total bytes received by node i so far. O(1): only
+// node i's integral is settled from its running rate sum, instead of
+// advancing every flow in the fabric per profiler sample.
 func (fb *Fabric) RxIntegral(i int) float64 {
-	if !fb.ref {
-		fb.settleNode(i)
-		return fb.rxIntegral[i]
-	}
-	fb.advance()
+	fb.settleNode(i)
 	return fb.rxIntegral[i]
 }
 
 // TxIntegral returns total bytes sent by node i so far.
 func (fb *Fabric) TxIntegral(i int) float64 {
-	if !fb.ref {
-		fb.settleNode(i)
-		return fb.txIntegral[i]
-	}
-	fb.advance()
+	fb.settleNode(i)
 	return fb.txIntegral[i]
 }
 
 // ActiveFlows returns the number of in-flight transfers.
-func (fb *Fabric) ActiveFlows() int {
-	if !fb.ref {
-		return len(fb.cheap)
-	}
-	return len(fb.flows)
-}
+func (fb *Fabric) ActiveFlows() int { return len(fb.cheap) }

@@ -6,18 +6,14 @@ import (
 	"sort"
 )
 
-// Incremental max-min fabric: the fast (FidelityFast) allocator.
+// Incremental max-min fabric: Fabric's allocator.
 //
 // Max-min fair allocations decompose over connected components of the
 // flow-link incidence graph: a flow arrival or completion can only change
 // rates within the component reachable from the links it touches. The
-// fast path therefore keeps a per-link registry of flows (in maintained
-// (Src, Dst, seq) sorted order — the same order the reference allocator
-// obtains by re-sorting everything each event) and, on each flow event,
-// refills only the dirty component instead of re-sorting and re-filling
-// the whole fabric. Within the component the progressive filling visits
-// links and flows in exactly the reference order, so the assigned rates
-// match the reference allocator bit-for-bit.
+// fabric therefore keeps a per-link registry of flows in maintained
+// (Src, Dst, seq) sorted order and, on each flow event, refills only the
+// dirty component instead of re-sorting and re-filling the whole fabric.
 //
 // Completions come off a min-heap keyed by predicted absolute finish
 // time; flows whose rate did not change in a refill keep their heap entry
@@ -25,6 +21,11 @@ import (
 // rate actually changes. Per-node RX/TX rates are running sums (O(1) for
 // the profiler) and the per-node traffic integrals settle lazily from
 // them.
+//
+// The full re-sort-and-refill this replaced survives as the test oracle
+// (refFabric in oracle_test.go). Within a component the progressive
+// filling visits links and flows in the oracle's order, so assigned
+// rates match it bit-for-bit.
 
 // flowHeap orders in-flight flows by predicted finish, start order on
 // ties, maintaining each flow's heap index for O(log F) Fix on reroute.
@@ -57,7 +58,7 @@ func (h *flowHeap) Pop() any {
 	return f
 }
 
-// flowLess is the registry (and reference-callback) order.
+// flowLess is the registry (and completion-callback) order.
 func flowLess(a, b *Flow) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
@@ -138,8 +139,8 @@ func (fb *Fabric) fastTick() {
 }
 
 // fastCollect pops every finished flow off the completion heap, fires its
-// callback in the reference order ((Src, Dst), then start order), and
-// returns the links those flows vacated.
+// callback in (Src, Dst), then start order, and returns the links those
+// flows vacated.
 func (fb *Fabric) fastCollect() []int {
 	fb.dirty = fb.dirty[:0]
 	if len(fb.cheap) == 0 {
@@ -185,9 +186,9 @@ func (fb *Fabric) fastCollect() []int {
 
 // refill recomputes max-min rates for the connected component of links
 // reachable from the dirty set, leaving every other flow untouched. The
-// progressive filling replicates the reference allocator's visiting
-// order: bottleneck links by smallest fair share (ties to the lowest link
-// index), flows within a bottleneck in (Src, Dst, seq) order.
+// progressive filling visits bottleneck links by smallest fair share
+// (ties to the lowest link index) and flows within a bottleneck in
+// (Src, Dst, seq) order.
 func (fb *Fabric) refill(dirtyLinks []int) {
 	fb.fillEpoch++
 	ep := fb.fillEpoch

@@ -219,8 +219,8 @@ func TestZeroByteFlowOrdering(t *testing.T) {
 
 // TestZeroByteFlowPooling checks the steady-state allocation behavior:
 // after warm-up, a zero-byte flow with a completion callback costs no
-// fresh Flow allocation on the fast path — the handle comes from and
-// returns to the free list.
+// fresh Flow allocation — the handle comes from and returns to the free
+// list.
 func TestZeroByteFlowPooling(t *testing.T) {
 	e := NewEngine()
 	fb := NewFabric(e, 4, 100)
@@ -248,21 +248,24 @@ func TestZeroByteFlowPooling(t *testing.T) {
 	}
 }
 
-// TestZeroByteFlowReference checks the reference path keeps the legacy
-// allocate-per-flow behavior (goldens were pinned against it).
-func TestZeroByteFlowReference(t *testing.T) {
+// TestZeroByteFlowOracle checks the oracle's zero-byte path, the
+// behaviour the pooled ring must match: a live handle back from StartFlow
+// and an asynchronous completion.
+func TestZeroByteFlowOracle(t *testing.T) {
 	e := NewEngine()
-	e.SetFidelity(FidelityReference)
-	fb := NewFabric(e, 4, 100)
+	fb := newRefFabric(e, 4, 100)
 	fired := false
 	f := fb.StartFlow(0, 1, 0, func() { fired = true })
 	if f == nil {
-		t.Fatal("reference StartFlow returned nil handle")
+		t.Fatal("oracle StartFlow returned nil handle")
+	}
+	if fired {
+		t.Fatal("oracle zero-byte completion fired synchronously inside StartFlow")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
-		t.Fatal("reference zero-byte completion lost")
+		t.Fatal("oracle zero-byte completion lost")
 	}
 }

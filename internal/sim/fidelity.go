@@ -1,55 +1,11 @@
 package sim
 
-// Fidelity selects between the kernel's fluid-resource allocator
-// implementations. Both model identical physics — processor sharing with
-// per-flow caps and thrash on PSResource, progressive-filling max-min
-// fairness on Fabric — but with different cost profiles:
-//
-//   - FidelityFast (the default) uses the incremental allocators: virtual-
-//     time processor sharing with an O(log F) completion heap on
-//     PSResource, and dirty-component refills with per-link flow
-//     registries plus O(1) per-node rate sums on Fabric.
-//   - FidelityReference uses the original rescan allocators, which
-//     recompute every flow's rate from scratch at each flow event. They
-//     are O(F) to O(F log F) per event but trivially auditable, and the
-//     golden-timing pins from earlier PRs are captured against them.
-//
-// Per-job completion times agree between the two within floating-point
-// noise (the differential battery in internal/harness pins 1e-6
-// relative), and each path is individually bit-for-bit deterministic for
-// a fixed seed.
+// Fidelity is a one-value type left over from when the kernel shipped two
+// allocator implementations. Nothing in this module reads it; it survives
+// only because bench/surface.go binds sim.Fidelity, sim.FidelityFast and
+// cluster.NewWith, and bench/ is frozen between benchmark PRs. The next
+// benchmark PR unbinds the three names and deletes this file.
 type Fidelity int
 
-const (
-	// FidelityFast selects the incremental O(log n) allocators.
-	FidelityFast Fidelity = iota
-	// FidelityReference selects the original full-rescan allocators.
-	FidelityReference
-)
-
-func (f Fidelity) String() string {
-	if f == FidelityReference {
-		return "reference"
-	}
-	return "fast"
-}
-
-// ParseFidelity maps the CLI spelling of a fidelity to the constant.
-func ParseFidelity(s string) (Fidelity, bool) {
-	switch s {
-	case "fast", "":
-		return FidelityFast, true
-	case "reference", "ref":
-		return FidelityReference, true
-	}
-	return FidelityFast, false
-}
-
-// SetFidelity selects the allocator implementation for resources created
-// on this engine afterwards. Resources snapshot the fidelity at
-// construction, so call it before building the cluster; changing it
-// mid-simulation does not migrate existing resources.
-func (e *Engine) SetFidelity(f Fidelity) { e.fidelity = f }
-
-// Fidelity returns the engine's current fidelity setting.
-func (e *Engine) Fidelity() Fidelity { return e.fidelity }
+// FidelityFast is the only Fidelity.
+const FidelityFast Fidelity = 0

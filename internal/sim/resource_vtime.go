@@ -5,30 +5,24 @@ import (
 	"sort"
 )
 
-// Virtual-time processor sharing: the fast (FidelityFast) allocator for
-// PSResource.
+// Virtual-time processor sharing: PSResource's allocator.
 //
 // Under processor sharing every active flow receives service at the same
-// normalized rate per unit weight, so instead of sweeping all flows on
-// every event ("remaining -= rate*dt" for each), the resource keeps one
-// virtual clock V that advances at the common normalized rate and tags
-// each flow at start with the virtual instant it finishes:
+// rate, so instead of sweeping all flows on every event ("remaining -=
+// rate*dt" for each), the resource keeps one virtual clock V that
+// advances at the common per-flow rate and tags each flow at start with
+// the virtual instant it finishes:
 //
-//	finishV = V(start) + remaining/weight
+//	finishV = V(start) + amount
 //
 // Flows live in a min-heap keyed by (finishV, seq). A flow arrival or
 // completion is then O(log F): push/pop the heap and re-derive dV/dt from
 // the flow count — nothing touches the other F-1 flows. Capacity changes
 // (Rescale, thrash) only alter dV/dt; the heap keys stay valid.
 //
-// dV/dt is well-defined whenever all flows progress at the same
-// normalized rate: equal weights (capped or not — the per-flow cap binds
-// uniformly), or arbitrary weights with no flow capped. The engines only
-// ever start weight-1 flows, so the equal-weight branch below reproduces
-// the reference allocator's rate arithmetic bit-for-bit. The one state a
-// shared clock cannot express — heterogeneous weights with only some
-// flows capped — permanently flips the resource to the reference
-// allocator via vtFallback.
+// The per-event rescan this replaced survives as the test oracle
+// (refPS in oracle_test.go); dV/dt below uses its rate arithmetic, so
+// the two agree bit-for-bit on rates and within float noise on times.
 
 // vtHeap orders flows by finish virtual time, start order on ties.
 type vtHeap []*psFlow
@@ -61,40 +55,25 @@ func (r *PSResource) vtSettle() {
 		return
 	}
 	r.vt += r.vrate * dt
-	r.busyIntegral += r.vrate * r.totalWeight * dt
+	r.busyIntegral += r.vrate * float64(len(r.vheap)) * dt
 }
 
 // vtStart admits a new flow: settle, fire any flows that finished on the
 // way here, then push and reprogram. O(log F).
-func (r *PSResource) vtStart(f *psFlow) {
+func (r *PSResource) vtStart(amount float64, onDone func()) {
 	r.vtSettle()
 	r.vtCollect()
-	f.seq = r.seqCtr
-	r.seqCtr++
-	if f.weight == 1 {
-		f.finishV = r.vt + f.remaining
+	var f *psFlow
+	if n := len(r.fpool); n > 0 {
+		f = r.fpool[n-1]
+		r.fpool[n-1] = nil
+		r.fpool = r.fpool[:n-1]
 	} else {
-		f.finishV = r.vt + f.remaining/f.weight
+		f = &psFlow{}
 	}
+	*f = psFlow{onDone: onDone, finishV: r.vt + amount, seq: r.seqCtr}
+	r.seqCtr++
 	heap.Push(&r.vheap, f)
-	r.totalWeight += f.weight
-	if r.weightCount == nil {
-		r.weightCount = make(map[float64]int)
-	}
-	r.weightCount[f.weight]++
-	if f.weight > r.maxWeight {
-		r.maxWeight = f.weight
-	}
-	r.vtProgram()
-}
-
-// vtRescale is Rescale on the fast path: the heap keys are virtual, so
-// only dV/dt changes.
-func (r *PSResource) vtRescale(factor float64) {
-	r.vtSettle()
-	r.vtCollect()
-	r.capacity *= factor
-	r.perFlowCap *= factor
 	r.vtProgram()
 }
 
@@ -106,10 +85,8 @@ func (r *PSResource) vtTick() {
 }
 
 // vtCollect pops every flow the virtual clock has passed and schedules
-// its completion callback, in start order — exactly the grouping and
-// ordering the reference allocator produces when it sweeps after an
-// advance. Flows qualify under the same epsilon rule as flowDone, using
-// the rate they were actually receiving (vrate × weight).
+// its completion callback, in start order. Flows qualify under the
+// flowDone epsilon rule, at the rate they were actually receiving.
 func (r *PSResource) vtCollect() {
 	if len(r.vheap) == 0 {
 		return
@@ -117,8 +94,7 @@ func (r *PSResource) vtCollect() {
 	batch := r.vbatch[:0]
 	for len(r.vheap) > 0 {
 		f := r.vheap[0]
-		rem := (f.finishV - r.vt) * f.weight
-		if !flowDone(rem, r.vrate*f.weight) {
+		if !flowDone(f.finishV-r.vt, r.vrate) {
 			break
 		}
 		heap.Pop(&r.vheap)
@@ -130,20 +106,6 @@ func (r *PSResource) vtCollect() {
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
 	for _, f := range batch {
-		r.totalWeight -= f.weight
-		if c := r.weightCount[f.weight]; c <= 1 {
-			delete(r.weightCount, f.weight)
-			if f.weight == r.maxWeight {
-				r.maxWeight = 0
-				for w := range r.weightCount {
-					if w > r.maxWeight {
-						r.maxWeight = w
-					}
-				}
-			}
-		} else {
-			r.weightCount[f.weight] = c - 1
-		}
 		if f.onDone != nil {
 			r.eng.Post(0, f.onDone)
 		}
@@ -152,18 +114,10 @@ func (r *PSResource) vtCollect() {
 		f.onDone = nil
 		r.fpool = append(r.fpool, f)
 	}
-	if len(r.vheap) == 0 {
-		// Kill floating-point residue so an idle resource restarts clean.
-		r.totalWeight = 0
-		r.vrate = 0
-	}
 }
 
-// vtProgram re-derives dV/dt for the current population and arms the
-// completion timer for the earliest finisher. The equal-weight branch
-// mirrors the reference water-filling arithmetic exactly (share =
-// effCap*w/W, clamped to the per-flow cap), so weight-1 rates match the
-// reference allocator bit-for-bit.
+// vtProgram re-derives dV/dt = min(effCap/n, perFlowCap) for the current
+// population and arms the completion timer for the earliest finisher.
 func (r *PSResource) vtProgram() {
 	n := len(r.vheap)
 	if n == 0 {
@@ -178,54 +132,15 @@ func (r *PSResource) vtProgram() {
 			effCap = r.capacity / (1 + r.ThrashAlpha*float64(over))
 		}
 	}
-	switch {
-	case len(r.weightCount) == 1:
-		w := r.maxWeight
-		rate := effCap * w / r.totalWeight
-		if rate > r.perFlowCap {
-			rate = r.perFlowCap
-		}
-		if w == 1 {
-			r.vrate = rate
-		} else {
-			r.vrate = rate / w
-		}
-	case effCap*r.maxWeight/r.totalWeight <= r.perFlowCap:
-		// Heterogeneous weights, nobody capped: uniform normalized rate.
-		r.vrate = effCap / r.totalWeight
-	default:
-		// Heterogeneous weights with partial capping: normalized rates
-		// diverge per flow, which a single virtual clock cannot express.
-		r.vtFallback()
-		return
+	r.vrate = effCap / float64(n)
+	if r.vrate > r.perFlowCap {
+		r.vrate = r.perFlowCap
 	}
-	top := r.vheap[0]
-	dt := (top.finishV - r.vt) / r.vrate
+	dt := (r.vheap[0].finishV - r.vt) / r.vrate
 	if r.vtimer == nil {
 		r.vtimer = &Timer{eng: r.eng, index: -1, fn: r.vtTick}
 	} else {
 		r.vtimer.Cancel()
 	}
 	r.eng.rearm(r.vtimer, dt)
-}
-
-// vtFallback permanently switches the resource to the reference
-// allocator, materializing each heap flow's remaining work from its
-// virtual finish tag. The clock is already settled when this runs.
-func (r *PSResource) vtFallback() {
-	flows := make([]*psFlow, len(r.vheap))
-	copy(flows, r.vheap)
-	sort.Slice(flows, func(i, j int) bool { return flows[i].seq < flows[j].seq })
-	for _, f := range flows {
-		f.remaining = (f.finishV - r.vt) * f.weight
-		f.rate = r.vrate * f.weight
-	}
-	r.flows = flows
-	r.vheap = nil
-	r.weightCount = nil
-	if r.vtimer != nil {
-		r.vtimer.Cancel()
-	}
-	r.ref = true
-	r.reallocate()
 }

@@ -46,14 +46,10 @@ type Base struct {
 }
 
 // NewBase builds the shared half of the engine called name over fs. An
-// unset override (Name == "") resolves to def with emitCPUPerByte as its
-// EmitCPUPerByte — the engines' inline serialization constants
-// (mr CPUPerByteSort, rdd CPUPerByteShuffle, core CPUPerByteEmit) are
-// deprecated aliases of that profile field.
-func NewBase(name string, fs *dfs.FS, override, def transport.Profile, emitCPUPerByte float64) Base {
+// unset override (Name == "") resolves to def.
+func NewBase(name string, fs *dfs.FS, override, def transport.Profile) Base {
 	if override.Name == "" {
 		override = def
-		override.EmitCPUPerByte = emitCPUPerByte
 	}
 	c := fs.Cluster()
 	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, override)}

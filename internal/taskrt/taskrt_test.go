@@ -20,7 +20,7 @@ const daemonMem = 64 * cluster.MB
 func testBase() (*cluster.Cluster, *Base) {
 	c := cluster.New(cluster.DefaultHardware())
 	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.KB, Replication: 3, Scale: 1, Seed: 1})
-	b := NewBase("test", fs, transport.Profile{}, transport.HadoopProfile(), 0.3e-7)
+	b := NewBase("test", fs, transport.Profile{}, transport.HadoopProfile())
 	return c, &b
 }
 

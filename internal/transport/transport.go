@@ -31,10 +31,8 @@ type Profile struct {
 	Name string
 
 	// EmitCPUPerByte is the engine-side shuffle-write serialization
-	// constant consolidated from the scattered per-engine fields
-	// (rdd.Config.CPUPerByteShuffle, core.Config.CPUPerByteEmit, mr's
-	// CPUPerByteSort). Engines charge it inline in both legacy and
-	// staged modes, so legacy timings are bit-identical.
+	// cost per nominal byte. Engines charge it inline in both fluid and
+	// staged modes.
 	EmitCPUPerByte float64
 
 	// Staged wire-path costs, charged only when the transport is
@@ -73,7 +71,7 @@ type Profile struct {
 func HadoopProfile() Profile {
 	return Profile{
 		Name:                    "hadoop",
-		EmitCPUPerByte:          0.3e-7, // alias target: mr CPUPerByteSort
+		EmitCPUPerByte:          0.3e-7,
 		SerializeCPUPerByte:     0.03e-7,
 		SerializeCPUPerRecord:   1.2e-6,
 		DeserializeCPUPerByte:   0.03e-7,
@@ -90,7 +88,7 @@ func HadoopProfile() Profile {
 func SparkProfile() Profile {
 	return Profile{
 		Name:                    "spark",
-		EmitCPUPerByte:          0.8e-7, // alias target: rdd CPUPerByteShuffle
+		EmitCPUPerByte:          0.8e-7,
 		SerializeCPUPerByte:     0.025e-7,
 		SerializeCPUPerRecord:   0.9e-6,
 		DeserializeCPUPerByte:   0.025e-7,
@@ -107,7 +105,7 @@ func SparkProfile() Profile {
 func DataMPIProfile() Profile {
 	return Profile{
 		Name:                    "datampi",
-		EmitCPUPerByte:          0.45e-7, // alias target: core CPUPerByteEmit
+		EmitCPUPerByte:          0.45e-7,
 		SerializeCPUPerByte:     0.005e-7,
 		SerializeCPUPerRecord:   0.02e-6,
 		DeserializeCPUPerByte:   0.005e-7,

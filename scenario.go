@@ -379,8 +379,6 @@ type Scenario struct {
 	spec     SpeculationConfig
 	pre      PreemptionConfig
 	slack    float64
-	fid      Fidelity
-	fidSet   bool
 	tenants  []*scenarioTenant
 	byName   map[string]*scenarioTenant
 	arrivals []Arrival
@@ -729,20 +727,6 @@ func WithTracing(cfg TraceConfig) ScenarioOption {
 	return func(s *Scenario) { s.trcCfg = &cfg }
 }
 
-// WithFidelity pins the simulation-kernel fidelity the scenario's timings
-// are captured against. Fidelity is a property of the testbed (set it in
-// TestbedConfig.Fidelity — resources snapshot it at construction), so the
-// pin is validated rather than applied: Run returns an error if the
-// testbed was built with a different fidelity, which keeps
-// reproducibility contracts (golden-pinned reports) from silently running
-// on the wrong allocators.
-func WithFidelity(f Fidelity) ScenarioOption {
-	return func(s *Scenario) {
-		s.fid = f
-		s.fidSet = true
-	}
-}
-
 // JobReport is one job's outcome within a scenario report.
 type JobReport struct {
 	Tenant  string
@@ -923,10 +907,6 @@ func (s *Scenario) Run() (*Report, error) {
 	}
 	if len(s.arrivals) == 0 && len(s.closed) == 0 {
 		return nil, fmt.Errorf("datampi: scenario has no arrivals")
-	}
-	if s.fidSet && s.tb.Cluster.Eng.Fidelity() != s.fid {
-		return nil, fmt.Errorf("datampi: scenario pinned to fidelity %v but the testbed was built with %v",
-			s.fid, s.tb.Cluster.Eng.Fidelity())
 	}
 	for i := range s.arrivals {
 		a := &s.arrivals[i]

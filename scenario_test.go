@@ -204,11 +204,4 @@ func TestScenarioValidation(t *testing.T) {
 	).Run(); err == nil || !strings.Contains(err.Error(), "different testbed") {
 		t.Fatalf("wrong-testbed engine not caught at Run: %v", err)
 	}
-	if _, err := datampi.NewScenario(tb,
-		datampi.WithFidelity(datampi.FidelityReference),
-		datampi.Tenant("a", 1, eng),
-		datampi.Arrive("a", 0, mk("/out/y-")(0)),
-	).Run(); err == nil || !strings.Contains(err.Error(), "fidelity") {
-		t.Fatalf("fidelity pin mismatch not caught: %v", err)
-	}
 }
