@@ -285,7 +285,10 @@ func WordCount(fs *dfs.FS, in *dfs.File, out string, reducers int) Job {
 	return bdb.WordCountSpec(fs, in, out, reducers)
 }
 
-// Grep builds the Grep micro-benchmark job for a regexp pattern.
+// Grep builds the Grep micro-benchmark job for a regexp pattern. A
+// pattern that does not compile is not a panic: the job carries the
+// error (Job.Err) and fails with it, uncharged, on whichever engine or
+// queue it is submitted to.
 func Grep(fs *dfs.FS, in *dfs.File, out, pattern string, reducers int) Job {
 	return bdb.GrepSpec(fs, in, out, pattern, reducers)
 }

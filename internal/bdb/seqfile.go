@@ -25,18 +25,24 @@ func ToSeqFile(fsys *dfs.FS, textName, seqName string) (*dfs.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bdb: ToSeqFile: %w", err)
 	}
-	var parts [][]byte
+	// One compressor (a flate writer is over a megabyte of state), one
+	// record buffer and one output buffer serve every block.
+	parts := make([][]byte, 0, len(src.Blocks))
+	var enc []byte
+	var zbuf bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&zbuf, gzip.DefaultCompression) // the level is valid
 	for _, blk := range src.Blocks {
-		var pairs []kv.Pair
-		for _, line := range bytes.Split(blk.Data, []byte("\n")) {
+		enc = enc[:0]
+		for data := blk.Data; len(data) > 0; {
+			line, rest, _ := bytes.Cut(data, newline)
+			data = rest
 			if len(line) == 0 {
 				continue
 			}
-			pairs = append(pairs, kv.Pair{Key: line, Value: line})
+			enc = kv.Encode(enc, kv.Pair{Key: line, Value: line})
 		}
-		enc := kv.EncodeAll(pairs)
-		var zbuf bytes.Buffer
-		zw, _ := gzip.NewWriterLevel(&zbuf, gzip.DefaultCompression)
+		zbuf.Reset()
+		zw.Reset(&zbuf)
 		if _, err := zw.Write(enc); err != nil {
 			return nil, err
 		}

@@ -137,6 +137,9 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 // submit spawns the job's driver and task processes. done (optional) runs
 // in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
+	if spec.Err != nil {
+		return e.Reject(spec.Name, spec.Err, done)
+	}
 	spec.Normalize()
 	blocks := spec.Input.Blocks
 	if len(blocks) == 0 {
@@ -374,13 +377,6 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	mapOnly := nA == 0
 	for si, blk := range splits {
 		att.Report(float64(si) / float64(len(splits)))
-		recs, inflated, err := job.Records(spec.InputFormat, blk.Data)
-		if err != nil {
-			return fmt.Errorf("datampi: O input: %w", err)
-		}
-		inflatedNominal := float64(inflated) * scale
-		nominalRecords := float64(len(recs)) * scale
-
 		nParts := nA
 		if mapOnly {
 			nParts = 1
@@ -389,9 +385,12 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		// collector sorts each one (and combines, if configured), so the
 		// A side receives sorted runs and only merges.
 		coll := kv.NewPartitionCollector(nParts, 0, spec.Combine, spec.Part)
-		for _, rec := range recs {
-			spec.Map(rec.Key, rec.Value, coll.Emit)
+		nRecords, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
+		if err != nil {
+			return fmt.Errorf("datampi: O input: %w", err)
 		}
+		inflatedNominal := float64(inflated) * scale
+		nominalRecords := float64(nRecords) * scale
 		parts, _, _ := coll.Finish()
 		emitScale := spec.EmitScale()
 		emittedNominal := 0.0

@@ -10,9 +10,7 @@ package job
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
-	"io"
 
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/kv"
@@ -49,7 +47,10 @@ func (f Format) String() string {
 // receiver copies key and value before it returns (the kv collector into
 // its slab, the rdd mid-chain ops into the task arena, RunSequential into
 // fresh slices), so the caller may emit from a buffer it reuses for the
-// next record — and an Emit implementation must keep copying.
+// next record — and an Emit implementation must keep copying. The input
+// side leans on the same rule: a map function's key and value come from a
+// Reader and are only good until it returns (see Reader for which formats
+// alias the block and which a recycled inflate buffer).
 type Emit func(key, value []byte)
 
 // MapFunc transforms one input record into intermediate records.
@@ -93,6 +94,13 @@ type Spec struct {
 	// to "a combiner is present", which holds for every BigDataBench
 	// workload in this suite.
 	SaturatingIntermediate bool
+
+	// Err is set by a constructor that could not build the job from its
+	// arguments (bdb.GrepSpec given a pattern that does not compile) in
+	// place of a panic at job-description time. Every engine rejects such
+	// a spec at submission and RunSequential returns the error: Result.Err
+	// is set, nothing is charged, no task runs.
+	Err error
 
 	// identityReduce records that Reduce was defaulted by Normalize, so
 	// engines can skip the per-key grouping entirely: identity reduction
@@ -210,68 +218,65 @@ type Engine interface {
 	Run(spec Spec) Result
 }
 
-// Records decodes a block's bytes into records according to the format.
-// It returns the records and the decoded ("inflated") byte count, which
-// differs from len(data) for compressed formats.
+// Records decodes a whole block into a slice: a Reader drained into a
+// slice sized once from a count of the block's records. It returns the
+// records and the decoded ("inflated") byte count, which differs from
+// len(data) for compressed formats. The engines' per-task map paths pull
+// from a Reader instead; Records is for the callers that keep the records
+// (an iteration's load phase, a key sample, a cached source partition),
+// which is also why it never closes the Reader: the records it returns
+// alias the block, or for SeqGzip an inflate buffer that is now theirs.
 func Records(format Format, data []byte) (pairs []kv.Pair, inflated int, err error) {
-	switch format {
-	case Text:
-		lines := splitLines(data)
-		pairs = make([]kv.Pair, 0, len(lines))
-		for _, ln := range lines {
-			pairs = append(pairs, kv.Pair{Key: nil, Value: ln})
-		}
-		return pairs, len(data), nil
-	case Seq:
-		ps, err := kv.DecodeAll(data)
-		return ps, len(data), err
-	case SeqGzip:
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, fmt.Errorf("job: gunzip: %w", err)
-		}
-		raw, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, 0, fmt.Errorf("job: gunzip: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, 0, err
-		}
-		ps, err := kv.DecodeAll(raw)
-		return ps, len(raw), err
-	default:
-		return nil, 0, fmt.Errorf("job: unknown format %v", format)
+	var rd Reader
+	if err := rd.Open(format, data); err != nil {
+		return nil, 0, err
 	}
+	pairs = make([]kv.Pair, 0, rd.count())
+	for k, v, ok := rd.Next(); ok; k, v, ok = rd.Next() {
+		pairs = append(pairs, kv.Pair{Key: k, Value: v})
+	}
+	if err := rd.Err(); err != nil {
+		return nil, rd.Inflated(), err
+	}
+	return pairs, rd.Inflated(), nil
 }
 
-// splitLines splits on '\n', dropping a trailing empty line.
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			out = append(out, data)
-			break
-		}
-		out = append(out, data[:i])
-		data = data[i+1:]
+// MapBlock runs the spec's map function over one input block, record by
+// record, and returns what the engines charge for it: the block's record
+// count and its decoded size. emit must copy what it keeps (Emit's
+// contract), because the block's inflate buffer is recycled on return.
+func (s *Spec) MapBlock(data []byte, emit Emit) (records, inflated int, err error) {
+	var rd Reader
+	if err := rd.Open(s.InputFormat, data); err != nil {
+		return 0, 0, err
 	}
-	return out
+	for k, v, ok := rd.Next(); ok; k, v, ok = rd.Next() {
+		s.Map(k, v, emit)
+	}
+	rd.Close()
+	return rd.Records(), rd.Inflated(), rd.Err()
 }
 
 // EncodeTextOutput renders reduced pairs the way Hadoop's TextOutputFormat
 // does: "key\tvalue\n" (empty values render as just the key).
 func EncodeTextOutput(pairs []kv.Pair) []byte {
-	var buf bytes.Buffer
+	size := 0
 	for _, p := range pairs {
-		buf.Write(p.Key)
+		size += len(p.Key) + 1
 		if len(p.Value) > 0 {
-			buf.WriteByte('\t')
-			buf.Write(p.Value)
+			size += 1 + len(p.Value)
 		}
-		buf.WriteByte('\n')
 	}
-	return buf.Bytes()
+	buf := make([]byte, 0, size)
+	for _, p := range pairs {
+		buf = append(buf, p.Key...)
+		if len(p.Value) > 0 {
+			buf = append(buf, '\t')
+			buf = append(buf, p.Value...)
+		}
+		buf = append(buf, '\n')
+	}
+	return buf
 }
 
 // ReadTextOutput gathers a job's output part files (files whose names
@@ -280,6 +285,7 @@ func EncodeTextOutput(pairs []kv.Pair) []byte {
 // verification, not for simulated dataflow.
 func ReadTextOutput(fsys *dfs.FS, prefix string) []kv.Pair {
 	var out []kv.Pair
+	var rd Reader
 	for _, f := range fsys.ListPrefix(prefix) {
 		// Concatenate the file's blocks before splitting: output writers
 		// flush at block boundaries that may fall mid-line.
@@ -287,7 +293,8 @@ func ReadTextOutput(fsys *dfs.FS, prefix string) []kv.Pair {
 		for _, blk := range f.Blocks {
 			data = append(data, blk.Data...)
 		}
-		for _, line := range splitLines(data) {
+		_ = rd.Open(Text, data) // Text never fails to open
+		for _, line, ok := rd.Next(); ok; _, line, ok = rd.Next() {
 			if len(line) == 0 {
 				continue
 			}
@@ -306,18 +313,18 @@ func ReadTextOutput(fsys *dfs.FS, prefix string) []kv.Pair {
 // reduced output pairs of every partition concatenated in partition order
 // (each partition internally key-sorted).
 func RunSequential(spec Spec) ([]kv.Pair, error) {
+	if spec.Err != nil {
+		return nil, spec.Err
+	}
 	spec.Normalize()
 	parts := make([][]kv.Pair, spec.Reducers)
+	emit := func(k, v []byte) {
+		p := spec.Part.Partition(k, spec.Reducers)
+		parts[p] = append(parts[p], kv.Pair{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
+	}
 	for _, blk := range spec.Input.Blocks {
-		recs, _, err := Records(spec.InputFormat, blk.Data)
-		if err != nil {
+		if _, _, err := spec.MapBlock(blk.Data, emit); err != nil {
 			return nil, err
-		}
-		for _, rec := range recs {
-			spec.Map(rec.Key, rec.Value, func(k, v []byte) {
-				p := spec.Part.Partition(k, spec.Reducers)
-				parts[p] = append(parts[p], kv.Pair{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-			})
 		}
 	}
 	var out []kv.Pair

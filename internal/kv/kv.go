@@ -202,9 +202,13 @@ func SampleBoundaries(sample [][]byte, n int) [][]byte {
 type Reducer func(key []byte, values [][]byte) []Pair
 
 // GroupReduce walks sorted pairs, grouping equal keys and applying reduce.
-// It returns the concatenated outputs in key order.
+// It returns the concatenated outputs in key order, sized from a count of
+// the key groups: exact for a reducer that returns one pair per key.
 func GroupReduce(sorted []Pair, reduce Reducer) []Pair {
-	var out []Pair
+	if len(sorted) == 0 {
+		return nil // an empty partition stays nil, as it was when out grew from nil
+	}
+	out := make([]Pair, 0, countKeyRuns(sorted))
 	var vals [][]byte // scratch, reused across groups
 	for i := 0; i < len(sorted); {
 		j := sameKeyRun(sorted, i)

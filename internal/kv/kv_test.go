@@ -155,6 +155,30 @@ func TestGroupReduceSums(t *testing.T) {
 	if string(out[1].Key) != "b" || string(out[1].Value) != "5" {
 		t.Fatalf("group b = %v", out[1])
 	}
+	// One pair per key is the common reducer: the output is sized once,
+	// from the count of key groups, and never regrown.
+	if cap(out) != len(out) {
+		t.Fatalf("%d groups in a slice of capacity %d, want it sized from the key-run count", len(out), cap(out))
+	}
+	// A reducer returning more than one pair per key still gets them all.
+	twice := GroupReduce(input, func(key []byte, values [][]byte) []Pair {
+		return []Pair{{Key: key, Value: values[0]}, {Key: key, Value: values[len(values)-1]}}
+	})
+	if len(twice) != 4 || string(twice[1].Value) != "2" || string(twice[3].Value) != "5" {
+		t.Fatalf("two pairs per key: %v", twice)
+	}
+	if out := GroupReduce(nil, reemit); out != nil {
+		t.Fatalf("no input reduced to %v", out)
+	}
+}
+
+// reemit re-emits every value under its key.
+func reemit(key []byte, values [][]byte) []Pair {
+	out := make([]Pair, 0, len(values))
+	for _, v := range values {
+		out = append(out, Pair{Key: key, Value: v})
+	}
+	return out
 }
 
 func TestFormatParseIntRoundTrip(t *testing.T) {

@@ -85,6 +85,15 @@ func sameKeyRun(sorted []Pair, i int) int {
 	return j
 }
 
+// countKeyRuns returns the number of groups of equal keys in sorted.
+func countKeyRuns(sorted []Pair) int {
+	groups := 0
+	for i := 0; i < len(sorted); i = sameKeyRun(sorted, i) {
+		groups++
+	}
+	return groups
+}
+
 // CombineSorted applies a combiner to a key-sorted run, returning the
 // combined (still sorted) pairs. Without a combiner the run itself is
 // returned. The output is sized from a count of the key groups, exact
@@ -93,11 +102,7 @@ func CombineSorted(sorted []Pair, combine Combiner) []Pair {
 	if combine == nil {
 		return sorted
 	}
-	groups := 0
-	for i := 0; i < len(sorted); i = sameKeyRun(sorted, i) {
-		groups++
-	}
-	out := make([]Pair, 0, groups)
+	out := make([]Pair, 0, countKeyRuns(sorted))
 	var vals [][]byte // scratch, reused across groups
 	for i := 0; i < len(sorted); {
 		j := sameKeyRun(sorted, i)

@@ -135,6 +135,9 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 // submit spawns the job's driver and task processes. done (optional) runs
 // in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
+	if spec.Err != nil {
+		return e.Reject(spec.Name, spec.Err, done)
+	}
 	spec.Normalize()
 	blocks := spec.Input.Blocks
 	nMaps := len(blocks)
@@ -337,25 +340,21 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	p.Sleep(cfg.TaskLaunch)
 	att.Report(0.05)
 
-	// Decode and process the real records eagerly; collect the resource
-	// demands, then charge them overlapped (Hadoop streams the split
-	// through the mapper while the spill thread writes).
-	recs, inflated, err := job.Records(spec.InputFormat, blk.Data)
-	if err != nil {
-		return nil, fmt.Errorf("mr: map input: %w", err)
-	}
-	inflatedNominal := float64(inflated) * scale
-	nominalRecords := float64(len(recs)) * scale
-
+	// Stream the real records through the map function eagerly; collect
+	// the resource demands, then charge them overlapped (Hadoop streams
+	// the split through the mapper while the spill thread writes).
 	nParts := nReduce
 	mapOnly := nParts == 0
 	if mapOnly {
 		nParts = 1
 	}
 	coll := kv.NewPartitionCollector(nParts, int(cfg.SortBufferBytes/scale), spec.Combine, spec.Part)
-	for _, rec := range recs {
-		spec.Map(rec.Key, rec.Value, coll.Emit)
+	nRecords, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
+	if err != nil {
+		return nil, fmt.Errorf("mr: map input: %w", err)
 	}
+	inflatedNominal := float64(inflated) * scale
+	nominalRecords := float64(nRecords) * scale
 	parts, spillActual, mergeActual := coll.Finish()
 
 	emitScale := spec.EmitScale()

@@ -46,6 +46,9 @@ func (e *Engine) lineage(spec *job.Spec) *RDD {
 // driving the simulation to completion. The solo action (and its job
 // span) is called "action"; the result carries the spec's name.
 func (e *Engine) Run(spec job.Spec) job.Result {
+	if spec.Err != nil {
+		return e.Reject(spec.Name, spec.Err, nil).Res
+	}
 	spec.Normalize()
 	res := e.lineage(&spec).SaveAsTextFile(spec.Output)
 	res.Job = spec.Name
@@ -55,6 +58,10 @@ func (e *Engine) Run(spec job.Spec) job.Result {
 // Submit implements sched.Engine: it admits the spec's lineage onto the
 // shared simulation without driving the event loop.
 func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) {
+	if spec.Err != nil {
+		e.Reject(spec.Name, spec.Err, done)
+		return
+	}
 	spec.Normalize()
 	e.submitAction(spec.Name, e.lineage(&spec), spec.Output, nil, ctl, done)
 }

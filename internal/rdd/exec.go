@@ -372,16 +372,28 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	var wg sim.WaitGroup
 	var cpuSec float64
 
+	// A stage rooted at a block streams it: rd feeds the first narrow op
+	// record by record. A stage with no op to feed (a cached source RDD)
+	// keeps the records themselves, so it decodes the block into pairs.
+	var rd job.Reader
+	streaming := tin.blk != nil && len(st.narrow) > 0
+
 	switch {
 	case tin.blk != nil:
-		recs, inflated, err := job.Records(st.root.format, tin.blk.Data)
+		var inflated int
+		var err error
+		if streaming {
+			err = rd.Open(st.root.format, tin.blk.Data)
+			inflated = rd.Inflated()
+		} else {
+			pairs, inflated, err = job.Records(st.root.format, tin.blk.Data)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("rdd: input: %w", err)
 		}
 		if err := e.FS.StartRead(tin.blk, node, &wg); err != nil {
 			return nil, err
 		}
-		pairs = recs
 		inputNominal = float64(inflated) * scale
 	case tin.pairs != nil:
 		pairs = tin.pairs
@@ -465,33 +477,57 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	if wide != nil && wide.combine != nil {
 		outScale = 1
 	}
-	nominalRecords := float64(len(pairs)) * outScale
+	inRecords := len(pairs)
 
-	// Apply the fused narrow chain (really). A stage that feeds a shuffle
-	// ends in the partition collector: its last op emits straight into it
-	// and pairs is left empty. Every other op materialises its output,
-	// copying into the task's arena what does not alias the input (map
-	// functions may reuse their buffers).
+	// Apply the fused narrow chain (really), one op at a time: the first
+	// op pulls its input from the block's reader when the stage streams
+	// one and from the pairs the task already holds otherwise (shuffle
+	// fetch, cached partition); every later op reads its predecessor's
+	// output. A stage that feeds a shuffle ends in the partition
+	// collector: its last op emits straight into it and pairs is left
+	// empty. Every other op materialises its output, copying into the
+	// task's arena what does not alias the input (map functions may reuse
+	// their buffers).
 	next := st.consumer
 	var coll *kv.PartitionCollector
 	if !isLast && next != nil {
 		coll = kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
 	}
 	var arena kv.Arena
-	for i, n := range st.narrow {
-		if coll != nil && i == len(st.narrow)-1 {
-			n.f(pairs, coll.Emit)
-			pairs = nil
-			break
-		}
-		var out []kv.Pair
-		if n.aliasesInput {
-			n.f(pairs, func(k, v []byte) { out = append(out, kv.Pair{Key: k, Value: v}) })
-		} else {
-			n.f(pairs, func(k, v []byte) { out = append(out, arena.CopyPair(k, v)) })
-		}
-		pairs = out
+	in := recordIter{pairs: pairs}
+	if streaming {
+		in.rd = &rd
 	}
+	aliased := true // what the task keeps still points into the stage's input
+	for i, n := range st.narrow {
+		var out []kv.Pair
+		var sink job.Emit
+		switch {
+		case coll != nil && i == len(st.narrow)-1:
+			sink, aliased = coll.Emit, false
+		case n.aliasesInput:
+			sink = func(k, v []byte) { out = append(out, kv.Pair{Key: k, Value: v}) }
+		default:
+			sink, aliased = func(k, v []byte) { out = append(out, arena.CopyPair(k, v)) }, false
+		}
+		for k, v, ok := in.next(); ok; k, v, ok = in.next() {
+			n.f(k, v, sink)
+		}
+		pairs, in = out, recordIter{pairs: out}
+	}
+	if streaming {
+		if err := rd.Err(); err != nil {
+			return nil, fmt.Errorf("rdd: input: %w", err)
+		}
+		inRecords = rd.Records()
+		if !aliased {
+			// Every record left the reader's buffer as a copy. A chain of
+			// Filters alone keeps the records themselves (a cached RDD may
+			// hold them for the engine's lifetime): see job.Reader.
+			rd.Close()
+		}
+	}
+	nominalRecords := float64(inRecords) * outScale
 	cpuSec += cfg.CPUPerByteMap*cpuFactor*inputNominal + cfg.CPUPerRecord*nominalRecords
 	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
 
@@ -556,6 +592,26 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	}
 	wg.WaitAs(p, "disk")
 	return out, nil
+}
+
+// recordIter is the input of a narrow op: a block's reader, or the pairs
+// an earlier step of the task materialised.
+type recordIter struct {
+	rd    *job.Reader
+	pairs []kv.Pair
+	i     int // next of pairs
+}
+
+func (it *recordIter) next() (key, value []byte, ok bool) {
+	if it.rd != nil {
+		return it.rd.Next()
+	}
+	if it.i >= len(it.pairs) {
+		return nil, nil, false
+	}
+	p := &it.pairs[it.i]
+	it.i++
+	return p.Key, p.Value, true
 }
 
 // mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine

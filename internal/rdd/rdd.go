@@ -171,13 +171,15 @@ type RDD struct {
 	lostParts int // cached partitions dropped with failed nodes, awaiting recompute accounting
 }
 
-// narrowOp is one fused per-partition transformation. f emits through a
+// narrowOp is one fused per-record transformation. f emits through a
 // job.Emit so the last op of a stage that feeds a shuffle writes straight
-// into the partition collector; aliasesInput says the emitted bytes are
-// the input records' own (a sink that keeps them need not copy).
+// into the partition collector, and takes one record at a time so the
+// first op of a stage rooted at a block is fed by a job.Reader;
+// aliasesInput says the emitted bytes are the input record's own (a sink
+// that keeps them need not copy).
 type narrowOp struct {
 	parent       *RDD
-	f            func(in []kv.Pair, emit job.Emit)
+	f            job.MapFunc
 	aliasesInput bool
 	cpuFactor    float64
 }
@@ -217,26 +219,16 @@ func (r *RDD) FlatMapKV(f job.MapFunc, cpuFactor float64) *RDD {
 	if cpuFactor <= 0 {
 		cpuFactor = 1
 	}
-	return &RDD{eng: r.eng, narrow: &narrowOp{
-		parent: r,
-		f: func(in []kv.Pair, emit job.Emit) {
-			for _, p := range in {
-				f(p.Key, p.Value, emit)
-			}
-		},
-		cpuFactor: cpuFactor,
-	}}
+	return &RDD{eng: r.eng, narrow: &narrowOp{parent: r, f: f, cpuFactor: cpuFactor}}
 }
 
 // Filter keeps pairs for which pred returns true.
 func (r *RDD) Filter(pred func(kv.Pair) bool) *RDD {
 	return &RDD{eng: r.eng, narrow: &narrowOp{
 		parent: r,
-		f: func(in []kv.Pair, emit job.Emit) {
-			for _, p := range in {
-				if pred(p) {
-					emit(p.Key, p.Value)
-				}
+		f: func(key, value []byte, emit job.Emit) {
+			if pred(kv.Pair{Key: key, Value: value}) {
+				emit(key, value)
 			}
 		},
 		aliasesInput: true,

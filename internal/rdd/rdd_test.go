@@ -2,9 +2,12 @@ package rdd
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -439,5 +442,113 @@ func TestNarrowChainCopiesWhatMapFunctionsReuse(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s, collected: counts %v, want %v", name, got, want)
 		}
+	}
+}
+
+// seqGzipFile loads lines as a seq+gzip file (key = value = line, one
+// gzip member per block), the way bdb.ToSeqFile writes the Normal Sort
+// input.
+func seqGzipFile(t *testing.T, fs *dfs.FS, name string, blocks [][]string) *dfs.File {
+	t.Helper()
+	var parts [][]byte
+	for _, lines := range blocks {
+		var pairs []kv.Pair
+		for _, ln := range lines {
+			pairs = append(pairs, kv.Pair{Key: []byte(ln), Value: []byte(ln)})
+		}
+		var zbuf bytes.Buffer
+		zw := gzip.NewWriter(&zbuf)
+		if _, err := zw.Write(kv.EncodeAll(pairs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, zbuf.Bytes())
+	}
+	return fs.PreloadParts(name, parts)
+}
+
+// TestCachedFilterOverSeqGzipKeepsItsBytes is the no-Close rule of
+// job.Reader: a Filter's output is the input records themselves, which
+// for a seq+gzip source live in the block's inflate buffer. Cached, they
+// must survive every later block of the same format that other tasks
+// decode, recycle and decode again.
+func TestCachedFilterOverSeqGzipKeepsItsBytes(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	var kept, other [][]string
+	var want []string
+	for b := 0; b < 4; b++ {
+		var k, o []string
+		for i := 0; i < 200; i++ {
+			k = append(k, fmt.Sprintf("keep-%d-%03d %s", b, i, strings.Repeat("k", i%17)))
+			o = append(o, fmt.Sprintf("over-%d-%03d %s", b, i, strings.Repeat("o", i%19)))
+		}
+		kept, other = append(kept, k), append(other, o)
+		for i, ln := range k {
+			if i%2 == 0 {
+				want = append(want, ln)
+			}
+		}
+	}
+	even := func(p kv.Pair) bool { return (p.Key[len("keep-0-00")]-'0')%2 == 0 }
+	cached := eng.SequenceFile(seqGzipFile(t, fs, "/kept", kept), job.SeqGzip).Filter(even).Cache()
+	check := func(when string) {
+		t.Helper()
+		got, res := cached.Collect()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		var lines []string
+		for _, p := range got {
+			if !bytes.Equal(p.Key, p.Value) {
+				t.Fatalf("%s: record %q has value %q", when, p.Key, p.Value)
+			}
+			lines = append(lines, string(p.Key))
+		}
+		sort.Strings(lines)
+		if !reflect.DeepEqual(lines, want) {
+			t.Fatalf("%s: the cached partitions hold %d records %q..., want %d %q...", when, len(lines), lines[:3], len(want), want[:3])
+		}
+	}
+	check("first action")
+	if !cached.inCache {
+		t.Fatal("the filtered RDD was not cached")
+	}
+	// Blocks of the same size and format, through chains that do close
+	// their readers: a flat-map into the arena, and one into a shuffle.
+	overwrite := eng.SequenceFile(seqGzipFile(t, fs, "/other", other), job.SeqGzip)
+	ident := func(k, v []byte, emit job.Emit) { emit(k, v) }
+	for i := 0; i < 3; i++ {
+		if _, res := overwrite.FlatMapKV(ident, 1).Collect(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if _, res := overwrite.FlatMapKV(ident, 1).GroupByKey(nil, 3).Collect(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	check("after later blocks were decoded")
+}
+
+// TestCorruptSeqBlockFailsTheJob: a malformed record in the middle of a
+// block now surfaces while the stage streams it (Records used to refuse
+// the whole block before the task charged anything). The job must still
+// fail with the decode error and leave nothing allocated or parked.
+func TestCorruptSeqBlockFailsTheJob(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	good := kv.EncodeAll([]kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}})
+	bad := append(append([]byte(nil), good...), 0x05, 'x') // a key of 5 bytes, 1 present
+	in := fs.PreloadParts("/in", [][]byte{good, bad, good})
+	ident := func(k, v []byte, emit job.Emit) { emit(k, v) }
+	for name, r := range map[string]*RDD{
+		"collected":      eng.SequenceFile(in, job.Seq).FlatMapKV(ident, 1),
+		"into a shuffle": eng.SequenceFile(in, job.Seq).FlatMapKV(ident, 1).GroupByKey(nil, 2),
+		"source only":    eng.SequenceFile(in, job.Seq),
+	} {
+		_, res := r.Collect()
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "truncated key") {
+			t.Fatalf("%s: err = %v, want the block's decode error", name, res.Err)
+		}
+		enginetest.AssertQuiesced(t, eng)
 	}
 }

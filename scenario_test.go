@@ -205,3 +205,40 @@ func TestScenarioValidation(t *testing.T) {
 		t.Fatalf("wrong-testbed engine not caught at Run: %v", err)
 	}
 }
+
+// TestScenarioBadGrepPatternIsAnAccountedError: a malformed pattern
+// reaching Grep from a tenant's arrival used to panic the process while
+// the job was being described. It is now that one job's failure: the
+// report carries it (Run returns it as the first error), the tenant's
+// other job still completes, and nothing of the rejected job stays
+// allocated on the testbed.
+func TestScenarioBadGrepPatternIsAnAccountedError(t *testing.T) {
+	tb := datampi.NewTestbed(datampi.TestbedConfig{Scale: 1024, Seed: 3})
+	in := tb.GenerateText("/in", 256*datampi.MB, 1)
+	eng := datampi.NewHadoop(tb.FS)
+	rep, err := datampi.NewScenario(tb,
+		datampi.Tenant("search", 1, eng),
+		datampi.Arrive("search", 0, datampi.Grep(tb.FS, in, "/out/bad", `th[ae`, 8)),
+		datampi.Arrive("search", 1, datampi.Grep(tb.FS, in, "/out/good", `th[ae]`, 8)),
+	).Run()
+	if err == nil || !strings.Contains(err.Error(), "th[ae") {
+		t.Fatalf("Run error = %v, want the bad pattern's compile error", err)
+	}
+	if len(rep.Jobs) != 2 || rep.Jobs[0].Result.Err == nil || rep.Jobs[1].Result.Err != nil {
+		t.Fatalf("job errors = %v / %v, want only the first job failed", rep.Jobs[0].Result.Err, rep.Jobs[1].Result.Err)
+	}
+	if rep.Tenants[0].Jobs != 2 || rep.Tenants[0].Failed != 1 {
+		t.Fatalf("tenant report %+v, want 2 jobs of which 1 failed", rep.Tenants[0])
+	}
+	if rep.Jobs[0].SlotSeconds != 0 {
+		t.Fatalf("the rejected job was charged %.1f slot-seconds", rep.Jobs[0].SlotSeconds)
+	}
+	if len(datampi.ReadTextOutput(tb.FS, "/out/good")) == 0 || len(datampi.ReadTextOutput(tb.FS, "/out/bad")) != 0 {
+		t.Fatal("want output from the good job only")
+	}
+	for i := 0; i < tb.Cluster.N(); i++ {
+		if used := tb.Cluster.Node(i).Mem.Used(); used != 0 {
+			t.Fatalf("node %d still has %.0f bytes allocated", i, used)
+		}
+	}
+}
