@@ -8,29 +8,30 @@
 // ordered by (time, sequence) and at most one process runs at any instant,
 // a simulation with a fixed seed is fully deterministic and reproducible.
 //
-// Processes are implemented as goroutines in strict alternation with the
-// kernel goroutine: the kernel resumes a process and then blocks until that
-// process parks (blocks on a resource or exits). This lets task code read
-// linearly — disk.Read(n); cpu.Compute(s); fabric.Transfer(...) — while
-// remaining single-threaded in effect.
+// Processes are coroutines (iter.Pull): the kernel resumes a process by
+// switching straight to its coroutine and gets control back when the
+// process parks (blocks on a resource) or exits — a direct hand-off inside
+// the Go runtime, with no channel, no scheduler pass and nothing running
+// in parallel. This lets task code read linearly — disk.Read(n);
+// cpu.Compute(s); fabric.Transfer(...) — while remaining single-threaded
+// in fact, on whichever goroutine called Run.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 )
 
 // Timer is a scheduled event. It can be canceled before it fires.
 type Timer struct {
-	at       float64
-	seq      int64
-	fn       func()
-	canceled bool
-	eng      *Engine
-	index    int  // heap index, -1 when popped
-	recycle  bool // fire-and-forget Post timer, pooled after firing
+	at      float64
+	seq     int64
+	fn      func()
+	eng     *Engine
+	index   int  // heap index, -1 when not queued
+	recycle bool // fire-and-forget Post timer, pooled after firing
 }
 
 // At returns the simulated time at which the timer fires.
@@ -48,39 +49,88 @@ func (t *Timer) Reset(delay float64) { t.eng.rearm(t, delay) }
 // cannot rot the heap with ghost entries. Canceling an already-fired
 // timer is a no-op.
 func (t *Timer) Cancel() {
-	t.canceled = true
 	if t.index >= 0 && t.eng != nil {
-		heap.Remove(&t.eng.events, t.index)
+		t.eng.events.remove(t.index)
 	}
 }
 
+// before is the event order: time, then scheduling sequence. seq is
+// unique per queued timer, so the order is total and the pop sequence
+// does not depend on how the heap arranges its slots.
+func (t *Timer) before(u *Timer) bool {
+	return t.at < u.at || (t.at == u.at && t.seq < u.seq)
+}
+
+// eventHeap is a binary min-heap of timers by (at, seq), each timer
+// carrying its own slot number so Cancel and Reset find it in O(1). It is
+// written against *Timer directly — container/heap's Interface costs an
+// indirect Less and Swap per level on the kernel's hottest path — and
+// sifts by moving a hole instead of swapping; the slot layout after every
+// operation is the one container/heap would leave (pinned by
+// FuzzEventHeapMatchesContainerHeap).
 type eventHeap []*Timer
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
+func (h *eventHeap) push(t *Timer) {
 	*h = append(*h, t)
+	h.up(len(*h)-1, t)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest timer.
+func (h *eventHeap) pop() *Timer {
+	top := (*h)[0]
+	h.remove(0)
+	return top
+}
+
+// remove takes the timer in slot i out of the heap; the last timer fills
+// the gap and sifts to its place.
+func (h *eventHeap) remove(i int) {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	t, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i, last) {
+		h.up(i, last)
+	}
 	t.index = -1
-	*h = old[:n-1]
-	return t
+}
+
+// up settles t, whose slot i is a hole, towards the root.
+func (h eventHeap) up(i int, t *Timer) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		pt := h[parent]
+		if !t.before(pt) {
+			break
+		}
+		h[i], pt.index = pt, i
+		i = parent
+	}
+	h[i], t.index = t, i
+}
+
+// down settles t, whose slot i is a hole, towards the leaves and reports
+// whether it moved.
+func (h eventHeap) down(i int, t *Timer) bool {
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		ct := h[c]
+		if !ct.before(t) {
+			break
+		}
+		h[i], ct.index = ct, i
+		i = c
+	}
+	h[i], t.index = t, i
+	return i > start
 }
 
 // Engine is a deterministic discrete-event simulation kernel.
@@ -89,10 +139,7 @@ type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
-	parked chan struct{} // signaled by a proc when it parks or exits
-	procs  map[*Proc]struct{}
-	nlive  int
-	trace  func(string)
+	procs  map[*Proc]struct{} // live procs
 
 	// blocked counts parked procs by (block reason, node), maintained at
 	// Park/resume so the metrics profiler's wait-I/O attribution is O(1)
@@ -104,12 +151,19 @@ type Engine struct {
 	// Schedule are never pooled — callers may Cancel them after they
 	// fire, which on a recycled object would cancel an innocent event.
 	tfree []*Timer
+
+	// idle is the free list behind Go: coroutines whose proc has exited
+	// and that wait for the next body. Creating a coroutine costs some
+	// fifteen heap objects and a goroutine, a spawn on a pooled one costs
+	// the Proc and its wake-up closure. Proc handles are never pooled,
+	// for the reason Schedule's timers are not: callers keep them to
+	// Cancel later.
+	idle []*coroutine
 }
 
 // NewEngine returns a fresh simulation engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{
-		parked:  make(chan struct{}),
 		procs:   make(map[*Proc]struct{}),
 		blocked: make(map[string]map[int]int),
 	}
@@ -118,17 +172,9 @@ func NewEngine() *Engine {
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// SetTrace installs a debug trace sink. A nil sink disables tracing.
-func (e *Engine) SetTrace(fn func(string)) { e.trace = fn }
-
-func (e *Engine) tracef(format string, args ...any) {
-	if e.trace != nil {
-		e.trace(fmt.Sprintf("[%10.3f] ", e.now) + fmt.Sprintf(format, args...))
-	}
-}
-
-// Schedule arranges for fn to run at now+delay on the kernel goroutine.
-// A negative delay is treated as zero. The returned Timer may be canceled.
+// Schedule arranges for fn to run at now+delay in kernel context (on the
+// goroutine that called Run, between procs). A negative delay is treated
+// as zero. The returned Timer may be canceled.
 func (e *Engine) Schedule(delay float64, fn func()) *Timer {
 	return e.rearm(&Timer{eng: e, fn: fn, index: -1}, delay)
 }
@@ -163,51 +209,59 @@ func (e *Engine) rearm(t *Timer, delay float64) *Timer {
 		// Still pending: e.g. a proc woken out of a Sleep early by an
 		// external Unpark going back to sleep. Re-pushing the same
 		// object would alias two heap slots and corrupt the indexes.
-		heap.Remove(&e.events, t.index)
+		e.events.remove(t.index)
 	}
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
 	t.at = e.now + delay
 	t.seq = e.seq
-	t.canceled = false
 	e.seq++
-	heap.Push(&e.events, t)
+	e.events.push(t)
 	return t
 }
 
-// ScheduleAt arranges for fn to run at absolute time at (clamped to now).
-func (e *Engine) ScheduleAt(at float64, fn func()) *Timer {
-	return e.Schedule(at-e.now, fn)
+// step pops the earliest event, moves the clock to it and runs it.
+func (e *Engine) step() error {
+	t := e.events.pop()
+	if t.at < e.now {
+		return fmt.Errorf("sim: time went backwards: %v -> %v", e.now, t.at)
+	}
+	e.now = t.at
+	fn := t.fn
+	if t.recycle {
+		t.fn = nil
+		e.tfree = append(e.tfree, t)
+	}
+	fn()
+	return nil
 }
 
 // Run executes events until the queue is empty. It returns an error if
 // processes remain parked with no pending events (a simulation deadlock),
-// naming the stuck processes to aid debugging.
+// naming each stuck process with what it waits for and where, as
+// "name (reason@node)" sorted by name (the node is left out for a proc
+// that never set one). A clean Run leaves no goroutine behind: the pooled
+// coroutines are stopped on the way out. Procs stuck at a deadlock stay
+// parked, and the engine stays usable.
 func (e *Engine) Run() error {
 	for len(e.events) > 0 {
-		t := heap.Pop(&e.events).(*Timer)
-		if t.canceled {
-			continue
+		if err := e.step(); err != nil {
+			return err
 		}
-		if t.at < e.now {
-			return fmt.Errorf("sim: time went backwards: %v -> %v", e.now, t.at)
-		}
-		e.now = t.at
-		fn := t.fn
-		if t.recycle {
-			t.fn = nil
-			e.tfree = append(e.tfree, t)
-		}
-		fn()
 	}
-	if e.nlive > 0 {
-		names := make([]string, 0, e.nlive)
+	e.stopIdle()
+	if len(e.procs) > 0 {
+		stuck := make([]string, 0, len(e.procs))
 		for p := range e.procs {
-			names = append(names, p.name)
+			where := p.BlockReason
+			if p.Node >= 0 {
+				where = fmt.Sprintf("%s@%d", where, p.Node)
+			}
+			stuck = append(stuck, fmt.Sprintf("%s (%s)", p.name, where))
 		}
-		sort.Strings(names)
-		return fmt.Errorf("sim: deadlock at t=%.3f: %d process(es) blocked: %v", e.now, e.nlive, names)
+		sort.Strings(stuck)
+		return fmt.Errorf("sim: deadlock at t=%.3f: %d process(es) blocked: %v", e.now, len(stuck), stuck)
 	}
 	return nil
 }
@@ -216,25 +270,18 @@ func (e *Engine) Run() error {
 // leaving later events queued. It returns the number of events executed.
 // Like Run, it refuses to move the clock backwards: an event stamped
 // before the current time aborts with an error instead of silently
-// rewinding e.now.
+// rewinding e.now. If it leaves the queue empty it stops the pooled
+// coroutines as Run does.
 func (e *Engine) RunUntil(deadline float64) (int, error) {
 	n := 0
 	for len(e.events) > 0 && e.events[0].at <= deadline {
-		t := heap.Pop(&e.events).(*Timer)
-		if t.canceled {
-			continue
+		if err := e.step(); err != nil {
+			return n, err
 		}
-		if t.at < e.now {
-			return n, fmt.Errorf("sim: time went backwards: %v -> %v", e.now, t.at)
-		}
-		e.now = t.at
-		fn := t.fn
-		if t.recycle {
-			t.fn = nil
-			e.tfree = append(e.tfree, t)
-		}
-		fn()
 		n++
+	}
+	if len(e.events) == 0 {
+		e.stopIdle()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -242,13 +289,14 @@ func (e *Engine) RunUntil(deadline float64) (int, error) {
 	return n, nil
 }
 
-// Proc is a simulated process: a goroutine that alternates strictly with
-// the kernel. Proc methods that block (Sleep, resource waits) must only be
-// called from the proc's own goroutine.
+// Proc is a simulated process: a body running on one of the engine's
+// coroutines, which has control exactly from a resume by the kernel until
+// its next Park. Proc methods that block (Sleep, resource waits) must only
+// be called from the proc's own body.
 type Proc struct {
 	eng       *Engine
 	name      string
-	wake      chan struct{}
+	co        *coroutine // what the body runs on; nil once dead
 	dead      bool
 	parked    bool
 	cancelled bool
@@ -260,8 +308,8 @@ type Proc struct {
 	// At most one of each can be pending at a time, so reuse is safe.
 	// sleepT is cancelled on the kill unwind so a pending Sleep wake-up
 	// cannot outlive the proc.
-	unparkT *Timer
-	sleepT  *Timer
+	unparkT Timer
+	sleepT  Timer
 
 	// BlockReason is set while the proc is parked; used by the metrics
 	// sampler to attribute blocked time (e.g. CPU-wait-IO accounting).
@@ -355,23 +403,66 @@ func (e *Engine) blockedAdd(reason string, node, delta int) {
 	m[node] += delta
 }
 
+// coroutine is one pooled iter.Pull coroutine. It runs the proc bodies
+// assigned to it one after another: next switches into it (starting or
+// resuming the current body), yield switches back to the kernel, and
+// between bodies it sits on Engine.idle.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the assigned proc and its body, nil while idle
+	fn    func(*Proc)
+}
+
+func (e *Engine) newCoroutine() *coroutine {
+	c := &coroutine{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p := c.p
+			runProc(p, c.fn)
+			c.p, c.fn = nil, nil
+			p.dead = true
+			p.co = nil
+			delete(e.procs, p)
+			e.idle = append(e.idle, c)
+			if !yield(struct{}{}) {
+				return // stopped while idle
+			}
+		}
+	})
+	return c
+}
+
+// stopIdle ends the pooled coroutines, and with them their goroutines.
+func (e *Engine) stopIdle() {
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
+}
+
 // Go spawns a new simulated process executing fn. The process starts at the
 // current simulated time (after already-queued events at this timestamp).
+//
+// A panic in fn other than the kill unwind propagates through the kernel's
+// resume and out of Engine.Run or RunUntil, on the caller's goroutine and
+// with its original value.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, wake: make(chan struct{}), Node: -1}
+	p := &Proc{eng: e, name: name, Node: -1}
 	resume := func() { e.resume(p) }
-	p.unparkT = &Timer{eng: e, fn: resume, index: -1}
-	p.sleepT = &Timer{eng: e, fn: resume, index: -1}
+	p.unparkT = Timer{eng: e, fn: resume, index: -1}
+	p.sleepT = Timer{eng: e, fn: resume, index: -1}
 	e.procs[p] = struct{}{}
-	e.nlive++
-	go func() {
-		<-p.wake // wait for the kernel to start us
-		runProc(p, fn)
-		p.dead = true
-		delete(e.procs, p)
-		e.nlive--
-		e.parked <- struct{}{}
-	}()
+	if n := len(e.idle); n > 0 {
+		p.co = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		p.co = e.newCoroutine()
+	}
+	p.co.p, p.co.fn = p, fn
 	p.Unpark()
 	return p
 }
@@ -391,14 +482,13 @@ func runProc(p *Proc, fn func(p *Proc)) {
 	fn(p)
 }
 
-// resume transfers control to p and blocks until p parks again or exits.
-// Must be called on the kernel goroutine (inside an event).
+// resume switches to p's coroutine and returns when p parks again or
+// exits. Must be called in kernel context (inside an event).
 func (e *Engine) resume(p *Proc) {
 	if p.dead {
 		return
 	}
-	p.wake <- struct{}{}
-	<-e.parked
+	p.co.next()
 }
 
 // Park blocks the calling proc until something resumes it via a scheduled
@@ -421,8 +511,7 @@ func (p *Proc) Park(reason string) {
 	}
 	p.eng.blockedAdd(p.BlockReason, p.Node, 1)
 	p.parked = true
-	p.eng.parked <- struct{}{}
-	<-p.wake
+	p.co.yield(struct{}{})
 	p.parked = false
 	p.eng.blockedAdd(p.BlockReason, p.Node, -1)
 	p.BlockReason = ""
@@ -438,7 +527,7 @@ func (p *Proc) Unpark() {
 	if p.dead || p.unparkT.index >= 0 {
 		return
 	}
-	p.eng.rearm(p.unparkT, 0)
+	p.eng.rearm(&p.unparkT, 0)
 }
 
 // Sleep suspends the proc for d simulated seconds. Like Park, it is a
@@ -455,7 +544,7 @@ func (p *Proc) Sleep(d float64) {
 		p.Park("yield")
 		return
 	}
-	p.eng.rearm(p.sleepT, d)
+	p.eng.rearm(&p.sleepT, d)
 	p.Park("sleep")
 }
 
@@ -520,6 +609,7 @@ func (c *Cond) Wait(p *Proc, reason string) {
 func (c *Cond) Signal() {
 	for len(c.waiters) > 0 {
 		p := c.waiters[0]
+		c.waiters[0] = nil // the backing array outlives the pop
 		c.waiters = c.waiters[1:]
 		if p.dead || p.cancelled {
 			continue
