@@ -8,22 +8,28 @@
 //	datampi-bench run <experiment-id>... [-scale N] [-quick] [-csv] [-plots]
 //	datampi-bench run all
 //
-// Experiment ids follow the paper's artifacts: table1 table2 fig2a fig2b
-// fig3a fig3b fig3c fig3d fig4sort fig4wc fig5 fig6a fig6b fig7.
+// Twenty experiments. The paper's fourteen artifacts: table1 table2 fig2a
+// fig2b fig3a fig3b fig3c fig3d fig4sort fig4wc fig5 fig6a fig6b fig7
+// (fig7 is a projection of the others: listed after them in one `run`,
+// it measures nothing new). Beyond the paper: faultsweep tenants
+// datacenter tracecheck recordsweep straggler.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/datampi/datampi-go/internal/harness"
+	"github.com/datampi/datampi-go/internal/metrics"
 )
 
 func main() {
@@ -94,7 +100,9 @@ func runCmd(args []string) {
 	// The experiments run inside a closure so the pprof teardown defers
 	// always flush — even when an experiment fails — before os.Exit.
 	harness.SetWorkers(*workers)
-	opt := harness.Options{Scale: *scale, Quick: *quick, Seed: *seed, TracePath: *tracePath}
+	// One memo per invocation: a point two of the listed figures share
+	// (every cell of fig7, when its sources are listed too) runs once.
+	opt := harness.Options{Scale: *scale, Quick: *quick, Seed: *seed, TracePath: *tracePath}.WithMemo()
 	code := func() int {
 		if *cpuprofile != "" {
 			f, err := os.Create(*cpuprofile)
@@ -149,20 +157,16 @@ func runExperiments(exps []harness.Experiment, opt harness.Options, csv, plots b
 		} else {
 			fmt.Println(rep.Render())
 		}
-		if plots && len(rep.Series) > 0 {
-			keys := make([]string, 0, len(rep.Series))
-			for k := range rep.Series {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				metric := k[indexByteAfterSlash(k):]
-				plot, err := rep.Series[k].RenderASCII(metric, 72, 10)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "%s: %v\n", k, err)
-					return 1
+		if plots {
+			for _, fw := range slices.Sorted(maps.Keys(rep.Series)) {
+				for _, metric := range slices.Sorted(slices.Values(metrics.MetricKeys)) {
+					plot, err := rep.Series[fw].RenderASCII(metric, 72, 10)
+					if err != nil {
+						fmt.Fprintf(os.Stderr, "%s/%s: %v\n", fw, metric, err)
+						return 1
+					}
+					fmt.Printf("--- %s/%s ---\n%s", fw, metric, plot)
 				}
-				fmt.Printf("--- %s ---\n%s", k, plot)
 			}
 		}
 		fmt.Printf("(%s completed in %.1fs wall time)\n\n", exp.ID, time.Since(start).Seconds())
@@ -171,35 +175,19 @@ func runExperiments(exps []harness.Experiment, opt harness.Options, csv, plots b
 }
 
 // writeProfiles dumps a report's resource time series to dir as
-// <id>-<label>.csv and .json. Series are keyed "<framework>/<metric>"
-// but each framework's entries share one underlying series (all metrics
-// are columns of it), so only the part before the slash names a file.
+// <id>-<framework>.csv and .json; every metric is a column.
 func writeProfiles(dir string, rep *harness.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	written := map[string]bool{}
-	keys := make([]string, 0, len(rep.Series))
-	for k := range rep.Series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		label := k
-		if i := indexByteAfterSlash(k); i > 0 {
-			label = k[:i-1]
-		}
-		if written[label] {
-			continue
-		}
-		written[label] = true
-		base := filepath.Join(dir, rep.ID+"-"+label)
+	for _, fw := range slices.Sorted(maps.Keys(rep.Series)) {
+		base := filepath.Join(dir, rep.ID+"-"+fw)
 		for _, out := range []struct {
 			ext   string
 			write func(io.Writer) error
 		}{
-			{".csv", rep.Series[k].WriteCSV},
-			{".json", rep.Series[k].WriteJSON},
+			{".csv", rep.Series[fw].WriteCSV},
+			{".json", rep.Series[fw].WriteJSON},
 		} {
 			f, err := os.Create(base + out.ext)
 			if err != nil {
@@ -215,13 +203,4 @@ func writeProfiles(dir string, rep *harness.Report) error {
 		}
 	}
 	return nil
-}
-
-func indexByteAfterSlash(s string) int {
-	for i := range s {
-		if s[i] == '/' {
-			return i + 1
-		}
-	}
-	return 0
 }

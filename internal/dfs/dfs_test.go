@@ -15,6 +15,19 @@ func testCluster() *cluster.Cluster {
 	return cluster.New(hw)
 }
 
+// testScale lets the tests keep paper-sized nominal files — and so every
+// block count, placement and simulated second — on 1/1024 of the bytes.
+const testScale = 1024
+
+// scaled returns cfg with its real bytes divided by testScale.
+func scaled(cfg Config) Config {
+	cfg.Scale = testScale
+	return cfg
+}
+
+// zeros is the real content of a nominal-byte file at testScale.
+func zeros(nominal float64) []byte { return make([]byte, int(nominal/testScale)) }
+
 // TestRackAwarePlacement: on a multi-rack testbed every block at
 // replication >= 2 must span at least two racks, so a whole-rack failure
 // cannot take out all replicas.
@@ -22,8 +35,8 @@ func TestRackAwarePlacement(t *testing.T) {
 	hw := cluster.DefaultHardware()
 	hw.Topology = cluster.Topology{Racks: 4}
 	c := cluster.New(hw)
-	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: 1, Seed: 1})
-	f := fs.Preload("/a", make([]byte, int(2*cluster.GB)))
+	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: testScale, Seed: 1})
+	f := fs.Preload("/a", zeros(2*cluster.GB))
 	for bi, b := range f.Blocks {
 		racks := map[int]bool{}
 		for _, loc := range b.Locations {
@@ -50,8 +63,8 @@ func TestRereplicateRestoresRackSpread(t *testing.T) {
 	hw := cluster.DefaultHardware()
 	hw.Topology = cluster.Topology{Racks: 4}
 	c := cluster.New(hw)
-	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 2, Scale: 1, Seed: 1})
-	f := fs.Preload("/a", make([]byte, int(1*cluster.GB)))
+	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 2, Scale: testScale, Seed: 1})
+	f := fs.Preload("/a", zeros(1*cluster.GB))
 	// Kill rack 0: blocks that held a replica there drop to one rack.
 	for _, n := range c.RackNodes(0) {
 		fs.NodeDown(n)
@@ -145,8 +158,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestReplicationPlacement(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	f := fs.Preload("/data", make([]byte, int(600*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	f := fs.Preload("/data", zeros(600*cluster.MB))
 	for _, b := range f.Blocks {
 		if len(b.Locations) != 3 {
 			t.Fatalf("block %d has %d replicas, want 3", b.ID, len(b.Locations))
@@ -166,10 +179,10 @@ func TestReplicationPlacement(t *testing.T) {
 
 func TestWriterLocalPrimary(t *testing.T) {
 	c := testCluster()
-	fs := New(c, Config{BlockSize: 1 * cluster.MB, Replication: 3, Scale: 1, Seed: 3})
+	fs := New(c, Config{BlockSize: 1 * cluster.MB, Replication: 3, Scale: testScale, Seed: 3})
 	c.Eng.Go("w", func(p *sim.Proc) {
 		w := fs.Create("/f", 4)
-		if err := w.Write(p, make([]byte, 3*cluster.MB)); err != nil {
+		if err := w.Write(p, zeros(3*cluster.MB)); err != nil {
 			t.Error(err)
 		}
 		if err := w.Close(p); err != nil {
@@ -189,8 +202,8 @@ func TestWriterLocalPrimary(t *testing.T) {
 
 func TestLocalReadUsesNoNetwork(t *testing.T) {
 	c := testCluster()
-	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: 1, Seed: 1})
-	f := fs.Preload("/in", make([]byte, int(32*cluster.MB)))
+	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: testScale, Seed: 1})
+	f := fs.Preload("/in", zeros(32*cluster.MB))
 	blk := f.Blocks[0]
 	reader := blk.Locations[0]
 	c.Eng.Go("r", func(p *sim.Proc) {
@@ -212,8 +225,8 @@ func TestLocalReadUsesNoNetwork(t *testing.T) {
 
 func TestRemoteReadUsesNetwork(t *testing.T) {
 	c := testCluster()
-	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 2, Scale: 1, Seed: 1})
-	f := fs.Preload("/in", make([]byte, int(16*cluster.MB)))
+	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 2, Scale: testScale, Seed: 1})
+	f := fs.Preload("/in", zeros(16*cluster.MB))
 	blk := f.Blocks[0]
 	reader := -1
 	for i := 0; i < c.N(); i++ {
@@ -243,8 +256,8 @@ func TestRemoteReadUsesNetwork(t *testing.T) {
 
 func TestNodeDownFailover(t *testing.T) {
 	c := testCluster()
-	fs := New(c, Config{BlockSize: 8 * cluster.MB, Replication: 3, Scale: 1, Seed: 1})
-	f := fs.Preload("/in", make([]byte, int(4*cluster.MB)))
+	fs := New(c, Config{BlockSize: 8 * cluster.MB, Replication: 3, Scale: testScale, Seed: 1})
+	f := fs.Preload("/in", zeros(4*cluster.MB))
 	blk := f.Blocks[0]
 	// Kill the first two replicas; the read must fall back to the third.
 	fs.NodeDown(blk.Locations[0])
@@ -277,8 +290,8 @@ func TestNodeDownFailover(t *testing.T) {
 
 func TestDeleteReleasesSpace(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	fs.Preload("/a", make([]byte, int(512*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	fs.Preload("/a", zeros(512*cluster.MB))
 	used := 0.0
 	for i := 0; i < c.N(); i++ {
 		used += fs.DiskUsed(i)
@@ -313,8 +326,8 @@ func TestScaledNominalAccounting(t *testing.T) {
 
 func TestReadChargesSimulatedTime(t *testing.T) {
 	c := testCluster()
-	fs := New(c, Config{BlockSize: 256 * cluster.MB, Replication: 3, Scale: 1, Seed: 1})
-	f := fs.Preload("/in", make([]byte, int(130*cluster.MB)))
+	fs := New(c, Config{BlockSize: 256 * cluster.MB, Replication: 3, Scale: testScale, Seed: 1})
+	f := fs.Preload("/in", zeros(130*cluster.MB))
 	blk := f.Blocks[0]
 	c.Eng.Go("r", func(p *sim.Proc) {
 		if _, err := fs.ReadBlock(p, blk, blk.Locations[0]); err != nil {

@@ -13,9 +13,9 @@ import (
 // Fsck afterwards — with no one calling Rereplicate.
 func TestMonitorRereplicatesOnNodeDown(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	fs.Preload("/a", make([]byte, int(1*cluster.GB)))
-	fs.Preload("/b", make([]byte, int(512*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	fs.Preload("/a", zeros(1*cluster.GB))
+	fs.Preload("/b", zeros(512*cluster.MB))
 	mon := NewReplicationMonitor(fs, MonitorConfig{DetectionDelay: 5})
 
 	c.Eng.Schedule(10, func() { fs.NodeDown(2) })
@@ -42,8 +42,8 @@ func TestMonitorRereplicatesOnNodeDown(t *testing.T) {
 // event queue open for exactly nothing — the simulation stays empty.
 func TestMonitorIdleAddsNoEvents(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	fs.Preload("/a", make([]byte, int(256*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	fs.Preload("/a", zeros(256*cluster.MB))
 	NewReplicationMonitor(fs, MonitorConfig{})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
@@ -58,8 +58,8 @@ func TestMonitorIdleAddsNoEvents(t *testing.T) {
 func TestMonitorThrottleStretchesRecovery(t *testing.T) {
 	elapsed := func(bw float64) (float64, MonitorStats) {
 		c := testCluster()
-		fs := New(c, DefaultConfig())
-		fs.Preload("/a", make([]byte, int(1*cluster.GB)))
+		fs := New(c, scaled(DefaultConfig()))
+		fs.Preload("/a", zeros(1*cluster.GB))
 		mon := NewReplicationMonitor(fs, MonitorConfig{DetectionDelay: 1, CopyBandwidth: bw})
 		c.Eng.Schedule(0, func() { fs.NodeDown(1) })
 		if err := c.Eng.Run(); err != nil {
@@ -91,10 +91,10 @@ func TestMonitorThrottleStretchesRecovery(t *testing.T) {
 // as lost bytes, once, and never repaired.
 func TestMonitorCountsDataLoss(t *testing.T) {
 	c := testCluster()
-	cfg := DefaultConfig()
+	cfg := scaled(DefaultConfig())
 	cfg.Replication = 1
 	fs := New(c, cfg)
-	f := fs.Preload("/a", make([]byte, int(256*cluster.MB)))
+	f := fs.Preload("/a", zeros(256*cluster.MB))
 	mon := NewReplicationMonitor(fs, MonitorConfig{DetectionDelay: 1})
 	victim := f.Blocks[0].Locations[0]
 	c.Eng.Schedule(0, func() { fs.NodeDown(victim) })
@@ -115,7 +115,7 @@ func TestMonitorCountsDataLoss(t *testing.T) {
 // stay readable and Fsck must settle healthy.
 func TestMonitorChurnWithConcurrentWriters(t *testing.T) {
 	c := testCluster()
-	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: 1, Seed: 7})
+	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: testScale, Seed: 7})
 	mon := NewReplicationMonitor(fs, MonitorConfig{DetectionDelay: 2})
 
 	mkData := func(n int, salt byte) []byte {
@@ -126,12 +126,12 @@ func TestMonitorChurnWithConcurrentWriters(t *testing.T) {
 		return data
 	}
 	files := map[string][]byte{
-		"/w/a": mkData(int(200*cluster.MB), 1),
-		"/w/b": mkData(int(150*cluster.MB), 2),
-		"/w/c": mkData(int(100*cluster.MB), 3),
+		"/w/a": mkData(int(200*cluster.MB/testScale), 1),
+		"/w/b": mkData(int(150*cluster.MB/testScale), 2),
+		"/w/c": mkData(int(100*cluster.MB/testScale), 3),
 	}
 	// Preloaded file whose replicas predate every failure.
-	pre := mkData(int(160*cluster.MB), 9)
+	pre := mkData(int(160*cluster.MB/testScale), 9)
 	fs.Preload("/pre", pre)
 
 	client := 0
@@ -142,8 +142,9 @@ func TestMonitorChurnWithConcurrentWriters(t *testing.T) {
 		c.Eng.Go("writer:"+name, func(p *sim.Proc) {
 			w := fs.Create(name, cl)
 			// Stream in chunks so failures land mid-write.
-			for off := 0; off < len(data); off += 16 * cluster.MB {
-				end := off + 16*cluster.MB
+			const chunk = 16 * cluster.MB / testScale
+			for off := 0; off < len(data); off += chunk {
+				end := off + chunk
 				if end > len(data) {
 					end = len(data)
 				}
@@ -203,8 +204,8 @@ func TestMonitorChurnWithConcurrentWriters(t *testing.T) {
 // the monitor stays armed and handles a real failure afterwards.
 func TestMonitorFlapWithinDetectionDelay(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	f := fs.Preload("/a", make([]byte, int(512*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	f := fs.Preload("/a", zeros(512*cluster.MB))
 	mon := NewReplicationMonitor(fs, MonitorConfig{DetectionDelay: 5})
 	victim := f.Blocks[0].Locations[0] // a node that actually holds replicas
 
@@ -247,8 +248,8 @@ func TestMonitorFlapWithinDetectionDelay(t *testing.T) {
 // over the factor is trimmed back.
 func TestMonitorRejoinCancelsQueuedRepairs(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	fs.Preload("/a", make([]byte, int(2*cluster.GB)))
+	fs := New(c, scaled(DefaultConfig()))
+	fs.Preload("/a", zeros(2*cluster.GB))
 	mon := NewReplicationMonitor(fs, MonitorConfig{DetectionDelay: 2, CopyBandwidth: 16 * cluster.MB})
 
 	c.Eng.Schedule(0, func() { fs.NodeDown(3) })
@@ -300,8 +301,8 @@ func TestCommitAttempt(t *testing.T) {
 // and reviving the stale holder reconciles both away.
 func TestFsckReportsOverReplication(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	f := fs.Preload("/a", make([]byte, int(256*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	f := fs.Preload("/a", zeros(256*cluster.MB))
 	victim := f.Blocks[0].Locations[0]
 	fs.NodeDown(victim)
 	c.Eng.Go("nn", func(p *sim.Proc) {

@@ -9,8 +9,8 @@ import (
 
 func TestFsckHealthy(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	fs.Preload("/a", make([]byte, int(600*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	fs.Preload("/a", zeros(600*cluster.MB))
 	rep := fs.Fsck()
 	if rep.Files != 1 || rep.Blocks != 3 {
 		t.Fatalf("fsck = %+v", rep)
@@ -22,8 +22,8 @@ func TestFsckHealthy(t *testing.T) {
 
 func TestFsckDetectsUnderReplication(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	f := fs.Preload("/a", make([]byte, int(256*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	f := fs.Preload("/a", zeros(256*cluster.MB))
 	fs.NodeDown(f.Blocks[0].Locations[0])
 	rep := fs.Fsck()
 	if rep.UnderReplicated == 0 {
@@ -33,9 +33,9 @@ func TestFsckDetectsUnderReplication(t *testing.T) {
 
 func TestRereplicateRestoresFactor(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	fs.Preload("/a", make([]byte, int(1*cluster.GB)))
-	fs.Preload("/b", make([]byte, int(512*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	fs.Preload("/a", zeros(1*cluster.GB))
+	fs.Preload("/b", zeros(512*cluster.MB))
 
 	// Kill two nodes; some blocks lose one or two replicas.
 	fs.NodeDown(0)
@@ -85,8 +85,8 @@ func TestRereplicateRestoresFactor(t *testing.T) {
 
 func TestRereplicateReportsDataLoss(t *testing.T) {
 	c := testCluster()
-	fs := New(c, DefaultConfig())
-	f := fs.Preload("/a", make([]byte, int(256*cluster.MB)))
+	fs := New(c, scaled(DefaultConfig()))
+	f := fs.Preload("/a", zeros(256*cluster.MB))
 	for _, loc := range f.Blocks[0].Locations {
 		fs.NodeDown(loc)
 	}
@@ -106,8 +106,8 @@ func TestReadsWorkThroughFailureAndRecovery(t *testing.T) {
 	// End-to-end failure story: lose a node mid-life, re-replicate, lose
 	// another, and reads still return correct data throughout.
 	c := testCluster()
-	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: 1, Seed: 9})
-	data := make([]byte, int(200*cluster.MB))
+	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: testScale, Seed: 9})
+	data := zeros(200 * cluster.MB)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}

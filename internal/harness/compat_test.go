@@ -1,41 +1,20 @@
 package harness
 
-// Compatibility pins for the Scenario API redesign: the declarative path
+// Compatibility pin for the Scenario API: the declarative path
 // (datampi.NewScenario) must reproduce the imperative queue path's
-// per-job timings bit for bit. Each test runs the retired imperative code
-// (copied here verbatim as the reference) and the migrated scenario-based
+// per-job timings bit for bit. The test runs the retired imperative code
+// (copied here verbatim as the reference) and the scenario-based
 // experiment helper on identically-seeded rigs, then compares Start, End
 // and Elapsed with exact float equality.
 
 import (
 	"testing"
 
-	datampi "github.com/datampi/datampi-go"
 	"github.com/datampi/datampi-go/internal/bdb"
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/sched"
 )
-
-// imperativeMix is the pre-scenario runMix: direct queue construction and
-// synchronous Submit calls.
-func imperativeMix(fw Framework, rc RigConfig, jobs []mixJob, nominal float64, policy sched.Policy) ([]job.Result, float64, error) {
-	rig := NewRig(fw, rc)
-	specs := mixSpecs(rig, jobs, nominal, rc.Seed)
-	q := sched.NewQueue(rig.Cluster.Eng, rig.Cluster.N(), policy)
-	start := rig.Cluster.Eng.Now()
-	for _, spec := range specs {
-		q.Submit(rig.Sched(), spec)
-	}
-	results := q.Run()
-	makespan := rig.Cluster.Eng.Now() - start
-	for _, res := range results {
-		if res.Err != nil {
-			return results, makespan, res.Err
-		}
-	}
-	return results, makespan, nil
-}
 
 // imperativeStraggler is the pre-scenario runStraggler: setter zoo plus a
 // SlowNode poke before Run.
@@ -55,30 +34,6 @@ func imperativeStraggler(fw Framework, rc RigConfig, nominal float64, slow, spec
 	return res, q.TrackerStats(), res.Err
 }
 
-// imperativeDelay is the pre-scenario delaysweep inner loop for one slack
-// value.
-func imperativeDelay(rc RigConfig, nominal float64, slack float64) (int64, int64, float64, error) {
-	rig := NewRig(Hadoop, rc)
-	specs := mixSpecs(rig, mixJobs(), nominal, rc.Seed)
-	q := sched.NewQueue(rig.Cluster.Eng, rig.Cluster.N(), sched.FIFO)
-	q.SetLocalitySlack(slack)
-	start := rig.Cluster.Eng.Now()
-	for _, spec := range specs {
-		q.Submit(rig.Sched(), spec)
-	}
-	results := q.Run()
-	makespan := rig.Cluster.Eng.Now() - start
-	var local, maps int64
-	for _, res := range results {
-		if res.Err != nil {
-			return 0, 0, 0, res.Err
-		}
-		local += res.Counters["data_local_maps"]
-		maps += res.Counters["maps"]
-	}
-	return local, maps, makespan, nil
-}
-
 func sameResult(t *testing.T, label string, want, got job.Result) {
 	t.Helper()
 	if want.Start != got.Start || want.End != got.End || want.Elapsed != got.Elapsed {
@@ -87,35 +42,6 @@ func sameResult(t *testing.T, label string, want, got job.Result) {
 	}
 	if want.Job != got.Job || want.Engine != got.Engine {
 		t.Fatalf("%s: identity mismatch: %s/%s vs %s/%s", label, want.Engine, want.Job, got.Engine, got.Job)
-	}
-}
-
-// TestScenarioMixCompat pins the migrated mix1 helper to the imperative
-// queue path, FIFO and Fair, on every framework the quick mix covers.
-func TestScenarioMixCompat(t *testing.T) {
-	rc := RigConfig{Scale: 8192, Seed: 1}
-	jobs := mixJobs()
-	nominal := 4.0 * cluster.GB
-	for _, fw := range []Framework{Hadoop, Spark, DataMPI} {
-		for _, policy := range []sched.Policy{sched.FIFO, sched.Fair} {
-			want, wantSpan, err := imperativeMix(fw, rc, jobs, nominal, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotSpan, err := runMix(fw, rc, jobs, nominal, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) != len(got) {
-				t.Fatalf("%v/%v: %d vs %d results", fw, policy, len(want), len(got))
-			}
-			for i := range want {
-				sameResult(t, fw.String()+"/"+policy.String()+"/"+want[i].Job, want[i], got[i])
-			}
-			if wantSpan != gotSpan {
-				t.Fatalf("%v/%v: makespan %v vs %v", fw, policy, wantSpan, gotSpan)
-			}
-		}
 	}
 }
 
@@ -142,41 +68,6 @@ func TestScenarioStragglerCompat(t *testing.T) {
 			if wantStats != gotStats {
 				t.Fatalf("%v/%s: tracker stats %+v vs %+v", fw, mode.name, wantStats, gotStats)
 			}
-		}
-	}
-}
-
-// TestScenarioDelayCompat pins the migrated delay-scheduling sweep to the
-// imperative path for representative slack values.
-func TestScenarioDelayCompat(t *testing.T) {
-	rc := RigConfig{Scale: 8192, Seed: 1, Replication: 1, Gateway: true}
-	nominal := 4.0 * cluster.GB
-	for _, slack := range []float64{0, 1} {
-		wantLocal, wantMaps, wantSpan, err := imperativeDelay(rc, nominal, slack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig := NewRig(Hadoop, rc)
-		specs := mixSpecs(rig, mixJobs(), nominal, rc.Seed)
-		opts := []datampi.ScenarioOption{
-			datampi.WithLocalitySlack(slack),
-			datampi.Tenant("sweep", 1, rig.Sched()),
-		}
-		for _, spec := range specs {
-			opts = append(opts, datampi.Arrive("sweep", 0, spec))
-		}
-		srep, err := datampi.NewScenario(rig.Testbed(), opts...).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gotLocal, gotMaps int64
-		for _, jr := range srep.Jobs {
-			gotLocal += jr.Result.Counters["data_local_maps"]
-			gotMaps += jr.Result.Counters["maps"]
-		}
-		if wantLocal != gotLocal || wantMaps != gotMaps || wantSpan != srep.Makespan {
-			t.Fatalf("slack=%v: imperative local=%d maps=%d span=%v, scenario local=%d maps=%d span=%v",
-				slack, wantLocal, wantMaps, wantSpan, gotLocal, gotMaps, srep.Makespan)
 		}
 	}
 }

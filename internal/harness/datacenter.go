@@ -16,9 +16,9 @@ import (
 // on their previous answer. It exists to prove the O(active) scheduler:
 // the full trace runs with a streaming report (settled jobs compact out
 // of the queue as they finish), so memory tracks queued+running jobs,
-// not the thousands submitted. BenchmarkQueueChurn pins that flatness;
-// this experiment shows the same machinery end to end with per-tenant
-// latency distributions.
+// not the thousands submitted. sched's TestQueueChurnAllocsStayFlat pins
+// that flatness; this experiment shows the same machinery end to end
+// with per-tenant latency distributions.
 
 // dcReducers keeps the per-job task count small: the trace's point is
 // job churn through the scheduler, not intra-job parallelism.

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"github.com/datampi/datampi-go/internal/bdb"
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
 )
@@ -65,30 +64,23 @@ func init() {
 			if opt.Quick {
 				counts = []int{2, 4}
 			}
+			memo := opt.points()
 			for _, tpn := range counts {
 				row := []string{fmt.Sprintf("%d", tpn)}
-				for _, fw := range []Framework{Hadoop, Spark, DataMPI} {
+				for _, fw := range systems {
 					// 1 GB per Hadoop/DataMPI task; 128 MB per Spark worker
 					// (the paper's configuration that avoids Spark OOM).
-					perTask := 1.0 * cluster.GB
+					gb := 1.0
 					if fw == Spark {
-						perTask = 128 * cluster.MB
+						gb = 0.125
 					}
-					nominal := perTask * float64(tpn) * 8 // tasks/node × nodes
-					rc := RigConfig{
-						Scale:        opt.scaleOr(4096),
-						TasksPerNode: tpn,
-						Seed:         opt.seedOr(1),
-					}
-					rig := NewRig(fw, rc)
-					in := bdb.GenerateTextFile(rig.FS, "/tune/text", bdb.LDAWiki1W(), opt.seedOr(1), nominal)
-					spec := bdb.TextSortSpec(rig.FS, in, "/tune/out", tpn*rig.Cluster.N())
-					res := rig.Engine.Run(spec)
-					if res.Err != nil {
-						row = append(row, "FAIL")
+					gb *= float64(tpn) * 8 // tasks/node × nodes
+					m := memo.measure(point{wl: wlTuneSort, gb: gb, rc: RigConfig{Scale: 4096, TasksPerNode: tpn}}.at(opt, fw))
+					if m.err != nil {
+						row = append(row, failCell(m.err))
 						continue
 					}
-					row = append(row, fmt.Sprintf("%.1f", nominal/res.Elapsed/cluster.MB))
+					row = append(row, fmt.Sprintf("%.1f", gb*cluster.GB/m.secs/cluster.MB))
 				}
 				rep.Rows = append(rep.Rows, row)
 			}

@@ -3,9 +3,28 @@ package harness
 import (
 	"fmt"
 
-	"github.com/datampi/datampi-go/internal/bdb"
 	"github.com/datampi/datampi-go/internal/cluster"
 )
+
+// Figure 7 summarises runs the other figures already made, so it is a
+// projection of their points: it stages nothing, and within one memo it
+// measures nothing Figures 3-6 have measured.
+
+// fig7Speed are the three performance prongs: total job time over the
+// listed cells of other figures, as a speedup over Hadoop.
+var fig7Speed = []struct {
+	name  string
+	cells []point
+}{
+	{"Micro Benchmark Performance", []point{
+		{wl: wlTextSort, gb: 8, rc: fig3b.rc}, {wl: wlWordCount, gb: 32, rc: fig3c.rc}, {wl: wlGrep, gb: 16, rc: fig3d.rc}}},
+	{"Small Job Performance", []point{{wl: wlWordCount, gb: 0.125, rc: fig5.rc}}},
+	{"Application Benchmark Performance", []point{{wl: wlKMeans, gb: 16, rc: fig6a.rc}}},
+}
+
+// fig7Profiled are the two Figure 4 cases the paper derives the four
+// efficiency prongs from.
+var fig7Profiled = []point{{wl: wlTextSort, gb: 8, rc: profiledRig}, {wl: wlWordCount, gb: 32, rc: profiledRig}}
 
 func init() {
 	register(Experiment{
@@ -14,125 +33,62 @@ func init() {
 		Run: func(opt Options) (*Report, error) {
 			rep := &Report{ID: "fig7", Title: "Seven-dimension summary (higher is better, Hadoop=1.0)",
 				Columns: []string{"Dimension", "Hadoop", "Spark", "DataMPI"}}
-			scale := opt.scaleOr(8192)
+			memo := opt.points()
 
-			// 1. Micro-benchmark performance: mean speedup over Hadoop on
-			// Text Sort 8GB, WordCount 32GB, Grep 16GB.
-			micro := func(fw Framework) float64 {
-				total := 0.0
-				for _, m := range []struct {
-					wl microWorkload
-					gb float64
-				}{{wlTextSort, 8}, {wlWordCount, 32}, {wlGrep, 16}} {
-					res, _ := runMicro(fw, m.wl, m.gb, RigConfig{Scale: scale, Seed: opt.seedOr(1)})
-					if res.Err != nil {
-						// OOM counts as the slowest observed system.
-						return -1
-					}
-					total += res.Elapsed
-				}
-				return total
+			// row renders one prong relative to Hadoop's value.
+			row := func(name string, v [3]float64, cell func(h, x float64) string) {
+				rep.Rows = append(rep.Rows, []string{name, "1.00", cell(v[Hadoop], v[Spark]), cell(v[Hadoop], v[DataMPI])})
 			}
-			hMicro, sMicro, dMicro := micro(Hadoop), micro(Spark), micro(DataMPI)
-
-			// 2. Small job performance: WordCount at 128MB, 1 task/node.
-			small := func(fw Framework) float64 {
-				rig := NewRig(fw, RigConfig{Scale: opt.scaleOr(512), TasksPerNode: 1, Seed: opt.seedOr(1), BlockSize: 16 * cluster.MB})
-				in := bdb.GenerateTextFile(rig.FS, "/s/text", bdb.LDAWiki1W(), opt.seedOr(1), 128*cluster.MB)
-				res := rig.Engine.Run(bdb.WordCountSpec(rig.FS, in, "/s/out", rig.Cluster.N()))
-				if res.Err != nil {
-					return -1
-				}
-				return res.Elapsed
-			}
-			hSmall, sSmall, dSmall := small(Hadoop), small(Spark), small(DataMPI)
-
-			// 3. Application performance: K-means 16GB first iteration.
-			app := func(fw Framework) float64 {
-				rig := NewRig(fw, RigConfig{Scale: opt.scaleOr(16384), Seed: opt.seedOr(1)})
-				in, _ := bdb.GenerateVectorFile(rig.FS, "/a/vec", opt.seedOr(1), 16*cluster.GB)
-				switch fw {
-				case Spark:
-					r := bdb.KMeansSpark(rig.RDD, in, 5, 4*rig.Cluster.N(), 1, 0)
-					if r.Err != nil {
-						return -1
-					}
-					return r.FirstIter
-				case DataMPI:
-					r := bdb.KMeansDataMPI(rig.DM, in, 5, 1, 0)
-					if r.Err != nil {
-						return -1
-					}
-					return r.FirstIter
-				default:
-					r := bdb.KMeansMR(rig.Engine, rig.FS, in, "/a/out", 5, 4*rig.Cluster.N(), 1, 0)
-					if r.Err != nil {
-						return -1
-					}
-					return r.FirstIter
-				}
-			}
-			hApp, sApp, dApp := app(Hadoop), app(Spark), app(DataMPI)
-
-			// 4-7. Efficiency dimensions from the profiled 8GB Text Sort
-			// and 32GB WordCount runs (the paper derives them from the
-			// same two cases).
-			type eff struct{ cpu, disk, net, mem float64 }
-			profiled := func(fw Framework) eff {
-				var e eff
-				cases := []struct {
-					wl microWorkload
-					gb float64
-				}{{wlTextSort, 8}, {wlWordCount, 32}}
-				for _, cse := range cases {
-					res, series := profileRun(fw, cse.wl, cse.gb, opt)
-					if res.Err != nil {
-						continue
-					}
-					w := series.Aggregate(0)
-					work := cse.gb * cluster.GB
-					secs := res.Elapsed
-					// Efficiency = useful work per unit resource-time.
-					if w.AvgCPUPct > 0 {
-						e.cpu += work / (w.AvgCPUPct / 100 * secs)
-					}
-					e.disk += w.AvgDiskRead + w.AvgDiskWrit
-					e.net += w.AvgNet
-					if w.AvgMem > 0 {
-						e.mem += work / (w.AvgMem * secs)
+			for _, prong := range fig7Speed {
+				var secs [3]float64
+				for _, fw := range systems {
+					for _, c := range prong.cells {
+						m := memo.measure(c.at(opt, fw))
+						if m.err != nil {
+							secs[fw] = -1 // a system that fails a cell fails the prong
+							break
+						}
+						secs[fw] += m.secs
 					}
 				}
-				return e
-			}
-			hE, sE, dE := profiled(Hadoop), profiled(Spark), profiled(DataMPI)
-
-			speedRow := func(name string, h, s, d float64) []string {
-				cell := func(v float64) string {
-					if v <= 0 {
+				row(prong.name, secs, func(h, x float64) string {
+					if x <= 0 {
 						return "fail"
 					}
-					return fmt.Sprintf("%.2f", h/v)
-				}
-				return []string{name, "1.00", cell(s), cell(d)}
+					return fmt.Sprintf("%.2f", h/x)
+				})
 			}
-			ratioRow := func(name string, h, s, d float64) []string {
-				cell := func(v float64) string {
-					if h <= 0 {
-						return "-"
+
+			// Efficiency = useful work per unit resource-time.
+			var cpu, disk, net, mem [3]float64
+			for _, fw := range systems {
+				for _, c := range fig7Profiled {
+					m := memo.measure(c.at(opt, fw))
+					if m.err != nil {
+						continue
 					}
-					return fmt.Sprintf("%.2f", v/h)
+					w := m.series.Aggregate(0)
+					work := c.gb * cluster.GB
+					if w.AvgCPUPct > 0 {
+						cpu[fw] += work / (w.AvgCPUPct / 100 * m.secs)
+					}
+					disk[fw] += w.AvgDiskRead + w.AvgDiskWrit
+					net[fw] += w.AvgNet
+					if w.AvgMem > 0 {
+						mem[fw] += work / (w.AvgMem * m.secs)
+					}
 				}
-				return []string{name, "1.00", cell(s), cell(d)}
 			}
-			rep.Rows = append(rep.Rows,
-				speedRow("Micro Benchmark Performance", hMicro, sMicro, dMicro),
-				speedRow("Small Job Performance", hSmall, sSmall, dSmall),
-				speedRow("Application Benchmark Performance", hApp, sApp, dApp),
-				ratioRow("CPU Efficiency", hE.cpu, sE.cpu, dE.cpu),
-				ratioRow("Disk I/O Throughput", hE.disk, sE.disk, dE.disk),
-				ratioRow("Network Throughput", hE.net, sE.net, dE.net),
-				ratioRow("Memory Efficiency", hE.mem, sE.mem, dE.mem),
-			)
+			ratio := func(h, x float64) string {
+				if h <= 0 {
+					return "-"
+				}
+				return fmt.Sprintf("%.2f", x/h)
+			}
+			row("CPU Efficiency", cpu, ratio)
+			row("Disk I/O Throughput", disk, ratio)
+			row("Network Throughput", net, ratio)
+			row("Memory Efficiency", mem, ratio)
 			rep.Notes = append(rep.Notes,
 				"paper: DataMPI leads every prong; vs Hadoop it is 40% (micro), 54% (small jobs), 36% (apps) faster,",
 				"uses CPU ~39-41% more efficiently, has ~49% higher disk throughput and 55-59% higher network throughput")

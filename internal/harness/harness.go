@@ -1,8 +1,9 @@
 // Package harness defines one experiment per table and figure of the
 // paper's evaluation (Section 4) and regenerates the corresponding rows
-// and series on the simulated testbed. Each experiment builds fresh,
-// isolated rigs (cluster + DFS + engine) per measurement, exactly as the
-// paper benchmarks each system separately on the same hardware.
+// and series on the simulated testbed. Every measurement runs on a
+// fresh, isolated rig (cluster + DFS + engine), exactly as the paper
+// benchmarks each system separately on the same hardware; the paper
+// figures share one point runner (points.go) that stages and runs them.
 package harness
 
 import (
@@ -35,6 +36,28 @@ type Options struct {
 	// TracePath, when non-empty, makes trace-aware experiments (e.g.
 	// tracecheck) write a Chrome trace-event JSON there.
 	TracePath string
+
+	// memo holds the paper-figure points measured so far; nil means the
+	// experiment measures into a memo of its own (see WithMemo).
+	memo *memo
+}
+
+// WithMemo returns o sharing one fresh point memo: experiments run with
+// the returned options measure each paper-figure point once between
+// them (Figure 7 is made entirely of the other figures' points). Take
+// one per `run` invocation or test; results are the same with or
+// without it.
+func (o Options) WithMemo() Options {
+	o.memo = &memo{}
+	return o
+}
+
+// points returns the memo an experiment measures through.
+func (o Options) points() *memo {
+	if o.memo == nil {
+		return &memo{}
+	}
+	return o.memo
 }
 
 func (o Options) scaleOr(def float64) float64 {
@@ -58,8 +81,8 @@ type Report struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// Series carries resource-utilization time series for the Figure 4
-	// experiments, keyed by "<framework>/<metric>".
+	// Series carries the resource-utilization time series of the Figure 4
+	// experiments, one per framework name; every metric is a column of it.
 	Series map[string]metrics.Series
 }
 
@@ -152,6 +175,9 @@ const (
 	Spark
 	DataMPI
 )
+
+// systems lists the three frameworks in the paper's column order.
+var systems = []Framework{Hadoop, Spark, DataMPI}
 
 func (f Framework) String() string {
 	switch f {

@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// expected experiment ids: one per paper table/figure, plus the
-// beyond-the-paper job-mix experiment.
-var wantIDs = []string{
-	"fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d",
-	"fig4sort", "fig4wc", "fig5", "fig6a", "fig6b", "fig7",
-	"table1", "table2", "mix1", "straggler", "delaysweep",
-	"kernelscale", "tenants", "faultsweep",
-	"datacenter", "recordsweep", "tracecheck",
-}
+// paperIDs are the paper's fourteen artifacts; beyondIDs the sweeps that
+// go past it.
+var (
+	paperIDs = []string{
+		"table1", "table2", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c", "fig3d",
+		"fig4sort", "fig4wc", "fig5", "fig6a", "fig6b", "fig7",
+	}
+	beyondIDs = []string{"faultsweep", "tenants", "datacenter", "tracecheck", "recordsweep", "straggler"}
+	wantIDs   = append(append([]string(nil), paperIDs...), beyondIDs...)
+)
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	have := map[string]bool{}
@@ -57,6 +58,85 @@ func TestTablesRender(t *testing.T) {
 		if len(strings.Split(strings.TrimSpace(csv), "\n")) != len(rep.Rows)+1 {
 			t.Fatalf("%s CSV row count wrong", id)
 		}
+	}
+}
+
+// coarse is a Scale at which every paper artifact runs in a few seconds.
+const coarse = 131072
+
+func runExp(t *testing.T, id string, opt Options) *Report {
+	t.Helper()
+	exp, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
+	}
+	rep, err := exp.Run(opt)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return rep
+}
+
+// TestPaperFigures executes all fourteen artifacts through one memo:
+// each renders a table, no job fails, and only Spark runs out of memory.
+func TestPaperFigures(t *testing.T) {
+	opt := Options{Quick: true, Scale: coarse}.WithMemo()
+	for _, id := range paperIDs {
+		rep := runExp(t, id, opt)
+		if len(rep.Columns) == 0 || len(rep.Rows) == 0 {
+			t.Fatalf("%s rendered no table:\n%s", id, rep.Render())
+		}
+		for _, row := range rep.Rows {
+			if len(row) != len(rep.Columns) {
+				t.Fatalf("%s: row %v does not fit columns %v", id, row, rep.Columns)
+			}
+			for ci, cell := range row {
+				switch {
+				case cell == "" || cell == "FAIL":
+					t.Errorf("%s: cell %q at %s / %s", id, cell, row[0], rep.Columns[ci])
+				case cell == "OOM" && !strings.HasPrefix(rep.Columns[ci], "Spark") && row[0] != "Spark":
+					t.Errorf("%s: OOM outside Spark at %s / %s", id, row[0], rep.Columns[ci])
+				}
+			}
+		}
+	}
+}
+
+// TestFig7MeasuresNothingNew: Figure 7 is a projection. After the figures
+// that own its points have run in the same memo (full sweeps: it reads
+// the 16 and 32 GB points), it measures no point of its own; alone, it
+// measures them itself and renders the same table.
+func TestFig7MeasuresNothingNew(t *testing.T) {
+	// Only the point count matters here, so the data can be tiny.
+	opt := Options{Scale: 8 * coarse}.WithMemo()
+	for _, id := range []string{"fig3b", "fig3c", "fig3d", "fig4sort", "fig4wc", "fig5", "fig6a"} {
+		runExp(t, id, opt)
+	}
+	before := len(opt.memo.cells)
+	shared := runExp(t, "fig7", opt)
+	if after := len(opt.memo.cells); after != before {
+		t.Fatalf("fig7 measured %d new points after the figures that own them", after-before)
+	}
+	if alone := runExp(t, "fig7", Options{Scale: opt.Scale}); alone.Render() != shared.Render() {
+		t.Fatalf("fig7 differs with and without a warm memo:\n%s%s", shared.Render(), alone.Render())
+	}
+}
+
+// TestMemoMeasuresOnce: sweep workers asking for one point at the same
+// time share a single run.
+func TestMemoMeasuresOnce(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(8)
+	var m memo
+	p := point{wl: wlWordCount, gb: 0.125, rc: fig5.rc}.at(Options{Scale: coarse}, DataMPI)
+	got, _ := sweep(8, func(int) (*measured, error) { return m.measure(p), nil })
+	for _, g := range got {
+		if g != got[0] || g.err != nil || g.secs <= 0 {
+			t.Fatalf("workers got different or failed runs: %+v vs %+v", g, got[0])
+		}
+	}
+	if len(m.cells) != 1 {
+		t.Fatalf("memo holds %d cells for one point", len(m.cells))
 	}
 }
 
@@ -140,32 +220,6 @@ func TestStragglerRecoveryShape(t *testing.T) {
 				t.Fatalf("straggler runs not deterministic: %v vs %v", rep.Rows[i], rep2.Rows[i])
 			}
 		}
-	}
-}
-
-// TestDelaySweepShape runs the locality-slack sweep in quick mode and
-// asserts the delay-scheduling trade: more slack buys strictly more
-// data-local maps, and full slack is not free (it unbalances waves).
-func TestDelaySweepShape(t *testing.T) {
-	exp, _ := Lookup("delaysweep")
-	rep, err := exp.Run(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) < 3 {
-		t.Fatalf("rows = %d, want the quick sweep points", len(rep.Rows))
-	}
-	prev := -1.0
-	for _, row := range rep.Rows {
-		local := atof(row[1])
-		if local <= prev {
-			t.Fatalf("locality should rise with slack: %v", rep.Rows)
-		}
-		prev = local
-	}
-	first, last := rep.Rows[0], rep.Rows[len(rep.Rows)-1]
-	if atof(last[4]) <= atof(first[4]) {
-		t.Fatalf("max slack should cost makespan vs strict balance on a hot-spotted gateway: %v vs %v", last, first)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // The parallel sweep runner: experiments whose rows are independent
-// deterministic sims (delaysweep points, faultsweep kill-fraction ×
-// framework pairs, figure-panel sizes, datacenter tenants) fan those
-// sims across worker goroutines and merge the results in index order.
+// deterministic sims (the cells of a paper figure, faultsweep's
+// kill-fraction × framework pairs) fan those sims across worker
+// goroutines and merge the results in index order.
 // Each sim builds its own Rig/FS/engine, so runs share no mutable
 // state; determinism is preserved because the merge order is the input
 // order, not the completion order — the rendered tables are

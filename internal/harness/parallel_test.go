@@ -49,12 +49,13 @@ func TestSweepWorkerCap(t *testing.T) {
 	}
 }
 
-// TestParallelSweepByteIdentical is the tentpole determinism pin: the
-// delay and fault sweeps must render byte-identically with one worker
-// (the sequential path) and with many.
+// TestParallelSweepByteIdentical is the determinism pin: a figure table
+// and the fault sweep must render byte-identically with one worker (the
+// sequential path) and with many. Options carry no memo here, so each
+// Run measures into its own and the second run is a real second run.
 func TestParallelSweepByteIdentical(t *testing.T) {
 	defer SetWorkers(0)
-	for _, id := range []string{"delaysweep", "faultsweep"} {
+	for _, id := range []string{"fig3b", "faultsweep"} {
 		exp, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)

@@ -88,7 +88,7 @@ func init() {
 				rc := RigConfig{Scale: opt.scaleOr(8192), Seed: opt.seedOr(1)}
 				res, tr := runTracedSort(fw, gb, rc)
 				if res.Err != nil {
-					rep.Rows = append(rep.Rows, []string{fw.String(), resultCell(res), "-", "-", "-", "-", "-"})
+					rep.Rows = append(rep.Rows, []string{fw.String(), failCell(res.Err), "-", "-", "-", "-", "-"})
 					continue
 				}
 				segs, total, net := pathNetShare(tr)

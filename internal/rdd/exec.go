@@ -167,6 +167,10 @@ type stageFetch struct {
 	// spans holds the producing attempts' span IDs (task index order) so
 	// the consuming stage's fetch spans can wire dependency edges.
 	spans []uint64
+	// evicted marks a stage whose target is cached but whose output did
+	// not fit the executor cache: a from-cache stage later in the same
+	// action reads that output directly instead of a snapshot.
+	evicted bool
 }
 
 // recover returns partition pi of the lost producer output pd, recomputing
@@ -216,6 +220,13 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 			// The producing stage ran earlier in this action; pick up its
 			// materialized partitions now.
 			st.cache = st.root.cacheData
+		}
+		if st.cache == nil && prevFetch != nil && prevFetch.evicted && prevFetch.st.target == st.root {
+			// The producing stage just ran but its output did not fit the
+			// cache. Spark hands an unstored partition straight to its
+			// consumer: read the stage's output, pin nothing, and leave
+			// the RDD uncached so the next action recomputes from lineage.
+			st.cache = shuffleIn
 		}
 		if st.cache == nil {
 			// The cache was invalidated (node failure) between planning and
@@ -336,6 +347,7 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 		}
 		// If it does not fit, Spark silently evicts: the RDD is simply
 		// not cached and later actions recompute it.
+		nf.evicted = !fits
 	}
 	return results, nf, nil
 }

@@ -280,6 +280,51 @@ func TestCacheLossRecompute(t *testing.T) {
 	}
 }
 
+// TestCacheTooSmallFeedsTheSameAction: a cached RDD whose partitions do
+// not fit the executor cache is silently not cached, and a from-cache
+// stage later in the same action reads the producing stage's output
+// instead of failing on a missing snapshot; nothing stays pinned, and
+// the next action recomputes the RDD from lineage.
+func TestCacheTooSmallFeedsTheSameAction(t *testing.T) {
+	c := cluster.New(cluster.DefaultHardware())
+	fs := dfs.New(c, dfs.Config{BlockSize: 16 * cluster.KB, Replication: 3, Scale: 1, Seed: 1, PerBlockOverhead: 0.05})
+	cfg := DefaultConfig()
+	cfg.WorkerHeap = 1 // no partition fits
+	eng := New(fs, cfg)
+	in := fs.PreloadAligned("/in", genText(5, 128*1024), '\n')
+	cached := eng.TextFile(in).FlatMapKV(func(k, v []byte, emit job.Emit) {
+		emit(v, nil)
+	}, 1).Cache()
+	derived := cached.FlatMapKV(func(k, v []byte, emit job.Emit) {
+		emit(k, nil)
+	}, 1)
+
+	var want int
+	for action := 0; action < 2; action++ {
+		pairs, res := derived.Collect()
+		if res.Err != nil {
+			t.Fatalf("action %d: %v", action, res.Err)
+		}
+		if action == 0 {
+			want = len(pairs)
+		}
+		if len(pairs) == 0 || len(pairs) != want {
+			t.Fatalf("action %d returned %d records, want %d (non-zero)", action, len(pairs), want)
+		}
+		if _, ok := res.Phases["stage1"]; !ok {
+			t.Fatalf("action %d did not run the producing stage and the from-cache stage: %v", action, res.Phases)
+		}
+		if cached.inCache || cached.cacheData != nil || len(eng.cachedRDDs) != 0 {
+			t.Fatalf("action %d cached an RDD that does not fit", action)
+		}
+		for i := 0; i < c.N(); i++ {
+			if used := c.Node(i).Mem.Used(); used != 0 {
+				t.Fatalf("action %d left %.0f bytes pinned on node %d", action, used, i)
+			}
+		}
+	}
+}
+
 func TestCollectReturnsData(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	data := genText(6, 8*1024)

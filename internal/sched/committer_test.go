@@ -12,10 +12,10 @@ import (
 
 // committerRig builds a tracker testbed with a real DFS so attempt-scoped
 // writes charge simulated I/O and land in real block metadata.
-func committerRig() (*sim.Engine, *cluster.Cluster, *dfs.FS, *SlotPool) {
+func committerRig(scale float64) (*sim.Engine, *cluster.Cluster, *dfs.FS, *SlotPool) {
 	eng := sim.NewEngine()
 	c := cluster.NewOn(eng, cluster.DefaultHardware())
-	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: 1, Scale: 1, Seed: 1})
+	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: 1, Scale: scale, Seed: 1})
 	return eng, c, fs, NewSlotPool(Fair, c.N(), 1)
 }
 
@@ -25,7 +25,7 @@ func committerRig() (*sim.Engine, *cluster.Cluster, *dfs.FS, *SlotPool) {
 // committed exactly once, with no temp leftovers and the loser's partial
 // state deleted.
 func TestCommitterSpeculativeRaceExactlyOnce(t *testing.T) {
-	eng, c, fs, pool := committerRig()
+	eng, c, fs, pool := committerRig(1)
 	tr := NewTaskTracker(eng, SpeculationConfig{
 		Enabled:       true,
 		SlowFraction:  0.5,
@@ -98,7 +98,8 @@ func TestCommitterSpeculativeRaceExactlyOnce(t *testing.T) {
 // middle of a scoped DFS write must have its partial temp file deleted
 // and its disk usage released.
 func TestCommitterDiscardsKilledPartialWrite(t *testing.T) {
-	eng, c, fs, pool := committerRig()
+	// 2 GB nominal in 32 blocks, held as 2 MB of real bytes.
+	eng, c, fs, pool := committerRig(1024)
 	tr := NewTaskTracker(eng, SpeculationConfig{}, PreemptionConfig{})
 	h := &JobHandle{name: "job", weight: 1}
 	tr.Launch(TaskSpec{
@@ -106,7 +107,7 @@ func TestCommitterDiscardsKilledPartialWrite(t *testing.T) {
 		Restartable: false, CommitFS: fs,
 		Body: func(p *sim.Proc, att *Attempt) (any, error) {
 			w := fs.Create(att.ScopedPath("/out/big"), att.Node())
-			if err := w.Write(p, make([]byte, 2*cluster.GB)); err != nil {
+			if err := w.Write(p, make([]byte, 2*cluster.MB)); err != nil {
 				return nil, err
 			}
 			return nil, w.Close(p)
@@ -115,7 +116,12 @@ func TestCommitterDiscardsKilledPartialWrite(t *testing.T) {
 	})
 	// Fail the node mid-write: the attempt dies at its next park point
 	// with blocks already flushed to the pipeline.
-	eng.Schedule(5, func() { tr.NodeDown(2) })
+	eng.Schedule(5, func() {
+		if fs.DiskUsed(2) == 0 {
+			t.Error("no block flushed by t=5: the kill is not mid-write")
+		}
+		tr.NodeDown(2)
+	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +138,7 @@ func TestCommitterDiscardsKilledPartialWrite(t *testing.T) {
 // TestCommitterRequiresCommitFS: writing through ScopedPath on a spec
 // with no CommitFS must fail the task with a wiring error, not commit.
 func TestCommitterRequiresCommitFS(t *testing.T) {
-	eng, _, fs, pool := committerRig()
+	eng, _, fs, pool := committerRig(1)
 	tr := NewTaskTracker(eng, SpeculationConfig{}, PreemptionConfig{})
 	h := &JobHandle{name: "job", weight: 1}
 	var failErr error

@@ -3,12 +3,15 @@ package sched_test
 // Scale tests for the O(active) scheduling layer: admissions at 2k-job
 // scale fire in (time, submission-order) even when Admit is called out
 // of order with duplicate timestamps; discard mode streams identical
-// results while compacting the live set; and a 1k-handle churn through
-// the indexed Fair dispatch is bit-deterministic across runs.
+// results while compacting the live set; a 1k-handle churn through
+// the indexed Fair dispatch is bit-deterministic across runs; and the
+// allocation per job stays flat as the submitted count quadruples.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -218,5 +221,63 @@ func TestPoolChurnDeterministicGrants(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("grant %d diverges: %s vs %s", i, a[i], b[i])
 		}
+	}
+}
+
+// churnAllocs pushes jobs Poisson arrivals from three weighted tenants
+// through a Fair queue in discard mode, speculation monitors on, and
+// returns the bytes and heap objects allocated per job (set-up included).
+// The rate (3 jobs/s of four sub-second tasks on 32 slots) is under the
+// stub cluster's service capacity, so the queue depth — and with it the
+// live state — is bounded however long the trace runs.
+func churnAllocs(t *testing.T, jobs int) (bytesPerJob, allocsPerJob float64) {
+	t.Helper()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	c := cluster.New(cluster.DefaultHardware())
+	e := &stubEngine{c: c, tasksPerJob: 4, slotsPerNode: 4, seed: 1001}
+	q := sched.NewQueue(c.Eng, c.N(), sched.Fair)
+	q.SetSpeculation(sched.SpeculationConfig{Enabled: true})
+	q.DiscardSettled(true)
+	tenants := []struct {
+		name   string
+		weight float64
+	}{{"t-heavy", 2}, {"t-a", 1}, {"t-b", 1}}
+	rng := rand.New(rand.NewSource(1))
+	at := 0.0
+	for i := 0; i < jobs; i++ {
+		at += -math.Log(1-rng.Float64()) / 3.0
+		tn := tenants[i%len(tenants)]
+		q.Admit(tn.name, at, tn.weight, e, job.Spec{Name: fmt.Sprintf("j%d", i)})
+	}
+	q.Run()
+	if q.Completed() != jobs {
+		t.Fatalf("%d of %d jobs completed", q.Completed(), jobs)
+	}
+
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(jobs),
+		float64(after.Mallocs-before.Mallocs) / float64(jobs)
+}
+
+// TestQueueChurnAllocsStayFlat is the O(active) claim itself: pending
+// admissions sit in one heap behind one timer, settled submissions and
+// tracker tasks compact out, and Fair dispatch walks a deficit heap, so
+// what a job costs to schedule must not depend on how many were
+// submitted. Quadrupling the trace may move bytes/job and allocs/job by
+// at most 10%. (The absolute level is the kernel-stub workload's
+// alloc_mb in bench/, compared across commits, not pinned here.)
+func TestQueueChurnAllocsStayFlat(t *testing.T) {
+	smallB, smallN := churnAllocs(t, 500)
+	largeB, largeN := churnAllocs(t, 2000)
+	t.Logf("500 jobs: %.0f B/job, %.1f allocs/job; 2000 jobs: %.0f B/job, %.1f allocs/job",
+		smallB, smallN, largeB, largeN)
+	if g := largeB / smallB; g > 1.10 {
+		t.Errorf("bytes/job grew %.2fx from 500 to 2000 jobs: queue or tracker state scales with submitted jobs", g)
+	}
+	if g := largeN / smallN; g > 1.10 {
+		t.Errorf("allocs/job grew %.2fx from 500 to 2000 jobs: queue or tracker state scales with submitted jobs", g)
 	}
 }
