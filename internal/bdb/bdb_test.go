@@ -2,7 +2,11 @@ package bdb
 
 import (
 	"bytes"
+	"compress/gzip"
+	"fmt"
+	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -122,13 +126,35 @@ func TestToSeqFileRoundTripAndCompression(t *testing.T) {
 	}
 	// Natural-language text must compress well (the paper's Normal Sort
 	// input is much smaller than its Text Sort equivalent).
-	ratio, err := CompressionRatio(seq)
+	ratio, err := compressionRatio(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ratio < 2.0 {
 		t.Fatalf("gzip ratio %.2f, want > 2x for Zipfian text", ratio)
 	}
+}
+
+// compressionRatio reports decoded/compressed size for a seq+gzip file —
+// the paper's Normal Sort input inflates by roughly this factor when read.
+func compressionRatio(f *dfs.File) (float64, error) {
+	var comp, raw float64
+	for _, blk := range f.Blocks {
+		zr, err := gzip.NewReader(bytes.NewReader(blk.Data))
+		if err != nil {
+			return 0, err
+		}
+		n, err := io.Copy(io.Discard, zr)
+		if err != nil {
+			return 0, err
+		}
+		raw += float64(n)
+		comp += float64(len(blk.Data))
+	}
+	if comp == 0 {
+		return 0, fmt.Errorf("bdb: empty file")
+	}
+	return raw / comp, nil
 }
 
 func TestWordCountAgreesAcrossEngines(t *testing.T) {
@@ -418,16 +444,26 @@ func TestSparseVecRoundTrip(t *testing.T) {
 }
 
 func TestDocToVectorNormalized(t *testing.T) {
-	m := Amazon(1)
-	w1, w2 := []byte(m.Word(200)), []byte(m.Word(2500))
-	v := DocToVector(m, [][]byte{w1, w1, w2})
+	counts := make([]float64, vocabSize)
+	var v SparseVec
+	tfVector(&v, counts, []int32{2500, 200, 2500, 3, 9999, 99, 200, 200})
 	if math.Abs(v.Norm2()-1) > 1e-9 {
 		t.Fatalf("norm2 = %v, want 1", v.Norm2())
 	}
+	// Ascending indices, the Zipf head (3, 99) dropped, values by count.
+	if !slices.Equal(v.Idx, []int32{200, 2500, 9999}) {
+		t.Fatalf("indices %v, want [200 2500 9999]", v.Idx)
+	}
+	if n := math.Sqrt(3*3 + 2*2 + 1); v.Val[0] != 3/n || v.Val[1] != 2/n || v.Val[2] != 1/n {
+		t.Fatalf("values %v, want counts 3, 2, 1 over %v", v.Val, n)
+	}
 	// Stopwords (the Zipf head) must be filtered out entirely.
-	stop := DocToVector(m, [][]byte{[]byte("the"), []byte("of")})
-	if len(stop.Idx) != 0 {
-		t.Fatalf("stopwords survived vectorization: %+v", stop)
+	tfVector(&v, counts, []int32{0, 1, stopwordCutoff - 1})
+	if len(v.Idx) != 0 || len(v.Val) != 0 {
+		t.Fatalf("stopwords survived vectorization: %+v", v)
+	}
+	if slices.ContainsFunc(counts, func(c float64) bool { return c != 0 }) {
+		t.Fatal("the scratch counts were not returned to zero")
 	}
 }
 

@@ -505,3 +505,23 @@ func BenchmarkParseSparseVec(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/rec")
 }
+
+func BenchmarkSamplerDraw(b *testing.B) {
+	for _, m := range []*SeedModel{LDAWiki1W(), Amazon(3)} {
+		b.Run(m.Name, func(b *testing.B) {
+			s := m.NewSampler(1)
+			for b.Loop() {
+				benchSink += s.NextWordIndex()
+			}
+		})
+	}
+}
+
+func BenchmarkGenerateText(b *testing.B) {
+	m := LDAWiki1W()
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink += len(m.GenerateText(1, 1<<20))
+	}
+}

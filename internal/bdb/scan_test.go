@@ -3,10 +3,14 @@ package bdb
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/core"
@@ -100,6 +104,9 @@ func TestGrepWalkerChoice(t *testing.T) {
 // however many matches it has (FindAll built a [][]byte per matching line
 // and a capture slice per match).
 func TestGrepMapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what is Put, regexp's matcher state included")
+	}
 	lines := bytes.Split(bytes.TrimSuffix(LDAWiki1W().GenerateText(17, 16<<10), newline), newline)
 	for _, pattern := range []string{`th[ae]`, `[a-z]+`} {
 		m := GrepSpec(nil, nil, "", pattern, 1).Map
@@ -262,31 +269,85 @@ func oldSeqBlock(t *testing.T, text []byte) []byte {
 	return zbuf.Bytes()
 }
 
-// TestToSeqFileMatchesOld: one compressor reused across blocks writes the
-// bytes a compressor per block wrote — the Normal Sort input, and with it
+// TestToSeqFileMatchesOld: workers that each reuse one compressor across
+// their blocks write, at any GOMAXPROCS, the bytes a compressor per block
+// wrote one block after another — the Normal Sort input, and with it
 // every Normal Sort digest, is unchanged.
 func TestToSeqFileMatchesOld(t *testing.T) {
 	fsys := freshFS(8*cluster.KB, 1)
-	GenerateTextFile(fsys, "/text", LDAWiki1W(), 23, 64*1024)
+	text := GenerateTextFile(fsys, "/text", LDAWiki1W(), 23, 64*1024)
 	// Blocks of every shape after the generated ones: empty, blank lines
 	// only, no trailing newline, interior blank lines.
 	fsys.PreloadParts("/edges", [][]byte{nil, []byte("\n\n\n"), []byte("no trailing newline"), []byte("a\n\nb\n\n"), []byte("z\n")})
-	for _, name := range []string{"/text", "/edges"} {
-		src, err := fsys.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := ToSeqFile(fsys, name, name+".seq")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq.Blocks) != len(src.Blocks) {
-			t.Fatalf("%s: %d seq blocks from %d text blocks", name, len(seq.Blocks), len(src.Blocks))
-		}
-		for i, blk := range src.Blocks {
-			if want := oldSeqBlock(t, blk.Data); !bytes.Equal(seq.Blocks[i].Data, want) {
-				t.Fatalf("%s block %d: %d bytes differ from the %d a fresh gzip writer produces", name, i, len(seq.Blocks[i].Data), len(want))
+	// Files of no block, one block, and more blocks than any worker count.
+	fsys.PreloadParts("/none", nil)
+	fsys.PreloadParts("/one", [][]byte{text.Blocks[0].Data})
+	var many [][]byte
+	for i := range 57 {
+		blk := text.Blocks[i%len(text.Blocks)].Data
+		many = append(many, blk[:len(blk)*(i+1)/57])
+	}
+	fsys.PreloadParts("/many", many)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, name := range []string{"/text", "/edges", "/none", "/one", "/many"} {
+			src, err := fsys.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := ToSeqFile(fsys, name, name+".seq")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seq.Blocks) != len(src.Blocks) {
+				t.Fatalf("%s: %d seq blocks from %d text blocks", name, len(seq.Blocks), len(src.Blocks))
+			}
+			for i, blk := range src.Blocks {
+				if want := oldSeqBlock(t, blk.Data); !bytes.Equal(seq.Blocks[i].Data, want) {
+					t.Fatalf("%s block %d at GOMAXPROCS %d: %d bytes differ from the %d a fresh gzip writer produces", name, i, procs, len(seq.Blocks[i].Data), len(want))
+				}
 			}
 		}
+	}
+}
+
+// TestEachBlockReturnsWorkerError: one block failing fails the call, with
+// that block's error, after every worker has exited; blocks not yet
+// started are not run.
+func TestEachBlockReturnsWorkerError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	before := runtime.NumGoroutine()
+	boom := errors.New("block 5 is bad")
+	var ran, workers atomic.Int64
+	err := eachBlock(1000, func() func(int) error {
+		workers.Add(1)
+		return func(i int) error {
+			ran.Add(1)
+			if i == 5 {
+				return boom
+			}
+			return nil
+		}
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("eachBlock returned %v, want the failing block's error", err)
+	}
+	if workers.Load() != 4 {
+		t.Fatalf("%d workers for 1000 blocks at GOMAXPROCS 4", workers.Load())
+	}
+	if ran.Load() == 1000 {
+		t.Fatal("every block ran after one failed")
+	}
+	// A worker has called Done by now; give it the moment it needs to
+	// finish exiting.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the call, %d before it", runtime.NumGoroutine(), before)
+		}
+	}
+	if err := eachBlock(0, func() func(int) error { t.Error("a worker started for no blocks"); return nil }); err != nil {
+		t.Fatal(err)
 	}
 }

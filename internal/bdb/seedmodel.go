@@ -12,12 +12,17 @@
 // frequencies (WordCount/Grep selectivity and combiner effectiveness),
 // compressibility (Normal Sort's gzip input), and per-category term
 // separability (Naive Bayes accuracy, K-means cluster structure).
+//
+// Generation runs at table speed and is a pure function of the seed: words
+// are drawn through an exact table inversion of math/rand.Zipf (zipf.go)
+// and copied from one immutable vocabulary, and ToSeqFile compresses its
+// blocks on parallel workers — same seed, same bytes, on any GOMAXPROCS.
 package bdb
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // SeedModel is a synthetic stand-in for a BigDataBench generator seed
@@ -25,19 +30,21 @@ import (
 // biased toward a signature band of category terms.
 type SeedModel struct {
 	Name      string
-	Vocab     int     // vocabulary size
+	Vocab     int     // vocabulary size, at most vocabSize
 	ZipfS     float64 // Zipf skew (>1)
 	SigStart  int     // first signature word index (category models)
 	SigLen    int     // number of signature words
 	SigWeight float64 // probability of drawing from the signature band
-
-	words []string // lazily interned vocabulary (see Word)
 }
+
+// vocabSize is the size of the one vocabulary every seed model draws from
+// (and of the K-means term space).
+const vocabSize = KMeansDim
 
 // LDAWiki1W is the lda_wiki1w seed model trained from wikipedia entries,
 // used by the paper for Sort, WordCount and Grep inputs.
 func LDAWiki1W() *SeedModel {
-	return &SeedModel{Name: "lda_wiki1w", Vocab: 10000, ZipfS: 1.07}
+	return &SeedModel{Name: "lda_wiki1w", Vocab: vocabSize, ZipfS: 1.07}
 }
 
 // Amazon returns the amazonN seed model (1-based, N in 1..5), used for
@@ -49,7 +56,7 @@ func Amazon(n int) *SeedModel {
 	}
 	return &SeedModel{
 		Name:      fmt.Sprintf("amazon%d", n),
-		Vocab:     10000,
+		Vocab:     vocabSize,
 		ZipfS:     1.05,
 		SigStart:  2000 + (n-1)*800,
 		SigLen:    800,
@@ -72,26 +79,21 @@ var baseWords = []string{
 	"where", "much", "your", "way", "well", "down", "should", "because", "each", "just",
 }
 
-// Word returns vocabulary entry i. The synthetic tail is interned on
-// first use: text generation draws millions of Zipf samples from a
-// ~10k-word vocabulary, so formatting each draw dominated generator
-// allocations. Interning is deterministic — the strings are exactly the
-// ones Sprintf produced.
-func (m *SeedModel) Word(i int) string {
-	if i < len(baseWords) {
-		return baseWords[i]
-	}
-	if m.words == nil {
-		m.words = make([]string, m.Vocab)
-	}
-	if i < len(m.words) {
-		if m.words[i] == "" {
-			m.words[i] = fmt.Sprintf("%s%04d", syllable(i), i)
+// vocabulary is the word list shared by every seed model, built on first
+// use and never written again: a word depends on its index alone. Text
+// generation draws millions of samples from it, so words are bytes ready
+// to append, not strings formatted per draw or per model.
+var vocabulary = sync.OnceValue(func() [][]byte {
+	words := make([][]byte, vocabSize)
+	for i := range words {
+		if i < len(baseWords) {
+			words[i] = []byte(baseWords[i])
+		} else {
+			words[i] = fmt.Appendf(nil, "%s%04d", syllable(i), i)
 		}
-		return m.words[i]
 	}
-	return fmt.Sprintf("%s%04d", syllable(i), i)
-}
+	return words
+})
 
 // syllable makes synthetic words pronounceable-ish and category-distinct.
 func syllable(i int) string {
@@ -100,20 +102,19 @@ func syllable(i int) string {
 	return string([]byte{cons[i%len(cons)], vow[(i/7)%len(vow)], cons[(i/31)%len(cons)]})
 }
 
-// Sampler draws words from the model with a deterministic stream.
+// Sampler draws word indices from the model with a deterministic stream.
 type Sampler struct {
 	m    *SeedModel
 	rng  *rand.Rand
-	zipf *rand.Zipf
+	zipf *zipfTable
 }
 
 // NewSampler creates a deterministic word sampler for a seed.
 func (m *SeedModel) NewSampler(seed int64) *Sampler {
-	rng := rand.New(rand.NewSource(seed))
 	return &Sampler{
 		m:    m,
-		rng:  rng,
-		zipf: rand.NewZipf(rng, m.ZipfS, 1, uint64(m.Vocab-1)),
+		rng:  rand.New(rand.NewSource(seed)),
+		zipf: zipfTableFor(m.ZipfS, uint64(m.Vocab-1)),
 	}
 }
 
@@ -122,30 +123,27 @@ func (s *Sampler) NextWordIndex() int {
 	if s.m.SigLen > 0 && s.rng.Float64() < s.m.SigWeight {
 		return s.m.SigStart + s.rng.Intn(s.m.SigLen)
 	}
-	return int(s.zipf.Uint64())
+	return int(s.zipf.draw(s.rng))
 }
 
-// NextWord draws one word.
-func (s *Sampler) NextWord() string { return s.m.Word(s.NextWordIndex()) }
-
-// Line generates one text line of nWords words into buf.
-func (s *Sampler) Line(buf *bytes.Buffer, nWords int) {
-	for i := 0; i < nWords; i++ {
+// appendWords appends n space-separated words drawn from the model.
+func (s *Sampler) appendWords(dst []byte, words [][]byte, n int) []byte {
+	for i := range n {
 		if i > 0 {
-			buf.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		buf.WriteString(s.NextWord())
+		dst = append(dst, words[s.NextWordIndex()]...)
 	}
-	buf.WriteByte('\n')
+	return dst
 }
 
 // GenerateText produces approximately nBytes of newline-separated text.
 func (m *SeedModel) GenerateText(seed int64, nBytes int) []byte {
 	s := m.NewSampler(seed)
-	var buf bytes.Buffer
-	buf.Grow(nBytes + 256)
-	for buf.Len() < nBytes {
-		s.Line(&buf, 5+s.rng.Intn(11))
+	words := vocabulary()
+	buf := make([]byte, 0, nBytes+256)
+	for len(buf) < nBytes {
+		buf = append(s.appendWords(buf, words, 5+s.rng.Intn(11)), '\n')
 	}
-	return buf.Bytes()
+	return buf
 }

@@ -3,9 +3,10 @@ package bdb
 import (
 	"bytes"
 	"compress/gzip"
-	"errors"
 	"fmt"
-	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/kv"
@@ -19,74 +20,74 @@ import (
 // The conversion happens outside the timed region (the paper runs
 // ToSeqFile as a separate preparation job), so this charges no simulated
 // time. Each input block becomes one gzip member so block-level
-// decompression remains well-defined.
+// decompression remains well-defined — and so blocks compress
+// independently, on parallel workers, into the same bytes in the same
+// places whatever the worker count.
 func ToSeqFile(fsys *dfs.FS, textName, seqName string) (*dfs.File, error) {
 	src, err := fsys.Open(textName)
 	if err != nil {
 		return nil, fmt.Errorf("bdb: ToSeqFile: %w", err)
 	}
-	// One compressor (a flate writer is over a megabyte of state), one
-	// record buffer and one output buffer serve every block.
-	parts := make([][]byte, 0, len(src.Blocks))
-	var enc []byte
-	var zbuf bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&zbuf, gzip.DefaultCompression) // the level is valid
-	for _, blk := range src.Blocks {
-		enc = enc[:0]
-		for data := blk.Data; len(data) > 0; {
-			line, rest, _ := bytes.Cut(data, newline)
-			data = rest
-			if len(line) == 0 {
-				continue
+	parts := make([][]byte, len(src.Blocks))
+	err = eachBlock(len(parts), func() func(int) error {
+		// One compressor (a flate writer is over a megabyte of state), one
+		// record buffer and one output buffer serve a worker's every block.
+		var enc []byte
+		var zbuf bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&zbuf, gzip.DefaultCompression) // the level is valid
+		return func(i int) error {
+			enc = enc[:0]
+			for data := src.Blocks[i].Data; len(data) > 0; {
+				line, rest, _ := bytes.Cut(data, newline)
+				data = rest
+				if len(line) == 0 {
+					continue
+				}
+				enc = kv.Encode(enc, kv.Pair{Key: line, Value: line})
 			}
-			enc = kv.Encode(enc, kv.Pair{Key: line, Value: line})
+			zbuf.Reset()
+			zw.Reset(&zbuf)
+			if _, err := zw.Write(enc); err != nil {
+				return err
+			}
+			if err := zw.Close(); err != nil {
+				return err
+			}
+			parts[i] = bytes.Clone(zbuf.Bytes())
+			return nil
 		}
-		zbuf.Reset()
-		zw.Reset(&zbuf)
-		if _, err := zw.Write(enc); err != nil {
-			return nil, err
-		}
-		if err := zw.Close(); err != nil {
-			return nil, err
-		}
-		parts = append(parts, append([]byte(nil), zbuf.Bytes()...))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bdb: ToSeqFile: %w", err)
 	}
 	return fsys.PreloadParts(seqName, parts), nil
 }
 
-// CompressionRatio reports decoded/compressed size for a seq+gzip file —
-// the paper's Normal Sort input inflates by roughly this factor when read.
-func CompressionRatio(f *dfs.File) (float64, error) {
-	var comp, raw float64
-	for _, blk := range f.Blocks {
-		zr, err := gzip.NewReader(bytes.NewReader(blk.Data))
-		if err != nil {
-			return 0, err
-		}
-		n, err := discardAll(zr)
-		if err != nil {
-			return 0, err
-		}
-		raw += float64(n)
-		comp += float64(len(blk.Data))
-	}
-	if comp == 0 {
-		return 0, fmt.Errorf("bdb: empty file")
-	}
-	return raw / comp, nil
-}
-
-func discardAll(r *gzip.Reader) (int, error) {
-	total := 0
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := r.Read(buf)
-		total += n
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return total, nil
+// eachBlock calls work(i) once for every i in [0, n) from min(GOMAXPROCS,
+// n) goroutines and returns when all have exited. newWorker runs once on
+// each goroutine, so what it allocates is that worker's own. After a
+// failure no further block is started and the first error is returned.
+func eachBlock(n int, newWorker func() (work func(i int) error)) error {
+	var (
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work := newWorker()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if err := work(i); err != nil {
+					once.Do(func() { first = err })
+					next.Store(int64(n))
+					return
+				}
 			}
-			return total, err
-		}
+		}()
 	}
+	wg.Wait()
+	return first
 }

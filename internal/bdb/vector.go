@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 
 	"github.com/datampi/datampi-go/internal/dfs"
 )
@@ -117,22 +116,22 @@ func (v *SparseVec) parse(b []byte) error {
 // Without it the shared high-frequency words drown the category signal.
 const stopwordCutoff = 100
 
-// DocToVector converts a document's words into a TF vector over the model
-// vocabulary with stopword removal, normalized to unit L2 — the shape of
-// seq2sparse's output.
-func DocToVector(m *SeedModel, words [][]byte) SparseVec {
-	counts := map[int32]float64{}
-	idxOf := vocabIndex(m)
-	for _, w := range words {
-		if i, ok := idxOf[string(w)]; ok && i >= stopwordCutoff {
-			counts[i]++
+// tfVector replaces v with the TF vector of a document given as word
+// indices, with stopword removal, normalized to unit L2 and ascending in
+// index — the shape of seq2sparse's output. counts is scratch, one zero
+// per vocabulary word on entry and again on return.
+func tfVector(v *SparseVec, counts []float64, doc []int32) {
+	v.Idx, v.Val = v.Idx[:0], v.Val[:0]
+	for _, w := range doc {
+		if w < stopwordCutoff {
+			continue
 		}
+		if counts[w] == 0 {
+			v.Idx = append(v.Idx, w)
+		}
+		counts[w]++
 	}
-	var v SparseVec
-	for idx := range counts {
-		v.Idx = append(v.Idx, idx)
-	}
-	sort.Slice(v.Idx, func(i, j int) bool { return v.Idx[i] < v.Idx[j] })
+	slices.Sort(v.Idx)
 	norm := 0.0
 	for _, idx := range v.Idx {
 		norm += counts[idx] * counts[idx]
@@ -143,30 +142,8 @@ func DocToVector(m *SeedModel, words [][]byte) SparseVec {
 	}
 	for _, idx := range v.Idx {
 		v.Val = append(v.Val, counts[idx]/norm)
+		counts[idx] = 0
 	}
-	return v
-}
-
-// vocabIndex caches word -> index maps per vocabulary size. The cache
-// is shared by every sim in the process, so the parallel sweep runner
-// requires the mutex.
-var (
-	vocabMu    sync.Mutex
-	vocabCache = map[int]map[string]int32{}
-)
-
-func vocabIndex(m *SeedModel) map[string]int32 {
-	vocabMu.Lock()
-	defer vocabMu.Unlock()
-	if idx, ok := vocabCache[m.Vocab]; ok {
-		return idx
-	}
-	idx := make(map[string]int32, m.Vocab)
-	for i := 0; i < m.Vocab; i++ {
-		idx[m.Word(i)] = int32(i)
-	}
-	vocabCache[m.Vocab] = idx
-	return idx
 }
 
 // GenerateVectorFile produces the K-means input: nominalBytes of sparse
@@ -177,30 +154,27 @@ func vocabIndex(m *SeedModel) map[string]int32 {
 func GenerateVectorFile(fsys *dfs.FS, name string, seed int64, nominalBytes float64) (*dfs.File, []int) {
 	scale := fsys.Config().Scale
 	target := int(nominalBytes / scale)
-	models := make([]*SeedModel, 5)
 	samplers := make([]*Sampler, 5)
-	for i := range models {
-		models[i] = Amazon(i + 1)
-		samplers[i] = models[i].NewSampler(seed + int64(i)*7919)
+	for i := range samplers {
+		samplers[i] = Amazon(i + 1).NewSampler(seed + int64(i)*7919)
 	}
-	var buf bytes.Buffer
+	buf := make([]byte, 0, target+2048)
 	var truth []int
-	c := 0
-	for buf.Len() < target {
+	var vec SparseVec
+	var doc []int32
+	counts := make([]float64, vocabSize)
+	for c := 0; len(buf) < target; c++ {
 		mi := c % 5
-		c++
 		s := samplers[mi]
-		nWords := 50 + s.rng.Intn(60)
-		words := make([][]byte, 0, nWords)
-		for i := 0; i < nWords; i++ {
-			words = append(words, []byte(s.NextWord()))
+		doc = doc[:0]
+		for range 50 + s.rng.Intn(60) {
+			doc = append(doc, int32(s.NextWordIndex()))
 		}
-		vec := DocToVector(models[mi], words)
-		buf.Write(vec.appendText(buf.AvailableBuffer()))
-		buf.WriteByte('\n')
+		tfVector(&vec, counts, doc)
+		buf = append(vec.appendText(buf), '\n')
 		truth = append(truth, mi)
 	}
-	return fsys.PreloadAligned(name, buf.Bytes(), '\n'), truth
+	return fsys.PreloadAligned(name, buf, '\n'), truth
 }
 
 // GenerateLabeledDocs produces the Naive Bayes input: "labelN<TAB>text"
@@ -213,23 +187,15 @@ func GenerateLabeledDocs(fsys *dfs.FS, name string, seed int64, nominalBytes flo
 	for i := range samplers {
 		samplers[i] = Amazon(i + 1).NewSampler(seed + int64(i)*104729)
 	}
-	var buf bytes.Buffer
-	c := 0
-	for buf.Len() < target {
+	words := vocabulary()
+	buf := make([]byte, 0, target+1024)
+	for c := 0; len(buf) < target; c++ {
 		mi := c % 5
-		c++
 		s := samplers[mi]
-		fmt.Fprintf(&buf, "label%d\t", mi)
-		n := 20 + s.rng.Intn(40)
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				buf.WriteByte(' ')
-			}
-			buf.WriteString(s.NextWord())
-		}
-		buf.WriteByte('\n')
+		buf = append(strconv.AppendInt(append(buf, "label"...), int64(mi), 10), '\t')
+		buf = append(s.appendWords(buf, words, 20+s.rng.Intn(40)), '\n')
 	}
-	return fsys.PreloadAligned(name, buf.Bytes(), '\n')
+	return fsys.PreloadAligned(name, buf, '\n')
 }
 
 // GenerateTextFile produces the micro-benchmark text input (Text Sort,

@@ -426,31 +426,11 @@ func (fs *FS) DiskUsed(i int) float64 { return fs.diskUse[i] }
 // with BigDataBench tools outside the measured window).
 func (fs *FS) Preload(name string, data []byte) *File {
 	abs := fs.actualBlockSize()
-	f := &File{Name: name}
+	var parts [][]byte
 	for off := 0; off < len(data); off += abs {
-		end := off + abs
-		if end > len(data) {
-			end = len(data)
-		}
-		blk := &Block{
-			ID:        fs.nextID,
-			Data:      data[off:end],
-			Nominal:   float64(end-off) * fs.cfg.Scale,
-			Locations: fs.placeReplicas(fs.stagingWriter()),
-		}
-		fs.nextID++
-		for _, loc := range blk.Locations {
-			fs.diskUse[loc] += blk.Nominal
-		}
-		f.Blocks = append(f.Blocks, blk)
-		f.Nominal += blk.Nominal
+		parts = append(parts, data[off:min(off+abs, len(data))])
 	}
-	if len(data) == 0 {
-		// Represent empty files with no blocks.
-		f.Nominal = 0
-	}
-	fs.files[name] = f
-	return f
+	return fs.PreloadParts(name, parts)
 }
 
 // PreloadAligned installs a file like Preload but only splits blocks at
@@ -477,7 +457,10 @@ func (fs *FS) PreloadAligned(name string, data []byte, sep byte) *File {
 
 // PreloadParts installs a file from pre-split parts, one block per part,
 // ignoring BlockSize. Used when a generator wants exact split boundaries.
+// A file already staged under the name is deleted first, so its blocks
+// leave the disk accounting.
 func (fs *FS) PreloadParts(name string, parts [][]byte) *File {
+	fs.Delete(name)
 	f := &File{Name: name}
 	for _, part := range parts {
 		blk := &Block{
@@ -575,6 +558,7 @@ func (fs *FS) CreateScaled(name string, client int, scale float64) *Writer {
 	if scale < 1 {
 		scale = 1
 	}
+	fs.Delete(name) // an overwritten file gives its blocks back
 	f := &File{Name: name}
 	fs.files[name] = f
 	return &Writer{fs: fs, f: f, client: client, scale: scale}

@@ -310,6 +310,49 @@ func TestDeleteReleasesSpace(t *testing.T) {
 	}
 }
 
+// TestRestagingReleasesSpace: staging or writing a name that exists
+// replaces the file, and the replaced blocks leave DiskUsed with it.
+func TestRestagingReleasesSpace(t *testing.T) {
+	c := testCluster()
+	fs := New(c, scaled(DefaultConfig()))
+	used := func() float64 {
+		sum := 0.0
+		for i := 0; i < c.N(); i++ {
+			sum += fs.DiskUsed(i)
+		}
+		return sum
+	}
+	data := zeros(512 * cluster.MB)
+	fs.Preload("/a", data)
+	fs.Preload("/a", data)
+	if want := 3 * float64(len(data)) * testScale; used() != want {
+		t.Fatalf("disk used after staging /a twice = %v, want %v", used(), want)
+	}
+	fs.PreloadAligned("/a", data[:len(data)/2], 0)
+	if want := 3 * float64(len(data)/2) * testScale; used() != want {
+		t.Fatalf("disk used after restaging /a at half the size = %v, want %v", used(), want)
+	}
+	c.Eng.Go("writer", func(p *sim.Proc) {
+		w := fs.Create("/a", 2)
+		if err := w.Write(p, data[:1024]); err != nil {
+			t.Error(err)
+		}
+		if err := w.Close(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 3 * 1024.0 * testScale; used() != want {
+		t.Fatalf("disk used after overwriting /a through a writer = %v, want %v", used(), want)
+	}
+	fs.Delete("/a")
+	if used() != 0 {
+		t.Fatalf("disk used after delete = %v, want 0", used())
+	}
+}
+
 func TestScaledNominalAccounting(t *testing.T) {
 	c := testCluster()
 	// Scale 1000: 1 KB of actual data represents 1 MB nominal.
