@@ -392,6 +392,15 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		inflatedNominal := float64(inflated) * scale
 		nominalRecords := float64(nRecords) * scale
 		parts, _, _ := coll.Finish()
+		if err := coll.Err(); err != nil {
+			// The A ranks wait for every split and this rank will send
+			// no more: hand each of them the error to fail with.
+			err = fmt.Errorf("datampi: O output: %w", err)
+			for a := 0; a < nA; a++ {
+				w.IsendFrom(node, rank, nO+a, abortTag, 0, err, nil)
+			}
+			return err
+		}
 		emitScale := spec.EmitScale()
 		emittedNominal := 0.0
 		for _, part := range parts {
@@ -452,6 +461,11 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 
 func splitTag(blk *dfs.Block) int { return int(blk.ID) + 1000 }
 
+// abortTag is the tag (below every splitTag) of the message, carrying an
+// error and no bytes, with which an O rank that cannot partition its
+// output ends the A ranks' receive loops: MPI_Abort in miniature.
+const abortTag = 0
+
 // runATask receives one message per input split, buffering the pairs in
 // memory (spilling past the buffer limit), then sorts, groups, reduces
 // and writes its output partition. Messages are deduplicated by split
@@ -508,6 +522,9 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	seenTags := make(map[int]bool, totalSplits)
 	for len(seenTags) < totalSplits {
 		m := w.Recv(p, rank, mpi.AnySource, -1)
+		if m.Tag == abortTag {
+			return m.Payload.(error)
+		}
 		if seenTags[m.Tag] {
 			res.AddCounter("duplicate_bytes_nominal", int64(m.Nominal))
 			continue

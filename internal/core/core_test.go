@@ -204,6 +204,16 @@ func TestFailureWithoutCheckpointFailsJob(t *testing.T) {
 	enginetest.AssertQuiesced(t, eng)
 }
 
+// TestPartitionerOutOfRangeFailsTheJob: an index outside [0, A tasks)
+// used to panic inside the O side's collector. The job now fails with it.
+func TestPartitionerOutOfRangeFailsTheJob(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	in := fs.PreloadAligned("/in", genText(4, 32*1024), '\n')
+	spec := wcSpec(fs, in, "/out", 4)
+	spec.Part = enginetest.OutOfRange{}
+	enginetest.AssertPartitionError(t, eng, eng.Run(spec), 4)
+}
+
 func TestCheckpointSlowerThanNoCheckpoint(t *testing.T) {
 	run := func(ck bool) float64 {
 		_, fs, eng := testSetup(64*cluster.KB, 64)

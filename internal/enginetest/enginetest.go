@@ -3,7 +3,9 @@
 package enginetest
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/dfs"
@@ -44,6 +46,26 @@ func AssertQuiesced(t *testing.T, eng Engine) {
 	if n := c.Eng.CountBlocked(func(*sim.Proc) bool { return true }); n != 0 {
 		t.Fatalf("%d procs still live after the run", n)
 	}
+}
+
+// OutOfRange is a kv.Partitioner that is wrong on purpose: it answers n,
+// one past the last partition.
+type OutOfRange struct{}
+
+// Partition implements kv.Partitioner.
+func (OutOfRange) Partition(key []byte, n int) int { return n }
+
+// AssertPartitionError checks what a job partitioned by OutOfRange into
+// nParts partitions must come to on every engine: no panic (the caller
+// got here), a Result.Err that names the index and the partition count,
+// and a quiesced engine.
+func AssertPartitionError(t *testing.T, eng Engine, res job.Result, nParts int) {
+	t.Helper()
+	want := fmt.Sprintf("index %d for %d partitions", nParts, nParts)
+	if res.Err == nil || !strings.Contains(res.Err.Error(), want) {
+		t.Fatalf("Result.Err = %v, want it to say %q", res.Err, want)
+	}
+	AssertQuiesced(t, eng)
 }
 
 // RunQueued runs spec on eng through a FIFO scheduling queue, so that the

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
 
 // entry is what the collector sorts in place of a 48-byte Pair: 16
 // bytes and no pointers. The record itself (uvarint key length, uvarint
-// value length, key, value) sits in the collector's slab at loc.
+// value length, key, value) sits in the collector's slab at loc. Without
+// a combiner there is one entry per record; with one, one per distinct
+// key of the fill, and the record holds the first value emitted for it.
 type entry struct {
 	prefix uint64 // keyPrefix of the record's key
 	part   uint32 // destination partition
@@ -21,16 +26,44 @@ type entry struct {
 // would need more spills early, whatever the buffer threshold.
 const maxFillBlocks = 1 << (32 - blockShift)
 
+// extra is one value emitted for a key the fill already holds, other
+// than a repeat of the key's first value (which is only counted). A key's
+// extras form a chain, newest first, whose head is in the key's header.
+type extra struct {
+	loc  uint32 // slab location of the value: a record with an empty key
+	prev uint32 // 1 + index of the same key's previous extra, 0 = none
+}
+
+// headerBytes is the room a combining fill leaves in front of each key's
+// record for two little-endian uint32s: the head of the key's chain (1 +
+// index in scratch.extras of its newest extra, 0 = none) and the number
+// of later values byte-equal to the first one. Counts emit "1" every
+// time, so most of their records end as an increment of that number.
+const headerBytes = 8
+
 // scratch is the working memory a collector needs only between Emit and
 // Finish. It holds no record bytes once cleared, so it is recycled.
+// extras, table and cells are used by combining fills only.
 type scratch struct {
 	entries []entry
 	vals    [][]byte // one key group's values, handed to the combiner
+	extras  []extra
+	// table is an open-addressing (linear probing) index of the fill's
+	// distinct keys: a cell is hashKey<<32 | the loc of the key's record,
+	// zero when free (no combining record sits at loc 0: its header
+	// does). Its length is a power of two at least twice len(cells);
+	// everything from len to cap is zero, so growing inside the capacity
+	// is a reslice.
+	table []uint64
+	cells []uint64 // the cells in table, in insertion order: what a grown table is refilled from
 }
+
+// minTableSize is the table a combining fill starts with (8 KB).
+const minTableSize = 1 << 10
 
 // maxPooledScratch caps what an idle scratch may pin, in bytes; a
 // larger one is left to the GC.
-const maxPooledScratch = 1 << 20
+const maxPooledScratch = 4 << 20
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -39,24 +72,50 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // when the buffer fills — Hadoop's io.sort.mb map-output buffer, and the
 // O-side partition buffers of DataMPI.
 //
-// Emit copies the record into the slab once and appends one entry to a
-// single buffer; a spill sorts the entries by (partition, key prefix,
-// Compare on a prefix tie) and only then builds each partition's []Pair,
-// at its final size. The slab is ordinary garbage-collected memory, never
-// pooled: the pairs Finish returns alias it for as long as they live.
+// There are two kinds of fill, chosen by whether the job has a combiner.
+//
+// Without one, Emit copies the record into the slab once and appends one
+// entry; a spill sorts the entries by (partition, key prefix, Compare on
+// a prefix tie) and only then builds each partition's []Pair, at its
+// final size.
+//
+// With one, Emit groups: it looks the key up in a hash table kept in the
+// scratch. A key new to the fill costs what a record costs above — one
+// slab record holding the key and this first value, one Partition call,
+// one entry — plus a table cell and an eight-byte header. A key the fill
+// already holds costs an increment in that header when the value repeats
+// the key's first one (counts, all "1", always do), else a slab copy of
+// the value alone and eight bytes that chain it to its key. A spill
+// sorts the distinct keys by (partition, key prefix, key), gives each
+// key its values (the repeats as fresh copies, then its chain), puts
+// them in ascending byte order when they are not already and calls the
+// combiner. Sorting every record under Compare and folding
+// equal keys hands the combiner the same values in the same order,
+// because Compare is a total order on (key, value): the runs, and so
+// everything Finish returns, are the same bytes either way.
+//
+// The Partitioner must be a pure function of the key: a combining fill
+// calls it once per distinct key, not once per record. An index outside
+// [0, nParts) sends the record to partition 0 and is reported by Err.
+//
+// The slab is ordinary garbage-collected memory, never pooled: the pairs
+// Finish returns alias it for as long as they live.
 type PartitionCollector struct {
 	parts       int
 	bufferBytes int // spill threshold over all partitions (0 = unbounded)
 	combine     Combiner
 	part        Partitioner
-	fillBlocks  int // maxFillBlocks; tests lower it
+	// fillBlocks and spills are 32-bit so that err fits without the
+	// struct leaving its 144-byte size class (every task allocates one).
+	fillBlocks int32 // maxFillBlocks; tests lower it
+	spills     int32
+	err        error // the first out-of-range partition index
 
 	slab     Arena
 	s        *scratch   // taken on the first Emit, returned by Finish
 	spilled  [][][]Pair // per spill, the run of each partition
 	buffered int        // record bytes emitted since the last spill
-	spills   int
-	spillB   int // total bytes spilled
+	spillB   int        // total bytes spilled
 }
 
 // NewPartitionCollector creates a collector for nParts partitions.
@@ -76,36 +135,143 @@ func NewPartitionCollector(nParts, bufferBytes int, combine Combiner, part Parti
 // Emit adds one record (copying key and value, since map functions may
 // reuse buffers).
 func (c *PartitionCollector) Emit(key, value []byte) {
-	pi := 0
-	if c.parts > 1 {
-		pi = c.part.Partition(key, c.parts)
-	}
 	if c.s == nil {
 		c.s = scratchPool.Get().(*scratch)
 	}
-	if len(c.slab.blocks) >= c.fillBlocks {
+	if len(c.slab.blocks) >= int(c.fillBlocks) {
 		c.spill()
 	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	h := binary.PutUvarint(hdr[:], uint64(len(key)))
-	h += binary.PutUvarint(hdr[h:], uint64(len(value)))
-	bi, off := c.slab.alloc(h + len(key) + len(value))
-	rec := c.slab.blocks[bi][off:]
-	copy(rec, hdr[:h])
-	copy(rec[h:], key)
-	copy(rec[h+len(key):], value)
-	c.s.entries = append(c.s.entries, entry{
-		prefix: keyPrefix(key),
-		part:   uint32(pi),
-		loc:    uint32(bi)<<blockShift | uint32(off),
-	})
+	if c.combine != nil {
+		c.emitGrouped(key, value)
+	} else {
+		c.addEntry(key, value, 0)
+	}
 	c.buffered += len(key) + len(value)
 	if c.bufferBytes > 0 && c.buffered >= c.bufferBytes {
 		c.spill()
 	}
 }
 
-// record cuts the pair at loc out of the slab, capacity-bounded.
+// addEntry stores a record behind room spare bytes (see put), appends
+// its entry and returns its location.
+func (c *PartitionCollector) addEntry(key, value []byte, room int) uint32 {
+	loc := c.put(key, value, room)
+	c.s.entries = append(c.s.entries, entry{prefix: keyPrefix(key), part: c.partition(key), loc: loc})
+	return loc
+}
+
+// emitGrouped adds one record to a combining fill: a value for a key the
+// fill already holds, or a new key.
+func (c *PartitionCollector) emitGrouped(key, value []byte) {
+	s := c.s
+	if 2*(len(s.cells)+1) > len(s.table) {
+		s.growTable()
+	}
+	h := hashKey(key)
+	mask := len(s.table) - 1
+	i := int(h >> (32 - bits.TrailingZeros(uint(len(s.table)))))
+	for ; s.table[i] != 0; i = (i + 1) & mask {
+		cell := s.table[i]
+		if uint32(cell>>32) != h {
+			continue
+		}
+		rec := c.record(uint32(cell))
+		if !bytes.Equal(rec.Key, key) {
+			continue
+		}
+		head, repeats := c.header(uint32(cell))
+		if n := binary.LittleEndian.Uint32(repeats); n != math.MaxUint32 && bytes.Equal(rec.Value, value) {
+			binary.LittleEndian.PutUint32(repeats, n+1)
+			return
+		}
+		s.extras = append(s.extras, extra{loc: c.put(nil, value, 0), prev: binary.LittleEndian.Uint32(head)})
+		binary.LittleEndian.PutUint32(head, uint32(len(s.extras)))
+		return
+	}
+	s.table[i] = uint64(h)<<32 | uint64(c.addEntry(key, value, headerBytes))
+	s.cells = append(s.cells, s.table[i])
+}
+
+// hashKey hashes a key for the group table: a multiplicative hash over
+// the key's length and its 8-byte words, of which the high half is kept
+// (a product's high bits depend on every bit of its input).
+func hashKey(key []byte) uint32 {
+	const mul = 0x9e3779b97f4a7c15 // 2^64 / golden ratio
+	h := uint64(len(key))
+	for ; len(key) > 8; key = key[8:] {
+		h = (h ^ binary.BigEndian.Uint64(key)) * mul
+		h ^= h >> 32
+	}
+	return uint32((h ^ keyPrefix(key)) * mul >> 32)
+}
+
+// growTable doubles the table (or sets it up) and refills it.
+func (s *scratch) growTable() {
+	n := max(minTableSize, 2*len(s.table))
+	clear(s.table)
+	if n <= cap(s.table) {
+		s.table = s.table[:n]
+	} else {
+		s.table = make([]uint64, n)
+	}
+	mask, shift := n-1, 64-bits.TrailingZeros(uint(n))
+	for _, cell := range s.cells {
+		i := int(cell >> shift)
+		for s.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.table[i] = cell
+	}
+}
+
+// partition is the destination of key, checked: an index the
+// Partitioner had no right to return becomes partition 0 and the
+// collector's error.
+func (c *PartitionCollector) partition(key []byte) uint32 {
+	if c.parts == 1 {
+		return 0
+	}
+	pi := c.part.Partition(key, c.parts)
+	if pi < 0 || pi >= c.parts {
+		if c.err == nil {
+			c.err = fmt.Errorf("kv: partitioner returned index %d for %d partitions", pi, c.parts)
+		}
+		return 0
+	}
+	return uint32(pi)
+}
+
+// Err reports the first partition index outside [0, nParts) that the
+// Partitioner returned, or nil. The records concerned went to partition
+// 0, so what Finish returned is not the job's output.
+func (c *PartitionCollector) Err() error { return c.err }
+
+// put copies a record (uvarint key length, uvarint value length, key,
+// value) into the slab behind room bytes left zero (a block is zero until
+// written) and returns its location: block index << blockShift | offset
+// in the block.
+func (c *PartitionCollector) put(key, value []byte, room int) uint32 {
+	var hdr [2 * binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(key)))
+	h += binary.PutUvarint(hdr[h:], uint64(len(value)))
+	bi, off := c.slab.alloc(room + h + len(key) + len(value))
+	off += room
+	rec := c.slab.blocks[bi][off:]
+	copy(rec, hdr[:h])
+	copy(rec[h:], key)
+	copy(rec[h+len(key):], value)
+	return uint32(bi)<<blockShift | uint32(off)
+}
+
+// header is the two fields of the headerBytes in front of the combining
+// record at loc.
+func (c *PartitionCollector) header(loc uint32) (head, repeats []byte) {
+	off := loc & (DefaultBlockBytes - 1)
+	b := c.slab.blocks[loc>>blockShift][off-headerBytes : off]
+	return b[:4], b[4:]
+}
+
+// record cuts the pair put at loc out of the slab, capacity-bounded.
 func (c *PartitionCollector) record(loc uint32) Pair {
 	b := c.slab.blocks[loc>>blockShift][loc&(DefaultBlockBytes-1):]
 	klen, n := binary.Uvarint(b)
@@ -117,7 +283,8 @@ func (c *PartitionCollector) record(loc uint32) Pair {
 }
 
 // compare orders entries by (partition, key prefix), then by their
-// records under Compare when the prefixes tie.
+// records under Compare when the prefixes tie (by key alone, in effect,
+// between the distinct keys of a combining fill).
 func (c *PartitionCollector) compare(a, b entry) int {
 	if d := cmp.Compare(a.part, b.part); d != 0 {
 		return d
@@ -131,74 +298,81 @@ func (c *PartitionCollector) compare(a, b entry) int {
 // spill sorts what is buffered into one run per partition and starts a
 // new fill.
 func (c *PartitionCollector) spill() {
-	if c.s == nil || len(c.s.entries) == 0 {
+	s := c.s
+	if s == nil || len(s.entries) == 0 {
 		return
 	}
-	es := c.s.entries
+	es := s.entries
 	slices.SortFunc(es, c.compare)
+	build := c.buildRun
+	if c.combine != nil {
+		build = c.combineRun
+	}
 	runs := make([][]Pair, c.parts)
 	for lo := 0; lo < len(es); {
 		hi := lo + 1
 		for hi < len(es) && es[hi].part == es[lo].part {
 			hi++
 		}
-		runs[es[lo].part] = c.buildRun(es[lo:hi])
+		runs[es[lo].part] = build(es[lo:hi])
 		lo = hi
 	}
 	c.spilled = append(c.spilled, runs)
-	c.s.entries = es[:0]
+	s.entries, s.extras, s.cells = es[:0], s.extras[:0], s.cells[:0]
+	clear(s.table)
 	c.slab.reset()
 	c.buffered = 0
 	c.spills++
 }
 
-// sameKey reports whether two entries of one partition carry equal keys.
-func (c *PartitionCollector) sameKey(a, b entry) bool {
-	return a.prefix == b.prefix && bytes.Equal(c.record(a.loc).Key, c.record(b.loc).Key)
+// buildRun materialises one partition's sorted records as a run and
+// accounts its bytes as spilled.
+func (c *PartitionCollector) buildRun(es []entry) []Pair {
+	run := make([]Pair, len(es))
+	for i, e := range es {
+		run[i] = c.record(e.loc)
+		c.spillB += run[i].Size()
+	}
+	return run
 }
 
-// buildRun materialises one partition's sorted entries as a run,
-// combined if the collector combines, and accounts its bytes as spilled.
-func (c *PartitionCollector) buildRun(es []entry) []Pair {
-	if c.combine == nil {
-		run := make([]Pair, len(es))
-		for i, e := range es {
-			run[i] = c.record(e.loc)
-			c.spillB += run[i].Size()
-		}
-		return run
-	}
-	groups := 1
-	for i := 1; i < len(es); i++ {
-		if !c.sameKey(es[i-1], es[i]) {
-			groups++
-		}
-	}
-	run := make([]Pair, 0, groups)
-	vals := c.s.vals
-	for i := 0; i < len(es); {
-		first := c.record(es[i].loc)
+// combineRun builds one partition's run from its sorted distinct keys:
+// each key's values, in ascending byte order, go through the combiner.
+// The run is sized for a combiner that keeps one value per key.
+func (c *PartitionCollector) combineRun(es []entry) []Pair {
+	s := c.s
+	run := make([]Pair, 0, len(es))
+	vals := s.vals
+	for _, e := range es {
+		first := c.record(e.loc)
+		head, repeats := c.header(e.loc)
 		vals = append(vals[:0], first.Value)
-		j := i + 1
-		for ; j < len(es) && es[j].prefix == es[i].prefix; j++ {
-			p := c.record(es[j].loc)
-			if !bytes.Equal(p.Key, first.Key) {
-				break
-			}
-			vals = append(vals, p.Value)
+		// Every value gets memory of its own: a combiner may rewrite any
+		// of them in place.
+		for n := binary.LittleEndian.Uint32(repeats); n > 0; n-- {
+			vals = append(vals, c.slab.Copy(first.Value))
+		}
+		chain := binary.LittleEndian.Uint32(head)
+		for i := chain; i != 0; {
+			x := s.extras[i-1]
+			vals = append(vals, c.record(x.loc).Value)
+			i = x.prev
+		}
+		// Repeats equal the first value: only a chain can be out of order.
+		if chain != 0 && !slices.IsSortedFunc(vals, bytes.Compare) {
+			slices.SortFunc(vals, bytes.Compare)
 		}
 		for _, v := range c.combine(first.Key, vals) {
 			run = append(run, Pair{Key: first.Key, Value: v})
 			c.spillB += len(first.Key) + len(v)
 		}
-		i = j
 	}
-	c.s.vals = vals
+	s.vals = vals
 	return run
 }
 
 // Spills reports how many buffer overflows occurred.
-func (c *PartitionCollector) Spills() int { return c.spills }
+func (c *PartitionCollector) Spills() int { return int(c.spills) }
 
 // Finish sorts the remaining buffer and merges runs per partition. It
 // returns the sorted, combined partitions plus the bytes written during
@@ -243,7 +417,8 @@ func (c *PartitionCollector) Finish() (parts [][]Pair, spillBytes, mergeBytes in
 	if s := c.s; s != nil {
 		c.s = nil
 		clear(s.vals[:cap(s.vals)])
-		if cap(s.entries)*16+cap(s.vals)*24 <= maxPooledScratch {
+		s.table = s.table[:0] // all zero since the last spill: the next collector starts small
+		if cap(s.entries)*16+cap(s.vals)*24+cap(s.extras)*8+(cap(s.table)+cap(s.cells))*8 <= maxPooledScratch {
 			scratchPool.Put(s)
 		}
 	}

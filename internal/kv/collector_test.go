@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -102,6 +103,24 @@ func oracleCollect(recs []Pair, nParts, bufferBytes int, combine Combiner, part 
 	return parts, spillBytes, mergeBytes, spills
 }
 
+// joinCombiner concatenates a key's values with a separator: unlike a
+// sum, its output shows the order the values arrived in, which the
+// collector promises is ascending byte order.
+func joinCombiner(key []byte, values [][]byte) [][]byte {
+	return [][]byte{bytes.Join(values, []byte{','})}
+}
+
+// combinerArms are the combiners every oracle comparison runs with, under
+// the names its subtests carry. A fuzz input picks one by index.
+var combinerArms = []struct {
+	name    string
+	combine Combiner
+}{
+	{"false", nil},
+	{"true", SumCombiner},
+	{"join", joinCombiner},
+}
+
 func samePairs(a, b []Pair) bool {
 	if len(a) != len(b) {
 		return false
@@ -175,9 +194,9 @@ func TestCollectorMatchesOracle(t *testing.T) {
 	for name, recs := range cases {
 		for _, nParts := range []int{1, 2, 7, 64} {
 			for _, bufferBytes := range []int{0, 1, 5, 40} {
-				for _, combine := range []Combiner{nil, SumCombiner} {
-					t.Run(fmt.Sprintf("%s/p%d/b%d/combine=%t", name, nParts, bufferBytes, combine != nil), func(t *testing.T) {
-						checkAgainstOracle(t, recs, nParts, bufferBytes, combine)
+				for _, arm := range combinerArms {
+					t.Run(fmt.Sprintf("%s/p%d/b%d/combine=%s", name, nParts, bufferBytes, arm.name), func(t *testing.T) {
+						checkAgainstOracle(t, recs, nParts, bufferBytes, arm.combine)
 					})
 				}
 			}
@@ -218,20 +237,70 @@ func fuzzRecords(data []byte) []Pair {
 }
 
 func FuzzCollectorMatchesOracle(f *testing.F) {
-	f.Add([]byte{}, uint8(1), uint16(0), false)
-	f.Add([]byte("\xc1a\x05\xc2a\x00\x07\xc1a\x05\x81a\x41b\x09"), uint8(2), uint16(0), true)
-	f.Add([]byte("\xc9abababab\x00\x63\xc8abababab\x01\xc9ababababa\x02\xc8abababab\x01"), uint8(1), uint16(0), true)
-	f.Add([]byte("\x43the\x01\x43the\x01\x42of\x01\x43the\x01\x41a\x01\x42of\x01\x43the\x7f"), uint8(32), uint16(6), true)
-	f.Add([]byte("\x00\x00\x40\x05\x80\xc0\x09\x4f0123456789abcde\x11"), uint8(64), uint16(1), false)
-	f.Add(bytes.Repeat([]byte("\xcf\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x7e"), 40), uint8(7), uint16(64), true)
-	f.Add(bytes.Repeat([]byte("\x4cwordcountkey\x01\x48sortkeys\x02"), 64), uint8(5), uint16(300), false)
-	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, bufferBytes uint16, combine bool) {
-		var comb Combiner
-		if combine {
-			comb = SumCombiner
-		}
+	f.Add([]byte{}, uint8(1), uint16(0), uint8(0))
+	f.Add([]byte("\xc1a\x05\xc2a\x00\x07\xc1a\x05\x81a\x41b\x09"), uint8(2), uint16(0), uint8(1))
+	f.Add([]byte("\xc9abababab\x00\x63\xc8abababab\x01\xc9ababababa\x02\xc8abababab\x01"), uint8(1), uint16(0), uint8(1))
+	f.Add([]byte("\x43the\x01\x43the\x01\x42of\x01\x43the\x01\x41a\x01\x42of\x01\x43the\x7f"), uint8(32), uint16(6), uint8(1))
+	f.Add([]byte("\x00\x00\x40\x05\x80\xc0\x09\x4f0123456789abcde\x11"), uint8(64), uint16(1), uint8(0))
+	f.Add(bytes.Repeat([]byte("\xcf\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x7e"), 40), uint8(7), uint16(64), uint8(1))
+	f.Add(bytes.Repeat([]byte("\x4cwordcountkey\x01\x48sortkeys\x02"), 64), uint8(5), uint16(300), uint8(0))
+	f.Add([]byte("\x43the\x09\x43the\x01\x42of\x01\x43the\x05\x41a\x01\x42of\x01\x43the\x7f"), uint8(3), uint16(9), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, bufferBytes uint16, arm uint8) {
+		comb := combinerArms[int(arm)%len(combinerArms)].combine
 		checkAgainstOracle(t, fuzzRecords(data), 1+int(nParts)%64, int(bufferBytes), comb)
 	})
+}
+
+// badPartitioner is HashPartitioner except on one key, where it returns
+// an index no partition has.
+type badPartitioner struct {
+	key string
+	idx int
+}
+
+func (b badPartitioner) Partition(key []byte, n int) int {
+	if string(key) == b.key {
+		return b.idx
+	}
+	return HashPartitioner{}.Partition(key, n)
+}
+
+// TestCollectorReportsPartitionOutOfRange: a Partitioner that leaves
+// [0, n) used to panic inside spill, far from its cause (and a negative
+// index wrapped through uint32). The collector now keeps the first
+// offence for Err, files the record under partition 0 and finishes.
+func TestCollectorReportsPartitionOutOfRange(t *testing.T) {
+	recs := pairsOf("a", "1", "bad", "1", "b", "1", "bad", "1", "worse", "1")
+	for _, idx := range []int{4, -1, 1 << 30} {
+		for _, arm := range combinerArms {
+			c := NewPartitionCollector(4, 0, arm.combine, badPartitioner{"bad", idx})
+			for _, r := range recs {
+				c.Emit(r.Key, r.Value)
+			}
+			parts, _, _ := c.Finish()
+			err := c.Err()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("index %d for 4 partitions", idx)) {
+				t.Fatalf("idx=%d combine=%s: Err() = %v, want the index and the partition count", idx, arm.name, err)
+			}
+			n := 0
+			for _, p := range parts {
+				n += len(p)
+			}
+			want := 4 // distinct keys
+			if arm.combine == nil {
+				want = len(recs)
+			}
+			if len(parts) != 4 || n != want {
+				t.Fatalf("idx=%d combine=%s: Finish returned %d records in %d partitions, want %d in 4", idx, arm.name, n, len(parts), want)
+			}
+		}
+	}
+	c := NewPartitionCollector(4, 0, nil, HashPartitioner{})
+	c.Emit([]byte("a"), nil)
+	c.Finish()
+	if err := c.Err(); err != nil {
+		t.Fatalf("Err() = %v after a well-behaved Partitioner", err)
+	}
 }
 
 func TestEntryIsSixteenBytes(t *testing.T) {
@@ -253,26 +322,39 @@ func wordCountRecords(seed int64, n int) []Pair {
 }
 
 // TestCollectorSpillsEarlyWhenFillOutgrowsLoc lowers the number of slab
-// blocks an entry's loc may address: the collector must spill rather
-// than wrap, and the output must not change.
+// blocks a location may address: the collector must spill rather than
+// wrap, and the output must not change. A grouping fill stores a repeated
+// key once, so its slab fills several times more slowly and it gets
+// several times the records.
 func TestCollectorSpillsEarlyWhenFillOutgrowsLoc(t *testing.T) {
-	recs := wordCountRecords(3, 40000)
-	big := Pair{Key: []byte("big"), Value: bytes.Repeat([]byte("x"), DefaultBlockBytes)}
-	recs = append(recs[:20000:20000], append([]Pair{big}, recs[20000:]...)...)
-	c := NewPartitionCollector(4, 0, nil, HashPartitioner{})
-	c.fillBlocks = 2
-	for _, r := range recs {
-		c.Emit(r.Key, r.Value)
-	}
-	parts, _, _ := c.Finish()
-	if c.Spills() < 3 {
-		t.Fatalf("%d spills: the fill limit did not force any", c.Spills())
-	}
-	want, _, _, _ := oracleCollect(recs, 4, 0, nil, HashPartitioner{})
-	for pi := range parts {
-		if !samePairs(parts[pi], want[pi]) {
-			t.Fatalf("partition %d differs from the oracle after forced spills", pi)
-		}
+	for _, tc := range []struct {
+		name    string
+		combine Combiner
+		records int
+	}{
+		{"combine=false", nil, 40000},
+		{"combine=true", SumCombiner, 200000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := wordCountRecords(3, tc.records)
+			big := Pair{Key: []byte("big"), Value: bytes.Repeat([]byte("x"), DefaultBlockBytes)}
+			recs = append(recs[:20000:20000], append([]Pair{big}, recs[20000:]...)...)
+			c := NewPartitionCollector(4, 0, tc.combine, HashPartitioner{})
+			c.fillBlocks = 2
+			for _, r := range recs {
+				c.Emit(r.Key, r.Value)
+			}
+			parts, _, _ := c.Finish()
+			if c.Spills() < 3 {
+				t.Fatalf("%d spills: the fill limit did not force any", c.Spills())
+			}
+			want, _, _, _ := oracleCollect(recs, 4, 0, tc.combine, HashPartitioner{})
+			for pi := range parts {
+				if !samePairs(parts[pi], want[pi]) {
+					t.Fatalf("partition %d differs from the oracle after forced spills", pi)
+				}
+			}
+		})
 	}
 }
 
@@ -331,10 +413,7 @@ func TestCollectorsConcurrently(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 6; round++ {
 				recs := wordCountRecords(int64(10*g+round), 3000)
-				var combine Combiner
-				if round%2 == 0 {
-					combine = SumCombiner
-				}
+				combine := combinerArms[round%len(combinerArms)].combine
 				c := NewPartitionCollector(1+g, 2000*(round%3), combine, HashPartitioner{})
 				for _, r := range recs {
 					c.Emit(r.Key, r.Value)
@@ -377,6 +456,46 @@ func TestCollectAllocsPerRecord(t *testing.T) {
 
 func BenchmarkCollectWordCount(b *testing.B) {
 	recs := wordCountRecords(7, 40000)
+	b.ReportAllocs()
+	for b.Loop() {
+		c := NewPartitionCollector(32, 0, SumCombiner, HashPartitioner{})
+		for _, r := range recs {
+			c.Emit(r.Key, r.Value)
+		}
+		c.Finish()
+	}
+}
+
+// BenchmarkCollectTextSort is the fill without a combiner: distinct
+// line-sized keys, empty values, range-free hash partitioning.
+func BenchmarkCollectTextSort(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	recs := make([]Pair, 40000)
+	for i := range recs {
+		key := make([]byte, 60+rng.Intn(40))
+		for j := range key {
+			key[j] = byte('a' + rng.Intn(26))
+		}
+		recs[i] = Pair{Key: key}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c := NewPartitionCollector(32, 0, nil, HashPartitioner{})
+		for _, r := range recs {
+			c.Emit(r.Key, r.Value)
+		}
+		c.Finish()
+	}
+}
+
+// BenchmarkCollectDistinctCombine is the grouping fill's worst case:
+// every key distinct, so the table finds nothing and the combiner folds
+// nothing.
+func BenchmarkCollectDistinctCombine(b *testing.B) {
+	recs := make([]Pair, 40000)
+	for i := range recs {
+		recs[i] = Pair{Key: []byte("w" + strconv.FormatUint(uint64(i)*2654435761%(1<<32), 36)), Value: []byte("1")}
+	}
 	b.ReportAllocs()
 	for b.Loop() {
 		c := NewPartitionCollector(32, 0, SumCombiner, HashPartitioner{})

@@ -356,6 +356,9 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	inflatedNominal := float64(inflated) * scale
 	nominalRecords := float64(nRecords) * scale
 	parts, spillActual, mergeActual := coll.Finish()
+	if err := coll.Err(); err != nil {
+		return nil, fmt.Errorf("mr: map output: %w", err)
+	}
 
 	emitScale := spec.EmitScale()
 	outActual := 0

@@ -339,6 +339,19 @@ func TestEmptyInputFails(t *testing.T) {
 	enginetest.AssertQuiesced(t, eng)
 }
 
+// TestPartitionerOutOfRangeFailsTheJob: an index outside [0, reducers)
+// used to panic inside the collector's spill. With a combiner and
+// without one (the collector's two fills), the job now fails with it.
+func TestPartitionerOutOfRangeFailsTheJob(t *testing.T) {
+	for _, mk := range []func(*dfs.FS, *dfs.File, string, int) job.Spec{wordCountSpec, sortSpec} {
+		_, fs, eng := testSetup(8*cluster.KB, 1)
+		in := fs.PreloadAligned("/in", genText(4, 32*1024), '\n')
+		spec := mk(fs, in, "/out", 4)
+		spec.Part = enginetest.OutOfRange{}
+		enginetest.AssertPartitionError(t, eng, eng.Run(spec), 4)
+	}
+}
+
 func TestMapPhaseShorterThanJob(t *testing.T) {
 	_, fs, eng := testSetup(256*cluster.MB, 8192)
 	in := fs.PreloadAligned("/in", genText(12, int(2*cluster.GB/8192)), '\n')

@@ -578,6 +578,9 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		coll.Emit(pr.Key, pr.Value)
 	}
 	parts, _, _ := coll.Finish()
+	if err := coll.Err(); err != nil {
+		return nil, fmt.Errorf("rdd: shuffle output: %w", err)
+	}
 	out := make([]partData, next.nParts)
 	writeNominal := 0.0
 	writeRecords := 0.0

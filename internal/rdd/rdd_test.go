@@ -597,3 +597,13 @@ func TestCorruptSeqBlockFailsTheJob(t *testing.T) {
 		enginetest.AssertQuiesced(t, eng)
 	}
 }
+
+// TestPartitionerOutOfRangeFailsTheJob: an index outside [0, partitions)
+// used to panic inside the shuffle writer's collector. The action now
+// fails with it.
+func TestPartitionerOutOfRangeFailsTheJob(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	in := fs.PreloadAligned("/in", genText(4, 32*1024), '\n')
+	_, res := eng.TextFile(in).SortByKey(enginetest.OutOfRange{}, nil, 4).Collect()
+	enginetest.AssertPartitionError(t, eng, res, 4)
+}
