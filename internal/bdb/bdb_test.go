@@ -5,8 +5,10 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -16,6 +18,7 @@ import (
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/rdd"
+	"github.com/datampi/datampi-go/internal/trace"
 )
 
 func freshFS(blockSize, scale float64) *dfs.FS {
@@ -332,6 +335,62 @@ func TestKMeansEnginesMatchReference(t *testing.T) {
 		t.Fatal(dres.Err)
 	}
 	check("DataMPI", dres.Centroids)
+}
+
+// TestKMeansDataMPITraced: Iteration mode is traced like any job — one job
+// span, a phase span for the load and for every round, a task span on a
+// slot lane for every rank's load and every rank's round — and tracing it
+// moves no simulated number.
+func TestKMeansDataMPITraced(t *testing.T) {
+	run := func(tr *trace.Tracer) (KMeansResult, int, int) {
+		fsys := freshFS(32*cluster.KB, 1)
+		in, _ := GenerateVectorFile(fsys, "/vec", 13, 96*1024)
+		eng := core.New(fsys, core.DefaultConfig())
+		eng.Tracer = tr
+		res := KMeansDataMPI(eng, in, 5, 3, 0)
+		if res.Err != nil || res.Iterations != 3 {
+			t.Fatalf("%d iterations, err %v", res.Iterations, res.Err)
+		}
+		c := fsys.Cluster()
+		return res, min(eng.Cfg.TasksPerNode*c.N(), len(in.Blocks)), c.N()
+	}
+	plain, nO, nA := run(nil)
+	tr := trace.New(trace.Config{})
+	traced, _, _ := run(tr)
+	if traced.Elapsed != plain.Elapsed || traced.FirstIter != plain.FirstIter || !slices.Equal(traced.IterTimes, plain.IterTimes) {
+		t.Fatalf("tracing moved the run: elapsed %v/%v, first %v/%v, rounds %v/%v",
+			traced.Elapsed, plain.Elapsed, traced.FirstIter, plain.FirstIter, traced.IterTimes, plain.IterTimes)
+	}
+	jobs, phases := tr.FindByCat("job"), tr.FindByCat("phase")
+	if len(jobs) != 1 || jobs[0].Name != "job:KMeans" {
+		t.Fatalf("job spans: %+v", jobs)
+	}
+	var names []string
+	for _, ph := range phases {
+		names = append(names, ph.Name)
+		if ph.Parent != jobs[0].ID {
+			t.Fatalf("phase %s is not under the job span", ph.Name)
+		}
+	}
+	if want := []string{"load", "round1", "round2", "round3"}; !slices.Equal(names, want) {
+		t.Fatalf("phase spans %v, want %v", names, want)
+	}
+	for i, d := range traced.IterTimes[1:] {
+		if ph := phases[i+2]; ph.End-ph.Start != d {
+			t.Fatalf("phase %s lasts %v, the result says %v", ph.Name, ph.End-ph.Start, d)
+		}
+	}
+	kinds := map[string]int{}
+	for _, sp := range tr.FindByCat("task") {
+		kinds[sp.Name[:strings.LastIndexByte(sp.Name, '-')]]++
+		if sp.Tid >= trace.TidDriver || sp.End <= sp.Start {
+			t.Fatalf("task span %s: lane %d, %v..%v", sp.Name, sp.Tid, sp.Start, sp.End)
+		}
+	}
+	want := map[string]int{"O-load": nO, "O-r1": nO, "O-r2": nO, "O-r3": nO, "A-r1": nA, "A-r2": nA, "A-r3": nA}
+	if !maps.Equal(kinds, want) {
+		t.Fatalf("task spans %v, want %v", kinds, want)
+	}
 }
 
 func TestKMeansRecoversClusterStructure(t *testing.T) {

@@ -137,68 +137,54 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 // submit spawns the job's driver and task processes. done (optional) runs
 // in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
-	if spec.Err != nil {
-		return e.Reject(spec.Name, spec.Err, done)
+	j, ok := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done)
+	if !ok {
+		return j
 	}
-	spec.Normalize()
-	blocks := spec.Input.Blocks
-	if len(blocks) == 0 {
-		return e.Reject(spec.Name, fmt.Errorf("datampi: job %s has empty input", spec.Name), done)
-	}
-	j := e.Begin(spec.Name, ctl, e.Cfg.DaemonMem)
 	res := &j.Res
 	eng := e.C.Eng
 
-	nO := e.Cfg.TasksPerNode * e.C.N()
-	if nO > len(blocks) {
-		nO = len(blocks)
-	}
-	nA := spec.Reducers
-	world := e.buildWorld(nO, nA)
-	splitsOf := e.assignSplits(ctl.Placer(), blocks, nO, world)
+	blocks := spec.Input.Blocks
+	nA := spec.Reducers // at least one: see job.Spec.Normalize
+	nO, world, splitsOf := e.layout(ctl.Placer(), blocks, nA)
 	oSpans := make([]uint64, nO) // O rank -> latest attempt span ID
-
-	// Task slots: with a single job both pools are at least as wide as the
-	// communicators mpirun lays out (the A pool widens when Reducers
-	// exceeds TasksPerNode*N, matching the all-ranks-at-once launch), so
-	// acquisition never blocks; under a shared queue they make concurrent
-	// DataMPI jobs contend per node. The A pool is elastic: a later job
-	// with a denser A layout grows the shared pool rather than strand
-	// ranks behind a latched size.
-	oSlots := ctl.Pool("dm-o", e.Cfg.TasksPerNode)
-	aPerNode := e.Cfg.TasksPerNode
-	if need := (nA + e.C.N() - 1) / e.C.N(); need > aPerNode {
-		aPerNode = need
-	}
-	aSlots := ctl.PoolGrow("dm-a", aPerNode)
-
-	var wg sim.WaitGroup
+	oSlots, aSlots := e.pools(ctl, nA)
+	// The injected A-task crash is one-shot per job: the job's copy of the
+	// knob is spent, the engine's configuration is not.
+	failA := e.Cfg.FailATask
 
 	// launchO launches O rank o as the task called name. O tasks are
 	// restartable: the body re-reads its immutable splits and re-streams
 	// partitions, and duplicate sends are harmless because the A side
 	// keeps one message per split tag and discards re-deliveries (the
 	// duplicate bytes still cross the simulated network, as real
-	// speculative shuffles do). Map-only O tasks write the DFS through
-	// the attempt-scoped committer, so they can race backups too. count
-	// is the launch's own accounting in the winner's Done.
-	launchO := func(o int, name string, count func(att *sched.Attempt), fail func(error), final func()) {
-		ctl.Launch(sched.TaskSpec{
+	// speculative shuffles do). counter is what the launch's winner counts
+	// as. An O task that
+	// fails for good will never send its split tags, and every A rank
+	// waits for every tag: the failure is handed to each of them
+	// (MPI_Abort in miniature), so the job ends when the rank does.
+	launchO := func(o int, name, counter string, final func()) {
+		j.Launch(sched.TaskSpec{
 			Name:        name,
 			Node:        world.NodeOf(o),
 			Pool:        oSlots,
 			Group:       "O",
 			Restartable: true,
-			CommitFS:    e.FS,
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				oSpans[o] = att.TraceSpan().SpanID()
 				return nil, e.runOTask(p, att, &spec, world, o, nO, nA, splitsOf[o])
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-				count(att)
+				res.AddCounter(counter, 1)
+				oSpans[o] = att.TraceSpan().SpanID()
 				return nil
 			},
-			Fail:  fail,
+			Fail: func(err error) {
+				j.Fail(err)
+				for a := 0; a < nA; a++ {
+					world.Isend(o, nO+a, abortTag, 0, err, nil)
+				}
+			},
 			Final: final,
 		})
 	}
@@ -210,12 +196,10 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	// ride one replay.
 	var rec *aRecovery
 	rec = &aRecovery{nO: nO, pendingAt: -1, launch: func(o, gen int) {
-		wg.Add(1)
 		ctl.Tracker().NoteRecompute()
-		// taskDone may chain a pending round (wg.Add) and must run
-		// before wg.Done so the driver cannot slip through a zero.
-		launchO(o, fmt.Sprintf("O-%d~r%d", o, gen), func(*sched.Attempt) { res.AddCounter("o_replays", 1) },
-			j.Fail, func() { rec.taskDone(eng.Now()); wg.Done() })
+		// taskDone may chain a pending round: it runs as the task's Final,
+		// ahead of the job's own count (see taskrt.Job.Launch).
+		launchO(o, fmt.Sprintf("O-%d~r%d", o, gen), "o_replays", func() { rec.taskDone(eng.Now()) })
 	}}
 
 	eng.Go("datampi-driver:"+spec.Name, func(driver *sim.Proc) {
@@ -223,27 +207,15 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 		// no per-wave JVM costs, the paper's "low overhead" property.
 		driver.Sleep(e.Cfg.MPIRunLaunch)
 
-		wg.Add(nO + nA)
 		oDone := 0
-		oFinish := func() {
-			if oDone++; oDone == nO {
-				j.Phase("O", "A")
-			}
-		}
 		for o := 0; o < nO; o++ {
-			o := o
-			launchO(o, fmt.Sprintf("O-%d", o), func(att *sched.Attempt) {
-				res.AddCounter("o_tasks", 1)
-				oSpans[o] = att.TraceSpan().SpanID()
-				if nA == 0 {
-					j.DependsOn(att)
+			launchO(o, fmt.Sprintf("O-%d", o), "o_tasks", func() {
+				if oDone++; oDone == nO {
+					j.Phase("O", "A")
 				}
-				oFinish()
-			}, func(err error) { j.Fail(err); oFinish() }, wg.Done)
+			})
 		}
-		totalSplits := len(blocks)
 		for a := 0; a < nA; a++ {
-			a := a
 			// A tasks are never speculated: dichotomic A ranks accumulate
 			// the job's intermediate data in memory as it streams in, so a
 			// backup could not re-receive consumed messages. They are
@@ -251,27 +223,24 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 			// healthy one (PreRetry widens the gang-scheduled pool so the
 			// re-homed rank can get a slot the failure took out of
 			// service), and the engine replays the O side into it.
-			ctl.Launch(sched.TaskSpec{
+			j.Launch(sched.TaskSpec{
 				Name:      fmt.Sprintf("A-%d", a),
 				Node:      world.NodeOf(nO + a),
 				Pool:      aSlots,
 				Group:     "A",
 				Retryable: true,
 				PreRetry:  func() { aSlots.Grow(aSlots.PerNode() + 1) },
-				CommitFS:  e.FS,
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					return nil, e.runATask(p, att, &spec, world, nO, a, totalSplits, res, rec, oSpans)
+					return nil, e.runATask(p, att, &spec, world, nO, a, len(blocks), j, rec, oSpans, &failA)
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					res.AddCounter("a_tasks", 1)
 					j.DependsOn(att)
 					return nil
 				},
-				Fail:  j.Fail,
-				Final: wg.Done,
 			})
 		}
-		wg.Wait(driver)
+		j.Wait(driver)
 		driver.Sleep(e.Cfg.JobFinalize)
 		j.Finish(done)
 	})
@@ -332,9 +301,16 @@ func (r *aRecovery) taskDone(now float64) {
 	}
 }
 
-// buildWorld lays out nO O-ranks followed by nA A-ranks, each side spread
-// round-robin across nodes.
-func (e *Engine) buildWorld(nO, nA int) *mpi.World {
+// layout sizes the O communicator (one rank per task slot, no more than
+// there are splits) and lays out its ranks followed by nA A ranks, each
+// side spread round-robin across nodes; input blocks go to nodes with
+// locality preference and balanced waves, then round-robin over that
+// node's local O ranks (see sched.Placer.PlaceOnRanks).
+func (e *Engine) layout(pl sched.Placer, blocks []*dfs.Block, nA int) (nO int, w *mpi.World, splitsOf [][]*dfs.Block) {
+	nO = e.Cfg.TasksPerNode * e.C.N()
+	if nO > len(blocks) {
+		nO = len(blocks)
+	}
 	nodeOf := make([]int, nO+nA)
 	for o := 0; o < nO; o++ {
 		nodeOf[o] = o % e.C.N()
@@ -342,30 +318,32 @@ func (e *Engine) buildWorld(nO, nA int) *mpi.World {
 	for a := 0; a < nA; a++ {
 		nodeOf[nO+a] = a % e.C.N()
 	}
-	w := mpi.NewWorld(e.C, nodeOf)
+	w = mpi.NewWorld(e.C, nodeOf)
 	w.SetTransport(e.Transport())
-	return w
+	return nO, w, pl.PlaceOnRanks(blocks, nodeOf[:nO])
 }
 
-// assignSplits maps input blocks to O ranks: blocks go to nodes with
-// locality preference and balanced waves, then round-robin over that
-// node's local O ranks (see sched.Placer.PlaceOnRanks).
-func (e *Engine) assignSplits(pl sched.Placer, blocks []*dfs.Block, nO int, w *mpi.World) [][]*dfs.Block {
-	rankNode := make([]int, nO)
-	for o := 0; o < nO; o++ {
-		rankNode[o] = w.NodeOf(o)
+// pools returns the job's task slots. With a single job both pools are at
+// least as wide as the communicators mpirun lays out (the A pool widens
+// when nA exceeds TasksPerNode*N, matching the all-ranks-at-once launch),
+// so acquisition never blocks; under a shared queue they make concurrent
+// DataMPI jobs contend per node. The A pool is elastic: a later job with a
+// denser A layout grows the shared pool rather than strand ranks behind a
+// latched size.
+func (e *Engine) pools(ctl *sched.JobControl, nA int) (o, a *sched.SlotPool) {
+	aPerNode := e.Cfg.TasksPerNode
+	if need := (nA + e.C.N() - 1) / e.C.N(); need > aPerNode {
+		aPerNode = need
 	}
-	return pl.PlaceOnRanks(blocks, rankNode)
+	return ctl.Pool("dm-o", e.Cfg.TasksPerNode), ctl.PoolGrow("dm-a", aPerNode)
 }
 
 // runOTask processes this rank's splits: for each split, the input read,
 // the O-function CPU, and the pipelined partition sends all overlap. The
-// body is restartable when an A side exists: a speculative attempt runs
-// it on its own node (att.Node may differ from the rank's home node) and
+// body is restartable: a speculative attempt runs it on its own node (att.Node may differ from the rank's home node) and
 // everything it allocates is released by defers even when cancelled.
 func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, rank, nO, nA int, splits []*dfs.Block) error {
 	cfg := &e.Cfg
-	scale := e.Scale()
 	node := att.Node()
 	mem := e.C.Node(node).Mem
 	p.Sleep(cfg.TaskStart)
@@ -374,51 +352,28 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	var sendBufHeld float64
 	defer func() { mem.Free(sendBufHeld) }()
 
-	mapOnly := nA == 0
 	for si, blk := range splits {
 		att.Report(float64(si) / float64(len(splits)))
-		nParts := nA
-		if mapOnly {
-			nParts = 1
-		}
 		// The O side partitions into per-destination send buffers. The
 		// collector sorts each one (and combines, if configured), so the
 		// A side receives sorted runs and only merges.
-		coll := kv.NewPartitionCollector(nParts, 0, spec.Combine, spec.Part)
-		nRecords, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
+		inflatedNominal, nominalRecords, out, err := e.MapBlock(spec, blk, nA, 0)
 		if err != nil {
-			return fmt.Errorf("datampi: O input: %w", err)
-		}
-		inflatedNominal := float64(inflated) * scale
-		nominalRecords := float64(nRecords) * scale
-		parts, _, _ := coll.Finish()
-		if err := coll.Err(); err != nil {
-			// The A ranks wait for every split and this rank will send
-			// no more: hand each of them the error to fail with.
-			err = fmt.Errorf("datampi: O output: %w", err)
-			for a := 0; a < nA; a++ {
-				w.IsendFrom(node, rank, nO+a, abortTag, 0, err, nil)
-			}
-			return err
-		}
-		emitScale := spec.EmitScale()
-		emittedNominal := 0.0
-		for _, part := range parts {
-			emittedNominal = taskrt.FramedNominal(emittedNominal, part, emitScale)
+			return fmt.Errorf("datampi: O %w", err)
 		}
 
 		// Send buffers hold one pipelining unit per destination. The held
 		// amount is tracked so the deferred release covers a cancelled
 		// attempt mid-split.
-		sendBufMem := float64(nParts) * cfg.SendBufferBytes
-		if sendBufMem > 64*cluster.MB*float64(nParts) {
-			sendBufMem = 64 * cluster.MB * float64(nParts)
+		sendBufMem := float64(nA) * cfg.SendBufferBytes
+		if sendBufMem > 64*cluster.MB*float64(nA) {
+			sendBufMem = 64 * cluster.MB * float64(nA)
 		}
 		mem.MustAlloc(sendBufMem)
 		sendBufHeld += sendBufMem
 
 		cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteO*spec.MapCPUFactor*inflatedNominal +
-			e.Transport().Profile().EmitCPUPerByte*emittedNominal +
+			e.Transport().Profile().EmitCPUPerByte*out.OutNominal +
 			cfg.CPUPerRecord*nominalRecords)
 
 		var wg sim.WaitGroup
@@ -429,18 +384,17 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		sendAll := func(sg *sim.WaitGroup) {
 			for a := 0; a < nA; a++ {
 				sg.Add(1)
-				w.IsendFromRecords(node, rank, nO+a, splitTag(blk), taskrt.FramedNominal(0, parts[a], emitScale),
-					float64(len(parts[a]))*emitScale, parts[a], sg.Done)
+				w.IsendFromRecords(node, rank, nO+a, splitTag(blk), out.Nominal[a], out.Records[a], out.Parts[a], sg.Done)
 			}
 		}
-		if !mapOnly && !cfg.DisablePipelining {
+		if !cfg.DisablePipelining {
 			// Pipelined communication: every partition streams to its A
 			// task concurrently with the computation above. The message
 			// carries the real records.
 			sendAll(&wg)
 		}
 		wg.WaitAs(p, "disk")
-		if !mapOnly && cfg.DisablePipelining {
+		if cfg.DisablePipelining {
 			// Ablation: communication starts only after the task's read
 			// and computation finish, as in Hadoop's shuffle.
 			var sg sim.WaitGroup
@@ -449,12 +403,6 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		}
 		mem.Free(sendBufMem)
 		sendBufHeld -= sendBufMem
-
-		if mapOnly && spec.Output != "" {
-			if err := e.WritePart(p, att, fmt.Sprintf("%s/part-o-%05d", spec.Output, blk.ID), emitScale, parts[0]); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -462,8 +410,8 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 func splitTag(blk *dfs.Block) int { return int(blk.ID) + 1000 }
 
 // abortTag is the tag (below every splitTag) of the message, carrying an
-// error and no bytes, with which an O rank that cannot partition its
-// output ends the A ranks' receive loops: MPI_Abort in miniature.
+// error and no bytes, with which an O rank that failed for good ends the A
+// ranks' receive loops.
 const abortTag = 0
 
 // runATask receives one message per input split, buffering the pairs in
@@ -477,8 +425,9 @@ const abortTag = 0
 // healthy node) flushes its mailbox and asks for an O-side replay round —
 // the same tag dedup that absorbs speculative duplicates lets every live
 // rank ignore the replayed streams while this one is fed from scratch.
-func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, nO, a, totalSplits int, res *job.Result, rec *aRecovery, oSpans []uint64) error {
-	cfg := &e.Cfg
+func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, nO, a, totalSplits int,
+	j *taskrt.Job, rec *aRecovery, oSpans []uint64, failA *int) error {
+	cfg, res := &e.Cfg, &j.Res
 
 	rank := nO + a
 	node := att.Node()
@@ -494,8 +443,11 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	if att.Index() > 0 {
 		// Restarted after node failure: the buffered intermediate data and
 		// mailbox died with the machine. Start empty and have the O side
-		// replayed.
+		// replayed — unless an abort went out with the mailbox.
 		w.Flush(rank)
+		if err := j.Err(); err != nil {
+			return err
+		}
 		rec.ensureReplay(p.Engine().Now())
 		res.AddCounter("a_restarts", 1)
 	}
@@ -563,12 +515,12 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		}
 	}
 
-	if cfg.FailATask == a {
+	if *failA == a {
 		// Injected failure: the task dies after receiving its data. The
 		// runtime detects it and respawns the task, which recovers the
 		// intermediate data from the checkpoint (or, without
 		// checkpointing, the job fails).
-		e.Cfg.FailATask = -1
+		*failA = -1
 		if !cfg.Checkpoint {
 			// The deferred release frees the buffered data.
 			return fmt.Errorf("datampi: A task %d failed with no checkpoint", a)
@@ -590,28 +542,11 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		buf.Add(checkpointNominal)
 	}
 
-	totalNominal := buf.Total()
-	var wg sim.WaitGroup
-	buf.StartReadBack(&wg)
-	// Merge + reduce CPU. Every run is one O task's partition, which its
-	// collector's Finish already sorted, so the A side merges the runs
-	// rather than sorting their concatenation.
-	all := mergeRuns(runs)
-	nominalRecords := float64(len(all)) * spec.EmitScale()
-	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteA*spec.ReduceCPUFactor*totalNominal +
-		cfg.CPUPerByteSort*totalNominal +
-		cfg.CPUPerRecord*nominalRecords)
-	e.StartCPU(&wg, node, cpuSec, cfg.OverheadFactor*cpuSec)
-	wg.WaitAs(p, "disk")
-
-	reduced := spec.GroupReduce(all)
+	// Every run is one O task's partition, which its collector already
+	// sorted, so the A side merges the runs rather than sorting their
+	// concatenation.
+	reduced := buf.MergeReduce(spec, runs, cfg.CPUPerByteA, cfg.CPUPerByteSort, cfg.CPUPerRecord,
+		func(cpuSec float64) float64 { return cfg.OverheadFactor * cpuSec })
 	res.OutRecords += int64(len(reduced))
-	if spec.Output != "" {
-		return e.WritePart(p, att, fmt.Sprintf("%s/part-a-%05d", spec.Output, a), spec.EmitScale(), reduced)
-	}
-	return nil
+	return e.WritePart(p, att, spec.Output, fmt.Sprintf("part-a-%05d", a), spec.EmitScale(), reduced)
 }
-
-// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
-// tests wrap it to assert that of every run the engine hands over.
-var mergeRuns = kv.MergeRuns

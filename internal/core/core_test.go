@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -12,6 +13,8 @@ import (
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/metrics"
+	"github.com/datampi/datampi-go/internal/sched"
+	"github.com/datampi/datampi-go/internal/sim"
 )
 
 func testSetup(blockSize float64, scale float64) (*cluster.Cluster, *dfs.FS, *Engine) {
@@ -421,4 +424,151 @@ func TestJobCounters(t *testing.T) {
 	if res.Counters["pipelined_bytes_nominal"] <= 0 {
 		t.Fatal("no pipelined bytes recorded")
 	}
+}
+
+// lossyInput stages 64 KB of text at replication 1 and fails the node
+// holding the last block's only replica, on the filesystem and the
+// cluster, before any job is submitted.
+func lossyInput() (*cluster.Cluster, *dfs.FS, *Engine, *dfs.File, int) {
+	c := cluster.New(cluster.DefaultHardware())
+	fs := dfs.New(c, dfs.Config{BlockSize: 8 * cluster.KB, Replication: 1, Scale: 1, Seed: 1})
+	in := fs.PreloadAligned("/in", genText(14, 64*1024), '\n')
+	lost := in.Blocks[len(in.Blocks)-1].Locations[0]
+	fs.NodeDown(lost)
+	c.NodeDown(lost)
+	return c, fs, New(fs, DefaultConfig()), in, lost
+}
+
+// TestPermanentOFailureEndsTheJob: an O rank that cannot read a split
+// fails for good and never sends that split's tags, which every A rank
+// waits for. The failure must reach the A ranks: the job ends with the O
+// rank's error at a finite time, not in the kernel's deadlock report
+// (solo) or unfinished (queued), and gives everything back.
+func TestPermanentOFailureEndsTheJob(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queued=%v", queued), func(t *testing.T) {
+			c, fs, eng, in, lost := lossyInput()
+			spec := wcSpec(fs, in, "/out", 8)
+			var res job.Result
+			if queued {
+				q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
+				q.NodeDown(lost)
+				q.Submit(eng, spec)
+				res = q.Run()[0]
+			} else {
+				res = eng.Run(spec)
+			}
+			if res.Err == nil {
+				t.Fatal("a job with an unreadable split succeeded")
+			}
+			if msg := res.Err.Error(); strings.Contains(msg, "deadlock") || strings.Contains(msg, "did not complete") {
+				t.Fatalf("the A ranks were left waiting: %v", res.Err)
+			}
+			if res.End <= res.Start || res.Elapsed != res.End-res.Start {
+				t.Fatalf("failed job not stamped: start %v end %v elapsed %v", res.Start, res.End, res.Elapsed)
+			}
+			enginetest.AssertQuiesced(t, eng)
+		})
+	}
+}
+
+// TestInjectedFailureIsPerJob: FailATask crashes the task once per job and
+// leaves the engine's configuration alone, so a second job on the same
+// engine sees the same knob.
+func TestInjectedFailureIsPerJob(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	in := fs.PreloadAligned("/in", genText(6, 32*1024), '\n')
+	eng.Cfg.FailATask = 1
+	for i := 0; i < 2; i++ {
+		if res := eng.Run(wcSpec(fs, in, fmt.Sprintf("/out%d", i), 4)); res.Err == nil {
+			t.Fatalf("job %d: the injected failure did not fire", i)
+		}
+		if eng.Cfg.FailATask != 1 {
+			t.Fatalf("job %d rewrote Config.FailATask to %d", i, eng.Cfg.FailATask)
+		}
+	}
+	enginetest.AssertQuiesced(t, eng)
+}
+
+// toyIteration is a two-round Iteration job that counts records.
+func toyIteration(in *dfs.File) IterationJob[int] {
+	return IterationJob[int]{
+		Name: "toy", Input: in, InputFormat: job.Text, Rounds: 2,
+		LoadO:             func(records []kv.Pair) any { return len(records) },
+		RunO:              func(round, state int, cached any, emit job.Emit) { emit([]byte("n"), []byte("1")) },
+		RunA:              func(round int, grouped []kv.Pair) []kv.Pair { return grouped },
+		MergeState:        func(round, state int, aggs []kv.Pair) (int, bool) { return state + len(aggs), false },
+		StateNominalBytes: 1024,
+	}
+}
+
+// TestIterationIsAJobLikeAnyOther: Iteration mode lives between Begin and
+// Finish. A converged run, a failed load and a run the kernel reports as
+// deadlocked (a rank that dies without sending, so the A ranks and the
+// driver wait for ever) each leave no residency holder, no memory charged and no proc parked; and the
+// profiler's refcount carries over to a Common-mode job on the same engine.
+func TestIterationIsAJobLikeAnyOther(t *testing.T) {
+	t.Run("converged", func(t *testing.T) {
+		c, fs, eng := testSetup(8*cluster.KB, 1)
+		eng.AttachProfiler(metrics.NewProfiler(c, 0.5))
+		in := fs.PreloadAligned("/in", genText(12, 32*1024), '\n')
+		if res := RunIteration(eng, toyIteration(in), 0); res.Err != nil || res.Rounds != 2 {
+			t.Fatalf("rounds %d, err %v", res.Rounds, res.Err)
+		}
+		enginetest.AssertQuiesced(t, eng)
+		if len(eng.Prof.Series().Samples) == 0 || eng.Prof.WaitIOFunc == nil {
+			t.Fatal("the Iteration job did not start the profiler the way Begin does (sampling, wait-I/O attribution)")
+		}
+		// Back to back with a Common job under a fresh profiler: it starts
+		// only if the Iteration job gave its hold on the refcount back, and
+		// Run returns only if the Common job's own hold stops it.
+		eng.AttachProfiler(metrics.NewProfiler(c, 0.5))
+		if res := eng.Run(wcSpec(fs, in, "/out", 4)); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if len(eng.Prof.Series().Samples) == 0 {
+			t.Fatal("the profiler did not sample the Common job that followed")
+		}
+		enginetest.AssertQuiesced(t, eng)
+	})
+	t.Run("failed load", func(t *testing.T) {
+		_, _, eng, in, _ := lossyInput()
+		if res := RunIteration(eng, toyIteration(in), 0); res.Err == nil || res.Rounds != 0 {
+			t.Fatalf("rounds %d, err %v", res.Rounds, res.Err)
+		}
+		enginetest.AssertQuiesced(t, eng)
+	})
+	t.Run("deadlock", func(t *testing.T) {
+		c, fs, eng := testSetup(8*cluster.KB, 1)
+		in := fs.PreloadAligned("/in", genText(12, 32*1024), '\n')
+		it := toyIteration(in)
+		// Rank 1's round-1 process dies as it is spawned — cancelled, from
+		// inside rank 0's task, before it first runs.
+		it.RunO = func(round, state int, cached any, emit job.Emit) {
+			c.Eng.CountBlocked(func(q *sim.Proc) bool {
+				if q.Name() == "O-r1-1" {
+					q.Cancel()
+				}
+				return false
+			})
+			emit([]byte("n"), []byte("1"))
+		}
+		res := RunIteration(eng, it, 0)
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "deadlock") {
+			t.Fatalf("err = %v, want the kernel's deadlock report", res.Err)
+		}
+		enginetest.AssertQuiesced(t, eng)
+	})
+}
+
+// TestIterationEmptyInputIsRejected: like a Common-mode job with no input,
+// it is charged nothing and runs nothing.
+func TestIterationEmptyInputIsRejected(t *testing.T) {
+	c, fs, eng := testSetup(8*cluster.KB, 1)
+	eng.AttachProfiler(metrics.NewProfiler(c, 0.5))
+	res := RunIteration(eng, toyIteration(fs.Preload("/empty", nil)), 0)
+	if res.Err == nil || res.Elapsed != 0 || len(eng.Prof.Series().Samples) != 0 {
+		t.Fatalf("err %v, elapsed %v, %d profiler samples", res.Err, res.Elapsed, len(eng.Prof.Series().Samples))
+	}
+	enginetest.AssertQuiesced(t, eng)
 }

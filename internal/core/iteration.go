@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
+	"github.com/datampi/datampi-go/internal/mpi"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
 	"github.com/datampi/datampi-go/internal/taskrt"
@@ -16,6 +18,11 @@ import (
 // pipeline partial results to A tasks each round, and receive the merged
 // global state back by broadcast for the next round. K-means is the
 // paper's Iteration-mode application.
+//
+// The mode is a task shape, not a second runtime: the job is admitted,
+// traced, profiled, charged and released by internal/taskrt exactly as a
+// Common-mode job is, and every rank's load and every rank's round is a
+// task of the job's set, slotted and tracked by internal/sched.
 type IterationJob[S any] struct {
 	Name        string
 	Input       *dfs.File
@@ -55,137 +62,140 @@ type IterationResult[S any] struct {
 	Err        error
 }
 
-// RunIteration executes an Iteration-mode job. The initial state seeds
-// round 1.
+// RunIteration executes an Iteration-mode job exclusively. The initial
+// state seeds round 1 (see taskrt.Base.RunSolo for the drain and
+// accounting contract). The load and every round are phases of the job.
 func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResult[S] {
-	res := IterationResult[S]{}
+	res := IterationResult[S]{State: initial}
+	r := e.RunSolo(func(ctl *sched.JobControl) *taskrt.Job { return submitIteration(e, &it, &res, ctl) })
+	res.Elapsed, res.Err = r.Elapsed, r.Err
+	return res
+}
+
+// submitIteration spawns the job's driver, which launches the O ranks'
+// load tasks and then, round by round, their compute tasks and the A
+// ranks' aggregation tasks, folding each round into res.
+func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult[S], ctl *sched.JobControl) *taskrt.Job {
 	eng := e.C.Eng
 	cfg := &e.Cfg
 	scale := e.Scale()
-	start := eng.Now()
-
+	blocks := it.Input.Blocks
+	if len(blocks) == 0 {
+		return e.Reject(it.Name, fmt.Errorf("datampi: iteration job %s has empty input", it.Name), nil)
+	}
 	if it.CPUFactorO <= 0 {
 		it.CPUFactorO = 1
 	}
-	blocks := it.Input.Blocks
-	if len(blocks) == 0 {
-		res.Err = fmt.Errorf("datampi: iteration job %s has empty input", it.Name)
-		return res
-	}
-	if e.Prof != nil {
-		e.Prof.Start()
-	}
-
-	nO := cfg.TasksPerNode * e.C.N()
-	if nO > len(blocks) {
-		nO = len(blocks)
-	}
+	j := e.Begin(it.Name, ctl, cfg.DaemonMem)
 	nA := e.C.N() // one aggregator per node
-	world := e.buildWorld(nO, nA)
-	splitsOf := e.assignSplits(sched.Placer{Nodes: e.C.N()}, blocks, nO, world)
+	nO, world, splitsOf := e.layout(ctl.Placer(), blocks, nA)
+	oSlots, aSlots := e.pools(ctl, nA)
 
-	state := initial
-	var jobErr error
-	roundStart := start
-
-	// Persistent task state.
+	// Persistent task state: what each O rank cached at load, its nominal
+	// size, and the memory the rank's process holds with it.
 	cached := make([]any, nO)
 	cachedNominal := make([]float64, nO)
+	resident := make([]float64, nO)
 
-	var wg sim.WaitGroup
+	// launch runs body as one task of rank, on the rank's node. The ranks
+	// are persistent processes holding state between tasks, so no task is
+	// restartable: one that fails fails the job.
+	launch := func(name, group string, rank int, pool *sched.SlotPool, body func(p *sim.Proc, node int) error) {
+		node := world.NodeOf(rank)
+		j.Launch(sched.TaskSpec{Name: name, Group: group, Node: node, Pool: pool,
+			Body: func(p *sim.Proc, _ *sched.Attempt) (any, error) { return nil, body(p, node) }})
+	}
+
 	eng.Go("datampi-iter:"+it.Name, func(driver *sim.Proc) {
+		// The ranks outlive their tasks: what they hold is released when the
+		// driver ends, however it ends (a deadlocked run unwinds it).
+		defer func() {
+			for o, bytes := range resident {
+				e.C.Node(world.NodeOf(o)).Mem.Free(bytes)
+			}
+		}()
 		driver.Sleep(cfg.MPIRunLaunch)
 
 		// Load phase: O tasks read and cache their splits.
-		wg.Add(nO)
 		for o := 0; o < nO; o++ {
-			o := o
-			eng.Go(fmt.Sprintf("O-load-%d", o), func(p *sim.Proc) {
-				defer wg.Done()
-				node := world.NodeOf(o)
-				p.Node = node
+			launch(fmt.Sprintf("O-load-%d", o), "load", o, oSlots, func(p *sim.Proc, node int) error {
 				p.Sleep(cfg.TaskStart)
-				e.C.Node(node).Mem.MustAlloc(cfg.ProcBaseMem)
+				mem := e.C.Node(node).Mem
+				mem.MustAlloc(cfg.ProcBaseMem)
+				resident[o] = cfg.ProcBaseMem
 				var recs []kv.Pair
 				var inflated int
 				for _, blk := range splitsOf[o] {
-					var wgr sim.WaitGroup
-					if err := e.FS.StartRead(blk, node, &wgr); err != nil {
-						jobErr = err
-						return
+					var wg sim.WaitGroup
+					if err := e.FS.StartRead(blk, node, &wg); err != nil {
+						return err
 					}
 					r, inf, err := job.Records(it.InputFormat, blk.Data)
 					if err != nil {
-						jobErr = err
-						return
+						return err
 					}
 					// Parse CPU overlapped with the read.
-					wgr.Add(1)
-					e.C.Node(node).CPU.Start(cfg.CPUPerByteO*float64(inf)*scale, wgr.Done)
-					wgr.WaitAs(p, "disk")
+					e.StartCPU(&wg, node, cfg.CPUPerByteO*float64(inf)*scale, 0)
+					wg.WaitAs(p, "disk")
 					recs = append(recs, r...)
 					inflated += inf
 				}
 				cached[o] = it.LoadO(recs)
 				cachedNominal[o] = float64(inflated) * scale
 				// Cached data stays resident for the whole job.
-				e.C.Node(node).Mem.MustAlloc(cachedNominal[o])
+				mem.MustAlloc(cachedNominal[o])
+				resident[o] += cachedNominal[o]
+				return nil
 			})
 		}
-		wg.Wait(driver)
+		j.Wait(driver)
+		j.Phase("load", "")
 
 		// A failed load skips the rounds and the finalize.
-		for round := 1; jobErr == nil && round <= it.Rounds; round++ {
+		roundStart := j.Res.Start
+		for round := 1; j.Err() == nil && round <= it.Rounds; round++ {
 			aggParts := make([][]kv.Pair, nA)
 			// O compute + pipelined send.
-			wg.Add(nO)
 			for o := 0; o < nO; o++ {
-				o := o
-				eng.Go(fmt.Sprintf("O-r%d-%d", round, o), func(p *sim.Proc) {
-					defer wg.Done()
-					node := world.NodeOf(o)
-					p.Node = node
+				launch(fmt.Sprintf("O-r%d-%d", round, o), "O", o, oSlots, func(p *sim.Proc, node int) error {
 					coll := kv.NewPartitionCollector(nA, 0, nil, kv.HashPartitioner{})
-					it.RunO(round, state, cached[o], coll.Emit)
-					parts, _, _ := coll.Finish()
-					cpuSec := cfg.CPUPerByteO * it.CPUFactorO * cachedNominal[o]
-					var wgo sim.WaitGroup
-					wgo.Add(1)
-					e.C.Node(node).CPU.Start(cpuSec, wgo.Done)
-					for a := 0; a < nA; a++ {
-						// Round results are aggregates (cardinality-bound),
-						// charged unscaled.
-						wgo.Add(1)
-						world.Isend(o, nO+a, round, taskrt.FramedNominal(0, parts[a], 1), parts[a], wgo.Done)
+					it.RunO(round, res.State, cached[o], coll.Emit)
+					// Round results are aggregates (cardinality-bound),
+					// charged unscaled.
+					out, err := taskrt.Collect(coll, 1)
+					if err != nil {
+						return err
 					}
-					wgo.WaitAs(p, "cpu")
+					var wg sim.WaitGroup
+					e.StartCPU(&wg, node, cfg.CPUPerByteO*it.CPUFactorO*cachedNominal[o], 0)
+					for a := 0; a < nA; a++ {
+						wg.Add(1)
+						world.Isend(o, nO+a, round, out.Nominal[a], out.Parts[a], wg.Done)
+					}
+					wg.WaitAs(p, "cpu")
+					return nil
 				})
 			}
 			// A aggregate.
-			wg.Add(nA)
 			for a := 0; a < nA; a++ {
-				a := a
-				eng.Go(fmt.Sprintf("A-r%d-%d", round, a), func(p *sim.Proc) {
-					defer wg.Done()
-					rank := nO + a
-					node := world.NodeOf(rank)
-					p.Node = node
+				launch(fmt.Sprintf("A-r%d-%d", round, a), "A", nO+a, aSlots, func(p *sim.Proc, node int) error {
 					// Each payload is a partition an O task's collector
 					// sorted: merge the runs.
 					runs := make([][]kv.Pair, 0, nO)
 					totalNominal := 0.0
 					for i := 0; i < nO; i++ {
-						m := world.Recv(p, rank, -1, round)
+						m := world.Recv(p, nO+a, mpi.AnySource, round)
 						runs = append(runs, m.Payload.([]kv.Pair))
 						totalNominal += m.Nominal
 					}
-					all := mergeRuns(runs)
+					all := taskrt.MergeRuns(runs)
 					e.C.Node(node).CPU.Use(p, cfg.CPUPerByteA*totalNominal+cfg.CPUPerRecord*float64(len(all))*scale, "cpu")
 					aggParts[a] = it.RunA(round, all)
+					return nil
 				})
 			}
-			wg.Wait(driver)
-			if jobErr != nil {
+			j.Wait(driver)
+			if j.Err() != nil {
 				break
 			}
 			var aggregates []kv.Pair
@@ -194,16 +204,17 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 			}
 			kv.SortPairs(aggregates)
 			var done bool
-			state, done = it.MergeState(round, state, aggregates)
+			res.State, done = it.MergeState(round, res.State, aggregates)
 			// Broadcast the new state for the next round (charged from
 			// node 0 to all nodes).
 			for n := 1; n < e.C.N(); n++ {
 				e.C.Net.StartFlow(0, n, it.StateNominalBytes, nil)
 			}
 			now := eng.Now()
+			j.Phase("round"+strconv.Itoa(round), "")
 			res.RoundTimes = append(res.RoundTimes, now-roundStart)
 			if round == 1 {
-				res.FirstRound = now - start
+				res.FirstRound = now - j.Res.Start
 			}
 			roundStart = now
 			res.Rounds = round
@@ -211,25 +222,10 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 				break
 			}
 		}
-		// Release cached data and process memory — after a failed load too:
-		// every rank charged its ProcBaseMem before its first read, and the
-		// ranks that finished loading pinned their cache.
-		for o := 0; o < nO; o++ {
-			e.C.Node(world.NodeOf(o)).Mem.Free(cachedNominal[o] + cfg.ProcBaseMem)
-		}
-		if jobErr == nil {
+		if j.Err() == nil {
 			driver.Sleep(cfg.JobFinalize)
 		}
-		if e.Prof != nil {
-			e.Prof.Stop()
-		}
+		j.Finish(nil)
 	})
-
-	if err := eng.Run(); err != nil && jobErr == nil {
-		jobErr = err
-	}
-	res.State = state
-	res.Elapsed = eng.Now() - start
-	res.Err = jobErr
-	return res
+	return j
 }

@@ -17,7 +17,7 @@ import (
 // restarts on another node and the O side replays, after a checkpoint
 // restart, and in iteration mode.
 func TestEveryMergedRunIsSorted(t *testing.T) {
-	checked := enginetest.CheckMerges(t, &mergeRuns)
+	checked := enginetest.CheckMerges(t)
 	// queued runs one WordCount through a scheduling queue.
 	queued := func(t *testing.T, arm func(c *cluster.Cluster, fs *dfs.FS, eng *Engine, q *sched.Queue)) job.Result {
 		c, fs, eng := testSetup(64*cluster.MB, 8192)

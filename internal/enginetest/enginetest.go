@@ -13,6 +13,7 @@ import (
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
+	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
 // Engine is what mr, rdd and core engines are to these helpers: queueable,
@@ -101,13 +102,15 @@ func FailNodeAt(q *sched.Queue, fs *dfs.FS, eng sched.Engine, at float64, node i
 	})
 }
 
-// CheckMerges points *seam (an engine's mergeRuns variable) at a
-// kv.MergeRuns that first asserts its precondition — every run sorted
-// under kv.Compare — and restores it when the test ends. The returned
-// counter holds how many non-empty runs have been checked so far.
-func CheckMerges(t *testing.T, seam *func([][]kv.Pair) []kv.Pair) *int {
+// CheckMerges points the runtime's merge (taskrt.MergeSeam, behind every
+// engine's reduce side) at a kv.MergeRuns that first asserts its
+// precondition — every run sorted under kv.Compare — and restores it when
+// the test ends. The returned counter holds how many non-empty runs have
+// been checked so far.
+func CheckMerges(t *testing.T) *int {
 	t.Helper()
 	checked := new(int)
+	seam := taskrt.MergeSeam()
 	orig := *seam
 	t.Cleanup(func() { *seam = orig })
 	*seam = func(runs [][]kv.Pair) []kv.Pair {

@@ -116,12 +116,10 @@ func init() {
 					arrivalSpan = jr.Arrival
 				}
 			}
-			st := srep.Tracker
 			rep.Notes = append(rep.Notes,
 				fmt.Sprintf("%d jobs arrived over %.0fs; last completion %.0fs; makespan %.0fs",
 					len(srep.Jobs), arrivalSpan, srep.End, srep.Makespan),
-				fmt.Sprintf("tracker: %d tasks, %d backups (%d wins), %d kills, %d preemptions, %d retries",
-					st.Tasks, st.Backups, st.BackupWins, st.Kills, st.Preemptions, st.Retries),
+				srep.Tracker.String(),
 				"response = completion - arrival (queueing included); jobs run Fair-share weighted 2:1:1 on DataMPI",
 				fmt.Sprintf("one node degraded %gx mid-trace and later restored (the timeline above names it); speculation races backups meanwhile",
 					tenantsSlowFactor),

@@ -15,7 +15,7 @@ import (
 // — fetched, adopted from a stream it already pulled block by block,
 // taken from a speculative copy, or recomputed after the map's node died.
 func TestEveryMergedRunIsSorted(t *testing.T) {
-	checked := enginetest.CheckMerges(t, &mergeRuns)
+	checked := enginetest.CheckMerges(t)
 	// queued runs one job over 128 splits through a scheduling queue.
 	queued := func(t *testing.T, mkSpec func(*dfs.FS, *dfs.File, string, int) job.Spec,
 		arm func(c *cluster.Cluster, fs *dfs.FS, eng *Engine, q *sched.Queue)) (job.Result, sched.TrackerStats) {

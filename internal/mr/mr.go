@@ -112,12 +112,10 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 // mapOutput is a completed map task's partitioned, sorted output sitting
 // on the map node's local disk.
 type mapOutput struct {
-	mi      int // producing map task index
-	node    int
-	parts   [][]kv.Pair // sorted run per reducer
-	nominal []float64   // nominal bytes per partition
-	records []float64   // nominal records per partition (staged transport)
-	invalid bool        // lost with its node; a recompute entry supersedes it
+	mi                 int // producing map task index
+	node               int
+	taskrt.Partitioned      // sorted run per reducer, sized (records: staged transport)
+	invalid            bool // lost with its node; a recompute entry supersedes it
 }
 
 // Run executes the job exclusively and returns its result (see
@@ -135,21 +133,14 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 // submit spawns the job's driver and task processes. done (optional) runs
 // in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
-	if spec.Err != nil {
-		return e.Reject(spec.Name, spec.Err, done)
+	j, ok := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done)
+	if !ok {
+		return j
 	}
-	spec.Normalize()
 	blocks := spec.Input.Blocks
 	nMaps := len(blocks)
-	if nMaps == 0 {
-		return e.Reject(spec.Name, fmt.Errorf("mr: job %s has empty input", spec.Name), done)
-	}
-	j := e.Begin(spec.Name, ctl, e.Cfg.DaemonMem)
 	res := &j.Res
-	nReduce := 0
-	if spec.Reduce != nil && spec.Reducers > 0 {
-		nReduce = spec.Reducers
-	}
+	nReduce := spec.Reducers // at least one: see job.Spec.Normalize
 
 	assignment := ctl.Placer().Place(blocks)
 	mapSlots := ctl.Pool("mr-map", e.Cfg.TasksPerNode)
@@ -163,7 +154,6 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	mapsDone := 0
 	recomputeGen := 0
 
-	var jobWG sim.WaitGroup
 	fail := func(err error) {
 		j.Fail(err)
 		if sh.board != nil {
@@ -174,17 +164,15 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 
 	// launchMap launches map mi as the task called name. Map tasks are
 	// restartable: the body re-reads its immutable split and publishes its
-	// output only through Done — map-only tasks write the DFS through the
-	// attempt-scoped committer, so they can race speculative backups too.
-	// count is the launch's own accounting in the winner's Done.
+	// output only through Done. count is the launch's own accounting in
+	// the winner's Done.
 	launchMap := func(mi int, name string, count func(att *sched.Attempt), discard func(v any)) {
-		ctl.Launch(sched.TaskSpec{
+		j.Launch(sched.TaskSpec{
 			Name:        name,
 			Node:        assignment[mi],
 			Pool:        mapSlots,
 			Group:       "map",
 			Restartable: true,
-			CommitFS:    e.FS,
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				return e.runMapTask(p, att, &spec, blocks[mi], nReduce, mi, sh.board)
 			},
@@ -199,7 +187,6 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 			},
 			Discard: discard,
 			Fail:    fail,
-			Final:   jobWG.Done,
 		})
 	}
 
@@ -213,7 +200,6 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 		}
 		mo.invalid = true
 		recomputeGen++
-		jobWG.Add(1)
 		ctl.Tracker().NoteRecompute()
 		launchMap(mo.mi, fmt.Sprintf("map-%d~r%d", mo.mi, recomputeGen),
 			func(*sched.Attempt) { res.AddCounter("maps_recomputed", 1) }, nil)
@@ -226,13 +212,11 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 
 		// Pipelined shuffle (staged transport with pipelining on): map
 		// attempts publish output streams reducers fetch block by block.
-		if nReduce > 0 && e.Transport().Pipelined() {
+		if e.Transport().Pipelined() {
 			sh.board = e.Transport().NewBoard(func() { sh.cond.Broadcast() })
 		}
 
-		jobWG.Add(nMaps + nReduce)
 		for mi := 0; mi < nMaps; mi++ {
-			mi := mi
 			launchMap(mi, fmt.Sprintf("map-%d", mi), func(att *sched.Attempt) {
 				res.AddCounter("maps", 1)
 				if e.FS.IsLocal(blocks[mi], att.Node()) {
@@ -241,14 +225,11 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				if mapsDone++; mapsDone == nMaps {
 					j.Phase("map", "reduce")
 				}
-				if nReduce == 0 {
-					j.DependsOn(att)
-				}
 			}, func(v any) {
 				// A completed backup that lost the photo finish still
 				// materialized this map's output on its own disk; keep
 				// it as a refetch source for lost-map-output recovery.
-				if mo, ok := v.(*mapOutput); ok && nReduce > 0 {
+				if mo, ok := v.(*mapOutput); ok {
 					mo.mi = mi
 					sh.alts[mi] = append(sh.alts[mi], mo)
 				}
@@ -260,17 +241,15 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 			slowstart = nMaps
 		}
 		for ri := 0; ri < nReduce; ri++ {
-			ri := ri
 			// Reduce tasks are restartable: map outputs persist on the map
 			// nodes' disks, so a backup attempt re-fetches every partition
 			// and only the winner commits the output file in Done.
-			ctl.Launch(sched.TaskSpec{
+			j.Launch(sched.TaskSpec{
 				Name:        fmt.Sprintf("reduce-%d", ri),
 				Node:        ri % e.C.N(),
 				Pool:        reduceSlots,
 				Group:       "reduce",
 				Restartable: true,
-				CommitFS:    e.FS,
 				Pre: func(p *sim.Proc) bool {
 					// Slow-start: the JobTracker does not launch reducers
 					// until enough maps have finished.
@@ -290,10 +269,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 					// body handed off is released, then the counter.
 					if out, ok := v.(*reduceOut); ok {
 						res.OutRecords += int64(len(out.reduced))
-						var werr error
-						if spec.Output != "" {
-							werr = e.WritePart(p, att, fmt.Sprintf("%s/part-r-%05d", spec.Output, ri), spec.EmitScale(), out.reduced)
-						}
+						werr := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-r-%05d", ri), spec.EmitScale(), out.reduced)
 						out.release()
 						if werr != nil {
 							return werr
@@ -307,11 +283,10 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 						out.release()
 					}
 				},
-				Fail:  fail,
-				Final: jobWG.Done,
+				Fail: fail,
 			})
 		}
-		jobWG.Wait(driver)
+		j.Wait(driver)
 		driver.Sleep(e.Cfg.JobCommit)
 		j.Finish(done)
 	})
@@ -335,7 +310,6 @@ type shuffle struct {
 // so a speculative attempt can re-run it on another node.
 func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk *dfs.Block, nReduce, mi int, board *transport.Board) (*mapOutput, error) {
 	cfg := &e.Cfg
-	scale := e.Scale()
 	node := att.Node()
 	p.Sleep(cfg.TaskLaunch)
 	att.Report(0.05)
@@ -343,35 +317,9 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	// Stream the real records through the map function eagerly; collect
 	// the resource demands, then charge them overlapped (Hadoop streams
 	// the split through the mapper while the spill thread writes).
-	nParts := nReduce
-	mapOnly := nParts == 0
-	if mapOnly {
-		nParts = 1
-	}
-	coll := kv.NewPartitionCollector(nParts, int(cfg.SortBufferBytes/scale), spec.Combine, spec.Part)
-	nRecords, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
+	inflatedNominal, nominalRecords, out, err := e.MapBlock(spec, blk, nReduce, cfg.SortBufferBytes)
 	if err != nil {
-		return nil, fmt.Errorf("mr: map input: %w", err)
-	}
-	inflatedNominal := float64(inflated) * scale
-	nominalRecords := float64(nRecords) * scale
-	parts, spillActual, mergeActual := coll.Finish()
-	if err := coll.Err(); err != nil {
-		return nil, fmt.Errorf("mr: map output: %w", err)
-	}
-
-	emitScale := spec.EmitScale()
-	outActual := 0
-	nominal := make([]float64, nParts)
-	records := make([]float64, nParts)
-	outNominalTotal, outRecords := 0.0, 0.0
-	for pi, part := range parts {
-		b := taskrt.FramedBytes(part) // per-record framing overhead on disk
-		outActual += b
-		nominal[pi] = float64(b) * emitScale
-		records[pi] = float64(len(part)) * emitScale
-		outNominalTotal += nominal[pi]
-		outRecords += records[pi]
+		return nil, fmt.Errorf("mr: map %w", err)
 	}
 
 	// Task heap residency: base JVM plus garbage proportional to the
@@ -386,14 +334,12 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	defer mem.FreeLazy(e.C.Eng, heap, cfg.HeapLingerSecs)
 
 	// Spill/output serialization reads the consolidated profile constant.
-	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteMap*spec.MapCPUFactor*inflatedNominal +
-		cfg.CPUPerRecord*nominalRecords +
-		e.Transport().Profile().EmitCPUPerByte*(float64(spillActual+outActual)*emitScale))
-
 	// Spill and final map output writes to local disk. If there were
 	// intermediate spills, the merge re-reads them before the final write.
-	diskBytes := float64(spillActual+outActual) * emitScale
-	mergeRead := float64(mergeActual) * emitScale
+	diskBytes, mergeRead := out.Spilled+out.OutNominal, out.Merged
+	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteMap*spec.MapCPUFactor*inflatedNominal +
+		cfg.CPUPerRecord*nominalRecords +
+		e.Transport().Profile().EmitCPUPerByte*diskBytes)
 	// Background JVM/GC overhead contends for CPU in parallel.
 	gc := e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC)
 	profileDisk := func() {
@@ -411,11 +357,11 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	nChunks := 1
 	var st *transport.Stream
 	if board != nil && !att.Backup() {
-		st = board.Open(mi, node, nominal, outRecords)
+		st = board.Open(mi, node, out.Nominal, out.OutRecords)
 		// Fail is a no-op after Finish; this covers error and kill unwinds.
 		defer st.Fail()
-		if bb := e.Transport().PipelineBlock(); outNominalTotal > bb {
-			nChunks = int(outNominalTotal/bb) + 1
+		if bb := e.Transport().PipelineBlock(); out.OutNominal > bb {
+			nChunks = int(out.OutNominal/bb) + 1
 			if nChunks > 16 {
 				nChunks = 16
 			}
@@ -438,11 +384,9 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 			wg.Add(1)
 			e.C.Node(node).Disk.Start((diskBytes+mergeRead)/k, wg.Done)
 		}
-		if !mapOnly {
-			// Staged sender-side path: serialize + copy the map output
-			// into the shuffle servlet's transfer buffers.
-			e.StartSend(&wg, node, outNominalTotal/k, outRecords/k)
-		}
+		// Staged sender-side path: serialize + copy the map output into
+		// the shuffle servlet's transfer buffers.
+		e.StartSend(&wg, node, out.OutNominal/k, out.OutRecords/k)
 		wg.WaitAs(p, "disk")
 		if st != nil {
 			st.Commit(float64(ci+1) / k)
@@ -453,14 +397,7 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 		st.Finish()
 	}
 
-	if mapOnly && spec.Output != "" {
-		// Map-only job: even DFS-writing map tasks can race speculative
-		// backups (see WritePart).
-		if err := e.WritePart(p, att, fmt.Sprintf("%s/part-m-%05d", spec.Output, blk.ID), emitScale, parts[0]); err != nil {
-			return nil, err
-		}
-	}
-	return &mapOutput{node: node, parts: parts, nominal: nominal, records: records}, nil
+	return &mapOutput{node: node, Partitioned: out}, nil
 }
 
 // reduceOut is a finished reduce body's result, handed to the winning
@@ -572,12 +509,12 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 			// pairs are identical to what streamed; adopt them without
 			// re-charging fetch I/O.
 			seen[mo.mi] = true
-			if len(mo.parts[ri]) > 0 {
-				runs = append(runs, mo.parts[ri])
+			if len(mo.Parts[ri]) > 0 {
+				runs = append(runs, mo.Parts[ri])
 			}
 			continue
 		}
-		nom := mo.nominal[ri]
+		nom := mo.Nominal[ri]
 		if nom > 0 && !e.C.Alive(mo.node) {
 			// The materialized output died with its node. Prefer a
 			// surviving speculative copy on a live node; otherwise request
@@ -596,42 +533,26 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 			}
 			j.Res.AddCounter("shuffle_refetches", 1)
 			mo = alt
-			nom = mo.nominal[ri]
+			nom = mo.Nominal[ri]
 		}
 		seen[mo.mi] = true
 		if nom == 0 {
-			if len(mo.parts[ri]) > 0 {
-				runs = append(runs, mo.parts[ri])
+			if len(mo.Parts[ri]) > 0 {
+				runs = append(runs, mo.Parts[ri])
 			}
 			continue
 		}
 		// Fetch: read the partition from the map node's disk and pull it
 		// over the network (overlapped, as the TaskTracker streams it).
-		fetches.Fetch(mo.mi, mo.node, nom, mo.records[ri], sh.spans[mo.mi])
-		runs = append(runs, mo.parts[ri])
+		fetches.Fetch(mo.mi, mo.node, nom, mo.Records[ri], sh.spans[mo.mi])
+		runs = append(runs, mo.Parts[ri])
 		account(nom)
 	}
 	att.Report(0.8)
 	fetches.Done()
 
-	// Final merge: spilled runs come back from disk; CPU for the merge.
-	totalNominal := buf.Total()
-	var wg sim.WaitGroup
-	buf.StartReadBack(&wg)
-	merged := mergeRuns(runs)
-	// Intermediate record counts follow the same saturation rule as
-	// intermediate bytes.
-	nominalRecords := float64(len(merged)) * spec.EmitScale()
-	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteReduce*spec.ReduceCPUFactor*totalNominal +
-		cfg.CPUPerByteSort*totalNominal +
-		cfg.CPUPerRecord*nominalRecords)
-	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
-	wg.WaitAs(p, "disk")
-
+	reduced := buf.MergeReduce(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
+		func(cpuSec float64) float64 { return e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC) })
 	handoff = true
-	return &reduceOut{reduced: spec.GroupReduce(merged), release: release}, nil
+	return &reduceOut{reduced: reduced, release: release}, nil
 }
-
-// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
-// tests wrap it to assert that of every run the engine hands over.
-var mergeRuns = kv.MergeRuns

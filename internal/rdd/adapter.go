@@ -23,9 +23,6 @@ func (e *Engine) lineage(spec *job.Spec) *RDD {
 	}
 	mapped := src.FlatMapKV(spec.Map, spec.MapCPUFactor*spec.CPUAdjust(e.Name()))
 
-	if spec.Reducers <= 0 {
-		return mapped // map-only pipeline
-	}
 	// A defaulted identity reducer becomes a nil wide-op reducer: the
 	// executor passes the key-sorted partition straight through instead
 	// of re-emitting one Pair per record through IdentityReduce.

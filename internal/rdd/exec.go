@@ -277,23 +277,19 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 		spans: make([]uint64, len(tasks))}
 
 	results := make([]partData, 0, len(tasks))
-	var wg sim.WaitGroup
-	wg.Add(len(tasks))
 	for ti := range tasks {
-		ti := ti
 		tin := &tasks[ti]
 		// Every stage's tasks are restartable: inputs (block, cache slice,
 		// shuffle partData) are immutable, intermediate partitions publish
 		// only through Done, and final-stage DFS writes go through the
 		// attempt-scoped committer — so even output-writing tasks can race
 		// speculative backups with exactly-once committed files.
-		ctl.Launch(sched.TaskSpec{
+		j.Launch(sched.TaskSpec{
 			Name:        fmt.Sprintf("spark-task-%d", ti),
 			Node:        tin.node,
 			Pool:        slots,
-			Group:       fmt.Sprintf("stage%d", si),
+			Group:       stageName(si),
 			Restartable: true,
-			CommitFS:    e.FS,
 			Pre:         func(p *sim.Proc) bool { return j.Err() != nil },
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				p.Sleep(cfg.TaskDispatch)
@@ -308,11 +304,9 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 				}
 				return nil
 			},
-			Fail:  j.Fail,
-			Final: wg.Done,
 		})
 	}
-	wg.Wait(driver)
+	j.Wait(driver)
 	if err := j.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -463,7 +457,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
 
 		if wide != nil {
-			pairs = mergeRuns(runs)
+			pairs = taskrt.MergeRuns(runs)
 			cpuSec += cfg.CPUPerByteSort * inputNominal
 			if wide.reduce != nil {
 				pairs = kv.GroupReduce(pairs, wide.reduce)
@@ -547,7 +541,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		// The action's last stage, or one feeding a cached
 		// materialization without a shuffle: the task's pairs are its one
 		// output partition.
-		outNominal := taskrt.FramedNominal(0, pairs, outScale)
+		outNominal := taskrt.Framed(pairs, outScale)
 		if !isLast && cfg.CacheCPUPerByte > 0 && st.target.cached {
 			// Building the RDD's in-memory representation costs CPU
 			// (deserialization into JVM objects — the "creates the RDD"
@@ -558,10 +552,8 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		wg.WaitAs(p, "disk")
 		if isLast {
 			att.Report(0.9)
-			if outPath != "" {
-				if err := e.WritePart(p, att, fmt.Sprintf("%s/part-%05d", outPath, taskIdx), outScale, pairs); err != nil {
-					return nil, err
-				}
+			if err := e.WritePart(p, att, outPath, fmt.Sprintf("part-%05d", taskIdx), outScale, pairs); err != nil {
+				return nil, err
 			}
 		}
 		return []partData{{pairs: pairs, nominal: outNominal, node: node, taskIdx: taskIdx}}, nil
@@ -577,33 +569,27 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	for _, pr := range pairs {
 		coll.Emit(pr.Key, pr.Value)
 	}
-	parts, _, _ := coll.Finish()
-	if err := coll.Err(); err != nil {
-		return nil, fmt.Errorf("rdd: shuffle output: %w", err)
+	sized, err := taskrt.Collect(coll, shufScale)
+	if err != nil {
+		return nil, fmt.Errorf("rdd: shuffle %w", err)
 	}
 	out := make([]partData, next.nParts)
-	writeNominal := 0.0
-	writeRecords := 0.0
-	for pi, part := range parts {
-		nom := taskrt.FramedNominal(0, part, shufScale)
-		writeNominal += nom
-		recs := float64(len(part)) * shufScale
-		writeRecords += recs
-		out[pi] = partData{pairs: part, nominal: nom, records: recs, node: node, taskIdx: taskIdx}
+	for pi, part := range sized.Parts {
+		out[pi] = partData{pairs: part, nominal: sized.Nominal[pi], records: sized.Records[pi], node: node, taskIdx: taskIdx}
 	}
-	if writeNominal > 0 {
+	if sized.OutNominal > 0 {
 		wg.Add(1)
-		e.C.Node(node).Disk.Start(writeNominal, wg.Done)
-		e.Prof.AddDiskWrite(node, writeNominal)
+		e.C.Node(node).Disk.Start(sized.OutNominal, wg.Done)
+		e.Prof.AddDiskWrite(node, sized.OutNominal)
 		// Shuffle-write serialization runs on the shuffle writer thread
 		// (the consolidated emit constant, charged in both modes).
 		if emit := e.Transport().Profile().EmitCPUPerByte; emit > 0 {
 			wg.Add(1)
-			e.C.Node(node).CPU.Start(emit*writeNominal, wg.Done)
+			e.C.Node(node).CPU.Start(emit*sized.OutNominal, wg.Done)
 		}
 		// Staged sender-side path on top: serialize + copy (or zero-copy)
 		// into the shuffle file's transfer buffers.
-		e.StartSend(&wg, node, writeNominal, writeRecords)
+		e.StartSend(&wg, node, sized.OutNominal, sized.OutRecords)
 	}
 	wg.WaitAs(p, "disk")
 	return out, nil
@@ -628,7 +614,3 @@ func (it *recordIter) next() (key, value []byte, ok bool) {
 	it.i++
 	return p.Key, p.Value, true
 }
-
-// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
-// tests wrap it to assert that of every run the engine hands over.
-var mergeRuns = kv.MergeRuns

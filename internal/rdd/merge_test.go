@@ -12,7 +12,7 @@ import (
 // it fetches, so each must be sorted — as the producing task wrote it,
 // and as stageFetch.recover regenerates it when the producer's node died.
 func TestEveryMergedRunIsSorted(t *testing.T) {
-	checked := enginetest.CheckMerges(t, &mergeRuns)
+	checked := enginetest.CheckMerges(t)
 	// queued runs one WordCount over 128 splits through a scheduling
 	// queue; failAt > 0 fails node 3 at that simulated second.
 	queued := func(t *testing.T, failAt float64) sched.TrackerStats {

@@ -261,6 +261,14 @@ type TrackerStats struct {
 	CacheRecomputes int // cached partitions recomputed after executor-cache loss
 }
 
+// String renders the counters every report prints as one line. The
+// receiver is a pointer so that a TrackerStats value under %v or %+v still
+// prints field by field, which bench/'s sim_digest hashes.
+func (st *TrackerStats) String() string {
+	return fmt.Sprintf("tracker: %d tasks, %d backups (%d wins), %d kills, %d preemptions, %d retries",
+		st.Tasks, st.Backups, st.BackupWins, st.Kills, st.Preemptions, st.Retries)
+}
+
 // Node-failure retry pacing: the first requeue is immediate (a single
 // clean failure loses no time), later ones back off exponentially so a
 // flapping node cannot pin a task in a tight kill/respawn cycle.

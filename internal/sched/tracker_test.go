@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -301,5 +302,17 @@ func TestTrackerDisabledAddsNoEvents(t *testing.T) {
 	}
 	if eng.Now() != 7 {
 		t.Fatalf("simulation drained at t=%v, want exactly 7", eng.Now())
+	}
+}
+
+// TestTrackerStatsString: the report line, and a value under %+v still
+// field by field (bench/ hashes that form into sim_digest).
+func TestTrackerStatsString(t *testing.T) {
+	st := TrackerStats{Tasks: 9, Backups: 2, BackupWins: 1, Kills: 3, Preemptions: 4, Retries: 5}
+	if got, want := st.String(), "tracker: 9 tasks, 2 backups (1 wins), 3 kills, 4 preemptions, 5 retries"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if got := fmt.Sprintf("%+v", st); !strings.HasPrefix(got, "{Tasks:9 Backups:2 ") {
+		t.Fatalf("%%+v of a value prints %q", got)
 	}
 }

@@ -344,6 +344,15 @@ func (p *Proc) Cancel() {
 	}
 }
 
+// CancelAll cancels every live proc: the way out of a deadlock for an
+// owner of the whole simulation. The next Run unwinds them, in no
+// particular order at one simulated instant.
+func (e *Engine) CancelAll() {
+	for p := range e.procs {
+		p.Cancel()
+	}
+}
+
 // Cancelled reports whether Cancel has been called on the proc. Task code
 // can poll it between park points to stop early.
 func (p *Proc) Cancelled() bool { return p.cancelled }

@@ -1,8 +1,11 @@
 package taskrt
 
 import (
+	"fmt"
 	"strconv"
 
+	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
@@ -14,25 +17,72 @@ import (
 // record marker). Every engine pays it at the same point.
 const recordFraming = 6
 
-// FramedBytes returns part's framed size in actual bytes — the integer
-// form, for callers that scale the total once.
-func FramedBytes(part []kv.Pair) int {
+// Framed returns part's framed size in nominal bytes: the actual bytes
+// summed as an integer and scaled once.
+func Framed(part []kv.Pair, scale float64) float64 {
 	b := 0
 	for _, pr := range part {
 		b += pr.Size() + recordFraming
 	}
-	return b
+	return float64(b) * scale
 }
 
-// FramedNominal adds part's framed size in nominal bytes to acc, scaling
-// record by record. The two forms round differently, and acc keeps a
-// running sum over several partitions in one accumulation order, so each
-// call site keeps the floats it always produced.
-func FramedNominal(acc float64, part []kv.Pair, scale float64) float64 {
-	for _, pr := range part {
-		acc += float64(pr.Size()+recordFraming) * scale
+// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
+// tests wrap it (through MergeSeam) to assert that of every run an engine
+// hands over.
+var mergeRuns = kv.MergeRuns
+
+// MergeRuns merges sorted runs into one sorted run.
+func MergeRuns(runs [][]kv.Pair) []kv.Pair { return mergeRuns(runs) }
+
+// MergeSeam is where a test substitutes the merge behind MergeRuns and
+// MergeReduce.
+func MergeSeam() *func([][]kv.Pair) []kv.Pair { return &mergeRuns }
+
+// Partitioned is a map-side task's output: one sorted run per consumer,
+// each sized in nominal framed bytes and nominal records, and what the
+// collector spilled and re-read on the way (nominal bytes; zero without a
+// sort buffer).
+type Partitioned struct {
+	Parts            [][]kv.Pair
+	Nominal, Records []float64 // per partition
+	OutNominal       float64   // sum of Nominal
+	OutRecords       float64   // sum of Records
+	Spilled, Merged  float64
+}
+
+// Collect finishes coll and sizes its partitions at scale nominal bytes
+// (and records) per actual one.
+func Collect(coll *kv.PartitionCollector, scale float64) (Partitioned, error) {
+	parts, spilled, merged := coll.Finish()
+	if err := coll.Err(); err != nil {
+		return Partitioned{}, fmt.Errorf("output: %w", err)
 	}
-	return acc
+	out := Partitioned{Parts: parts, Nominal: make([]float64, len(parts)), Records: make([]float64, len(parts)),
+		Spilled: float64(spilled) * scale, Merged: float64(merged) * scale}
+	for pi, part := range parts {
+		out.Nominal[pi] = Framed(part, scale)
+		out.Records[pi] = float64(len(part)) * scale
+		out.OutNominal += out.Nominal[pi]
+		out.OutRecords += out.Records[pi]
+	}
+	return out, nil
+}
+
+// MapBlock streams blk through spec's map function into a collector of
+// nParts sorted, combined partitions that spills past sortBuf nominal
+// bytes (0: never). It returns the block's decoded size and record count,
+// both nominal, with the sized output. Errors read "input: ..." or
+// "output: ..." for the engine to prefix.
+func (b *Base) MapBlock(spec *job.Spec, blk *dfs.Block, nParts int, sortBuf float64) (inNominal, inRecords float64, out Partitioned, err error) {
+	scale := b.Scale()
+	coll := kv.NewPartitionCollector(nParts, int(sortBuf/scale), spec.Combine, spec.Part)
+	records, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
+	if err != nil {
+		return 0, 0, out, fmt.Errorf("input: %w", err)
+	}
+	out, err = Collect(coll, spec.EmitScale())
+	return float64(inflated) * scale, float64(records) * scale, out, err
 }
 
 // StartSend charges the staged sender-side path (serialize, then copy or
@@ -155,14 +205,27 @@ func (rb *Buffer) Release() {
 	}
 }
 
-// Total returns every nominal byte added, in memory or spilled.
-func (rb *Buffer) Total() float64 { return rb.buffered + rb.spilled }
-
-// StartReadBack starts the final merge's read of the spilled runs.
-func (rb *Buffer) StartReadBack(wg *sim.WaitGroup) {
+// MergeReduce is the reduce side's tail: the spilled runs come back from
+// disk while the task merges runs (each one sorted), pays CPU for every
+// nominal byte buffered — perByte scaled by the spec's reduce factor, plus
+// perByteSort — and perRecord for every nominal merged record, with
+// overhead(cpuSec) of background work beside it; then the spec's reducer
+// runs over the key groups.
+func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort, perRecord float64,
+	overhead func(cpuSec float64) float64) []kv.Pair {
+	b, total := rb.b, rb.buffered+rb.spilled
+	var wg sim.WaitGroup
 	if rb.spilled > 0 {
 		wg.Add(1)
-		rb.b.C.Node(rb.node).Disk.Start(rb.spilled, wg.Done)
-		rb.b.Prof.AddDiskRead(rb.node, rb.spilled)
+		b.C.Node(rb.node).Disk.Start(rb.spilled, wg.Done)
+		b.Prof.AddDiskRead(rb.node, rb.spilled)
 	}
+	merged := mergeRuns(runs)
+	// Intermediate record counts follow the same saturation rule as
+	// intermediate bytes.
+	records := float64(len(merged)) * spec.EmitScale()
+	cpuSec := spec.CPUAdjust(b.name) * (perByte*spec.ReduceCPUFactor*total + perByteSort*total + perRecord*records)
+	b.StartCPU(&wg, rb.node, cpuSec, overhead(cpuSec))
+	wg.WaitAs(rb.p, "disk")
+	return spec.GroupReduce(merged)
 }

@@ -1,14 +1,22 @@
 package taskrt
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
+	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/metrics"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
 	"github.com/datampi/datampi-go/internal/trace"
+	"github.com/datampi/datampi-go/internal/transport"
 )
 
 // runAttempt runs body as one task attempt on node and drives the
@@ -131,7 +139,7 @@ func bufferBalance(t *testing.T, capBytes float64, fetches []float64, charge boo
 			if buf.buffered > capBytes {
 				t.Fatalf("fetch %d: %.0f bytes buffered past the %.0f cap", i, buf.buffered, capBytes)
 			}
-			if math.Abs(buf.Total()-fetched) > 1e-6*fetched || buf.spilled != spilled {
+			if math.Abs(buf.buffered+buf.spilled-fetched) > 1e-6*fetched || buf.spilled != spilled {
 				t.Fatalf("fetch %d: buffered %.0f + spilled %.0f != fetched %.0f", i, buf.buffered, buf.spilled, fetched)
 			}
 			want := base
@@ -142,10 +150,8 @@ func bufferBalance(t *testing.T, capBytes float64, fetches []float64, charge boo
 				t.Fatalf("fetch %d: %.0f bytes charged, want %.0f", i, mem.Used(), want)
 			}
 		}
-		var wg sim.WaitGroup
 		start := c.Eng.Now()
-		buf.StartReadBack(&wg)
-		wg.WaitAs(p, "disk")
+		buf.MergeReduce(&job.Spec{}, nil, 0, 0, 0, func(float64) float64 { return 0 })
 		if read := c.Eng.Now() > start; read != (spilled > 0) {
 			t.Fatalf("read-back ran=%v with %.0f bytes spilled", read, spilled)
 		}
@@ -198,4 +204,185 @@ func FuzzBufferBalance(f *testing.F) {
 		}
 		bufferBalance(t, float64(capBytes), fetches, len(sizes)%2 == 0)
 	})
+}
+
+// framedPerRecord is the second framing form the engines used to carry —
+// scaled record by record into a running sum — kept as the oracle for the
+// one form that is left.
+func framedPerRecord(acc float64, part []kv.Pair, scale float64) float64 {
+	for _, pr := range part {
+		acc += float64(pr.Size()+recordFraming) * scale
+	}
+	return acc
+}
+
+func wordsMap(key, value []byte, emit job.Emit) {
+	for _, w := range bytes.Fields(value) {
+		emit(w, []byte("1"))
+	}
+}
+
+// TestMapSide holds MapBlock and Collect to what each engine computed
+// inline before they existed: the collector configured the engine's way,
+// every partition framed and counted at the emit scale, the input at the
+// filesystem's.
+func TestMapSide(t *testing.T) {
+	text := bytes.Repeat([]byte("mpi data key value pair comm rank task data key\n"), 200)
+	for _, tc := range []struct {
+		name    string
+		scale   float64
+		nParts  int
+		sortBuf float64 // nominal bytes
+		combine kv.Combiner
+	}{
+		{"mr: the sort buffer spills", 8192, 4, 2048 * 8192, nil},
+		{"mr: combined, charged unscaled", 8192, 4, 2048 * 8192, kv.SumCombiner},
+		{"core: one send buffer per A rank, never spills", 8192, 8, 0, nil},
+		{"core: combined", 131072, 8, 0, kv.SumCombiner},
+		{"one partition, unscaled", 1, 1, 0, nil},
+		{"a scale that is not a power of two", 1000, 4, 0, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.New(cluster.DefaultHardware())
+			fs := dfs.New(c, dfs.Config{BlockSize: float64(len(text)) * tc.scale, Replication: 1, Scale: tc.scale, Seed: 1})
+			b := NewBase("test", fs, transport.Profile{}, transport.HadoopProfile())
+			spec := job.Spec{FS: fs, Input: fs.Preload("/in", text), Map: wordsMap, Combine: tc.combine, Reducers: tc.nParts}
+			spec.Normalize()
+			blk := spec.Input.Blocks[0]
+
+			coll := kv.NewPartitionCollector(tc.nParts, int(tc.sortBuf/tc.scale), spec.Combine, spec.Part)
+			records, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, spilled, merged := coll.Finish()
+			emitScale := tc.scale
+			if tc.combine != nil {
+				emitScale = 1
+			}
+
+			inNominal, inRecords, out, err := b.MapBlock(&spec, blk, tc.nParts, tc.sortBuf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inNominal != float64(inflated)*tc.scale || inRecords != float64(records)*tc.scale {
+				t.Fatalf("input %v bytes, %v records; want %v, %v", inNominal, inRecords, float64(inflated)*tc.scale, float64(records)*tc.scale)
+			}
+			if out.Spilled != float64(spilled)*emitScale || out.Merged != float64(merged)*emitScale {
+				t.Fatalf("spilled %v, merged %v; the collector says %d, %d actual bytes", out.Spilled, out.Merged, spilled, merged)
+			}
+			if len(out.Parts) != tc.nParts || len(out.Parts) != len(parts) {
+				t.Fatalf("%d partitions, want %d", len(out.Parts), len(parts))
+			}
+			sumNominal, sumRecords, running := 0.0, 0.0, 0.0
+			for pi, part := range parts {
+				if !slices.EqualFunc(out.Parts[pi], part, func(a, b kv.Pair) bool { return a.String() == b.String() }) {
+					t.Fatalf("partition %d differs from the collector's", pi)
+				}
+				if want := framedPerRecord(0, part, emitScale); out.Nominal[pi] != want || out.Nominal[pi] != Framed(part, emitScale) {
+					t.Fatalf("partition %d: %v nominal bytes, want %v", pi, out.Nominal[pi], want)
+				}
+				if want := float64(len(part)) * emitScale; out.Records[pi] != want {
+					t.Fatalf("partition %d: %v nominal records, want %v", pi, out.Records[pi], want)
+				}
+				sumNominal += out.Nominal[pi]
+				sumRecords += out.Records[pi]
+				running = framedPerRecord(running, part, emitScale)
+			}
+			// The sum mr kept per partition and the one core ran across them.
+			if out.OutNominal != sumNominal || out.OutNominal != running || out.OutRecords != sumRecords || sumRecords == 0 {
+				t.Fatalf("totals %v bytes, %v records; want %v (%v record by record), %v", out.OutNominal, out.OutRecords, sumNominal, running, sumRecords)
+			}
+		})
+	}
+
+	t.Run("errors name their side", func(t *testing.T) {
+		_, b := testBase()
+		spec := job.Spec{Input: b.FS.Preload("/in", text), Map: wordsMap, Part: outOfRange{}}
+		spec.Normalize()
+		if _, _, _, err := b.MapBlock(&spec, spec.Input.Blocks[0], 4, 0); err == nil || !strings.HasPrefix(err.Error(), "output: ") {
+			t.Fatalf("partitioner error: %v", err)
+		}
+		spec.Part, spec.InputFormat = kv.HashPartitioner{}, job.SeqGzip
+		if _, _, _, err := b.MapBlock(&spec, spec.Input.Blocks[0], 4, 0); err == nil || !strings.HasPrefix(err.Error(), "input: ") {
+			t.Fatalf("undecodable block: %v", err)
+		}
+	})
+}
+
+type outOfRange struct{}
+
+func (outOfRange) Partition(key []byte, n int) int { return n }
+
+// TestReduceSide holds MergeReduce to the tail mr and core each spelled
+// out: the three-term CPU charge in their order of evaluation, their
+// overhead rule beside it, the spilled bytes read back, the runs merged
+// and reduced.
+func TestReduceSide(t *testing.T) {
+	runs := [][]kv.Pair{
+		{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("c"), Value: []byte("2")}},
+		{{Key: []byte("a"), Value: []byte("3")}, {Key: []byte("b"), Value: []byte("4")}},
+	}
+	sum := func(key []byte, values [][]byte) []kv.Pair {
+		var n int64
+		for _, v := range values {
+			n += kv.ParseInt(v)
+		}
+		return []kv.Pair{{Key: key, Value: kv.FormatInt(n)}}
+	}
+	const fetched = 96 * cluster.MB
+	for _, tc := range []struct {
+		name                         string
+		perByte, perByteSort, perRec float64
+		cap                          float64
+		// overhead returns the engine's rule over b.
+		overhead func(b *Base, node int) func(float64) float64
+	}{
+		{"mr: JVM per-byte costs, GC overhead, buffer spills", 0.6e-7, 0.3e-7, 0.7e-6, 64 * cluster.MB,
+			func(b *Base, node int) func(float64) float64 {
+				return func(cpu float64) float64 { return b.GCOverhead(node, cpu, 0.55, 2.5) }
+			}},
+		{"core: native costs, flat overhead, all in memory", 0.5e-7, 0.25e-7, 0.5e-6, 512 * cluster.MB,
+			func(*Base, int) func(float64) float64 { return func(cpu float64) float64 { return 0.08 * cpu } }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, b := testBase()
+			b.Prof = metrics.NewProfiler(c, 1)
+			spec := job.Spec{FS: b.FS, Reduce: sum, ReduceCPUFactor: 2, EngineCPUFactor: map[string]float64{"test": 1.5}}
+			spec.Normalize()
+			var gotCPU, gotOverhead, secs float64
+			var got []kv.Pair
+			runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
+				buf := b.Buffer(p, 3, tc.cap, nil)
+				buf.Add(fetched / 2)
+				buf.Add(fetched / 2)
+				start := c.Eng.Now()
+				rule := tc.overhead(b, 3)
+				got = buf.MergeReduce(&spec, runs, tc.perByte, tc.perByteSort, tc.perRec, func(cpu float64) float64 {
+					gotCPU, gotOverhead = cpu, rule(cpu)
+					return gotOverhead
+				})
+				secs = c.Eng.Now() - start
+			})
+			// As mr.runReduceTask and core.runATask wrote it.
+			totalNominal, nominalRecords := float64(fetched), 4*spec.EmitScale()
+			wantCPU := spec.CPUAdjust("test") * (tc.perByte*spec.ReduceCPUFactor*totalNominal +
+				tc.perByteSort*totalNominal +
+				tc.perRec*nominalRecords)
+			if gotCPU != wantCPU || gotOverhead <= 0 {
+				t.Fatalf("cpu %v s (overhead %v), want %v", gotCPU, gotOverhead, wantCPU)
+			}
+			readBack := 0.0
+			if fetched > tc.cap {
+				readBack = fetched / c.Node(3).Disk.Capacity()
+			}
+			// Task CPU, its overhead and the read-back run side by side.
+			if want := max(gotCPU, gotOverhead, readBack); math.Abs(secs-want) > 1e-9*want {
+				t.Fatalf("took %v s, want %v (cpu %v, overhead %v, read-back %v)", secs, want, gotCPU, gotOverhead, readBack)
+			}
+			if want := `["a"="4" "b"="4" "c"="2"]`; fmt.Sprint(got) != want {
+				t.Fatalf("reduced %v, want %v", got, want)
+			}
+		})
+	}
 }

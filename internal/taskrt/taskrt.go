@@ -6,11 +6,18 @@
 //
 //   - lifecycle: Base is the state every engine embeds and Job the per-job
 //     handle (result, daemon residency, profiler sampling, tracer
-//     resolution, job and phase spans, the solo-run drain);
+//     resolution, job and phase spans, the solo-run drain). Admit is the
+//     one admission prologue, and every mode of every engine — DataMPI's
+//     Iteration mode included — lives between Begin and Finish;
+//   - task set: Job.Launch is the only road from an engine to
+//     internal/sched and Job.Wait the driver's barrier;
+//   - map side and reduce side: MapBlock / Collect size a task's
+//     partitioned output (framed bytes once, in one form), and
+//     Buffer.MergeReduce is the reduce tail — spilled read-back, merge,
+//     the three-term CPU charge, group-reduce;
 //   - shuffle edge: Fetches pulls a materialized partition to its consumer
-//     (fluid or staged wire, chosen here and in internal/transport only),
-//     Buffer is the reduce-side shuffle buffer, and FramedBytes /
-//     FramedNominal name the per-record framing once;
+//     (fluid or staged wire, chosen here and in internal/transport only)
+//     and Buffer is the reduce-side shuffle buffer;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - charges every engine makes the same way: StartCPU, StartSend,
 //     GCOverhead.
@@ -19,6 +26,8 @@
 package taskrt
 
 import (
+	"fmt"
+
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
@@ -75,13 +84,15 @@ func (b *Base) Scale() float64 { return b.FS.Config().Scale }
 // of the daemon residency.
 func (b *Base) ActiveJobs() int { return b.residency.Jobs() }
 
-// Job is one admitted job's handle: its result, error, phase marks and
-// trace span. Begin charges what Finish (or a deadlocked RunSolo) releases,
-// exactly once.
+// Job is one admitted job's handle: its result, error, task set, phase
+// marks and trace span. Begin charges what Finish (or a deadlocked RunSolo)
+// releases, exactly once.
 type Job struct {
 	Res job.Result
 
 	b        *Base
+	ctl      *sched.JobControl
+	tasks    sim.WaitGroup // launched tasks whose Final has not run
 	tr       *trace.Tracer
 	span     *trace.Span
 	marks    []mark
@@ -96,6 +107,20 @@ type mark struct {
 	end  float64
 }
 
+// Admit is the submit prologue of a spec-driven job: a spec that carries
+// an error or has no input is rejected (ok false, done already called);
+// any other is normalized and begun.
+func (b *Base) Admit(spec *job.Spec, ctl *sched.JobControl, residentPerNode float64, done func(job.Result)) (j *Job, ok bool) {
+	if spec.Err == nil && len(spec.Input.Blocks) == 0 {
+		spec.Err = fmt.Errorf("%s: job %s has empty input", b.name, spec.Name)
+	}
+	if spec.Err != nil {
+		return b.Reject(spec.Name, spec.Err, done), false
+	}
+	spec.Normalize()
+	return b.Begin(spec.Name, ctl, residentPerNode), true
+}
+
 // Begin admits a job: it stamps the result, charges residentPerNode bytes
 // of daemon residency on every node with the first concurrent job, starts
 // profiler sampling and opens the job span. Queue submissions carry the
@@ -104,6 +129,7 @@ type mark struct {
 func (b *Base) Begin(name string, ctl *sched.JobControl, residentPerNode float64) *Job {
 	eng := b.C.Eng
 	j := b.newJob(name)
+	j.ctl = ctl
 	b.residency.Acquire(residentPerNode)
 	b.profiling.Start(b.Prof, eng)
 
@@ -153,6 +179,32 @@ func (j *Job) Fail(err error) {
 // Err returns the first error passed to Fail.
 func (j *Job) Err() error { return j.Res.Err }
 
+// Launch routes one task of the job through the task tracker — the only
+// way an engine reaches internal/sched. The task commits through the
+// engine's filesystem, fails the job unless ts.Fail says otherwise, and
+// joins the set Wait waits for: its own Final (optional) runs first, so a
+// Final that launches follow-up work cannot let the driver slip through a
+// zero.
+func (j *Job) Launch(ts sched.TaskSpec) {
+	ts.CommitFS = j.b.FS
+	if ts.Fail == nil {
+		ts.Fail = j.Fail
+	}
+	final := ts.Final
+	ts.Final = func() {
+		if final != nil {
+			final()
+		}
+		j.tasks.Done()
+	}
+	j.tasks.Add(1)
+	j.ctl.Launch(ts)
+}
+
+// Wait parks the driver until every task launched so far — and every task
+// those launched in turn — has settled.
+func (j *Job) Wait(driver *sim.Proc) { j.tasks.Wait(driver) }
+
 // DependsOn records that the job's completion waited on att — the edge the
 // critical-path walk follows from the job span into its last tasks.
 func (j *Job) DependsOn(att *sched.Attempt) { j.span.DepOn(att.TraceSpan().SpanID()) }
@@ -192,23 +244,25 @@ func (j *Job) release() {
 // so the cluster must not have other foreground work (co-schedule jobs
 // through a sched.Queue instead). The job ends when the simulation drains
 // — trailing lazy heap frees included — and its open-ended phase extends
-// to that point.
+// to that point. A simulation that deadlocks instead ends the job there
+// with the kernel's error: what Begin charged is released and the stuck
+// procs — all the job's, on a testbed it owns — are cancelled and
+// unwound, so the engine stays reusable.
 func (b *Base) RunSolo(submit func(ctl *sched.JobControl) *Job) job.Result {
 	eng := b.C.Eng
 	j := submit(sched.Solo(eng, b.C.N()))
 	res := &j.Res
-	if err := eng.Run(); err != nil {
-		if res.Err == nil {
-			res.Err = err
-		}
-		if !j.finished {
-			// The driver never reached Finish (simulation deadlock):
-			// release what Begin charged so the engine stays reusable.
-			j.release()
-		}
-	}
+	err := eng.Run()
 	res.End = eng.Now()
 	res.Elapsed = res.End - res.Start
+	if err != nil {
+		j.Fail(err)
+		if !j.finished {
+			j.release() // the driver never reached Finish
+		}
+		eng.CancelAll()
+		_ = eng.Run() // the unwinds; a proc that parks again while unwinding cannot exist
+	}
 	if j.finished && j.rest != "" {
 		before := j.marks[len(j.marks)-2].end - res.Start // the phases ahead of rest
 		res.Phases[j.rest] = res.End - (res.Start + before)
@@ -216,12 +270,17 @@ func (b *Base) RunSolo(submit func(ctl *sched.JobControl) *Job) job.Result {
 	return *res
 }
 
-// WritePart commits one task's output partition: pairs are text-encoded
-// and written to the attempt-scoped temp path of final on the attempt's
-// node; the tracker renames the winning attempt's file into place, so
-// DFS-writing tasks can race speculative backups with exactly-once output.
-func (b *Base) WritePart(p *sim.Proc, att *sched.Attempt, final string, scale float64, pairs []kv.Pair) error {
-	w := b.FS.CreateScaled(att.ScopedPath(final), att.Node(), scale)
+// WritePart commits one task's output partition as the file part under
+// dir, or discards it when the job names no output (dir ""): pairs are
+// text-encoded and written to the attempt-scoped temp path of the file on
+// the attempt's node; the tracker renames the winning attempt's file into
+// place, so DFS-writing tasks can race speculative backups with
+// exactly-once output.
+func (b *Base) WritePart(p *sim.Proc, att *sched.Attempt, dir, part string, scale float64, pairs []kv.Pair) error {
+	if dir == "" {
+		return nil
+	}
+	w := b.FS.CreateScaled(att.ScopedPath(dir+"/"+part), att.Node(), scale)
 	if err := w.Write(p, job.EncodeTextOutput(pairs)); err != nil {
 		return err
 	}

@@ -183,11 +183,12 @@ func TestSoloTracerFallback(t *testing.T) {
 func TestFraming(t *testing.T) {
 	part := []kv.Pair{{Key: []byte("ab"), Value: []byte("c")}, {Key: []byte("d")}}
 	want := part[0].Size() + part[1].Size() + 2*recordFraming
-	if got := FramedBytes(part); got != want {
-		t.Fatalf("FramedBytes = %d, want %d", got, want)
-	}
-	if got := FramedNominal(10, part, 2); got != 10+2*float64(want) {
-		t.Fatalf("FramedNominal = %v, want %v", got, 10+2*float64(want))
+	// One form: the integer sum scaled once, also at a scale that is not a
+	// power of two.
+	for _, scale := range []float64{1, 2, 1000} {
+		if got := Framed(part, scale); got != float64(want)*scale {
+			t.Fatalf("Framed at scale %v = %v, want %v", scale, got, float64(want)*scale)
+		}
 	}
 }
 

@@ -84,6 +84,32 @@ func (rc *runCtx) noteMiss(name, why string) {
 		name, rc.q.Now()-rc.start, why))
 }
 
+// nodesDown fails nodes in one step, in the order every failure takes:
+// the filesystem stops serving their replicas, the cluster marks them
+// dead, and the scheduler — told of all of them at once, so no retry lands
+// on a sibling that died in the same event — kills and requeues their
+// attempts.
+func (rc *runCtx) nodesDown(nodes ...int) {
+	for _, n := range nodes {
+		rc.tb.FS.NodeDown(n)
+	}
+	for _, n := range nodes {
+		rc.tb.Cluster.NodeDown(n)
+	}
+	rc.q.NodesDown(nodes)
+}
+
+// nodeUp rejoins node n in the same order and reports whether it was down.
+func (rc *runCtx) nodeUp(n int) bool {
+	if rc.tb.Cluster.Alive(n) && rc.tb.FS.NodeAlive(n) {
+		return false
+	}
+	rc.tb.FS.NodeUp(n)
+	rc.tb.Cluster.NodeUp(n)
+	rc.q.NodeUp(n)
+	return true
+}
+
 // checkNode validates a node index against the scenario's testbed at Run
 // time, so a typo fails fast instead of panicking mid-simulation.
 func checkNode(name string, node int) func(tb *Testbed) error {
@@ -151,12 +177,8 @@ func RestoreNode(node int) Event {
 func NodeDown(node int) Event {
 	name := fmt.Sprintf("node-down-%d", node)
 	return Event{
-		name: name,
-		apply: func(rc *runCtx) {
-			rc.tb.FS.NodeDown(node)
-			rc.tb.Cluster.NodeDown(node)
-			rc.q.NodeDown(node)
-		},
+		name:     name,
+		apply:    func(rc *runCtx) { rc.nodesDown(node) },
 		validate: checkNode(name, node),
 	}
 }
@@ -172,13 +194,9 @@ func NodeUp(node int) Event {
 	return Event{
 		name: name,
 		apply: func(rc *runCtx) {
-			if rc.tb.Cluster.Alive(node) && rc.tb.FS.NodeAlive(node) {
+			if !rc.nodeUp(node) {
 				rc.noteMiss(name, "node is not down")
-				return
 			}
-			rc.tb.FS.NodeUp(node)
-			rc.tb.Cluster.NodeUp(node)
-			rc.q.NodeUp(node)
 		},
 		validate: checkNode(name, node),
 	}
@@ -203,15 +221,8 @@ func checkRack(name string, rack int) func(tb *Testbed) error {
 func RackDown(rack int) Event {
 	name := fmt.Sprintf("rack-down-%d", rack)
 	return Event{
-		name: name,
-		apply: func(rc *runCtx) {
-			nodes := rc.tb.Cluster.RackNodes(rack)
-			for _, n := range nodes {
-				rc.tb.FS.NodeDown(n)
-			}
-			rc.tb.Cluster.RackDown(rack)
-			rc.q.NodesDown(nodes)
-		},
+		name:     name,
+		apply:    func(rc *runCtx) { rc.nodesDown(rc.tb.Cluster.RackNodes(rack)...) },
 		validate: checkRack(name, rack),
 	}
 }
@@ -227,13 +238,9 @@ func RackUp(rack int) Event {
 		apply: func(rc *runCtx) {
 			any := false
 			for _, n := range rc.tb.Cluster.RackNodes(rack) {
-				if rc.tb.Cluster.Alive(n) && rc.tb.FS.NodeAlive(n) {
-					continue
+				if rc.nodeUp(n) {
+					any = true
 				}
-				any = true
-				rc.tb.FS.NodeUp(n)
-				rc.tb.Cluster.NodeUp(n)
-				rc.q.NodeUp(n)
 			}
 			if !any {
 				rc.noteMiss(name, "no node in the rack is down")
@@ -874,9 +881,7 @@ func (r *Report) Render() string {
 	}
 	fmt.Fprintf(&b, "jobs %d, span %.0fs (first arrival %.0fs, last completion %.0fs), makespan %.0fs\n",
 		r.Submitted, span, r.Start, r.End, r.Makespan)
-	st := r.Tracker
-	fmt.Fprintf(&b, "tracker: %d tasks, %d backups (%d wins), %d kills, %d preemptions, %d retries\n",
-		st.Tasks, st.Backups, st.BackupWins, st.Kills, st.Preemptions, st.Retries)
+	fmt.Fprintln(&b, r.Tracker.String())
 	if tp := r.Transport; tp.Transfers > 0 || tp.BytesPipelined > 0 {
 		fmt.Fprintf(&b, "transport: %d transfers, %.0f MB serialized, %.0f MB copied, %.0f MB zero-copy, %.0f MB wire, overlap %.0f%%\n",
 			tp.Transfers, tp.BytesSerialized/(1<<20), tp.BytesCopied/(1<<20),
@@ -984,8 +989,10 @@ func (s *Scenario) Run() (*Report, error) {
 		return sub
 	}
 
-	// Closed-loop chaining and streaming aggregation both hook job
-	// completion; one dispatcher serves both.
+	// Every completion folds into its tenant's aggregate as it happens (and
+	// chains a closed-loop user's next job); WithStreamingReport decides
+	// only whether a per-job row is kept beside the aggregate and whether
+	// the queue forgets the job.
 	type tenantAgg struct {
 		jobs, failed int
 		sk           metrics.Sketch
@@ -993,72 +1000,77 @@ func (s *Scenario) Run() (*Report, error) {
 		phases       map[string]float64
 	}
 	var (
-		chain     map[*sched.Submission]chainKey
-		aggs      map[string]*tenantAgg
-		streamErr error
+		chain     = make(map[*sched.Submission]chainKey)
+		aggs      = make(map[string]*tenantAgg)
+		rows      map[*sched.Submission]JobReport // nil: rows folded away
+		firstErr  error
 		firstArr  = math.Inf(1) // min arrival, scenario-relative
 		lastEnd   = 0.0         // max completion, scenario-relative
 		slotTotal = 0.0
 	)
-	if len(s.closed) > 0 {
-		chain = make(map[*sched.Submission]chainKey)
+	if !s.stream {
+		rows = make(map[*sched.Submission]JobReport)
 	}
-	if s.stream {
-		aggs = make(map[string]*tenantAgg)
+	fold := func(sub *sched.Submission) {
+		agg := aggs[sub.Tenant()]
+		if agg == nil {
+			agg = &tenantAgg{}
+			aggs[sub.Tenant()] = agg
+		}
+		res := sub.Result()
+		jr := JobReport{Tenant: sub.Tenant(), Arrival: sub.Arrival() - runStart, SlotSeconds: q.SlotSeconds(sub), Result: res}
+		agg.jobs++
+		if res.Err != nil {
+			agg.failed++
+			if firstErr == nil {
+				name := res.Job
+				if !sub.Done() {
+					name = sub.Name() // never finished: the result carries only the error
+				}
+				firstErr = fmt.Errorf("datampi: scenario job %s (%s): %w", name, sub.Tenant(), res.Err)
+			}
+		} else {
+			jr.Response = res.End - sub.Arrival()
+			agg.sk.Add(jr.Response)
+		}
+		if tr != nil && len(res.Phases) > 0 {
+			if agg.phases == nil {
+				agg.phases = make(map[string]float64)
+			}
+			for k, v := range res.Phases {
+				agg.phases[k] += v
+			}
+		}
+		// Failed jobs count toward the completion horizon too, as long as
+		// the engine recorded when they ended (a deadlocked job has no
+		// end time and is excluded).
+		if end := res.End - runStart; res.End > 0 && end > lastEnd {
+			lastEnd = end
+		}
+		agg.slotSec += jr.SlotSeconds
+		slotTotal += jr.SlotSeconds
+		if rows != nil {
+			rows[sub] = jr
+		}
 	}
-	if len(s.closed) > 0 || s.stream {
-		q.OnComplete(func(sub *sched.Submission) {
-			if ck, ok := chain[sub]; ok {
-				delete(chain, sub)
-				if k := ck.k + 1; k < ck.cl.jobsPerUser {
-					j := ck.cl.mk(ck.user, k)
-					if j.FS == nil || j.FS.Cluster() != s.tb.Cluster {
-						rc.notes = append(rc.notes, fmt.Sprintf(
-							"closed-loop tenant %s user %d job %d is staged off-testbed; user's chain stopped",
-							ck.cl.tenant, ck.user, k))
-					} else {
-						nsub := admitAbs(ck.cl.tenant, eng.Now()+ck.cl.gaps[ck.user][k], j)
-						chain[nsub] = chainKey{cl: ck.cl, user: ck.user, k: k}
-					}
+	q.OnComplete(func(sub *sched.Submission) {
+		if ck, ok := chain[sub]; ok {
+			delete(chain, sub)
+			if k := ck.k + 1; k < ck.cl.jobsPerUser {
+				j := ck.cl.mk(ck.user, k)
+				if j.FS == nil || j.FS.Cluster() != s.tb.Cluster {
+					rc.notes = append(rc.notes, fmt.Sprintf(
+						"closed-loop tenant %s user %d job %d is staged off-testbed; user's chain stopped",
+						ck.cl.tenant, ck.user, k))
+				} else {
+					nsub := admitAbs(ck.cl.tenant, eng.Now()+ck.cl.gaps[ck.user][k], j)
+					chain[nsub] = chainKey{cl: ck.cl, user: ck.user, k: k}
 				}
 			}
-			if aggs == nil {
-				return
-			}
-			agg := aggs[sub.Tenant()]
-			if agg == nil {
-				agg = &tenantAgg{}
-				aggs[sub.Tenant()] = agg
-			}
-			res := sub.Result()
-			agg.jobs++
-			if res.Err != nil {
-				agg.failed++
-				if streamErr == nil {
-					streamErr = fmt.Errorf("datampi: scenario job %s (%s): %w", res.Job, sub.Tenant(), res.Err)
-				}
-			} else {
-				agg.sk.Add(res.End - sub.Arrival())
-			}
-			if tr != nil && len(res.Phases) > 0 {
-				if agg.phases == nil {
-					agg.phases = make(map[string]float64)
-				}
-				for k, v := range res.Phases {
-					agg.phases[k] += v
-				}
-			}
-			if end := res.End - runStart; res.End > 0 && end > lastEnd {
-				lastEnd = end
-			}
-			slot := q.SlotSeconds(sub)
-			agg.slotSec += slot
-			slotTotal += slot
-		})
-	}
-	if s.stream {
-		q.DiscardSettled(true)
-	}
+		}
+		fold(sub)
+	})
+	q.DiscardSettled(s.stream)
 
 	// Events due at or before the start apply now, before the first
 	// admission — the imperative "perturb before Run" pattern the golden
@@ -1078,11 +1090,9 @@ func (s *Scenario) Run() (*Report, error) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool { return s.arrivals[order[i]].At < s.arrivals[order[j]].At })
-	arrs := make([]Arrival, len(order))
-	for oi, ai := range order {
+	for _, ai := range order {
 		a := s.arrivals[ai]
 		admitAbs(a.Tenant, runStart+a.At, a.Job)
-		arrs[oi] = a
 		if a.At < firstArr {
 			firstArr = a.At
 		}
@@ -1146,7 +1156,7 @@ func (s *Scenario) Run() (*Report, error) {
 		}
 	}
 
-	results := q.Run()
+	q.Run()
 	makespan := eng.Now() - runStart
 
 	// Restore prior transport state and fold this run's counter deltas.
@@ -1187,118 +1197,35 @@ func (s *Scenario) Run() (*Report, error) {
 		rep.Timeline = append(rep.Timeline, TimelineEntry{T: te.T - runStart, Name: te.Name})
 	}
 
-	if s.stream {
-		// Per-tenant aggregates were folded as jobs completed; only jobs
-		// that never finished (a simulation deadlock) are still live and
-		// unaggregated.
-		for _, sub := range q.Submissions() {
-			if sub.Done() {
-				continue
-			}
-			agg := aggs[sub.Tenant()]
-			if agg == nil {
-				agg = &tenantAgg{}
-				aggs[sub.Tenant()] = agg
-			}
-			agg.jobs++
-			agg.failed++
-			if err := sub.Result().Err; err != nil && streamErr == nil {
-				streamErr = fmt.Errorf("datampi: scenario job %s (%s): %w", sub.Name(), sub.Tenant(), err)
-			}
+	// Jobs that never finished (a simulation deadlock) are still live and
+	// unfolded; the rows, when kept, go out in admission order.
+	for _, sub := range q.Submissions() {
+		if !sub.Done() {
+			fold(sub)
 		}
-		for _, t := range s.tenants {
-			trep := TenantReport{Name: t.name, Weight: t.weight}
-			if agg := aggs[t.name]; agg != nil {
-				trep.Response = agg.sk.Dist()
-				trep.Jobs = agg.jobs
-				trep.Failed = agg.failed
-				trep.SlotSeconds = agg.slotSec
-				if tr != nil && len(agg.phases) > 0 {
-					rep.Phases[t.name] = agg.phases
-				}
-			}
-			if slotTotal > 0 {
-				trep.SlotShare = trep.SlotSeconds / slotTotal
-			}
-			rep.Tenants = append(rep.Tenants, trep)
+		if rows != nil {
+			rep.Jobs = append(rep.Jobs, rows[sub])
 		}
-		if !math.IsInf(firstArr, 1) {
-			rep.Start = firstArr
-		}
-		rep.End = lastEnd
-		return rep, streamErr
 	}
-
-	// Per-tenant response times stream into constant-space sketches: a
-	// long trace no longer pins a float64 per completed job. Small
-	// tenants (up to the sketch's exact-buffer size) summarize
-	// bit-identically to the old slice-and-sort aggregation.
-	subs := q.Submissions()
-	perTenant := make(map[string]*metrics.Sketch)
-	for i, res := range results {
-		sub := subs[i]
-		// Declared arrivals keep their trace-relative times; closed-loop
-		// jobs admitted mid-run recover theirs from the submission.
-		arrRel := sub.Arrival() - runStart
-		if i < len(arrs) {
-			arrRel = arrs[i].At
-		}
-		slotSec := q.SlotSeconds(sub)
-		jr := JobReport{Tenant: sub.Tenant(), Arrival: arrRel, SlotSeconds: slotSec, Result: res}
-		if res.Err == nil {
-			jr.Response = (res.End - runStart) - arrRel
-			sk := perTenant[jr.Tenant]
-			if sk == nil {
-				sk = &metrics.Sketch{}
-				perTenant[jr.Tenant] = sk
-			}
-			sk.Add(jr.Response)
-		}
-		// Failed jobs count toward the completion horizon too, as long as
-		// the engine recorded when they ended (a deadlocked job has no
-		// end time and is excluded).
-		if end := res.End - runStart; res.End > 0 && end > lastEnd {
-			lastEnd = end
-		}
-		if arrRel < firstArr {
-			firstArr = arrRel
-		}
-		if tr != nil && len(res.Phases) > 0 {
-			m := rep.Phases[jr.Tenant]
-			if m == nil {
-				m = make(map[string]float64)
-				rep.Phases[jr.Tenant] = m
-			}
-			for k, v := range res.Phases {
-				m[k] += v
+	for _, t := range s.tenants {
+		trep := TenantReport{Name: t.name, Weight: t.weight}
+		if agg := aggs[t.name]; agg != nil {
+			trep.Response = agg.sk.Dist()
+			trep.Jobs = agg.jobs
+			trep.Failed = agg.failed
+			trep.SlotSeconds = agg.slotSec
+			if len(agg.phases) > 0 {
+				rep.Phases[t.name] = agg.phases
 			}
 		}
-		slotTotal += slotSec
-		rep.Jobs = append(rep.Jobs, jr)
+		if slotTotal > 0 {
+			trep.SlotShare = trep.SlotSeconds / slotTotal
+		}
+		rep.Tenants = append(rep.Tenants, trep)
 	}
 	if !math.IsInf(firstArr, 1) {
 		rep.Start = firstArr
 	}
 	rep.End = lastEnd
-	for _, t := range s.tenants {
-		tr := TenantReport{Name: t.name, Weight: t.weight}
-		if sk := perTenant[t.name]; sk != nil {
-			tr.Response = sk.Dist()
-		}
-		for i := range rep.Jobs {
-			if rep.Jobs[i].Tenant != t.name {
-				continue
-			}
-			tr.Jobs++
-			if rep.Jobs[i].Result.Err != nil {
-				tr.Failed++
-			}
-			tr.SlotSeconds += rep.Jobs[i].SlotSeconds
-		}
-		if slotTotal > 0 {
-			tr.SlotShare = tr.SlotSeconds / slotTotal
-		}
-		rep.Tenants = append(rep.Tenants, tr)
-	}
-	return rep, rep.Err()
+	return rep, firstErr
 }

@@ -6,7 +6,6 @@ package datampi_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	datampi "github.com/datampi/datampi-go"
@@ -61,6 +60,9 @@ func TestStreamingReportMatchesRetained(t *testing.T) {
 		t.Fatalf("Submitted: retained %d, streamed %d, want %d",
 			retained.Submitted, streamed.Submitted, 4+2*3)
 	}
+	if retained.Start != streamed.Start || retained.End != streamed.End {
+		t.Fatalf("span: retained %v..%v, streamed %v..%v", retained.Start, retained.End, streamed.Start, streamed.End)
+	}
 	if len(retained.Tenants) != len(streamed.Tenants) {
 		t.Fatalf("tenant counts differ: %d vs %d", len(retained.Tenants), len(streamed.Tenants))
 	}
@@ -73,10 +75,10 @@ func TestStreamingReportMatchesRetained(t *testing.T) {
 			t.Fatalf("tenant %s: response dists differ:\nretained %+v\nstreamed %+v",
 				r.Name, r.Response, s.Response)
 		}
-		// Slot-second sums accumulate in different orders (admission vs
-		// completion), so allow float summation noise and nothing more.
-		if math.Abs(r.SlotSeconds-s.SlotSeconds) > 1e-9*(1+math.Abs(r.SlotSeconds)) {
-			t.Fatalf("tenant %s: slot seconds %v vs %v", r.Name, r.SlotSeconds, s.SlotSeconds)
+		// Both modes fold every completion through the same aggregate, in
+		// completion order: the sums agree to the bit.
+		if r.SlotSeconds != s.SlotSeconds || r.SlotShare != s.SlotShare {
+			t.Fatalf("tenant %s: slot seconds %v vs %v, share %v vs %v", r.Name, r.SlotSeconds, s.SlotSeconds, r.SlotShare, s.SlotShare)
 		}
 	}
 }
