@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"regexp/syntax"
 	"slices"
+	"unicode"
 	"unicode/utf8"
 
 	"github.com/datampi/datampi-go/internal/dfs"
@@ -99,65 +100,148 @@ func GrepSpec(fsys *dfs.FS, in *dfs.File, out, pattern string, reducers int) job
 }
 
 // grepMap returns the map function emitting (match, 1) for every match
-// re.FindAll(line, -1) would return, in the same order.
-//
-// FindAll builds a [][]byte per matching line and a capture slice per
-// match. When the pattern has no empty-width assertion (^ $ \A \z \b \B)
-// and cannot match the empty string, the matches of a valid UTF-8 line
-// can be walked with Find over a moving window instead, which allocates
-// nothing: without assertions a match does not depend on what precedes
-// the window, so the leftmost match of line[end:] is FindAll's next
-// match; and the first occurrence of the matched bytes in the window is
-// where it matched, because in valid UTF-8 an earlier occurrence starts
-// on a rune boundary and would itself have been a match further left.
-// Any other pattern, and any line that is not valid UTF-8 (a stray byte
-// matches as U+FFFD only where it does not complete a rune), keeps
-// FindAll, which is also the walker's differential oracle
-// (FuzzGrepMatchesFindAll).
+// re.FindAll(line, -1) would return, in the same order: a table scan when
+// the pattern is a byte-set program (see byteSetsOf), FindAll otherwise.
+// FindAll is also the scan's differential oracle (FuzzGrepMatchesFindAll).
 func grepMap(re *regexp.Regexp) job.MapFunc {
-	findAll := func(key, value []byte, emit job.Emit) {
+	if p, ok := byteSetsOf(re.String()); ok {
+		return p.grep
+	}
+	return func(key, value []byte, emit job.Emit) {
 		for _, m := range re.FindAll(value, -1) {
 			emit(m, one)
 		}
 	}
-	if !walkable(re) {
-		return findAll
-	}
-	return func(key, value []byte, emit job.Emit) {
-		m := re.Find(value)
-		if m == nil {
-			return // no match: what the line holds does not matter
-		}
-		if !utf8.Valid(value) {
-			findAll(key, value, emit)
-			return
-		}
-		for win := value; m != nil; m = re.Find(win) {
-			emit(m, one)
-			win = win[bytes.Index(win, m)+len(m):]
-		}
-	}
 }
 
-// walkable reports whether re is assertion-free and never matches the
-// empty string (see grepMap).
-func walkable(re *regexp.Regexp) bool {
-	parsed, err := syntax.Parse(re.String(), syntax.Perl)
-	return err == nil && !hasAssertion(parsed) && !re.Match(nil)
+// byteSets is a byte-set program: a match is one byte of each fixed set
+// in turn, then every following byte of tail (nil: none) — greedily.
+type byteSets struct {
+	fixed [][256]bool
+	tail  *[256]bool
 }
 
-func hasAssertion(re *syntax.Regexp) bool {
+// byteSetsOf compiles pattern when it is a byte-set program: after
+// Simplify, a concatenation of one-byte atoms — ASCII literal runes
+// (case-folded only when the rune's whole SimpleFold orbit is ASCII) and
+// classes lying below utf8.RuneSelf — of which only the last may repeat,
+// with a greedy + or, after a non-empty prefix, a greedy *.
+//
+// For such a pattern FindAll's leftmost-first matches are what a left to
+// right scan finds: at the leftmost position where every fixed atom
+// matches, the match extends greedily over the tail, and the next match
+// is searched from its end. No match is empty. An ASCII byte is always a
+// rune of its own and a byte at or above 0x80 can never satisfy an ASCII
+// set, so invalid UTF-8 needs no special case.
+func byteSetsOf(pattern string) (*byteSets, bool) {
+	re, err := syntax.Parse(pattern, syntax.Perl)
+	if err != nil {
+		return nil, false
+	}
+	atoms := concatAtoms(re.Simplify(), nil)
+	p := &byteSets{}
+	for i, a := range atoms {
+		if a.Op != syntax.OpPlus && a.Op != syntax.OpStar {
+			sets, ok := atomSets(a)
+			if !ok {
+				return nil, false
+			}
+			p.fixed = append(p.fixed, sets...)
+			continue
+		}
+		sub := concatAtoms(a.Sub[0], nil)
+		if i != len(atoms)-1 || a.Flags&syntax.NonGreedy != 0 || len(sub) != 1 {
+			return nil, false
+		}
+		sets, ok := atomSets(sub[0])
+		if !ok || len(sets) != 1 {
+			return nil, false
+		}
+		if a.Op == syntax.OpPlus {
+			p.fixed = append(p.fixed, sets[0])
+		}
+		p.tail = &sets[0]
+	}
+	return p, len(p.fixed) > 0
+}
+
+// concatAtoms appends the factors of re to atoms, flattening nested
+// concatenations and unwrapping capture groups.
+func concatAtoms(re *syntax.Regexp, atoms []*syntax.Regexp) []*syntax.Regexp {
 	switch re.Op {
-	case syntax.OpBeginLine, syntax.OpEndLine, syntax.OpBeginText, syntax.OpEndText,
-		syntax.OpWordBoundary, syntax.OpNoWordBoundary:
-		return true
-	}
-	for _, sub := range re.Sub {
-		if hasAssertion(sub) {
-			return true
+	case syntax.OpCapture:
+		return concatAtoms(re.Sub[0], atoms)
+	case syntax.OpConcat:
+		for _, sub := range re.Sub {
+			atoms = concatAtoms(sub, atoms)
 		}
+		return atoms
 	}
-	return false
+	return append(atoms, re)
+}
+
+// atomSets returns the byte set of each one-byte atom a literal or char
+// class stands for, and false for any other node or a non-ASCII atom.
+func atomSets(re *syntax.Regexp) ([][256]bool, bool) {
+	switch re.Op {
+	case syntax.OpCharClass:
+		var set [256]bool
+		for i := 0; i < len(re.Rune); i += 2 {
+			if re.Rune[i+1] >= utf8.RuneSelf {
+				return nil, false
+			}
+			for r := re.Rune[i]; r <= re.Rune[i+1]; r++ {
+				set[r] = true
+			}
+		}
+		return [][256]bool{set}, true
+	case syntax.OpLiteral:
+		sets := make([][256]bool, len(re.Rune))
+		for i, r := range re.Rune {
+			for f := r; ; {
+				if f >= utf8.RuneSelf {
+					return nil, false
+				}
+				sets[i][f] = true
+				if re.Flags&syntax.FoldCase != 0 {
+					f = unicode.SimpleFold(f)
+				}
+				if f == r {
+					break
+				}
+			}
+		}
+		return sets, true
+	}
+	return nil, false
+}
+
+// grep is the Grep map function of a byte-set program: it emits each
+// match as a sub-slice of value, allocating nothing.
+func (p *byteSets) grep(key, value []byte, emit job.Emit) {
+	first, n := &p.fixed[0], len(p.fixed)
+	for i := 0; i+n <= len(value); {
+		if !first[value[i]] {
+			i++
+			continue
+		}
+		k := 1
+		for k < n && p.fixed[k][value[i+k]] {
+			k++
+		}
+		if k < n {
+			i++
+			continue
+		}
+		end := i + n
+		if p.tail != nil {
+			for end < len(value) && p.tail[value[end]] {
+				end++
+			}
+		}
+		emit(value[i:end], one)
+		i = end
+	}
 }
 
 // SampleSortBoundaries samples the input's lines (every ls-th line of

@@ -3,8 +3,10 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +190,20 @@ func TestFormatParseIntRoundTrip(t *testing.T) {
 	}
 	if ParseInt([]byte("0")) != 0 || string(FormatInt(0)) != "0" {
 		t.Fatal("zero mishandled")
+	}
+}
+
+// TestAppendIntMatchesStrconv: every digit-count edge and both extremes;
+// math.MinInt64 has no positive counterpart to negate into.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	for _, n := range []int64{0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, math.MaxInt64, math.MinInt64} {
+		want := strconv.FormatInt(n, 10)
+		if got := string(AppendInt([]byte("x"), n)); got != "x"+want {
+			t.Errorf("AppendInt(\"x\", %d) = %q, want %q", n, got, "x"+want)
+		}
+		if got := string(FormatInt(n)); got != want {
+			t.Errorf("FormatInt(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"strconv"
 )
 
 // Combiner merges the values of one key into a smaller set of values,
@@ -54,27 +55,7 @@ func ParseInt(b []byte) int64 { return parseInt(b) }
 func FormatInt(n int64) []byte { return AppendInt(nil, n) }
 
 // AppendInt appends the decimal encoding of n to dst.
-func AppendInt(dst []byte, n int64) []byte {
-	if n == 0 {
-		return append(dst, '0')
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [24]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return append(dst, buf[i:]...)
-}
+func AppendInt(dst []byte, n int64) []byte { return strconv.AppendInt(dst, n, 10) }
 
 // sameKeyRun returns the end of the group of equal keys starting at i.
 func sameKeyRun(sorted []Pair, i int) int {
