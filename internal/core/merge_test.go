@@ -86,7 +86,7 @@ func TestEveryMergedRunIsSorted(t *testing.T) {
 			before := *checked
 			run(t)
 			if *checked == before {
-				t.Fatal("no run reached MergeRuns")
+				t.Fatal("no run reached a merge")
 			}
 		})
 	}

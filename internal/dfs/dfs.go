@@ -566,17 +566,35 @@ func (fs *FS) CreateScaled(name string, client int, scale float64) *Writer {
 
 // Write appends data, flushing full blocks through the replication
 // pipeline. It blocks the proc for the simulated transfer time.
+//
+// The file keeps data, as Preload does: full blocks are sub-slices of it
+// and so is a trailing partial block until a later Write tops it up (that
+// copies the partial block, once, and never writes into data's array).
+// The caller must not modify data after passing it.
 func (w *Writer) Write(p *sim.Proc, data []byte) error {
 	if w.closed {
 		return fmt.Errorf("dfs: write to closed writer for %s", w.f.Name)
 	}
-	w.buf = append(w.buf, data...)
 	abs := w.fs.actualBlockSize()
-	for len(w.buf) >= abs {
-		if err := w.flushBlock(p, w.buf[:abs]); err != nil {
+	if len(w.buf) > 0 {
+		n := min(abs-len(w.buf), len(data))
+		w.buf = append(w.buf, data[:n]...)
+		data = data[n:]
+		if len(w.buf) < abs {
+			return nil
+		}
+		if err := w.flushBlock(p, w.buf); err != nil {
 			return err
 		}
-		w.buf = w.buf[abs:]
+		w.buf = nil
+	}
+	for ; len(data) >= abs; data = data[abs:] {
+		if err := w.flushBlock(p, data[:abs:abs]); err != nil {
+			return err
+		}
+	}
+	if len(data) > 0 {
+		w.buf = data[:len(data):len(data)]
 	}
 	return nil
 }
@@ -599,12 +617,12 @@ func (w *Writer) Close(p *sim.Proc) error {
 // flushBlock runs the replication pipeline for one block: the client writes
 // the primary replica to its local disk while streaming to the second
 // datanode, which streams to the third; disk writes and network hops are
-// overlapped as in HDFS packet pipelining.
+// overlapped as in HDFS packet pipelining. The block keeps data.
 func (w *Writer) flushBlock(p *sim.Proc, data []byte) error {
 	fs := w.fs
 	blk := &Block{
 		ID:        fs.nextID,
-		Data:      append([]byte(nil), data...),
+		Data:      data,
 		Nominal:   float64(len(data)) * w.scale,
 		Locations: fs.placeReplicas(w.client),
 	}

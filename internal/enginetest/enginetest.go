@@ -102,9 +102,10 @@ func FailNodeAt(q *sched.Queue, fs *dfs.FS, eng sched.Engine, at float64, node i
 	})
 }
 
-// CheckMerges points the runtime's merge (taskrt.MergeSeam, behind every
-// engine's reduce side) at a kv.MergeRuns that first asserts its
-// precondition — every run sorted under kv.Compare — and restores it when
+// CheckMerges installs, at the runtime's merge seam (taskrt.MergeSeam,
+// behind every engine's reduce side), a check of the merges'
+// precondition — every run sorted under kv.Compare — on each set of runs
+// handed to taskrt.MergeRuns or taskrt.MergeReduce, and removes it when
 // the test ends. The returned counter holds how many non-empty runs have
 // been checked so far.
 func CheckMerges(t *testing.T) *int {
@@ -113,16 +114,15 @@ func CheckMerges(t *testing.T) *int {
 	seam := taskrt.MergeSeam()
 	orig := *seam
 	t.Cleanup(func() { *seam = orig })
-	*seam = func(runs [][]kv.Pair) []kv.Pair {
+	*seam = func(runs [][]kv.Pair) {
 		for i, r := range runs {
 			if !kv.IsSorted(r) {
-				t.Errorf("run %d of %d handed to MergeRuns is not sorted (%d pairs)", i, len(runs), len(r))
+				t.Errorf("run %d of %d handed to a merge is not sorted (%d pairs)", i, len(runs), len(r))
 			}
 			if len(r) > 0 {
 				*checked++
 			}
 		}
-		return orig(runs)
 	}
 	return checked
 }

@@ -162,20 +162,10 @@ func IdentityReduce(key []byte, values [][]byte) []kv.Pair {
 }
 
 // HasIdentityReduce reports whether the (normalized) spec's reducer is
-// the defaulted identity.
+// the defaulted identity. Identity reduction re-emits every (key, value)
+// in grouping order, which for a key-sorted input is exactly the input,
+// so an engine returns its merged run instead of grouping it.
 func (s *Spec) HasIdentityReduce() bool { return s.identityReduce }
-
-// GroupReduce applies the spec's reducer to a key-sorted slice. For the
-// defaulted identity reducer it returns sorted unchanged — identity
-// reduction re-emits every (key, value) in grouping order, which for a
-// key-sorted input is exactly the input — saving one Pair allocation
-// per unique key on sort-shaped workloads.
-func (s *Spec) GroupReduce(sorted []kv.Pair) []kv.Pair {
-	if s.identityReduce {
-		return sorted
-	}
-	return kv.GroupReduce(sorted, s.Reduce)
-}
 
 // Result reports a finished job.
 type Result struct {

@@ -398,12 +398,14 @@ func (c *PartitionCollector) Finish() (parts [][]Pair, spillBytes, mergeBytes in
 					runs = append(runs, sp[pi])
 				}
 			}
-			switch len(runs) {
-			case 0:
-			case 1:
+			switch {
+			case len(runs) == 0:
+			case len(runs) == 1:
 				parts[pi] = runs[0]
+			case c.combine == nil:
+				parts[pi] = MergeRuns(runs)
 			default:
-				parts[pi] = CombineSorted(MergeRuns(runs), c.combine)
+				parts[pi] = MergeCombine(runs, c.combine)
 			}
 		}
 	}

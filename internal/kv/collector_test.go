@@ -506,23 +506,55 @@ func BenchmarkCollectDistinctCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeRuns merges what a reducer sees: one sorted, combined
-// partition from each of k map tasks.
+// reducerRuns is what a reducer sees: one sorted, combined partition
+// from each of k map tasks, 40,000 WordCount records in all.
+func reducerRuns(k int) [][]Pair {
+	runs := make([][]Pair, k)
+	for i := range runs {
+		c := NewPartitionCollector(1, 0, SumCombiner, HashPartitioner{})
+		for _, r := range wordCountRecords(int64(i), 40000/k) {
+			c.Emit(r.Key, r.Value)
+		}
+		parts, _, _ := c.Finish()
+		runs[i] = parts[0]
+	}
+	return runs
+}
+
 func BenchmarkMergeRuns(b *testing.B) {
 	for _, k := range []int{2, 8, 32} {
-		runs := make([][]Pair, k)
-		for i := range runs {
-			c := NewPartitionCollector(1, 0, SumCombiner, HashPartitioner{})
-			for _, r := range wordCountRecords(int64(i), 40000/k) {
-				c.Emit(r.Key, r.Value)
-			}
-			parts, _, _ := c.Finish()
-			runs[i] = parts[0]
-		}
+		runs := reducerRuns(k)
 		b.Run(strconv.Itoa(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				MergeRuns(runs)
+			}
+		})
+	}
+}
+
+// BenchmarkMergeReduce is the WordCount reduce tail two ways: the
+// grouping merge, and GroupReduce over the flat merge it replaced.
+func BenchmarkMergeReduce(b *testing.B) {
+	sum := func(key []byte, values [][]byte) []Pair {
+		var n int64
+		for _, v := range values {
+			n += ParseInt(v)
+		}
+		return []Pair{{Key: key, Value: FormatInt(n)}}
+	}
+	for _, k := range []int{2, 8, 32, 128} {
+		runs := reducerRuns(k)
+		b.Run("grouped/"+strconv.Itoa(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				MergeReduce(runs, sum)
+			}
+		})
+		b.Run("flat/"+strconv.Itoa(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				GroupReduce(MergeRuns(runs), sum)
 			}
 		})
 	}

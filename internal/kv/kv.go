@@ -63,7 +63,8 @@ func keyPrefix(key []byte) uint64 {
 func SortPairs(ps []Pair) { slices.SortFunc(ps, Compare) }
 
 // IsSorted reports whether ps is non-decreasing under Compare, the order
-// every sorter produces and MergeRuns requires of its runs.
+// every sorter produces and MergeRuns and MergeGroups require of their
+// runs.
 func IsSorted(ps []Pair) bool {
 	return slices.IsSortedFunc(ps, Compare)
 }

@@ -54,7 +54,7 @@ func TestEveryMergedRunIsSorted(t *testing.T) {
 			before := *checked
 			scenario(t)
 			if *checked == before {
-				t.Fatal("no run reached MergeRuns")
+				t.Fatal("no run reached a merge")
 			}
 		})
 	}

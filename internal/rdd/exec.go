@@ -457,11 +457,12 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
 
 		if wide != nil {
-			pairs = taskrt.MergeRuns(runs)
-			cpuSec += cfg.CPUPerByteSort * inputNominal
 			if wide.reduce != nil {
-				pairs = kv.GroupReduce(pairs, wide.reduce)
+				pairs = taskrt.MergeReduce(runs, wide.reduce)
+			} else {
+				pairs = taskrt.MergeRuns(runs)
 			}
+			cpuSec += cfg.CPUPerByteSort * inputNominal
 			cpuSec += cfg.CPUPerByteReduce * inputNominal
 		}
 	}

@@ -27,17 +27,32 @@ func Framed(part []kv.Pair, scale float64) float64 {
 	return float64(b) * scale
 }
 
-// mergeRuns is kv.MergeRuns, whose runs must each be sorted; the engine
-// tests wrap it (through MergeSeam) to assert that of every run an engine
+// mergeSeam, when set, sees every set of runs before MergeRuns or
+// MergeReduce merges it. Both merges require each run sorted; the engine
+// tests set it (through MergeSeam) to assert that of every run an engine
 // hands over.
-var mergeRuns = kv.MergeRuns
+var mergeSeam func(runs [][]kv.Pair)
 
 // MergeRuns merges sorted runs into one sorted run.
-func MergeRuns(runs [][]kv.Pair) []kv.Pair { return mergeRuns(runs) }
+func MergeRuns(runs [][]kv.Pair) []kv.Pair {
+	if mergeSeam != nil {
+		mergeSeam(runs)
+	}
+	return kv.MergeRuns(runs)
+}
 
-// MergeSeam is where a test substitutes the merge behind MergeRuns and
-// MergeReduce.
-func MergeSeam() *func([][]kv.Pair) []kv.Pair { return &mergeRuns }
+// MergeReduce merges sorted runs and reduces each key's group as it
+// meets it: kv.GroupReduce over MergeRuns, without the merged slice.
+func MergeReduce(runs [][]kv.Pair, reduce kv.Reducer) []kv.Pair {
+	if mergeSeam != nil {
+		mergeSeam(runs)
+	}
+	return kv.MergeReduce(runs, reduce)
+}
+
+// MergeSeam is where a test installs the check that sees the runs handed
+// to MergeRuns and MergeReduce (and so to Buffer.MergeReduce).
+func MergeSeam() *func(runs [][]kv.Pair) { return &mergeSeam }
 
 // Partitioned is a map-side task's output: one sorted run per consumer,
 // each sized in nominal framed bytes and nominal records, and what the
@@ -206,11 +221,13 @@ func (rb *Buffer) Release() {
 }
 
 // MergeReduce is the reduce side's tail: the spilled runs come back from
-// disk while the task merges runs (each one sorted), pays CPU for every
-// nominal byte buffered — perByte scaled by the spec's reduce factor, plus
-// perByteSort — and perRecord for every nominal merged record, with
-// overhead(cpuSec) of background work beside it; then the spec's reducer
-// runs over the key groups.
+// disk while the task pays CPU for every nominal byte buffered — perByte
+// scaled by the spec's reduce factor, plus perByteSort — and perRecord for
+// every nominal record in runs, with overhead(cpuSec) of background work
+// beside it; then it merges runs (each one sorted) and the spec's reducer
+// runs over the key groups as the merge meets them. The defaulted
+// identity reducer would re-emit the merged run, so that is returned
+// instead.
 func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort, perRecord float64,
 	overhead func(cpuSec float64) float64) []kv.Pair {
 	b, total := rb.b, rb.buffered+rb.spilled
@@ -220,12 +237,18 @@ func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByte
 		b.C.Node(rb.node).Disk.Start(rb.spilled, wg.Done)
 		b.Prof.AddDiskRead(rb.node, rb.spilled)
 	}
-	merged := mergeRuns(runs)
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
 	// Intermediate record counts follow the same saturation rule as
 	// intermediate bytes.
-	records := float64(len(merged)) * spec.EmitScale()
+	records := float64(n) * spec.EmitScale()
 	cpuSec := spec.CPUAdjust(b.name) * (perByte*spec.ReduceCPUFactor*total + perByteSort*total + perRecord*records)
 	b.StartCPU(&wg, rb.node, cpuSec, overhead(cpuSec))
 	wg.WaitAs(rb.p, "disk")
-	return spec.GroupReduce(merged)
+	if spec.HasIdentityReduce() {
+		return MergeRuns(runs)
+	}
+	return MergeReduce(runs, spec.Reduce)
 }

@@ -13,8 +13,9 @@
 //     internal/sched and Job.Wait the driver's barrier;
 //   - map side and reduce side: MapBlock / Collect size a task's
 //     partitioned output (framed bytes once, in one form), and
-//     Buffer.MergeReduce is the reduce tail — spilled read-back, merge,
-//     the three-term CPU charge, group-reduce;
+//     Buffer.MergeReduce is the reduce tail — spilled read-back, the
+//     three-term CPU charge, then a merge that reduces each key group as
+//     it meets it;
 //   - shuffle edge: Fetches pulls a materialized partition to its consumer
 //     (fluid or staged wire, chosen here and in internal/transport only)
 //     and Buffer is the reduce-side shuffle buffer;
