@@ -219,8 +219,8 @@ func NewTestbed(tc TestbedConfig) *Testbed {
 // concurrently on the shared simulated cluster, with slot contention
 // arbitrated by policy. Call Run to drive all admitted jobs to completion.
 // Scenario knobs — per-job weights (SubmitWeighted), speculative
-// execution (SetSpeculation), preemption (SetPreemption) and
-// delay-scheduling slack (SetLocalitySlack) — live on the returned Queue.
+// execution (SetSpeculation) and preemption (SetPreemption) — live on the
+// returned Queue.
 //
 // New code should prefer NewScenario: it expresses the same runs
 // declaratively (tenants, arrival traces, timed perturbations) and

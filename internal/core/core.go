@@ -69,15 +69,6 @@ type Config struct {
 	// computation overlapped in O tasks").
 	DisablePipelining bool
 
-	// Checkpoint enables key-value checkpointing of A-side intermediate
-	// data to the DFS (DataMPI's fault-tolerance mechanism).
-	Checkpoint bool
-	// FailATask, if >= 0, makes that A task crash once after receiving
-	// its data — failure injection for checkpoint/restart tests.
-	FailATask int
-	// RestartDelay is the time to detect a failed task and respawn it.
-	RestartDelay float64
-
 	// Transport overrides the engine's staged communication profile
 	// (transport.DataMPIProfile when unset, i.e. Name == "").
 	Transport transport.Profile
@@ -99,8 +90,6 @@ func DefaultConfig() Config {
 		OverheadFactor:  0.08,
 		ProcBaseMem:     0.6 * cluster.GB,
 		DaemonMem:       0.2 * cluster.GB,
-		FailATask:       -1,
-		RestartDelay:    2.0,
 	}
 }
 
@@ -149,9 +138,6 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	nO, world, splitsOf := e.layout(ctl.Placer(), blocks, nA)
 	oSpans := make([]uint64, nO) // O rank -> latest attempt span ID
 	oSlots, aSlots := e.pools(ctl, nA)
-	// The injected A-task crash is one-shot per job: the job's copy of the
-	// knob is spent, the engine's configuration is not.
-	failA := e.Cfg.FailATask
 
 	// launchO launches O rank o as the task called name. O tasks are
 	// restartable: the body re-reads its immutable splits and re-streams
@@ -231,7 +217,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				Retryable: true,
 				PreRetry:  func() { aSlots.Grow(aSlots.PerNode() + 1) },
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					return nil, e.runATask(p, att, &spec, world, nO, a, len(blocks), j, rec, oSpans, &failA)
+					return nil, e.runATask(p, att, &spec, world, nO, a, len(blocks), j, rec, oSpans)
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					res.AddCounter("a_tasks", 1)
@@ -426,7 +412,7 @@ const abortTag = 0
 // the same tag dedup that absorbs speculative duplicates lets every live
 // rank ignore the replayed streams while this one is fed from scratch.
 func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, nO, a, totalSplits int,
-	j *taskrt.Job, rec *aRecovery, oSpans []uint64, failA *int) error {
+	j *taskrt.Job, rec *aRecovery, oSpans []uint64) error {
 	cfg, res := &e.Cfg, &j.Res
 
 	rank := nO + a
@@ -460,7 +446,7 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	buf := e.Buffer(p, node, capBytes, mem)
 	// Registered before the receive loop so a kill mid-receive (node
 	// failure) releases the buffered intermediate data.
-	defer func() { buf.Release() }()
+	defer buf.Release()
 	// One recv span covers the whole receive window. Its O-span deps make
 	// the overlap visible to the critical-path walk: only the tail of the
 	// receive past the last O task's completion sits on the path, which is
@@ -470,7 +456,7 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	if tr := att.Tracer(); tr != nil {
 		rsp = tr.BeginChild(tsp, "recv", "net", node, tsp.Tid, p.Engine().Now())
 	}
-	var checkpointNominal float64
+	var receivedNominal float64
 	seenTags := make(map[int]bool, totalSplits)
 	for len(seenTags) < totalSplits {
 		m := w.Recv(p, rank, mpi.AnySource, -1)
@@ -488,7 +474,7 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 			runs = append(runs, pairs)
 		}
 		res.AddCounter("pipelined_bytes_nominal", int64(m.Nominal))
-		checkpointNominal += m.Nominal
+		receivedNominal += m.Nominal
 		if spilled := buf.Add(m.Nominal); spilled > 0 {
 			res.AddCounter("a_spill_bytes_nominal", int64(spilled))
 		}
@@ -497,49 +483,9 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		for _, id := range oSpans {
 			rsp.DepOn(id)
 		}
-		rsp.Annotate("bytes", fmt.Sprintf("%.0f", checkpointNominal))
+		rsp.Annotate("bytes", fmt.Sprintf("%.0f", receivedNominal))
 		rsp.EndAt(p.Engine().Now())
 		tsp.DepOn(rsp.ID)
-	}
-
-	// Key-value checkpoint: the intermediate data is durably written to
-	// the DFS so a failed A task can restart without rerunning O tasks.
-	if cfg.Checkpoint && checkpointNominal > 0 && spec.Output != "" {
-		ckActual := int(checkpointNominal / spec.EmitScale())
-		cw := e.FS.CreateScaled(fmt.Sprintf("%s/_checkpoint/a-%05d", spec.Output, a), node, spec.EmitScale())
-		if err := cw.Write(p, make([]byte, ckActual)); err != nil {
-			return err
-		}
-		if err := cw.Close(p); err != nil {
-			return err
-		}
-	}
-
-	if *failA == a {
-		// Injected failure: the task dies after receiving its data. The
-		// runtime detects it and respawns the task, which recovers the
-		// intermediate data from the checkpoint (or, without
-		// checkpointing, the job fails).
-		*failA = -1
-		if !cfg.Checkpoint {
-			// The deferred release frees the buffered data.
-			return fmt.Errorf("datampi: A task %d failed with no checkpoint", a)
-		}
-		p.Sleep(cfg.RestartDelay)
-		buf.Release()
-		// Restart: read the checkpoint back from the DFS.
-		ck, err := e.FS.Open(fmt.Sprintf("%s/_checkpoint/a-%05d", spec.Output, a))
-		if err != nil {
-			return fmt.Errorf("datampi: restart: %w", err)
-		}
-		for _, blk := range ck.Blocks {
-			if _, err := e.FS.ReadBlock(p, blk, node); err != nil {
-				return err
-			}
-		}
-		// The restarted task holds the whole checkpoint in memory.
-		buf = e.Buffer(p, node, math.Inf(1), mem)
-		buf.Add(checkpointNominal)
 	}
 
 	// Every run is one O task's partition, which its collector already

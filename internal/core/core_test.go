@@ -172,41 +172,6 @@ func TestMapOnlyJob(t *testing.T) {
 	}
 }
 
-func TestCheckpointRestartRecovers(t *testing.T) {
-	_, fs, eng := testSetup(8*cluster.KB, 1)
-	data := genText(5, 64*1024)
-	in := fs.PreloadAligned("/in", data, '\n')
-	eng.Cfg.Checkpoint = true
-	eng.Cfg.FailATask = 2 // A task 2 dies once after receiving its data
-	res := eng.Run(wcSpec(fs, in, "/out", 8))
-	if res.Err != nil {
-		t.Fatalf("job with checkpoint should survive failure: %v", res.Err)
-	}
-	enginetest.AssertQuiesced(t, eng)
-	got := map[string]int64{}
-	for _, p := range job.ReadTextOutput(fs, "/out/part-a-") {
-		got[string(p.Key)] += kv.ParseInt(p.Value)
-	}
-	want := refCounts(data)
-	for w, n := range want {
-		if got[w] != n {
-			t.Fatalf("after restart, count[%s]=%d want %d", w, got[w], n)
-		}
-	}
-}
-
-func TestFailureWithoutCheckpointFailsJob(t *testing.T) {
-	_, fs, eng := testSetup(8*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(6, 32*1024), '\n')
-	eng.Cfg.Checkpoint = false
-	eng.Cfg.FailATask = 1
-	res := eng.Run(wcSpec(fs, in, "/out", 4))
-	if res.Err == nil {
-		t.Fatal("expected job failure without checkpointing")
-	}
-	enginetest.AssertQuiesced(t, eng)
-}
-
 // TestPartitionerOutOfRangeFailsTheJob: an index outside [0, A tasks)
 // used to panic inside the O side's collector. The job now fails with it.
 func TestPartitionerOutOfRangeFailsTheJob(t *testing.T) {
@@ -215,23 +180,6 @@ func TestPartitionerOutOfRangeFailsTheJob(t *testing.T) {
 	spec := wcSpec(fs, in, "/out", 4)
 	spec.Part = enginetest.OutOfRange{}
 	enginetest.AssertPartitionError(t, eng, eng.Run(spec), 4)
-}
-
-func TestCheckpointSlowerThanNoCheckpoint(t *testing.T) {
-	run := func(ck bool) float64 {
-		_, fs, eng := testSetup(64*cluster.KB, 64)
-		in := fs.PreloadAligned("/in", genText(7, 512*1024), '\n')
-		eng.Cfg.Checkpoint = ck
-		res := eng.Run(wcSpec(fs, in, "/out", 8))
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		return res.Elapsed
-	}
-	plain, withCk := run(false), run(true)
-	if withCk <= plain {
-		t.Fatalf("checkpointing (%.2fs) should cost time vs %.2fs", withCk, plain)
-	}
 }
 
 func TestABufferSpill(t *testing.T) {
@@ -470,24 +418,6 @@ func TestPermanentOFailureEndsTheJob(t *testing.T) {
 			enginetest.AssertQuiesced(t, eng)
 		})
 	}
-}
-
-// TestInjectedFailureIsPerJob: FailATask crashes the task once per job and
-// leaves the engine's configuration alone, so a second job on the same
-// engine sees the same knob.
-func TestInjectedFailureIsPerJob(t *testing.T) {
-	_, fs, eng := testSetup(8*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(6, 32*1024), '\n')
-	eng.Cfg.FailATask = 1
-	for i := 0; i < 2; i++ {
-		if res := eng.Run(wcSpec(fs, in, fmt.Sprintf("/out%d", i), 4)); res.Err == nil {
-			t.Fatalf("job %d: the injected failure did not fire", i)
-		}
-		if eng.Cfg.FailATask != 1 {
-			t.Fatalf("job %d rewrote Config.FailATask to %d", i, eng.Cfg.FailATask)
-		}
-	}
-	enginetest.AssertQuiesced(t, eng)
 }
 
 // toyIteration is a two-round Iteration job that counts records.

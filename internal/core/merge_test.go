@@ -14,8 +14,7 @@ import (
 // TestEveryMergedRunIsSorted: the A side merges the O tasks' partitions
 // instead of sorting them, so each must arrive sorted — on a clean run,
 // when a speculative backup streams a split a second time, when an A rank
-// restarts on another node and the O side replays, after a checkpoint
-// restart, and in iteration mode.
+// restarts on another node and the O side replays, and in iteration mode.
 func TestEveryMergedRunIsSorted(t *testing.T) {
 	checked := enginetest.CheckMerges(t)
 	// queued runs one WordCount through a scheduling queue.
@@ -29,16 +28,6 @@ func TestEveryMergedRunIsSorted(t *testing.T) {
 		"clean": func(t *testing.T) {
 			_, fs, eng := testSetup(8*cluster.KB, 1)
 			spec := wcSpec(fs, fs.PreloadAligned("/in", genText(1, 64*1024), '\n'), "/out", 8)
-			if res := eng.Run(spec); res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			enginetest.AssertMatchesSequential(t, fs, "/out/part-", spec)
-		},
-		"checkpoint restart": func(t *testing.T) {
-			_, fs, eng := testSetup(8*cluster.KB, 1)
-			eng.Cfg.Checkpoint = true
-			eng.Cfg.FailATask = 2
-			spec := wcSpec(fs, fs.PreloadAligned("/in", genText(5, 64*1024), '\n'), "/out", 8)
 			if res := eng.Run(spec); res.Err != nil {
 				t.Fatal(res.Err)
 			}

@@ -34,14 +34,6 @@ type Config struct {
 	// pipeline setup, and block commit. It is what makes small blocks slow
 	// in the Figure 2(a) sweep.
 	PerBlockOverhead float64
-	// GatewayUpload, when set, stages every preloaded/generated file as if
-	// uploaded through the single client node GatewayNode: HDFS's
-	// write-locality rule then pins each block's primary replica there,
-	// the replica-placement skew that motivates delay scheduling. Off by
-	// default (primaries rotate round-robin, modeling files written from
-	// many clients).
-	GatewayUpload bool
-	GatewayNode   int
 }
 
 // DefaultConfig mirrors the paper's chosen parameters: 256 MB blocks with
@@ -171,15 +163,6 @@ func (fs *FS) actualBlockSize() int {
 		abs = 1
 	}
 	return abs
-}
-
-// stagingWriter returns the writer node for a preloaded/generated block:
-// the configured gateway, or a round-robin rotation over nodes.
-func (fs *FS) stagingWriter() int {
-	if fs.cfg.GatewayUpload {
-		return fs.cfg.GatewayNode
-	}
-	return int(fs.nextID) % fs.c.N()
 }
 
 // placeReplicas picks replica nodes for a new block: primary on the writer
@@ -463,11 +446,13 @@ func (fs *FS) PreloadParts(name string, parts [][]byte) *File {
 	fs.Delete(name)
 	f := &File{Name: name}
 	for _, part := range parts {
+		// Primaries rotate round-robin over nodes, modeling a file written
+		// from many clients.
 		blk := &Block{
 			ID:        fs.nextID,
 			Data:      part,
 			Nominal:   float64(len(part)) * fs.cfg.Scale,
-			Locations: fs.placeReplicas(fs.stagingWriter()),
+			Locations: fs.placeReplicas(int(fs.nextID) % fs.c.N()),
 		}
 		fs.nextID++
 		for _, loc := range blk.Locations {

@@ -65,17 +65,16 @@ func TestRereplicateRestoresRackSpread(t *testing.T) {
 	c := cluster.New(hw)
 	fs := New(c, Config{BlockSize: 64 * cluster.MB, Replication: 2, Scale: testScale, Seed: 1})
 	f := fs.Preload("/a", zeros(1*cluster.GB))
+	mon := NewReplicationMonitor(fs, MonitorConfig{})
 	// Kill rack 0: blocks that held a replica there drop to one rack.
 	for _, n := range c.RackNodes(0) {
 		fs.NodeDown(n)
 	}
-	c.Eng.Go("nn", func(p *sim.Proc) {
-		if _, err := fs.Rereplicate(p); err != nil {
-			t.Error(err)
-		}
-	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if st := mon.Stats(); st.BlocksLost != 0 || st.BlocksRereplicated == 0 {
+		t.Fatalf("rack repair: %+v", st)
 	}
 	for bi, b := range f.Blocks {
 		racks := map[int]bool{}

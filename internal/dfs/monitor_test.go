@@ -10,7 +10,7 @@ import (
 
 // TestMonitorRereplicatesOnNodeDown: the monitor must react to a datanode
 // failure by itself — detection delay, prioritized copies, and a healthy
-// Fsck afterwards — with no one calling Rereplicate.
+// Fsck afterwards.
 func TestMonitorRereplicatesOnNodeDown(t *testing.T) {
 	c := testCluster()
 	fs := New(c, scaled(DefaultConfig()))
@@ -304,12 +304,8 @@ func TestFsckReportsOverReplication(t *testing.T) {
 	fs := New(c, scaled(DefaultConfig()))
 	f := fs.Preload("/a", zeros(256*cluster.MB))
 	victim := f.Blocks[0].Locations[0]
+	NewReplicationMonitor(fs, MonitorConfig{})
 	fs.NodeDown(victim)
-	c.Eng.Go("nn", func(p *sim.Proc) {
-		if _, err := fs.Rereplicate(p); err != nil {
-			t.Error(err)
-		}
-	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}

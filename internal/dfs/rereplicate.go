@@ -2,7 +2,6 @@ package dfs
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/datampi/datampi-go/internal/sim"
 )
@@ -72,8 +71,8 @@ func (fs *FS) liveReplicas(b *Block) int {
 }
 
 // liveLocs returns block b's replica locations on live datanodes — the
-// one place the liveness rule is written for list consumers (Rereplicate,
-// the replication monitor).
+// one place the liveness rule is written for list consumers (the
+// replication monitor).
 func (fs *FS) liveLocs(b *Block) []int {
 	var live []int
 	for _, loc := range b.Locations {
@@ -134,41 +133,6 @@ func (fs *FS) copyReplica(p *sim.Proc, b *Block, src int, live []int) int {
 		b.LocGens = append(b.LocGens, b.Gen)
 	}
 	return target
-}
-
-// Rereplicate restores the replication factor of every under-replicated
-// block by copying from a live replica to a new node, charging the
-// simulated disk and network like the NameNode's replication monitor.
-// It returns the number of new replicas created. Blocks with no live
-// replica are reported in the error (data loss).
-func (fs *FS) Rereplicate(p *sim.Proc) (created int, err error) {
-	var lost []int64
-	// Deterministic order.
-	names := fs.List()
-	for _, name := range names {
-		f := fs.files[name]
-		for _, b := range f.Blocks {
-			live := fs.liveLocs(b)
-			if len(live) == 0 {
-				lost = append(lost, b.ID)
-				continue
-			}
-			for len(live) < fs.cfg.Replication {
-				src := live[created%len(live)]
-				target := fs.copyReplica(p, b, src, live)
-				if target < 0 {
-					break // not enough live nodes
-				}
-				live = append(live, target)
-				created++
-			}
-		}
-	}
-	if len(lost) > 0 {
-		sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-		return created, fmt.Errorf("dfs: %d block(s) lost all replicas (first: %d)", len(lost), lost[0])
-	}
-	return created, nil
 }
 
 // pickNewReplica chooses a live node that does not already hold b,

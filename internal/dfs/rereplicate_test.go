@@ -36,6 +36,7 @@ func TestRereplicateRestoresFactor(t *testing.T) {
 	fs := New(c, scaled(DefaultConfig()))
 	fs.Preload("/a", zeros(1*cluster.GB))
 	fs.Preload("/b", zeros(512*cluster.MB))
+	mon := NewReplicationMonitor(fs, MonitorConfig{})
 
 	// Kill two nodes; some blocks lose one or two replicas.
 	fs.NodeDown(0)
@@ -45,18 +46,14 @@ func TestRereplicateRestoresFactor(t *testing.T) {
 		t.Skip("seed produced no under-replicated blocks") // deterministic seed: should not happen
 	}
 
-	var created int
-	var rerr error
-	c.Eng.Go("nn-monitor", func(p *sim.Proc) {
-		created, rerr = fs.Rereplicate(p)
-	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rerr != nil {
-		t.Fatal(rerr)
+	st := mon.Stats()
+	if st.BlocksLost != 0 {
+		t.Fatalf("replication 3 lost blocks to two failures: %+v", st)
 	}
-	if created == 0 {
+	if st.BlocksRereplicated == 0 {
 		t.Fatal("no replicas created")
 	}
 	after := fs.Fsck()
@@ -87,18 +84,15 @@ func TestRereplicateReportsDataLoss(t *testing.T) {
 	c := testCluster()
 	fs := New(c, scaled(DefaultConfig()))
 	f := fs.Preload("/a", zeros(256*cluster.MB))
+	mon := NewReplicationMonitor(fs, MonitorConfig{})
 	for _, loc := range f.Blocks[0].Locations {
 		fs.NodeDown(loc)
 	}
-	var rerr error
-	c.Eng.Go("nn", func(p *sim.Proc) {
-		_, rerr = fs.Rereplicate(p)
-	})
 	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rerr == nil {
-		t.Fatal("expected data-loss error")
+	if st := mon.Stats(); st.BlocksLost != 1 || st.BytesLost != 256*cluster.MB {
+		t.Fatalf("data loss not reported: %+v", st)
 	}
 }
 
@@ -112,13 +106,16 @@ func TestReadsWorkThroughFailureAndRecovery(t *testing.T) {
 		data[i] = byte(i * 31)
 	}
 	fs.Preload("/d", data)
+	NewReplicationMonitor(fs, MonitorConfig{})
 	fs.NodeDown(1)
-	c.Eng.Go("ops", func(p *sim.Proc) {
-		if _, err := fs.Rereplicate(p); err != nil {
-			t.Error(err)
-			return
-		}
-		fs.NodeDown(2)
+	if err := c.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := fs.Fsck(); !rep.Healthy() {
+		t.Fatalf("not repaired after the first failure: %+v", rep)
+	}
+	fs.NodeDown(2)
+	c.Eng.Go("reader", func(p *sim.Proc) {
 		got, err := fs.ReadAll(p, "/d", 5)
 		if err != nil {
 			t.Error(err)

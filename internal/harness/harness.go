@@ -212,7 +212,6 @@ type RigConfig struct {
 	TasksPerNode int     // default 4 (the paper's tuned value)
 	Replication  int     // DFS replication; default 3 (the paper's value)
 	Racks        int     // failure domains; 0/1 = flat single-rack topology
-	Gateway      bool    // stage inputs through a single upload client (node 0)
 	Profile      bool    // attach a resource profiler
 	ProfInterval float64
 	Seed         int64
@@ -249,7 +248,6 @@ func NewRig(fw Framework, rc RigConfig) *Rig {
 		Scale:            rc.Scale,
 		Seed:             rc.Seed + 100,
 		PerBlockOverhead: dfs.DefaultConfig().PerBlockOverhead,
-		GatewayUpload:    rc.Gateway,
 	})
 	r := &Rig{FW: fw, Cluster: c, FS: fsys, TasksPerNode: rc.TasksPerNode}
 	if rc.Profile {

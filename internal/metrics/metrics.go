@@ -95,14 +95,6 @@ type Profiler struct {
 	started  bool
 	timer    *sim.Timer // the single sampling timer, re-armed every tick
 
-	// maxSamples > 0 bounds the series to the most recent maxSamples
-	// ticks, kept in a ring (head is the oldest slot once saturated).
-	// The default (0) retains everything, which is what the figure
-	// pipelines need; long-running scale harnesses cap it so profiling
-	// stays constant-space.
-	maxSamples int
-	head       int
-
 	// Per-node cumulative disk byte counters maintained by the engines via
 	// AddDiskRead/AddDiskWrite (the PS disk resource cannot distinguish
 	// direction).
@@ -112,8 +104,6 @@ type Profiler struct {
 	lastWrite []float64
 	lastRx    []float64
 
-	// MemFunc, if set, overrides memory sampling (bytes for node i).
-	MemFunc func(node int) float64
 	// WaitIOFunc, if set, returns the number of execution threads blocked
 	// on I/O at node i; used to derive the wait-I/O percentage.
 	WaitIOFunc func(node int) int
@@ -172,10 +162,6 @@ func (pr *Profiler) Start() {
 	})
 }
 
-// SetMaxSamples bounds the series to the most recent n samples (0 =
-// unbounded). Must be called before Start.
-func (pr *Profiler) SetMaxSamples(n int) { pr.maxSamples = n }
-
 // Stop ends sampling.
 func (pr *Profiler) Stop() { pr.stop = true }
 
@@ -213,11 +199,7 @@ func (pr *Profiler) sample(t float64) {
 		s.NetMBps += (rx - pr.lastRx[i]) / pr.interval
 		pr.lastRx[i] = rx
 
-		if pr.MemFunc != nil {
-			s.MemBytes += pr.MemFunc(i)
-		} else {
-			s.MemBytes += node.Mem.Used()
-		}
+		s.MemBytes += node.Mem.Used()
 	}
 	s.CPUPct /= n
 	s.WaitIO /= n
@@ -225,29 +207,11 @@ func (pr *Profiler) sample(t float64) {
 	s.DiskWrit /= n
 	s.NetMBps /= n
 	s.MemBytes /= n
-	if pr.maxSamples > 0 && len(pr.series.Samples) == pr.maxSamples {
-		pr.series.Samples[pr.head] = s
-		pr.head++
-		if pr.head == pr.maxSamples {
-			pr.head = 0
-		}
-		return
-	}
 	pr.series.Samples = append(pr.series.Samples, s)
 }
 
-// Series returns the collected samples in chronological order. When a
-// bounded profiler's ring has wrapped, the samples are rotated into
-// order first.
-func (pr *Profiler) Series() Series {
-	if pr.head == 0 {
-		return pr.series
-	}
-	ordered := make([]Sample, 0, len(pr.series.Samples))
-	ordered = append(ordered, pr.series.Samples[pr.head:]...)
-	ordered = append(ordered, pr.series.Samples[:pr.head]...)
-	return Series{Interval: pr.series.Interval, Samples: ordered}
-}
+// Series returns the collected samples in chronological order.
+func (pr *Profiler) Series() Series { return pr.series }
 
 // Window aggregates samples with T in [0, until] into averages, mirroring
 // the paper's "average over 0-117 seconds" style of reporting.

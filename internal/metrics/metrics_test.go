@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -161,47 +160,6 @@ func TestSeriesWriteCSVAndJSON(t *testing.T) {
 	if doc.Interval != 0.5 || len(doc.Samples) != 2 || doc.Samples[0].CPUPct != 12.5 {
 		t.Fatalf("json round-trip = %+v", doc)
 	}
-}
-
-func TestProfilerRingWraparoundBoundary(t *testing.T) {
-	// Exactly-full vs one-past-full: with maxSamples=3, three samples
-	// keep insertion order with head=0; the fourth overwrites the
-	// oldest slot and Series() must rotate back into time order.
-	c := cluster.New(cluster.DefaultHardware())
-	run := func(ticks int) Series {
-		pr := NewProfiler(c, 1)
-		pr.SetMaxSamples(3)
-		for i := 1; i <= ticks; i++ {
-			pr.sample(float64(i))
-		}
-		return pr.Series()
-	}
-	exact := run(3)
-	if got := tTimes(exact); got != "1,2,3" {
-		t.Fatalf("exactly-full ring = %s, want 1,2,3", got)
-	}
-	past := run(4)
-	if got := tTimes(past); got != "2,3,4" {
-		t.Fatalf("one-past-full ring = %s, want 2,3,4 (oldest evicted, order rotated)", got)
-	}
-	if len(past.Samples) != 3 {
-		t.Fatalf("ring grew past its bound: %d samples", len(past.Samples))
-	}
-	deep := run(8) // head mid-ring: 8 mod 3 = 2
-	if got := tTimes(deep); got != "6,7,8" {
-		t.Fatalf("wrapped ring = %s, want 6,7,8", got)
-	}
-}
-
-func tTimes(s Series) string {
-	var b strings.Builder
-	for i, sm := range s.Samples {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b, "%g", sm.T)
-	}
-	return b.String()
 }
 
 func TestWindowString(t *testing.T) {

@@ -4,9 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-
-	"github.com/datampi/datampi-go/internal/cluster"
-	"github.com/datampi/datampi-go/internal/sim"
 )
 
 // sketchLCG is a tiny deterministic generator so the adversarial
@@ -143,34 +140,5 @@ func TestSketchConstantSpace(t *testing.T) {
 	}
 	if s.N() != 500000 {
 		t.Fatalf("N = %d", s.N())
-	}
-}
-
-// TestProfilerRingBuffer pins the bounded-series mode: the ring keeps
-// the most recent samples in chronological order.
-func TestProfilerRingBuffer(t *testing.T) {
-	c := cluster.New(cluster.DefaultHardware())
-	pr := NewProfiler(c, 0.5)
-	pr.SetMaxSamples(4)
-	pr.Start()
-	c.Eng.Go("idle", func(p *sim.Proc) {
-		p.Sleep(5)
-		pr.Stop()
-	})
-	if err := c.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s := pr.Series()
-	if len(s.Samples) != 4 {
-		t.Fatalf("ring kept %d samples, want 4", len(s.Samples))
-	}
-	for i := 1; i < len(s.Samples); i++ {
-		if s.Samples[i].T <= s.Samples[i-1].T {
-			t.Fatalf("samples out of order: %v", s.Samples)
-		}
-	}
-	// 5s run at 0.5s interval → ticks at 0.5..4.5; the last 4 are 3.0..4.5.
-	if got := s.Samples[0].T; got != 3.0 {
-		t.Fatalf("oldest retained sample at T=%v, want 3.0", got)
 	}
 }

@@ -7,16 +7,30 @@ import (
 	"github.com/datampi/datampi-go/internal/sim"
 )
 
-func world(ranksPerNode int) (*cluster.Cluster, *World) {
+// world lays out one rank per node, rank r on node r.
+func world() (*cluster.Cluster, *World) {
 	c := cluster.New(cluster.DefaultHardware())
-	return c, RoundRobinWorld(c, ranksPerNode)
+	nodeOf := make([]int, c.N())
+	for r := range nodeOf {
+		nodeOf[r] = r
+	}
+	return c, NewWorld(c, nodeOf)
+}
+
+// send is a blocking send: it parks p until the Isend's transfer is
+// delivered.
+func send(p *sim.Proc, w *World, from, to, tag int, nominalBytes float64, payload any) {
+	var wg sim.WaitGroup
+	wg.Add(1)
+	w.Isend(from, to, tag, nominalBytes, payload, wg.Done)
+	wg.Wait(p)
 }
 
 func TestSendRecvPayload(t *testing.T) {
-	c, w := world(1)
+	c, w := world()
 	var got string
 	c.Eng.Go("sender", func(p *sim.Proc) {
-		w.Send(p, 0, 1, 7, 1e6, "hello")
+		send(p, w, 0, 1, 7, 1e6, "hello")
 	})
 	c.Eng.Go("receiver", func(p *sim.Proc) {
 		m := w.Recv(p, 1, 0, 7)
@@ -34,11 +48,11 @@ func TestSendRecvPayload(t *testing.T) {
 }
 
 func TestRecvAnySource(t *testing.T) {
-	c, w := world(1)
+	c, w := world()
 	seen := map[int]bool{}
 	for s := 1; s <= 3; s++ {
 		s := s
-		c.Eng.Go("s", func(p *sim.Proc) { w.Send(p, s, 0, 1, 1000, s) })
+		c.Eng.Go("s", func(p *sim.Proc) { send(p, w, s, 0, 1, 1000, s) })
 	}
 	c.Eng.Go("r", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -55,11 +69,11 @@ func TestRecvAnySource(t *testing.T) {
 }
 
 func TestMessageOrderingPerPair(t *testing.T) {
-	c, w := world(1)
+	c, w := world()
 	var order []int
 	c.Eng.Go("s", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			w.Send(p, 0, 1, 1, 1000, i)
+			send(p, w, 0, 1, 1, 1000, i)
 		}
 	})
 	c.Eng.Go("r", func(p *sim.Proc) {
@@ -79,11 +93,11 @@ func TestMessageOrderingPerPair(t *testing.T) {
 }
 
 func TestTagMatching(t *testing.T) {
-	c, w := world(1)
+	c, w := world()
 	var first int
 	c.Eng.Go("s", func(p *sim.Proc) {
-		w.Send(p, 0, 1, 10, 100, 10)
-		w.Send(p, 0, 1, 20, 100, 20)
+		send(p, w, 0, 1, 10, 100, 10)
+		send(p, w, 0, 1, 20, 100, 20)
 	})
 	c.Eng.Go("r", func(p *sim.Proc) {
 		// Receive tag 20 first even though tag 10 arrived first.
@@ -99,60 +113,10 @@ func TestTagMatching(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	c, w := world(2) // 16 ranks
-	var exits []float64
-	for r := 0; r < w.Size(); r++ {
-		r := r
-		c.Eng.Go("rank", func(p *sim.Proc) {
-			p.Sleep(float64(r)) // staggered arrival
-			w.Barrier(p)
-			exits = append(exits, c.Eng.Now())
-		})
-	}
-	if err := c.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(exits) != w.Size() {
-		t.Fatalf("%d ranks exited barrier", len(exits))
-	}
-	for _, e := range exits {
-		if e != exits[0] {
-			t.Fatalf("ranks exited barrier at different times: %v", exits)
-		}
-	}
-	if exits[0] < float64(w.Size()-1) {
-		t.Fatalf("barrier exited at %v, before last arrival", exits[0])
-	}
-}
-
-func TestBcast(t *testing.T) {
-	c, w := world(1)
-	got := make([]int, w.Size())
-	c.Eng.Go("root", func(p *sim.Proc) {
-		w.Bcast(p, 0, 5, 1e6, 42)
-	})
-	for r := 1; r < w.Size(); r++ {
-		r := r
-		c.Eng.Go("rank", func(p *sim.Proc) {
-			m := w.Recv(p, r, 0, 5)
-			got[r] = m.Payload.(int)
-		})
-	}
-	if err := c.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for r := 1; r < w.Size(); r++ {
-		if got[r] != 42 {
-			t.Fatalf("rank %d got %d", r, got[r])
-		}
-	}
-}
-
 func TestIsendOverlapsCompute(t *testing.T) {
 	// A rank that Isends 117MB (1s on the link) while computing 1s of CPU
 	// should finish in ~1s, not ~2s.
-	c, w := world(1)
+	c, w := world()
 	var done float64
 	c.Eng.Go("rank0", func(p *sim.Proc) {
 		var wg sim.WaitGroup
@@ -168,21 +132,5 @@ func TestIsendOverlapsCompute(t *testing.T) {
 	}
 	if done > 1.2 {
 		t.Fatalf("overlapped send+compute took %.2fs, want ~1s", done)
-	}
-}
-
-func TestTryRecv(t *testing.T) {
-	c, w := world(1)
-	c.Eng.Go("r", func(p *sim.Proc) {
-		if m := w.TryRecv(0, AnySource, -1); m != nil {
-			t.Error("TryRecv returned message from empty mailbox")
-		}
-		w.Send(p, 0, 0, 1, 10, "self") // loopback send to self
-		for w.TryRecv(0, AnySource, -1) == nil {
-			p.Sleep(0.001)
-		}
-	})
-	if err := c.Eng.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,28 +8,21 @@ import "github.com/datampi/datampi-go/internal/dfs"
 type Placer struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// LocalitySlack lets a node exceed the balanced-wave cap by this
-	// fraction of a wave when it holds a local replica — a
-	// delay-scheduling knob that trades wave balance for locality (0.5 =
-	// half a wave of extra local blocks, 2 = two extra waves). Zero (the
-	// default) keeps waves strictly balanced, which is what holds the
-	// paper's map phases to a single wave.
-	LocalitySlack float64
 }
 
-// Place maps each block to a node. Replica holders are preferred, but a
-// node accepts at most ceil(len(blocks)/Nodes)·(1+LocalitySlack) local
-// blocks and at most the balanced cap when chosen as a remote fallback.
+// Place maps each block to a node. Replica holders are preferred, but no
+// node accepts more than ceil(len(blocks)/Nodes) blocks: waves stay
+// strictly balanced, which is what holds the paper's map phases to a
+// single wave.
 func (pl Placer) Place(blocks []*dfs.Block) []int {
 	n := pl.Nodes
 	assign := make([]int, len(blocks))
 	load := make([]int, n)
 	wave := (len(blocks) + n - 1) / n
-	localCap := wave + int(float64(wave)*pl.LocalitySlack+1e-9)
 	for i, blk := range blocks {
 		best := -1
 		for _, loc := range blk.Locations {
-			if loc < 0 || loc >= n || load[loc] >= localCap {
+			if loc < 0 || loc >= n || load[loc] >= wave {
 				continue
 			}
 			if best < 0 || load[loc] < load[best] {

@@ -482,10 +482,6 @@ func (sp *SlotPool) Shrink(perNode int) {
 // Shrink (running tasks whose slots will not be re-granted).
 func (sp *SlotPool) Debt(node int) int { return sp.debt[node] }
 
-// Demand returns how many jobs currently hold or want slots — the pool's
-// active set, the bound on all of its per-operation work.
-func (sp *SlotPool) Demand() int { return sp.nDemand }
-
 // FairShare returns h's weighted fair share of the pool's total slots,
 // dividing among the jobs that currently hold or want slots. The
 // denominator is maintained incrementally; with the integral weights the
@@ -536,7 +532,6 @@ type PoolSet struct {
 	nodes  int
 	policy Policy
 	pools  map[string]*SlotPool
-	order  []string // creation order, for deterministic iteration
 }
 
 // NewPoolSet creates an empty pool set for a cluster of nodes nodes.
@@ -565,7 +560,6 @@ func (ps *PoolSet) Pool(kind string, perNode int) *SlotPool {
 	}
 	sp := NewSlotPool(ps.policy, ps.nodes, perNode)
 	ps.pools[kind] = sp
-	ps.order = append(ps.order, kind)
 	return sp
 }
 
@@ -585,13 +579,4 @@ func (ps *PoolSet) PoolGrow(kind string, perNode int) *SlotPool {
 func (ps *PoolSet) Get(kind string) (*SlotPool, bool) {
 	sp, ok := ps.pools[kind]
 	return sp, ok
-}
-
-// Pools returns every pool in creation order.
-func (ps *PoolSet) Pools() []*SlotPool {
-	out := make([]*SlotPool, 0, len(ps.order))
-	for _, kind := range ps.order {
-		out = append(out, ps.pools[kind])
-	}
-	return out
 }

@@ -32,7 +32,6 @@ type JobControl struct {
 	handle  *JobHandle
 	pools   *PoolSet
 	tracker *TaskTracker
-	slack   float64 // delay-scheduling slack for this job's Placer
 }
 
 // Handle returns the job's scheduling handle.
@@ -58,10 +57,9 @@ func (c *JobControl) Launch(ts TaskSpec) {
 	c.tracker.Launch(ts)
 }
 
-// Placer returns the block placer for this job, carrying the queue's
-// delay-scheduling slack.
+// Placer returns the block placer for this job's cluster.
 func (c *JobControl) Placer() Placer {
-	return Placer{Nodes: c.pools.nodes, LocalitySlack: c.slack}
+	return Placer{Nodes: c.pools.nodes}
 }
 
 // Tracker returns the shared task tracker.
@@ -96,7 +94,6 @@ type Queue struct {
 	eng      *sim.Engine
 	pools    *PoolSet
 	tracker  *TaskTracker
-	slack    float64
 	subs     []*Submission
 	nextSeq  int
 	timeline []TimelineEntry
@@ -146,13 +143,6 @@ func (q *Queue) SetSpeculation(c SpeculationConfig) { q.tracker.SetSpeculation(c
 // job submitted to the queue. Call before Run. New code should prefer the
 // declarative equivalent, datampi.WithPreemption on a Scenario.
 func (q *Queue) SetPreemption(c PreemptionConfig) { q.tracker.SetPreemption(c) }
-
-// SetLocalitySlack sets the delay-scheduling slack every submitted job's
-// Placer uses (fraction of a balanced wave a node may exceed for
-// locality; see Placer.LocalitySlack). Call before submitting. New code
-// should prefer the declarative equivalent, datampi.WithLocalitySlack on
-// a Scenario.
-func (q *Queue) SetLocalitySlack(slack float64) { q.slack = slack }
 
 // OnComplete registers a sink invoked (in simulation context) as each
 // submission completes, with its result and slot accounting still
@@ -240,11 +230,6 @@ func (q *Queue) SubmitWeighted(delay, weight float64, e Engine, spec job.Spec) *
 // deferred jobs start in (due time, Admit order), regardless of the order
 // Admit was called in. Tenant is a fair-share identity for report
 // accounting; "" means none.
-//
-// Contract: the queue's locality slack is captured into the job's control
-// at Admit time, not when a deferred job later starts — per-tenant slack
-// (datampi.TenantSlack) relies on this by setting and restoring the queue
-// slack around each Admit call.
 func (q *Queue) Admit(tenant string, at, weight float64, e Engine, spec job.Spec) *Submission {
 	if weight <= 0 {
 		weight = 1
@@ -254,7 +239,7 @@ func (q *Queue) Admit(tenant string, at, weight float64, e Engine, spec job.Spec
 		at = now
 	}
 	h := &JobHandle{name: e.Name() + ":" + spec.Name, weight: weight, tenant: tenant}
-	ctl := &JobControl{handle: h, pools: q.pools, tracker: q.tracker, slack: q.slack}
+	ctl := &JobControl{handle: h, pools: q.pools, tracker: q.tracker}
 	sub := &Submission{name: h.name, tenant: tenant, arrival: at, handle: h}
 	q.subs = append(q.subs, sub)
 	q.admitted++

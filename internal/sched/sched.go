@@ -5,8 +5,8 @@
 //   - SlotPool: per-node task slots (Hadoop map/reduce slots, Spark worker
 //     cores, DataMPI communicator slots) built on the simulation kernel,
 //     with policy-arbitrated grants when several jobs contend;
-//   - Placer: block-to-node assignment with replica locality preference,
-//     balanced task waves, and a delay-scheduling slack knob;
+//   - Placer: block-to-node assignment with replica locality preference
+//     and balanced task waves;
 //   - Queue: whole-job admission, letting any engine run several jobs
 //     concurrently on one simulated testbed under a FIFO or Fair policy.
 //

@@ -67,36 +67,18 @@ func TestPlacerProperty(t *testing.T) {
 }
 
 func TestPlacerLocalitySlack(t *testing.T) {
-	// 8 blocks, all replicated only on node 0, over 2 nodes.
+	// 8 blocks, all replicated only on node 0, over 2 nodes: locality gets
+	// no slack past the balanced wave.
 	blocks := make([]*dfs.Block, 8)
 	for i := range blocks {
 		blocks[i] = &dfs.Block{ID: int64(i), Locations: []int{0}}
 	}
-	strict := Placer{Nodes: 2}.Place(blocks)
 	load := map[int]int{}
-	for _, n := range strict {
+	for _, n := range (Placer{Nodes: 2}).Place(blocks) {
 		load[n]++
 	}
 	if load[0] != 4 || load[1] != 4 {
 		t.Fatalf("strict balance: load = %v, want 4/4", load)
-	}
-	slack := Placer{Nodes: 2, LocalitySlack: 0.5}.Place(blocks)
-	load = map[int]int{}
-	for _, n := range slack {
-		load[n]++
-	}
-	// Half a wave of slack lets node 0 take wave cap (4) + 0.5·4 = 6.
-	if load[0] != 6 || load[1] != 2 {
-		t.Fatalf("slack placement: load = %v, want 6/2", load)
-	}
-	full := Placer{Nodes: 2, LocalitySlack: 1}.Place(blocks)
-	load = map[int]int{}
-	for _, n := range full {
-		load[n]++
-	}
-	// A full wave of slack lets the replica holder absorb everything.
-	if load[0] != 8 {
-		t.Fatalf("full-slack placement: load = %v, want all on node 0", load)
 	}
 }
 

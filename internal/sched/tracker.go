@@ -851,29 +851,24 @@ func (t *TaskTracker) requeue(task *trackedTask, node int) {
 	if task.spec.PreRetry != nil {
 		task.spec.PreRetry()
 	}
-	if task.retries >= 2 {
-		delay := retryBackoffBase * math.Pow(2, float64(task.retries-2))
-		if delay > retryBackoffCap {
-			delay = retryBackoffCap
-		}
-		t.eng.Schedule(delay, func() {
-			if task.settled {
-				return
-			}
-			alt := t.altNode(task)
-			if alt < 0 {
-				t.failTask(task, fmt.Errorf(
-					"sched: no healthy node to retry task %s after node %d failure", task.spec.Name, node))
-				return
-			}
-			t.stats.Retries++
-			if t.tr != nil {
-				t.tr.Instant("retry:"+task.spec.Name, "sched", alt, t.eng.Now())
-			}
-			t.spawn(task, alt, false)
-		})
+	if task.retries < 2 {
+		t.retry(task, node) // synchronous: no event is scheduled
 		return
 	}
+	delay := retryBackoffBase * math.Pow(2, float64(task.retries-2))
+	if delay > retryBackoffCap {
+		delay = retryBackoffCap
+	}
+	t.eng.Schedule(delay, func() {
+		if !task.settled {
+			t.retry(task, node)
+		}
+	})
+}
+
+// retry spawns the next attempt of a task that lost its attempts with
+// node on a healthy alternate node, or fails the task when none is left.
+func (t *TaskTracker) retry(task *trackedTask, node int) {
 	alt := t.altNode(task)
 	if alt < 0 {
 		t.failTask(task, fmt.Errorf(
@@ -1100,40 +1095,24 @@ func (t *TaskTracker) speculate() {
 // backupNode picks the node for a speculative attempt: not yet used by
 // any attempt of the task and not down, preferring the most free slots
 // (lowest index on ties). Returns -1 when every healthy node already
-// hosts an attempt. With rack information installed a rack-exclusion
-// tier runs first: a node in a rack no attempt has touched wins, so a
-// retry escapes a failing rack, not just a failing node — on a single
-// rack the tier selects exactly what the node tier would, or nothing.
+// hosts an attempt. With rack information installed a node in a rack no
+// attempt has touched wins over the rest, so a retry escapes a failing
+// rack, not just a failing node — on a single rack no such node exists
+// and the plain choice stands.
 func (t *TaskTracker) backupNode(task *trackedTask) int {
 	used := make(map[int]bool, len(task.attempts))
+	var usedRacks map[int]bool
+	if t.rackOf != nil {
+		usedRacks = make(map[int]bool, len(task.attempts))
+	}
 	for _, a := range task.attempts {
 		used[a.node] = true
+		if usedRacks != nil && a.node < len(t.rackOf) {
+			usedRacks[t.rackOf[a.node]] = true
+		}
 	}
 	pool := task.spec.Pool
-	if t.rackOf != nil {
-		usedRacks := make(map[int]bool, len(task.attempts))
-		for _, a := range task.attempts {
-			if a.node < len(t.rackOf) {
-				usedRacks[t.rackOf[a.node]] = true
-			}
-		}
-		best := -1
-		for node := 0; node < pool.Nodes(); node++ {
-			if used[node] || t.down[node] {
-				continue
-			}
-			if node < len(t.rackOf) && usedRacks[t.rackOf[node]] {
-				continue
-			}
-			if best < 0 || pool.Free(node) > pool.Free(best) {
-				best = node
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-	}
-	best := -1
+	best, bestOff := -1, -1 // bestOff: best candidate in an untouched rack
 	for node := 0; node < pool.Nodes(); node++ {
 		if used[node] || t.down[node] {
 			continue
@@ -1141,6 +1120,15 @@ func (t *TaskTracker) backupNode(task *trackedTask) int {
 		if best < 0 || pool.Free(node) > pool.Free(best) {
 			best = node
 		}
+		if usedRacks == nil || (node < len(t.rackOf) && usedRacks[t.rackOf[node]]) {
+			continue
+		}
+		if bestOff < 0 || pool.Free(node) > pool.Free(bestOff) {
+			bestOff = node
+		}
+	}
+	if bestOff >= 0 {
+		return bestOff
 	}
 	return best
 }

@@ -97,9 +97,6 @@ func NewFabric(eng *Engine, n int, linkBW float64) *Fabric {
 // Nodes returns the number of endpoints.
 func (fb *Fabric) Nodes() int { return fb.nodes }
 
-// LinkBW returns the per-direction link bandwidth in bytes/second.
-func (fb *Fabric) LinkBW() float64 { return fb.linkBW }
-
 // Transfer moves bytes from src to dst, blocking the proc until delivery
 // completes under max-min fair sharing.
 func (fb *Fabric) Transfer(p *Proc, src, dst int, bytes float64, reason string) {
@@ -166,14 +163,6 @@ func (fb *Fabric) newFlow(src, dst int, bytes float64, onDone func()) *Flow {
 	*f = Flow{Src: src, Dst: dst, remaining: bytes, onDone: onDone}
 	return f
 }
-
-// RxRate returns the instantaneous receive rate (bytes/sec) at node i,
-// excluding loopback. O(1): a running sum.
-func (fb *Fabric) RxRate(i int) float64 { return fb.rxRate[i] }
-
-// TxRate returns the instantaneous transmit rate (bytes/sec) at node i,
-// excluding loopback. O(1).
-func (fb *Fabric) TxRate(i int) float64 { return fb.txRate[i] }
 
 // RxIntegral returns total bytes received by node i so far. O(1): only
 // node i's integral is settled from its running rate sum, instead of

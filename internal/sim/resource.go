@@ -49,7 +49,6 @@ type PSResource struct {
 	vbatch []*psFlow // completion scratch
 
 	busyIntegral float64 // ∫ usedRate dt, for average-utilization accounting
-	waiting      int     // procs currently blocked on this resource
 
 	// fpool is the flow free list: completed flows return here after
 	// their callback is dispatched (no caller holds psFlow handles — Use
@@ -112,9 +111,7 @@ func (r *PSResource) Use(p *Proc, amount float64, reason string) {
 		return
 	}
 	r.vtStart(amount, p.Unpark)
-	r.waiting++
 	p.Park(reason)
-	r.waiting--
 }
 
 // Start begins an asynchronous flow of amount units; onDone runs (in kernel
@@ -138,9 +135,6 @@ func (r *PSResource) UsedRate() float64 {
 
 // ActiveFlows returns the number of in-progress flows.
 func (r *PSResource) ActiveFlows() int { return len(r.vheap) }
-
-// Waiting returns the number of procs currently blocked in Use.
-func (r *PSResource) Waiting() int { return r.waiting }
 
 // BusyIntegral returns ∫ usedRate dt up to now; divide by the window and
 // capacity for average utilization.

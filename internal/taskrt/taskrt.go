@@ -108,18 +108,29 @@ type mark struct {
 	end  float64
 }
 
-// Admit is the submit prologue of a spec-driven job: a spec that carries
-// an error or has no input is rejected (ok false, done already called);
-// any other is normalized and begun.
+// Admit is the submit prologue of a spec-driven job: a spec that
+// RejectInvalid turns away is not begun (ok false, done already called);
+// any other is begun.
 func (b *Base) Admit(spec *job.Spec, ctl *sched.JobControl, residentPerNode float64, done func(job.Result)) (j *Job, ok bool) {
+	if j := b.RejectInvalid(spec, done); j != nil {
+		return j, false
+	}
+	return b.Begin(spec.Name, ctl, residentPerNode), true
+}
+
+// RejectInvalid is every engine's admission rule for a spec-driven job: a
+// spec that carries an error or has no input is rejected through Reject
+// (the returned job holds the failed result; done already has it); any
+// other is normalized and RejectInvalid returns nil.
+func (b *Base) RejectInvalid(spec *job.Spec, done func(job.Result)) *Job {
 	if spec.Err == nil && len(spec.Input.Blocks) == 0 {
 		spec.Err = fmt.Errorf("%s: job %s has empty input", b.name, spec.Name)
 	}
 	if spec.Err != nil {
-		return b.Reject(spec.Name, spec.Err, done), false
+		return b.Reject(spec.Name, spec.Err, done)
 	}
 	spec.Normalize()
-	return b.Begin(spec.Name, ctl, residentPerNode), true
+	return nil
 }
 
 // Begin admits a job: it stamps the result, charges residentPerNode bytes

@@ -214,9 +214,6 @@ func (t *Transport) stageSpan(name string, node int, bytes float64) *trace.Span 
 // Enabled reports whether staged accounting is active.
 func (t *Transport) Enabled() bool { return t != nil && t.enabled }
 
-// SetProfile replaces the profile (scenario knob).
-func (t *Transport) SetProfile(p Profile) { t.prof = p }
-
 // Profile returns the active profile.
 func (t *Transport) Profile() Profile { return t.prof }
 

@@ -5,7 +5,7 @@ package datampi
 // goes wrong mid-trace, and which scheduling features are on — is
 // described up front and run deterministically in one call. It replaces
 // the imperative idiom (construct a Queue, call Submit/SubmitWeighted,
-// sprinkle SetSpeculation/SetPreemption/SetLocalitySlack, poke SlowNode
+// sprinkle SetSpeculation/SetPreemption, poke SlowNode
 // before Run) that made BigDataBench-style workload traces awkward to
 // express, and it returns a structured Report with per-job and per-tenant
 // response-time distributions, slot-occupancy shares, the perturbation
@@ -343,11 +343,9 @@ func ShrinkSlots(kind string, perNode int) Event {
 
 // scenarioTenant is one declared fair-share identity.
 type scenarioTenant struct {
-	name     string
-	weight   float64
-	eng      ConcurrentEngine
-	slack    float64
-	slackSet bool
+	name   string
+	weight float64
+	eng    ConcurrentEngine
 }
 
 // timedEvent pairs an Event with its scenario-relative fire time.
@@ -385,7 +383,6 @@ type Scenario struct {
 	policy   Policy
 	spec     SpeculationConfig
 	pre      PreemptionConfig
-	slack    float64
 	tenants  []*scenarioTenant
 	byName   map[string]*scenarioTenant
 	arrivals []Arrival
@@ -400,9 +397,6 @@ type Scenario struct {
 
 // ScenarioOption configures a Scenario under construction.
 type ScenarioOption func(*Scenario)
-
-// TenantOption configures one tenant declaration.
-type TenantOption func(*scenarioTenant)
 
 // NewScenario builds a scenario over an existing testbed. Options declare
 // tenants, arrivals, timed events and scheduling features; configuration
@@ -429,7 +423,7 @@ func (s *Scenario) fail(err error) {
 // Tenant declares a fair-share identity: jobs arriving under name run on
 // eng and, under the Fair policy, share slots in proportion to weight
 // (weights at or below zero are treated as 1).
-func Tenant(name string, weight float64, eng ConcurrentEngine, opts ...TenantOption) ScenarioOption {
+func Tenant(name string, weight float64, eng ConcurrentEngine) ScenarioOption {
 	return func(s *Scenario) {
 		if name == "" {
 			s.fail(fmt.Errorf("datampi: tenant needs a name"))
@@ -447,20 +441,8 @@ func Tenant(name string, weight float64, eng ConcurrentEngine, opts ...TenantOpt
 			weight = 1
 		}
 		t := &scenarioTenant{name: name, weight: weight, eng: eng}
-		for _, opt := range opts {
-			opt(t)
-		}
 		s.tenants = append(s.tenants, t)
 		s.byName[name] = t
-	}
-}
-
-// TenantSlack overrides the scenario's delay-scheduling slack for one
-// tenant's jobs (see WithLocalitySlack).
-func TenantSlack(slack float64) TenantOption {
-	return func(t *scenarioTenant) {
-		t.slack = slack
-		t.slackSet = true
 	}
 }
 
@@ -663,13 +645,6 @@ func WithSpeculation(c SpeculationConfig) ScenarioOption {
 // starved jobs (replaces Queue.SetPreemption).
 func WithPreemption(c PreemptionConfig) ScenarioOption {
 	return func(s *Scenario) { s.pre = c }
-}
-
-// WithLocalitySlack sets the delay-scheduling slack every job's Placer
-// uses (replaces Queue.SetLocalitySlack); TenantSlack overrides it per
-// tenant.
-func WithLocalitySlack(slack float64) ScenarioOption {
-	return func(s *Scenario) { s.slack = slack }
 }
 
 // WithReplicationMonitor runs a DFS replication monitor for the duration
@@ -959,7 +934,6 @@ func (s *Scenario) Run() (*Report, error) {
 	q := s.tb.NewQueue(s.policy) // carries the testbed's dead-node exclusions
 	q.SetSpeculation(s.spec)
 	q.SetPreemption(s.pre)
-	q.SetLocalitySlack(s.slack)
 	var tr *trace.Tracer
 	if s.trcCfg != nil {
 		// The tracer rides the queue's tracker into every engine submit
@@ -975,18 +949,11 @@ func (s *Scenario) Run() (*Report, error) {
 	rc := &runCtx{tb: s.tb, q: q, start: runStart, slow: make(map[int]float64)}
 
 	// admitAbs admits one job at an absolute simulated time under its
-	// tenant's weight and slack — shared by the trace admissions below and
-	// by closed-loop chaining mid-run.
+	// tenant's weight — shared by the trace admissions below and by
+	// closed-loop chaining mid-run.
 	admitAbs := func(tenant string, at float64, j Job) *sched.Submission {
 		t := s.byName[tenant]
-		if t.slackSet {
-			q.SetLocalitySlack(t.slack)
-		}
-		sub := q.Admit(tenant, at, t.weight, t.eng, j)
-		if t.slackSet {
-			q.SetLocalitySlack(s.slack)
-		}
-		return sub
+		return q.Admit(tenant, at, t.weight, t.eng, j)
 	}
 
 	// Every completion folds into its tenant's aggregate as it happens (and
