@@ -12,8 +12,8 @@ import (
 
 // The fault sweep exercises the failure axis the paper's clean-cluster
 // benchmarking leaves out: nodes die mid-job and the frameworks must
-// recover — Hadoop re-runs lost tasks and recomputes dead map outputs,
-// Spark regenerates lost shuffle partitions, DataMPI re-homes the dead
+// recover — Hadoop and Spark re-run lost tasks and regenerate dead map
+// outputs inside the consumer that needs them, DataMPI re-homes the dead
 // node's A ranks and replays the O side into them — while the DFS
 // replication monitor restores the block replication factor underneath
 // all of them. Text Sort is the workload: with no combiner, the full

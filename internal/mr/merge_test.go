@@ -13,7 +13,8 @@ import (
 // TestEveryMergedRunIsSorted: the reduce side merges map-output
 // partitions, so every one must be sorted however the reducer came by it
 // — fetched, adopted from a stream it already pulled block by block,
-// taken from a speculative copy, or recomputed after the map's node died.
+// refetched from a surviving copy, or regenerated inside the reducer after
+// the map's node died.
 func TestEveryMergedRunIsSorted(t *testing.T) {
 	checked := enginetest.CheckMerges(t)
 	// queued runs one job over 128 splits through a scheduling queue.
@@ -41,10 +42,10 @@ func TestEveryMergedRunIsSorted(t *testing.T) {
 			}
 		},
 		"lost map output": func(t *testing.T) {
-			res, _ := queued(t, wordCountSpec, func(c *cluster.Cluster, fs *dfs.FS, eng *Engine, q *sched.Queue) {
+			res, st := queued(t, wordCountSpec, func(c *cluster.Cluster, fs *dfs.FS, eng *Engine, q *sched.Queue) {
 				enginetest.FailNodeAt(q, fs, eng, 40, 3)
 			})
-			if res.Counters["shuffle_refetches"]+res.Counters["maps_recomputed"] == 0 {
+			if res.Counters["shuffle_refetches"]+int64(st.Recomputes) == 0 {
 				t.Fatal("no reducer had to replace a dead map output")
 			}
 		},

@@ -109,15 +109,6 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	return &Engine{Base: taskrt.NewBase("Hadoop", fs, cfg.Transport, transport.HadoopProfile()), Cfg: cfg}
 }
 
-// mapOutput is a completed map task's partitioned, sorted output sitting
-// on the map node's local disk.
-type mapOutput struct {
-	mi                 int // producing map task index
-	node               int
-	taskrt.Partitioned      // sorted run per reducer, sized (records: staged transport)
-	invalid            bool // lost with its node; a recompute entry supersedes it
-}
-
 // Run executes the job exclusively and returns its result (see
 // taskrt.Base.RunSolo for the drain and accounting contract).
 func (e *Engine) Run(spec job.Spec) job.Result {
@@ -146,93 +137,46 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	mapSlots := ctl.Pool("mr-map", e.Cfg.TasksPerNode)
 	reduceSlots := ctl.Pool("mr-reduce", e.Cfg.TasksPerNode)
 
-	// sh is what reducers fetch from. Its lost-map-output recovery state:
-	// alts are completed speculative copies that lost a photo finish (kept
-	// instead of dropped — a reducer can refetch from one when the winner's
-	// node dies), and recomputeGen numbers the re-executed map tasks.
-	sh := &shuffle{outputs: make([]*mapOutput, 0, nMaps), alts: make(map[int][]*mapOutput), spans: make([]uint64, nMaps)}
-	mapsDone := 0
-	recomputeGen := 0
-
-	fail := func(err error) {
-		j.Fail(err)
-		if sh.board != nil {
-			sh.board.FailAll() // unblock reducers parked on stream commits
-		}
-		sh.cond.Broadcast() // unblock reducers waiting for map outputs
-	}
-
-	// launchMap launches map mi as the task called name. Map tasks are
-	// restartable: the body re-reads its immutable split and publishes its
-	// output only through Done. count is the launch's own accounting in
-	// the winner's Done.
-	launchMap := func(mi int, name string, count func(att *sched.Attempt), discard func(v any)) {
-		j.Launch(sched.TaskSpec{
-			Name:        name,
-			Node:        assignment[mi],
-			Pool:        mapSlots,
-			Group:       "map",
-			Restartable: true,
-			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-				return e.runMapTask(p, att, &spec, blocks[mi], nReduce, mi, sh.board)
-			},
-			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-				count(att)
-				mo := v.(*mapOutput)
-				mo.mi = mi
-				sh.outputs = append(sh.outputs, mo)
-				sh.spans[mi] = att.TraceSpan().SpanID()
-				sh.cond.Broadcast()
-				return nil
-			},
-			Discard: discard,
-			Fail:    fail,
-		})
-	}
-
-	// recover re-executes the map whose materialized output died with its
-	// node: the recomputed output is appended to the shared slice like any
-	// late map, and reducers (which dedup by map index) pick it up from
-	// there. Requested once per lost output.
-	sh.recover = func(mo *mapOutput) {
-		if mo.invalid || j.Err() != nil {
-			return // recompute already in flight, or the job is failing
-		}
-		mo.invalid = true
-		recomputeGen++
-		ctl.Tracker().NoteRecompute()
-		launchMap(mo.mi, fmt.Sprintf("map-%d~r%d", mo.mi, recomputeGen),
-			func(*sched.Attempt) { res.AddCounter("maps_recomputed", 1) }, nil)
-	}
+	// outs is the map→reduce edge. A map output lost with its node is
+	// refetched from a surviving copy or regenerated inside the reducer
+	// that needs it first (without the JVM launch: it runs in the
+	// reducer's).
+	outs := j.Outputs(nMaps, "m", func(p *sim.Proc, att *sched.Attempt, mi int) (any, error) {
+		return e.runMapTask(p, att, &spec, blocks[mi], nReduce, mi, nil)
+	})
 
 	e.C.Eng.Go("jobtracker:"+spec.Name, func(driver *sim.Proc) {
 		// Job submission: client uploads the job jar and splits; the
 		// JobTracker initializes the job and TaskTrackers heartbeat in.
 		driver.Sleep(e.Cfg.JobInit)
 
-		// Pipelined shuffle (staged transport with pipelining on): map
-		// attempts publish output streams reducers fetch block by block.
-		if e.Transport().Pipelined() {
-			sh.board = e.Transport().NewBoard(func() { sh.cond.Broadcast() })
-		}
-
 		for mi := 0; mi < nMaps; mi++ {
-			launchMap(mi, fmt.Sprintf("map-%d", mi), func(att *sched.Attempt) {
-				res.AddCounter("maps", 1)
-				if e.FS.IsLocal(blocks[mi], att.Node()) {
-					res.AddCounter("data_local_maps", 1)
-				}
-				if mapsDone++; mapsDone == nMaps {
-					j.Phase("map", "reduce")
-				}
-			}, func(v any) {
-				// A completed backup that lost the photo finish still
-				// materialized this map's output on its own disk; keep
-				// it as a refetch source for lost-map-output recovery.
-				if mo, ok := v.(*mapOutput); ok {
-					mo.mi = mi
-					sh.alts[mi] = append(sh.alts[mi], mo)
-				}
+			// Map tasks are restartable: the body re-reads its immutable
+			// split and publishes its output only through Done. A backup
+			// that loses the photo finish still materialized the output on
+			// its own disk; the edge keeps it as a refetch source.
+			j.Launch(sched.TaskSpec{
+				Name:        fmt.Sprintf("map-%d", mi),
+				Node:        assignment[mi],
+				Pool:        mapSlots,
+				Group:       "map",
+				Restartable: true,
+				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
+					p.Sleep(e.Cfg.TaskLaunch)
+					att.Report(0.05)
+					return e.runMapTask(p, att, &spec, blocks[mi], nReduce, mi, outs)
+				},
+				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
+					res.AddCounter("maps", 1)
+					if e.FS.IsLocal(blocks[mi], att.Node()) {
+						res.AddCounter("data_local_maps", 1)
+					}
+					if outs.Publish(mi, att, v.(*taskrt.Output)) == nMaps {
+						j.Phase("map", "reduce")
+					}
+					return nil
+				},
+				Discard: func(v any) { outs.Keep(mi, v) },
 			})
 		}
 
@@ -250,16 +194,11 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				Pool:        reduceSlots,
 				Group:       "reduce",
 				Restartable: true,
-				Pre: func(p *sim.Proc) bool {
-					// Slow-start: the JobTracker does not launch reducers
-					// until enough maps have finished.
-					for mapsDone < slowstart && j.Err() == nil {
-						sh.cond.Wait(p, "slowstart")
-					}
-					return j.Err() != nil
-				},
+				// Slow-start: the JobTracker does not launch reducers until
+				// enough maps have finished.
+				Pre: func(p *sim.Proc) bool { return !outs.Await(p, slowstart) },
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					return e.runReduceTask(p, att, &spec, ri, nMaps, sh, j)
+					return e.runReduceTask(p, att, &spec, ri, outs, res)
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					j.DependsOn(att)
@@ -283,7 +222,6 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 						out.release()
 					}
 				},
-				Fail: fail,
 			})
 		}
 		j.Wait(driver)
@@ -293,26 +231,14 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	return j
 }
 
-// shuffle is one job's map-output state, shared by its reduce attempts.
-type shuffle struct {
-	outputs []*mapOutput         // completed map outputs, completion order (recomputes appended)
-	cond    sim.Cond             // reducers wait here for new map outputs
-	alts    map[int][]*mapOutput // map index -> surviving speculative copies
-	spans   []uint64             // map index -> producing attempt's span ID
-	board   *transport.Board     // pipelined-shuffle stream board (nil when off)
-	recover func(*mapOutput)     // re-run the map behind a lost output
-}
-
-// runMapTask executes one map task attempt: JVM launch, streaming split
-// read overlapped with the map function and sort/spill I/O, then the
+// runMapTask executes one map task attempt after its JVM launch: streaming
+// split read overlapped with the map function and sort/spill I/O, then the
 // final merged output written to the local disk. The body is restartable:
 // it derives everything from the immutable block and its own collector,
 // so a speculative attempt can re-run it on another node.
-func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk *dfs.Block, nReduce, mi int, board *transport.Board) (*mapOutput, error) {
+func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk *dfs.Block, nReduce, mi int, outs *taskrt.Outputs) (*taskrt.Output, error) {
 	cfg := &e.Cfg
 	node := att.Node()
-	p.Sleep(cfg.TaskLaunch)
-	att.Report(0.05)
 
 	// Stream the real records through the map function eagerly; collect
 	// the resource demands, then charge them overlapped (Hadoop streams
@@ -347,17 +273,14 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 		e.Prof.AddDiskRead(node, mergeRead)
 	}
 
-	// Pipelined shuffle: the winning-eligible first attempt publishes a
-	// stream and commits output blocks as they land, so reducers fetch
-	// while this map still computes — in block-granularity chunks, every
-	// resource charge split evenly and a fraction committed per chunk.
-	// Backups, and every attempt with pipelining off, run the same totals
-	// as one lump: a backup's output only matters if it wins the photo
-	// finish.
+	// Pipelined shuffle: an attempt the edge streams commits output blocks
+	// as they land, so reducers fetch while this map still computes — in
+	// block-granularity chunks, every resource charge split evenly and a
+	// fraction committed per chunk. Every other attempt runs the same
+	// totals as one lump.
 	nChunks := 1
-	var st *transport.Stream
-	if board != nil && !att.Backup() {
-		st = board.Open(mi, node, out.Nominal, out.OutRecords)
+	st := outs.Stream(att, mi, &out)
+	if st != nil {
 		// Fail is a no-op after Finish; this covers error and kill unwinds.
 		defer st.Fail()
 		if bb := e.Transport().PipelineBlock(); out.OutNominal > bb {
@@ -396,8 +319,7 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 		profileDisk()
 		st.Finish()
 	}
-
-	return &mapOutput{node: node, Partitioned: out}, nil
+	return &taskrt.Output{Partitioned: out, Node: node}, nil
 }
 
 // reduceOut is a finished reduce body's result, handed to the winning
@@ -409,33 +331,21 @@ type reduceOut struct {
 	release func()
 }
 
-// runReduceTask fetches every map's partition and merges (spilling when
-// the shuffle buffer overflows), applies the reduce function and returns
-// the reduced pairs for the winner's Done to commit. Aborting because the
-// job failed returns (nil, nil) — untyped nil, so Done skips the write.
-// The body is restartable: map outputs persist in the shared outputs
-// slice, and its memory is released on every path — by Done/Discard after
-// a completed run (via the handed-off release callback), or by the
-// deferred cleanup when the attempt is cancelled mid-fetch.
-//
-// Lost-map-output story: entries are deduplicated by producing map index,
-// and a fetch that targets a dead node falls back to a surviving
-// speculative copy when one exists (refetch) or asks sh.recover to re-run
-// the producing map (recompute) — the recomputed output arrives as a
-// later entry in the shared slice, so the reducer just keeps scanning.
-func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, ri, nMaps int, sh *shuffle, j *taskrt.Job) (any, error) {
+// runReduceTask pulls every map's partition into the shuffle buffer
+// (spilling when it overflows), merges and applies the reduce function and
+// returns the reduced pairs for the winner's Done to commit. Aborting
+// because the job failed returns (nil, nil) — untyped nil, so Done skips
+// the write. The body is restartable: map outputs persist on the edge, and
+// its memory is released on every path — by Done/Discard after a completed
+// run (via the handed-off release callback), or by the deferred cleanup
+// when the attempt is cancelled mid-fetch.
+func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, ri int, outs *taskrt.Outputs, res *job.Result) (any, error) {
 	cfg := &e.Cfg
 	node := att.Node()
-	board := sh.board
-
 	mem := e.C.Node(node).Mem
 	p.Sleep(cfg.TaskLaunch)
 	mem.MustAlloc(cfg.JVMBaseMem)
 
-	var runs [][]kv.Pair
-	seen := make(map[int]bool, nMaps) // producing map indexes consumed
-	idx := 0
-	fetches := e.Fetches(p, att, "m")
 	buf := e.Buffer(p, node, cfg.ReduceBufferBytes, mem)
 	handoff := false
 	release := func() {
@@ -447,109 +357,16 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 			release()
 		}
 	}()
-	streamed := make(map[int]bool) // map indexes fully fetched via pipelined streams
-	nextStream := 0
-	// account applies the post-fetch shuffle-buffer bookkeeping for nom
-	// bytes pulled into memory (spilling past the buffer cap).
-	account := func(nom float64) {
-		j.Res.AddCounter("shuffle_bytes_nominal", int64(nom))
-		buf.Add(nom)
-	}
-	// drainStreams block-fetches every newly published pipelined stream
-	// in order, pulling committed blocks while the maps still compute. A
-	// stream that fails mid-fetch (killed attempt, dead node) is simply
-	// abandoned: the outputs scan below covers its map the legacy way.
-	drainStreams := func() {
-		for nextStream < len(board.Streams()) {
-			s := board.Streams()[nextStream]
-			nextStream++
-			mi := s.Producer()
-			if seen[mi] || streamed[mi] || s.Failed() {
-				continue
-			}
-			if s.PartNominal(ri) == 0 {
-				streamed[mi] = true // empty partition: adopt pairs at scan time
-				continue
-			}
-			p.BlockReason = "shuffle-io"
-			got, ok := s.Fetch(p, ri, node, e.Prof.AddDiskRead)
-			p.BlockReason = ""
-			if !ok {
-				continue
-			}
-			streamed[mi] = true
-			account(got)
-		}
-	}
-	for len(seen) < nMaps {
-		if board != nil {
-			drainStreams()
-		}
-		for idx >= len(sh.outputs) {
-			if j.Err() != nil {
-				return nil, nil
-			}
-			if board != nil && nextStream < len(board.Streams()) {
-				break // a new stream was published; drain it first
-			}
-			sh.cond.Wait(p, "shuffle-wait")
-		}
-		if idx >= len(sh.outputs) {
-			continue
-		}
-		att.Report(0.8 * float64(len(seen)) / float64(nMaps))
-		mo := sh.outputs[idx]
-		idx++
-		if seen[mo.mi] {
-			continue // a recompute superseded an entry this attempt already fetched
-		}
-		if streamed[mo.mi] {
-			// Already fetched block-by-block from the pipelined stream.
-			// Map bodies are deterministic, so the winner's materialized
-			// pairs are identical to what streamed; adopt them without
-			// re-charging fetch I/O.
-			seen[mo.mi] = true
-			if len(mo.Parts[ri]) > 0 {
-				runs = append(runs, mo.Parts[ri])
-			}
-			continue
-		}
-		nom := mo.Nominal[ri]
-		if nom > 0 && !e.C.Alive(mo.node) {
-			// The materialized output died with its node. Prefer a
-			// surviving speculative copy on a live node; otherwise request
-			// a recompute and keep scanning — the replacement shows up as
-			// a later entry.
-			var alt *mapOutput
-			for _, cand := range sh.alts[mo.mi] {
-				if e.C.Alive(cand.node) {
-					alt = cand
-					break
-				}
-			}
-			if alt == nil {
-				sh.recover(mo)
-				continue
-			}
-			j.Res.AddCounter("shuffle_refetches", 1)
-			mo = alt
-			nom = mo.Nominal[ri]
-		}
-		seen[mo.mi] = true
-		if nom == 0 {
-			if len(mo.Parts[ri]) > 0 {
-				runs = append(runs, mo.Parts[ri])
-			}
-			continue
-		}
-		// Fetch: read the partition from the map node's disk and pull it
-		// over the network (overlapped, as the TaskTracker streams it).
-		fetches.Fetch(mo.mi, mo.node, nom, mo.Records[ri], sh.spans[mo.mi])
-		runs = append(runs, mo.Parts[ri])
-		account(nom)
+	runs, err := outs.Pull(p, att, ri,
+		func(pulled, n int) { att.Report(0.8 * float64(pulled) / float64(n)) },
+		func(nominal float64) {
+			res.AddCounter("shuffle_bytes_nominal", int64(nominal))
+			buf.Add(nominal)
+		})
+	if runs == nil {
+		return nil, err
 	}
 	att.Report(0.8)
-	fetches.Done()
 
 	reduced := buf.MergeReduce(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
 		func(cpuSec float64) float64 { return e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC) })

@@ -17,17 +17,20 @@ type stage struct {
 	root     *RDD // source or post-shuffle RDD at the bottom of the chain
 	narrow   []*narrowOp
 	target   *RDD    // the RDD this stage materializes
-	consumer *wideOp // the shuffle this stage feeds (nil for the last stage)
+	consumer *wideOp // the shuffle this stage feeds (nil: it returns partitions)
 
 	// fromCache marks a stage planned to read the root RDD's cached
 	// partitions; cache is the snapshot it reads. The snapshot is taken
 	// at plan time when the cache is already materialized, else at stage
-	// start (the producing stage ran earlier in the same action), so a
-	// node failure invalidating the cache mid-action cannot dangle a
+	// start (the producing stage ran just before it in the same action),
+	// so a node failure invalidating the cache mid-action cannot dangle a
 	// running stage — at worst the snapshot is gone before the stage
 	// starts and the action fails cleanly for the caller to resubmit.
 	fromCache bool
 	cache     []partData
+	// evicted marks a stage whose target is cached but whose output did
+	// not fit the executor cache.
+	evicted bool
 }
 
 // plan walks the lineage and produces stages bottom-up, linking each
@@ -35,6 +38,18 @@ type stage struct {
 func plan(r *RDD) []*stage {
 	var stages []*stage
 	var walk func(r *RDD) *stage
+	// from returns the stage an op over par extends. The stage is cut at a
+	// cached parent, narrow or wide op alike: the parent is materialized
+	// (and pinned) by its own stage, then the op reads from the cache.
+	from := func(par *RDD) *stage {
+		if !par.cached {
+			return walk(par)
+		}
+		if !par.inCache {
+			stages = append(stages, walk(par))
+		}
+		return &stage{root: par, target: par, fromCache: true, cache: par.cacheData}
+	}
 	walk = func(r *RDD) *stage {
 		switch {
 		case r.cached && r.inCache:
@@ -42,24 +57,12 @@ func plan(r *RDD) []*stage {
 		case r.source != nil:
 			return &stage{root: r, target: r}
 		case r.narrow != nil:
-			par := r.narrow.parent
-			var st *stage
-			if par.cached {
-				// Cut the stage at a cached parent: the parent is
-				// materialized (and pinned) by its own stage, then this
-				// chain reads from the cache.
-				if !par.inCache {
-					stages = append(stages, walk(par))
-				}
-				st = &stage{root: par, target: par, fromCache: true, cache: par.cacheData}
-			} else {
-				st = walk(par)
-			}
+			st := from(r.narrow.parent)
 			st.narrow = append(st.narrow, r.narrow)
 			st.target = r
 			return st
 		case r.wide != nil:
-			parent := walk(r.wide.parent)
+			parent := from(r.wide.parent)
 			parent.consumer = r.wide
 			stages = append(stages, parent)
 			return &stage{root: r, target: r}
@@ -117,15 +120,25 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 			e.appStarted = true
 			driver.Sleep(cfg.AppLaunch)
 		}
-		var current []partData
-		var pf *stageFetch // previous stage's shuffle-recovery context
+		var current []partData // the previous stage's partitions
+		var in *taskrt.Outputs // the shuffle the previous stage wrote
 		for si, st := range stages {
-			out, nf, err := e.runStage(driver, st, current, pf, slots, ctl, si, si == len(stages)-1, outPath, j)
+			if st.fromCache && st.cache == nil {
+				// The producing stage just ran: pick up its materialized
+				// partitions. If they did not fit the cache, Spark hands an
+				// unstored partition straight to its consumer: read the
+				// stage's output, pin nothing, and leave the RDD uncached so
+				// the next action recomputes it from lineage.
+				if st.cache = st.root.cacheData; st.cache == nil && si > 0 && stages[si-1].evicted {
+					st.cache = current
+				}
+			}
+			parts, out, err := e.runStage(driver, st, in, slots, ctl, si, si == len(stages)-1, outPath, j)
 			if err != nil {
 				j.Fail(err)
 				break
 			}
-			current, pf = out, nf
+			current, in = parts, out
 			j.Phase(stageName(si), "")
 		}
 		if j.Err() == nil && collect != nil {
@@ -144,71 +157,15 @@ type taskIn struct {
 	pairs   []kv.Pair
 	nominal float64
 	blk     *dfs.Block // source tasks read this
-	inflate float64    // decoded nominal bytes
-	fetches []partData // post-shuffle tasks fetch these
-	wide    *wideOp
+	wide    *wideOp    // post-shuffle tasks pull their partition of it
 }
 
-// stageFetch is the shuffle-recovery context a stage hands its consumer:
-// the producing tasks' immutable inputs plus dedup state, so a consumer
-// whose fetch targets a dead node regenerates the producer's partitions
-// inline on its own node (Spark's lost-shuffle-output recompute, without
-// modeling the full stage-abort round trip). The first fetcher to notice
-// a loss recomputes while siblings needing the same producer wait.
-type stageFetch struct {
-	eng    *Engine
-	st     *stage
-	inputs []taskIn
-	prev   *stageFetch // the producing stage's own upstream, for recursion
-	ctl    *sched.JobControl
-	redone map[int][]partData // producer taskIdx -> regenerated partitions
-	busy   map[int]bool
-	cond   sim.Cond
-	// spans holds the producing attempts' span IDs (task index order) so
-	// the consuming stage's fetch spans can wire dependency edges.
-	spans []uint64
-	// evicted marks a stage whose target is cached but whose output did
-	// not fit the executor cache: a from-cache stage later in the same
-	// action reads that output directly instead of a snapshot.
-	evicted bool
-}
-
-// recover returns partition pi of the lost producer output pd, recomputing
-// the producing task on the caller's node if no sibling already did.
-// Cached-root producers recompute from the stage's plan-time cache
-// snapshot; losing the executor cache itself drops the RDD for recompute
-// on the next action (see Engine.dropCachesOn).
-func (sf *stageFetch) recover(p *sim.Proc, att *sched.Attempt, pd partData, pi int) (partData, error) {
-	ti := pd.taskIdx
-	for sf.busy[ti] {
-		sf.cond.Wait(p, "recompute-wait")
-	}
-	if rep, ok := sf.redone[ti]; ok {
-		return rep[pi], nil
-	}
-	sf.busy[ti] = true
-	// The recompute parks on simulated I/O, so this attempt can be killed
-	// mid-flight (preemption, a second node failure): release the claim on
-	// the kill unwind too, or every sibling waiter deadlocks.
-	defer func() {
-		delete(sf.busy, ti)
-		sf.cond.Broadcast()
-	}()
-	sf.ctl.Tracker().NoteRecompute()
-	out, err := sf.eng.runTask(p, att, sf.st, &sf.inputs[ti], false, "", ti, sf.prev)
-	if err != nil {
-		return partData{}, err
-	}
-	sf.redone[ti] = out
-	return out[pi], nil
-}
-
-// runStage executes one stage's tasks over worker slots and returns the
-// materialized output partitions (input to the next stage) together with
-// the recovery context the next stage fetches through.
-func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, prevFetch *stageFetch,
-	slots *sched.SlotPool, ctl *sched.JobControl, si int, isLast bool, outPath string,
-	j *taskrt.Job) ([]partData, *stageFetch, error) {
+// runStage executes one stage's tasks over worker slots. A stage that
+// feeds a shuffle publishes its tasks' outputs to the shuffle edge it
+// returns; any other returns its materialized partitions. in is the edge
+// a post-shuffle stage pulls from.
+func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots *sched.SlotPool, ctl *sched.JobControl,
+	si int, isLast bool, outPath string, j *taskrt.Job) ([]partData, *taskrt.Outputs, error) {
 
 	cfg := &e.Cfg
 
@@ -216,18 +173,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 
 	switch {
 	case st.fromCache:
-		if st.cache == nil {
-			// The producing stage ran earlier in this action; pick up its
-			// materialized partitions now.
-			st.cache = st.root.cacheData
-		}
-		if st.cache == nil && prevFetch != nil && prevFetch.evicted && prevFetch.st.target == st.root {
-			// The producing stage just ran but its output did not fit the
-			// cache. Spark hands an unstored partition straight to its
-			// consumer: read the stage's output, pin nothing, and leave
-			// the RDD uncached so the next action recomputes from lineage.
-			st.cache = shuffleIn
-		}
 		if st.cache == nil {
 			// The cache was invalidated (node failure) between planning and
 			// this stage, and re-materialization did not land. Fail the
@@ -255,35 +200,25 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 		return nil, nil, fmt.Errorf("rdd: stage with no root")
 	}
 
-	// For post-shuffle stages the fetches are organized here: shuffleIn
-	// contains one partData per (map task, reduce partition), tagged by
-	// partition in nominal order. Build an index.
-	var byPart map[int][]partData
-	if st.root.wide != nil {
-		byPart = make(map[int][]partData)
-		for i, pd := range shuffleIn {
-			pi := i % st.root.wide.nParts
-			byPart[pi] = append(byPart[pi], pd)
-		}
-		for i := range tasks {
-			tasks[i].fetches = byPart[i]
-		}
+	// The shuffle this stage writes. A consumer whose fetch targets a dead
+	// node regenerates the producing task inline on its own node, from
+	// the task's immutable input (Spark's lost-shuffle-output recompute,
+	// without modeling the full stage-abort round trip).
+	var out *taskrt.Outputs
+	if st.consumer != nil {
+		out = j.Outputs(len(tasks), "t", func(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
+			return e.runTask(p, att, st, &tasks[ti], false, "", ti, in)
+		})
 	}
-
-	// The recovery context carries the inputs just built; the next stage's
-	// fetch loop recomputes through it when a producer's node dies.
-	nf := &stageFetch{eng: e, st: st, inputs: tasks, prev: prevFetch, ctl: ctl,
-		redone: make(map[int][]partData), busy: make(map[int]bool),
-		spans: make([]uint64, len(tasks))}
 
 	results := make([]partData, 0, len(tasks))
 	for ti := range tasks {
 		tin := &tasks[ti]
 		// Every stage's tasks are restartable: inputs (block, cache slice,
-		// shuffle partData) are immutable, intermediate partitions publish
-		// only through Done, and final-stage DFS writes go through the
-		// attempt-scoped committer — so even output-writing tasks can race
-		// speculative backups with exactly-once committed files.
+		// shuffle edge) are immutable, outputs publish only through Done,
+		// and final-stage DFS writes go through the attempt-scoped
+		// committer — so even output-writing tasks can race speculative
+		// backups with exactly-once committed files.
 		j.Launch(sched.TaskSpec{
 			Name:        fmt.Sprintf("spark-task-%d", ti),
 			Node:        tin.node,
@@ -294,16 +229,21 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				p.Sleep(cfg.TaskDispatch)
 				att.Report(0.05)
-				return e.runTask(p, att, st, tin, isLast, outPath, ti, prevFetch)
+				return e.runTask(p, att, st, tin, isLast, outPath, ti, in)
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-				results = append(results, v.([]partData)...)
-				nf.spans[ti] = att.TraceSpan().SpanID()
+				switch v := v.(type) {
+				case *taskrt.Output:
+					out.Publish(ti, att, v)
+				case partData:
+					results = append(results, v)
+				}
 				if isLast {
 					j.DependsOn(att)
 				}
 				return nil
 			},
+			Discard: func(v any) { out.Keep(ti, v) },
 		})
 	}
 	j.Wait(driver)
@@ -312,7 +252,7 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 	}
 
 	// Cache materialization: pin this stage's output in executor memory.
-	if st.target.cached && !st.target.inCache {
+	if out == nil && st.target.cached && !st.target.inCache {
 		total := map[int]float64{}
 		for _, pd := range results {
 			total[pd.node] += pd.nominal * cfg.ExpansionFactor
@@ -341,9 +281,9 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, shuffleIn []partData, pre
 		}
 		// If it does not fit, Spark silently evicts: the RDD is simply
 		// not cached and later actions recompute it.
-		nf.evicted = !fits
+		st.evicted = !fits
 	}
-	return results, nf, nil
+	return results, out, nil
 }
 
 func (e *Engine) usedExecutorMem(node int) float64 {
@@ -355,13 +295,13 @@ func (e *Engine) usedExecutorMem(node int) float64 {
 }
 
 // runTask executes one task of a stage on att's node: obtain tin's input
-// (block read, cache, or shuffle fetch), apply fused narrow ops, then
-// either write shuffle output, write the final file, or hand back
-// collected pairs. att is the owning attempt — the consuming task's when
-// re-entered as a lost-shuffle recompute; prev is the upstream stage's
-// recovery context for fetches that target dead nodes.
+// (block read, cache, or its partition pulled from the shuffle edge),
+// apply fused narrow ops, then either write shuffle output (an
+// *taskrt.Output), write the final file, or hand back collected pairs (a
+// partData). att is the owning attempt — the consuming task's when
+// re-entered as a lost-shuffle regeneration.
 func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn,
-	isLast bool, outPath string, taskIdx int, prev *stageFetch) ([]partData, error) {
+	isLast bool, outPath string, taskIdx int, edge *taskrt.Outputs) (any, error) {
 
 	cfg := &e.Cfg
 	scale := e.Scale()
@@ -405,37 +345,28 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		pairs = tin.pairs
 		inputNominal = tin.nominal
 	default:
-		// Shuffle fetch: pull every map task's slice of this partition,
+		// Shuffle fetch (an empty cached partition lands here too, with
+		// nothing to pull): pull every map task's slice of this partition,
 		// reporting fractional per-fetch progress so the straggler monitor
 		// sees fetch rates rather than one opaque milestone. Fetched data
-		// past the buffer spills to local disk; the heap it occupies is
-		// the transient working memory charged below.
-		fetches := e.Fetches(p, att, "t")
-		buf := e.Buffer(p, node, cfg.ShuffleBufferBytes, nil)
-		// One run per producing task: each is a partition a collector's
-		// Finish sorted, which is what lets the wide op below merge them.
+		// past the buffer spills to local disk; the heap it occupies is the
+		// transient working memory charged below. Each run is a partition a
+		// collector's Finish sorted, which is what lets the wide op below
+		// merge them.
 		var runs [][]kv.Pair
-		for fi, pd := range tin.fetches {
-			att.Report(0.1 + 0.6*float64(fi)/float64(len(tin.fetches)))
-			if pd.nominal > 0 && !e.C.Alive(pd.node) {
-				// The materialized map output died with its node:
-				// regenerate the producer's partitions locally (dedup'd
-				// across fetchers) and pull this partition from there.
-				rep, err := prev.recover(p, att, pd, taskIdx)
-				if err != nil {
-					return nil, err
-				}
-				pd = rep
+		if wide != nil {
+			buf := e.Buffer(p, node, cfg.ShuffleBufferBytes, nil)
+			var err error
+			runs, err = edge.Pull(p, att, taskIdx,
+				func(pulled, n int) { att.Report(0.1 + 0.6*float64(pulled)/float64(n)) },
+				func(nominal float64) {
+					inputNominal += nominal
+					buf.Add(nominal)
+				})
+			if runs == nil {
+				return nil, err
 			}
-			runs = append(runs, pd.pairs)
-			if pd.nominal == 0 {
-				continue
-			}
-			fetches.Fetch(pd.taskIdx, pd.node, pd.nominal, pd.records, prev.spans[pd.taskIdx])
-			inputNominal += pd.nominal
-			buf.Add(pd.nominal)
 		}
-		fetches.Done()
 
 		// Materialization for the wide op: sort stages hold the whole
 		// partition as objects — the OOM point.
@@ -557,7 +488,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 				return nil, err
 			}
 		}
-		return []partData{{pairs: pairs, nominal: outNominal, node: node, taskIdx: taskIdx}}, nil
+		return partData{pairs: pairs, nominal: outNominal, node: node}, nil
 	}
 
 	// This stage feeds a wide op — write shuffle output (Spark 0.8 hash
@@ -574,10 +505,6 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	if err != nil {
 		return nil, fmt.Errorf("rdd: shuffle %w", err)
 	}
-	out := make([]partData, next.nParts)
-	for pi, part := range sized.Parts {
-		out[pi] = partData{pairs: part, nominal: sized.Nominal[pi], records: sized.Records[pi], node: node, taskIdx: taskIdx}
-	}
 	if sized.OutNominal > 0 {
 		wg.Add(1)
 		e.C.Node(node).Disk.Start(sized.OutNominal, wg.Done)
@@ -593,7 +520,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		e.StartSend(&wg, node, sized.OutNominal, sized.OutRecords)
 	}
 	wg.WaitAs(p, "disk")
-	return out, nil
+	return &taskrt.Output{Partitioned: sized, Node: node}, nil
 }
 
 // recordIter is the input of a narrow op: a block's reader, or the pairs

@@ -10,7 +10,7 @@ import (
 
 // TestEveryMergedRunIsSorted: a wide stage merges the shuffle partitions
 // it fetches, so each must be sorted — as the producing task wrote it,
-// and as stageFetch.recover regenerates it when the producer's node died.
+// and as the consumer regenerates it when the producer's node died.
 func TestEveryMergedRunIsSorted(t *testing.T) {
 	checked := enginetest.CheckMerges(t)
 	// queued runs one WordCount over 128 splits through a scheduling
@@ -31,7 +31,7 @@ func TestEveryMergedRunIsSorted(t *testing.T) {
 			// The clean run takes 37 simulated seconds: at 30 the map
 			// stage is done and the wide stage is fetching.
 			if st := queued(t, 30); st.Recomputes == 0 {
-				t.Fatal("no fetch went through stageFetch.recover")
+				t.Fatal("no consumer regenerated a lost shuffle output")
 			}
 		},
 	}

@@ -196,9 +196,7 @@ type wideOp struct {
 type partData struct {
 	pairs   []kv.Pair
 	nominal float64
-	records float64 // nominal record count (staged-transport per-record costs)
 	node    int
-	taskIdx int // producing task's index within its stage (shuffle recovery)
 }
 
 // TextFile creates a source RDD over a DFS file of newline-separated

@@ -15,6 +15,7 @@ import (
 	"github.com/datampi/datampi-go/internal/enginetest"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
+	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
 )
 
@@ -323,6 +324,75 @@ func TestCacheTooSmallFeedsTheSameAction(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCachedRDDFeedingAShuffleKeepsItsRecords: a cached RDD that feeds a
+// shuffle directly is materialized by a stage of its own, so a later
+// action reads the RDD's records, not the shuffle's combined output.
+func TestCachedRDDFeedingAShuffleKeepsItsRecords(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	data := genText(8, 32*1024)
+	spec := wcSpec(fs, fs.PreloadAligned("/in", data, '\n'), "", 4)
+	words := eng.TextFile(spec.Input).FlatMapKV(spec.Map, 1).Cache()
+	counts, res := words.ReduceByKey(kv.SumCombiner, spec.Reduce, 4).Collect()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	want := len(bytes.Fields(data))
+	total := int64(0)
+	for _, p := range counts {
+		total += kv.ParseInt(p.Value)
+	}
+	if len(counts) != 8 || total != int64(want) {
+		t.Fatalf("%d distinct words counting %d, want 8 counting %d", len(counts), total, want)
+	}
+	if !words.inCache {
+		t.Fatal("the cached RDD was not materialized")
+	}
+	got, res := words.Collect()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if len(got) != want {
+		t.Fatalf("the cached RDD holds %d records, want its %d words", len(got), want)
+	}
+}
+
+// TestLostShuffleOutputRefetchedFromARegeneratedCopy: when a node dies
+// under a wide stage, the first consumer that needs one of its map outputs
+// regenerates it and the others refetch that copy.
+func TestLostShuffleOutputRefetchedFromARegeneratedCopy(t *testing.T) {
+	_, fs, eng := testSetup(64*cluster.MB, 8192)
+	spec := wcSpec(fs, fs.PreloadAligned("/in", genText(21, 1024*1024), '\n'), "/out", 8)
+	res, st := enginetest.RunQueued(t, fs, eng, spec, "/out/part-", func(q *sched.Queue) {
+		enginetest.FailNodeAt(q, fs, eng, 30, 3)
+	})
+	if st.Recomputes == 0 || res.Counters["shuffle_refetches"] == 0 {
+		t.Fatalf("%d regenerations, %d refetches; want both", st.Recomputes, res.Counters["shuffle_refetches"])
+	}
+}
+
+// TestFailedJobRegeneratesNothing: at replication 1 a lost map output
+// cannot be regenerated (its input block died with the same node), so the
+// first consumer's regeneration fails the job, and no consumer regenerates
+// anything after that.
+func TestFailedJobRegeneratesNothing(t *testing.T) {
+	c := cluster.New(cluster.DefaultHardware())
+	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: 1, Scale: 8192, Seed: 1, PerBlockOverhead: 0.05})
+	eng := New(fs, DefaultConfig())
+	spec := wcSpec(fs, fs.PreloadAligned("/in", genText(21, 1024*1024), '\n'), "/out", 8)
+	q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
+	// The map stage ends at 35.65 s of the 36.85 s clean run; the wide
+	// stage's tasks are being dispatched at 35.7.
+	enginetest.FailNodeAt(q, fs, eng, 35.7, 3)
+	q.Submit(eng, spec)
+	if res := q.Run()[0]; res.Err == nil {
+		t.Fatal("the job survived losing its only input replicas")
+	}
+	if n := q.TrackerStats().Recomputes; n != 1 {
+		t.Fatalf("%d regenerations, want the one that failed the job", n)
+	}
+	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestCollectReturnsData(t *testing.T) {

@@ -59,10 +59,10 @@ func TestFetch(t *testing.T) {
 		// Staged local: no wire, but the consumer still deserializes.
 		{name: "staged local", src: 2, dst: 2, staged: true,
 			wantSecs: func(got float64) bool { return got >= diskSecs }},
-		// Fetch never consults liveness — the engines route around a dead
-		// source first, each with its own recovery (refetch, recompute,
-		// inline regenerate) — so a fetch that slips through still
-		// terminates and charges like any other instead of hanging.
+		// Fetch never consults liveness — Outputs.Pull routes around a
+		// dead source first (refetch or regenerate) — so a fetch that
+		// slips through still terminates and charges like any other
+		// instead of hanging.
 		{name: "dead source", src: 1, dst: 2, srcDown: true, wantSecs: func(got float64) bool { return got >= wireSecs }},
 	}
 	for _, tc := range cases {

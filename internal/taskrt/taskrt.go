@@ -16,14 +16,22 @@
 //     Buffer.MergeReduce is the reduce tail — spilled read-back, the
 //     three-term CPU charge, then a merge that reduces each key group as
 //     it meets it;
-//   - shuffle edge: Fetches pulls a materialized partition to its consumer
-//     (fluid or staged wire, chosen here and in internal/transport only)
-//     and Buffer is the reduce-side shuffle buffer;
+//   - shuffle edge: Outputs is the disk-materialized edge of mr and rdd.
+//     Producers publish to it in Done order; it holds their pipelined
+//     streams and surviving copies; its one consumer loop, Pull, drains
+//     the streams, pulls each output in publication order and replaces
+//     one lost with its node — a surviving copy is refetched, else the
+//     first consumer that needs it regenerates it inside its own attempt.
+//     Fetches pulls a materialized partition to its consumer (fluid or
+//     staged wire, chosen here and in internal/transport only) and Buffer
+//     is the reduce-side shuffle buffer;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - charges every engine makes the same way: StartCPU, StartSend,
 //     GCOverhead.
 //
-// Cost constants, task shapes and recovery protocols stay in the engines.
+// Cost constants and task shapes stay in the engines, and so does
+// DataMPI's O-side replay: its intermediate data lives at the consumer,
+// not the producer.
 package taskrt
 
 import (
@@ -97,7 +105,8 @@ type Job struct {
 	tr       *trace.Tracer
 	span     *trace.Span
 	marks    []mark
-	rest     string // phase running from the last mark to the job's end ("" = none)
+	rest     string     // phase running from the last mark to the job's end ("" = none)
+	edges    []*Outputs // the job's disk-materialized shuffle edges
 	finished bool
 }
 
@@ -181,10 +190,14 @@ func (j *Job) Phase(name, rest string) {
 	j.rest = rest
 }
 
-// Fail records the job's first error.
+// Fail records the job's first error, fails the streams of its shuffle
+// edges and wakes every consumer waiting on one.
 func (j *Job) Fail(err error) {
 	if j.Res.Err == nil {
 		j.Res.Err = err
+	}
+	for _, o := range j.edges {
+		o.fail()
 	}
 }
 

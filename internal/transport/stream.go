@@ -7,37 +7,11 @@ import (
 	"github.com/datampi/datampi-go/internal/trace"
 )
 
-// Board publishes pipelined map-output streams for one job: producers
-// open a Stream per map attempt and commit output fractions as blocks
-// land; reducers fetch committed bytes while the map is still running.
-type Board struct {
-	t       *Transport
-	streams []*Stream
-	// onOpen notifies the consumer side that a new stream exists
-	// (engines wire it to their outputs condition broadcast).
-	onOpen func()
-}
-
-// NewBoard builds a board on this transport. onOpen (may be nil) fires
-// after every Open so waiting reducers can re-scan.
-func (t *Transport) NewBoard(onOpen func()) *Board {
-	return &Board{t: t, onOpen: onOpen}
-}
-
-// Streams returns the streams opened so far, in open order.
-func (b *Board) Streams() []*Stream { return b.streams }
-
-// FailAll marks every stream failed (job abort) and wakes fetchers.
-func (b *Board) FailAll() {
-	for _, s := range b.streams {
-		s.Fail()
-	}
-}
-
 // Stream is one map attempt's incrementally committed output: per
 // reduce partition nominal sizes, plus a monotone committed fraction.
+// Consumers fetch committed bytes while the producer is still running.
 type Stream struct {
-	b        *Board
+	t        *Transport
 	producer int // map index
 	node     int
 	parts    []float64 // nominal bytes per reduce partition
@@ -49,25 +23,19 @@ type Stream struct {
 	cond     sim.Cond
 }
 
-// Open publishes a new stream for map producer running on node.
-func (b *Board) Open(producer, node int, partNominal []float64, records float64) *Stream {
-	s := &Stream{b: b, producer: producer, node: node, records: records}
+// Stream opens a pipelined output stream for map producer running on
+// node; the caller publishes it to the stream's consumers.
+func (t *Transport) Stream(producer, node int, partNominal []float64, records float64) *Stream {
+	s := &Stream{t: t, producer: producer, node: node, records: records}
 	s.parts = append([]float64(nil), partNominal...)
 	for _, v := range s.parts {
 		s.total += v
-	}
-	b.streams = append(b.streams, s)
-	if b.onOpen != nil {
-		b.onOpen()
 	}
 	return s
 }
 
 // Producer returns the map index that owns the stream.
 func (s *Stream) Producer() int { return s.producer }
-
-// Node returns the node the output is materializing on.
-func (s *Stream) Node() int { return s.node }
 
 // PartNominal returns partition pi's nominal size (0 when out of range).
 func (s *Stream) PartNominal(pi int) float64 {
@@ -103,7 +71,8 @@ func (s *Stream) Finish() {
 }
 
 // Fail marks the stream dead (attempt killed or node lost) unless it
-// already finished; fetchers abort and fall back to the outputs scan.
+// already finished; fetchers abort and pull the producer's materialized
+// output instead.
 func (s *Stream) Fail() {
 	if s.finished || s.failed {
 		return
@@ -122,9 +91,9 @@ func (s *Stream) Finished() bool { return s.finished }
 // commits, blocking p between commits. Each chunk charges the source
 // disk plus the staged wire/deserialize path. It returns the bytes
 // fetched and ok=false if the stream failed or its node died mid-way
-// (caller falls back to the legacy fetch for this map).
+// (the caller then pulls the producer's materialized output).
 func (s *Stream) Fetch(p *sim.Proc, pi, dst int, onChunk func(srcNode int, bytes float64)) (float64, bool) {
-	t := s.b.t
+	t := s.t
 	want := 0.0
 	if pi < len(s.parts) {
 		want = s.parts[pi]

@@ -119,20 +119,18 @@ func TestZeroCopyThresholdMovesCrossover(t *testing.T) {
 	}
 }
 
-// TestStreamFetchPipelined drives a Board/Stream pair end to end: the
-// producer commits output in quarters while the consumer fetches, so
-// most bytes must arrive overlapped (fetched before Finish).
+// TestStreamFetchPipelined drives a Stream end to end: the producer
+// commits output in quarters while the consumer fetches, so most bytes
+// must arrive overlapped (fetched before Finish).
 func TestStreamFetchPipelined(t *testing.T) {
 	c := twoNodes(t)
 	tp := transport.New(c, transport.DataMPIProfile())
 	tp.SetEnabled(true)
-	opened := 0
-	board := tp.NewBoard(func() { opened++ })
 
 	const part = 8 * cluster.MB
-	st := board.Open(0, 0, []float64{part, part}, 4096)
-	if opened != 1 || len(board.Streams()) != 1 {
-		t.Fatalf("open notification lost: opened=%d streams=%d", opened, len(board.Streams()))
+	st := tp.Stream(0, 0, []float64{part, part}, 4096)
+	if st.Producer() != 0 {
+		t.Fatalf("stream producer %d, want 0", st.Producer())
 	}
 	// Producer: commit a quarter every 2 simulated seconds; the last
 	// commit is a Finish.
@@ -180,18 +178,17 @@ func TestStreamFetchPipelined(t *testing.T) {
 }
 
 // TestStreamFailFallsBack checks the failure contract: a failed stream
-// aborts the fetch with ok=false (the reducer then falls back to the
-// legacy outputs scan), and Fail after Finish is a no-op.
+// aborts the fetch with ok=false (the consumer then pulls the producer's
+// materialized output instead), and Fail after Finish is a no-op.
 func TestStreamFailFallsBack(t *testing.T) {
 	c := twoNodes(t)
 	tp := transport.New(c, transport.DataMPIProfile())
 	tp.SetEnabled(true)
-	board := tp.NewBoard(nil)
 
 	const part = 8 * cluster.MB
-	st := board.Open(0, 0, []float64{part}, 1024)
+	st := tp.Stream(0, 0, []float64{part}, 1024)
 	c.Eng.Post(1, func() { st.Commit(0.25) })
-	c.Eng.Post(2, func() { board.FailAll() })
+	c.Eng.Post(2, func() { st.Fail() })
 	var ok, done bool
 	c.Eng.Go("fetcher", func(p *sim.Proc) {
 		_, ok = st.Fetch(p, 0, 1, nil)
@@ -207,7 +204,7 @@ func TestStreamFailFallsBack(t *testing.T) {
 		t.Fatal("stream should report Failed")
 	}
 
-	fin := board.Open(1, 0, []float64{part}, 1024)
+	fin := tp.Stream(1, 0, []float64{part}, 1024)
 	fin.Finish()
 	fin.Fail()
 	if fin.Failed() || !fin.Finished() {
@@ -221,8 +218,7 @@ func TestStreamEmptyPartition(t *testing.T) {
 	c := twoNodes(t)
 	tp := transport.New(c, transport.DataMPIProfile())
 	tp.SetEnabled(true)
-	board := tp.NewBoard(nil)
-	st := board.Open(0, 0, []float64{0, 4 * cluster.MB}, 256)
+	st := tp.Stream(0, 0, []float64{0, 4 * cluster.MB}, 256)
 	c.Eng.Post(1, st.Finish)
 	var got float64
 	var ok, done bool

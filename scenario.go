@@ -908,9 +908,22 @@ func (s *Scenario) Run() (*Report, error) {
 			return nil, fmt.Errorf("datampi: tenant %s's engine runs on a different testbed", t.name)
 		}
 	}
-	for _, cl := range s.closed {
+	// Every closed-loop user's first job is built and checked here, before
+	// the first side effect on the testbed; the admissions below reuse it.
+	firsts := make([][]Job, len(s.closed))
+	for ci, cl := range s.closed {
 		if _, ok := s.byName[cl.tenant]; !ok {
 			return nil, fmt.Errorf("datampi: ClosedLoopUsers references undeclared tenant %q", cl.tenant)
+		}
+		for u := 0; u < cl.users; u++ {
+			j := cl.mk(u, 0)
+			if j.FS == nil {
+				return nil, fmt.Errorf("datampi: closed-loop tenant %s user %d first job has no filesystem; build jobs with the workload constructors", cl.tenant, u)
+			}
+			if j.FS.Cluster() != s.tb.Cluster {
+				return nil, fmt.Errorf("datampi: closed-loop tenant %s user %d first job is staged on a different testbed", cl.tenant, u)
+			}
+			firsts[ci] = append(firsts[ci], j)
 		}
 	}
 	for _, te := range s.events {
@@ -1068,15 +1081,8 @@ func (s *Scenario) Run() (*Report, error) {
 	// Closed-loop users enter after the declared trace: each user's first
 	// job arrives after its initial think pause, and every completion
 	// chains the next admission through the dispatcher above.
-	for _, cl := range s.closed {
-		for u := 0; u < cl.users; u++ {
-			j := cl.mk(u, 0)
-			if j.FS == nil {
-				return nil, fmt.Errorf("datampi: closed-loop tenant %s user %d first job has no filesystem; build jobs with the workload constructors", cl.tenant, u)
-			}
-			if j.FS.Cluster() != s.tb.Cluster {
-				return nil, fmt.Errorf("datampi: closed-loop tenant %s user %d first job is staged on a different testbed", cl.tenant, u)
-			}
+	for ci, cl := range s.closed {
+		for u, j := range firsts[ci] {
 			sub := admitAbs(cl.tenant, runStart+cl.gaps[u][0], j)
 			chain[sub] = chainKey{cl: cl, user: u, k: 0}
 			if cl.gaps[u][0] < firstArr {

@@ -6,6 +6,7 @@ package datampi_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	datampi "github.com/datampi/datampi-go"
@@ -80,6 +81,49 @@ func TestStreamingReportMatchesRetained(t *testing.T) {
 		if r.SlotSeconds != s.SlotSeconds || r.SlotShare != s.SlotShare {
 			t.Fatalf("tenant %s: slot seconds %v vs %v, share %v vs %v", r.Name, r.SlotSeconds, s.SlotSeconds, r.SlotShare, s.SlotShare)
 		}
+	}
+}
+
+// TestClosedLoopFirstJobCheckedBeforeSideEffects: a closed-loop user whose
+// first job cannot run fails Run before anything touches the testbed — no
+// event applied, no job admitted, no replication monitor left subscribed.
+func TestClosedLoopFirstJobCheckedBeforeSideEffects(t *testing.T) {
+	tb := datampi.NewTestbed(datampi.TestbedConfig{Scale: 1024, Seed: 3})
+	in := tb.GenerateText("/in", 256*datampi.MB, 1)
+	eng := datampi.New(tb.FS, datampi.DefaultConfig())
+	cpu := tb.Cluster.Node(1).CPU.Capacity()
+	_, err := datampi.NewScenario(tb,
+		datampi.Tenant("batch", 1, eng),
+		datampi.Arrive("batch", 0, datampi.WordCount(tb.FS, in, "/out/b", 8)),
+		datampi.Tenant("users", 1, eng),
+		datampi.ClosedLoopUsers("users", 1, 2, 20, 7, func(user, k int) datampi.Job { return datampi.Job{Name: "unstaged"} }),
+		datampi.At(0, datampi.SlowNode(1, 4)),
+		datampi.WithReplicationMonitor(datampi.ReplicationMonitorConfig{}),
+	).Run()
+	if err == nil || !strings.Contains(err.Error(), "no filesystem") {
+		t.Fatalf("Run error = %v, want the first job's missing filesystem", err)
+	}
+	if got := tb.Cluster.Node(1).CPU.Capacity(); got != cpu {
+		t.Fatalf("node 1 CPU capacity %v after the rejected Run, want %v", got, cpu)
+	}
+	used := 0.0
+	for i := 0; i < tb.Cluster.N(); i++ {
+		used += tb.FS.DiskUsed(i)
+	}
+	// A monitor left subscribed would re-replicate the failed node's blocks.
+	tb.FS.NodeDown(3)
+	if err := tb.Cluster.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if now := tb.Cluster.Eng.Now(); now != 0 {
+		t.Fatalf("the simulation ran to t=%v after the rejected Run: something was admitted", now)
+	}
+	after := 0.0
+	for i := 0; i < tb.Cluster.N(); i++ {
+		after += tb.FS.DiskUsed(i)
+	}
+	if after != used {
+		t.Fatalf("disk use %v -> %v: a replication monitor is still attached", used, after)
 	}
 }
 
