@@ -152,9 +152,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 
 		for mi := 0; mi < nMaps; mi++ {
 			// Map tasks are restartable: the body re-reads its immutable
-			// split and publishes its output only through Done. A backup
-			// that loses the photo finish still materialized the output on
-			// its own disk; the edge keeps it as a refetch source.
+			// split and publishes its output only through Done.
 			j.Launch(sched.TaskSpec{
 				Name:        fmt.Sprintf("map-%d", mi),
 				Node:        assignment[mi],
@@ -176,7 +174,6 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 					}
 					return nil
 				},
-				Discard: func(v any) { outs.Keep(mi, v) },
 			})
 		}
 

@@ -243,7 +243,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots
 				}
 				return nil
 			},
-			Discard: func(v any) { out.Keep(ti, v) },
 		})
 	}
 	j.Wait(driver)

@@ -17,6 +17,7 @@ import (
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
+	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
 func testSetup(blockSize float64, scale float64) (*cluster.Cluster, *dfs.FS, *Engine) {
@@ -391,6 +392,39 @@ func TestFailedJobRegeneratesNothing(t *testing.T) {
 	}
 	if n := q.TrackerStats().Recomputes; n != 1 {
 		t.Fatalf("%d regenerations, want the one that failed the job", n)
+	}
+	enginetest.AssertQuiesced(t, eng)
+}
+
+// TestChainedShufflesFailCleanlyAtReplicationOne: node 3 dies while the
+// last of two chained wide stages pulls. Its consumers regenerate the lost
+// middle-stage outputs, whose own pulls need first-stage outputs that
+// cannot be regenerated (their input blocks died too). One regeneration
+// fails the job; the others wake to the failed job with no output, and the
+// job must end with that error, not crash the simulation.
+func TestChainedShufflesFailCleanlyAtReplicationOne(t *testing.T) {
+	c := cluster.New(cluster.DefaultHardware())
+	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: 1, Scale: 8192, Seed: 1, PerBlockOverhead: 0.05})
+	eng := New(fs, DefaultConfig())
+	spec := wcSpec(fs, fs.PreloadAligned("/in", genText(21, 1024*1024), '\n'), "", 24)
+	sorted := eng.TextFile(spec.Input).FlatMapKV(spec.Map, 1).ReduceByKey(spec.Combine, spec.Reduce, 24).
+		SortByKey(kv.HashPartitioner{}, nil, 24)
+	var tr *sched.TaskTracker
+	res := eng.RunSolo(func(ctl *sched.JobControl) *taskrt.Job {
+		tr = ctl.Tracker()
+		// The clean run's last wide stage pulls from 17.0 s to 17.17 s.
+		c.Eng.Schedule(17.08, func() {
+			fs.NodeDown(3)
+			c.NodeDown(3)
+			tr.NodeDown(3)
+		})
+		return eng.submitAction("action", sorted, "", nil, ctl, nil)
+	})
+	if res.Err == nil {
+		t.Fatal("the job survived losing its only input replicas")
+	}
+	if n := tr.Stats().Recomputes; n < 2 {
+		t.Fatalf("%d regenerations, want the middle stage's and the failed first stage's", n)
 	}
 	enginetest.AssertQuiesced(t, eng)
 }

@@ -18,15 +18,15 @@ type Output struct {
 // Outputs is a disk-materialized shuffle edge: Hadoop's map→reduce edge
 // and every Spark shuffle. Producers publish their outputs to it and each
 // consumer pulls its partition of every output through Pull. An output
-// lost with its node is replaced by a surviving copy (a photo-finish
-// loser's, or one an earlier consumer regenerated); failing that, the
-// first consumer that needs it regenerates it inside its own attempt.
+// lost with its node is replaced by a surviving copy (one an earlier
+// consumer regenerated); failing that, the first consumer that needs it
+// regenerates it inside its own attempt.
 type Outputs struct {
 	j       *Job
 	label   string // fetch span prefix
 	regen   func(p *sim.Proc, att *sched.Attempt, producer int) (any, error)
 	outs    []*Output   // published outputs, in Done order
-	copies  [][]*Output // producer -> surviving copies
+	copies  [][]*Output // producer -> regenerated copies
 	spans   []uint64    // producer -> winning attempt's span ID
 	busy    []bool      // producer -> a consumer is regenerating it
 	streams []*transport.Stream
@@ -51,15 +51,6 @@ func (o *Outputs) Publish(producer int, att *sched.Attempt, out *Output) int {
 	o.spans[producer] = att.TraceSpan().SpanID()
 	o.cond.Broadcast()
 	return len(o.outs)
-}
-
-// Keep records a photo-finish loser's result v: an *Output stays on its
-// node's disk as a copy of producer's output.
-func (o *Outputs) Keep(producer int, v any) {
-	if out, ok := v.(*Output); ok {
-		out.producer = producer
-		o.copies[producer] = append(o.copies[producer], out)
-	}
 }
 
 // Await parks p until k outputs are published; false means the job failed
@@ -211,10 +202,12 @@ func (o *Outputs) regenerate(p *sim.Proc, att *sched.Attempt, producer int) (*Ou
 	}()
 	o.j.ctl.Tracker().NoteRecompute()
 	v, err := o.regen(p, att, producer)
-	if err != nil {
+	out, ok := v.(*Output)
+	if err != nil || !ok {
+		// No output and no error: the regeneration's own Pull found the
+		// job failed, which the caller sees through Job.Err.
 		return nil, err
 	}
-	out := v.(*Output)
 	out.producer = producer
 	o.copies[producer] = append(o.copies[producer], out)
 	return out, nil

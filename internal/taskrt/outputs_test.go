@@ -32,14 +32,14 @@ func edgeOutput(i, nParts, node int) *Output {
 // edgeCase is one job over a shuffle edge. Producer i runs on nodes[i]
 // for delay[i] seconds (half of it before and half after a mid-way stream
 // commit when stream is set); consumer ci runs on consumers[ci], starts
-// pulling partition ci at start, and every node in down fails at downAt.
-// kept[i] >= 0 places a photo-finish copy of producer i on that node.
+// pulling partition ci at start + ci*stagger, and every node in down
+// fails at downAt.
 type edgeCase struct {
 	nodes     []int
 	delay     []float64
-	kept      []int
 	consumers []int
 	start     float64
+	stagger   float64
 	down      []int
 	downAt    float64
 	stream    bool
@@ -76,11 +76,6 @@ func runEdge(t *testing.T, ec edgeCase) edgeRun {
 			}
 			return edgeOutput(i, nc, att.Node()), nil
 		})
-		for i, node := range ec.kept {
-			if node >= 0 {
-				o.Keep(i, edgeOutput(i, nc, node))
-			}
-		}
 		producers, consumers := ctl.Pool("producer", n), ctl.Pool("consumer", nc)
 		c.Eng.Go("driver", func(driver *sim.Proc) {
 			for i := range ec.nodes {
@@ -108,7 +103,7 @@ func runEdge(t *testing.T, ec edgeCase) edgeRun {
 			for ci, node := range ec.consumers {
 				j.Launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: node, Pool: consumers,
 					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-						p.Sleep(ec.start)
+						p.Sleep(ec.start + float64(ci)*ec.stagger)
 						last := -1
 						runs, err := o.Pull(p, att, ci, func(pulled, n int) {
 							if pulled < last || pulled >= n {
@@ -197,14 +192,15 @@ func TestOutputsAdoptStreamedOutputs(t *testing.T) {
 	}
 }
 
-// TestOutputsRefetchKeptCopy: an output lost with its node is replaced by
-// a photo-finish copy on a live node before anything is regenerated.
+// TestOutputsRefetchKeptCopy: the edge keeps a regenerated output as a
+// copy, so consumers that reach a lost output after its regeneration
+// refetch the copy instead of regenerating it again.
 func TestOutputsRefetchKeptCopy(t *testing.T) {
-	r := runEdge(t, edgeCase{nodes: []int{0, 1}, delay: []float64{1, 1}, kept: []int{5, -1},
-		consumers: []int{2, 3}, start: 5, down: []int{0}, downAt: 2})
+	r := runEdge(t, edgeCase{nodes: []int{0, 1}, delay: []float64{1, 1},
+		consumers: []int{2, 3, 4}, start: 5, stagger: 3, down: []int{0}, downAt: 2})
 	assertPulledOnce(t, r, 2)
-	if len(r.regens) != 0 || r.res.Counters["shuffle_refetches"] != 2 {
-		t.Fatalf("regenerated %v, refetched %d; want no regeneration and one refetch per consumer", r.regens, r.res.Counters["shuffle_refetches"])
+	if want := [][2]int{{0, 2}}; !slices.Equal(r.regens, want) || r.res.Counters["shuffle_refetches"] != 2 {
+		t.Fatalf("regenerations %v, %d refetches; want %v and one refetch per later consumer", r.regens, r.res.Counters["shuffle_refetches"], want)
 	}
 }
 
@@ -291,16 +287,76 @@ func TestOutputsQuiesceAfterFailedRegeneration(t *testing.T) {
 	assertReleased(t, c, b)
 }
 
+// TestOutputsNestedRegenerationAfterFailure: two chained edges, as behind
+// a Spark stage that reads two shuffles. Both second-edge outputs and the
+// one first-edge output die with node 0. Consumer 0 regenerates x0, whose
+// own Pull claims u and fails; consumer 1 regenerates x1, whose Pull waits
+// on u's claim and wakes to a failed job with no output and no error of
+// its own. The edge takes that as the job's failure, not as an output.
+func TestOutputsNestedRegenerationAfterFailure(t *testing.T) {
+	c, b := testBase()
+	boom := errors.New("input lost")
+	res := b.RunSolo(func(ctl *sched.JobControl) *Job {
+		j := b.Begin("edge", ctl, daemonMem)
+		first := j.Outputs(1, "u", func(p *sim.Proc, att *sched.Attempt, i int) (any, error) {
+			p.Sleep(1)
+			return nil, boom
+		})
+		second := j.Outputs(2, "x", func(p *sim.Proc, att *sched.Attempt, i int) (any, error) {
+			runs, err := first.Pull(p, att, i, func(int, int) {}, func(float64) {})
+			if runs == nil {
+				return nil, err
+			}
+			return edgeOutput(i, 2, att.Node()), nil
+		})
+		pool := ctl.Pool("worker", 3)
+		c.Eng.Go("driver", func(driver *sim.Proc) {
+			publish := func(o *Outputs, name string, i int, delay float64) {
+				j.Launch(sched.TaskSpec{Name: name, Node: 0, Pool: pool,
+					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
+						p.Sleep(delay)
+						return edgeOutput(i, 2, 0), nil
+					},
+					Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
+						o.Publish(i, att, v.(*Output))
+						return nil
+					},
+				})
+			}
+			publish(first, "u", 0, 1)
+			publish(second, "x0", 0, 1)
+			publish(second, "x1", 1, 1.5)
+			for ci := 0; ci < 2; ci++ {
+				j.Launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: 2 + ci, Pool: pool,
+					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
+						p.Sleep(5)
+						_, err := second.Pull(p, att, ci, func(int, int) {}, func(float64) {})
+						return nil, err
+					},
+				})
+			}
+			j.Wait(driver)
+			j.Finish(nil)
+		})
+		c.Eng.Post(2, func() { c.NodeDown(0) })
+		return j
+	})
+	if res.Err != boom {
+		t.Fatalf("job error %v, want the failed regeneration's %v", res.Err, boom)
+	}
+	assertReleased(t, c, b)
+}
+
 // FuzzOutputsPullOnce drives the edge through publication orders, pipelined
-// streams, nodes lost before or while consumers pull, and kept copies; the
-// oracle is that every consumer pulls each producer's partition exactly
-// once.
+// streams, nodes lost before or while consumers pull, and consumers that
+// start late enough to refetch another's regenerated copy; the oracle is
+// that every consumer pulls each producer's partition exactly once.
 func FuzzOutputsPullOnce(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 2}, uint8(0), uint8(0), false)
-	f.Add([]byte{9, 18, 27, 36, 45}, uint8(0b11), uint8(40), true)
-	f.Add([]byte{0x81, 0x92, 0x03, 0xf4}, uint8(0b101), uint8(80), false)
-	f.Add([]byte{5, 5, 5, 5, 5, 5}, uint8(0b111111), uint8(10), true)
-	f.Fuzz(func(t *testing.T, producers []byte, down, downAt uint8, stream bool) {
+	f.Add([]byte{3, 0, 1, 2}, uint8(0), uint8(0), uint8(0), false)
+	f.Add([]byte{9, 18, 27, 36, 45}, uint8(0b11), uint8(40), uint8(0), true)
+	f.Add([]byte{0x81, 0x92, 0x03, 0xf4}, uint8(0b101), uint8(80), uint8(5), false)
+	f.Add([]byte{5, 5, 5, 5, 5, 5}, uint8(0b111111), uint8(10), uint8(3), true)
+	f.Fuzz(func(t *testing.T, producers []byte, down, downAt, stagger uint8, stream bool) {
 		if len(producers) == 0 {
 			return
 		}
@@ -308,17 +364,12 @@ func FuzzOutputsPullOnce(f *testing.F) {
 			producers = producers[:6]
 		}
 		// Producers on nodes 0-5 (any of which may fail); consumers on 6
-		// and 7, which never do. Each byte: node, delay, and a kept copy
-		// on some node (or none).
-		ec := edgeCase{consumers: []int{6, 7}, start: float64(downAt%3) * 2, downAt: float64(downAt) / 10, stream: stream}
+		// and 7, which never do. Each byte: node and delay.
+		ec := edgeCase{consumers: []int{6, 7}, start: float64(downAt%3) * 2, stagger: float64(stagger % 8),
+			downAt: float64(downAt) / 10, stream: stream}
 		for _, b := range producers {
 			ec.nodes = append(ec.nodes, int(b%6))
 			ec.delay = append(ec.delay, 1+float64(b>>3&7))
-			kept := -1
-			if b&0x80 != 0 {
-				kept = int(b>>4) % 8
-			}
-			ec.kept = append(ec.kept, kept)
 		}
 		for node := 0; node < 6; node++ {
 			if down&(1<<node) != 0 {
