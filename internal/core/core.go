@@ -126,8 +126,8 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 // submit spawns the job's driver and task processes. done (optional) runs
 // in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
-	j, ok := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done)
-	if !ok {
+	j, slots := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done, e.Cfg.TasksPerNode, "dm-o")
+	if slots == nil {
 		return j
 	}
 	res := &j.Res
@@ -137,7 +137,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	nA := spec.Reducers // at least one: see job.Spec.Normalize
 	nO, world, splitsOf := e.layout(ctl.Placer(), blocks, nA)
 	oSpans := make([]uint64, nO) // O rank -> latest attempt span ID
-	oSlots, aSlots := e.pools(ctl, nA)
+	oSlots, aSlots := slots[0], e.aPool(ctl, nA)
 
 	// launchO launches O rank o as the task called name. O tasks are
 	// restartable: the body re-reads its immutable splits and re-streams
@@ -309,19 +309,20 @@ func (e *Engine) layout(pl sched.Placer, blocks []*dfs.Block, nA int) (nO int, w
 	return nO, w, pl.PlaceOnRanks(blocks, nodeOf[:nO])
 }
 
-// pools returns the job's task slots. With a single job both pools are at
-// least as wide as the communicators mpirun lays out (the A pool widens
-// when nA exceeds TasksPerNode*N, matching the all-ranks-at-once launch),
-// so acquisition never blocks; under a shared queue they make concurrent
-// DataMPI jobs contend per node. The A pool is elastic: a later job with a
-// denser A layout grows the shared pool rather than strand ranks behind a
-// latched size.
-func (e *Engine) pools(ctl *sched.JobControl, nA int) (o, a *sched.SlotPool) {
+// aPool returns the job's A-rank slots. A job takes its O slots, "dm-o"
+// at TasksPerNode per node, on admission. With a single job both pools
+// are at least as wide as the communicators mpirun lays out (the A pool
+// widens when nA exceeds TasksPerNode*N, matching the all-ranks-at-once
+// launch), so acquisition never blocks; under a shared queue they make
+// concurrent DataMPI jobs contend per node. The A pool is elastic: a later
+// job with a denser A layout grows the shared pool rather than strand
+// ranks behind a latched size.
+func (e *Engine) aPool(ctl *sched.JobControl, nA int) *sched.SlotPool {
 	aPerNode := e.Cfg.TasksPerNode
 	if need := (nA + e.C.N() - 1) / e.C.N(); need > aPerNode {
 		aPerNode = need
 	}
-	return ctl.Pool("dm-o", e.Cfg.TasksPerNode), ctl.PoolGrow("dm-a", aPerNode)
+	return ctl.PoolGrow("dm-a", aPerNode)
 }
 
 // runOTask processes this rank's splits: for each split, the input read,

@@ -86,10 +86,14 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 	if it.CPUFactorO <= 0 {
 		it.CPUFactorO = 1
 	}
+	oPool, err := ctl.Pools(cfg.TasksPerNode, "dm-o")
+	if err != nil {
+		return e.Reject(it.Name, err, nil)
+	}
 	j := e.Begin(it.Name, ctl, cfg.DaemonMem)
 	nA := e.C.N() // one aggregator per node
 	nO, world, splitsOf := e.layout(ctl.Placer(), blocks, nA)
-	oSlots, aSlots := e.pools(ctl, nA)
+	oSlots, aSlots := oPool[0], e.aPool(ctl, nA)
 
 	// Persistent task state: what each O rank cached at load, its nominal
 	// size, and the memory the rank's process holds with it.

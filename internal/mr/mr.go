@@ -124,18 +124,17 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 // submit spawns the job's driver and task processes. done (optional) runs
 // in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
-	j, ok := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done)
-	if !ok {
+	j, slots := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done, e.Cfg.TasksPerNode, "mr-map", "mr-reduce")
+	if slots == nil {
 		return j
 	}
+	mapSlots, reduceSlots := slots[0], slots[1]
 	blocks := spec.Input.Blocks
 	nMaps := len(blocks)
 	res := &j.Res
 	nReduce := spec.Reducers // at least one: see job.Spec.Normalize
 
 	assignment := ctl.Placer().Place(blocks)
-	mapSlots := ctl.Pool("mr-map", e.Cfg.TasksPerNode)
-	reduceSlots := ctl.Pool("mr-reduce", e.Cfg.TasksPerNode)
 
 	// outs is the map→reduce edge. A map output lost with its node is
 	// refetched from a surviving copy or regenerated inside the reducer
@@ -213,11 +212,6 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 					}
 					res.AddCounter("reduces", 1)
 					return nil
-				},
-				Discard: func(v any) {
-					if out, ok := v.(*reduceOut); ok {
-						out.release()
-					}
 				},
 			})
 		}
@@ -333,9 +327,9 @@ type reduceOut struct {
 // returns the reduced pairs for the winner's Done to commit. Aborting
 // because the job failed returns (nil, nil) — untyped nil, so Done skips
 // the write. The body is restartable: map outputs persist on the edge, and
-// its memory is released on every path — by Done/Discard after a completed
-// run (via the handed-off release callback), or by the deferred cleanup
-// when the attempt is cancelled mid-fetch.
+// its memory is released on every path — by Done after a completed run
+// (via the handed-off release callback), or by the deferred cleanup when
+// the attempt is cancelled mid-fetch.
 func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, ri int, outs *taskrt.Outputs, res *job.Result) (any, error) {
 	cfg := &e.Cfg
 	node := att.Node()

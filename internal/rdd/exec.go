@@ -107,11 +107,15 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 	ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 
 	cfg := &e.Cfg
+	pools, err := ctl.Pools(cfg.WorkersPerNode, "spark-worker")
+	if err != nil {
+		return e.Reject(name, err, done)
+	}
+	slots := pools[0]
 	// The per-node daemon plus the executors' base residency.
 	j := e.Begin(name, ctl, cfg.DaemonMem+float64(cfg.WorkersPerNode)*cfg.ExecutorBaseMem)
 
 	stages := plan(target)
-	slots := ctl.Pool("spark-worker", cfg.WorkersPerNode)
 
 	e.C.Eng.Go("spark-driver", func(driver *sim.Proc) {
 		if !e.appStarted {

@@ -254,7 +254,7 @@ func TestMaxRetriesPermanentFailure(t *testing.T) {
 	finals := 0
 	tr.Launch(TaskSpec{
 		Name: "doomed", Node: 0, Pool: pool, Handle: h, Group: "g",
-		Restartable: true, MaxRetries: 1,
+		Restartable: true,
 		Body: func(p *sim.Proc, att *Attempt) (any, error) {
 			cur = att.Node()
 			p.Sleep(100)
@@ -263,10 +263,17 @@ func TestMaxRetriesPermanentFailure(t *testing.T) {
 		Fail:  func(err error) { failErr = err },
 		Final: func() { finals++ },
 	})
-	// Kill whichever node the live attempt is on, twice: the first failure
-	// spends the single allowed retry, the second exceeds it.
-	eng.Schedule(5, func() { tr.NodeDown(cur) })
-	eng.Schedule(10, func() { tr.NodeDown(cur) })
+	// Kill whichever node the live attempt is on, maxRetries+1 times, 30s
+	// apart (longer than the 16s backoff cap, so each kill finds a running
+	// retry); the node comes straight back so healthy nodes never run out.
+	// The first maxRetries failures spend the budget, the last exceeds it.
+	for k := 0; k <= maxRetries; k++ {
+		eng.Schedule(5+30*float64(k), func() {
+			n := cur
+			tr.NodeDown(n)
+			tr.NodeUp(n)
+		})
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +284,8 @@ func TestMaxRetriesPermanentFailure(t *testing.T) {
 		t.Fatalf("finals = %d, want exactly one settlement", finals)
 	}
 	st := tr.Stats()
-	if st.PermanentFails != 1 || st.Retries != 1 {
-		t.Fatalf("stats = %+v, want 1 permanent fail after 1 retry", st)
+	if st.PermanentFails != 1 || st.Retries != maxRetries || st.Kills != maxRetries+1 {
+		t.Fatalf("stats = %+v, want 1 permanent fail after %d retries", st, maxRetries)
 	}
 }
 
@@ -293,7 +300,7 @@ func TestRetryBackoffDelaysRepeatedFailures(t *testing.T) {
 	cur := -1
 	tr.Launch(TaskSpec{
 		Name: "chased", Node: 0, Pool: pool, Handle: h, Group: "g",
-		Restartable: true, MaxRetries: -1,
+		Restartable: true,
 		Body: func(p *sim.Proc, att *Attempt) (any, error) {
 			cur = att.Node()
 			p.Sleep(100)

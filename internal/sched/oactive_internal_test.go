@@ -2,14 +2,22 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// TestRunningMedianMatchesReference pins the incremental dual-heap
-// median to the sort-based reference the tracker used before the
-// O(active) refactor: after every add, for both parities, the values
-// must be exactly equal (same lower-middle element, no float drift —
-// the heaps only move samples, never combine them).
+// median returns the lower-middle element of xs by sorting a copy — the
+// reference runningMedian is checked against.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[(len(s)-1)/2]
+}
+
+// TestRunningMedianMatchesReference pins the sorted-slice running median
+// to a sort-based reference: after every add, for both parities, the
+// values must be exactly equal (same lower-middle element, no float
+// drift — the slice only moves samples, never combines them).
 func TestRunningMedianMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -30,7 +38,7 @@ func TestRunningMedianMatchesReference(t *testing.T) {
 			}
 			m.add(x)
 			xs = append(xs, x)
-			want := median(append([]float64(nil), xs...))
+			want := median(xs)
 			if got := m.median(); got != want {
 				t.Fatalf("trial %d after %d adds: runningMedian %v != reference %v",
 					trial, len(xs), got, want)

@@ -38,9 +38,26 @@ type JobControl struct {
 func (c *JobControl) Handle() *JobHandle { return c.handle }
 
 // Pool returns the shared slot pool named kind, creating it with perNode
-// slots per node on first use (see PoolSet.Pool).
+// slots per node on first use; nil when an earlier job sized it
+// differently (see PoolSet.Pool).
 func (c *JobControl) Pool(kind string, perNode int) *SlotPool {
 	return c.pools.Pool(kind, perNode)
+}
+
+// Pools takes the job's shared slot pools, one per kind, each at perNode
+// slots per node. A kind an earlier job sized differently cannot serve
+// this job: the error names it and both widths, and the engine rejects
+// the job before charging it anything. Kinds after the failing one are
+// not created.
+func (c *JobControl) Pools(perNode int, kinds ...string) ([]*SlotPool, error) {
+	pools := make([]*SlotPool, len(kinds))
+	for i, kind := range kinds {
+		if pools[i] = c.pools.Pool(kind, perNode); pools[i] == nil {
+			return nil, fmt.Errorf("sched: pool %q is sized at %d slots/node, this job wants %d",
+				kind, c.pools.pools[kind].base, perNode)
+		}
+	}
+	return pools, nil
 }
 
 // PoolGrow returns the shared slot pool named kind widened to at least

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/bdb"
@@ -90,6 +91,49 @@ func TestQueueTwoJobsAllEngines(t *testing.T) {
 				if !pairsEqual(sortedPairs(got), sortedPairs(want)) {
 					t.Fatalf("job %d output mismatch: got %d pairs, want %d", i, len(got), len(want))
 				}
+			}
+		})
+	}
+}
+
+// TestQueueMixedSlotWidthsRefused: for every engine, a second engine of
+// the same kind configured with a different slot width shares the queue's
+// pool names. Its job must fail with an error naming the pool and the
+// width it wanted, uncharged, while the first engine's job completes.
+func TestQueueMixedSlotWidthsRefused(t *testing.T) {
+	for _, tc := range []struct{ name, pool string }{
+		{"Hadoop", `"mr-map"`}, {"Spark", `"spark-worker"`}, {"DataMPI", `"dm-o"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, specs := testRig(t, 11)
+			var wide sched.Engine
+			switch tc.name {
+			case "Hadoop":
+				cfg := mr.DefaultConfig()
+				cfg.TasksPerNode = 6
+				wide = mr.New(fs, cfg)
+			case "Spark":
+				cfg := rdd.DefaultConfig()
+				cfg.WorkersPerNode = 6
+				wide = rdd.New(fs, cfg)
+			default:
+				cfg := core.DefaultConfig()
+				cfg.TasksPerNode = 6
+				wide = core.New(fs, cfg)
+			}
+			q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), sched.FIFO)
+			q.Submit(engineFor(tc.name, fs), specs[0])
+			q.Submit(wide, specs[1])
+			res := q.Run()
+			if res[0].Err != nil {
+				t.Fatalf("first job failed: %v", res[0].Err)
+			}
+			if err := res[1].Err; err == nil || !strings.Contains(err.Error(), "pool "+tc.pool) ||
+				!strings.Contains(err.Error(), "wants 6") {
+				t.Fatalf("second job error = %v, want it to name pool %s and the 6 slots/node it wanted", err, tc.pool)
+			}
+			if n := len(job.ReadTextOutput(fs, specs[1].Output)); n != 0 {
+				t.Fatalf("the refused job wrote %d pairs", n)
 			}
 		})
 	}

@@ -4,7 +4,7 @@ package sched_test
 // scale fire in (time, submission-order) even when Admit is called out
 // of order with duplicate timestamps; discard mode streams identical
 // results while compacting the live set; a 1k-handle churn through
-// the indexed Fair dispatch is bit-deterministic across runs; and the
+// the Fair dispatch is bit-deterministic across runs; and the
 // allocation per job stays flat as the submitted count quadruples.
 
 import (
@@ -202,7 +202,7 @@ func TestDiscardStreamsIdenticalResults(t *testing.T) {
 }
 
 // TestPoolChurnDeterministicGrants runs a 1k-handle churn through the
-// indexed Fair dispatch twice and pins the two grant sequences against
+// Fair dispatch twice and pins the two grant sequences against
 // each other bit for bit: no map-iteration order may leak into grants.
 func TestPoolChurnDeterministicGrants(t *testing.T) {
 	const jobs = 1000
@@ -264,7 +264,8 @@ func churnAllocs(t *testing.T, jobs int) (bytesPerJob, allocsPerJob float64) {
 
 // TestQueueChurnAllocsStayFlat is the O(active) claim itself: pending
 // admissions sit in one heap behind one timer, settled submissions and
-// tracker tasks compact out, and Fair dispatch walks a deficit heap, so
+// tracker tasks compact out, and a Fair grant scans only the jobs waiting
+// on its node and keeps no per-job state once a job's demand ends, so
 // what a job costs to schedule must not depend on how many were
 // submitted. Quadrupling the trace may move bytes/job and allocs/job by
 // at most 10%. (The absolute level is the kernel-stub workload's

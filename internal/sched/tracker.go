@@ -3,7 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/datampi/datampi-go/internal/sim"
@@ -114,11 +114,6 @@ type TaskSpec struct {
 	// gang-scheduled slot pool so a re-homed rank can acquire a slot that
 	// the failure removed from service.
 	PreRetry func()
-	// MaxRetries caps node-failure requeues of this task: past the cap the
-	// task fails permanently (Fail/Final run, PermanentFails counted)
-	// instead of chasing a flapping node forever. 0 takes the default (8);
-	// negative means unlimited, the pre-cap behaviour.
-	MaxRetries int
 	// CommitFS, when set, arms the attempt-scoped output committer: the
 	// Body (or Done) writes DFS output through Attempt.ScopedPath, and the
 	// tracker renames the winning attempt's files to their final names
@@ -143,10 +138,6 @@ type TaskSpec struct {
 	// it still holds its slot: output commit (may consume simulated time)
 	// and job accounting. A non-nil error fails the task.
 	Done func(p *sim.Proc, v any, att *Attempt) error
-	// Discard releases a completed attempt's result when a sibling settled
-	// the task first (a photo finish): resources the Body handed off for
-	// Done to release must be freed here instead. Optional.
-	Discard func(v any)
 	// Fail runs exactly once if the winning attempt's Body or Done errored.
 	Fail func(err error)
 	// Final runs exactly once per task, after the slot is released — the
@@ -245,7 +236,7 @@ type trackedTask struct {
 	settled    bool // a result (or skip/failure) has been delivered
 	gatePassed bool // some attempt made it through Pre (or there is none)
 	backups    int
-	retries    int // node-failure requeues so far (MaxRetries caps it)
+	retries    int // node-failure requeues so far (maxRetries caps it)
 }
 
 // TrackerStats counts lifecycle events for reporting.
@@ -257,7 +248,7 @@ type TrackerStats struct {
 	Preemptions     int // attempts killed (and requeued) to feed a starved job
 	Retries         int // attempts requeued on a healthy node after node failure
 	Recomputes      int // settled tasks re-executed to regenerate lost outputs
-	PermanentFails  int // tasks failed for good after exhausting MaxRetries
+	PermanentFails  int // tasks failed for good after maxRetries node-failure retries
 	CacheRecomputes int // cached partitions recomputed after executor-cache loss
 }
 
@@ -271,23 +262,14 @@ func (st *TrackerStats) String() string {
 
 // Node-failure retry pacing: the first requeue is immediate (a single
 // clean failure loses no time), later ones back off exponentially so a
-// flapping node cannot pin a task in a tight kill/respawn cycle.
+// flapping node cannot pin a task in a tight kill/respawn cycle, and past
+// maxRetries requeues the task fails permanently (Fail/Final run,
+// PermanentFails counted) instead of chasing a flapping node forever.
 const (
-	defaultMaxRetries = 8
-	retryBackoffBase  = 2.0  // seconds, second retry
-	retryBackoffCap   = 16.0 // seconds
+	maxRetries       = 8
+	retryBackoffBase = 2.0  // seconds, second retry
+	retryBackoffCap  = 16.0 // seconds
 )
-
-// maxRetries resolves a spec's retry cap (0 = default, negative = none).
-func maxRetries(ts TaskSpec) int {
-	if ts.MaxRetries < 0 {
-		return -1
-	}
-	if ts.MaxRetries == 0 {
-		return defaultMaxRetries
-	}
-	return ts.MaxRetries
-}
 
 // TaskTracker owns task attempts for every job admitted to one queue: it
 // records per-attempt start time and progress, launches speculative
@@ -305,10 +287,10 @@ type TaskTracker struct {
 
 	// groups accumulates completed-attempt rates and durations per
 	// (job, kind) as tasks settle, so monitor ticks never rescan history.
-	// Each stat maintains its medians incrementally (dual heaps), so a
-	// tick reads them in O(1) instead of re-sorting the group's full win
-	// history. hgroups remembers each job's group keys so ReleaseHandle
-	// can drop its statistics without a map scan.
+	// Each stat keeps its samples sorted, so a tick reads a median by
+	// index instead of re-sorting the group's full win history. hgroups
+	// remembers each job's group keys so ReleaseHandle can drop its
+	// statistics without a map scan.
 	groups  map[groupKey]*groupStat
 	hgroups map[*JobHandle][]string
 
@@ -356,78 +338,20 @@ type groupKey struct {
 
 type groupStat struct{ rates, durs runningMedian }
 
-// runningMedian maintains the lower-middle median of a stream in
-// O(log n) per insertion: lo is a max-heap holding the smallest
-// ceil(n/2) samples, hi a min-heap holding the rest, so the median — the
-// (n-1)/2-th smallest, exactly the element sorting the history and
-// indexing its lower middle returns — is always lo's top.
-type runningMedian struct {
-	lo, hi []float64 // max-heap of the lower half / min-heap of the upper
-}
+// runningMedian keeps a stream's samples sorted, so its median — the
+// lower middle, the (n-1)/2-th smallest — is one index away. A straggler
+// group holds at most a few hundred samples (127 in the benchmark
+// workloads), where a binary search and a slice insert are all it takes.
+type runningMedian struct{ s []float64 }
 
-func (m *runningMedian) n() int { return len(m.lo) + len(m.hi) }
+func (m *runningMedian) n() int { return len(m.s) }
 
 func (m *runningMedian) add(x float64) {
-	if len(m.lo) == 0 || x <= m.lo[0] {
-		heapPushF(&m.lo, x, false)
-	} else {
-		heapPushF(&m.hi, x, true)
-	}
-	if len(m.lo) > len(m.hi)+1 {
-		heapPushF(&m.hi, heapPopF(&m.lo, false), true)
-	} else if len(m.hi) > len(m.lo) {
-		heapPushF(&m.lo, heapPopF(&m.hi, true), false)
-	}
+	i, _ := slices.BinarySearch(m.s, x)
+	m.s = slices.Insert(m.s, i, x)
 }
 
-func (m *runningMedian) median() float64 { return m.lo[0] }
-
-func fLess(a, b float64, min bool) bool {
-	if min {
-		return a < b
-	}
-	return a > b
-}
-
-func heapPushF(h *[]float64, x float64, min bool) {
-	s := append(*h, x)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !fLess(s[i], s[p], min) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func heapPopF(h *[]float64, min bool) float64 {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= len(s) {
-			break
-		}
-		least := l
-		if r := l + 1; r < len(s) && fLess(s[r], s[l], min) {
-			least = r
-		}
-		if !fLess(s[least], s[i], min) {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-	*h = s
-	return top
-}
+func (m *runningMedian) median() float64 { return m.s[(len(m.s)-1)/2] }
 
 // NewTaskTracker creates a tracker over the simulation engine. The zero
 // configs disable speculation and preemption.
@@ -614,19 +538,9 @@ func (t *TaskTracker) spawn(task *trackedTask, node int, backup bool) {
 		att.progress = 1
 		att.end = p.Engine().Now()
 		att.finished = true
-		if task.settled {
-			// Photo finish: a sibling settled the task while this attempt
-			// was past its last park point. Discard quietly.
-			if err == nil && task.spec.Discard != nil {
-				task.spec.Discard(v)
-			}
-			t.closeAttemptSpan(att, "photo-finish")
-			t.discardOutputs(task, att)
-			t.releaseSlot(task, att, node)
-			holding = false
-			att.done = true
-			return
-		}
+		// The task is still unsettled: nothing settles a task under a live
+		// attempt but its winner, which cancels every sibling, and a
+		// cancelled attempt unwinds at its next park instead of getting here.
 		t.settle(task)
 		t.cancelSiblings(task, att)
 		if err == nil {
@@ -714,7 +628,7 @@ func (t *TaskTracker) discardOutputs(task *trackedTask, att *Attempt) {
 
 // releaseSlot hands an attempt's slot back, accruing its occupancy to the
 // owning job's slot-second integral. Every started attempt passes through
-// here exactly once (win, photo finish, failure or kill unwind).
+// here exactly once (win, failure or kill unwind).
 func (t *TaskTracker) releaseSlot(task *trackedTask, att *Attempt, node int) {
 	if att.started {
 		t.slotSec[task.spec.Handle] += t.eng.Now() - att.start
@@ -833,7 +747,7 @@ func (t *TaskTracker) NodeUp(node int) {
 }
 
 // requeue respawns a task whose every attempt died with its node. The
-// retry counter is capped by the spec's MaxRetries — past the cap the
+// retry counter is capped at maxRetries — past the cap the
 // task fails permanently instead of chasing a flapping node forever —
 // and from the second retry on the respawn backs off exponentially
 // (2s, 4s, ... capped at 16s), re-picking the replacement node when the
@@ -842,7 +756,7 @@ func (t *TaskTracker) NodeUp(node int) {
 // it did before the cap existed.
 func (t *TaskTracker) requeue(task *trackedTask, node int) {
 	task.retries++
-	if max := maxRetries(task.spec); max >= 0 && task.retries > max {
+	if task.retries > maxRetries {
 		t.stats.PermanentFails++
 		t.failTask(task, fmt.Errorf(
 			"sched: task %s failed permanently after %d node-failure retries", task.spec.Name, task.retries-1))
@@ -1032,9 +946,9 @@ func (t *TaskTracker) compactTasks() {
 }
 
 // recycleAttempts returns a settled task's attempts to the free list,
-// provided every one of them has fully unwound (a late photo-finisher or
-// a still-unwinding kill keeps the whole set alive — it will simply be
-// collected by the GC instead).
+// provided every one of them has fully unwound (a still-unwinding kill
+// keeps the whole set alive — it will simply be collected by the GC
+// instead).
 func (t *TaskTracker) recycleAttempts(task *trackedTask) {
 	for _, a := range task.attempts {
 		if !a.done {
@@ -1190,14 +1104,4 @@ func (t *TaskTracker) preempt() {
 		}
 		t.spawn(vtask, vtask.spec.Node, false)
 	}
-}
-
-// median returns the lower-middle element — deterministic and robust for
-// the small samples the monitor sees. The incremental runningMedian
-// replaced it on the tick path; it remains as the reference the
-// equivalence test checks runningMedian against.
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[(len(s)-1)/2]
 }

@@ -8,21 +8,30 @@ import (
 	"github.com/datampi/datampi-go/internal/sim"
 )
 
-// TestPoolSizeMismatchPanics: a second caller asking for a different
-// perNode must not silently share the first caller's size.
-func TestPoolSizeMismatchPanics(t *testing.T) {
+// TestPoolSizeMismatchRefused: a second caller asking for a different
+// perNode must not silently share the first caller's size. PoolSet.Pool
+// refuses it with nil, and JobControl.Pools turns that into an error that
+// names the pool and both widths, creating none of the kinds after it.
+func TestPoolSizeMismatchRefused(t *testing.T) {
 	ps := NewPoolSet(FIFO, 4)
-	ps.Pool("map", 4)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("mismatched Pool size did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "already sized") {
-			t.Fatalf("unhelpful panic: %v", r)
-		}
-	}()
-	ps.Pool("map", 2)
+	sp := ps.Pool("map", 4)
+	if got := ps.Pool("map", 2); got != nil {
+		t.Fatalf("mismatched Pool size shared a %d-slot pool", got.PerNode())
+	}
+	if ps.Pool("map", 4) != sp {
+		t.Fatal("a matching caller no longer gets the pool")
+	}
+	ctl := &JobControl{pools: ps}
+	pools, err := ctl.Pools(2, "map", "reduce")
+	if pools != nil || err == nil || !strings.Contains(err.Error(), `pool "map" is sized at 4 slots/node, this job wants 2`) {
+		t.Fatalf("Pools = %v, %v; want an error naming the pool and both widths", pools, err)
+	}
+	if _, ok := ps.Get("reduce"); ok {
+		t.Fatal("Pools created a kind after the mismatched one")
+	}
+	if pools, err := ctl.Pools(4, "map", "reduce"); err != nil || pools[0] != sp || pools[1].PerNode() != 4 {
+		t.Fatalf("Pools = %v, %v; want the map pool and a new 4-slot reduce pool", pools, err)
+	}
 }
 
 // TestPoolGrowGrantsWaiters widens a full pool and checks queued waiters
@@ -173,51 +182,66 @@ func TestStragglerBackupFirstFinisherWins(t *testing.T) {
 
 // TestBackupCancelledWhenOriginalWins flags a task as slow, then lets the
 // original finish first anyway: the backup must be cancelled and the
-// original's result delivered.
+// original's result delivered. In the second case the backup finishes at
+// the very instant the original does: the original's wake-up was queued
+// first, so it settles the task and the backup, cancelled while parked,
+// unwinds instead of delivering a second result.
 func TestBackupCancelledWhenOriginalWins(t *testing.T) {
-	eng, pool := trackerRig()
-	tr := NewTaskTracker(eng, SpeculationConfig{
-		Enabled:       true,
-		SlowFraction:  0.5,
-		MinRuntime:    1,
-		CheckInterval: 1,
-		MinCompleted:  3,
-	}, PreemptionConfig{})
-	h := &JobHandle{name: "job", weight: 1}
-	var winners []int
-	for i := 0; i < 8; i++ {
-		i := i
-		tr.Launch(TaskSpec{
-			Name: "task", Node: i, Pool: pool, Handle: h,
-			Group: "g", Restartable: true,
-			Body: func(p *sim.Proc, att *Attempt) (any, error) {
-				switch {
-				case att.Index() > 0:
-					p.Sleep(50) // backups are slower than the "straggler"
-				case att.Node() == 0:
-					p.Sleep(30) // slow-ish original, but it gets there first
-				default:
-					p.Sleep(10)
-				}
-				return i, nil
-			},
-			Done: func(p *sim.Proc, v any, att *Attempt) error {
-				if att.Index() == 0 {
-					winners = append(winners, v.(int))
-				}
-				return nil
-			},
+	for _, tc := range []struct {
+		name      string
+		backupEnd float64 // simulated time a backup's body returns
+	}{{"backup slower", 1e9}, {"same instant", 30}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, pool := trackerRig()
+			tr := NewTaskTracker(eng, SpeculationConfig{
+				Enabled:       true,
+				SlowFraction:  0.5,
+				MinRuntime:    1,
+				CheckInterval: 1,
+				MinCompleted:  3,
+			}, PreemptionConfig{})
+			h := &JobHandle{name: "job", weight: 1}
+			var winners []int
+			dones := 0
+			for i := 0; i < 8; i++ {
+				tr.Launch(TaskSpec{
+					Name: "task", Node: i, Pool: pool, Handle: h,
+					Group: "g", Restartable: true,
+					Body: func(p *sim.Proc, att *Attempt) (any, error) {
+						switch {
+						case att.Index() > 0:
+							// backups are no faster than the "straggler"
+							p.Sleep(min(50, tc.backupEnd-p.Engine().Now()))
+						case att.Node() == 0:
+							p.Sleep(30) // slow-ish original, but it gets there first
+						default:
+							p.Sleep(10)
+						}
+						return i, nil
+					},
+					Done: func(p *sim.Proc, v any, att *Attempt) error {
+						dones++
+						if att.Index() == 0 {
+							winners = append(winners, v.(int))
+						}
+						return nil
+					},
+				})
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(winners) != 8 || dones != 8 {
+				t.Fatalf("%d tasks won by their original attempt, %d Done calls; want 8 and 8", len(winners), dones)
+			}
+			st := tr.Stats()
+			if st.Backups != 1 || st.BackupWins != 0 || st.Kills != 1 {
+				t.Fatalf("stats = %+v, want the losing backup killed", st)
+			}
+			if eng.Now() != 30 {
+				t.Fatalf("drained at t=%v, want 30 (the original's finish)", eng.Now())
+			}
 		})
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(winners) != 8 {
-		t.Fatalf("only %d tasks won by their original attempt, want all 8", len(winners))
-	}
-	st := tr.Stats()
-	if st.Backups != 1 || st.BackupWins != 0 || st.Kills != 1 {
-		t.Fatalf("stats = %+v, want the losing backup killed", st)
 	}
 }
 

@@ -64,7 +64,7 @@ func (o *Outputs) Await(p *sim.Proc, k int) bool {
 
 // Stream opens a pipelined stream of out for producer when the engine's
 // transport pipelines and att is a first attempt (a backup's output only
-// matters if it wins the photo finish); nil means the producer writes its
+// matters if it beats the original); nil means the producer writes its
 // output as one lump, as it does on a nil edge.
 func (o *Outputs) Stream(att *sched.Attempt, producer int, out *Partitioned) *transport.Stream {
 	if o == nil || att.Backup() || !o.j.b.tp.Pipelined() {

@@ -117,14 +117,21 @@ type mark struct {
 	end  float64
 }
 
-// Admit is the submit prologue of a spec-driven job: a spec that
-// RejectInvalid turns away is not begun (ok false, done already called);
-// any other is begun.
-func (b *Base) Admit(spec *job.Spec, ctl *sched.JobControl, residentPerNode float64, done func(job.Result)) (j *Job, ok bool) {
+// Admit is the submit prologue of a spec-driven job. A spec that
+// RejectInvalid turns away is not begun, and neither is a job whose slot
+// pools (kinds, at perNode slots per node) an earlier job sized
+// differently: both are rejected uncharged (pools nil, done already
+// called). Any other job is begun and gets its pools, in kinds order.
+func (b *Base) Admit(spec *job.Spec, ctl *sched.JobControl, residentPerNode float64, done func(job.Result),
+	perNode int, kinds ...string) (j *Job, pools []*sched.SlotPool) {
 	if j := b.RejectInvalid(spec, done); j != nil {
-		return j, false
+		return j, nil
 	}
-	return b.Begin(spec.Name, ctl, residentPerNode), true
+	pools, err := ctl.Pools(perNode, kinds...)
+	if err != nil {
+		return b.Reject(spec.Name, err, done), nil
+	}
+	return b.Begin(spec.Name, ctl, residentPerNode), pools
 }
 
 // RejectInvalid is every engine's admission rule for a spec-driven job: a
@@ -170,7 +177,7 @@ func (b *Base) newJob(name string) *Job {
 	return &Job{b: b, Res: job.Result{Engine: b.name, Job: name, Phases: map[string]float64{}, Start: b.C.Eng.Now()}}
 }
 
-// Reject is Begin and Finish for a job that cannot start (no input): it
+// Reject is Begin and Finish for a job that cannot start: it
 // charges nothing, so there is nothing to release, and done (optional)
 // receives the failed result at once.
 func (b *Base) Reject(name string, err error, done func(job.Result)) *Job {

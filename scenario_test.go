@@ -242,3 +242,42 @@ func TestScenarioBadGrepPatternIsAnAccountedError(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioMixedSlotWidthsIsAnAccountedError: two DataMPI tenants whose
+// configs size the shared "dm-o" slot pool differently used to panic the
+// scenario. The later job is now refused before it is charged anything:
+// the earlier one completes, Report.Err names the pool and the width the
+// refused job wanted, and nothing stays allocated on the testbed.
+func TestScenarioMixedSlotWidthsIsAnAccountedError(t *testing.T) {
+	tb := datampi.NewTestbed(datampi.TestbedConfig{Scale: 1024, Seed: 3})
+	in := tb.GenerateText("/in", 256*datampi.MB, 1)
+	wide := datampi.DefaultConfig()
+	wide.TasksPerNode = 6
+	rep, err := datampi.NewScenario(tb,
+		datampi.Tenant("a", 1, datampi.New(tb.FS, datampi.DefaultConfig())),
+		datampi.Tenant("b", 1, datampi.New(tb.FS, wide)),
+		datampi.Arrive("a", 0, datampi.WordCount(tb.FS, in, "/out/a", 8)),
+		datampi.Arrive("b", 1, datampi.WordCount(tb.FS, in, "/out/b", 8)),
+	).Run()
+	if rep == nil {
+		t.Fatalf("no report: %v", err)
+	}
+	if len(rep.Jobs) != 2 || rep.Jobs[0].Result.Err != nil || rep.Jobs[1].Result.Err == nil {
+		t.Fatalf("job errors = %v / %v, want only b's job failed", rep.Jobs[0].Result.Err, rep.Jobs[1].Result.Err)
+	}
+	if rerr := rep.Err(); rerr == nil || !strings.Contains(rerr.Error(), `pool "dm-o"`) ||
+		!strings.Contains(rerr.Error(), "wants 6") {
+		t.Fatalf("Report.Err() = %v, want it to name the dm-o pool and the 6 slots/node b wanted", rerr)
+	}
+	if rep.Jobs[1].SlotSeconds != 0 {
+		t.Fatalf("the refused job was charged %.1f slot-seconds", rep.Jobs[1].SlotSeconds)
+	}
+	if len(datampi.ReadTextOutput(tb.FS, "/out/a")) == 0 {
+		t.Fatal("a's job wrote no output")
+	}
+	for i := 0; i < tb.Cluster.N(); i++ {
+		if used := tb.Cluster.Node(i).Mem.Used(); used != 0 {
+			t.Fatalf("node %d still has %.0f bytes allocated", i, used)
+		}
+	}
+}
