@@ -193,6 +193,24 @@ func TestWordCountAgreesAcrossEngines(t *testing.T) {
 	}
 }
 
+// BenchmarkCollectTinyTask is one WordCount map task over 32 KB of text,
+// the size of a tenants-mix task, into four partitions: its B/op is what
+// a small task allocates in the collector, slab blocks and sorted runs.
+func BenchmarkCollectTinyTask(b *testing.B) {
+	spec := WordCountSpec(nil, nil, "", 4)
+	spec.Normalize()
+	text := LDAWiki1W().GenerateText(23, 32<<10)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for b.Loop() {
+		coll := kv.NewPartitionCollector(spec.Reducers, 0, spec.Combine, spec.Part)
+		if _, _, err := spec.MapBlock(text, coll.Emit); err != nil {
+			b.Fatal(err)
+		}
+		coll.Finish()
+	}
+}
+
 func TestGrepAgreesAcrossEnginesAndRegexp(t *testing.T) {
 	fsys := freshFS(16*cluster.KB, 1)
 	in := GenerateTextFile(fsys, "/in", LDAWiki1W(), 5, 64*1024)

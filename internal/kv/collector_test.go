@@ -208,8 +208,10 @@ func TestCollectorMatchesOracle(t *testing.T) {
 // picks the key and value lengths and whether key bytes come from a
 // four-symbol alphabet (NUL, 'a', 'b', 0xff), which makes equal padded
 // prefixes and long shared prefixes likely. Values are decimal so that
-// SumCombiner applies.
-func fuzzRecords(data []byte) []Pair {
+// SumCombiner applies; those whose multiplier bits are both set are
+// left-padded with '0' to pad bytes, which is how slab records reach
+// every block size and the dedicated-block path.
+func fuzzRecords(data []byte, pad int) []Pair {
 	alphabet := [4]byte{0, 'a', 'b', 0xff}
 	var recs []Pair
 	for len(data) > 0 && len(recs) < 512 {
@@ -230,6 +232,9 @@ func fuzzRecords(data []byte) []Pair {
 		if ctl&0x40 != 0 && len(data) > 0 {
 			val = strconv.AppendInt(nil, int64(int8(data[0]))*int64(1+ctl>>4&3), 10)
 			data = data[1:]
+			if ctl&0x30 == 0x30 && pad > len(val) {
+				val = append(bytes.Repeat([]byte{'0'}, pad-len(val)), val...)
+			}
 		}
 		recs = append(recs, Pair{Key: key, Value: val})
 	}
@@ -237,17 +242,24 @@ func fuzzRecords(data []byte) []Pair {
 }
 
 func FuzzCollectorMatchesOracle(f *testing.F) {
-	f.Add([]byte{}, uint8(1), uint16(0), uint8(0))
-	f.Add([]byte("\xc1a\x05\xc2a\x00\x07\xc1a\x05\x81a\x41b\x09"), uint8(2), uint16(0), uint8(1))
-	f.Add([]byte("\xc9abababab\x00\x63\xc8abababab\x01\xc9ababababa\x02\xc8abababab\x01"), uint8(1), uint16(0), uint8(1))
-	f.Add([]byte("\x43the\x01\x43the\x01\x42of\x01\x43the\x01\x41a\x01\x42of\x01\x43the\x7f"), uint8(32), uint16(6), uint8(1))
-	f.Add([]byte("\x00\x00\x40\x05\x80\xc0\x09\x4f0123456789abcde\x11"), uint8(64), uint16(1), uint8(0))
-	f.Add(bytes.Repeat([]byte("\xcf\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x7e"), 40), uint8(7), uint16(64), uint8(1))
-	f.Add(bytes.Repeat([]byte("\x4cwordcountkey\x01\x48sortkeys\x02"), 64), uint8(5), uint16(300), uint8(0))
-	f.Add([]byte("\x43the\x09\x43the\x01\x42of\x01\x43the\x05\x41a\x01\x42of\x01\x43the\x7f"), uint8(3), uint16(9), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, bufferBytes uint16, arm uint8) {
+	f.Add([]byte{}, uint8(1), uint16(0), uint8(0), uint16(0))
+	f.Add([]byte("\xc1a\x05\xc2a\x00\x07\xc1a\x05\x81a\x41b\x09"), uint8(2), uint16(0), uint8(1), uint16(0))
+	f.Add([]byte("\xc9abababab\x00\x63\xc8abababab\x01\xc9ababababa\x02\xc8abababab\x01"), uint8(1), uint16(0), uint8(1), uint16(0))
+	f.Add([]byte("\x43the\x01\x43the\x01\x42of\x01\x43the\x01\x41a\x01\x42of\x01\x43the\x7f"), uint8(32), uint16(6), uint8(1), uint16(0))
+	f.Add([]byte("\x00\x00\x40\x05\x80\xc0\x09\x4f0123456789abcde\x11"), uint8(64), uint16(1), uint8(0), uint16(0))
+	f.Add(bytes.Repeat([]byte("\xcf\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x7e"), 40), uint8(7), uint16(64), uint8(1), uint16(0))
+	f.Add(bytes.Repeat([]byte("\x4cwordcountkey\x01\x48sortkeys\x02"), 64), uint8(5), uint16(300), uint8(0), uint16(0))
+	f.Add([]byte("\x43the\x09\x43the\x01\x42of\x01\x43the\x05\x41a\x01\x42of\x01\x43the\x7f"), uint8(3), uint16(9), uint8(2), uint16(0))
+	// Values of 2-20 KB: slab blocks of every size, and records of 16 KB
+	// or more in blocks of their own, with and without spills between.
+	f.Add(bytes.Repeat([]byte("\x72k1\x05\x42ab\x01\x72k2\x07\x41c\x03"), 24), uint8(4), uint16(0), uint8(0), uint16(2500))
+	f.Add(bytes.Repeat([]byte("\x71a\x05\x71b\x06\x42ab\x01\x71a\x15"), 24), uint8(3), uint16(0), uint8(1), uint16(3000))
+	f.Add(bytes.Repeat([]byte("\x42ab\x01\x41c\x02\x73big\x09\x43the\x01"), 8), uint8(2), uint16(0), uint8(2), uint16(16500))
+	f.Add(bytes.Repeat([]byte("\x71x\x04\x42of\x01\x72yy\x08"), 12), uint8(5), uint16(30000), uint8(0), uint16(20000))
+	f.Add(bytes.Repeat([]byte("\x71x\x04\x41a\x01\x71z\x7f"), 40), uint8(1), uint16(9000), uint8(1), uint16(2048))
+	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, bufferBytes uint16, arm uint8, pad uint16) {
 		comb := combinerArms[int(arm)%len(combinerArms)].combine
-		checkAgainstOracle(t, fuzzRecords(data), 1+int(nParts)%64, int(bufferBytes), comb)
+		checkAgainstOracle(t, fuzzRecords(data, int(pad)), 1+int(nParts)%64, int(bufferBytes), comb)
 	})
 }
 

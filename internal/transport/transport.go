@@ -58,8 +58,8 @@ type Profile struct {
 	ZeroCopyThresholdBytes float64
 
 	// Pipelined marks map-output blocks fetchable as they commit
-	// (block granularity PipelineBlockBytes, a multiple of the
-	// kv.Arena block size) so fetch overlaps map compute.
+	// (every PipelineBlockBytes of nominal output, a modelled block
+	// with no host buffer behind it) so fetch overlaps map compute.
 	Pipelined          bool
 	PipelineBlockBytes float64
 }
@@ -115,7 +115,7 @@ func DataMPIProfile() Profile {
 		ZeroCopy:                true,
 		ZeroCopyThresholdBytes:  512,
 		Pipelined:               true,
-		PipelineBlockBytes:      4 * 1024 * 1024, // 64 kv.Arena blocks
+		PipelineBlockBytes:      4 * 1024 * 1024, // nominal bytes per committed block
 	}
 }
 
