@@ -77,7 +77,7 @@ func NBTermFreqSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Sp
 			}
 		},
 		Combine:         kv.SumCombiner,
-		Reduce:          SumReduce,
+		Reduce:          kv.SumReducer,
 		MapCPUFactor:    BayesCPUFactor,
 		EngineCPUFactor: bayesEngineFactors,
 	}
@@ -108,7 +108,7 @@ func NBLabelTermSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.S
 			}
 		},
 		Combine:         kv.SumCombiner,
-		Reduce:          SumReduce,
+		Reduce:          kv.SumReducer,
 		MapCPUFactor:    BayesCPUFactor,
 		EngineCPUFactor: bayesEngineFactors,
 	}
@@ -127,7 +127,7 @@ func NBLabelCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.
 			emit(label, one)
 		},
 		Combine:      kv.SumCombiner,
-		Reduce:       SumReduce,
+		Reduce:       kv.SumReducer,
 		MapCPUFactor: 1.0,
 	}
 }
@@ -274,7 +274,7 @@ func NBClassifySpec(fsys *dfs.FS, in *dfs.File, out string, m *NBModel, reducers
 			emit([]byte(string(label)+"->"+pred), one)
 		},
 		Combine:         kv.SumCombiner,
-		Reduce:          SumReduce,
+		Reduce:          kv.SumReducer,
 		MapCPUFactor:    BayesCPUFactor,
 		EngineCPUFactor: bayesEngineFactors,
 	}

@@ -26,15 +26,6 @@ const (
 	BayesCPUFactor     = 3.0
 )
 
-// SumReduce adds the integer values per key (WordCount/Grep reducer).
-func SumReduce(key []byte, values [][]byte) []kv.Pair {
-	var sum int64
-	for _, v := range values {
-		sum += kv.ParseInt(v)
-	}
-	return []kv.Pair{{Key: key, Value: kv.FormatInt(sum)}}
-}
-
 // WordCountSpec builds the WordCount micro-benchmark: tokenize lines,
 // count occurrences per word, with a map-side combiner.
 func WordCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Spec {
@@ -47,7 +38,7 @@ func WordCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Spe
 			}
 		},
 		Combine:      kv.SumCombiner,
-		Reduce:       SumReduce,
+		Reduce:       kv.SumReducer,
 		MapCPUFactor: WordCountCPUFactor,
 	}
 }
@@ -87,7 +78,7 @@ func GrepSpec(fsys *dfs.FS, in *dfs.File, out, pattern string, reducers int) job
 		Name: "Grep", FS: fsys, Input: in, InputFormat: job.Text,
 		Output: out, Reducers: reducers,
 		Combine:      kv.SumCombiner,
-		Reduce:       SumReduce,
+		Reduce:       kv.SumReducer,
 		MapCPUFactor: GrepCPUFactor,
 	}
 	re, err := regexp.Compile(pattern)

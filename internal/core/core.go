@@ -492,8 +492,8 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	// Every run is one O task's partition, which its collector already
 	// sorted, so the A side merges the runs rather than sorting their
 	// concatenation.
-	reduced := buf.MergeReduce(spec, runs, cfg.CPUPerByteA, cfg.CPUPerByteSort, cfg.CPUPerRecord,
+	text, records := buf.MergeReduce(spec, runs, cfg.CPUPerByteA, cfg.CPUPerByteSort, cfg.CPUPerRecord,
 		func(cpuSec float64) float64 { return cfg.OverheadFactor * cpuSec })
-	res.OutRecords += int64(len(reduced))
-	return e.WritePart(p, att, spec.Output, fmt.Sprintf("part-a-%05d", a), spec.EmitScale(), reduced)
+	res.OutRecords += int64(records)
+	return e.WritePart(p, att, spec.Output, fmt.Sprintf("part-a-%05d", a), spec.EmitScale(), text)
 }

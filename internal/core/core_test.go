@@ -49,14 +49,8 @@ func wcSpec(fs *dfs.FS, in *dfs.File, out string, reducers int) job.Spec {
 				emit(w, []byte("1"))
 			}
 		},
-		Combine: kv.SumCombiner,
-		Reduce: func(key []byte, values [][]byte) []kv.Pair {
-			var sum int64
-			for _, v := range values {
-				sum += kv.ParseInt(v)
-			}
-			return []kv.Pair{{Key: key, Value: kv.FormatInt(sum)}}
-		},
+		Combine:      kv.SumCombiner,
+		Reduce:       kv.SumReducer,
 		MapCPUFactor: 3.5,
 	}
 }

@@ -178,6 +178,8 @@ type Result struct {
 	// "stage0", "stage1", ...) to their durations.
 	Phases     map[string]float64
 	OutputFile *dfs.File
+	// OutRecords counts the reduce output records of an mr or core job,
+	// written or not (Output ""). rdd leaves it 0.
 	OutRecords int64
 	// Counters holds engine execution statistics: task counts, locality,
 	// shuffle volume (nominal bytes), spills — the observability surface
@@ -247,8 +249,19 @@ func (s *Spec) MapBlock(data []byte, emit Emit) (records, inflated int, err erro
 	return rd.Records(), rd.Inflated(), rd.Err()
 }
 
-// EncodeTextOutput renders reduced pairs the way Hadoop's TextOutputFormat
-// does: "key\tvalue\n" (empty values render as just the key).
+// AppendTextLine appends one line the way Hadoop's TextOutputFormat
+// writes it to dst: "key\tvalue\n", or "key\n" for an empty value.
+func AppendTextLine(dst, key, value []byte) []byte {
+	dst = append(dst, key...)
+	if len(value) > 0 {
+		dst = append(dst, '\t')
+		dst = append(dst, value...)
+	}
+	return append(dst, '\n')
+}
+
+// EncodeTextOutput renders pairs as AppendTextLine lines into a buffer of
+// their exact size.
 func EncodeTextOutput(pairs []kv.Pair) []byte {
 	size := 0
 	for _, p := range pairs {
@@ -259,12 +272,7 @@ func EncodeTextOutput(pairs []kv.Pair) []byte {
 	}
 	buf := make([]byte, 0, size)
 	for _, p := range pairs {
-		buf = append(buf, p.Key...)
-		if len(p.Value) > 0 {
-			buf = append(buf, '\t')
-			buf = append(buf, p.Value...)
-		}
-		buf = append(buf, '\n')
+		buf = AppendTextLine(buf, p.Key, p.Value)
 	}
 	return buf
 }

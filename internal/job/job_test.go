@@ -112,13 +112,7 @@ func TestRunSequentialMatchesByHand(t *testing.T) {
 				emit(w, []byte("1"))
 			}
 		},
-		Reduce: func(key []byte, values [][]byte) []kv.Pair {
-			var n int64
-			for _, v := range values {
-				n += kv.ParseInt(v)
-			}
-			return []kv.Pair{{Key: key, Value: kv.FormatInt(n)}}
-		},
+		Reduce: kv.SumReducer,
 	}
 	out, err := RunSequential(spec)
 	if err != nil {

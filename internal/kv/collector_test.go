@@ -548,25 +548,18 @@ func BenchmarkMergeRuns(b *testing.B) {
 // BenchmarkMergeReduce is the WordCount reduce tail two ways: the
 // grouping merge, and GroupReduce over the flat merge it replaced.
 func BenchmarkMergeReduce(b *testing.B) {
-	sum := func(key []byte, values [][]byte) []Pair {
-		var n int64
-		for _, v := range values {
-			n += ParseInt(v)
-		}
-		return []Pair{{Key: key, Value: FormatInt(n)}}
-	}
 	for _, k := range []int{2, 8, 32, 128} {
 		runs := reducerRuns(k)
 		b.Run("grouped/"+strconv.Itoa(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				MergeReduce(runs, sum)
+				MergeReduce(runs, SumReducer)
 			}
 		})
 		b.Run("flat/"+strconv.Itoa(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				GroupReduce(MergeRuns(runs), sum)
+				GroupReduce(MergeRuns(runs), SumReducer)
 			}
 		})
 	}

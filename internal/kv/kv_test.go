@@ -141,13 +141,7 @@ func TestGroupReduceSums(t *testing.T) {
 		{Key: []byte("a"), Value: []byte("2")},
 		{Key: []byte("b"), Value: []byte("5")},
 	}
-	out := GroupReduce(input, func(key []byte, values [][]byte) []Pair {
-		var sum int64
-		for _, v := range values {
-			sum += ParseInt(v)
-		}
-		return []Pair{{Key: key, Value: FormatInt(sum)}}
-	})
+	out := GroupReduce(input, SumReducer)
 	if len(out) != 2 {
 		t.Fatalf("got %d groups, want 2", len(out))
 	}

@@ -31,6 +31,16 @@ func SumCombiner(key []byte, values [][]byte) [][]byte {
 	return values[:1]
 }
 
+// SumReducer adds decimal-encoded integer values into one pair per key —
+// the WordCount reducer.
+func SumReducer(key []byte, values [][]byte) []Pair {
+	total := int64(0)
+	for _, v := range values {
+		total += parseInt(v)
+	}
+	return []Pair{{Key: key, Value: AppendInt(nil, total)}}
+}
+
 func parseInt(b []byte) int64 {
 	neg := false
 	i := 0

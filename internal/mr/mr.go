@@ -18,7 +18,6 @@ import (
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
-	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
 	"github.com/datampi/datampi-go/internal/taskrt"
@@ -203,8 +202,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 					// tracker right after Done), then the task memory the
 					// body handed off is released, then the counter.
 					if out, ok := v.(*reduceOut); ok {
-						res.OutRecords += int64(len(out.reduced))
-						werr := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-r-%05d", ri), spec.EmitScale(), out.reduced)
+						res.OutRecords += int64(out.records)
+						werr := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-r-%05d", ri), spec.EmitScale(), out.text)
 						out.release()
 						if werr != nil {
 							return werr
@@ -314,17 +313,19 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 }
 
 // reduceOut is a finished reduce body's result, handed to the winning
-// attempt's Done: the reduced pairs plus a release callback freeing the
-// task's memory (shuffle buffer now, JVM heap lazily) — deferred past the
-// output write exactly as the pre-tracker task body did.
+// attempt's Done: the part file's text and its record count, plus a
+// release callback freeing the task's memory (shuffle buffer now, JVM heap
+// lazily) — deferred past the output write exactly as the pre-tracker task
+// body did.
 type reduceOut struct {
-	reduced []kv.Pair
+	text    []byte
+	records int
 	release func()
 }
 
 // runReduceTask pulls every map's partition into the shuffle buffer
 // (spilling when it overflows), merges and applies the reduce function and
-// returns the reduced pairs for the winner's Done to commit. Aborting
+// returns the encoded output for the winner's Done to commit. Aborting
 // because the job failed returns (nil, nil) — untyped nil, so Done skips
 // the write. The body is restartable: map outputs persist on the edge, and
 // its memory is released on every path — by Done after a completed run
@@ -359,8 +360,8 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 	}
 	att.Report(0.8)
 
-	reduced := buf.MergeReduce(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
+	text, records := buf.MergeReduce(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
 		func(cpuSec float64) float64 { return e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC) })
 	handoff = true
-	return &reduceOut{reduced: reduced, release: release}, nil
+	return &reduceOut{text: text, records: records, release: release}, nil
 }

@@ -487,8 +487,10 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		wg.WaitAs(p, "disk")
 		if isLast {
 			att.Report(0.9)
-			if err := e.WritePart(p, att, outPath, fmt.Sprintf("part-%05d", taskIdx), outScale, pairs); err != nil {
-				return nil, err
+			if outPath != "" {
+				if err := e.WritePart(p, att, outPath, fmt.Sprintf("part-%05d", taskIdx), outScale, job.EncodeTextOutput(pairs)); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return partData{pairs: pairs, nominal: outNominal, node: node}, nil

@@ -52,14 +52,8 @@ func wcSpec(fs *dfs.FS, in *dfs.File, out string, reducers int) job.Spec {
 				emit(w, []byte("1"))
 			}
 		},
-		Combine: kv.SumCombiner,
-		Reduce: func(key []byte, values [][]byte) []kv.Pair {
-			var sum int64
-			for _, v := range values {
-				sum += kv.ParseInt(v)
-			}
-			return []kv.Pair{{Key: key, Value: kv.FormatInt(sum)}}
-		},
+		Combine:      kv.SumCombiner,
+		Reduce:       kv.SumReducer,
 		MapCPUFactor: 3.5,
 	}
 }
@@ -488,16 +482,9 @@ func TestStageNamesPastNine(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	in := fs.PreloadAligned("/in", genText(15, 32*1024), '\n')
 	spec := wcSpec(fs, in, "", 4)
-	sum := func(key []byte, values [][]byte) []kv.Pair {
-		var n int64
-		for _, v := range values {
-			n += kv.ParseInt(v)
-		}
-		return []kv.Pair{{Key: key, Value: kv.FormatInt(n)}}
-	}
 	chain := eng.TextFile(in).FlatMapKV(spec.Map, 1)
 	for i := 0; i < 10; i++ {
-		chain = chain.ReduceByKey(kv.SumCombiner, sum, 4)
+		chain = chain.ReduceByKey(kv.SumCombiner, kv.SumReducer, 4)
 	}
 	_, res := chain.Collect()
 	if res.Err != nil {
@@ -550,13 +537,6 @@ func TestNarrowChainCopiesWhatMapFunctionsReuse(t *testing.T) {
 		emit(buf, v)
 	}
 	notBeta := func(p kv.Pair) bool { return !bytes.HasPrefix(p.Key, []byte("beta")) }
-	sum := func(key []byte, values [][]byte) []kv.Pair {
-		var n int64
-		for _, v := range values {
-			n += kv.ParseInt(v)
-		}
-		return []kv.Pair{{Key: key, Value: kv.FormatInt(n)}}
-	}
 	want := map[string]int64{}
 	for _, w := range bytes.Fields(data) {
 		if !bytes.Equal(w, []byte("beta")) {
@@ -568,7 +548,7 @@ func TestNarrowChainCopiesWhatMapFunctionsReuse(t *testing.T) {
 		"flat-map last": eng.TextFile(in).FlatMapKV(words, 1).Filter(notBeta).FlatMapKV(double, 1),
 	}
 	for name, chain := range chains {
-		counted, res := chain.ReduceByKey(kv.SumCombiner, sum, 4).Collect()
+		counted, res := chain.ReduceByKey(kv.SumCombiner, kv.SumReducer, 4).Collect()
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}

@@ -3,6 +3,7 @@ package taskrt
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
@@ -27,10 +28,10 @@ func Framed(part []kv.Pair, scale float64) float64 {
 	return float64(b) * scale
 }
 
-// mergeSeam, when set, sees every set of runs before MergeRuns or
-// MergeReduce merges it. Both merges require each run sorted; the engine
-// tests set it (through MergeSeam) to assert that of every run an engine
-// hands over.
+// mergeSeam, when set, sees every set of runs before MergeRuns,
+// MergeReduce or Buffer.MergeReduce merges it. Every merge requires each
+// run sorted; the engine tests set it (through MergeSeam) to assert that
+// of every run an engine hands over.
 var mergeSeam func(runs [][]kv.Pair)
 
 // MergeRuns merges sorted runs into one sorted run.
@@ -42,7 +43,8 @@ func MergeRuns(runs [][]kv.Pair) []kv.Pair {
 }
 
 // MergeReduce merges sorted runs and reduces each key's group as it
-// meets it: kv.GroupReduce over MergeRuns, without the merged slice.
+// meets it: kv.GroupReduce over MergeRuns, without the merged slice. It
+// is rdd's wide-dependency merge, whose pairs stay pairs.
 func MergeReduce(runs [][]kv.Pair, reduce kv.Reducer) []kv.Pair {
 	if mergeSeam != nil {
 		mergeSeam(runs)
@@ -51,7 +53,7 @@ func MergeReduce(runs [][]kv.Pair, reduce kv.Reducer) []kv.Pair {
 }
 
 // MergeSeam is where a test installs the check that sees the runs handed
-// to MergeRuns and MergeReduce (and so to Buffer.MergeReduce).
+// to MergeRuns, MergeReduce and Buffer.MergeReduce.
 func MergeSeam() *func(runs [][]kv.Pair) { return &mergeSeam }
 
 // Partitioned is a map-side task's output: one sorted run per consumer,
@@ -220,16 +222,24 @@ func (rb *Buffer) Release() {
 	}
 }
 
+// textPool holds the reduce tail's line buffer between tasks. A buffer
+// grown past maxPooledText is left to the collector rather than pinned.
+var textPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledText = 4 << 20
+
 // MergeReduce is the reduce side's tail: the spilled runs come back from
 // disk while the task pays CPU for every nominal byte buffered — perByte
 // scaled by the spec's reduce factor, plus perByteSort — and perRecord for
 // every nominal record in runs, with overhead(cpuSec) of background work
-// beside it; then it merges runs (each one sorted) and the spec's reducer
-// runs over the key groups as the merge meets them. The defaulted
-// identity reducer would re-emit the merged run, so that is returned
-// instead.
+// beside it. Then it merges runs (each one sorted) and renders each key
+// group as the merge meets it, as text output lines (job.AppendTextLine):
+// every value under the key for the defaulted identity reducer, the
+// spec's reducer's pairs otherwise. It returns the lines in a buffer of
+// their exact size and the number of output records. A spec with no
+// Output gets nil text and the same count.
 func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort, perRecord float64,
-	overhead func(cpuSec float64) float64) []kv.Pair {
+	overhead func(cpuSec float64) float64) (text []byte, records int) {
 	b, total := rb.b, rb.buffered+rb.spilled
 	var wg sim.WaitGroup
 	if rb.spilled > 0 {
@@ -243,12 +253,45 @@ func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByte
 	}
 	// Intermediate record counts follow the same saturation rule as
 	// intermediate bytes.
-	records := float64(n) * spec.EmitScale()
-	cpuSec := spec.CPUAdjust(b.name) * (perByte*spec.ReduceCPUFactor*total + perByteSort*total + perRecord*records)
+	nominalRecords := float64(n) * spec.EmitScale()
+	cpuSec := spec.CPUAdjust(b.name) * (perByte*spec.ReduceCPUFactor*total + perByteSort*total + perRecord*nominalRecords)
 	b.StartCPU(&wg, rb.node, cpuSec, overhead(cpuSec))
 	wg.WaitAs(rb.p, "disk")
-	if spec.HasIdentityReduce() {
-		return MergeRuns(runs)
+
+	if mergeSeam != nil {
+		mergeSeam(runs)
 	}
-	return MergeReduce(runs, spec.Reduce)
+	identity, encode := spec.HasIdentityReduce(), spec.Output != ""
+	if identity {
+		records = n
+		if !encode {
+			return nil, records
+		}
+	}
+	bp := textPool.Get().(*[]byte)
+	lines := (*bp)[:0]
+	kv.MergeGroups(runs, func(key []byte, values [][]byte) {
+		if identity {
+			for _, v := range values {
+				lines = job.AppendTextLine(lines, key, v)
+			}
+			return
+		}
+		out := spec.Reduce(key, values)
+		records += len(out)
+		if encode {
+			for _, p := range out {
+				lines = job.AppendTextLine(lines, p.Key, p.Value)
+			}
+		}
+	})
+	if len(lines) > 0 {
+		text = make([]byte, len(lines))
+		copy(text, lines)
+	}
+	if cap(lines) <= maxPooledText {
+		*bp = lines[:0]
+		textPool.Put(bp)
+	}
+	return text, records
 }

@@ -2,7 +2,6 @@ package taskrt
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -323,13 +322,6 @@ func TestReduceSide(t *testing.T) {
 		{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("c"), Value: []byte("2")}},
 		{{Key: []byte("a"), Value: []byte("3")}, {Key: []byte("b"), Value: []byte("4")}},
 	}
-	sum := func(key []byte, values [][]byte) []kv.Pair {
-		var n int64
-		for _, v := range values {
-			n += kv.ParseInt(v)
-		}
-		return []kv.Pair{{Key: key, Value: kv.FormatInt(n)}}
-	}
 	const fetched = 96 * cluster.MB
 	for _, tc := range []struct {
 		name                         string
@@ -348,17 +340,18 @@ func TestReduceSide(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, b := testBase()
 			b.Prof = metrics.NewProfiler(c, 1)
-			spec := job.Spec{FS: b.FS, Reduce: sum, ReduceCPUFactor: 2, EngineCPUFactor: map[string]float64{"test": 1.5}}
+			spec := job.Spec{FS: b.FS, Output: "/out", Reduce: kv.SumReducer, ReduceCPUFactor: 2, EngineCPUFactor: map[string]float64{"test": 1.5}}
 			spec.Normalize()
 			var gotCPU, gotOverhead, secs float64
-			var got []kv.Pair
+			var got []byte
+			var records int
 			runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
 				buf := b.Buffer(p, 3, tc.cap, nil)
 				buf.Add(fetched / 2)
 				buf.Add(fetched / 2)
 				start := c.Eng.Now()
 				rule := tc.overhead(b, 3)
-				got = buf.MergeReduce(&spec, runs, tc.perByte, tc.perByteSort, tc.perRec, func(cpu float64) float64 {
+				got, records = buf.MergeReduce(&spec, runs, tc.perByte, tc.perByteSort, tc.perRec, func(cpu float64) float64 {
 					gotCPU, gotOverhead = cpu, rule(cpu)
 					return gotOverhead
 				})
@@ -380,9 +373,136 @@ func TestReduceSide(t *testing.T) {
 			if want := max(gotCPU, gotOverhead, readBack); math.Abs(secs-want) > 1e-9*want {
 				t.Fatalf("took %v s, want %v (cpu %v, overhead %v, read-back %v)", secs, want, gotCPU, gotOverhead, readBack)
 			}
-			if want := `["a"="4" "b"="4" "c"="2"]`; fmt.Sprint(got) != want {
-				t.Fatalf("reduced %v, want %v", got, want)
+			if want := "a\t4\nb\t4\nc\t2\n"; string(got) != want || records != 3 {
+				t.Fatalf("reduced %q (%d records), want %q (3)", got, records, want)
 			}
 		})
 	}
+}
+
+// tailKeys is the key alphabet of tailRuns: the empty key, keys that tie
+// on their padded 8-byte prefix ("a" and "a\x00"), and keys past it.
+var tailKeys = []string{"", "a", "a\x00", "ab", "b", "abababab", "abababab\x00", "ababababb"}
+
+// tailRec is one record of a tailRuns input: its run, its key (an index
+// into tailKeys) and its value byte.
+type tailRec struct{ run, key, val byte }
+
+func encodeTailRuns(nRuns byte, recs ...tailRec) []byte {
+	out := []byte{nRuns}
+	for _, r := range recs {
+		out = append(out, r.run, r.key, r.val)
+	}
+	return out
+}
+
+// tailRuns decodes fuzz input into 0-4 runs, each sorted under
+// kv.Compare. The first byte is the run count; each record is three
+// bytes: run, key and value. A value byte divisible by 4 is the empty
+// value; any other renders as a decimal 0-7, so values recur across runs.
+func tailRuns(data []byte) [][]kv.Pair {
+	if len(data) == 0 {
+		return nil
+	}
+	runs := make([][]kv.Pair, int(data[0])%5)
+	for data = data[1:]; len(runs) > 0 && len(data) >= 3 && len(data) < 3*512; data = data[3:] {
+		val := []byte{}
+		if data[2]%4 != 0 {
+			val = kv.AppendInt(nil, int64(data[2]>>2)%8)
+		}
+		r := int(data[0]) % len(runs)
+		runs[r] = append(runs[r], kv.Pair{Key: []byte(tailKeys[int(data[1])%len(tailKeys)]), Value: val})
+	}
+	for _, r := range runs {
+		kv.SortPairs(r)
+	}
+	return runs
+}
+
+// tailReducers are the reduce functions FuzzReduceTailMatchesOracle picks
+// from: the defaulted identity, the WordCount sum, and one that emits
+// nothing for some keys and several pairs, one with an empty value, for
+// the others.
+var tailReducers = []kv.Reducer{
+	nil,
+	kv.SumReducer,
+	func(key []byte, values [][]byte) []kv.Pair {
+		if len(key)%2 == 0 {
+			return nil
+		}
+		return []kv.Pair{{Key: key, Value: bytes.Join(values, []byte(","))}, {Key: key}}
+	},
+}
+
+// FuzzReduceTailMatchesOracle holds Buffer.MergeReduce to the pair tail
+// it replaced: job.EncodeTextOutput over kv.GroupReduce over kv.MergeRuns
+// (MergeRuns alone for the identity reducer), byte for byte, with that
+// tail's record count; nil text and the same count for a spec with no
+// Output. A second call, rendering other lines, must leave the first
+// call's text as it was: the lines are copied out of the pooled buffer.
+func FuzzReduceTailMatchesOracle(f *testing.F) {
+	f.Add([]byte{}, uint8(0), true)
+	f.Add(encodeTailRuns(3), uint8(1), true) // runs, all empty
+	// Empty values render as key-only lines; the empty key, as lines that
+	// start with their tab or are empty.
+	f.Add(encodeTailRuns(2, tailRec{0, 1, 0}, tailRec{1, 1, 5}, tailRec{1, 0, 0}, tailRec{0, 0, 9}), uint8(0), true)
+	// Equal keys across runs, "a" and "a\x00" tying on their prefix,
+	// later runs holding smaller values; one run left empty.
+	equal := encodeTailRuns(4, tailRec{0, 1, 29}, tailRec{1, 1, 5}, tailRec{2, 2, 9}, tailRec{1, 2, 13},
+		tailRec{0, 5, 6}, tailRec{2, 6, 6}, tailRec{1, 5, 1}, tailRec{2, 7, 0}, tailRec{0, 7, 2})
+	for r := range uint8(len(tailReducers)) {
+		f.Add(equal, r, true)
+		f.Add(equal, r, false) // no Output: nil text, same count
+	}
+	f.Fuzz(func(t *testing.T, data []byte, reducer uint8, output bool) {
+		runs := tailRuns(data)
+		spec := job.Spec{Reduce: tailReducers[int(reducer)%len(tailReducers)]}
+		if output {
+			spec.Output = "/out"
+		}
+		spec.Normalize()
+		var clones [][]kv.Pair
+		for _, r := range runs {
+			c := make([]kv.Pair, len(r))
+			for i, pr := range r {
+				c[i] = pr.Clone()
+			}
+			clones = append(clones, c)
+		}
+		want := kv.MergeRuns(clones)
+		if !spec.HasIdentityReduce() {
+			want = kv.GroupReduce(want, spec.Reduce)
+		}
+		var wantText []byte
+		if output {
+			wantText = job.EncodeTextOutput(want)
+		}
+
+		seen := 0
+		defer func(prev func([][]kv.Pair)) { mergeSeam = prev }(mergeSeam)
+		mergeSeam = func([][]kv.Pair) { seen++ }
+		c, b := testBase()
+		var text, other []byte
+		var records int
+		runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
+			buf := b.Buffer(p, 3, math.Inf(1), nil)
+			none := func(float64) float64 { return 0 }
+			text, records = buf.MergeReduce(&spec, runs, 0, 0, 0, none)
+			sort := job.Spec{Output: "/out"}
+			sort.Normalize()
+			other, _ = buf.MergeReduce(&sort, [][]kv.Pair{{{Key: []byte("~~~~"), Value: []byte("~")}}}, 0, 0, 0, none)
+		})
+		if seen != 2 {
+			t.Fatalf("merge seam saw %d sets of runs, want 2", seen)
+		}
+		if !bytes.Equal(text, wantText) || (text == nil) != (len(wantText) == 0) || cap(text) != len(text) {
+			t.Fatalf("text %q (cap %d), want %q", text, cap(text), wantText)
+		}
+		if records != len(want) {
+			t.Fatalf("%d records, want %d", records, len(want))
+		}
+		if string(other) != "~~~~\t~\n" {
+			t.Fatalf("second call's text %q", other)
+		}
+	})
 }

@@ -13,9 +13,10 @@
 //     internal/sched and Job.Wait the driver's barrier;
 //   - map side and reduce side: MapBlock / Collect size a task's
 //     partitioned output (framed bytes once, in one form), and
-//     Buffer.MergeReduce is the reduce tail — spilled read-back, the
-//     three-term CPU charge, then a merge that reduces each key group as
-//     it meets it;
+//     Buffer.MergeReduce is mr's and core's reduce tail — spilled
+//     read-back, the three-term CPU charge, then a merge that reduces each
+//     key group as it meets it and renders it straight into the part
+//     file's text;
 //   - shuffle edge: Outputs is the disk-materialized edge of mr and rdd.
 //     Producers publish to it in Done order; it holds their pipelined
 //     streams and surviving copies; its one consumer loop, Pull, drains
@@ -40,7 +41,6 @@ import (
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
-	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/metrics"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
@@ -302,18 +302,18 @@ func (b *Base) RunSolo(submit func(ctl *sched.JobControl) *Job) job.Result {
 	return *res
 }
 
-// WritePart commits one task's output partition as the file part under
-// dir, or discards it when the job names no output (dir ""): pairs are
-// text-encoded and written to the attempt-scoped temp path of the file on
-// the attempt's node; the tracker renames the winning attempt's file into
-// place, so DFS-writing tasks can race speculative backups with
-// exactly-once output.
-func (b *Base) WritePart(p *sim.Proc, att *sched.Attempt, dir, part string, scale float64, pairs []kv.Pair) error {
+// WritePart commits one task's text-encoded output partition as the file
+// part under dir, or discards it when the job names no output (dir ""):
+// text is written to the attempt-scoped temp path of the file on the
+// attempt's node, and its DFS blocks keep text's memory; the tracker
+// renames the winning attempt's file into place, so DFS-writing tasks can
+// race speculative backups with exactly-once output.
+func (b *Base) WritePart(p *sim.Proc, att *sched.Attempt, dir, part string, scale float64, text []byte) error {
 	if dir == "" {
 		return nil
 	}
 	w := b.FS.CreateScaled(att.ScopedPath(dir+"/"+part), att.Node(), scale)
-	if err := w.Write(p, job.EncodeTextOutput(pairs)); err != nil {
+	if err := w.Write(p, text); err != nil {
 		return err
 	}
 	return w.Close(p)
