@@ -72,24 +72,19 @@ type (
 	File = dfs.File
 	// Profiler samples per-second cluster resource utilization.
 	Profiler = metrics.Profiler
-	// Queue admits several jobs onto one testbed so they run concurrently,
-	// contending for task slots under a scheduling policy.
-	Queue = sched.Queue
-	// Submission tracks one job admitted to a Queue.
-	Submission = sched.Submission
 	// Policy selects how concurrent jobs contend for slots (FIFO or Fair).
 	Policy = sched.Policy
-	// ConcurrentEngine is an engine that can co-schedule jobs through a
-	// Queue; the DataMPI, Hadoop and Spark engines all implement it.
+	// ConcurrentEngine is an engine a scenario tenant can co-schedule with
+	// others; the DataMPI, Hadoop and Spark engines all implement it.
 	ConcurrentEngine = sched.Engine
 	// SpeculationConfig tunes straggler detection and speculative backup
-	// attempts; enable it with Queue.SetSpeculation.
+	// attempts; enable it with WithSpeculation.
 	SpeculationConfig = sched.SpeculationConfig
 	// PreemptionConfig tunes Fair-policy slot preemption for starved
-	// jobs; enable it with Queue.SetPreemption.
+	// jobs; enable it with WithPreemption.
 	PreemptionConfig = sched.PreemptionConfig
 	// TrackerStats reports task-lifecycle counters (speculative backups,
-	// kills, preemptions) via Queue.TrackerStats.
+	// kills, preemptions) on Report.Tracker.
 	TrackerStats = sched.TrackerStats
 	// ReplicationMonitorConfig tunes the DFS replication monitor a
 	// scenario runs with WithReplicationMonitor.
@@ -107,14 +102,14 @@ type (
 	// accumulated (Report.Transport).
 	TransportStats = transport.Stats
 	// TransportPipeline overrides a profile's pipelined-shuffle flag at
-	// scenario level (PipelineProfile, PipelineOn, PipelineOff).
+	// scenario level (PipelineProfile, PipelineOn).
 	TransportPipeline = transport.PipelineMode
 	// TraceConfig tunes what a scenario's span recorder captures (see
 	// WithTracing); the zero value records everything.
 	TraceConfig = trace.Config
 	// Tracer is the span recorder a traced scenario returns on
 	// Report.Trace: spans, instants and counters in simulated time, with
-	// Chrome trace-event export (WriteChrome/WriteJSONL) and
+	// Chrome trace-event export (WriteChrome) and
 	// critical-path analysis (CriticalPath, PhaseBreakdown).
 	Tracer = trace.Tracer
 	// Span is one timed interval on the trace: a task attempt, an engine
@@ -123,8 +118,6 @@ type (
 	// PathSeg is one interval of a critical path, attributed to its
 	// span's category.
 	PathSeg = trace.Seg
-	// PathCategory is one category's summed critical-path time.
-	PathCategory = trace.CatTotal
 )
 
 // Per-engine staged transport profiles (see internal/transport).
@@ -143,11 +136,9 @@ const (
 	PipelineProfile = transport.PipelineProfile
 	// PipelineOn forces pipelined shuffle on staged transports.
 	PipelineOn = transport.PipelineOn
-	// PipelineOff forces fetch-at-completion.
-	PipelineOff = transport.PipelineOff
 )
 
-// Queue scheduling policies.
+// Scheduling policies for WithPolicy.
 const (
 	// FIFO gives earlier-submitted jobs strict priority for freed slots;
 	// later jobs backfill idle capacity.
@@ -215,45 +206,6 @@ func NewTestbed(tc TestbedConfig) *Testbed {
 	return &Testbed{Cluster: c, FS: dfs.New(c, cfg)}
 }
 
-// NewQueue creates a job queue over the testbed: jobs submitted to it run
-// concurrently on the shared simulated cluster, with slot contention
-// arbitrated by policy. Call Run to drive all admitted jobs to completion.
-// Scenario knobs — per-job weights (SubmitWeighted), speculative
-// execution (SetSpeculation) and preemption (SetPreemption) — live on the
-// returned Queue.
-//
-// New code should prefer NewScenario: it expresses the same runs
-// declaratively (tenants, arrival traces, timed perturbations) and
-// returns a structured latency report. The Queue setters stay supported
-// as the imperative layer the Scenario API drives.
-func (t *Testbed) NewQueue(policy Policy) *Queue {
-	q := sched.NewQueue(t.Cluster.Eng, t.Cluster.N(), policy)
-	if t.Cluster.Racks() > 1 {
-		// Rack-aware retry placement: after a failure the tracker prefers
-		// backup nodes outside the racks the task already failed in.
-		rackOf := make([]int, t.Cluster.N())
-		for i := range rackOf {
-			rackOf[i] = t.Cluster.RackOf(i)
-		}
-		q.SetTopology(rackOf)
-	}
-	// Nodes the testbed already recorded as failed stay excluded from
-	// task placement in the new queue.
-	for i := 0; i < t.Cluster.N(); i++ {
-		if !t.Cluster.Alive(i) {
-			q.NodeDown(i)
-		}
-	}
-	return q
-}
-
-// SlowNode degrades node i's CPU and disk service rates by factor
-// (factor 4 = four times slower) — the straggler perturbation for
-// heterogeneity scenarios. It may be applied before or during a run.
-func (t *Testbed) SlowNode(i int, factor float64) {
-	t.Cluster.SlowNode(i, factor)
-}
-
 // NewProfiler attaches a resource profiler sampling every interval
 // simulated seconds; assign it to an engine's Prof field before running.
 func (t *Testbed) NewProfiler(interval float64) *metrics.Profiler {
@@ -306,10 +258,6 @@ func ReadTextOutput(fs *dfs.FS, prefix string) []Pair {
 // RenderCriticalPath formats a critical path (Tracer.CriticalPath) as an
 // aligned table: the top-k segments by duration plus per-category totals.
 func RenderCriticalPath(segs []PathSeg, k int) string { return trace.RenderPath(segs, k) }
-
-// PathByCategory sums critical-path segments per span category,
-// descending by attributed time.
-func PathByCategory(segs []PathSeg) []PathCategory { return trace.ByCategory(segs) }
 
 // PathSeconds returns the critical-path time attributed to one category
 // (e.g. "net" for communication, "task" for compute attempts).

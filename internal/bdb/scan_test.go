@@ -186,9 +186,9 @@ func TestGrepBadPatternIsAnAccountedError(t *testing.T) {
 			t.Fatalf("%s solo: a rejected job took %.1f s (clock at %.1f)", name, res.Elapsed, c.Eng.Now())
 		}
 		q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
-		q.Submit(eng, spec)
+		q.Admit("", q.Now(), 1, eng, spec)
 		good := GrepSpec(fsys, in, "/good", `th[ae]`, 4)
-		q.Submit(eng, good)
+		q.Admit("", q.Now(), 1, eng, good)
 		results := q.Run()
 		if results[0].Err == nil {
 			t.Fatalf("%s queued: the bad-pattern job succeeded", name)

@@ -395,7 +395,7 @@ func TestPermanentOFailureEndsTheJob(t *testing.T) {
 			if queued {
 				q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
 				q.NodeDown(lost)
-				q.Submit(eng, spec)
+				q.Admit("", q.Now(), 1, eng, spec)
 				res = q.Run()[0]
 			} else {
 				res = eng.Run(spec)

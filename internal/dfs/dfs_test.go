@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -405,18 +406,47 @@ func TestDFSIOWriteRuns(t *testing.T) {
 	}
 }
 
+// TestDFSIOReadAfterWrite reads every file the DFSIO write phase wrote back
+// from a usually remote node: the bytes each writer wrote, and the nominal
+// total.
 func TestDFSIOReadAfterWrite(t *testing.T) {
 	c := testCluster()
 	fs := New(c, Config{BlockSize: 128 * cluster.MB, Replication: 3, Scale: 4096, Seed: 1})
-	if _, err := RunDFSIOWrite(fs, 8, 2*cluster.GB); err != nil {
+	const files, total = 8, 2 * cluster.GB
+	if _, err := RunDFSIOWrite(fs, files, total); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDFSIORead(fs, 8)
-	if err != nil {
+	nominal := 0.0
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("/benchmarks/TestDFSIO/io_data/test_io_%d", i)
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nominal += f.Nominal
+		reader := (i + 1) % c.N()
+		c.Eng.Go("read-back", func(p *sim.Proc) {
+			got, err := fs.ReadAll(p, name, reader)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if want := int(total / files / 4096); len(got) != want {
+				t.Errorf("%s: read back %d bytes, want %d", name, len(got), want)
+			}
+			for j, b := range got {
+				if b != byte('a'+j%26) {
+					t.Errorf("%s: byte %d = %q, want %q", name, j, b, byte('a'+j%26))
+					return
+				}
+			}
+		})
+	}
+	if err := c.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalBytes != 2*cluster.GB {
-		t.Fatalf("read back %v bytes, want %v", res.TotalBytes, 2*cluster.GB)
+	if nominal != total {
+		t.Fatalf("files hold %v nominal bytes, want %v", nominal, total)
 	}
 }
 

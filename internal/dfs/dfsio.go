@@ -84,57 +84,3 @@ func RunDFSIOWrite(fs *FS, nFiles int, totalBytes float64) (DFSIOResult, error) 
 	res.ThroughputBS = sum / float64(nFiles)
 	return res, nil
 }
-
-// RunDFSIORead runs the read phase: each reader reads one of the files
-// written by RunDFSIOWrite from a node chosen to be usually remote,
-// reporting average per-reader throughput.
-func RunDFSIORead(fs *FS, nFiles int) (DFSIOResult, error) {
-	c := fs.Cluster()
-	eng := c.Eng
-	start := eng.Now()
-	times := make([]float64, nFiles)
-	sizes := make([]float64, nFiles)
-	var firstErr error
-	for i := 0; i < nFiles; i++ {
-		i := i
-		reader := (i + 1) % c.N()
-		eng.Go(fmt.Sprintf("dfsio-reader-%d", i), func(p *sim.Proc) {
-			p.Node = reader
-			t0 := eng.Now()
-			name := fmt.Sprintf("/benchmarks/TestDFSIO/io_data/test_io_%d", i)
-			f, err := fs.Open(name)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for _, b := range f.Blocks {
-				if _, err := fs.ReadBlock(p, b, reader); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-			}
-			times[i] = eng.Now() - t0
-			sizes[i] = f.Nominal
-		})
-	}
-	if err := eng.Run(); err != nil {
-		return DFSIOResult{}, err
-	}
-	if firstErr != nil {
-		return DFSIOResult{}, firstErr
-	}
-	res := DFSIOResult{BlockSize: fs.cfg.BlockSize, Files: nFiles, Elapsed: eng.Now() - start}
-	sum := 0.0
-	for i, t := range times {
-		if t > 0 {
-			sum += sizes[i] / t
-			res.TotalBytes += sizes[i]
-		}
-	}
-	res.ThroughputBS = sum / float64(nFiles)
-	return res, nil
-}

@@ -44,7 +44,7 @@ func TestEmptyInputIsRejectedOnEveryEngine(t *testing.T) {
 				Reduce: func(key []byte, values [][]byte) []kv.Pair { return nil },
 			}
 			q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
-			q.Submit(eng, spec)
+			q.Admit("", q.Now(), 1, eng, spec)
 			for _, res := range []job.Result{eng.Run(spec), q.Run()[0]} {
 				if res.Err == nil || res.Elapsed != 0 {
 					t.Fatalf("err %v, elapsed %v: want an error at once", res.Err, res.Elapsed)

@@ -81,7 +81,7 @@ func RunQueued(t *testing.T, fs *dfs.FS, eng Engine, spec job.Spec, outPrefix st
 	if arm != nil {
 		arm(q)
 	}
-	q.Submit(eng, spec)
+	q.Admit("", q.Now(), 1, eng, spec)
 	res := q.Run()[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)

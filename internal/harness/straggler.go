@@ -22,9 +22,8 @@ const stragglerFactor = 4.0
 
 // runStraggler measures one framework once: clean, slow, slow+speculation.
 // The run is declared through the Scenario API — the slow node is a timed
-// perturbation at t=0, which applies before the first admission exactly
-// like the imperative "SlowNode before Run" (pinned bit-identical by
-// TestScenarioStragglerCompat).
+// perturbation at t=0, which applies before the first admission, so every
+// attempt placed on that node runs slow from its first second.
 func runStraggler(fw Framework, rc RigConfig, nominal float64, slow, speculate bool) (job.Result, sched.TrackerStats, error) {
 	rig := NewRig(fw, rc)
 	in := bdb.GenerateTextFile(rig.FS, "/strag/in", bdb.LDAWiki1W(), rc.Seed+7, nominal)

@@ -197,10 +197,11 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					j.DependsOn(att)
-					// Commit order mirrors the pre-tracker task body: output
-					// write (to the attempt-scoped temp path, renamed by the
-					// tracker right after Done), then the task memory the
-					// body handed off is released, then the counter.
+					// Commit order: the output write (to the attempt-scoped
+					// temp path, renamed by the tracker right after Done)
+					// goes first, while the task still holds the memory the
+					// text sits in; then that memory is released, then the
+					// counter.
 					if out, ok := v.(*reduceOut); ok {
 						res.OutRecords += int64(out.records)
 						werr := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-r-%05d", ri), spec.EmitScale(), out.text)
@@ -315,8 +316,8 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 // reduceOut is a finished reduce body's result, handed to the winning
 // attempt's Done: the part file's text and its record count, plus a
 // release callback freeing the task's memory (shuffle buffer now, JVM heap
-// lazily) — deferred past the output write exactly as the pre-tracker task
-// body did.
+// lazily) — deferred past the output write, because the text being
+// written still occupies that memory.
 type reduceOut struct {
 	text    []byte
 	records int

@@ -380,7 +380,7 @@ func TestFailedJobRegeneratesNothing(t *testing.T) {
 	// The map stage ends at 35.65 s of the 36.85 s clean run; the wide
 	// stage's tasks are being dispatched at 35.7.
 	enginetest.FailNodeAt(q, fs, eng, 35.7, 3)
-	q.Submit(eng, spec)
+	q.Admit("", q.Now(), 1, eng, spec)
 	if res := q.Run()[0]; res.Err == nil {
 		t.Fatal("the job survived losing its only input replicas")
 	}

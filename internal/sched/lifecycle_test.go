@@ -12,52 +12,31 @@ import (
 	"github.com/datampi/datampi-go/internal/sched"
 )
 
-// Pre-tracker timings captured from PR 1 (seed 77, the testRig workload):
-// the attempt-based lifecycle must not move a single event when
-// speculation and preemption are off, so these must match to the last
-// bit. Solo runs go through each engine's Run (drain accounting); queue
-// runs through sched.Queue under both policies. Hadoop and DataMPI are
-// the PR 1 values to the bit; the two Spark values that end in float
-// noise were re-recorded once in PR 16, when the rescan allocators they
-// were captured on became internal/sim's test oracle (largest relative
-// move 3.4e-13; the oracle bounds the allocators' disagreement at 1e-9).
-var pr1Goldens = map[string]struct {
-	solo  float64
-	queue [2]float64 // FIFO == Fair for this uncontended pair
-}{
-	"Hadoop":  {24.075422262406022, [2]float64{15.075422262406024, 14.489117543645266}},
-	"Spark":   {10.284867455998368, [2]float64{5.2848022849106266, 1.5165090039168541}},
-	"DataMPI": {9.011275255000001, [2]float64{9.012376385875001, 8.7155390610500003}},
-}
-
-// TestLifecycleRefactorPreservesPR1Timings pins the speculation-off paths
-// bit-for-bit to the pre-refactor scheduler.
-func TestLifecycleRefactorPreservesPR1Timings(t *testing.T) {
-	for name, want := range pr1Goldens {
+// TestPolicyIrrelevantWithoutContention admits the testRig(77) pair at
+// t=0 under FIFO and under Fair. The pair never contends for a slot, so
+// the policy has nothing to arbitrate: each job's Elapsed must be
+// bit-identical under both, on every engine.
+func TestPolicyIrrelevantWithoutContention(t *testing.T) {
+	for _, name := range []string{"Hadoop", "Spark", "DataMPI"} {
 		t.Run(name, func(t *testing.T) {
-			fs, specs := testRig(t, 77)
-			res := engineFor(name, fs).(job.Engine).Run(specs[0])
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if res.Elapsed != want.solo {
-				t.Fatalf("solo elapsed = %.17g, want %.17g (PR 1)", res.Elapsed, want.solo)
-			}
-			for _, policy := range []sched.Policy{sched.FIFO, sched.Fair} {
+			var elapsed [2][]float64
+			for i, policy := range []sched.Policy{sched.FIFO, sched.Fair} {
 				fs, specs := testRig(t, 77)
 				eng := engineFor(name, fs)
 				q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), policy)
 				for _, sp := range specs {
-					q.Submit(eng, sp)
+					q.Admit("", q.Now(), 1, eng, sp)
 				}
-				for i, r := range q.Run() {
+				for _, r := range q.Run() {
 					if r.Err != nil {
 						t.Fatal(r.Err)
 					}
-					if r.Elapsed != want.queue[i] {
-						t.Fatalf("%v job%d elapsed = %.17g, want %.17g (PR 1)",
-							policy, i, r.Elapsed, want.queue[i])
-					}
+					elapsed[i] = append(elapsed[i], r.Elapsed)
+				}
+			}
+			for j := range elapsed[0] {
+				if elapsed[0][j] != elapsed[1][j] {
+					t.Fatalf("job%d elapsed: FIFO %.17g, Fair %.17g", j, elapsed[0][j], elapsed[1][j])
 				}
 			}
 		})
@@ -88,7 +67,7 @@ func stragglerRun(t *testing.T, engine string, slow, speculate bool, want []kv.P
 	if slow {
 		c.SlowNode(7, 4)
 	}
-	q.Submit(engineFor(engine, fs), spec)
+	q.Admit("", q.Now(), 1, engineFor(engine, fs), spec)
 	res := q.Run()[0]
 	if res.Err != nil {
 		t.Fatalf("%s straggler run: %v", engine, res.Err)
@@ -138,8 +117,8 @@ func TestSpeculationRecoversStraggler(t *testing.T) {
 }
 
 // TestSubmitWeightedFavorsHeavyJob co-schedules two identical WordCounts
-// under Fair and checks the weight-3 job finishes first while equal
-// weights tie.
+// under Fair, admitting the first at weight 1 or 3, and checks the
+// weight-3 job finishes first while equal weights tie.
 func TestSubmitWeightedFavorsHeavyJob(t *testing.T) {
 	run := func(w float64) (float64, float64) {
 		c := cluster.New(cluster.DefaultHardware())
@@ -148,8 +127,8 @@ func TestSubmitWeightedFavorsHeavyJob(t *testing.T) {
 		in2 := bdb.GenerateTextFile(fs, "/in/two", bdb.LDAWiki1W(), 9, 64*cluster.MB)
 		eng := mr.New(fs, mr.DefaultConfig())
 		q := sched.NewQueue(c.Eng, c.N(), sched.Fair)
-		q.SubmitWeighted(0, w, eng, bdb.WordCountSpec(fs, in1, "/out/one", 16))
-		q.SubmitWeighted(0, 1, eng, bdb.WordCountSpec(fs, in2, "/out/two", 16))
+		q.Admit("", q.Now(), w, eng, bdb.WordCountSpec(fs, in1, "/out/one", 16))
+		q.Admit("", q.Now(), 1, eng, bdb.WordCountSpec(fs, in2, "/out/two", 16))
 		res := q.Run()
 		for _, r := range res {
 			if r.Err != nil {

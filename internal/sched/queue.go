@@ -85,8 +85,7 @@ func (c *JobControl) Tracker() *TaskTracker { return c.tracker }
 // Solo returns the control for a job that owns the whole testbed: a fresh
 // pool set, a tracker with speculation and preemption off, and a handle
 // with no other jobs to contend with. The engines' plain Run paths use
-// it, which makes single-job execution identical to the pre-sched
-// per-engine schedulers.
+// it, so a single job contends only with its own tasks.
 func Solo(eng *sim.Engine, nodes int) *JobControl {
 	return &JobControl{
 		handle:  &JobHandle{name: "solo", weight: 1},
@@ -215,38 +214,15 @@ func (s *Submission) Done() bool { return s.done }
 // Result returns the job's result; only meaningful after the queue ran.
 func (s *Submission) Result() job.Result { return s.res }
 
-// Submit admits a job at the current simulated time with weight 1.
-func (q *Queue) Submit(e Engine, spec job.Spec) *Submission {
-	return q.SubmitWeighted(0, 1, e, spec)
-}
-
-// SubmitAfter admits a weight-1 job delay simulated seconds from now,
-// modeling staggered arrivals. FIFO priority follows admission (simulated)
-// time: a delayed job ranks behind jobs that actually started before it.
-func (q *Queue) SubmitAfter(delay float64, e Engine, spec job.Spec) *Submission {
-	return q.SubmitWeighted(delay, 1, e, spec)
-}
-
-// SubmitWeighted admits a job delay simulated seconds from now with the
-// given fair-share weight: under the Fair policy a weight-2 job receives
-// twice the slots of a weight-1 job when both contend (production job
-// tiers). Weights at or below zero are treated as 1.
-//
-// Prefer the declarative Scenario API (datampi.NewScenario) for new code;
-// it expresses arrival traces, tenants and timed perturbations in one
-// place and reports per-tenant latency.
-func (q *Queue) SubmitWeighted(delay, weight float64, e Engine, spec job.Spec) *Submission {
-	return q.Admit("", q.eng.Now()+delay, weight, e, spec)
-}
-
 // Admit admits a job for tenant at absolute simulated time at (clamped to
-// now) with the given fair-share weight — the scenario trace's deferred-
-// admission primitive. A job due now starts synchronously, exactly like
-// Submit; a future one waits in the pending heap until the sim clock
-// reaches its arrival, so FIFO priority follows actual admission order:
-// deferred jobs start in (due time, Admit order), regardless of the order
-// Admit was called in. Tenant is a fair-share identity for report
-// accounting; "" means none.
+// now) with the given fair-share weight: under the Fair policy a weight-2
+// job receives twice the slots of a weight-1 job when both contend, and
+// weights at or below zero count as 1. A job due now starts synchronously,
+// so it ranks ahead of anything admitted after it; a future one waits in
+// the pending heap until the sim clock reaches its arrival, so FIFO
+// priority follows actual admission order: deferred jobs start in (due
+// time, Admit order), regardless of the order Admit was called in. Tenant
+// is a fair-share identity for report accounting; "" means none.
 func (q *Queue) Admit(tenant string, at, weight float64, e Engine, spec job.Spec) *Submission {
 	if weight <= 0 {
 		weight = 1
@@ -437,8 +413,8 @@ type TimelineEntry struct {
 
 // At schedules a named perturbation at absolute simulated time t,
 // recording it on the queue's timeline. An event due at or before the
-// current time runs synchronously — the imperative "poke the cluster
-// before Run" idiom, preserved so scenario runs reproduce it exactly.
+// current time runs synchronously, so a perturbation declared for the
+// start is already in force when the first job is admitted.
 func (q *Queue) At(t float64, name string, fn func()) {
 	now := q.eng.Now()
 	if t <= now {

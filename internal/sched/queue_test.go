@@ -73,7 +73,7 @@ func TestQueueTwoJobsAllEngines(t *testing.T) {
 			eng := engineFor(name, fs)
 			q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), sched.FIFO)
 			for _, spec := range specs {
-				q.Submit(eng, spec)
+				q.Admit("", q.Now(), 1, eng, spec)
 			}
 			results := q.Run()
 			for i, res := range results {
@@ -122,8 +122,8 @@ func TestQueueMixedSlotWidthsRefused(t *testing.T) {
 				wide = core.New(fs, cfg)
 			}
 			q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), sched.FIFO)
-			q.Submit(engineFor(tc.name, fs), specs[0])
-			q.Submit(wide, specs[1])
+			q.Admit("", q.Now(), 1, engineFor(tc.name, fs), specs[0])
+			q.Admit("", q.Now(), 1, wide, specs[1])
 			res := q.Run()
 			if res[0].Err != nil {
 				t.Fatalf("first job failed: %v", res[0].Err)
@@ -148,7 +148,7 @@ func TestQueueSlotContention(t *testing.T) {
 		fs, specs := testRig(t, 23)
 		eng := engineFor("Hadoop", fs)
 		q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), sched.FIFO)
-		q.Submit(eng, specs[i])
+		q.Admit("", q.Now(), 1, eng, specs[i])
 		res := q.Run()[0]
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -160,7 +160,7 @@ func TestQueueSlotContention(t *testing.T) {
 	eng := engineFor("Hadoop", fs)
 	q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), sched.FIFO)
 	for _, spec := range specs {
-		q.Submit(eng, spec)
+		q.Admit("", q.Now(), 1, eng, spec)
 	}
 	results := q.Run()
 	makespan := 0.0
@@ -190,7 +190,7 @@ func TestQueueDeterministicSchedules(t *testing.T) {
 		eng := engineFor("DataMPI", fs)
 		q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), policy)
 		for _, spec := range specs {
-			q.Submit(eng, spec)
+			q.Admit("", q.Now(), 1, eng, spec)
 		}
 		var times []float64
 		for _, res := range q.Run() {
@@ -212,14 +212,14 @@ func TestQueueDeterministicSchedules(t *testing.T) {
 	}
 }
 
-// TestQueueSubmitAfter staggers a second job and checks it still
-// completes and starts at its submission time.
+// TestQueueSubmitAfter admits a second job 30 s after the first and
+// checks it still completes and starts at its admission time.
 func TestQueueSubmitAfter(t *testing.T) {
 	fs, specs := testRig(t, 41)
 	eng := engineFor("DataMPI", fs)
 	q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), sched.Fair)
-	q.Submit(eng, specs[0])
-	q.SubmitAfter(30, eng, specs[1])
+	q.Admit("", q.Now(), 1, eng, specs[0])
+	q.Admit("", q.Now()+30, 1, eng, specs[1])
 	results := q.Run()
 	for i, res := range results {
 		if res.Err != nil {

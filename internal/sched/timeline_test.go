@@ -15,7 +15,7 @@ func TestTimelineSameTimestampOrder(t *testing.T) {
 	fs, jobs := testRig(t, 41)
 	q := sched.NewQueue(fs.Cluster().Eng, fs.Cluster().N(), sched.FIFO)
 	eng := core.New(fs, core.DefaultConfig())
-	q.Submit(eng, jobs[0])
+	q.Admit("", q.Now(), 1, eng, jobs[0])
 
 	// Three events at the same future instant, declared in a known order,
 	// plus an earlier event declared last.

@@ -275,8 +275,8 @@ const (
 // records per-attempt start time and progress, launches speculative
 // backups for stragglers, resolves first-finisher-wins with loser
 // cancellation, and preempts over-share jobs under the Fair policy. With
-// speculation and preemption disabled it adds no simulation events, so
-// single-job runs stay bit-identical to the pre-tracker engines.
+// speculation and preemption disabled it adds no simulation events, so a
+// job's timing depends only on its engine, its tasks and the slot pools.
 type TaskTracker struct {
 	eng   *sim.Engine
 	spec  SpeculationConfig

@@ -309,7 +309,7 @@ func TestPreemptionKillAndRequeue(t *testing.T) {
 
 // TestTrackerDisabledAddsNoEvents: with speculation and preemption off the
 // tracker must not schedule monitor events (the simulation must drain at
-// the last task's completion instant, as pre-tracker engines did).
+// the last task's completion instant).
 func TestTrackerDisabledAddsNoEvents(t *testing.T) {
 	eng, pool := trackerRig()
 	tr := NewTaskTracker(eng, SpeculationConfig{}, PreemptionConfig{})

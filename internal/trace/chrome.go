@@ -136,69 +136,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSONL writes the trace as one compact JSON object per line —
-// spans ("s"), instants ("i"), then counters ("c") — the streaming
-// format for runs too large to hold as one Chrome JSON document.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	t.Each(func(sp *Span) {
-		bw.WriteString("{\"k\":\"s\",\"id\":")
-		bw.WriteString(strconv.FormatUint(sp.ID, 10))
-		bw.WriteString(",\"name\":")
-		writeJSONString(bw, sp.Name)
-		bw.WriteString(",\"cat\":")
-		writeJSONString(bw, sp.Cat)
-		bw.WriteString(",\"node\":")
-		bw.WriteString(strconv.Itoa(sp.Node))
-		bw.WriteString(",\"tid\":")
-		bw.WriteString(strconv.Itoa(sp.Tid))
-		bw.WriteString(",\"start\":")
-		writeFloat(bw, sp.Start)
-		bw.WriteString(",\"end\":")
-		writeFloat(bw, sp.End)
-		if sp.Parent != 0 {
-			bw.WriteString(",\"parent\":")
-			bw.WriteString(strconv.FormatUint(sp.Parent, 10))
-		}
-		if len(sp.Deps) > 0 {
-			bw.WriteString(",\"deps\":[")
-			for i, d := range sp.Deps {
-				if i > 0 {
-					bw.WriteString(",")
-				}
-				bw.WriteString(strconv.FormatUint(d, 10))
-			}
-			bw.WriteString("]")
-		}
-		writeArgsObj(bw, sp.Args)
-		bw.WriteString("}\n")
-	})
-	for _, in := range t.Instants() {
-		bw.WriteString("{\"k\":\"i\",\"name\":")
-		writeJSONString(bw, in.Name)
-		bw.WriteString(",\"cat\":")
-		writeJSONString(bw, in.Cat)
-		bw.WriteString(",\"node\":")
-		bw.WriteString(strconv.Itoa(in.Node))
-		bw.WriteString(",\"t\":")
-		writeFloat(bw, in.T)
-		writeArgsObj(bw, in.Args)
-		bw.WriteString("}\n")
-	}
-	for _, c := range t.Counters() {
-		bw.WriteString("{\"k\":\"c\",\"name\":")
-		writeJSONString(bw, c.Name)
-		bw.WriteString(",\"node\":")
-		bw.WriteString(strconv.Itoa(c.Node))
-		bw.WriteString(",\"t\":")
-		writeFloat(bw, c.T)
-		bw.WriteString(",\"value\":")
-		writeFloat(bw, c.Value)
-		bw.WriteString("}\n")
-	}
-	return bw.Flush()
-}
-
 // nodesSeen returns every node that recorded anything, ascending.
 func (t *Tracer) nodesSeen() []int {
 	seen := map[int]bool{}
@@ -241,23 +178,6 @@ func writeArgs(bw *bufio.Writer, args []Arg) {
 		bw.WriteString(":")
 		writeJSONString(bw, a.Val)
 	}
-}
-
-// writeArgsObj writes a full ,"args":{...} member when args exist.
-func writeArgsObj(bw *bufio.Writer, args []Arg) {
-	if len(args) == 0 {
-		return
-	}
-	bw.WriteString(",\"args\":{")
-	for i, a := range args {
-		if i > 0 {
-			bw.WriteString(",")
-		}
-		writeJSONString(bw, a.Key)
-		bw.WriteString(":")
-		writeJSONString(bw, a.Val)
-	}
-	bw.WriteString("}")
 }
 
 // writeMicros writes simulated seconds as microseconds with fixed

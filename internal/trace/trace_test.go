@@ -234,33 +234,6 @@ func TestWriteChromeStructure(t *testing.T) {
 	}
 }
 
-// TestWriteJSONL checks every line of the compact export is one valid
-// JSON object with the expected kind tags.
-func TestWriteJSONL(t *testing.T) {
-	tr, _ := buildDAG()
-	tr.Instant("x", "fault", 0, 1)
-	tr.Counter("c", 0, 1, 4)
-	var b bytes.Buffer
-	if err := tr.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if len(lines) != 6+1+1 {
-		t.Fatalf("got %d lines, want 8", len(lines))
-	}
-	kinds := map[string]int{}
-	for _, ln := range lines {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(ln), &obj); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", ln, err)
-		}
-		kinds[obj["k"].(string)]++
-	}
-	if kinds["s"] != 6 || kinds["i"] != 1 || kinds["c"] != 1 {
-		t.Fatalf("JSONL kinds = %v", kinds)
-	}
-}
-
 // TestConfigKnobs pins the volume knobs: NoStages gates Stages(),
 // NoCounters drops samples.
 func TestConfigKnobs(t *testing.T) {

@@ -127,8 +127,6 @@ const (
 	PipelineProfile PipelineMode = iota
 	// PipelineOn forces pipelined shuffle.
 	PipelineOn
-	// PipelineOff forces fetch-at-completion.
-	PipelineOff
 )
 
 // Stats counts staged-transport activity. All byte counters are
@@ -225,16 +223,7 @@ func (t *Transport) PipelineModeValue() PipelineMode { return t.pmode }
 
 // Pipelined reports whether pipelined shuffle is in effect.
 func (t *Transport) Pipelined() bool {
-	if !t.Enabled() {
-		return false
-	}
-	switch t.pmode {
-	case PipelineOn:
-		return true
-	case PipelineOff:
-		return false
-	}
-	return t.prof.Pipelined
+	return t.Enabled() && (t.pmode == PipelineOn || t.prof.Pipelined)
 }
 
 // Stats returns the accumulated counters.

@@ -1,15 +1,14 @@
 package datampi
 
-// The Scenario API is the declarative face of multi-tenant execution: a
+// The Scenario API is the one way to run several jobs on a testbed: a
 // whole evaluation — who the tenants are, which jobs arrive when, what
 // goes wrong mid-trace, and which scheduling features are on — is
-// described up front and run deterministically in one call. It replaces
-// the imperative idiom (construct a Queue, call Submit/SubmitWeighted,
-// sprinkle SetSpeculation/SetPreemption, poke SlowNode
-// before Run) that made BigDataBench-style workload traces awkward to
-// express, and it returns a structured Report with per-job and per-tenant
-// response-time distributions, slot-occupancy shares, the perturbation
-// timeline and the task-lifecycle counters.
+// described up front and run deterministically in one call. Described up
+// front, a BigDataBench-style workload trace is data, Run can reject a bad
+// arrival or event before the testbed is touched, and every perturbation
+// lands on the report's timeline. Run returns a structured Report with
+// per-job and per-tenant response-time distributions, slot-occupancy
+// shares, the perturbation timeline and the task-lifecycle counters.
 //
 //	sc := datampi.NewScenario(tb,
 //		datampi.WithPolicy(datampi.Fair),
@@ -71,7 +70,7 @@ func (e Event) Name() string { return e.name }
 // runCtx is the live context a scheduled Event mutates.
 type runCtx struct {
 	tb    *Testbed
-	q     *Queue
+	q     *sched.Queue
 	start float64         // simulated time the scenario began
 	slow  map[int]float64 // cumulative SlowNode factor per node
 	notes []string        // events that fired but had no effect
@@ -149,10 +148,10 @@ func SlowNode(node int, factor float64) Event {
 }
 
 // RestoreNode builds an event undoing every SlowNode the scenario has
-// applied to node i so far, returning it to full speed. Slowdowns applied
-// outside the scenario (an imperative Testbed.SlowNode) are not tracked
-// and not undone; a restore that finds nothing to undo is flagged in
-// Report.Notes.
+// applied to node i so far, returning it to full speed. Only this
+// scenario's own slowdowns are tracked, so a slowdown an earlier scenario
+// on the testbed left in place stays; a restore that finds nothing to undo
+// is flagged in Report.Notes.
 func RestoreNode(node int) Event {
 	name := fmt.Sprintf("restore-node-%d", node)
 	return Event{
@@ -524,8 +523,8 @@ func ClosedLoopUsers(tenant string, users, jobsPerUser int, thinkMean float64, s
 }
 
 // At schedules a timed perturbation at scenario-relative time t. Events
-// at or before time zero apply before the first admission (the imperative
-// "configure the cluster before Run" idiom); later events fire on the sim
+// at or before time zero apply before the first admission, so the first
+// jobs already run on the perturbed cluster; later events fire on the sim
 // clock, after any arrival sharing their timestamp.
 func At(t float64, ev Event) ScenarioOption {
 	return func(s *Scenario) {
@@ -636,13 +635,13 @@ func WithPolicy(p Policy) ScenarioOption {
 }
 
 // WithSpeculation enables/configures speculative execution for every job
-// in the scenario (replaces Queue.SetSpeculation).
+// in the scenario.
 func WithSpeculation(c SpeculationConfig) ScenarioOption {
 	return func(s *Scenario) { s.spec = c }
 }
 
 // WithPreemption enables/configures Fair-policy slot preemption for
-// starved jobs (replaces Queue.SetPreemption).
+// starved jobs.
 func WithPreemption(c PreemptionConfig) ScenarioOption {
 	return func(s *Scenario) { s.pre = c }
 }
@@ -682,8 +681,7 @@ type TransportConfig struct {
 	Enabled bool
 	// Pipeline overrides the profiles' pipelined-shuffle flag:
 	// PipelineProfile (default) follows each profile, PipelineOn forces
-	// map outputs fetchable as blocks commit, PipelineOff forces
-	// fetch-at-completion.
+	// map outputs fetchable as blocks commit.
 	Pipeline TransportPipeline
 }
 
@@ -789,8 +787,8 @@ type Report struct {
 	// completion, scenario-relative.
 	Start, End float64
 	// Makespan is the full simulated span of the run, from Run until the
-	// simulation drained (trailing lazy frees included) — comparable to
-	// the imperative eng.Now()-based accounting.
+	// simulation drained (trailing lazy frees included), so it can
+	// exceed End.
 	Makespan float64
 }
 
@@ -876,6 +874,30 @@ func (r *Report) Render() string {
 	return b.String()
 }
 
+// newQueue builds the run's queue over the testbed: rack-aware retry
+// placement on a multi-rack testbed, and every node the testbed already
+// records as failed (an earlier scenario's NodeDown) excluded from task
+// placement.
+func newQueue(tb *Testbed, policy Policy) *sched.Queue {
+	c := tb.Cluster
+	q := sched.NewQueue(c.Eng, c.N(), policy)
+	if c.Racks() > 1 {
+		// After a failure the tracker prefers backup nodes outside the
+		// racks the task already failed in.
+		rackOf := make([]int, c.N())
+		for i := range rackOf {
+			rackOf[i] = c.RackOf(i)
+		}
+		q.SetTopology(rackOf)
+	}
+	for i := 0; i < c.N(); i++ {
+		if !c.Alive(i) {
+			q.NodeDown(i)
+		}
+	}
+	return q
+}
+
 // Run executes the scenario: it admits every arrival at its simulated
 // time, fires the timed events, drives the shared simulation to
 // completion, and assembles the report. It returns the report together
@@ -944,7 +966,7 @@ func (s *Scenario) Run() (*Report, error) {
 		// repeated scenarios on one testbed do not stack monitors.
 		mon = dfs.NewReplicationMonitor(s.tb.FS, *s.monCfg)
 	}
-	q := s.tb.NewQueue(s.policy) // carries the testbed's dead-node exclusions
+	q := newQueue(s.tb, s.policy)
 	q.SetSpeculation(s.spec)
 	q.SetPreemption(s.pre)
 	var tr *trace.Tracer
@@ -1053,8 +1075,8 @@ func (s *Scenario) Run() (*Report, error) {
 	q.DiscardSettled(s.stream)
 
 	// Events due at or before the start apply now, before the first
-	// admission — the imperative "perturb before Run" pattern the golden
-	// compatibility pins rely on.
+	// admission, so a job arriving at t=0 meets them from its first task:
+	// a node slowed at t=0 is slow for every attempt placed on it.
 	events := append([]timedEvent(nil), s.events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 	for _, te := range events {

@@ -142,24 +142,70 @@ func TestScenarioNodeDownRecovers(t *testing.T) {
 	}
 }
 
+// TestScenarioDeadNodeStaysExcluded: a node an earlier scenario failed
+// stays down on the testbed, so the next scenario's queue must not place
+// a task attempt there.
+func TestScenarioDeadNodeStaysExcluded(t *testing.T) {
+	for name, mk := range faultEngines() {
+		tb := datampi.NewTestbed(datampi.TestbedConfig{Scale: 1024, BlockSize: 4 * datampi.MB, Seed: 3})
+		in := tb.GenerateText("/in", 256*datampi.MB, 1)
+		eng := mk(tb)
+		if _, err := datampi.NewScenario(tb,
+			datampi.Tenant("first", 1, eng),
+			datampi.Arrive("first", 0, datampi.WordCount(tb.FS, in, "/out/first", 8)),
+			datampi.At(0, datampi.NodeDown(7)),
+		).Run(); err != nil {
+			t.Fatalf("%s first scenario: %v", name, err)
+		}
+		rep, err := datampi.NewScenario(tb,
+			datampi.WithTracing(datampi.TraceConfig{}),
+			datampi.Tenant("second", 1, eng),
+			datampi.Arrive("second", 0, datampi.WordCount(tb.FS, in, "/out/second", 8)),
+		).Run()
+		if err != nil {
+			t.Fatalf("%s second scenario: %v", name, err)
+		}
+		tasks, onDead := 0, 0
+		rep.Trace.Each(func(sp *datampi.Span) {
+			if sp.Cat == "task" {
+				tasks++
+				if sp.Node == 7 {
+					onDead++
+				}
+			}
+		})
+		if tasks == 0 {
+			t.Fatalf("%s: the second scenario traced no task span", name)
+		}
+		if onDead > 0 {
+			t.Fatalf("%s: %d of the second scenario's %d task spans ran on node 7, which the first scenario left down", name, onDead, tasks)
+		}
+	}
+}
+
 // TestScenarioSlotEventMissNoted: a Grow/Shrink event firing before any
 // engine created its pool must be flagged in the report, not silently
 // claimed by the timeline.
 func TestScenarioSlotEventMissNoted(t *testing.T) {
-	tb, eng, mk := scenarioRig(t)
-	rep, err := datampi.NewScenario(tb,
-		datampi.Tenant("a", 1, eng),
-		datampi.Arrive("a", 0, mk("/out/m-")(0)),
-		datampi.At(0, datampi.GrowSlots("no-such-pool", 8)),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Notes) != 1 || !strings.Contains(rep.Notes[0], "no-such-pool") {
-		t.Fatalf("missed slot event not noted: %v", rep.Notes)
-	}
-	if !strings.Contains(rep.Render(), "had no effect") {
-		t.Fatalf("render should surface the miss:\n%s", rep.Render())
+	for _, ev := range []datampi.Event{
+		datampi.GrowSlots("no-such-pool", 8),
+		datampi.ShrinkSlots("no-such-pool", 2),
+	} {
+		tb, eng, mk := scenarioRig(t)
+		rep, err := datampi.NewScenario(tb,
+			datampi.Tenant("a", 1, eng),
+			datampi.Arrive("a", 0, mk("/out/m-")(0)),
+			datampi.At(0, ev),
+		).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Notes) != 1 || !strings.Contains(rep.Notes[0], ev.Name()) || !strings.Contains(rep.Notes[0], "no-such-pool") {
+			t.Fatalf("missed %s not noted: %v", ev.Name(), rep.Notes)
+		}
+		if !strings.Contains(rep.Render(), "had no effect") {
+			t.Fatalf("render should surface the miss of %s:\n%s", ev.Name(), rep.Render())
+		}
 	}
 }
 
@@ -195,6 +241,15 @@ func TestScenarioValidation(t *testing.T) {
 		datampi.At(120, datampi.SlowNode(0, -1)),
 	).Run(); err == nil || !strings.Contains(err.Error(), "factor") {
 		t.Fatalf("non-positive slow factor not caught at Run: %v", err)
+	}
+	for _, ev := range []datampi.Event{datampi.GrowSlots("dm-o", 0), datampi.ShrinkSlots("dm-o", 0)} {
+		if _, err := datampi.NewScenario(tb,
+			datampi.Tenant("a", 1, eng),
+			datampi.Arrive("a", 0, mk("/out/z4-")(0)),
+			datampi.At(120, ev),
+		).Run(); err == nil || !strings.Contains(err.Error(), "perNode must be at least 1") {
+			t.Fatalf("%s not caught at Run: %v", ev.Name(), err)
+		}
 	}
 	otherTb := datampi.NewTestbed(datampi.TestbedConfig{Scale: 1024, Seed: 9})
 	otherEng := datampi.New(otherTb.FS, datampi.DefaultConfig())
