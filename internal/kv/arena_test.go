@@ -43,7 +43,7 @@ func TestSlabGrowsWithTheFill(t *testing.T) {
 			}
 			// A spill keeps the block being filled, and with it the growth.
 			filling := cap(c.slab.blocks[len(c.slab.blocks)-1])
-			c.spill()
+			c.spill(nil)
 			if len(c.slab.blocks) != 1 || cap(c.slab.blocks[0]) != filling {
 				t.Errorf("fill %d: after a spill the slab has %d blocks, want the %d-byte one being filled", fill, len(c.slab.blocks), filling)
 			}

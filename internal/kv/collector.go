@@ -42,8 +42,10 @@ type extra struct {
 const headerBytes = 8
 
 // scratch is the working memory a collector needs only between Emit and
-// Finish. It holds no record bytes once cleared, so it is recycled.
-// extras, table and cells are used by combining fills only.
+// Finish. Its pairs and vals point into the slab until Finish clears
+// them; cleared, it holds no record bytes, so it is recycled. extras,
+// table and cells are used by combining fills only; pairs and spans by a
+// task that spills.
 type scratch struct {
 	entries []entry
 	vals    [][]byte // one key group's values, handed to the combiner
@@ -56,6 +58,20 @@ type scratch struct {
 	// is a reslice.
 	table []uint64
 	cells []uint64 // the cells in table, in insertion order: what a grown table is refilled from
+	// pairs holds the runs of a task's fills back to back, until Finish
+	// merges them; spans says where each one is, one span per (fill,
+	// partition), fill-major.
+	pairs []Pair
+	spans []span
+}
+
+// span is where one fill's run of one partition sits: pairs[lo:hi]. A
+// fill that held no record for the partition leaves reached false; one
+// whose combiner emptied the partition has an empty run, which still
+// counts as a run in the merge.
+type span struct {
+	lo, hi  int
+	reached bool
 }
 
 // minTableSize is the table a combining fill starts with (8 KB).
@@ -99,23 +115,24 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // [0, nParts) sends the record to partition 0 and is reported by Err.
 //
 // The slab is ordinary garbage-collected memory, never pooled: the pairs
-// Finish returns alias it for as long as they live.
+// Finish returns alias it for as long as they live. A task that fills
+// the buffer once gets its runs built at their final size as its output.
+// One that spills keeps every run in the pooled scratch instead, and
+// Finish allocates only the merged output, which shares no memory with
+// the scratch.
 type PartitionCollector struct {
 	parts       int
 	bufferBytes int // spill threshold over all partitions (0 = unbounded)
 	combine     Combiner
 	part        Partitioner
-	// fillBlocks and spills are 32-bit so that err fits without the
-	// struct leaving its 144-byte size class (every task allocates one).
-	fillBlocks int32 // maxFillBlocks; tests lower it
-	spills     int32
-	err        error // the first out-of-range partition index
+	fillBlocks  int // maxFillBlocks; tests lower it
+	spills      int
+	err         error // the first out-of-range partition index
 
 	slab     Arena
-	s        *scratch   // taken on the first Emit, returned by Finish
-	spilled  [][][]Pair // per spill, the run of each partition
-	buffered int        // record bytes emitted since the last spill
-	spillB   int        // total bytes spilled
+	s        *scratch // taken on the first Emit, returned by Finish
+	buffered int      // record bytes emitted since the last spill
+	spillB   int      // total bytes spilled
 }
 
 // NewPartitionCollector creates a collector for nParts partitions.
@@ -138,8 +155,8 @@ func (c *PartitionCollector) Emit(key, value []byte) {
 	if c.s == nil {
 		c.s = scratchPool.Get().(*scratch)
 	}
-	if len(c.slab.blocks) >= int(c.fillBlocks) {
-		c.spill()
+	if len(c.slab.blocks) >= c.fillBlocks {
+		c.spill(nil)
 	}
 	if c.combine != nil {
 		c.emitGrouped(key, value)
@@ -148,7 +165,7 @@ func (c *PartitionCollector) Emit(key, value []byte) {
 	}
 	c.buffered += len(key) + len(value)
 	if c.bufferBytes > 0 && c.buffered >= c.bufferBytes {
-		c.spill()
+		c.spill(nil)
 	}
 }
 
@@ -296,8 +313,11 @@ func (c *PartitionCollector) compare(a, b entry) int {
 }
 
 // spill sorts what is buffered into one run per partition and starts a
-// new fill.
-func (c *PartitionCollector) spill() {
+// new fill. Given out, it builds each run there in a slice of its own
+// (exact without a combiner, room for one value per key with one);
+// given nil, it appends the runs to the scratch's pairs and records
+// their spans.
+func (c *PartitionCollector) spill(out [][]Pair) {
 	s := c.s
 	if s == nil || len(s.entries) == 0 {
 		return
@@ -308,16 +328,26 @@ func (c *PartitionCollector) spill() {
 	if c.combine != nil {
 		build = c.combineRun
 	}
-	runs := make([][]Pair, c.parts)
+	var spans []span // this fill's, when its runs go to the scratch
+	if out == nil {
+		n := len(s.spans)
+		s.spans = append(s.spans, make([]span, c.parts)...)
+		spans = s.spans[n:]
+	}
 	for lo := 0; lo < len(es); {
 		hi := lo + 1
 		for hi < len(es) && es[hi].part == es[lo].part {
 			hi++
 		}
-		runs[es[lo].part] = build(es[lo:hi])
+		if p := es[lo].part; out != nil {
+			out[p] = build(make([]Pair, 0, hi-lo), es[lo:hi])
+		} else {
+			start := len(s.pairs)
+			s.pairs = build(s.pairs, es[lo:hi])
+			spans[p] = span{lo: start, hi: len(s.pairs), reached: true}
+		}
 		lo = hi
 	}
-	c.spilled = append(c.spilled, runs)
 	s.entries, s.extras, s.cells = es[:0], s.extras[:0], s.cells[:0]
 	clear(s.table)
 	c.slab.reset()
@@ -325,23 +355,22 @@ func (c *PartitionCollector) spill() {
 	c.spills++
 }
 
-// buildRun materialises one partition's sorted records as a run and
-// accounts its bytes as spilled.
-func (c *PartitionCollector) buildRun(es []entry) []Pair {
-	run := make([]Pair, len(es))
-	for i, e := range es {
-		run[i] = c.record(e.loc)
-		c.spillB += run[i].Size()
+// buildRun appends one partition's sorted records to run and accounts
+// their bytes as spilled.
+func (c *PartitionCollector) buildRun(run []Pair, es []entry) []Pair {
+	for _, e := range es {
+		p := c.record(e.loc)
+		run = append(run, p)
+		c.spillB += p.Size()
 	}
 	return run
 }
 
-// combineRun builds one partition's run from its sorted distinct keys:
-// each key's values, in ascending byte order, go through the combiner.
-// The run is sized for a combiner that keeps one value per key.
-func (c *PartitionCollector) combineRun(es []entry) []Pair {
+// combineRun appends one partition's run to run, built from its sorted
+// distinct keys: each key's values, in ascending byte order, go through
+// the combiner.
+func (c *PartitionCollector) combineRun(run []Pair, es []entry) []Pair {
 	s := c.s
-	run := make([]Pair, 0, len(es))
 	vals := s.vals
 	for _, e := range es {
 		first := c.record(e.loc)
@@ -372,57 +401,63 @@ func (c *PartitionCollector) combineRun(es []entry) []Pair {
 }
 
 // Spills reports how many buffer overflows occurred.
-func (c *PartitionCollector) Spills() int { return int(c.spills) }
+func (c *PartitionCollector) Spills() int { return c.spills }
 
 // Finish sorts the remaining buffer and merges runs per partition. It
 // returns the sorted, combined partitions plus the bytes written during
 // spills (spillBytes) and the bytes re-read by the final merge
 // (mergeBytes, zero when at most one run existed per partition).
 func (c *PartitionCollector) Finish() (parts [][]Pair, spillBytes, mergeBytes int) {
-	hadSpills := c.spills > 0
-	c.spill()
-	switch len(c.spilled) {
-	case 0:
-		parts = make([][]Pair, c.parts)
-	case 1:
-		parts = c.spilled[0]
-	default:
-		parts = make([][]Pair, c.parts)
-		runs := make([][]Pair, 0, len(c.spilled))
-		for pi := range parts {
-			runs = runs[:0]
-			for _, sp := range c.spilled {
-				// A partition that had records in a fill has a non-nil
-				// run for it, even when the combiner emptied it.
-				if sp[pi] != nil {
-					runs = append(runs, sp[pi])
-				}
-			}
-			switch {
-			case len(runs) == 0:
-			case len(runs) == 1:
-				parts[pi] = runs[0]
-			case c.combine == nil:
-				parts[pi] = MergeRuns(runs)
-			default:
-				parts[pi] = MergeCombine(runs, c.combine)
-			}
-		}
+	parts = make([][]Pair, c.parts)
+	if c.spills == 0 {
+		c.spill(parts)
+	} else {
+		c.spill(nil)
+		c.merge(parts)
 	}
 	spillBytes = c.spillB
-	if hadSpills && c.spills > 1 {
+	if c.spills > 1 {
 		// Multi-run merge re-reads everything that was spilled.
 		mergeBytes = c.spillB
 	}
-	c.spilled = nil
 	c.slab = Arena{}
 	if s := c.s; s != nil {
 		c.s = nil
 		clear(s.vals[:cap(s.vals)])
 		s.table = s.table[:0] // all zero since the last spill: the next collector starts small
-		if cap(s.entries)*16+cap(s.vals)*24+cap(s.extras)*8+(cap(s.table)+cap(s.cells))*8 <= maxPooledScratch {
+		if cap(s.entries)*16+cap(s.vals)*24+cap(s.extras)*8+(cap(s.table)+cap(s.cells))*8+
+			cap(s.pairs)*48+cap(s.spans)*24 <= maxPooledScratch {
 			scratchPool.Put(s)
 		}
 	}
 	return parts, spillBytes, mergeBytes
+}
+
+// merge fills parts from the runs every fill left in the scratch, then
+// clears them. A partition that several fills reached is merged (and
+// combined again), one that a single fill reached is copied: either way
+// into a slice of its own exact size.
+func (c *PartitionCollector) merge(parts [][]Pair) {
+	s := c.s
+	runs := make([][]Pair, 0, len(s.spans)/c.parts)
+	for pi := range parts {
+		runs = runs[:0]
+		for f := pi; f < len(s.spans); f += c.parts {
+			if sp := s.spans[f]; sp.reached {
+				runs = append(runs, s.pairs[sp.lo:sp.hi])
+			}
+		}
+		switch {
+		case len(runs) == 0:
+		case len(runs) == 1:
+			parts[pi] = append(make([]Pair, 0, len(runs[0])), runs[0]...)
+		case c.combine == nil:
+			// Every run is non-empty here, so MergeRuns copies.
+			parts[pi] = MergeRuns(runs)
+		default:
+			parts[pi] = MergeCombine(runs, c.combine)
+		}
+	}
+	clear(s.pairs)
+	s.pairs, s.spans = s.pairs[:0], s.spans[:0]
 }

@@ -110,6 +110,19 @@ func joinCombiner(key []byte, values [][]byte) [][]byte {
 	return [][]byte{bytes.Join(values, []byte{','})}
 }
 
+// tallyCombiner drops every key whose first byte is odd and replaces the
+// values of any other key with how many there were. A fill whose records
+// for a partition all have odd keys leaves that partition an empty run,
+// and a run combined twice differs from one combined once, so the
+// oracle comparisons see whether an emptied run still counts in the
+// merge.
+func tallyCombiner(key []byte, values [][]byte) [][]byte {
+	if len(key) > 0 && key[0]&1 != 0 {
+		return nil
+	}
+	return [][]byte{strconv.AppendInt(nil, int64(len(values)), 10)}
+}
+
 // combinerArms are the combiners every oracle comparison runs with, under
 // the names its subtests carry. A fuzz input picks one by index.
 var combinerArms = []struct {
@@ -119,6 +132,7 @@ var combinerArms = []struct {
 	{"false", nil},
 	{"true", SumCombiner},
 	{"join", joinCombiner},
+	{"tally", tallyCombiner},
 }
 
 func samePairs(a, b []Pair) bool {
@@ -190,6 +204,8 @@ func TestCollectorMatchesOracle(t *testing.T) {
 		"duplicates":  pairsOf("k", "9", "k", "9", "k", "9", "j", "1", "k", "90", "j", "-4"),
 		"high bytes":  pairsOf("\xff\xff", "1", "\xff", "1", "\x7f", "1", "\x80", "1", "\xff\xff\xff\xff\xff\xff\xff\xff\xff", "1"),
 		"growing sum": pairsOf("n", "5", "m", "1", "n", "7", "o", "1", "n", "99999", "m", "1"),
+		// At buffer 5, one fill of odd keys then one of even ones.
+		"emptied fill": pairsOf("a", "1", "a", "1", "c", "1", "b", "1", "b", "1", "d", "1"),
 	}
 	for name, recs := range cases {
 		for _, nParts := range []int{1, 2, 7, 64} {
@@ -257,6 +273,14 @@ func FuzzCollectorMatchesOracle(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("\x42ab\x01\x41c\x02\x73big\x09\x43the\x01"), 8), uint8(2), uint16(0), uint8(2), uint16(16500))
 	f.Add(bytes.Repeat([]byte("\x71x\x04\x42of\x01\x72yy\x08"), 12), uint8(5), uint16(30000), uint8(0), uint16(20000))
 	f.Add(bytes.Repeat([]byte("\x71x\x04\x41a\x01\x71z\x7f"), 40), uint8(1), uint16(9000), uint8(1), uint16(2048))
+	// Seven fills over five partitions, then late keys ("z", "q") for two
+	// partitions that only the last fill reaches: their runs are copied
+	// out of the scratch, not merged. Under tally, "of" and "q" are
+	// dropped, so partition 1 is emptied in every fill and partition 4 in
+	// its only one.
+	late := []byte("\x41z\x01\x41z\x01\x41q\x01")
+	f.Add(append(bytes.Repeat([]byte("\x43the\x01\x42of\x01\x41a\x01"), 30), late...), uint8(4), uint16(40), uint8(0), uint16(0))
+	f.Add(append(bytes.Repeat([]byte("\x43the\x01\x42of\x01\x41b\x01"), 30), late...), uint8(4), uint16(40), uint8(3), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, bufferBytes uint16, arm uint8, pad uint16) {
 		comb := combinerArms[int(arm)%len(combinerArms)].combine
 		checkAgainstOracle(t, fuzzRecords(data, int(pad)), 1+int(nParts)%64, int(bufferBytes), comb)
@@ -294,13 +318,13 @@ func TestCollectorReportsPartitionOutOfRange(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("index %d for 4 partitions", idx)) {
 				t.Fatalf("idx=%d combine=%s: Err() = %v, want the index and the partition count", idx, arm.name, err)
 			}
-			n := 0
+			n, want := 0, 0
 			for _, p := range parts {
 				n += len(p)
 			}
-			want := 4 // distinct keys
-			if arm.combine == nil {
-				want = len(recs)
+			oracle, _, _, _ := oracleCollect(recs, 4, 0, arm.combine, HashPartitioner{})
+			for _, p := range oracle {
+				want += len(p)
 			}
 			if len(parts) != 4 || n != want {
 				t.Fatalf("idx=%d combine=%s: Finish returned %d records in %d partitions, want %d in 4", idx, arm.name, n, len(parts), want)
@@ -370,37 +394,89 @@ func TestCollectorSpillsEarlyWhenFillOutgrowsLoc(t *testing.T) {
 	}
 }
 
+// latePartitioner sends the keys that start with "late" to the last
+// partition and hashes the others over the rest.
+type latePartitioner struct{}
+
+func (latePartitioner) Partition(key []byte, n int) int {
+	if bytes.HasPrefix(key, []byte("late")) {
+		return n - 1
+	}
+	return HashPartitioner{}.Partition(key, n-1)
+}
+
 // TestCollectorOutputSurvivesScratchReuse: what Finish returns aliases
 // the slab only. A second collector that takes the first one's pooled
 // scratch, and combiners that grow values in place, must leave it alone.
 func TestCollectorOutputSurvivesScratchReuse(t *testing.T) {
-	emitAll := func(recs []Pair, combine Combiner) [][]Pair {
-		c := NewPartitionCollector(8, 0, combine, HashPartitioner{})
+	emitAll := func(recs []Pair, bufferBytes int, combine Combiner, part Partitioner) [][]Pair {
+		c := NewPartitionCollector(8, bufferBytes, combine, part)
 		for _, r := range recs {
 			c.Emit(r.Key, r.Value)
 		}
 		parts, _, _ := c.Finish()
 		return parts
 	}
-	a := emitAll(wordCountRecords(1, 5000), SumCombiner)
+	// Later collectors of every kind, spilling or not, on this goroutine:
+	// each gets the one before's scratch back from the pool.
+	later := func() {
+		for round := int64(0); round < 4; round++ {
+			emitAll(wordCountRecords(2+round, 9000), 0, SumCombiner, HashPartitioner{})
+			emitAll(wordCountRecords(9+round, 100), 0, nil, HashPartitioner{})
+			for _, arm := range combinerArms {
+				emitAll(wordCountRecords(20+round, 3000), 1500, arm.combine, HashPartitioner{})
+			}
+		}
+	}
+	a := emitAll(wordCountRecords(1, 5000), 0, SumCombiner, HashPartitioner{})
 	snapshot := make([][]Pair, len(a))
 	for pi := range a {
 		snapshot[pi] = clonePairs(a[pi])
 	}
-	// Same goroutine, so B gets A's scratch back from the pool.
-	for round := int64(0); round < 4; round++ {
-		emitAll(wordCountRecords(2+round, 9000), SumCombiner)
-		emitAll(wordCountRecords(9+round, 100), nil)
-	}
+	later()
 	for pi := range a {
 		if !samePairs(a[pi], snapshot[pi]) {
 			t.Fatalf("partition %d of collector A changed after later collectors ran", pi)
 		}
 	}
 
+	// A collector that spills keeps its runs in the scratch until Finish.
+	// The late keys come after the last spill, so only the last fill
+	// reaches their partition and Finish copies its run rather than
+	// merging it; every other partition is merged.
+	const bufferBytes = 2000
+	recs := wordCountRecords(4, 3000)
+	early := len(recs)
+	for i := range 40 {
+		recs = append(recs, Pair{Key: fmt.Appendf(nil, "late%02d", i%16), Value: []byte("1")})
+	}
+	buffered := 0
+	for i, r := range recs {
+		if buffered += r.Size(); buffered >= bufferBytes {
+			if i >= early {
+				t.Fatalf("record %d, a late one, ends a fill: the late keys must all be in the last", i)
+			}
+			buffered = 0
+		}
+	}
+	for _, arm := range combinerArms {
+		got := emitAll(recs, bufferBytes, arm.combine, latePartitioner{})
+		later()
+		want, _, _, spills := oracleCollect(recs, 8, bufferBytes, arm.combine, latePartitioner{})
+		if spills < 3 {
+			t.Fatalf("combine=%s: %d fills, want several", arm.name, spills)
+		}
+		for pi := range got {
+			if !samePairs(got[pi], want[pi]) {
+				t.Fatalf("combine=%s: partition %d of a spilling collector differs from the oracle after later collectors ran:\n%v\nwant\n%v",
+					arm.name, pi, got[pi], want[pi])
+			}
+		}
+	}
+
 	// Growing one record's value past its capacity must reallocate, not
 	// run into the next record of the block.
-	parts := emitAll(pairsOf("k", "9", "l", "7", "m", "5"), nil)
+	parts := emitAll(pairsOf("k", "9", "l", "7", "m", "5"), 0, nil, HashPartitioner{})
 	var flat []Pair
 	for _, p := range parts {
 		flat = append(flat, p...)
@@ -466,16 +542,36 @@ func TestCollectAllocsPerRecord(t *testing.T) {
 	}
 }
 
-func BenchmarkCollectWordCount(b *testing.B) {
-	recs := wordCountRecords(7, 40000)
-	b.ReportAllocs()
-	for b.Loop() {
-		c := NewPartitionCollector(32, 0, SumCombiner, HashPartitioner{})
-		for _, r := range recs {
-			c.Emit(r.Key, r.Value)
-		}
-		c.Finish()
+// benchCollect times collecting recs into 32 partitions in one fill and,
+// with a buffer a third of their bytes, in three.
+func benchCollect(b *testing.B, recs []Pair, combine Combiner) {
+	total := 0
+	for _, r := range recs {
+		total += r.Size()
 	}
+	for _, fills := range []int{1, 3} {
+		buffer := 0
+		if fills > 1 {
+			buffer = total/fills + 1
+		}
+		b.Run(fmt.Sprintf("fills=%d", fills), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				c := NewPartitionCollector(32, buffer, combine, HashPartitioner{})
+				for _, r := range recs {
+					c.Emit(r.Key, r.Value)
+				}
+				c.Finish()
+				if c.Spills() != fills {
+					b.Fatalf("%d fills, want %d", c.Spills(), fills)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkCollectWordCount(b *testing.B) {
+	benchCollect(b, wordCountRecords(7, 40000), SumCombiner)
 }
 
 // BenchmarkCollectTextSort is the fill without a combiner: distinct
@@ -490,14 +586,7 @@ func BenchmarkCollectTextSort(b *testing.B) {
 		}
 		recs[i] = Pair{Key: key}
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		c := NewPartitionCollector(32, 0, nil, HashPartitioner{})
-		for _, r := range recs {
-			c.Emit(r.Key, r.Value)
-		}
-		c.Finish()
-	}
+	benchCollect(b, recs, nil)
 }
 
 // BenchmarkCollectDistinctCombine is the grouping fill's worst case:

@@ -13,9 +13,9 @@ import (
 // combine, DataMPI's local aggregation). The values slice (and the
 // slices it holds) is reused between keys: a combiner may rewrite it in
 // place but must not retain it after returning. What it returns is
-// retained as it is (the collector's runs point at it): each result is
-// one of the values passed in or fresh memory, never a buffer the
-// combiner will write again.
+// retained as it is (a collector's runs, and what its Finish returns,
+// point at it): each result is one of the values passed in or fresh
+// memory, never a buffer the combiner will write again.
 type Combiner func(key []byte, values [][]byte) [][]byte
 
 // SumCombiner adds decimal-encoded integer values — the WordCount
@@ -125,7 +125,10 @@ type mergeCursor struct {
 // is returned as it is, not copied; two are merged linearly; more go
 // through a hand-rolled binary heap of cursors ordered by (key prefix,
 // pair, run index). Equal pairs are byte-equal, so the output bytes do
-// not depend on how ties between runs break.
+// not depend on how ties between runs break. PartitionCollector, whose
+// runs live in scratch it reuses, never meets the uncopied case: it
+// merges only partitions that two or more fills reached, and a fill
+// without a combiner gives every partition it reached a non-empty run.
 func MergeRuns(runs [][]Pair) []Pair {
 	total := 0
 	h := make([]mergeCursor, 0, len(runs))
