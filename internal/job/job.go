@@ -43,11 +43,20 @@ func (f Format) String() string {
 	}
 }
 
+// Borrowable reports whether a block's records alias the block itself,
+// which is immutable, so that a sink may keep them without a copy (see
+// kv.PartitionCollector.Borrow): true for Text and Seq. SeqGzip records
+// alias an inflate buffer that Reader.Close recycles.
+func (f Format) Borrowable() bool { return f == Text || f == Seq }
+
 // Emit passes one intermediate record out of a map function. Every
 // receiver copies key and value before it returns (the kv collector into
 // its slab, the rdd mid-chain ops into the task arena, RunSequential into
 // fresh slices), so the caller may emit from a buffer it reuses for the
-// next record — and an Emit implementation must keep copying. The input
+// next record — and an Emit implementation must keep copying. The one
+// exception is a collector lent the task's block (kv's
+// PartitionCollector.Borrow): it keeps a record that lies in that
+// immutable block as it is, and still copies any other. The input
 // side leans on the same rule: a map function's key and value come from a
 // Reader and are only good until it returns (see Reader for which formats
 // alias the block and which a recycled inflate buffer).

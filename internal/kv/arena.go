@@ -11,7 +11,11 @@ package kv
 // Ownership: records alias arena blocks, so a block lives as long as any
 // record cut from it and the GC reclaims it when the last one dies.
 // Blocks are never recycled: map outputs, cached partitions and MPI
-// payloads publish records that outlive the arena that cut them.
+// payloads publish records that outlive the arena that cut them. Not
+// every map output record is cut here: one that a collector lent its
+// input (PartitionCollector.Borrow) found lying in that block aliases
+// the input instead, which is immutable and lives as long as the job's
+// file.
 //
 // Every sub-slice is cut with a full-capacity bound (three-index
 // slicing), so appending to one record's bytes can never clobber a

@@ -13,18 +13,28 @@ import (
 
 // entry is what the collector sorts in place of a 48-byte Pair: 16
 // bytes and no pointers. The record itself (uvarint key length, uvarint
-// value length, key, value) sits in the collector's slab at loc. Without
-// a combiner there is one entry per record; with one, one per distinct
-// key of the fill, and the record holds the first value emitted for it.
+// value length, key, value) sits in the collector's slab at loc; a
+// record borrowed from the input (see Borrow) stays there, at offsets
+// that loc indexes in the scratch under the borrowedLoc bit. Without a
+// combiner there is one entry per record; with one, one per distinct key
+// of the fill, and the record holds the first value emitted for it.
 type entry struct {
 	prefix uint64 // keyPrefix of the record's key
 	part   uint32 // destination partition
-	loc    uint32 // slab block index << blockShift | offset in the block
+	loc    uint32 // slab block index << blockShift | offset in the block, or borrowedLoc | index in scratch.borrowed
 }
 
-// maxFillBlocks is how many slab blocks loc can address. A fill that
-// would need more spills early, whatever the buffer threshold.
-const maxFillBlocks = 1 << (32 - blockShift)
+// borrowedLoc is the bit of a loc that marks a borrowed record.
+const borrowedLoc = 1 << 31
+
+// maxFillBlocks is how many slab blocks loc can address without reaching
+// borrowedLoc. A fill that would need more spills early, whatever the
+// buffer threshold.
+const maxFillBlocks = borrowedLoc >> blockShift
+
+// borrowed is a record whose key and value both lie in the collector's
+// borrowed input: their offsets in it and their lengths.
+type borrowed struct{ kOff, kLen, vOff, vLen uint32 }
 
 // extra is one value emitted for a key the fill already holds, other
 // than a repeat of the key's first value (which is only counted). A key's
@@ -42,14 +52,16 @@ type extra struct {
 const headerBytes = 8
 
 // scratch is the working memory a collector needs only between Emit and
-// Finish. Its pairs and vals point into the slab until Finish clears
-// them; cleared, it holds no record bytes, so it is recycled. extras,
-// table and cells are used by combining fills only; pairs and spans by a
+// Finish. Its pairs and vals point into the slab (and the borrowed input)
+// until Finish clears them; cleared, it holds no record bytes, so it is
+// recycled. extras, table and cells are used by combining fills only;
+// borrowed by a borrowing fill without a combiner; pairs and spans by a
 // task that spills.
 type scratch struct {
-	entries []entry
-	vals    [][]byte // one key group's values, handed to the combiner
-	extras  []extra
+	entries  []entry
+	borrowed []borrowed
+	vals     [][]byte // one key group's values, handed to the combiner
+	extras   []extra
 	// table is an open-addressing (linear probing) index of the fill's
 	// distinct keys: a cell is hashKey<<32 | the loc of the key's record,
 	// zero when free (no combining record sits at loc 0: its header
@@ -90,10 +102,10 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 //
 // There are two kinds of fill, chosen by whether the job has a combiner.
 //
-// Without one, Emit copies the record into the slab once and appends one
-// entry; a spill sorts the entries by (partition, key prefix, Compare on
-// a prefix tie) and only then builds each partition's []Pair, at its
-// final size.
+// Without one, Emit copies the record into the slab once (or borrows it,
+// below) and appends one entry; a spill sorts the entries by (partition,
+// key prefix, Compare on a prefix tie) and only then builds each
+// partition's []Pair, at its final size.
 //
 // With one, Emit groups: it looks the key up in a hash table kept in the
 // scratch. A key new to the fill costs what a record costs above — one
@@ -114,12 +126,18 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // calls it once per distinct key, not once per record. An index outside
 // [0, nParts) sends the record to partition 0 and is reported by Err.
 //
+// A collector that was lent its task's input (Borrow) keeps, in a fill
+// without a combiner, a record whose key and value both lie in that
+// input as four offsets in the scratch, not as a slab copy; the pairs
+// Finish builds for it alias the input. Any other record — from a map
+// function's own buffer, or in a combining fill — is copied.
+//
 // The slab is ordinary garbage-collected memory, never pooled: the pairs
-// Finish returns alias it for as long as they live. A task that fills
-// the buffer once gets its runs built at their final size as its output.
-// One that spills keeps every run in the pooled scratch instead, and
-// Finish allocates only the merged output, which shares no memory with
-// the scratch.
+// Finish returns alias it (or the borrowed input) for as long as they
+// live. A task that fills the buffer once gets its runs built at their
+// final size as its output. One that spills keeps every run in the
+// pooled scratch instead, and Finish allocates only the merged output,
+// which shares no memory with the scratch.
 type PartitionCollector struct {
 	parts       int
 	bufferBytes int // spill threshold over all partitions (0 = unbounded)
@@ -130,6 +148,7 @@ type PartitionCollector struct {
 	err         error // the first out-of-range partition index
 
 	slab     Arena
+	src      []byte   // the borrowed input (nil: copy every record)
 	s        *scratch // taken on the first Emit, returned by Finish
 	buffered int      // record bytes emitted since the last spill
 	spillB   int      // total bytes spilled
@@ -149,8 +168,20 @@ func NewPartitionCollector(nParts, bufferBytes int, combine Combiner, part Parti
 	}
 }
 
-// Emit adds one record (copying key and value, since map functions may
-// reuse buffers).
+// Borrow lends the collector src, the task's input block, and declares
+// it immutable for as long as anything Finish returns lives. From then on
+// a fill without a combiner keeps a record whose key and value both lie
+// in src without copying it (see PartitionCollector). A combining fill
+// copies regardless: a combiner may rewrite the values it is handed in
+// place. An input too large for 32-bit offsets is not borrowed.
+func (c *PartitionCollector) Borrow(src []byte) {
+	if uint64(len(src)) <= math.MaxUint32 {
+		c.src = src
+	}
+}
+
+// Emit adds one record, copying key and value (map functions may reuse
+// buffers) unless they lie in the borrowed input.
 func (c *PartitionCollector) Emit(key, value []byte) {
 	if c.s == nil {
 		c.s = scratchPool.Get().(*scratch)
@@ -160,7 +191,7 @@ func (c *PartitionCollector) Emit(key, value []byte) {
 	}
 	if c.combine != nil {
 		c.emitGrouped(key, value)
-	} else {
+	} else if !c.borrow(key, value) {
 		c.addEntry(key, value, 0)
 	}
 	c.buffered += len(key) + len(value)
@@ -175,6 +206,42 @@ func (c *PartitionCollector) addEntry(key, value []byte, room int) uint32 {
 	loc := c.put(key, value, room)
 	c.s.entries = append(c.s.entries, entry{prefix: keyPrefix(key), part: c.partition(key), loc: loc})
 	return loc
+}
+
+// borrow appends the entry of a record that lies in the borrowed input,
+// and reports false, keeping nothing, for one that does not.
+func (c *PartitionCollector) borrow(key, value []byte) bool {
+	s := c.s
+	if c.src == nil || len(s.borrowed) == borrowedLoc-1 { // the index must stay below the mark
+		return false
+	}
+	kOff, ok := c.offset(key)
+	if !ok {
+		return false
+	}
+	vOff, ok := c.offset(value)
+	if !ok {
+		return false
+	}
+	s.entries = append(s.entries, entry{prefix: keyPrefix(key), part: c.partition(key), loc: borrowedLoc | uint32(len(s.borrowed))})
+	s.borrowed = append(s.borrowed, borrowed{kOff, uint32(len(key)), vOff, uint32(len(value))})
+	return true
+}
+
+// offset reports whether b lies in the borrowed input, and where. Slices
+// of one array whose capacities end on the same byte start cap apart, so
+// b lies in src when its capacity's last byte is src's and it ends within
+// src's length. An empty b lies anywhere.
+func (c *PartitionCollector) offset(b []byte) (uint32, bool) {
+	if len(b) == 0 {
+		return 0, true
+	}
+	src := c.src
+	if cap(b) > cap(src) || &b[:cap(b)][cap(b)-1] != &src[:cap(src)][cap(src)-1] {
+		return 0, false
+	}
+	off := cap(src) - cap(b)
+	return uint32(off), off+len(b) <= len(src)
 }
 
 // emitGrouped adds one record to a combining fill: a value for a key the
@@ -288,8 +355,14 @@ func (c *PartitionCollector) header(loc uint32) (head, repeats []byte) {
 	return b[:4], b[4:]
 }
 
-// record cuts the pair put at loc out of the slab, capacity-bounded.
+// record cuts the pair at loc out of the slab or the borrowed input,
+// capacity-bounded.
 func (c *PartitionCollector) record(loc uint32) Pair {
+	if loc&borrowedLoc != 0 {
+		r := c.s.borrowed[loc&^borrowedLoc]
+		k, v := r.kOff+r.kLen, r.vOff+r.vLen
+		return Pair{Key: c.src[r.kOff:k:k], Value: c.src[r.vOff:v:v]}
+	}
 	b := c.slab.blocks[loc>>blockShift][loc&(DefaultBlockBytes-1):]
 	klen, n := binary.Uvarint(b)
 	b = b[n:]
@@ -348,7 +421,7 @@ func (c *PartitionCollector) spill(out [][]Pair) {
 		}
 		lo = hi
 	}
-	s.entries, s.extras, s.cells = es[:0], s.extras[:0], s.cells[:0]
+	s.entries, s.borrowed, s.extras, s.cells = es[:0], s.borrowed[:0], s.extras[:0], s.cells[:0]
 	clear(s.table)
 	c.slab.reset()
 	c.buffered = 0
@@ -425,7 +498,7 @@ func (c *PartitionCollector) Finish() (parts [][]Pair, spillBytes, mergeBytes in
 		c.s = nil
 		clear(s.vals[:cap(s.vals)])
 		s.table = s.table[:0] // all zero since the last spill: the next collector starts small
-		if cap(s.entries)*16+cap(s.vals)*24+cap(s.extras)*8+(cap(s.table)+cap(s.cells))*8+
+		if (cap(s.entries)+cap(s.borrowed))*16+cap(s.vals)*24+cap(s.extras)*8+(cap(s.table)+cap(s.cells))*8+
 			cap(s.pairs)*48+cap(s.spans)*24 <= maxPooledScratch {
 			scratchPool.Put(s)
 		}

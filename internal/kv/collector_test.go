@@ -182,6 +182,98 @@ func checkAgainstOracle(t testing.TB, recs []Pair, nParts, bufferBytes int, comb
 	}
 }
 
+// layOut copies recs back to back into one source buffer and returns it
+// with the records as sub-slices of it: a block's records as a Reader
+// hands them out. The buffer's capacity runs past its length, as a block
+// cut from a larger file's bytes does.
+func layOut(recs []Pair) (src []byte, laid []Pair) {
+	n := 0
+	for _, r := range recs {
+		n += r.Size()
+	}
+	buf := make([]byte, 0, n+64)
+	laid = make([]Pair, len(recs))
+	for i, r := range recs {
+		k := len(buf)
+		buf = append(buf, r.Key...)
+		v := len(buf)
+		buf = append(buf, r.Value...)
+		laid[i] = Pair{Key: buf[k:v], Value: buf[v:]}
+	}
+	return buf, laid
+}
+
+// aliases reports whether b's first byte lies in src's array.
+func aliases(b, src []byte) bool {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(src)))
+	return len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))-start < uintptr(cap(src))
+}
+
+// checkBorrowed runs recs through a collector lent their source buffer
+// and through a copying one, the oracle, and compares everything Finish
+// and Spills report. The records for which fromScratch holds are emitted
+// instead from a scratch buffer overwritten after each Emit — half of
+// them one of its own, half the source's array past its length — so the
+// collector must copy them. Without a combiner every other record's key
+// must stay in the source; with one, nothing may.
+func checkBorrowed(t testing.TB, recs []Pair, nParts, bufferBytes int, combine Combiner, fromScratch func(i int) bool) {
+	t.Helper()
+	want := NewPartitionCollector(nParts, bufferBytes, combine, HashPartitioner{})
+	for _, r := range recs {
+		want.Emit(r.Key, r.Value)
+	}
+	wantParts, wantSpillB, wantMergeB := want.Finish()
+
+	src, laid := layOut(recs)
+	tail := src[len(src):cap(src)]
+	var own []byte
+	c := NewPartitionCollector(nParts, bufferBytes, combine, HashPartitioner{})
+	c.Borrow(src)
+	borrowable := 0
+	for i, r := range laid {
+		if !fromScratch(i) {
+			c.Emit(r.Key, r.Value)
+			if len(r.Key) > 0 {
+				borrowable++
+			}
+			continue
+		}
+		buf := &own
+		if i%2 == 0 && r.Size() <= len(tail) {
+			buf = &tail
+		}
+		b := append((*buf)[:0], r.Key...)
+		b = append(b, r.Value...)
+		c.Emit(b[:len(r.Key)], b[len(r.Key):])
+		for j := range b {
+			b[j] = 0xee
+		}
+		*buf = b[:cap(b)]
+	}
+	parts, spillB, mergeB := c.Finish()
+	if c.Spills() != want.Spills() || spillB != wantSpillB || mergeB != wantMergeB {
+		t.Fatalf("parts=%d buffer=%d: spills/spillBytes/mergeBytes = %d/%d/%d borrowing, %d/%d/%d copying",
+			nParts, bufferBytes, c.Spills(), spillB, mergeB, want.Spills(), wantSpillB, wantMergeB)
+	}
+	inSrc := 0
+	for pi := range parts {
+		if !samePairs(parts[pi], wantParts[pi]) {
+			t.Fatalf("parts=%d buffer=%d: partition %d is\n%v\nborrowing, copying\n%v", nParts, bufferBytes, pi, parts[pi], wantParts[pi])
+		}
+		for _, p := range parts[pi] {
+			if aliases(p.Key, src) {
+				inSrc++
+			}
+		}
+	}
+	if combine != nil {
+		borrowable = 0
+	}
+	if inSrc != borrowable {
+		t.Fatalf("parts=%d buffer=%d: %d output keys alias the source, want %d", nParts, bufferBytes, inSrc, borrowable)
+	}
+}
+
 func pairsOf(kvs ...string) []Pair {
 	var out []Pair
 	for i := 0; i+1 < len(kvs); i += 2 {
@@ -213,6 +305,7 @@ func TestCollectorMatchesOracle(t *testing.T) {
 				for _, arm := range combinerArms {
 					t.Run(fmt.Sprintf("%s/p%d/b%d/combine=%s", name, nParts, bufferBytes, arm.name), func(t *testing.T) {
 						checkAgainstOracle(t, recs, nParts, bufferBytes, arm.combine)
+						checkBorrowed(t, recs, nParts, bufferBytes, arm.combine, func(i int) bool { return i%3 == 1 })
 					})
 				}
 			}
@@ -283,7 +376,9 @@ func FuzzCollectorMatchesOracle(f *testing.F) {
 	f.Add(append(bytes.Repeat([]byte("\x43the\x01\x42of\x01\x41b\x01"), 30), late...), uint8(4), uint16(40), uint8(3), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, nParts uint8, bufferBytes uint16, arm uint8, pad uint16) {
 		comb := combinerArms[int(arm)%len(combinerArms)].combine
-		checkAgainstOracle(t, fuzzRecords(data, int(pad)), 1+int(nParts)%64, int(bufferBytes), comb)
+		recs := fuzzRecords(data, int(pad))
+		checkAgainstOracle(t, recs, 1+int(nParts)%64, int(bufferBytes), comb)
+		checkBorrowed(t, recs, 1+int(nParts)%64, int(bufferBytes), comb, func(i int) bool { return (i+len(recs[i].Key))%3 == 0 })
 	})
 }
 
@@ -361,15 +456,23 @@ func wordCountRecords(seed int64, n int) []Pair {
 // blocks a location may address: the collector must spill rather than
 // wrap, and the output must not change. A grouping fill stores a repeated
 // key once, so its slab fills several times more slowly and it gets
-// several times the records.
+// several times the records. A borrowing fill copies only the records
+// emitted from outside its input (every other one, and the big one),
+// which are interleaved with borrowed ones; and no slab location up to
+// maxFillBlocks may carry the borrowed mark.
 func TestCollectorSpillsEarlyWhenFillOutgrowsLoc(t *testing.T) {
+	if last := uint32(maxFillBlocks-1)<<blockShift | (DefaultBlockBytes - 1); last&borrowedLoc != 0 {
+		t.Fatalf("slab location %#x of the last addressable block carries the borrowed mark", last)
+	}
 	for _, tc := range []struct {
 		name    string
 		combine Combiner
 		records int
+		borrow  bool
 	}{
-		{"combine=false", nil, 40000},
-		{"combine=true", SumCombiner, 200000},
+		{"combine=false", nil, 40000, false},
+		{"combine=true", SumCombiner, 200000, false},
+		{"combine=false/borrow", nil, 80000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recs := wordCountRecords(3, tc.records)
@@ -377,7 +480,17 @@ func TestCollectorSpillsEarlyWhenFillOutgrowsLoc(t *testing.T) {
 			recs = append(recs[:20000:20000], append([]Pair{big}, recs[20000:]...)...)
 			c := NewPartitionCollector(4, 0, tc.combine, HashPartitioner{})
 			c.fillBlocks = 2
-			for _, r := range recs {
+			emitted := recs
+			if tc.borrow {
+				var src []byte
+				src, emitted = layOut(recs)
+				c.Borrow(src)
+				for i := 0; i < len(emitted); i += 2 {
+					emitted[i] = emitted[i].Clone()
+				}
+				emitted[20000] = big
+			}
+			for _, r := range emitted {
 				c.Emit(r.Key, r.Value)
 			}
 			parts, _, _ := c.Finish()
@@ -406,37 +519,60 @@ func (latePartitioner) Partition(key []byte, n int) int {
 }
 
 // TestCollectorOutputSurvivesScratchReuse: what Finish returns aliases
-// the slab only. A second collector that takes the first one's pooled
-// scratch, and combiners that grow values in place, must leave it alone.
+// the slab and the borrowed input only. A second collector that takes the
+// first one's pooled scratch, and combiners that grow values in place,
+// must leave it alone.
 func TestCollectorOutputSurvivesScratchReuse(t *testing.T) {
-	emitAll := func(recs []Pair, bufferBytes int, combine Combiner, part Partitioner) [][]Pair {
+	emit := func(recs []Pair, bufferBytes int, combine Combiner, part Partitioner, borrow bool) [][]Pair {
 		c := NewPartitionCollector(8, bufferBytes, combine, part)
+		if borrow {
+			var src []byte
+			src, recs = layOut(recs)
+			c.Borrow(src)
+		}
 		for _, r := range recs {
 			c.Emit(r.Key, r.Value)
 		}
 		parts, _, _ := c.Finish()
 		return parts
 	}
-	// Later collectors of every kind, spilling or not, on this goroutine:
-	// each gets the one before's scratch back from the pool.
+	emitAll := func(recs []Pair, bufferBytes int, combine Combiner, part Partitioner) [][]Pair {
+		return emit(recs, bufferBytes, combine, part, false)
+	}
+	// Later collectors of every kind, spilling or not, borrowing or not,
+	// on this goroutine: each gets the one before's scratch back from the
+	// pool.
 	later := func() {
 		for round := int64(0); round < 4; round++ {
 			emitAll(wordCountRecords(2+round, 9000), 0, SumCombiner, HashPartitioner{})
 			emitAll(wordCountRecords(9+round, 100), 0, nil, HashPartitioner{})
+			emit(wordCountRecords(30+round, 4000), 0, nil, HashPartitioner{}, true)
 			for _, arm := range combinerArms {
 				emitAll(wordCountRecords(20+round, 3000), 1500, arm.combine, HashPartitioner{})
+				emit(wordCountRecords(40+round, 3000), 1500, arm.combine, HashPartitioner{}, true)
 			}
 		}
 	}
-	a := emitAll(wordCountRecords(1, 5000), 0, SumCombiner, HashPartitioner{})
-	snapshot := make([][]Pair, len(a))
-	for pi := range a {
-		snapshot[pi] = clonePairs(a[pi])
-	}
-	later()
-	for pi := range a {
-		if !samePairs(a[pi], snapshot[pi]) {
-			t.Fatalf("partition %d of collector A changed after later collectors ran", pi)
+	for _, first := range []struct {
+		name    string
+		buffer  int
+		combine Combiner
+		borrow  bool
+	}{
+		{"combining", 0, SumCombiner, false},
+		{"borrowing", 0, nil, true},
+		{"borrowing spill", 1500, nil, true},
+	} {
+		a := emit(wordCountRecords(1, 5000), first.buffer, first.combine, HashPartitioner{}, first.borrow)
+		snapshot := make([][]Pair, len(a))
+		for pi := range a {
+			snapshot[pi] = clonePairs(a[pi])
+		}
+		later()
+		for pi := range a {
+			if !samePairs(a[pi], snapshot[pi]) {
+				t.Fatalf("%s: partition %d of collector A changed after later collectors ran", first.name, pi)
+			}
 		}
 	}
 
@@ -460,39 +596,44 @@ func TestCollectorOutputSurvivesScratchReuse(t *testing.T) {
 		}
 	}
 	for _, arm := range combinerArms {
-		got := emitAll(recs, bufferBytes, arm.combine, latePartitioner{})
-		later()
-		want, _, _, spills := oracleCollect(recs, 8, bufferBytes, arm.combine, latePartitioner{})
-		if spills < 3 {
-			t.Fatalf("combine=%s: %d fills, want several", arm.name, spills)
-		}
-		for pi := range got {
-			if !samePairs(got[pi], want[pi]) {
-				t.Fatalf("combine=%s: partition %d of a spilling collector differs from the oracle after later collectors ran:\n%v\nwant\n%v",
-					arm.name, pi, got[pi], want[pi])
+		for _, borrow := range []bool{false, true} {
+			got := emit(recs, bufferBytes, arm.combine, latePartitioner{}, borrow)
+			later()
+			want, _, _, spills := oracleCollect(recs, 8, bufferBytes, arm.combine, latePartitioner{})
+			if spills < 3 {
+				t.Fatalf("combine=%s: %d fills, want several", arm.name, spills)
+			}
+			for pi := range got {
+				if !samePairs(got[pi], want[pi]) {
+					t.Fatalf("combine=%s borrow=%v: partition %d of a spilling collector differs from the oracle after later collectors ran:\n%v\nwant\n%v",
+						arm.name, borrow, pi, got[pi], want[pi])
+				}
 			}
 		}
 	}
 
 	// Growing one record's value past its capacity must reallocate, not
-	// run into the next record of the block.
-	parts := emitAll(pairsOf("k", "9", "l", "7", "m", "5"), 0, nil, HashPartitioner{})
-	var flat []Pair
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	SortPairs(flat)
-	grown := SumCombiner(flat[0].Key, [][]byte{flat[0].Value, []byte("995")})
-	if string(grown[0]) != "1004" {
-		t.Fatalf("SumCombiner = %q, want 1004", grown[0])
-	}
-	if got := fmt.Sprint(flat[1:]); got != `["l"="7" "m"="5"]` {
-		t.Fatalf("neighbouring records damaged by an in-place combine: %s", got)
+	// run into the next record of the block or of the borrowed input.
+	for _, borrow := range []bool{false, true} {
+		parts := emit(pairsOf("k", "9", "l", "7", "m", "5"), 0, nil, HashPartitioner{}, borrow)
+		var flat []Pair
+		for _, p := range parts {
+			flat = append(flat, p...)
+		}
+		SortPairs(flat)
+		grown := SumCombiner(flat[0].Key, [][]byte{flat[0].Value, []byte("995")})
+		if string(grown[0]) != "1004" {
+			t.Fatalf("borrow=%v: SumCombiner = %q, want 1004", borrow, grown[0])
+		}
+		if got := fmt.Sprint(flat[1:]); got != `["l"="7" "m"="5"]` {
+			t.Fatalf("borrow=%v: neighbouring records damaged by an in-place combine: %s", borrow, got)
+		}
 	}
 }
 
 // TestCollectorsConcurrently runs eight collectors at once, as the
-// harness sweep runner does with eight simulations. Run under -race.
+// harness sweep runner does with eight simulations, half of them lent
+// their input. Run under -race.
 func TestCollectorsConcurrently(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -503,7 +644,13 @@ func TestCollectorsConcurrently(t *testing.T) {
 				recs := wordCountRecords(int64(10*g+round), 3000)
 				combine := combinerArms[round%len(combinerArms)].combine
 				c := NewPartitionCollector(1+g, 2000*(round%3), combine, HashPartitioner{})
-				for _, r := range recs {
+				emitted := recs
+				if g%2 == 1 {
+					var src []byte
+					src, emitted = layOut(recs)
+					c.Borrow(src)
+				}
+				for _, r := range emitted {
 					c.Emit(r.Key, r.Value)
 				}
 				parts, spillB, mergeB := c.Finish()

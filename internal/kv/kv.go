@@ -197,9 +197,12 @@ func SampleBoundaries(sample [][]byte, n int) [][]byte {
 
 // Reducer folds all values of one key into output pairs. The values
 // slice is reused between keys: a reducer must not retain it after
-// returning. The pairs it returns are retained as they are (they become
-// the job's output), so their values must be fresh memory, never a
-// buffer the reducer will write again; the key may be the one passed in.
+// returning. The values themselves may alias the job's immutable input
+// (a collector lent its block keeps them there, see
+// PartitionCollector.Borrow), so a reducer must never write into them.
+// The pairs it returns are retained as they are (they become the job's
+// output), so their values must be fresh memory, never a buffer the
+// reducer will write again; the key may be the one passed in.
 type Reducer func(key []byte, values [][]byte) []Pair
 
 // GroupReduce walks sorted pairs, grouping equal keys and applying reduce.

@@ -425,14 +425,18 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	// one and from the pairs the task already holds otherwise (shuffle
 	// fetch, cached partition); every later op reads its predecessor's
 	// output. A stage that feeds a shuffle ends in the partition
-	// collector: its last op emits straight into it and pairs is left
-	// empty. Every other op materialises its output, copying into the
-	// task's arena what does not alias the input (map functions may reuse
-	// their buffers).
+	// collector: its last op emits straight into it, which keeps what
+	// lies in a streamed Text or Seq block without a copy, and pairs is
+	// left empty. Every other op materialises its output, copying into
+	// the task's arena what does not alias the input (map functions may
+	// reuse their buffers).
 	next := st.consumer
 	var coll *kv.PartitionCollector
 	if !isLast && next != nil {
 		coll = kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
+		if streaming && st.root.format.Borrowable() {
+			coll.Borrow(tin.blk.Data)
+		}
 	}
 	var arena kv.Arena
 	in := recordIter{pairs: pairs}

@@ -88,12 +88,17 @@ func Collect(coll *kv.PartitionCollector, scale float64) (Partitioned, error) {
 
 // MapBlock streams blk through spec's map function into a collector of
 // nParts sorted, combined partitions that spills past sortBuf nominal
-// bytes (0: never). It returns the block's decoded size and record count,
-// both nominal, with the sized output. Errors read "input: ..." or
-// "output: ..." for the engine to prefix.
+// bytes (0: never). Text and Seq blocks are lent to the collector, so map
+// output that lies in the block stays there (kv's
+// PartitionCollector.Borrow). It returns the block's decoded size and
+// record count, both nominal, with the sized output. Errors read
+// "input: ..." or "output: ..." for the engine to prefix.
 func (b *Base) MapBlock(spec *job.Spec, blk *dfs.Block, nParts int, sortBuf float64) (inNominal, inRecords float64, out Partitioned, err error) {
 	scale := b.Scale()
 	coll := kv.NewPartitionCollector(nParts, int(sortBuf/scale), spec.Combine, spec.Part)
+	if spec.InputFormat.Borrowable() {
+		coll.Borrow(blk.Data)
+	}
 	records, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
 	if err != nil {
 		return 0, 0, out, fmt.Errorf("input: %w", err)
