@@ -169,7 +169,7 @@ type TestbedConfig struct {
 	// Replication is the DFS replication factor (default 3).
 	Replication int
 	// Scale is the data-scaling divisor: nominal bytes represented per
-	// stored byte (default 1 = no scaling). See DESIGN.md.
+	// stored byte (default 1 = no scaling); see internal/dfs.
 	Scale float64
 	// Seed drives replica placement and data generation.
 	Seed int64

@@ -137,6 +137,18 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	nA := spec.Reducers // at least one: see job.Spec.Normalize
 	nO, world, splitsOf := e.layout(ctl.Placer(), blocks, nA)
 	oSpans := make([]uint64, nO) // O rank -> latest attempt span ID
+
+	// Each split's record work depends on the split alone, so it starts
+	// now, on worker goroutines, over the splits rank by rank; an O task
+	// picks up its splits' results when it reaches them.
+	first := make([]int, nO) // O rank -> index of its first split
+	var flat []*dfs.Block
+	for o, splits := range splitsOf {
+		first[o] = len(flat)
+		flat = append(flat, splits...)
+	}
+	scale := e.Scale()
+	maps := taskrt.Ahead(j, len(flat), func(i int) taskrt.Mapped { return taskrt.MapBlock(&spec, flat[i], nA, 0, scale) })
 	oSlots, aSlots := slots[0], e.aPool(ctl, nA)
 
 	// launchO launches O rank o as the task called name. O tasks are
@@ -158,7 +170,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 			Restartable: true,
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				oSpans[o] = att.TraceSpan().SpanID()
-				return nil, e.runOTask(p, att, &spec, world, o, nO, nA, splitsOf[o])
+				return nil, e.runOTask(p, att, &spec, world, o, nO, nA, splitsOf[o],
+					func(si int) taskrt.Mapped { return maps.Take(first[o] + si) })
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 				res.AddCounter(counter, 1)
@@ -326,10 +339,14 @@ func (e *Engine) aPool(ctl *sched.JobControl, nA int) *sched.SlotPool {
 }
 
 // runOTask processes this rank's splits: for each split, the input read,
-// the O-function CPU, and the pipelined partition sends all overlap. The
-// body is restartable: a speculative attempt runs it on its own node (att.Node may differ from the rank's home node) and
-// everything it allocates is released by defers even when cancelled.
-func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, rank, nO, nA int, splits []*dfs.Block) error {
+// the O-function CPU, and the pipelined partition sends all overlap.
+// mapped(si) is split si's record work, partitioned into one sorted
+// (and, if configured, combined) run per A rank. The body is restartable:
+// a speculative attempt runs it on its own node (att.Node may differ from
+// the rank's home node) and everything it allocates is released by defers
+// even when cancelled.
+func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, rank, nO, nA int, splits []*dfs.Block,
+	mapped func(si int) taskrt.Mapped) error {
 	cfg := &e.Cfg
 	node := att.Node()
 	mem := e.C.Node(node).Mem
@@ -344,10 +361,11 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		// The O side partitions into per-destination send buffers. The
 		// collector sorts each one (and combines, if configured), so the
 		// A side receives sorted runs and only merges.
-		inflatedNominal, nominalRecords, out, err := e.MapBlock(spec, blk, nA, 0)
-		if err != nil {
-			return fmt.Errorf("datampi: O %w", err)
+		m := mapped(si)
+		if m.Err != nil {
+			return fmt.Errorf("datampi: O %w", m.Err)
 		}
+		inflatedNominal, nominalRecords, out := m.InNominal, m.InRecords, m.Out
 
 		// Send buffers hold one pipelining unit per destination. The held
 		// amount is tracked so the deferred release covers a cancelled

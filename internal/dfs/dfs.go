@@ -9,7 +9,7 @@
 // are configurable — Figure 2(a)'s DFSIO block-size tuning sweeps them.
 //
 // Data is stored at "actual" size while resource charging uses "nominal"
-// bytes (actual × Scale); see DESIGN.md for the scaling rule.
+// bytes (actual × Scale).
 package dfs
 
 import (

@@ -3,6 +3,7 @@ package enginetest_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"sync"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/bdb"
@@ -62,18 +63,25 @@ func TestSortsLeaveTheirInputIntact(t *testing.T) {
 
 			seqSort := bdb.NormalSortSpec(fs, seqGz, "/out/seq", 4)
 			seqSort.Input, seqSort.InputFormat = seq, job.Seq
-			var buf []byte
+			// Map functions of different blocks may run at once (see
+			// job.Spec), so the overwritten buffer is per goroutine.
+			var scratch sync.Pool
 			fromBuffer := bdb.TextSortSpec(fs, text, "/out/buffer", 4)
 			fromBuffer.Map = func(key, value []byte, emit job.Emit) {
 				if len(value)%2 == 0 {
 					emit(value, nil)
 					return
 				}
-				buf = append(buf[:0], value...)
-				emit(buf, nil)
-				for i := range buf {
-					buf[i] = '#'
+				buf, _ := scratch.Get().(*[]byte)
+				if buf == nil {
+					buf = new([]byte)
 				}
+				*buf = append((*buf)[:0], value...)
+				emit(*buf, nil)
+				for i := range *buf {
+					(*buf)[i] = '#'
+				}
+				scratch.Put(buf)
 			}
 			eng := mk(fs)
 			for _, spec := range []job.Spec{

@@ -30,7 +30,7 @@ func init() {
 				rep.Rows = append(rep.Rows, []string{row[0], row[1]})
 			}
 			rep.Notes = append(rep.Notes,
-				"8 nodes, 1 Gigabit Ethernet switch; disk/NIC bandwidths inferred from the paper's Figure 4 (see DESIGN.md)")
+				"8 nodes, 1 Gigabit Ethernet switch; disk/NIC bandwidths inferred from the paper's Figure 4 (see cluster.DefaultHardware)")
 			return rep, nil
 		},
 	})

@@ -62,7 +62,12 @@ func (f Format) Borrowable() bool { return f == Text || f == Seq }
 // alias the block and which a recycled inflate buffer).
 type Emit func(key, value []byte)
 
-// MapFunc transforms one input record into intermediate records.
+// MapFunc transforms one input record into intermediate records. Engines
+// run the map side of a job ahead of its simulated tasks, on worker
+// goroutines, so a MapFunc may run on several goroutines at once — for
+// different blocks of one job and across jobs. It must not share mutable
+// state between calls: any scratch it keeps from one call to the next is
+// per goroutine (a sync.Pool, as bdb's accumulators use).
 type MapFunc func(key, value []byte, emit Emit)
 
 // Spec describes a job independently of the engine that runs it.
@@ -74,6 +79,11 @@ type Spec struct {
 	Output      string // output file path ("" = discard)
 	Reducers    int
 
+	// Map, Combine and Part may run at the same time on different
+	// goroutines, for different blocks of one job and across jobs (the
+	// engines run each map side ahead of its tasks): scratch any of them
+	// keeps between calls must be per goroutine. Reduce runs on the
+	// simulation's goroutine only.
 	Map     MapFunc
 	Combine kv.Combiner // optional map-side aggregation
 	Reduce  kv.Reducer  // nil = identity (emit pairs as grouped)
@@ -97,7 +107,7 @@ type Spec struct {
 	// output data sizes are bounded by key cardinality (a vocabulary, a
 	// pattern set, a cluster count) rather than growing with the input —
 	// true for WordCount, Grep, Naive Bayes counting and K-means partial
-	// sums, false for Sort. Under data scaling (DESIGN.md) such data is
+	// sums, false for Sort. Under data scaling (see internal/dfs) such data is
 	// charged at its true, unscaled size; scaling it with the input would
 	// overcharge aggregates by orders of magnitude. Normalize defaults it
 	// to "a combiner is present", which holds for every BigDataBench

@@ -15,7 +15,9 @@ import (
 // place but must not retain it after returning. What it returns is
 // retained as it is (a collector's runs, and what its Finish returns,
 // point at it): each result is one of the values passed in or fresh
-// memory, never a buffer the combiner will write again.
+// memory, never a buffer the combiner will write again. Collectors of
+// different tasks run at the same time on different goroutines, so a
+// combiner's scratch must be per goroutine (see job.Spec).
 type Combiner func(key []byte, values [][]byte) [][]byte
 
 // SumCombiner adds decimal-encoded integer values — the WordCount

@@ -135,12 +135,18 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 
 	assignment := ctl.Placer().Place(blocks)
 
+	// Each map's record work depends on its block alone, so it starts now,
+	// on worker goroutines, and the map task picks it up when it runs.
+	scale, sortBuf := e.Scale(), e.Cfg.SortBufferBytes
+	mapBlock := func(mi int) taskrt.Mapped { return taskrt.MapBlock(&spec, blocks[mi], nReduce, sortBuf, scale) }
+	maps := taskrt.Ahead(j, nMaps, mapBlock)
+
 	// outs is the map→reduce edge. A map output lost with its node is
 	// refetched from a surviving copy or regenerated inside the reducer
 	// that needs it first (without the JVM launch: it runs in the
 	// reducer's).
 	outs := j.Outputs(nMaps, "m", func(p *sim.Proc, att *sched.Attempt, mi int) (any, error) {
-		return e.runMapTask(p, att, &spec, blocks[mi], nReduce, mi, nil)
+		return e.runMapTask(p, att, &spec, blocks[mi], mapBlock(mi), mi, nil)
 	})
 
 	e.C.Eng.Go("jobtracker:"+spec.Name, func(driver *sim.Proc) {
@@ -160,7 +166,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 					p.Sleep(e.Cfg.TaskLaunch)
 					att.Report(0.05)
-					return e.runMapTask(p, att, &spec, blocks[mi], nReduce, mi, outs)
+					return e.runMapTask(p, att, &spec, blocks[mi], maps.Take(mi), mi, outs)
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					res.AddCounter("maps", 1)
@@ -224,20 +230,20 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 
 // runMapTask executes one map task attempt after its JVM launch: streaming
 // split read overlapped with the map function and sort/spill I/O, then the
-// final merged output written to the local disk. The body is restartable:
-// it derives everything from the immutable block and its own collector,
-// so a speculative attempt can re-run it on another node.
-func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk *dfs.Block, nReduce, mi int, outs *taskrt.Outputs) (*taskrt.Output, error) {
+// final merged output written to the local disk. m is the block's record
+// work (the real records streamed through the map function into the
+// collector); the attempt charges the resource demands it sized,
+// overlapped, as Hadoop streams the split through the mapper while the
+// spill thread writes. The body is restartable: it derives everything
+// from the immutable block and its own copy of m, so a speculative attempt
+// can re-run it on another node.
+func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk *dfs.Block, m taskrt.Mapped, mi int, outs *taskrt.Outputs) (*taskrt.Output, error) {
 	cfg := &e.Cfg
 	node := att.Node()
-
-	// Stream the real records through the map function eagerly; collect
-	// the resource demands, then charge them overlapped (Hadoop streams
-	// the split through the mapper while the spill thread writes).
-	inflatedNominal, nominalRecords, out, err := e.MapBlock(spec, blk, nReduce, cfg.SortBufferBytes)
-	if err != nil {
-		return nil, fmt.Errorf("mr: map %w", err)
+	if m.Err != nil {
+		return nil, fmt.Errorf("mr: map %w", m.Err)
 	}
+	inflatedNominal, nominalRecords, out := m.InNominal, m.InRecords, m.Out
 
 	// Task heap residency: base JVM plus garbage proportional to the
 	// nominal bytes processed, capped by the configured heap size.

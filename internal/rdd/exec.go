@@ -31,6 +31,10 @@ type stage struct {
 	// evicted marks a stage whose target is cached but whose output did
 	// not fit the executor cache.
 	evicted bool
+	// ahead holds the record work of a stage rooted at a block that
+	// feeds a shuffle (mapBlock over each block), started when the action
+	// is submitted; nil for every other stage.
+	ahead *taskrt.Pending[mapped]
 }
 
 // plan walks the lineage and produces stages bottom-up, linking each
@@ -116,6 +120,13 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 	j := e.Begin(name, ctl, cfg.DaemonMem+float64(cfg.WorkersPerNode)*cfg.ExecutorBaseMem)
 
 	stages := plan(target)
+	scale := e.Scale()
+	for _, st := range stages {
+		if st.mapsBlocks() {
+			blocks := st.root.source.Blocks
+			st.ahead = taskrt.Ahead(j, len(blocks), func(i int) mapped { return st.mapBlock(blocks[i], scale) })
+		}
+	}
 
 	e.C.Eng.Go("spark-driver", func(driver *sim.Proc) {
 		if !e.appStarted {
@@ -211,6 +222,9 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots
 	var out *taskrt.Outputs
 	if st.consumer != nil {
 		out = j.Outputs(len(tasks), "t", func(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
+			if st.ahead != nil {
+				return e.runMapTask(p, att, st, tasks[ti].blk, st.mapBlock(tasks[ti].blk, e.Scale()))
+			}
 			return e.runTask(p, att, st, &tasks[ti], false, "", ti, in)
 		})
 	}
@@ -233,6 +247,9 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				p.Sleep(cfg.TaskDispatch)
 				att.Report(0.05)
+				if st.ahead != nil {
+					return e.runMapTask(p, att, st, tin.blk, st.ahead.Take(ti))
+				}
 				return e.runTask(p, att, st, tin, isLast, outPath, ti, in)
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
@@ -297,12 +314,114 @@ func (e *Engine) usedExecutorMem(node int) float64 {
 	return used
 }
 
-// runTask executes one task of a stage on att's node: obtain tin's input
-// (block read, cache, or its partition pulled from the shuffle edge),
-// apply fused narrow ops, then either write shuffle output (an
-// *taskrt.Output), write the final file, or hand back collected pairs (a
-// partData). att is the owning attempt — the consuming task's when
-// re-entered as a lost-shuffle regeneration.
+// mapsBlocks reports whether the stage is rooted at a block and feeds a
+// shuffle: its tasks' record work depends on their blocks alone, so the
+// action starts it ahead (see mapBlock).
+func (st *stage) mapsBlocks() bool {
+	return !st.fromCache && st.root.source != nil && st.consumer != nil
+}
+
+// mapStep names how far a block's record work got before its error.
+type mapStep uint8
+
+const (
+	mapOK      mapStep = iota
+	mapOpen            // the block did not open: nothing was read
+	mapDecode          // a record did not decode: the block was read
+	mapCollect         // the collector failed: the block was read and mapped
+)
+
+// mapped is the record half of a task of a stage that mapsBlocks: the
+// block decoded (nominal bytes, actual records) and its sized shuffle
+// output, or the error that stopped it and the step it struck at.
+type mapped struct {
+	inNominal float64
+	inRecords int
+	out       taskrt.Partitioned
+	err       error
+	failed    mapStep
+}
+
+// mapBlock is the record half of a task of a stage that mapsBlocks: it
+// streams blk (decodes it into pairs when no narrow op is there to feed)
+// through the fused narrow chain into the shuffle's collector and sizes
+// the partitions, at scale (the filesystem's) nominal bytes per actual
+// one. It touches no simulation state, so it may run ahead of the task
+// (taskrt.Ahead); runMapTask is its cost half.
+func (st *stage) mapBlock(blk *dfs.Block, scale float64) mapped {
+	var rd job.Reader
+	var in recordIter
+	var inflated int
+	var err error
+	streaming := len(st.narrow) > 0
+	if streaming {
+		err = rd.Open(st.root.format, blk.Data)
+		inflated, in.rd = rd.Inflated(), &rd
+	} else {
+		in.pairs, inflated, err = job.Records(st.root.format, blk.Data)
+	}
+	if err != nil {
+		return mapped{err: fmt.Errorf("rdd: input: %w", err), failed: mapOpen}
+	}
+	m := mapped{inNominal: float64(inflated) * scale, inRecords: len(in.pairs)}
+	coll := st.collector()
+	if streaming && st.root.format.Borrowable() {
+		coll.Borrow(blk.Data)
+	}
+	pairs, _ := st.chain(in, coll)
+	if streaming {
+		if err := rd.Err(); err != nil {
+			m.err, m.failed = fmt.Errorf("rdd: input: %w", err), mapDecode
+			return m
+		}
+		m.inRecords = rd.Records()
+		rd.Close() // every record is in the collector, which copied what is not in the block
+	}
+	if m.out, err = st.collect(coll, pairs, scale); err != nil {
+		m.err, m.failed = err, mapCollect
+	}
+	return m
+}
+
+// runMapTask is the cost half of a task of a stage that mapsBlocks: on
+// att's node it charges what m sized — the block read, the streaming
+// window's transient memory, the map CPU, then the shuffle write — and
+// stops where m's error struck, as the task did when it computed its
+// records inline.
+func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, st *stage, blk *dfs.Block, m mapped) (any, error) {
+	if m.failed == mapOpen {
+		return nil, m.err
+	}
+	cfg := &e.Cfg
+	node := att.Node()
+	var wg sim.WaitGroup
+	if err := e.FS.StartRead(blk, node, &wg); err != nil {
+		return nil, err
+	}
+	// Streaming stages hold only a window of the partition as live
+	// objects (the iterator pipeline), not the whole expansion.
+	transient := 0.35 * m.inNominal * cfg.ExpansionFactor
+	mem := e.C.Node(node).Mem
+	mem.MustAlloc(transient)
+	defer mem.FreeLazy(e.C.Eng, transient, cfg.GCLagSecs)
+	if m.failed == mapDecode {
+		return nil, m.err
+	}
+	nominalRecords := float64(m.inRecords) * e.Scale()
+	cpuSec := cfg.CPUPerByteMap*st.cpuFactor()*m.inNominal + cfg.CPUPerRecord*nominalRecords
+	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
+	if m.err != nil {
+		return nil, m.err
+	}
+	return e.writeShuffle(p, &wg, node, m.out)
+}
+
+// runTask executes one task of a stage that does not mapsBlocks on att's
+// node: obtain tin's input (block read, cache, or its partition pulled
+// from the shuffle edge), apply fused narrow ops, then either write
+// shuffle output (an *taskrt.Output), write the final file, or hand back
+// collected pairs (a partData). att is the owning attempt — the consuming
+// task's when re-entered as a lost-shuffle regeneration.
 func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn,
 	isLast bool, outPath string, taskIdx int, edge *taskrt.Outputs) (any, error) {
 
@@ -313,10 +432,6 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	wide := tin.wide
 	var pairs []kv.Pair
 	var inputNominal float64
-	cpuFactor := 1.0
-	for _, n := range st.narrow {
-		cpuFactor *= n.cpuFactor
-	}
 
 	var wg sim.WaitGroup
 	var cpuSec float64
@@ -420,46 +535,17 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	}
 	inRecords := len(pairs)
 
-	// Apply the fused narrow chain (really), one op at a time: the first
-	// op pulls its input from the block's reader when the stage streams
-	// one and from the pairs the task already holds otherwise (shuffle
-	// fetch, cached partition); every later op reads its predecessor's
-	// output. A stage that feeds a shuffle ends in the partition
-	// collector: its last op emits straight into it, which keeps what
-	// lies in a streamed Text or Seq block without a copy, and pairs is
-	// left empty. Every other op materialises its output, copying into
-	// the task's arena what does not alias the input (map functions may
-	// reuse their buffers).
-	next := st.consumer
+	// Apply the fused narrow chain. A stage that feeds a shuffle ends in
+	// the partition collector, and pairs is left empty.
 	var coll *kv.PartitionCollector
-	if !isLast && next != nil {
-		coll = kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
-		if streaming && st.root.format.Borrowable() {
-			coll.Borrow(tin.blk.Data)
-		}
+	if !isLast && st.consumer != nil {
+		coll = st.collector()
 	}
-	var arena kv.Arena
 	in := recordIter{pairs: pairs}
 	if streaming {
 		in.rd = &rd
 	}
-	aliased := true // what the task keeps still points into the stage's input
-	for i, n := range st.narrow {
-		var out []kv.Pair
-		var sink job.Emit
-		switch {
-		case coll != nil && i == len(st.narrow)-1:
-			sink, aliased = coll.Emit, false
-		case n.aliasesInput:
-			sink = func(k, v []byte) { out = append(out, kv.Pair{Key: k, Value: v}) }
-		default:
-			sink, aliased = func(k, v []byte) { out = append(out, arena.CopyPair(k, v)) }, false
-		}
-		for k, v, ok := in.next(); ok; k, v, ok = in.next() {
-			n.f(k, v, sink)
-		}
-		pairs, in = out, recordIter{pairs: out}
-	}
+	pairs, aliased := st.chain(in, coll)
 	if streaming {
 		if err := rd.Err(); err != nil {
 			return nil, fmt.Errorf("rdd: input: %w", err)
@@ -473,7 +559,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		}
 	}
 	nominalRecords := float64(inRecords) * outScale
-	cpuSec += cfg.CPUPerByteMap*cpuFactor*inputNominal + cfg.CPUPerRecord*nominalRecords
+	cpuSec += cfg.CPUPerByteMap*st.cpuFactor()*inputNominal + cfg.CPUPerRecord*nominalRecords
 	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
 
 	if coll == nil {
@@ -499,21 +585,83 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		}
 		return partData{pairs: pairs, nominal: outNominal, node: node}, nil
 	}
+	sized, err := st.collect(coll, pairs, scale)
+	if err != nil {
+		return nil, err
+	}
+	return e.writeShuffle(p, &wg, node, sized)
+}
 
-	// This stage feeds a wide op — write shuffle output (Spark 0.8 hash
-	// shuffle materializes map outputs on the local disks of the map
-	// side).
-	shufScale := scale
-	if next.combine != nil {
-		shufScale = 1
+// cpuFactor is the product of the CPU factors of the stage's narrow ops.
+func (st *stage) cpuFactor() float64 {
+	f := 1.0
+	for _, n := range st.narrow {
+		f *= n.cpuFactor
+	}
+	return f
+}
+
+// collector returns a fresh partition collector for the shuffle the
+// stage feeds.
+func (st *stage) collector() *kv.PartitionCollector {
+	next := st.consumer
+	return kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
+}
+
+// chain applies the stage's fused narrow ops (really), one op at a time:
+// the first reads in — a block's reader when the stage streams one, the
+// pairs the task already holds otherwise (shuffle fetch, cached
+// partition) — and every later op reads its predecessor's output. With a
+// collector, the last op emits straight into it, which keeps what lies in
+// a streamed Text or Seq block without a copy, and pairs comes back
+// empty. Every other op materialises its output, copying into the task's
+// arena what does not alias the input (map functions may reuse their
+// buffers). aliased reports whether pairs still point into the stage's
+// input; with no op at all, pairs is in's.
+func (st *stage) chain(in recordIter, coll *kv.PartitionCollector) (pairs []kv.Pair, aliased bool) {
+	pairs, aliased = in.pairs, true
+	var arena kv.Arena
+	for i, n := range st.narrow {
+		var out []kv.Pair
+		var sink job.Emit
+		switch {
+		case coll != nil && i == len(st.narrow)-1:
+			sink, aliased = coll.Emit, false
+		case n.aliasesInput:
+			sink = func(k, v []byte) { out = append(out, kv.Pair{Key: k, Value: v}) }
+		default:
+			sink, aliased = func(k, v []byte) { out = append(out, arena.CopyPair(k, v)) }, false
+		}
+		for k, v, ok := in.next(); ok; k, v, ok = in.next() {
+			n.f(k, v, sink)
+		}
+		pairs, in = out, recordIter{pairs: out}
+	}
+	return pairs, aliased
+}
+
+// collect emits pairs (what no narrow op sent to the collector) into
+// coll and sizes the shuffle output: at scale nominal bytes per actual
+// one, or unscaled behind a combiner (see job.Spec.SaturatingIntermediate).
+func (st *stage) collect(coll *kv.PartitionCollector, pairs []kv.Pair, scale float64) (taskrt.Partitioned, error) {
+	if st.consumer.combine != nil {
+		scale = 1
 	}
 	for _, pr := range pairs {
 		coll.Emit(pr.Key, pr.Value)
 	}
-	sized, err := taskrt.Collect(coll, shufScale)
+	sized, err := taskrt.Collect(coll, scale)
 	if err != nil {
-		return nil, fmt.Errorf("rdd: shuffle %w", err)
+		return sized, fmt.Errorf("rdd: shuffle %w", err)
 	}
+	return sized, nil
+}
+
+// writeShuffle charges the write of a task's shuffle output, sized, on
+// node (Spark 0.8 hash shuffle materializes map outputs on the local
+// disks of the map side), waits for it and every charge already in wg,
+// and returns the output.
+func (e *Engine) writeShuffle(p *sim.Proc, wg *sim.WaitGroup, node int, sized taskrt.Partitioned) (any, error) {
 	if sized.OutNominal > 0 {
 		wg.Add(1)
 		e.C.Node(node).Disk.Start(sized.OutNominal, wg.Done)
@@ -526,7 +674,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		}
 		// Staged sender-side path on top: serialize + copy (or zero-copy)
 		// into the shuffle file's transfer buffers.
-		e.StartSend(&wg, node, sized.OutNominal, sized.OutRecords)
+		e.StartSend(wg, node, sized.OutNominal, sized.OutRecords)
 	}
 	wg.WaitAs(p, "disk")
 	return &taskrt.Output{Partitioned: sized, Node: node}, nil

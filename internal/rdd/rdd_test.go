@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -517,25 +518,38 @@ func TestDeterministic(t *testing.T) {
 }
 
 // TestNarrowChainCopiesWhatMapFunctionsReuse chains narrow ops whose map
-// function emits from one reused buffer. An op in the middle of a chain
-// must copy what it is handed, a Filter may pass its input through, and
-// the last op of a stage that feeds a shuffle emits straight into the
-// partition collector: all three must see every record intact.
+// function emits from a reused buffer and overwrites it right after. An
+// op in the middle of a chain must copy what it is handed, a Filter may
+// pass its input through, and the last op of a stage that feeds a shuffle
+// emits straight into the partition collector: all three must see every
+// record intact. The buffers come from a sync.Pool, because map functions
+// of different blocks may run at once (see job.Spec).
 func TestNarrowChainCopiesWhatMapFunctionsReuse(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	data := genText(9, 32*1024)
 	in := fs.PreloadAligned("/in", data, '\n')
-	var buf []byte
+	var scratch sync.Pool
+	emitFrom := func(emit job.Emit, v []byte, parts ...[]byte) {
+		buf, _ := scratch.Get().(*[]byte)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		*buf = (*buf)[:0]
+		for _, p := range parts {
+			*buf = append(*buf, p...)
+		}
+		emit(*buf, v)
+		for i := range *buf {
+			(*buf)[i] = '#'
+		}
+		scratch.Put(buf)
+	}
 	words := func(k, v []byte, emit job.Emit) {
 		for _, w := range bytes.Fields(v) {
-			buf = append(buf[:0], w...)
-			emit(buf, []byte("1"))
+			emitFrom(emit, []byte("1"), w)
 		}
 	}
-	double := func(k, v []byte, emit job.Emit) {
-		buf = append(append(buf[:0], k...), k...)
-		emit(buf, v)
-	}
+	double := func(k, v []byte, emit job.Emit) { emitFrom(emit, v, k, k) }
 	notBeta := func(p kv.Pair) bool { return !bytes.HasPrefix(p.Key, []byte("beta")) }
 	want := map[string]int64{}
 	for _, w := range bytes.Fields(data) {

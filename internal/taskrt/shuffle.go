@@ -86,25 +86,34 @@ func Collect(coll *kv.PartitionCollector, scale float64) (Partitioned, error) {
 	return out, nil
 }
 
+// Mapped is one map-side task's record work: the block's decoded size
+// and record count, both nominal, and the sized output — or the error
+// that stopped it, reading "input: ..." or "output: ..." for the engine
+// to prefix.
+type Mapped struct {
+	InNominal, InRecords float64
+	Out                  Partitioned
+	Err                  error
+}
+
 // MapBlock streams blk through spec's map function into a collector of
 // nParts sorted, combined partitions that spills past sortBuf nominal
-// bytes (0: never). Text and Seq blocks are lent to the collector, so map
-// output that lies in the block stays there (kv's
-// PartitionCollector.Borrow). It returns the block's decoded size and
-// record count, both nominal, with the sized output. Errors read
-// "input: ..." or "output: ..." for the engine to prefix.
-func (b *Base) MapBlock(spec *job.Spec, blk *dfs.Block, nParts int, sortBuf float64) (inNominal, inRecords float64, out Partitioned, err error) {
-	scale := b.Scale()
+// bytes (0: never), at scale nominal bytes per actual one (the
+// filesystem's Scale). Text and Seq blocks are lent to the collector, so
+// map output that lies in the block stays there (kv's
+// PartitionCollector.Borrow). It touches no simulation state, so it may
+// run ahead of the task (see Ahead).
+func MapBlock(spec *job.Spec, blk *dfs.Block, nParts int, sortBuf, scale float64) Mapped {
 	coll := kv.NewPartitionCollector(nParts, int(sortBuf/scale), spec.Combine, spec.Part)
 	if spec.InputFormat.Borrowable() {
 		coll.Borrow(blk.Data)
 	}
 	records, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
 	if err != nil {
-		return 0, 0, out, fmt.Errorf("input: %w", err)
+		return Mapped{Err: fmt.Errorf("input: %w", err)}
 	}
-	out, err = Collect(coll, spec.EmitScale())
-	return float64(inflated) * scale, float64(records) * scale, out, err
+	out, err := Collect(coll, spec.EmitScale())
+	return Mapped{InNominal: float64(inflated) * scale, InRecords: float64(records) * scale, Out: out, Err: err}
 }
 
 // StartSend charges the staged sender-side path (serialize, then copy or

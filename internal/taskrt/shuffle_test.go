@@ -260,9 +260,10 @@ func TestMapSide(t *testing.T) {
 				emitScale = 1
 			}
 
-			inNominal, inRecords, out, err := b.MapBlock(&spec, blk, tc.nParts, tc.sortBuf)
-			if err != nil {
-				t.Fatal(err)
+			m := MapBlock(&spec, blk, tc.nParts, tc.sortBuf, b.Scale())
+			inNominal, inRecords, out := m.InNominal, m.InRecords, m.Out
+			if m.Err != nil {
+				t.Fatal(m.Err)
 			}
 			if inNominal != float64(inflated)*tc.scale || inRecords != float64(records)*tc.scale {
 				t.Fatalf("input %v bytes, %v records; want %v, %v", inNominal, inRecords, float64(inflated)*tc.scale, float64(records)*tc.scale)
@@ -299,11 +300,11 @@ func TestMapSide(t *testing.T) {
 		_, b := testBase()
 		spec := job.Spec{Input: b.FS.Preload("/in", text), Map: wordsMap, Part: outOfRange{}}
 		spec.Normalize()
-		if _, _, _, err := b.MapBlock(&spec, spec.Input.Blocks[0], 4, 0); err == nil || !strings.HasPrefix(err.Error(), "output: ") {
+		if err := MapBlock(&spec, spec.Input.Blocks[0], 4, 0, b.Scale()).Err; err == nil || !strings.HasPrefix(err.Error(), "output: ") {
 			t.Fatalf("partitioner error: %v", err)
 		}
 		spec.Part, spec.InputFormat = kv.HashPartitioner{}, job.SeqGzip
-		if _, _, _, err := b.MapBlock(&spec, spec.Input.Blocks[0], 4, 0); err == nil || !strings.HasPrefix(err.Error(), "input: ") {
+		if err := MapBlock(&spec, spec.Input.Blocks[0], 4, 0, b.Scale()).Err; err == nil || !strings.HasPrefix(err.Error(), "input: ") {
 			t.Fatalf("undecodable block: %v", err)
 		}
 	})

@@ -26,6 +26,11 @@
 //     Fetches pulls a materialized partition to its consumer (fluid or
 //     staged wire, chosen here and in internal/transport only) and Buffer
 //     is the reduce-side shuffle buffer;
+//   - ahead: Ahead starts a job's map-side record work — which depends
+//     on the spec and the block, never on the clock, the node or the
+//     attempt — on worker goroutines at submission, and a task's first
+//     Take picks up its result when the simulation reaches it; the event
+//     loop stays single-threaded and sees the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - charges every engine makes the same way: StartCPU, StartSend,
 //     GCOverhead.
@@ -105,8 +110,9 @@ type Job struct {
 	tr       *trace.Tracer
 	span     *trace.Span
 	marks    []mark
-	rest     string     // phase running from the last mark to the job's end ("" = none)
-	edges    []*Outputs // the job's disk-materialized shuffle edges
+	rest     string                // phase running from the last mark to the job's end ("" = none)
+	edges    []*Outputs            // the job's disk-materialized shuffle edges
+	ahead    []interface{ stop() } // the record work started by Ahead
 	finished bool
 }
 
@@ -198,13 +204,21 @@ func (j *Job) Phase(name, rest string) {
 }
 
 // Fail records the job's first error, fails the streams of its shuffle
-// edges and wakes every consumer waiting on one.
+// edges, wakes every consumer waiting on one and stops the record work
+// started ahead.
 func (j *Job) Fail(err error) {
 	if j.Res.Err == nil {
 		j.Res.Err = err
 	}
 	for _, o := range j.edges {
 		o.fail()
+	}
+	j.stopAhead()
+}
+
+func (j *Job) stopAhead() {
+	for _, p := range j.ahead {
+		p.stop()
 	}
 }
 
@@ -267,6 +281,7 @@ func (j *Job) Finish(done func(job.Result)) {
 }
 
 func (j *Job) release() {
+	j.stopAhead()
 	j.b.profiling.Stop(j.b.Prof)
 	j.b.residency.Release()
 }
