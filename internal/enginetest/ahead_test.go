@@ -1,6 +1,7 @@
 package enginetest_test
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/enginetest"
 	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/sched"
@@ -84,6 +86,73 @@ func TestMapSideAheadIsInvisible(t *testing.T) {
 			})
 		}
 	}
+	for name, build := range aheadLineages {
+		t.Run("rdd/"+name, func(t *testing.T) {
+			type actions struct {
+				timing []timing
+				pairs  [][]kv.Pair
+			}
+			var got []actions
+			for _, procs := range []int{1, 4} {
+				atProcs(procs, func() {
+					c := cluster.New(cluster.DefaultHardware())
+					fs := dfs.New(c, dfs.Config{BlockSize: 8 * cluster.MB, Replication: 3, Scale: 256, Seed: 1})
+					aheadSpecs(t, fs, 64*cluster.MB)
+					eng := rdd.New(fs, rdd.DefaultConfig())
+					r := build(t, fs, eng)
+					var a actions
+					// The second action reads the cache the first filled.
+					for range 2 {
+						pairs, res := r.Collect()
+						if res.Err != nil {
+							t.Fatalf("GOMAXPROCS %d: %v", procs, res.Err)
+						}
+						if len(pairs) == 0 {
+							t.Fatalf("GOMAXPROCS %d: collected nothing", procs)
+						}
+						a.timing, a.pairs = append(a.timing, timingOf(res)), append(a.pairs, pairs)
+					}
+					got = append(got, a)
+				})
+			}
+			if !reflect.DeepEqual(got[0].timing, got[1].timing) {
+				t.Fatalf("one worker:\n%+v\nfour:\n%+v", got[0].timing, got[1].timing)
+			}
+			if !reflect.DeepEqual(got[0].pairs, got[1].pairs) {
+				t.Fatal("one worker and four collected different pairs")
+			}
+		})
+	}
+}
+
+// aheadLineages are rdd lineages no job.Spec builds, over aheadSpecs'
+// files: stages rooted at a block that feed no shuffle, each materialising
+// a cache.
+var aheadLineages = map[string]func(t *testing.T, fs *dfs.FS, eng *rdd.Engine) *rdd.RDD{
+	// K-means' shape: a cached text source, then a flat-map into a
+	// combining shuffle over the cached partitions.
+	"CachedTextIntoReduceByKey": func(t *testing.T, fs *dfs.FS, eng *rdd.Engine) *rdd.RDD {
+		words := func(k, v []byte, emit job.Emit) {
+			for _, w := range bytes.Fields(v) {
+				emit(w, []byte("1"))
+			}
+		}
+		return eng.TextFile(open(t, fs, "/text")).Cache().FlatMapKV(words, 1).ReduceByKey(kv.SumCombiner, kv.SumReducer, 4)
+	},
+	// A Filter alone keeps the records in the inflate buffers the cache
+	// then holds.
+	"CachedSeqGzipFilter": func(t *testing.T, fs *dfs.FS, eng *rdd.Engine) *rdd.RDD {
+		even := func(p kv.Pair) bool { return len(p.Value)%2 == 0 }
+		return eng.SequenceFile(open(t, fs, "/seq"), job.SeqGzip).Filter(even).Cache()
+	},
+}
+
+func open(t *testing.T, fs *dfs.FS, name string) *dfs.File {
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestMapSideAheadUnderBackups: with a straggling node and speculation on,
@@ -91,7 +160,7 @@ func TestMapSideAheadIsInvisible(t *testing.T) {
 // recomputes it on the simulation goroutine. The results still do not
 // move with the worker count.
 func TestMapSideAheadUnderBackups(t *testing.T) {
-	for _, engName := range []string{"mr", "core"} {
+	for _, engName := range []string{"mr", "rdd", "core"} {
 		t.Run(engName, func(t *testing.T) {
 			var got []timing
 			for _, procs := range []int{1, 4} {

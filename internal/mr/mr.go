@@ -138,15 +138,14 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	// Each map's record work depends on its block alone, so it starts now,
 	// on worker goroutines, and the map task picks it up when it runs.
 	scale, sortBuf := e.Scale(), e.Cfg.SortBufferBytes
-	mapBlock := func(mi int) taskrt.Mapped { return taskrt.MapBlock(&spec, blocks[mi], nReduce, sortBuf, scale) }
-	maps := taskrt.Ahead(j, nMaps, mapBlock)
+	maps := taskrt.Ahead(j, nMaps, func(mi int) taskrt.Mapped { return taskrt.MapBlock(&spec, blocks[mi], nReduce, sortBuf, scale) })
 
 	// outs is the map→reduce edge. A map output lost with its node is
 	// refetched from a surviving copy or regenerated inside the reducer
 	// that needs it first (without the JVM launch: it runs in the
-	// reducer's).
+	// reducer's; its record work is a later Take, which recomputes it).
 	outs := j.Outputs(nMaps, "m", func(p *sim.Proc, att *sched.Attempt, mi int) (any, error) {
-		return e.runMapTask(p, att, &spec, blocks[mi], mapBlock(mi), mi, nil)
+		return e.runMapTask(p, att, &spec, blocks[mi], maps.Take(mi), mi, nil)
 	})
 
 	e.C.Eng.Go("jobtracker:"+spec.Name, func(driver *sim.Proc) {

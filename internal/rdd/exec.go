@@ -31,9 +31,9 @@ type stage struct {
 	// evicted marks a stage whose target is cached but whose output did
 	// not fit the executor cache.
 	evicted bool
-	// ahead holds the record work of a stage rooted at a block that
-	// feeds a shuffle (mapBlock over each block), started when the action
-	// is submitted; nil for every other stage.
+	// ahead holds the record half of a stage rooted at a block (mapBlock
+	// over each block), started when the action is submitted; nil for a
+	// stage rooted at a cache or a shuffle.
 	ahead *taskrt.Pending[mapped]
 }
 
@@ -122,7 +122,7 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 	stages := plan(target)
 	scale := e.Scale()
 	for _, st := range stages {
-		if st.mapsBlocks() {
+		if !st.fromCache && st.root.source != nil {
 			blocks := st.root.source.Blocks
 			st.ahead = taskrt.Ahead(j, len(blocks), func(i int) mapped { return st.mapBlock(blocks[i], scale) })
 		}
@@ -222,9 +222,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots
 	var out *taskrt.Outputs
 	if st.consumer != nil {
 		out = j.Outputs(len(tasks), "t", func(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
-			if st.ahead != nil {
-				return e.runMapTask(p, att, st, tasks[ti].blk, st.mapBlock(tasks[ti].blk, e.Scale()))
-			}
 			return e.runTask(p, att, st, &tasks[ti], false, "", ti, in)
 		})
 	}
@@ -247,9 +244,6 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				p.Sleep(cfg.TaskDispatch)
 				att.Report(0.05)
-				if st.ahead != nil {
-					return e.runMapTask(p, att, st, tin.blk, st.ahead.Take(ti))
-				}
 				return e.runTask(p, att, st, tin, isLast, outPath, ti, in)
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
@@ -314,114 +308,104 @@ func (e *Engine) usedExecutorMem(node int) float64 {
 	return used
 }
 
-// mapsBlocks reports whether the stage is rooted at a block and feeds a
-// shuffle: its tasks' record work depends on their blocks alone, so the
-// action starts it ahead (see mapBlock).
-func (st *stage) mapsBlocks() bool {
-	return !st.fromCache && st.root.source != nil && st.consumer != nil
-}
-
-// mapStep names how far a block's record work got before its error.
+// mapStep names how far a task's record work got before its error.
 type mapStep uint8
 
 const (
 	mapOK      mapStep = iota
 	mapOpen            // the block did not open: nothing was read
 	mapDecode          // a record did not decode: the block was read
-	mapCollect         // the collector failed: the block was read and mapped
+	mapCollect         // the collector failed: the input was read and mapped
 )
 
-// mapped is the record half of a task of a stage that mapsBlocks: the
-// block decoded (nominal bytes, actual records) and its sized shuffle
-// output, or the error that stopped it and the step it struck at.
+// mapped is the record half of a task: its input (nominal bytes, actual
+// records), then its sized shuffle output when the stage feeds a shuffle
+// or else its one output partition, or the error that stopped it and the
+// step it struck at.
 type mapped struct {
 	inNominal float64
 	inRecords int
 	out       taskrt.Partitioned
+	pairs     []kv.Pair
 	err       error
 	failed    mapStep
 }
 
-// mapBlock is the record half of a task of a stage that mapsBlocks: it
+// mapBlock is the record half of a task of a stage rooted at a block: it
 // streams blk (decodes it into pairs when no narrow op is there to feed)
-// through the fused narrow chain into the shuffle's collector and sizes
-// the partitions, at scale (the filesystem's) nominal bytes per actual
-// one. It touches no simulation state, so it may run ahead of the task
-// (taskrt.Ahead); runMapTask is its cost half.
+// into records, at scale (the filesystem's) nominal bytes per actual
+// one. It touches no simulation state, so the action runs it ahead of the
+// task (taskrt.Ahead).
 func (st *stage) mapBlock(blk *dfs.Block, scale float64) mapped {
 	var rd job.Reader
 	var in recordIter
 	var inflated int
 	var err error
-	streaming := len(st.narrow) > 0
-	if streaming {
+	var lend []byte
+	if len(st.narrow) > 0 {
 		err = rd.Open(st.root.format, blk.Data)
 		inflated, in.rd = rd.Inflated(), &rd
+		if st.root.format.Borrowable() {
+			lend = blk.Data
+		}
 	} else {
 		in.pairs, inflated, err = job.Records(st.root.format, blk.Data)
 	}
 	if err != nil {
 		return mapped{err: fmt.Errorf("rdd: input: %w", err), failed: mapOpen}
 	}
-	m := mapped{inNominal: float64(inflated) * scale, inRecords: len(in.pairs)}
-	coll := st.collector()
-	if streaming && st.root.format.Borrowable() {
-		coll.Borrow(blk.Data)
-	}
-	pairs, _ := st.chain(in, coll)
-	if streaming {
-		if err := rd.Err(); err != nil {
-			m.err, m.failed = fmt.Errorf("rdd: input: %w", err), mapDecode
-			return m
-		}
-		m.inRecords = rd.Records()
-		rd.Close() // every record is in the collector, which copied what is not in the block
-	}
-	if m.out, err = st.collect(coll, pairs, scale); err != nil {
-		m.err, m.failed = err, mapCollect
+	m, aliased := st.records(in, float64(inflated)*scale, lend, scale)
+	if !aliased {
+		// Every record left the reader's buffer as a copy or lies in the
+		// lent block. A chain of Filters alone keeps the records
+		// themselves (a cached RDD may hold them for the engine's
+		// lifetime): see job.Reader.
+		rd.Close()
 	}
 	return m
 }
 
-// runMapTask is the cost half of a task of a stage that mapsBlocks: on
-// att's node it charges what m sized — the block read, the streaming
-// window's transient memory, the map CPU, then the shuffle write — and
-// stops where m's error struck, as the task did when it computed its
-// records inline.
-func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, st *stage, blk *dfs.Block, m mapped) (any, error) {
-	if m.failed == mapOpen {
-		return nil, m.err
+// records is the record half of every task: it applies the fused narrow
+// chain to in (nominal bytes), then sizes the shuffle's partitions in a
+// fresh collector lent lend (at scale nominal bytes per actual one), or
+// returns the task's one output partition. aliased reports whether that
+// partition still points into in.
+func (st *stage) records(in recordIter, nominal float64, lend []byte, scale float64) (m mapped, aliased bool) {
+	m = mapped{inNominal: nominal, inRecords: len(in.pairs)}
+	var coll *kv.PartitionCollector
+	if st.consumer != nil {
+		coll = st.collector()
+		if lend != nil {
+			coll.Borrow(lend)
+		}
 	}
-	cfg := &e.Cfg
-	node := att.Node()
-	var wg sim.WaitGroup
-	if err := e.FS.StartRead(blk, node, &wg); err != nil {
-		return nil, err
+	pairs, aliased := st.chain(in, coll)
+	if in.rd != nil {
+		if err := in.rd.Err(); err != nil {
+			m.err, m.failed = fmt.Errorf("rdd: input: %w", err), mapDecode
+			return m, aliased
+		}
+		m.inRecords = in.rd.Records()
 	}
-	// Streaming stages hold only a window of the partition as live
-	// objects (the iterator pipeline), not the whole expansion.
-	transient := 0.35 * m.inNominal * cfg.ExpansionFactor
-	mem := e.C.Node(node).Mem
-	mem.MustAlloc(transient)
-	defer mem.FreeLazy(e.C.Eng, transient, cfg.GCLagSecs)
-	if m.failed == mapDecode {
-		return nil, m.err
+	if coll == nil {
+		m.pairs = pairs
+		return m, aliased
 	}
-	nominalRecords := float64(m.inRecords) * e.Scale()
-	cpuSec := cfg.CPUPerByteMap*st.cpuFactor()*m.inNominal + cfg.CPUPerRecord*nominalRecords
-	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
-	if m.err != nil {
-		return nil, m.err
+	var err error
+	if m.out, err = st.collect(coll, pairs, scale); err != nil {
+		m.err, m.failed = err, mapCollect
 	}
-	return e.writeShuffle(p, &wg, node, m.out)
+	return m, aliased
 }
 
-// runTask executes one task of a stage that does not mapsBlocks on att's
-// node: obtain tin's input (block read, cache, or its partition pulled
-// from the shuffle edge), apply fused narrow ops, then either write
-// shuffle output (an *taskrt.Output), write the final file, or hand back
-// collected pairs (a partData). att is the owning attempt — the consuming
-// task's when re-entered as a lost-shuffle regeneration.
+// runTask is the cost half of every task, on att's node: it obtains tin's
+// record half — a block's from the stage's ahead work after charging its
+// read and the streaming window, a cached partition's, or a pulled and
+// merged partition's after charging the pull — charges the CPU, then
+// writes the shuffle output (an *taskrt.Output), the cached partition's
+// objects or the final file (a partData), stopping where the record
+// half's error struck. att is the owning attempt — the consuming task's
+// when re-entered as a lost-shuffle regeneration.
 func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn,
 	isLast bool, outPath string, taskIdx int, edge *taskrt.Outputs) (any, error) {
 
@@ -429,39 +413,40 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	scale := e.Scale()
 	eng := e.C.Eng
 	node := att.Node()
+	mem := e.C.Node(node).Mem
 	wide := tin.wide
-	var pairs []kv.Pair
-	var inputNominal float64
 
 	var wg sim.WaitGroup
 	var cpuSec float64
+	var m mapped
 
-	// A stage rooted at a block streams it: rd feeds the first narrow op
-	// record by record. A stage with no op to feed (a cached source RDD)
-	// keeps the records themselves, so it decodes the block into pairs.
-	var rd job.Reader
-	streaming := tin.blk != nil && len(st.narrow) > 0
+	// Record-processing CPU is charged on the records entering the stage;
+	// cardinality-bound data (records and outputs of combining shuffles)
+	// is charged unscaled — see job.Spec.SaturatingIntermediate for the
+	// rule.
+	outScale := scale
+	if wide != nil && wide.combine != nil {
+		outScale = 1
+	}
 
 	switch {
 	case tin.blk != nil:
-		var inflated int
-		var err error
-		if streaming {
-			err = rd.Open(st.root.format, tin.blk.Data)
-			inflated = rd.Inflated()
-		} else {
-			pairs, inflated, err = job.Records(st.root.format, tin.blk.Data)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("rdd: input: %w", err)
+		if m = st.ahead.Take(taskIdx); m.failed == mapOpen {
+			return nil, m.err
 		}
 		if err := e.FS.StartRead(tin.blk, node, &wg); err != nil {
 			return nil, err
 		}
-		inputNominal = float64(inflated) * scale
+		// Streaming stages hold only a window of the partition as live
+		// objects (the iterator pipeline), not the whole expansion.
+		transient := 0.35 * m.inNominal * cfg.ExpansionFactor
+		mem.MustAlloc(transient)
+		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
+		if m.failed == mapDecode {
+			return nil, m.err
+		}
 	case tin.pairs != nil:
-		pairs = tin.pairs
-		inputNominal = tin.nominal
+		m, _ = st.records(recordIter{pairs: tin.pairs}, tin.nominal, nil, scale)
 	default:
 		// Shuffle fetch (an empty cached partition lands here too, with
 		// nothing to pull): pull every map task's slice of this partition,
@@ -472,6 +457,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		// collector's Finish sorted, which is what lets the wide op below
 		// merge them.
 		var runs [][]kv.Pair
+		var inputNominal float64
 		if wide != nil {
 			buf := e.Buffer(p, node, cfg.ShuffleBufferBytes, nil)
 			var err error
@@ -501,10 +487,10 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		}
 		// Transient working memory with GC lag.
 		transient := inputNominal * cfg.ExpansionFactor
-		mem := e.C.Node(node).Mem
 		mem.MustAlloc(transient)
 		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
 
+		var pairs []kv.Pair
 		if wide != nil {
 			if wide.reduce != nil {
 				pairs = taskrt.MergeReduce(runs, wide.reduce)
@@ -514,82 +500,39 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 			cpuSec += cfg.CPUPerByteSort * inputNominal
 			cpuSec += cfg.CPUPerByteReduce * inputNominal
 		}
+		m, _ = st.records(recordIter{pairs: pairs}, inputNominal, nil, scale)
 	}
 
-	if tin.blk != nil {
-		// Streaming stages hold only a window of the partition as live
-		// objects (the iterator pipeline), not the whole expansion.
-		transient := 0.35 * inputNominal * cfg.ExpansionFactor
-		mem := e.C.Node(node).Mem
-		mem.MustAlloc(transient)
-		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
-	}
-
-	// Record-processing CPU is charged on the records entering the stage;
-	// cardinality-bound data (records and outputs of combining shuffles)
-	// is charged unscaled — see job.Spec.SaturatingIntermediate for the
-	// rule.
-	outScale := scale
-	if wide != nil && wide.combine != nil {
-		outScale = 1
-	}
-	inRecords := len(pairs)
-
-	// Apply the fused narrow chain. A stage that feeds a shuffle ends in
-	// the partition collector, and pairs is left empty.
-	var coll *kv.PartitionCollector
-	if !isLast && st.consumer != nil {
-		coll = st.collector()
-	}
-	in := recordIter{pairs: pairs}
-	if streaming {
-		in.rd = &rd
-	}
-	pairs, aliased := st.chain(in, coll)
-	if streaming {
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("rdd: input: %w", err)
-		}
-		inRecords = rd.Records()
-		if !aliased {
-			// Every record left the reader's buffer as a copy. A chain of
-			// Filters alone keeps the records themselves (a cached RDD may
-			// hold them for the engine's lifetime): see job.Reader.
-			rd.Close()
-		}
-	}
-	nominalRecords := float64(inRecords) * outScale
-	cpuSec += cfg.CPUPerByteMap*st.cpuFactor()*inputNominal + cfg.CPUPerRecord*nominalRecords
+	nominalRecords := float64(m.inRecords) * outScale
+	cpuSec += cfg.CPUPerByteMap*st.cpuFactor()*m.inNominal + cfg.CPUPerRecord*nominalRecords
 	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
+	if m.err != nil {
+		return nil, m.err
+	}
+	if st.consumer != nil {
+		return e.writeShuffle(p, &wg, node, m.out)
+	}
 
-	if coll == nil {
-		// The action's last stage, or one feeding a cached
-		// materialization without a shuffle: the task's pairs are its one
-		// output partition.
-		outNominal := taskrt.Framed(pairs, outScale)
-		if !isLast && cfg.CacheCPUPerByte > 0 && st.target.cached {
-			// Building the RDD's in-memory representation costs CPU
-			// (deserialization into JVM objects — the "creates the RDD"
-			// cost of the paper's Spark Stage 0).
-			wg.Add(1)
-			e.C.Node(node).CPU.Start(cfg.CacheCPUPerByte*outNominal, wg.Done)
-		}
-		wg.WaitAs(p, "disk")
-		if isLast {
-			att.Report(0.9)
-			if outPath != "" {
-				if err := e.WritePart(p, att, outPath, fmt.Sprintf("part-%05d", taskIdx), outScale, job.EncodeTextOutput(pairs)); err != nil {
-					return nil, err
-				}
+	// The action's last stage, or one feeding a cached materialization
+	// without a shuffle: the task's pairs are its one output partition.
+	outNominal := taskrt.Framed(m.pairs, outScale)
+	if !isLast && cfg.CacheCPUPerByte > 0 && st.target.cached {
+		// Building the RDD's in-memory representation costs CPU
+		// (deserialization into JVM objects — the "creates the RDD"
+		// cost of the paper's Spark Stage 0).
+		wg.Add(1)
+		e.C.Node(node).CPU.Start(cfg.CacheCPUPerByte*outNominal, wg.Done)
+	}
+	wg.WaitAs(p, "disk")
+	if isLast {
+		att.Report(0.9)
+		if outPath != "" {
+			if err := e.WritePart(p, att, outPath, fmt.Sprintf("part-%05d", taskIdx), outScale, job.EncodeTextOutput(m.pairs)); err != nil {
+				return nil, err
 			}
 		}
-		return partData{pairs: pairs, nominal: outNominal, node: node}, nil
 	}
-	sized, err := st.collect(coll, pairs, scale)
-	if err != nil {
-		return nil, err
-	}
-	return e.writeShuffle(p, &wg, node, sized)
+	return partData{pairs: m.pairs, nominal: outNominal, node: node}, nil
 }
 
 // cpuFactor is the product of the CPU factors of the stage's narrow ops.

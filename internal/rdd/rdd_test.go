@@ -676,7 +676,9 @@ func TestCachedFilterOverSeqGzipKeepsItsBytes(t *testing.T) {
 // TestCorruptSeqBlockFailsTheJob: a malformed record in the middle of a
 // block now surfaces while the stage streams it (Records used to refuse
 // the whole block before the task charged anything). The job must still
-// fail with the decode error and leave nothing allocated or parked.
+// fail with the decode error and leave nothing allocated or parked, on
+// every stage rooted at the block: each takes the error from its record
+// half, run ahead, whether it feeds a shuffle, the collect or a cache.
 func TestCorruptSeqBlockFailsTheJob(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	good := kv.EncodeAll([]kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}})
@@ -687,6 +689,7 @@ func TestCorruptSeqBlockFailsTheJob(t *testing.T) {
 		"collected":      eng.SequenceFile(in, job.Seq).FlatMapKV(ident, 1),
 		"into a shuffle": eng.SequenceFile(in, job.Seq).FlatMapKV(ident, 1).GroupByKey(nil, 2),
 		"source only":    eng.SequenceFile(in, job.Seq),
+		"cached source":  eng.SequenceFile(in, job.Seq).Cache(),
 	} {
 		_, res := r.Collect()
 		if res.Err == nil || !strings.Contains(res.Err.Error(), "truncated key") {

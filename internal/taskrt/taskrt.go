@@ -26,11 +26,14 @@
 //     Fetches pulls a materialized partition to its consumer (fluid or
 //     staged wire, chosen here and in internal/transport only) and Buffer
 //     is the reduce-side shuffle buffer;
-//   - ahead: Ahead starts a job's map-side record work — which depends
+//   - ahead: Ahead starts a job's record work over its blocks (mr maps,
+//     core O splits, every rdd task rooted at a block) — which depends
 //     on the spec and the block, never on the clock, the node or the
-//     attempt — on worker goroutines at submission, and a task's first
-//     Take picks up its result when the simulation reaches it; the event
-//     loop stays single-threaded and sees the same bytes;
+//     attempt — on worker goroutines at submission. A task's first Take
+//     picks up its result when the simulation reaches it; a later one (a
+//     backup, a retry, a lost output's regeneration) recomputes it on the
+//     caller. The event loop stays single-threaded and sees the same
+//     bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - charges every engine makes the same way: StartCPU, StartSend,
 //     GCOverhead.
