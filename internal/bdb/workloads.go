@@ -2,7 +2,9 @@ package bdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"regexp"
 	"regexp/syntax"
 	"slices"
@@ -40,6 +42,7 @@ func WordCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Spe
 		Combine:      kv.SumCombiner,
 		Reduce:       kv.SumReducer,
 		MapCPUFactor: WordCountCPUFactor,
+		Fingerprint:  "WordCount",
 	}
 }
 
@@ -86,7 +89,7 @@ func GrepSpec(fsys *dfs.FS, in *dfs.File, out, pattern string, reducers int) job
 		spec.Err = fmt.Errorf("bdb: grep pattern %q: %w", pattern, err)
 		return spec
 	}
-	spec.Map = grepMap(re)
+	spec.Map, spec.Fingerprint = grepMap(re), "Grep "+pattern
 	return spec
 }
 
@@ -267,12 +270,14 @@ var newline = []byte{'\n'}
 // TextSortSpec builds the Text Sort micro-benchmark: total-order sort of
 // uncompressed text lines via sampled range partitioning.
 func TextSortSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Spec {
+	bounds := SampleSortBoundaries(in, reducers)
 	return job.Spec{
 		Name: "TextSort", FS: fsys, Input: in, InputFormat: job.Text,
 		Output: out, Reducers: reducers,
 		Map:          func(key, value []byte, emit job.Emit) { emit(value, nil) },
-		Part:         &kv.RangePartitioner{Boundaries: SampleSortBoundaries(in, reducers)},
+		Part:         &kv.RangePartitioner{Boundaries: bounds},
 		MapCPUFactor: SortCPUFactor,
+		Fingerprint:  sortFingerprint("TextSort", bounds),
 	}
 }
 
@@ -290,11 +295,26 @@ func NormalSortSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Sp
 			}
 		}
 	}
+	bounds := kv.SampleBoundaries(sample, reducers)
 	return job.Spec{
 		Name: "NormalSort", FS: fsys, Input: in, InputFormat: job.SeqGzip,
 		Output: out, Reducers: reducers,
 		Map:          func(key, value []byte, emit job.Emit) { emit(key, value) },
-		Part:         &kv.RangePartitioner{Boundaries: kv.SampleBoundaries(sample, reducers)},
+		Part:         &kv.RangePartitioner{Boundaries: bounds},
 		MapCPUFactor: SortCPUFactor * 1.4, // decompression adds CPU
+		Fingerprint:  sortFingerprint("NormalSort", bounds),
 	}
+}
+
+// sortFingerprint is a sort spec's job.Spec.Fingerprint: its name and an
+// FNV-64 hash of its range boundaries, each length-prefixed, so sorts
+// partitioned differently never share record work.
+func sortFingerprint(name string, bounds [][]byte) string {
+	h := fnv.New64a()
+	var n [binary.MaxVarintLen64]byte
+	for _, b := range bounds {
+		h.Write(binary.AppendUvarint(n[:0], uint64(len(b))))
+		h.Write(b)
+	}
+	return fmt.Sprintf("%s %016x", name, h.Sum64())
 }

@@ -148,7 +148,8 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 		flat = append(flat, splits...)
 	}
 	scale := e.Scale()
-	maps := taskrt.Ahead(j, len(flat), func(i int) taskrt.Mapped { return taskrt.MapBlock(&spec, flat[i], nA, 0, scale) })
+	maps := taskrt.Ahead(j, spec.Fingerprint, flat, nA, 0, spec.EmitScale(),
+		func(i int) taskrt.Mapped { return taskrt.MapBlock(&spec, flat[i], nA, 0, scale) })
 	oSlots, aSlots := slots[0], e.aPool(ctl, nA)
 
 	// launchO launches O rank o as the task called name. O tasks are

@@ -62,11 +62,12 @@ func TestSortsLeaveTheirInputIntact(t *testing.T) {
 			before := hashBlocks(text, seqGz, seq)
 
 			seqSort := bdb.NormalSortSpec(fs, seqGz, "/out/seq", 4)
-			seqSort.Input, seqSort.InputFormat = seq, job.Seq
+			seqSort.Input, seqSort.InputFormat, seqSort.Fingerprint = seq, job.Seq, ""
 			// Map functions of different blocks may run at once (see
 			// job.Spec), so the overwritten buffer is per goroutine.
 			var scratch sync.Pool
 			fromBuffer := bdb.TextSortSpec(fs, text, "/out/buffer", 4)
+			fromBuffer.Fingerprint = ""
 			fromBuffer.Map = func(key, value []byte, emit job.Emit) {
 				if len(value)%2 == 0 {
 					emit(value, nil)

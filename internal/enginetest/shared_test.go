@@ -1,0 +1,230 @@
+package enginetest_test
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"github.com/datampi/datampi-go/internal/bdb"
+	"github.com/datampi/datampi-go/internal/cluster"
+	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/enginetest"
+	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/sched"
+)
+
+// sharedSpecs are the fingerprinted specs the shared-record-work tests
+// repeat, over one text file of the rig.
+var sharedSpecs = map[string]func(fs *dfs.FS, in *dfs.File, out string) job.Spec{
+	"WordCount": func(fs *dfs.FS, in *dfs.File, out string) job.Spec { return bdb.WordCountSpec(fs, in, out, 4) },
+	"Grep":      func(fs *dfs.FS, in *dfs.File, out string) job.Spec { return bdb.GrepSpec(fs, in, out, "th[ae]", 4) },
+	"TextSort":  func(fs *dfs.FS, in *dfs.File, out string) job.Spec { return bdb.TextSortSpec(fs, in, out, 4) },
+}
+
+// sharedRig is a cluster and a filesystem of 16 blocks of generated text
+// at replication repl.
+func sharedRig(repl int) (*cluster.Cluster, *dfs.FS, *dfs.File) {
+	c := cluster.New(cluster.DefaultHardware())
+	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: repl, Scale: 8192, Seed: 1})
+	return c, fs, bdb.GenerateTextFile(fs, "/text", bdb.LDAWiki1W(), 5, cluster.GB)
+}
+
+// failAt is when the node-failure arm fails node 3: while the copies
+// admitted at 10 and 15 s run, on every engine.
+const failAt = 17
+
+// TestSharedRecordWorkIsInvisible: six copies of one fingerprinted spec
+// go through one queue with speculation on — against a straggling node,
+// or with a node failing mid-job at replication 2, so that backups,
+// retries and regenerations take shared map outputs and reduce tails.
+// With the fingerprint set the copies share their record work; with it
+// cleared, on a fresh identical rig, each computes its own (Map runs over
+// the input once between the six copies, or at least six times). Every
+// simulated number of every job and of the tracker is bit-identical
+// between the two, every output matches the sequential reference and the
+// engine ends quiesced.
+func TestSharedRecordWorkIsInvisible(t *testing.T) {
+	type run struct {
+		jobs    []timing
+		tracker sched.TrackerStats
+	}
+	arms := map[string]struct {
+		repl int
+		arm  func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue)
+	}{
+		"straggler": {3, func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue) {
+			c.SlowNode(c.N()-1, 4)
+		}},
+		"node failure": {2, func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue) {
+			enginetest.FailNodeAt(q, fs, eng, failAt, 3)
+		}},
+	}
+	for engName, mk := range aheadEngines {
+		for specName, mkSpec := range sharedSpecs {
+			for armName, a := range arms {
+				t.Run(engName+"/"+specName+"/"+armName, func(t *testing.T) {
+					var got []run
+					for _, shared := range []bool{true, false} {
+						c, fs, in := sharedRig(a.repl)
+						eng := mk(fs)
+						q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
+						q.SetSpeculation(sched.SpeculationConfig{Enabled: true})
+						a.arm(c, fs, eng, q)
+						var specs []job.Spec
+						var maps atomic.Int64
+						for i := range 6 {
+							spec := mkSpec(fs, in, fmt.Sprintf("/out/%d", i))
+							if !shared {
+								spec.Fingerprint = ""
+							} else if spec.Fingerprint == "" {
+								t.Fatal("the spec has no fingerprint")
+							}
+							specs = append(specs, spec)
+							// Counting leaves what Map computes, and so the
+							// fingerprint, as it is.
+							inner := spec.Map
+							spec.Map = func(k, v []byte, emit job.Emit) {
+								maps.Add(1)
+								inner(k, v, emit)
+							}
+							q.Admit("", float64(5*i), 1, eng, spec)
+						}
+						var r run
+						for i, res := range q.Run() {
+							if res.Err != nil {
+								t.Fatalf("shared %v: job %d: %v", shared, i, res.Err)
+							}
+							enginetest.AssertMatchesSequential(t, fs, fmt.Sprintf("/out/%d/", i), specs[i])
+							r.jobs = append(r.jobs, timingOf(res))
+						}
+						enginetest.AssertQuiesced(t, eng)
+						r.tracker = q.TrackerStats()
+						got = append(got, r)
+						if n, rec := maps.Load(), records(t, in); shared && n != rec || !shared && n < 6*rec {
+							t.Fatalf("shared %v: Map ran %d times over %d records", shared, n, rec)
+						}
+					}
+					st := got[0].tracker
+					if armName == "straggler" && st.Backups == 0 {
+						t.Fatal("no speculative backup ran")
+					}
+					if armName == "node failure" && st.Retries+st.Recomputes+st.Kills == 0 {
+						t.Fatal("the node failure touched no task")
+					}
+					if !reflect.DeepEqual(got[0], got[1]) {
+						t.Fatalf("shared:\n%+v\nown:\n%+v", got[0], got[1])
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSharedRecordWorkNeverCrossesSpecs: on one rig and engine, jobs
+// running at once whose specs differ in what their record work computes
+// never take each other's results — Grep at three patterns over the same
+// blocks (fig3-scan's shape), then Text Sort and WordCount, each at 4
+// and 8 reducers over one input (WordCount's fingerprint is the same at
+// both). A copy of each job beside it makes every entry one the table
+// keeps.
+func TestSharedRecordWorkNeverCrossesSpecs(t *testing.T) {
+	for engName, mk := range aheadEngines {
+		t.Run(engName, func(t *testing.T) {
+			c, fs, in := sharedRig(3)
+			eng := mk(fs)
+			q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
+			var specs []job.Spec
+			for i := range 2 {
+				out := func(name string) string { return fmt.Sprintf("/out/%s-%d", name, i) }
+				specs = append(specs,
+					bdb.GrepSpec(fs, in, out("the"), "th[ae]", 4),
+					bdb.GrepSpec(fs, in, out("none"), "qzqzq", 4),
+					bdb.GrepSpec(fs, in, out("dense"), "[a-z]+", 4),
+					bdb.TextSortSpec(fs, in, out("sort4"), 4),
+					bdb.TextSortSpec(fs, in, out("sort8"), 8),
+					bdb.WordCountSpec(fs, in, out("wc4"), 4),
+					bdb.WordCountSpec(fs, in, out("wc8"), 8),
+				)
+			}
+			for _, spec := range specs {
+				q.Admit("", 0, 1, eng, spec)
+			}
+			for i, res := range q.Run() {
+				if res.Err != nil {
+					t.Fatalf("%s: %v", specs[i].Output, res.Err)
+				}
+				enginetest.AssertMatchesSequential(t, fs, specs[i].Output+"/", specs[i])
+			}
+			enginetest.AssertQuiesced(t, eng)
+		})
+	}
+}
+
+// TestOneSpecSameBytesOnEveryEngine: WordCount, Grep and Text Sort at 4
+// reducers write byte-identical part files, matched by part index, on
+// mr, rdd and core — the engines differ in how they run a job, never in
+// what it writes. Each engine runs two copies at once, so the second
+// copy's parts come from its record table.
+func TestOneSpecSameBytesOnEveryEngine(t *testing.T) {
+	for specName, mkSpec := range sharedSpecs {
+		t.Run(specName, func(t *testing.T) {
+			var want [][]byte
+			for _, engName := range []string{"mr", "rdd", "core"} {
+				c, fs, in := sharedRig(3)
+				eng := aheadEngines[engName](fs)
+				q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
+				outs := []string{"/out/first", "/out/second"}
+				for i, out := range outs {
+					q.Admit("", float64(i), 1, eng, mkSpec(fs, in, out))
+				}
+				for i, res := range q.Run() {
+					if res.Err != nil {
+						t.Fatalf("%s %s: %v", engName, outs[i], res.Err)
+					}
+					got := partBytes(fs, outs[i]+"/")
+					if len(got) != 4 {
+						t.Fatalf("%s %s: %d part files, want 4", engName, outs[i], len(got))
+					}
+					if want == nil {
+						want = got
+						continue
+					}
+					for pi := range got {
+						if !bytes.Equal(got[pi], want[pi]) {
+							t.Fatalf("%s %s: part %d differs from mr's first copy (%d bytes, want %d)", engName, outs[i], pi, len(got[pi]), len(want[pi]))
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// records counts the records of text file f.
+func records(t *testing.T, f *dfs.File) int64 {
+	n := 0
+	for _, blk := range f.Blocks {
+		recs, _, err := job.Records(job.Text, blk.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(recs)
+	}
+	return int64(n)
+}
+
+// partBytes returns the contents of the files under prefix, in name
+// order.
+func partBytes(fs *dfs.FS, prefix string) [][]byte {
+	var parts [][]byte
+	for _, f := range fs.ListPrefix(prefix) {
+		var data []byte
+		for _, blk := range f.Blocks {
+			data = append(data, blk.Data...)
+		}
+		parts = append(parts, data)
+	}
+	return parts
+}

@@ -89,6 +89,18 @@ type Spec struct {
 	Reduce  kv.Reducer  // nil = identity (emit pairs as grouped)
 	Part    kv.Partitioner
 
+	// Fingerprint names what the record functions compute. Two specs
+	// with the same non-empty fingerprint promise the same InputFormat,
+	// Map, Combine, Part and Reduce, so an engine may compute a block's
+	// map output (and a reduce task's output over map outputs it keeps)
+	// once and hand it to the other jobs that ask for the same block and
+	// shape; simulated charges do not change. Empty (the default)
+	// shares nothing. A constructor sets it when its record work depends
+	// only on its arguments (bdb.WordCountSpec, GrepSpec, TextSortSpec,
+	// NormalSortSpec); a wrapper that changes what Map, Combine, Part or
+	// Reduce computes must clear it.
+	Fingerprint string
+
 	// MapCPUFactor and ReduceCPUFactor scale the engines' per-byte CPU
 	// cost relative to plain record parsing (1.0). K-means distance
 	// computation, for example, is far more CPU-intensive per byte than

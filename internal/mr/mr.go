@@ -136,14 +136,17 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	assignment := ctl.Placer().Place(blocks)
 
 	// Each map's record work depends on its block alone, so it starts now,
-	// on worker goroutines, and the map task picks it up when it runs.
+	// on worker goroutines (or is shared with other jobs of the spec's
+	// fingerprint), and the map task picks it up when it runs.
 	scale, sortBuf := e.Scale(), e.Cfg.SortBufferBytes
-	maps := taskrt.Ahead(j, nMaps, func(mi int) taskrt.Mapped { return taskrt.MapBlock(&spec, blocks[mi], nReduce, sortBuf, scale) })
+	maps := taskrt.Ahead(j, spec.Fingerprint, blocks, nReduce, sortBuf, spec.EmitScale(),
+		func(mi int) taskrt.Mapped { return taskrt.MapBlock(&spec, blocks[mi], nReduce, sortBuf, scale) })
 
 	// outs is the map→reduce edge. A map output lost with its node is
 	// refetched from a surviving copy or regenerated inside the reducer
 	// that needs it first (without the JVM launch: it runs in the
-	// reducer's; its record work is a later Take, which recomputes it).
+	// reducer's; its record work is a later Take, which recomputes it or,
+	// with a fingerprint, looks it up).
 	outs := j.Outputs(nMaps, "m", func(p *sim.Proc, att *sched.Attempt, mi int) (any, error) {
 		return e.runMapTask(p, att, &spec, blocks[mi], maps.Take(mi), mi, nil)
 	})

@@ -341,7 +341,7 @@ func TestPartitionerOutOfRangeFailsTheJob(t *testing.T) {
 		_, fs, eng := testSetup(8*cluster.KB, 1)
 		in := fs.PreloadAligned("/in", genText(4, 32*1024), '\n')
 		spec := mk(fs, in, "/out", 4)
-		spec.Part = enginetest.OutOfRange{}
+		spec.Part, spec.Fingerprint = enginetest.OutOfRange{}, ""
 		enginetest.AssertPartitionError(t, eng, eng.Run(spec), 4)
 	}
 }

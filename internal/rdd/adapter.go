@@ -21,6 +21,7 @@ func (e *Engine) lineage(spec *job.Spec) *RDD {
 	} else {
 		src = e.SequenceFile(spec.Input, spec.InputFormat)
 	}
+	src.fingerprint = spec.Fingerprint
 	mapped := src.FlatMapKV(spec.Map, spec.MapCPUFactor*spec.CPUAdjust(e.Name()))
 
 	// A defaulted identity reducer becomes a nil wide-op reducer: the

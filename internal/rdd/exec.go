@@ -123,8 +123,19 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 	scale := e.Scale()
 	for _, st := range stages {
 		if !st.fromCache && st.root.source != nil {
+			// A source a job.Spec's lineage built carries the spec's
+			// fingerprint: its stage's record work is shared with the
+			// engine's other actions of that fingerprint (taskrt.Ahead).
 			blocks := st.root.source.Blocks
-			st.ahead = taskrt.Ahead(j, len(blocks), func(i int) mapped { return st.mapBlock(blocks[i], scale) })
+			nParts, emitScale := 0, scale
+			if w := st.consumer; w != nil {
+				nParts = w.nParts
+				if w.combine != nil {
+					emitScale = 1 // see collect
+				}
+			}
+			st.ahead = taskrt.Ahead(j, st.root.fingerprint, blocks, nParts, 0, emitScale,
+				func(i int) mapped { return st.mapBlock(blocks[i], scale) })
 		}
 	}
 

@@ -164,11 +164,15 @@ type RDD struct {
 	narrow *narrowOp
 	wide   *wideOp
 
-	format    job.Format
-	cached    bool
-	cacheData []partData // materialized when cached and computed
-	inCache   bool
-	lostParts int // cached partitions dropped with failed nodes, awaiting recompute accounting
+	format job.Format
+	// fingerprint is the job.Spec.Fingerprint of the spec whose lineage
+	// this source roots ("" for a hand-built chain): it names the record
+	// work of the stage rooted here.
+	fingerprint string
+	cached      bool
+	cacheData   []partData // materialized when cached and computed
+	inCache     bool
+	lostParts   int // cached partitions dropped with failed nodes, awaiting recompute accounting
 }
 
 // narrowOp is one fused per-record transformation. f emits through a

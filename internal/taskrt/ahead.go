@@ -3,6 +3,8 @@ package taskrt
 import (
 	"runtime"
 	"sync"
+
+	"github.com/datampi/datampi-go/internal/dfs"
 )
 
 // aheadBudget caps how many results of record work started ahead no Take
@@ -47,6 +49,9 @@ type Pending[T any] struct {
 	// that neither finishes nor fails (a queue that deadlocked) never
 	// stops its Pending, so a cleanup returns held when the GC drops it.
 	held *int
+	// leave (nil without a fingerprint) ends the job's interest in its
+	// record table entries; the first stop calls it.
+	leave func()
 }
 
 type slot[T any] struct {
@@ -64,17 +69,35 @@ const (
 	taken                // a Take has had it, or a stop dropped it
 )
 
-// Ahead starts work(i) for every i in [0, n) on worker goroutines — at
-// most GOMAXPROCS in the process, so min(GOMAXPROCS, n) when the job has
-// them to itself — which claim items in index order, and returns at once.
-// work depends only on i and on what it captured: it must not touch
-// simulation state (the sim kernel, node memory, filesystem writes, the
-// tracer, the profiler), so every input it needs — the filesystem's Scale
-// among them — is read before Ahead is called. Job.Fail, Job.Finish and
-// RunSolo's deadlock unwind stop the workers from claiming more of the
-// job's items and drop the results no Take has had.
-func Ahead[T any](j *Job, n int, work func(i int) T) *Pending[T] {
-	p := &Pending[T]{work: work, slots: make([]slot[T], n), held: new(int)}
+// Ahead starts work(i), the record work of blocks[i], for every block on
+// worker goroutines — at most GOMAXPROCS in the process, so
+// min(GOMAXPROCS, len(blocks)) when the job has them to itself — which
+// claim items in index order, and returns at once. work depends only on
+// i and on what it captured: it must not touch simulation state (the sim
+// kernel, node memory, filesystem writes, the tracer, the profiler), so
+// every input it needs — the filesystem's Scale among them — is read
+// before Ahead is called. Job.Fail, Job.Finish and RunSolo's deadlock
+// unwind stop the workers from claiming more of the job's items and drop
+// the results no Take has had.
+//
+// With a non-empty fingerprint (the spec's job.Spec.Fingerprint) every
+// work(i), ahead or in a Take, goes through the engine's record table:
+// the result for (blocks[i], fingerprint, nParts partitions, sortBuf,
+// the engine's Scale, emitScale) is computed once while a job that asked
+// for it runs — for the engine's life once two jobs have — and every
+// other caller gets the same immutable value, waiting for the
+// computation in flight if there is one. An empty fingerprint shares
+// nothing: blocks then only counts the items.
+func Ahead[T any](j *Job, fingerprint string, blocks []*dfs.Block, nParts int, sortBuf, emitScale float64,
+	work func(i int) T) *Pending[T] {
+	p := &Pending[T]{work: work, slots: make([]slot[T], len(blocks)), held: new(int)}
+	if fingerprint != "" {
+		t := j.b.rec
+		shape := t.shape(shapeKey{fingerprint, nParts, sortBuf, j.b.Scale(), emitScale})
+		es := join[T](t, shape, blocks)
+		p.work = func(i int) T { return share(t, es[i], work, i) }
+		p.leave = func() { leave(t, es) }
+	}
 	runtime.AddCleanup(p, func(held *int) {
 		ahead.mu.Lock()
 		ahead.release(held, *held)
@@ -85,7 +108,7 @@ func Ahead[T any](j *Job, n int, work func(i int) T) *Pending[T] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.queue = append(s.queue, p)
-	for k := min(runtime.GOMAXPROCS(0), n) - s.workers; k > 0; k-- {
+	for k := min(runtime.GOMAXPROCS(0), len(blocks)) - s.workers; k > 0; k-- {
 		s.workers++
 		go s.worker()
 	}
@@ -161,8 +184,10 @@ func (p *Pending[T]) compute(i int) (v T, pv any) {
 // Take returns item i's result. The first Take of i returns what a worker
 // computed, waiting for it if a worker is on it, or runs work(i) on the
 // caller if none has started it. Every later Take of i — a speculative
-// backup, a retry, a regeneration — runs work(i) on the caller again.
-// Either way the caller owns the result: Take keeps no reference to it.
+// backup, a retry, a regeneration — runs work(i) on the caller again,
+// which with a fingerprint is a lookup in the engine's record table, not
+// a recomputation. Take keeps no reference to the result; the caller must
+// not write into it, since the table may hand it to other jobs too.
 func (p *Pending[T]) Take(i int) T {
 	s := &ahead
 	s.mu.Lock()
@@ -190,7 +215,6 @@ func (p *Pending[T]) Take(i int) T {
 func (p *Pending[T]) stop() {
 	s := &ahead
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	p.stopped = true
 	dropped := 0
 	for i := range p.slots {
@@ -200,6 +224,12 @@ func (p *Pending[T]) stop() {
 		}
 	}
 	s.release(p.held, dropped)
+	leave := p.leave
+	p.leave = nil
+	s.mu.Unlock()
+	if leave != nil {
+		leave()
+	}
 }
 
 // release returns n of the results a Pending holds to the budget. s.mu is

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/sched"
 )
 
@@ -23,7 +24,7 @@ func withProcs(t *testing.T, n int) {
 func start[T any](t *testing.T, n int, work func(i int) T) *Pending[T] {
 	j := new(Job)
 	t.Cleanup(j.stopAhead)
-	return Ahead(j, n, work)
+	return Ahead(j, "", make([]*dfs.Block, n), 0, 0, 0, work)
 }
 
 // readyNow is how many results wait for a Take, process-wide.
@@ -137,7 +138,7 @@ func TestAheadStopsAtFinishAndFail(t *testing.T) {
 			j := b.Begin("ahead", sched.Solo(c.Eng, c.N()), 0)
 			gate, started := make(chan struct{}), make(chan int, 8)
 			var calls atomic.Int32
-			p := Ahead(j, 8, gated(8, gate, started, &calls))
+			p := Ahead(j, "", make([]*dfs.Block, 8), 0, 0, 0, gated(8, gate, started, &calls))
 			<-started
 			<-started
 			if how == "Finish" {
@@ -224,7 +225,7 @@ func TestAheadStaysWithinItsBudget(t *testing.T) {
 func TestAheadBudgetOutlivesAnAbandonedJob(t *testing.T) {
 	withProcs(t, 2)
 	func() {
-		Ahead(new(Job), 8, squares) // neither taken nor stopped
+		Ahead(new(Job), "", make([]*dfs.Block, 8), 0, 0, 0, squares) // neither taken nor stopped
 		soon(t, "computing the abandoned items", func() {
 			for readyNow() < 8 {
 				time.Sleep(time.Millisecond)

@@ -251,7 +251,11 @@ const maxPooledText = 4 << 20
 // every value under the key for the defaulted identity reducer, the
 // spec's reducer's pairs otherwise. It returns the lines in a buffer of
 // their exact size and the number of output records. A spec with no
-// Output gets nil text and the same count.
+// Output gets nil text and the same count. When the spec has a
+// fingerprint and every run is a partition of a map result the engine's
+// record table keeps, the merge runs once per (fingerprint, Output != "",
+// runs in order) and every later task with that key gets the stored text,
+// which no one writes into; the charges above are made either way.
 func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort, perRecord float64,
 	overhead func(cpuSec float64) float64) (text []byte, records int) {
 	b, total := rb.b, rb.buffered+rb.spilled
@@ -282,6 +286,14 @@ func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByte
 			return nil, records
 		}
 	}
+	var key string
+	if spec.Fingerprint != "" {
+		tl, found, k := b.rec.lookupTail(spec.Fingerprint, encode, runs)
+		if found {
+			return tl.text, tl.records
+		}
+		key = k
+	}
 	bp := textPool.Get().(*[]byte)
 	lines := (*bp)[:0]
 	kv.MergeGroups(runs, func(key []byte, values [][]byte) {
@@ -306,6 +318,9 @@ func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByte
 	if cap(lines) <= maxPooledText {
 		*bp = lines[:0]
 		textPool.Put(bp)
+	}
+	if key != "" {
+		b.rec.storeTail(key, tail{text, records})
 	}
 	return text, records
 }

@@ -31,9 +31,14 @@
 //     on the spec and the block, never on the clock, the node or the
 //     attempt — on worker goroutines at submission. A task's first Take
 //     picks up its result when the simulation reaches it; a later one (a
-//     backup, a retry, a lost output's regeneration) recomputes it on the
-//     caller. The event loop stays single-threaded and sees the same
-//     bytes;
+//     backup, a retry, a lost output's regeneration) computes it on the
+//     caller. A spec with a fingerprint (job.Spec.Fingerprint) routes
+//     both through the engine's record table: each (block, fingerprint,
+//     shape) is computed once — a second caller waits for the one in
+//     flight — and kept for the engine's life once two jobs asked for
+//     it, and so is each mr or core reduce tail over kept map results;
+//     every job is still charged in full. The event loop stays
+//     single-threaded and sees the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - charges every engine makes the same way: StartCPU, StartSend,
 //     GCOverhead.
@@ -69,6 +74,7 @@ type Base struct {
 	residency *sched.Residency // per-node runtime daemons, held while any job is active
 	profiling sched.Profiling  // refcounted sampling across jobs
 	tp        *transport.Transport
+	rec       *recordTable // record work shared across the engine's jobs
 }
 
 // NewBase builds the shared half of the engine called name over fs. An
@@ -78,7 +84,7 @@ func NewBase(name string, fs *dfs.FS, override, def transport.Profile) Base {
 		override = def
 	}
 	c := fs.Cluster()
-	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, override)}
+	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, override), rec: newRecordTable()}
 }
 
 // Name implements job.Engine.
