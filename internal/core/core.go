@@ -511,8 +511,9 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	// Every run is one O task's partition, which its collector already
 	// sorted, so the A side merges the runs rather than sorting their
 	// concatenation.
-	text, records := buf.MergeReduce(spec, runs, cfg.CPUPerByteA, cfg.CPUPerByteSort, cfg.CPUPerRecord,
+	buf.Charge(spec, runs, cfg.CPUPerByteA, cfg.CPUPerByteSort, cfg.CPUPerRecord,
 		func(cpuSec float64) float64 { return cfg.OverheadFactor * cpuSec })
+	text, records := e.ReduceTail(spec, runs)
 	res.OutRecords += int64(records)
 	return e.WritePart(p, att, spec.Output, fmt.Sprintf("part-a-%05d", a), spec.EmitScale(), text)
 }

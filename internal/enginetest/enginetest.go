@@ -105,7 +105,7 @@ func FailNodeAt(q *sched.Queue, fs *dfs.FS, eng sched.Engine, at float64, node i
 // CheckMerges installs, at the runtime's merge seam (taskrt.MergeSeam,
 // behind every engine's reduce side), a check of the merges'
 // precondition — every run sorted under kv.Compare — on each set of runs
-// handed to taskrt.MergeRuns, taskrt.MergeReduce or Buffer.MergeReduce,
+// handed to taskrt.MergeRuns, taskrt.MergeReduce or Base.ReduceTail,
 // and removes it when the test ends. The returned counter holds how many
 // non-empty runs have been checked so far.
 func CheckMerges(t *testing.T) *int {

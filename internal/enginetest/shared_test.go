@@ -12,6 +12,7 @@ import (
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/enginetest"
 	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 )
 
@@ -41,10 +42,11 @@ const failAt = 17
 // retries and regenerations take shared map outputs and reduce tails.
 // With the fingerprint set the copies share their record work; with it
 // cleared, on a fresh identical rig, each computes its own (Map runs over
-// the input once between the six copies, or at least six times). Every
-// simulated number of every job and of the tracker is bit-identical
-// between the two, every output matches the sequential reference and the
-// engine ends quiesced.
+// the input once between the six copies, or at least six times), and
+// WordCount calls Reduce fewer times shared than not: reduce tails are
+// shared on every engine. Every simulated number of every job and of
+// the tracker is bit-identical between the two, every output matches the
+// sequential reference and the engine ends quiesced.
 func TestSharedRecordWorkIsInvisible(t *testing.T) {
 	type run struct {
 		jobs    []timing
@@ -66,14 +68,15 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 			for armName, a := range arms {
 				t.Run(engName+"/"+specName+"/"+armName, func(t *testing.T) {
 					var got []run
-					for _, shared := range []bool{true, false} {
+					var reduces [2]int64 // shared, own
+					for arm, shared := range []bool{true, false} {
 						c, fs, in := sharedRig(a.repl)
 						eng := mk(fs)
 						q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
 						q.SetSpeculation(sched.SpeculationConfig{Enabled: true})
 						a.arm(c, fs, eng, q)
 						var specs []job.Spec
-						var maps atomic.Int64
+						var maps, reduced atomic.Int64
 						for i := range 6 {
 							spec := mkSpec(fs, in, fmt.Sprintf("/out/%d", i))
 							if !shared {
@@ -88,6 +91,12 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 							spec.Map = func(k, v []byte, emit job.Emit) {
 								maps.Add(1)
 								inner(k, v, emit)
+							}
+							if reduce := spec.Reduce; reduce != nil {
+								spec.Reduce = func(key []byte, values [][]byte) []kv.Pair {
+									reduced.Add(1)
+									return reduce(key, values)
+								}
 							}
 							q.Admit("", float64(5*i), 1, eng, spec)
 						}
@@ -105,6 +114,10 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 						if n, rec := maps.Load(), records(t, in); shared && n != rec || !shared && n < 6*rec {
 							t.Fatalf("shared %v: Map ran %d times over %d records", shared, n, rec)
 						}
+						reduces[arm] = reduced.Load()
+					}
+					if specName == "WordCount" && reduces[0] >= reduces[1] {
+						t.Fatalf("Reduce ran %d times shared, %d times not", reduces[0], reduces[1])
 					}
 					st := got[0].tracker
 					if armName == "straggler" && st.Backups == 0 {

@@ -292,7 +292,8 @@ func AppendTextLine(dst, key, value []byte) []byte {
 }
 
 // EncodeTextOutput renders pairs as AppendTextLine lines into a buffer of
-// their exact size.
+// their exact size: the oracle of taskrt's reduce tail, which renders
+// merged groups straight into text.
 func EncodeTextOutput(pairs []kv.Pair) []byte {
 	size := 0
 	for _, p := range pairs {

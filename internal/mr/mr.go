@@ -369,8 +369,9 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 	}
 	att.Report(0.8)
 
-	text, records := buf.MergeReduce(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
+	buf.Charge(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
 		func(cpuSec float64) float64 { return e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC) })
+	text, records := e.ReduceTail(spec, runs)
 	handoff = true
 	return &reduceOut{text: text, records: records, release: release}, nil
 }

@@ -23,21 +23,13 @@ func (e *Engine) lineage(spec *job.Spec) *RDD {
 	}
 	src.fingerprint = spec.Fingerprint
 	mapped := src.FlatMapKV(spec.Map, spec.MapCPUFactor*spec.CPUAdjust(e.Name()))
-
-	// A defaulted identity reducer becomes a nil wide-op reducer: the
-	// executor passes the key-sorted partition straight through instead
-	// of re-emitting one Pair per record through IdentityReduce.
-	reduce := spec.Reduce
-	if spec.HasIdentityReduce() {
-		reduce = nil
-	}
 	if _, isRange := spec.Part.(*kv.RangePartitioner); isRange {
-		return mapped.SortByKey(spec.Part, reduce, spec.Reducers)
+		return mapped.SortByKey(spec.Part, spec.Reduce, spec.Reducers)
 	}
 	if spec.Combine != nil {
-		return mapped.ReduceByKey(spec.Combine, reduce, spec.Reducers)
+		return mapped.ReduceByKey(spec.Combine, spec.Reduce, spec.Reducers)
 	}
-	return mapped.GroupByKey(reduce, spec.Reducers)
+	return mapped.GroupByKey(spec.Reduce, spec.Reducers)
 }
 
 // Run implements job.Engine: it executes the spec's lineage exclusively,
@@ -47,7 +39,7 @@ func (e *Engine) Run(spec job.Spec) job.Result {
 	if j := e.RejectInvalid(&spec, nil); j != nil {
 		return j.Res
 	}
-	res := e.lineage(&spec).SaveAsTextFile(spec.Output)
+	res := e.runAction(e.lineage(&spec), &spec, nil)
 	res.Job = spec.Name
 	return res
 }
@@ -58,7 +50,7 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	if e.RejectInvalid(&spec, done) != nil {
 		return
 	}
-	e.submitAction(spec.Name, e.lineage(&spec), spec.Output, nil, ctl, done)
+	e.submitAction(spec.Name, e.lineage(&spec), &spec, nil, ctl, done)
 }
 
 func stageName(i int) string { return "stage" + strconv.Itoa(i) }

@@ -79,15 +79,10 @@ func plan(r *RDD) []*stage {
 	return stages
 }
 
-// SaveAsTextFile computes the RDD and writes one part file per partition.
-func (r *RDD) SaveAsTextFile(path string) job.Result {
-	return r.eng.runAction(r, path, nil)
-}
-
 // Collect computes the RDD and returns all pairs (partition order).
 func (r *RDD) Collect() ([]kv.Pair, job.Result) {
 	var out []kv.Pair
-	res := r.eng.runAction(r, "", func(parts []partData) {
+	res := r.eng.runAction(r, nil, func(parts []partData) {
 		for _, pd := range parts {
 			out = append(out, pd.pairs...)
 		}
@@ -96,18 +91,19 @@ func (r *RDD) Collect() ([]kv.Pair, job.Result) {
 }
 
 // runAction executes the staged computation of target exclusively inside
-// the simulation, optionally writing output or collecting results (see
-// taskrt.Base.RunSolo for the drain and accounting contract).
-func (e *Engine) runAction(target *RDD, outPath string, collect func([]partData)) job.Result {
+// the simulation, optionally saving spec's output or collecting results
+// (see taskrt.Base.RunSolo for the drain and accounting contract).
+func (e *Engine) runAction(target *RDD, spec *job.Spec, collect func([]partData)) job.Result {
 	return e.RunSolo(func(ctl *sched.JobControl) *taskrt.Job {
-		return e.submitAction("action", target, outPath, collect, ctl, nil)
+		return e.submitAction("action", target, spec, collect, ctl, nil)
 	})
 }
 
-// submitAction spawns the action's driver and task processes. done
-// (optional) runs in simulation context when the driver completes. Each
-// stage is one phase of the job ("stage0", "stage1", ...).
-func (e *Engine) submitAction(name string, target *RDD, outPath string, collect func([]partData),
+// submitAction spawns the action's driver and task processes; a spec
+// (target is its lineage) saves its output. done (optional) runs in
+// simulation context when the driver completes. Each stage is one phase
+// of the job ("stage0", "stage1", ...).
+func (e *Engine) submitAction(name string, target *RDD, spec *job.Spec, collect func([]partData),
 	ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 
 	cfg := &e.Cfg
@@ -159,7 +155,7 @@ func (e *Engine) submitAction(name string, target *RDD, outPath string, collect 
 					st.cache = current
 				}
 			}
-			parts, out, err := e.runStage(driver, st, in, slots, ctl, si, si == len(stages)-1, outPath, j)
+			parts, out, err := e.runStage(driver, st, in, slots, ctl, si, si == len(stages)-1, spec, j)
 			if err != nil {
 				j.Fail(err)
 				break
@@ -191,7 +187,7 @@ type taskIn struct {
 // returns; any other returns its materialized partitions. in is the edge
 // a post-shuffle stage pulls from.
 func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots *sched.SlotPool, ctl *sched.JobControl,
-	si int, isLast bool, outPath string, j *taskrt.Job) ([]partData, *taskrt.Outputs, error) {
+	si int, isLast bool, spec *job.Spec, j *taskrt.Job) ([]partData, *taskrt.Outputs, error) {
 
 	cfg := &e.Cfg
 
@@ -233,7 +229,7 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots
 	var out *taskrt.Outputs
 	if st.consumer != nil {
 		out = j.Outputs(len(tasks), "t", func(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
-			return e.runTask(p, att, st, &tasks[ti], false, "", ti, in)
+			return e.runTask(p, att, st, &tasks[ti], false, nil, ti, in)
 		})
 	}
 
@@ -255,7 +251,7 @@ func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				p.Sleep(cfg.TaskDispatch)
 				att.Report(0.05)
-				return e.runTask(p, att, st, tin, isLast, outPath, ti, in)
+				return e.runTask(p, att, st, tin, isLast, spec, ti, in)
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 				switch v := v.(type) {
@@ -336,10 +332,10 @@ const (
 type mapped struct {
 	inNominal float64
 	inRecords int
-	out       taskrt.Partitioned
-	pairs     []kv.Pair
-	err       error
-	failed    mapStep
+	taskrt.Partitioned
+	pairs  []kv.Pair
+	err    error
+	failed mapStep
 }
 
 // mapBlock is the record half of a task of a stage rooted at a block: it
@@ -403,7 +399,7 @@ func (st *stage) records(in recordIter, nominal float64, lend []byte, scale floa
 		return m, aliased
 	}
 	var err error
-	if m.out, err = st.collect(coll, pairs, scale); err != nil {
+	if m.Partitioned, err = st.collect(coll, pairs, scale); err != nil {
 		m.err, m.failed = err, mapCollect
 	}
 	return m, aliased
@@ -415,10 +411,11 @@ func (st *stage) records(in recordIter, nominal float64, lend []byte, scale floa
 // merged partition's after charging the pull — charges the CPU, then
 // writes the shuffle output (an *taskrt.Output), the cached partition's
 // objects or the final file (a partData), stopping where the record
-// half's error struck. att is the owning attempt — the consuming task's
-// when re-entered as a lost-shuffle regeneration.
+// half's error struck; a spec's last stage merges into its part file's
+// text (taskrt.Base.ReduceTail). att is the owning attempt — the
+// consuming task's when re-entered as a lost-shuffle regeneration.
 func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn,
-	isLast bool, outPath string, taskIdx int, edge *taskrt.Outputs) (any, error) {
+	isLast bool, spec *job.Spec, taskIdx int, edge *taskrt.Outputs) (any, error) {
 
 	cfg := &e.Cfg
 	scale := e.Scale()
@@ -430,6 +427,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	var wg sim.WaitGroup
 	var cpuSec float64
 	var m mapped
+	var text []byte
 
 	// Record-processing CPU is charged on the records entering the stage;
 	// cardinality-bound data (records and outputs of combining shuffles)
@@ -501,17 +499,17 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		mem.MustAlloc(transient)
 		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
 
-		var pairs []kv.Pair
-		if wide != nil {
-			if wide.reduce != nil {
-				pairs = taskrt.MergeReduce(runs, wide.reduce)
-			} else {
-				pairs = taskrt.MergeRuns(runs)
-			}
-			cpuSec += cfg.CPUPerByteSort * inputNominal
-			cpuSec += cfg.CPUPerByteReduce * inputNominal
+		cpuSec += cfg.CPUPerByteSort * inputNominal // 0 without a wide op
+		cpuSec += cfg.CPUPerByteReduce * inputNominal
+		switch {
+		case isLast && spec != nil: // no narrow op follows a spec's wide op
+			m.inNominal = inputNominal
+			text, m.inRecords = e.ReduceTail(spec, runs)
+		case wide != nil && wide.reduce != nil:
+			m, _ = st.records(recordIter{pairs: taskrt.MergeReduce(runs, wide.reduce)}, inputNominal, nil, scale)
+		default:
+			m, _ = st.records(recordIter{pairs: taskrt.MergeRuns(runs)}, inputNominal, nil, scale)
 		}
-		m, _ = st.records(recordIter{pairs: pairs}, inputNominal, nil, scale)
 	}
 
 	nominalRecords := float64(m.inRecords) * outScale
@@ -521,11 +519,11 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		return nil, m.err
 	}
 	if st.consumer != nil {
-		return e.writeShuffle(p, &wg, node, m.out)
+		return e.writeShuffle(p, &wg, node, m.Partitioned)
 	}
 
 	// The action's last stage, or one feeding a cached materialization
-	// without a shuffle: the task's pairs are its one output partition.
+	// without a shuffle: the task's pairs (or a spec's text) are its output.
 	outNominal := taskrt.Framed(m.pairs, outScale)
 	if !isLast && cfg.CacheCPUPerByte > 0 && st.target.cached {
 		// Building the RDD's in-memory representation costs CPU
@@ -537,8 +535,8 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 	wg.WaitAs(p, "disk")
 	if isLast {
 		att.Report(0.9)
-		if outPath != "" {
-			if err := e.WritePart(p, att, outPath, fmt.Sprintf("part-%05d", taskIdx), outScale, job.EncodeTextOutput(m.pairs)); err != nil {
+		if spec != nil {
+			if err := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-%05d", taskIdx), outScale, text); err != nil {
 				return nil, err
 			}
 		}

@@ -413,7 +413,7 @@ func TestChainedShufflesFailCleanlyAtReplicationOne(t *testing.T) {
 			c.NodeDown(3)
 			tr.NodeDown(3)
 		})
-		return eng.submitAction("action", sorted, "", nil, ctl, nil)
+		return eng.submitAction("action", sorted, nil, nil, ctl, nil)
 	})
 	if res.Err == nil {
 		t.Fatal("the job survived losing its only input replicas")

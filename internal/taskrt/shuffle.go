@@ -29,7 +29,7 @@ func Framed(part []kv.Pair, scale float64) float64 {
 }
 
 // mergeSeam, when set, sees every set of runs before MergeRuns,
-// MergeReduce or Buffer.MergeReduce merges it. Every merge requires each
+// MergeReduce or Base.ReduceTail merges it. Every merge requires each
 // run sorted; the engine tests set it (through MergeSeam) to assert that
 // of every run an engine hands over.
 var mergeSeam func(runs [][]kv.Pair)
@@ -44,7 +44,7 @@ func MergeRuns(runs [][]kv.Pair) []kv.Pair {
 
 // MergeReduce merges sorted runs and reduces each key's group as it
 // meets it: kv.GroupReduce over MergeRuns, without the merged slice. It
-// is rdd's wide-dependency merge, whose pairs stay pairs.
+// is a hand-built rdd lineage's merge, whose pairs stay pairs.
 func MergeReduce(runs [][]kv.Pair, reduce kv.Reducer) []kv.Pair {
 	if mergeSeam != nil {
 		mergeSeam(runs)
@@ -53,7 +53,7 @@ func MergeReduce(runs [][]kv.Pair, reduce kv.Reducer) []kv.Pair {
 }
 
 // MergeSeam is where a test installs the check that sees the runs handed
-// to MergeRuns, MergeReduce and Buffer.MergeReduce.
+// to MergeRuns, MergeReduce and Base.ReduceTail.
 func MergeSeam() *func(runs [][]kv.Pair) { return &mergeSeam }
 
 // Partitioned is a map-side task's output: one sorted run per consumer,
@@ -242,22 +242,12 @@ var textPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledText = 4 << 20
 
-// MergeReduce is the reduce side's tail: the spilled runs come back from
-// disk while the task pays CPU for every nominal byte buffered — perByte
-// scaled by the spec's reduce factor, plus perByteSort — and perRecord for
-// every nominal record in runs, with overhead(cpuSec) of background work
-// beside it. Then it merges runs (each one sorted) and renders each key
-// group as the merge meets it, as text output lines (job.AppendTextLine):
-// every value under the key for the defaulted identity reducer, the
-// spec's reducer's pairs otherwise. It returns the lines in a buffer of
-// their exact size and the number of output records. A spec with no
-// Output gets nil text and the same count. When the spec has a
-// fingerprint and every run is a partition of a map result the engine's
-// record table keeps, the merge runs once per (fingerprint, Output != "",
-// runs in order) and every later task with that key gets the stored text,
-// which no one writes into; the charges above are made either way.
-func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort, perRecord float64,
-	overhead func(cpuSec float64) float64) (text []byte, records int) {
+// Charge is the cost half of a reduce tail: the spilled runs come back
+// from disk while the task pays CPU, perByte (times the spec's reduce
+// factor) plus perByteSort per nominal byte buffered and perRecord per
+// nominal record in runs, with overhead(cpuSec) of background work.
+func (rb *Buffer) Charge(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort, perRecord float64,
+	overhead func(cpuSec float64) float64) {
 	b, total := rb.b, rb.buffered+rb.spilled
 	var wg sim.WaitGroup
 	if rb.spilled > 0 {
@@ -275,16 +265,26 @@ func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByte
 	cpuSec := spec.CPUAdjust(b.name) * (perByte*spec.ReduceCPUFactor*total + perByteSort*total + perRecord*nominalRecords)
 	b.StartCPU(&wg, rb.node, cpuSec, overhead(cpuSec))
 	wg.WaitAs(rb.p, "disk")
+}
 
+// ReduceTail is every engine's record half of a reduce tail; it touches
+// no simulation state. It merges runs (each sorted) into text lines
+// (job.AppendTextLine), rendering each key group as the merge meets it —
+// every value for the identity reducer, the reducer's pairs otherwise —
+// and returns them exact-size (nil for a spec with no Output) with the
+// output record count. A fingerprinted spec over runs that all are
+// partitions the record table keeps merges once per (fingerprint,
+// Output != "", runs in order); later tasks share its text, read-only.
+func (b *Base) ReduceTail(spec *job.Spec, runs [][]kv.Pair) (text []byte, records int) {
 	if mergeSeam != nil {
 		mergeSeam(runs)
 	}
 	identity, encode := spec.HasIdentityReduce(), spec.Output != ""
-	if identity {
-		records = n
-		if !encode {
-			return nil, records
+	if identity && !encode {
+		for _, r := range runs {
+			records += len(r)
 		}
+		return nil, records
 	}
 	var key string
 	if spec.Fingerprint != "" {
@@ -298,6 +298,7 @@ func (rb *Buffer) MergeReduce(spec *job.Spec, runs [][]kv.Pair, perByte, perByte
 	lines := (*bp)[:0]
 	kv.MergeGroups(runs, func(key []byte, values [][]byte) {
 		if identity {
+			records += len(values)
 			for _, v := range values {
 				lines = job.AppendTextLine(lines, key, v)
 			}

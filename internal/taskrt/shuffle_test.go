@@ -150,7 +150,7 @@ func bufferBalance(t *testing.T, capBytes float64, fetches []float64, charge boo
 			}
 		}
 		start := c.Eng.Now()
-		buf.MergeReduce(&job.Spec{}, nil, 0, 0, 0, func(float64) float64 { return 0 })
+		buf.Charge(&job.Spec{}, nil, 0, 0, 0, func(float64) float64 { return 0 })
 		if read := c.Eng.Now() > start; read != (spilled > 0) {
 			t.Fatalf("read-back ran=%v with %.0f bytes spilled", read, spilled)
 		}
@@ -314,10 +314,10 @@ type outOfRange struct{}
 
 func (outOfRange) Partition(key []byte, n int) int { return n }
 
-// TestReduceSide holds MergeReduce to the tail mr and core each spelled
-// out: the three-term CPU charge in their order of evaluation, their
-// overhead rule beside it, the spilled bytes read back, the runs merged
-// and reduced.
+// TestReduceSide holds Buffer.Charge, the cost half of the reduce tail,
+// to the charges mr and core each spelled out: the three-term CPU charge
+// in their order of evaluation, their overhead rule beside it, the
+// spilled bytes read back. It merges nothing: that is Base.ReduceTail's.
 func TestReduceSide(t *testing.T) {
 	runs := [][]kv.Pair{
 		{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("c"), Value: []byte("2")}},
@@ -341,18 +341,19 @@ func TestReduceSide(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, b := testBase()
 			b.Prof = metrics.NewProfiler(c, 1)
-			spec := job.Spec{FS: b.FS, Output: "/out", Reduce: kv.SumReducer, ReduceCPUFactor: 2, EngineCPUFactor: map[string]float64{"test": 1.5}}
+			spec := job.Spec{FS: b.FS, ReduceCPUFactor: 2, EngineCPUFactor: map[string]float64{"test": 1.5}}
 			spec.Normalize()
 			var gotCPU, gotOverhead, secs float64
-			var got []byte
-			var records int
+			seen := 0
+			defer func(prev func([][]kv.Pair)) { mergeSeam = prev }(mergeSeam)
+			mergeSeam = func([][]kv.Pair) { seen++ }
 			runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
 				buf := b.Buffer(p, 3, tc.cap, nil)
 				buf.Add(fetched / 2)
 				buf.Add(fetched / 2)
 				start := c.Eng.Now()
 				rule := tc.overhead(b, 3)
-				got, records = buf.MergeReduce(&spec, runs, tc.perByte, tc.perByteSort, tc.perRec, func(cpu float64) float64 {
+				buf.Charge(&spec, runs, tc.perByte, tc.perByteSort, tc.perRec, func(cpu float64) float64 {
 					gotCPU, gotOverhead = cpu, rule(cpu)
 					return gotOverhead
 				})
@@ -374,8 +375,8 @@ func TestReduceSide(t *testing.T) {
 			if want := max(gotCPU, gotOverhead, readBack); math.Abs(secs-want) > 1e-9*want {
 				t.Fatalf("took %v s, want %v (cpu %v, overhead %v, read-back %v)", secs, want, gotCPU, gotOverhead, readBack)
 			}
-			if want := "a\t4\nb\t4\nc\t2\n"; string(got) != want || records != 3 {
-				t.Fatalf("reduced %q (%d records), want %q (3)", got, records, want)
+			if seen != 0 {
+				t.Fatalf("the cost half merged %d sets of runs", seen)
 			}
 		})
 	}
@@ -435,12 +436,13 @@ var tailReducers = []kv.Reducer{
 	},
 }
 
-// FuzzReduceTailMatchesOracle holds Buffer.MergeReduce to the pair tail
-// it replaced: job.EncodeTextOutput over kv.GroupReduce over kv.MergeRuns
-// (MergeRuns alone for the identity reducer), byte for byte, with that
-// tail's record count; nil text and the same count for a spec with no
-// Output. A second call, rendering other lines, must leave the first
-// call's text as it was: the lines are copied out of the pooled buffer.
+// FuzzReduceTailMatchesOracle holds Base.ReduceTail, the record half of
+// every engine's reduce tail, to the pair tail it replaced:
+// job.EncodeTextOutput over kv.GroupReduce over kv.MergeRuns (MergeRuns
+// alone for the identity reducer), byte for byte, with that tail's record
+// count; nil text and the same count for a spec with no Output. A second
+// call, rendering other lines, must leave the first call's text as it
+// was: the lines are copied out of the pooled buffer. No simulation runs.
 func FuzzReduceTailMatchesOracle(f *testing.F) {
 	f.Add([]byte{}, uint8(0), true)
 	f.Add(encodeTailRuns(3), uint8(1), true) // runs, all empty
@@ -482,17 +484,11 @@ func FuzzReduceTailMatchesOracle(f *testing.F) {
 		seen := 0
 		defer func(prev func([][]kv.Pair)) { mergeSeam = prev }(mergeSeam)
 		mergeSeam = func([][]kv.Pair) { seen++ }
-		c, b := testBase()
-		var text, other []byte
-		var records int
-		runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
-			buf := b.Buffer(p, 3, math.Inf(1), nil)
-			none := func(float64) float64 { return 0 }
-			text, records = buf.MergeReduce(&spec, runs, 0, 0, 0, none)
-			sort := job.Spec{Output: "/out"}
-			sort.Normalize()
-			other, _ = buf.MergeReduce(&sort, [][]kv.Pair{{{Key: []byte("~~~~"), Value: []byte("~")}}}, 0, 0, 0, none)
-		})
+		_, b := testBase()
+		text, records := b.ReduceTail(&spec, runs)
+		sort := job.Spec{Output: "/out"}
+		sort.Normalize()
+		other, _ := b.ReduceTail(&sort, [][]kv.Pair{{{Key: []byte("~~~~"), Value: []byte("~")}}})
 		if seen != 2 {
 			t.Fatalf("merge seam saw %d sets of runs, want 2", seen)
 		}

@@ -10,10 +10,10 @@ import (
 
 // recordTable is an engine's shared record work: the map-side results of
 // the jobs whose spec has a fingerprint (job.Spec.Fingerprint), one per
-// (block, fingerprint, shape), and mr's and core's reduce tails over the
-// map results it holds. Jobs that repeat a query over the same data ask
-// for the same key again and again; the table computes each key once and
-// hands the result to every later caller, who must treat it as
+// (block, fingerprint, shape), and the reduce tails (Base.ReduceTail)
+// over the map results it holds. Jobs that repeat a query over the same
+// data ask for the same key again and again; the table computes each key
+// once and hands the result to every later caller, who must treat it as
 // immutable. Simulated charges never depend on it: every caller charges
 // its task in full. An entry two jobs asked for lives as long as the
 // engine; see join.
@@ -22,7 +22,7 @@ type recordTable struct {
 	settled sync.Cond           // an entry in flight settled; L is &mu
 	shapes  map[shapeKey]uint32 // every shape asked for, numbered from 0
 	maps    map[mapKey]any      // *mapEntry[T]
-	// runs identifies the partitions of the kept Mapped entries by their
+	// runs identifies the partitions of the kept entries by their
 	// first pair: the table holds them for good, so no other live run can
 	// start at the same address.
 	runs  map[*kv.Pair]runRef
@@ -169,14 +169,19 @@ func share[T any](t *recordTable, e *mapEntry[T], work func(i int) T, i int) T {
 	return v
 }
 
-// publish gives a kept Mapped entry an id once it is done and records
-// its non-empty partitions in runs. t.mu is held.
+// partitioned is a map-side result's sized output: Mapped's, or that of
+// an engine's own result type embedding Partitioned (empty on failure).
+func (p *Partitioned) partitioned() *Partitioned { return p }
+func (m *Mapped) partitioned() *Partitioned      { return &m.Out }
+
+// publish gives a kept entry that carries partitions an id once it is
+// done and records its non-empty partitions in runs. t.mu is held.
 func (e *mapEntry[T]) publish(t *recordTable) {
 	if e.state != done || !e.kept || e.id != 0 {
 		return
 	}
-	m, ok := any(&e.val).(*Mapped)
-	if !ok || m.Err != nil {
+	m, ok := any(&e.val).(interface{ partitioned() *Partitioned })
+	if !ok {
 		return
 	}
 	if t.runs == nil {
@@ -184,7 +189,7 @@ func (e *mapEntry[T]) publish(t *recordTable) {
 	}
 	t.ids++
 	e.id = t.ids
-	for pi, part := range m.Out.Parts {
+	for pi, part := range m.partitioned().Parts {
 		if len(part) > 0 {
 			t.runs[&part[0]] = runRef{id: e.id, pi: uint32(pi), n: len(part)}
 		}

@@ -2,14 +2,11 @@ package taskrt
 
 import (
 	"bytes"
-	"math"
 	"sync/atomic"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
-	"github.com/datampi/datampi-go/internal/sched"
-	"github.com/datampi/datampi-go/internal/sim"
 )
 
 // sharedJob is a job of b for Ahead, stopped when the test ends.
@@ -86,20 +83,25 @@ func TestAheadSharesOneFingerprintsMapSide(t *testing.T) {
 	}
 }
 
-// TestMergeReduceSharesOnlyTableRuns: Buffer.MergeReduce hands a stored
-// tail only to a task whose runs are all partitions of map results the
-// record table holds; a run built outside it, or a prefix of a held one,
-// gets a fresh merge.
+// countedReduces wraps spec's reducer to count its calls in reduces.
+func countedReduces(spec *job.Spec, reduces *int) {
+	reduce := spec.Reduce
+	spec.Reduce = func(key []byte, values [][]byte) []kv.Pair {
+		*reduces++
+		return reduce(key, values)
+	}
+}
+
+// TestMergeReduceSharesOnlyTableRuns: Base.ReduceTail, called with no
+// simulation, hands a stored tail only to a task whose runs are all
+// partitions of map results the record table holds; a run built outside
+// it, or a prefix of a held one, gets a fresh merge.
 func TestMergeReduceSharesOnlyTableRuns(t *testing.T) {
-	c, b := testBase()
+	_, b := testBase()
 	var calls atomic.Int64
 	spec := countedWords(b, "words", &calls)
 	var reduces int
-	reduce := spec.Reduce
-	spec.Reduce = func(key []byte, values [][]byte) []kv.Pair {
-		reduces++
-		return reduce(key, values)
-	}
+	countedReduces(&spec, &reduces)
 	// The second job's takes register the partitions the first computed.
 	var runs [][]kv.Pair
 	for range 2 {
@@ -118,20 +120,14 @@ func TestMergeReduceSharesOnlyTableRuns(t *testing.T) {
 	var merges []int
 	discard := spec
 	discard.Output = ""
-	var discarded []byte
-	runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
-		none := func(float64) float64 { return 0 }
-		// A job that writes no output stores a tail without text, which
-		// one that does must not take.
-		buf := b.Buffer(p, 3, math.Inf(1), nil)
-		discarded, _ = buf.MergeReduce(&discard, runs, 0, 0, 0, none)
-		for _, rs := range [][][]kv.Pair{runs, runs, copied, copied, prefix} {
-			before := reduces
-			buf := b.Buffer(p, 3, math.Inf(1), nil)
-			text, _ := buf.MergeReduce(&spec, rs, 0, 0, 0, none)
-			texts, merges = append(texts, text), append(merges, reduces-before)
-		}
-	})
+	// A job that writes no output stores a tail without text, which one
+	// that does must not take.
+	discarded, _ := b.ReduceTail(&discard, runs)
+	for _, rs := range [][][]kv.Pair{runs, runs, copied, copied, prefix} {
+		before := reduces
+		text, _ := b.ReduceTail(&spec, rs)
+		texts, merges = append(texts, text), append(merges, reduces-before)
+	}
 	if discarded != nil || len(texts[0]) == 0 {
 		t.Fatalf("discarded %d bytes of text, then wrote %d", len(discarded), len(texts[0]))
 	}
@@ -146,5 +142,42 @@ func TestMergeReduceSharesOnlyTableRuns(t *testing.T) {
 	}
 	if merges[4] == 0 {
 		t.Fatal("a prefix of a held run took the whole run's tail")
+	}
+}
+
+// TestReduceTailSharesOwnResultTypes: a kept entry whose type is an
+// engine's own, not Mapped, but embeds Partitioned (as rdd's task results
+// do) registers its partitions: a second tail over them is a lookup.
+func TestReduceTailSharesOwnResultTypes(t *testing.T) {
+	_, b := testBase()
+	var calls atomic.Int64
+	spec := countedWords(b, "words", &calls)
+	var reduces int
+	countedReduces(&spec, &reduces)
+	type own struct {
+		Partitioned
+		err error
+	}
+	blocks, scale := spec.Input.Blocks, b.Scale()
+	var runs [][]kv.Pair
+	for range 2 {
+		p := Ahead(sharedJob(t, b), spec.Fingerprint, blocks, 2, 0, spec.EmitScale(), func(i int) own {
+			m := MapBlock(&spec, blocks[i], 2, 0, scale)
+			return own{m.Out, m.Err}
+		})
+		runs = runs[:0]
+		for i := range blocks {
+			o := p.Take(i)
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			runs = append(runs, o.Parts[0])
+		}
+	}
+	first, _ := b.ReduceTail(&spec, runs)
+	merged := reduces
+	second, _ := b.ReduceTail(&spec, runs)
+	if merged == 0 || len(first) == 0 || reduces != merged || &second[0] != &first[0] {
+		t.Fatalf("merged %d keys, then %d more: the second tail was not a lookup", merged, reduces-merged)
 	}
 }

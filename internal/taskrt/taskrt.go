@@ -12,11 +12,11 @@
 //   - task set: Job.Launch is the only road from an engine to
 //     internal/sched and Job.Wait the driver's barrier;
 //   - map side and reduce side: MapBlock / Collect size a task's
-//     partitioned output (framed bytes once, in one form), and
-//     Buffer.MergeReduce is mr's and core's reduce tail — spilled
-//     read-back, the three-term CPU charge, then a merge that reduces each
-//     key group as it meets it and renders it straight into the part
-//     file's text;
+//     partitioned output (framed bytes once, in one form); a reduce tail
+//     is Buffer.Charge (mr's and core's read-back and three-term CPU
+//     charge), then Base.ReduceTail, every engine's merge that reduces
+//     each key group as it meets it and renders it straight into the
+//     part file's text;
 //   - shuffle edge: Outputs is the disk-materialized edge of mr and rdd.
 //     Producers publish to it in Done order; it holds their pipelined
 //     streams and surviving copies; its one consumer loop, Pull, drains
@@ -36,7 +36,7 @@
 //     both through the engine's record table: each (block, fingerprint,
 //     shape) is computed once — a second caller waits for the one in
 //     flight — and kept for the engine's life once two jobs asked for
-//     it, and so is each mr or core reduce tail over kept map results;
+//     it, and so is each reduce tail over kept map results;
 //     every job is still charged in full. The event loop stays
 //     single-threaded and sees the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
