@@ -150,6 +150,9 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	scale := e.Scale()
 	maps := taskrt.Ahead(j, spec.Fingerprint, flat, nA, 0, spec.EmitScale(),
 		func(i int) taskrt.Mapped { return taskrt.MapBlock(&spec, flat[i], nA, 0, scale) })
+	// An A rank's record half depends on its partition of every split
+	// alone, so it starts on the same workers once they all exist.
+	taskrt.Tails(&spec, maps, nA)
 	oSlots, aSlots := slots[0], e.aPool(ctl, nA)
 
 	// launchO launches O rank o as the task called name. O tasks are
@@ -231,7 +234,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				Retryable: true,
 				PreRetry:  func() { aSlots.Grow(aSlots.PerNode() + 1) },
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					return nil, e.runATask(p, att, &spec, world, nO, a, len(blocks), j, rec, oSpans)
+					return nil, e.runATask(p, att, &spec, world, nO, a, len(blocks), j, rec, oSpans, maps)
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					res.AddCounter("a_tasks", 1)
@@ -432,7 +435,7 @@ const abortTag = 0
 // the same tag dedup that absorbs speculative duplicates lets every live
 // rank ignore the replayed streams while this one is fed from scratch.
 func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mpi.World, nO, a, totalSplits int,
-	j *taskrt.Job, rec *aRecovery, oSpans []uint64) error {
+	j *taskrt.Job, rec *aRecovery, oSpans []uint64, maps *taskrt.Pending[taskrt.Mapped]) error {
 	cfg, res := &e.Cfg, &j.Res
 
 	rank := nO + a
@@ -513,7 +516,7 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	// concatenation.
 	buf.Charge(spec, runs, cfg.CPUPerByteA, cfg.CPUPerByteSort, cfg.CPUPerRecord,
 		func(cpuSec float64) float64 { return cfg.OverheadFactor * cpuSec })
-	text, records := e.ReduceTail(spec, runs)
+	text, records := maps.Tail(a, runs)
 	res.OutRecords += int64(records)
 	return e.WritePart(p, att, spec.Output, fmt.Sprintf("part-a-%05d", a), spec.EmitScale(), text)
 }

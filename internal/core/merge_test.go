@@ -72,9 +72,9 @@ func TestEveryMergedRunIsSorted(t *testing.T) {
 	}
 	for name, run := range scenarios {
 		t.Run(name, func(t *testing.T) {
-			before := *checked
+			before := checked.Load()
 			run(t)
-			if *checked == before {
+			if checked.Load() == before {
 				t.Fatal("no run reached a merge")
 			}
 		})

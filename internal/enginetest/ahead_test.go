@@ -2,8 +2,11 @@ package enginetest_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/bdb"
@@ -16,6 +19,7 @@ import (
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/sched"
+	"github.com/datampi/datampi-go/internal/trace"
 )
 
 // timing is what must not move with the number of workers a job's map
@@ -158,8 +162,16 @@ func open(t *testing.T, fs *dfs.FS, name string) *dfs.File {
 // TestMapSideAheadUnderBackups: with a straggling node and speculation on,
 // backup attempts take their map's record work a second time, which
 // recomputes it on the simulation goroutine. The results still do not
-// move with the worker count.
+// move with the worker count. The reduce arm slows a reducer's node and
+// fails another's mid-job: mr speculates a reducer, and every engine
+// runs a reduce-side task again on the node failure — a retried reducer,
+// reducers regenerating lost map outputs, a restarted A rank fed by an
+// O-side replay — so reducers take their tails, computed ahead, from
+// attempts other than the first.
 func TestMapSideAheadUnderBackups(t *testing.T) {
+	// failAt is when the reduce arm fails node 3, which hosts reducer 3:
+	// on each engine, while its reduce side runs.
+	failAt := map[string]float64{"mr": 80, "rdd": 60, "core": 60}
 	for _, engName := range []string{"mr", "rdd", "core"} {
 		t.Run(engName, func(t *testing.T) {
 			var got []timing
@@ -181,6 +193,132 @@ func TestMapSideAheadUnderBackups(t *testing.T) {
 			if !reflect.DeepEqual(got[0], got[1]) {
 				t.Fatalf("one worker:\n%+v\nfour:\n%+v", got[0], got[1])
 			}
+
+			t.Run("reduce", func(t *testing.T) {
+				var got []timing
+				for _, procs := range []int{1, 4} {
+					atProcs(procs, func() {
+						c := cluster.New(cluster.DefaultHardware())
+						fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: 8192, Seed: 1})
+						spec := aheadSpecs(t, fs, 8*cluster.GB)["WordCount"]
+						eng := aheadEngines[engName](fs)
+						tr := trace.New(trace.Config{})
+						res, st := enginetest.RunQueued(t, fs, eng, spec, "/out/", func(q *sched.Queue) {
+							q.SetTracer(tr)
+							q.SetSpeculation(sched.SpeculationConfig{Enabled: true})
+							c.SlowNode(0, 4)
+							enginetest.FailNodeAt(q, fs, eng, failAt[engName], 3)
+						})
+						again := map[string]int{"mr": st.Retries, "rdd": st.Recomputes, "core": int(res.Counters["a_restarts"])}
+						if again[engName] == 0 {
+							t.Fatalf("GOMAXPROCS %d: the node failure ran no reduce-side task again (%+v)", procs, st)
+						}
+						if engName == "mr" && !slices.ContainsFunc(tr.Instants(), func(in trace.Instant) bool {
+							return strings.HasPrefix(in.Name, "speculate:reduce-")
+						}) {
+							t.Fatalf("GOMAXPROCS %d: no reducer was speculated", procs)
+						}
+						got = append(got, timingOf(res))
+					})
+				}
+				if !reflect.DeepEqual(got[0], got[1]) {
+					t.Fatalf("one worker:\n%+v\nfour:\n%+v", got[0], got[1])
+				}
+			})
 		})
+	}
+}
+
+// recorder is a job.Engine that keeps the spec and the result of the
+// last job it ran.
+type recorder struct {
+	job.Engine
+	spec job.Spec
+	res  job.Result
+}
+
+func (r *recorder) Run(spec job.Spec) job.Result {
+	r.spec, r.res = spec, r.Engine.Run(spec)
+	return r.res
+}
+
+// TestReduceAheadIsInvisible: each engine starts every reducer's record
+// half on the Ahead workers once its job's map side is computed. One
+// worker or four, every simulated number of the result and every output
+// byte is the same, at eight reducers over 4 MB blocks: for the
+// fingerprinted specs, whose tails go through the record table and whose
+// output equals the sequential reference's, and for a K-means iteration,
+// which has no fingerprint. Its combiner sums floats per map task, so its
+// centroids are checked against KMeansReference to 1e-6 instead, as
+// bdb's own K-means test does.
+func TestReduceAheadIsInvisible(t *testing.T) {
+	type run struct {
+		timing timing
+		out    []kv.Pair
+	}
+	for engName, mk := range aheadEngines {
+		for _, specName := range []string{"TextSort", "WordCount", "NormalSort", "KMeans"} {
+			t.Run(engName+"/"+specName, func(t *testing.T) {
+				var got []run
+				for _, procs := range []int{1, 4} {
+					atProcs(procs, func() {
+						c := cluster.New(cluster.DefaultHardware())
+						fs := dfs.New(c, dfs.Config{BlockSize: 4 * cluster.MB, Replication: 3, Scale: 256, Seed: 1})
+						eng := &recorder{Engine: mk(fs)}
+						out := "/out/"
+						if specName == "KMeans" {
+							out = "/km/clusters-1/"
+							checkKMeansIteration(t, fs, eng)
+						} else {
+							spec := aheadSpecs(t, fs, 64*cluster.MB)[specName]
+							spec.Reducers = 8
+							if eng.Run(spec).Err == nil {
+								enginetest.AssertMatchesSequential(t, fs, out, eng.spec)
+							}
+						}
+						if eng.res.Err != nil {
+							t.Fatalf("GOMAXPROCS %d: %v", procs, eng.res.Err)
+						}
+						if eng.spec.Fingerprint == "" != (specName == "KMeans") {
+							t.Fatalf("fingerprint %q", eng.spec.Fingerprint)
+						}
+						got = append(got, run{timingOf(eng.res), job.ReadTextOutput(fs, out)})
+					})
+				}
+				if !reflect.DeepEqual(got[0].timing, got[1].timing) {
+					t.Fatalf("one worker:\n%+v\nfour:\n%+v", got[0].timing, got[1].timing)
+				}
+				if !reflect.DeepEqual(got[0].out, got[1].out) {
+					t.Fatal("one worker and four wrote different output")
+				}
+			})
+		}
+	}
+}
+
+// checkKMeansIteration runs one K-means iteration of eight clusters over
+// a generated vector file on eng, and checks its centroids against
+// KMeansReference's.
+func checkKMeansIteration(t *testing.T, fs *dfs.FS, eng job.Engine) {
+	t.Helper()
+	vec, _ := bdb.GenerateVectorFile(fs, "/vec", 5, 64*cluster.MB)
+	km := bdb.KMeansMR(eng, fs, vec, "/km", 8, 8, 1, 0)
+	if km.Err != nil {
+		return // the caller reports the job's error
+	}
+	init, err := bdb.InitialCentroids(vec, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bdb.KMeansReference(vec, init, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := range want {
+		for d := range want[ci] {
+			if math.Abs(km.Centroids[ci][d]-want[ci][d]) > 1e-6 {
+				t.Fatalf("centroid %d component %d: %v, reference %v", ci, d, km.Centroids[ci][d], want[ci][d])
+			}
+		}
 	}
 }

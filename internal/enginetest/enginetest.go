@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/dfs"
@@ -105,12 +106,14 @@ func FailNodeAt(q *sched.Queue, fs *dfs.FS, eng sched.Engine, at float64, node i
 // CheckMerges installs, at the runtime's merge seam (taskrt.MergeSeam,
 // behind every engine's reduce side), a check of the merges'
 // precondition — every run sorted under kv.Compare — on each set of runs
-// handed to taskrt.MergeRuns, taskrt.MergeReduce or Base.ReduceTail,
-// and removes it when the test ends. The returned counter holds how many
-// non-empty runs have been checked so far.
-func CheckMerges(t *testing.T) *int {
+// handed to taskrt.MergeRuns, taskrt.MergeReduce or taskrt.ReduceTail, or
+// pulled by a reducer that takes its tail computed ahead, and removes it
+// when the test ends. The check runs on the Ahead workers too, so the
+// returned counter, how many non-empty runs have been checked so far, is
+// atomic.
+func CheckMerges(t *testing.T) *atomic.Int64 {
 	t.Helper()
-	checked := new(int)
+	checked := new(atomic.Int64)
 	seam := taskrt.MergeSeam()
 	orig := *seam
 	t.Cleanup(func() { *seam = orig })
@@ -120,7 +123,7 @@ func CheckMerges(t *testing.T) *int {
 				t.Errorf("run %d of %d handed to a merge is not sorted (%d pairs)", i, len(runs), len(r))
 			}
 			if len(r) > 0 {
-				*checked++
+				checked.Add(1)
 			}
 		}
 	}

@@ -43,8 +43,9 @@ const failAt = 17
 // With the fingerprint set the copies share their record work; with it
 // cleared, on a fresh identical rig, each computes its own (Map runs over
 // the input once between the six copies, or at least six times), and
-// WordCount calls Reduce fewer times shared than not: reduce tails are
-// shared on every engine. Every simulated number of every job and of
+// so does Reduce for WordCount and Grep: every engine computes each
+// reduce tail once, whatever order the map outputs reach its reducers
+// in, and shares it. Every simulated number of every job and of
 // the tracker is bit-identical between the two, every output matches the
 // sequential reference and the engine ends quiesced.
 func TestSharedRecordWorkIsInvisible(t *testing.T) {
@@ -69,6 +70,7 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 				t.Run(engName+"/"+specName+"/"+armName, func(t *testing.T) {
 					var got []run
 					var reduces [2]int64 // shared, own
+					var keys int64       // output records of one job
 					for arm, shared := range []bool{true, false} {
 						c, fs, in := sharedRig(a.repl)
 						eng := mk(fs)
@@ -115,9 +117,13 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 							t.Fatalf("shared %v: Map ran %d times over %d records", shared, n, rec)
 						}
 						reduces[arm] = reduced.Load()
+						keys = int64(len(job.ReadTextOutput(fs, "/out/0/")))
 					}
-					if specName == "WordCount" && reduces[0] >= reduces[1] {
-						t.Fatalf("Reduce ran %d times shared, %d times not", reduces[0], reduces[1])
+					// Shared, Reduce runs once per key of a job's output —
+					// each tail once between the six copies; own, at least
+					// six times that.
+					if specName != "TextSort" && (reduces[0] != keys || reduces[1] < 6*keys) {
+						t.Fatalf("Reduce ran %d times shared, %d times not, over %d keys a job", reduces[0], reduces[1], keys)
 					}
 					st := got[0].tracker
 					if armName == "straggler" && st.Backups == 0 {

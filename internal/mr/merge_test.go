@@ -52,9 +52,9 @@ func TestEveryMergedRunIsSorted(t *testing.T) {
 	}
 	for name, scenario := range scenarios {
 		t.Run(name, func(t *testing.T) {
-			before := *checked
+			before := checked.Load()
 			scenario(t)
-			if *checked == before {
+			if checked.Load() == before {
 				t.Fatal("no run reached a merge")
 			}
 		})

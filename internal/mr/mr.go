@@ -141,6 +141,9 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	scale, sortBuf := e.Scale(), e.Cfg.SortBufferBytes
 	maps := taskrt.Ahead(j, spec.Fingerprint, blocks, nReduce, sortBuf, spec.EmitScale(),
 		func(mi int) taskrt.Mapped { return taskrt.MapBlock(&spec, blocks[mi], nReduce, sortBuf, scale) })
+	// Each reducer's record half depends on its partition of every map
+	// output alone, so it starts on the same workers once they all exist.
+	taskrt.Tails(&spec, maps, nReduce)
 
 	// outs is the map→reduce edge. A map output lost with its node is
 	// refetched from a surviving copy or regenerated inside the reducer
@@ -201,7 +204,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				// enough maps have finished.
 				Pre: func(p *sim.Proc) bool { return !outs.Await(p, slowstart) },
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					return e.runReduceTask(p, att, &spec, ri, outs, res)
+					return e.runReduceTask(p, att, &spec, ri, outs, maps, res)
 				},
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					j.DependsOn(att)
@@ -340,7 +343,8 @@ type reduceOut struct {
 // its memory is released on every path — by Done after a completed run
 // (via the handed-off release callback), or by the deferred cleanup when
 // the attempt is cancelled mid-fetch.
-func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, ri int, outs *taskrt.Outputs, res *job.Result) (any, error) {
+func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, ri int, outs *taskrt.Outputs,
+	maps *taskrt.Pending[taskrt.Mapped], res *job.Result) (any, error) {
 	cfg := &e.Cfg
 	node := att.Node()
 	mem := e.C.Node(node).Mem
@@ -371,7 +375,7 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 
 	buf.Charge(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
 		func(cpuSec float64) float64 { return e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC) })
-	text, records := e.ReduceTail(spec, runs)
+	text, records := maps.Tail(ri, runs)
 	handoff = true
 	return &reduceOut{text: text, records: records, release: release}, nil
 }

@@ -35,6 +35,10 @@ type stage struct {
 	// over each block), started when the action is submitted; nil for a
 	// stage rooted at a cache or a shuffle.
 	ahead *taskrt.Pending[mapped]
+	// tails is, on a spec's last stage, the ahead work of the stage
+	// feeding its shuffle, which starts the stage's reduce tails
+	// (taskrt.Tails).
+	tails *taskrt.Pending[mapped]
 }
 
 // plan walks the lineage and produces stages bottom-up, linking each
@@ -133,6 +137,14 @@ func (e *Engine) submitAction(name string, target *RDD, spec *job.Spec, collect 
 			st.ahead = taskrt.Ahead(j, st.root.fingerprint, blocks, nParts, 0, emitScale,
 				func(i int) mapped { return st.mapBlock(blocks[i], scale) })
 		}
+	}
+	if spec != nil {
+		// A spec's lineage is a source stage feeding the shuffle of the
+		// last (see lineage): each last task's record half depends on its
+		// partition of every source task's output alone.
+		last, src := stages[len(stages)-1], stages[len(stages)-2]
+		taskrt.Tails(spec, src.ahead, last.root.wide.nParts)
+		last.tails = src.ahead
 	}
 
 	e.C.Eng.Go("spark-driver", func(driver *sim.Proc) {
@@ -411,9 +423,9 @@ func (st *stage) records(in recordIter, nominal float64, lend []byte, scale floa
 // merged partition's after charging the pull — charges the CPU, then
 // writes the shuffle output (an *taskrt.Output), the cached partition's
 // objects or the final file (a partData), stopping where the record
-// half's error struck; a spec's last stage merges into its part file's
-// text (taskrt.Base.ReduceTail). att is the owning attempt — the
-// consuming task's when re-entered as a lost-shuffle regeneration.
+// half's error struck; a spec's last stage takes its part file's text
+// from its reduce tail (taskrt.Pending.Tail). att is the owning attempt
+// — the consuming task's when re-entered as a lost-shuffle regeneration.
 func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn,
 	isLast bool, spec *job.Spec, taskIdx int, edge *taskrt.Outputs) (any, error) {
 
@@ -504,7 +516,7 @@ func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn
 		switch {
 		case isLast && spec != nil: // no narrow op follows a spec's wide op
 			m.inNominal = inputNominal
-			text, m.inRecords = e.ReduceTail(spec, runs)
+			text, m.inRecords = st.tails.Tail(taskIdx, runs)
 		case wide != nil && wide.reduce != nil:
 			m, _ = st.records(recordIter{pairs: taskrt.MergeReduce(runs, wide.reduce)}, inputNominal, nil, scale)
 		default:

@@ -232,11 +232,12 @@ func (a *Attempt) ScopedPath(final string) string {
 
 type trackedTask struct {
 	spec       TaskSpec
+	group      *groupStat // the straggler statistics of the task's job and group
 	attempts   []*Attempt
 	settled    bool // a result (or skip/failure) has been delivered
 	gatePassed bool // some attempt made it through Pre (or there is none)
-	backups    int
-	retries    int // node-failure requeues so far (maxRetries caps it)
+	backups    int32
+	retries    int32 // node-failure requeues so far (maxRetries caps it)
 }
 
 // TrackerStats counts lifecycle events for reporting.
@@ -428,7 +429,7 @@ func (t *TaskTracker) Launch(ts TaskSpec) {
 	if t.settledLive > 64 && t.settledLive*2 > len(t.tasks) {
 		t.compactTasks()
 	}
-	task := &trackedTask{spec: ts}
+	task := &trackedTask{spec: ts, group: t.group(ts.Handle, ts.Group)}
 	t.tasks = append(t.tasks, task)
 	t.outstanding++
 	t.stats.Tasks++
@@ -834,6 +835,20 @@ func (t *TaskTracker) settle(task *trackedTask) {
 	}
 }
 
+// group returns the straggler statistics of job h's tasks of group,
+// made empty for the first of them. A task holds its group's from
+// launch, so no monitor tick looks one up.
+func (t *TaskTracker) group(h *JobHandle, group string) *groupStat {
+	key := groupKey{h, group}
+	g := t.groups[key]
+	if g == nil {
+		g = &groupStat{}
+		t.groups[key] = g
+		t.hgroups[h] = append(t.hgroups[h], group)
+	}
+	return g
+}
+
 // recordWin folds the winning attempt's rate and duration into its
 // group's straggler statistics.
 func (t *TaskTracker) recordWin(task *trackedTask, att *Attempt) {
@@ -841,15 +856,8 @@ func (t *TaskTracker) recordWin(task *trackedTask, att *Attempt) {
 	if d <= 0 {
 		d = 1e-9
 	}
-	key := groupKey{task.spec.Handle, task.spec.Group}
-	g := t.groups[key]
-	if g == nil {
-		g = &groupStat{}
-		t.groups[key] = g
-		t.hgroups[key.h] = append(t.hgroups[key.h], key.group)
-	}
-	g.rates.add(1 / d)
-	g.durs.add(d)
+	task.group.rates.add(1 / d)
+	task.group.durs.add(d)
 }
 
 // ReleaseHandle drops every per-job accumulator kept under h — straggler
@@ -968,11 +976,13 @@ func (t *TaskTracker) recycleAttempts(task *trackedTask) {
 func (t *TaskTracker) speculate() {
 	now := t.eng.Now()
 	for _, task := range t.tasks {
-		if task.settled || !task.spec.Restartable || task.backups >= t.spec.MaxBackupsPerTask {
+		if task.settled || !task.spec.Restartable || int(task.backups) >= t.spec.MaxBackupsPerTask {
 			continue
 		}
-		g := t.groups[groupKey{task.spec.Handle, task.spec.Group}]
-		if g == nil || g.rates.n() < t.spec.MinCompleted {
+		// MinCompleted is at least 1, so a group no attempt has won yet
+		// waits here.
+		g := task.group
+		if g.rates.n() < t.spec.MinCompleted {
 			continue
 		}
 		medianRate, medianDur := g.rates.median(), g.durs.median()

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/datampi/datampi-go/internal/dfs"
+	"github.com/datampi/datampi-go/internal/job"
+	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 )
 
@@ -236,6 +239,222 @@ func TestAheadBudgetOutlivesAnAbandonedJob(t *testing.T) {
 		for readyNow() != 0 {
 			runtime.GC()
 			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// tailSpec is a spec that sums each key's values into its output,
+// counting Reduce's calls in reduces.
+func tailSpec(reduces *atomic.Int64) job.Spec {
+	spec := job.Spec{Output: "/out", Reduce: func(key []byte, values [][]byte) []kv.Pair {
+		reduces.Add(1)
+		return kv.SumReducer(key, values)
+	}}
+	spec.Normalize()
+	return spec
+}
+
+// mappedOf is map i's result: nParts runs, run ri holding key "k<ri>"
+// with value i+1.
+func mappedOf(i, nParts int) Mapped {
+	parts := make([][]kv.Pair, nParts)
+	for ri := range parts {
+		parts[ri] = []kv.Pair{{Key: fmt.Appendf(nil, "k%d", ri), Value: kv.FormatInt(int64(i + 1))}}
+	}
+	return Mapped{Out: Partitioned{Parts: parts}}
+}
+
+// wantTail is tail ri's text over n maps of mappedOf.
+func wantTail(ri, n int) string { return fmt.Sprintf("k%d\t%d\n", ri, n*(n+1)/2) }
+
+// until fails the test unless cond, evaluated under the scheduler's
+// lock, holds within a few seconds.
+func until(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	soon(t, what, func() {
+		for {
+			ahead.mu.Lock()
+			ok := cond()
+			ahead.mu.Unlock()
+			if ok {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// takeTails takes every map's result, then each reducer's tail over
+// them, and checks the text.
+func takeTails(t *testing.T, maps *Pending[Mapped], n, nParts int) {
+	t.Helper()
+	outs := make([]Mapped, n)
+	for i := range outs {
+		outs[i] = maps.Take(i)
+	}
+	for ri := range nParts {
+		var runs [][]kv.Pair
+		for _, m := range outs {
+			runs = append(runs, m.Out.Parts[ri])
+		}
+		if text, records := maps.Tail(ri, runs); string(text) != wantTail(ri, n) || records != 1 {
+			t.Fatalf("tail %d: %q (%d records), want %q", ri, text, records, wantTail(ri, n))
+		}
+	}
+}
+
+// TestTailsStartOnceEveryMapHasAValue: no reduce tail is claimed while a
+// map result is missing, whether the others came from workers or from
+// takes on the caller; once the last lands, the workers compute every
+// tail, each counting against aheadBudget until its reducer takes it.
+func TestTailsStartOnceEveryMapHasAValue(t *testing.T) {
+	const n, nParts = 5, 3
+	for _, onCaller := range []bool{false, true} {
+		t.Run(fmt.Sprint("taken on the caller: ", onCaller), func(t *testing.T) {
+			withProcs(t, 1) // one worker
+			_, b := testBase()
+			var reduces atomic.Int64
+			spec := tailSpec(&reduces)
+			// The one worker holds item 0 behind the gate, or, with every
+			// other item taken on the caller first, the last item.
+			last := n - 1
+			if onCaller {
+				last = 0
+			}
+			gate := make(chan struct{})
+			j := sharedJob(t, b)
+			open := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(open) // ahead of the job's stop, should the test fail first
+			maps := Ahead(j, "", make([]*dfs.Block, n), nParts, 0, 1, func(i int) Mapped {
+				if i == last {
+					<-gate
+				}
+				return mappedOf(i, nParts)
+			})
+			Tails(&spec, maps, nParts)
+			if onCaller {
+				until(t, "the worker reaching item 0", func() bool { return maps.slots[0].state == running })
+				for i := 1; i < n; i++ {
+					maps.Take(i)
+				}
+			} else {
+				until(t, "the other maps", func() bool { return maps.slots[last].state == running && maps.reduce.have == n-1 })
+			}
+			time.Sleep(10 * time.Millisecond)
+			if reduces.Load() != 0 || maps.reduce.tails != nil {
+				t.Fatalf("%d tails merged with a map result missing", reduces.Load())
+			}
+			open()
+			until(t, "the tails", func() bool {
+				tp := maps.reduce.tails
+				return tp != nil && !slices.ContainsFunc(tp.slots, func(s slot[tail]) bool { return s.state != ready })
+			})
+			wantReady := nParts + n
+			if onCaller {
+				wantReady = nParts + 1
+			}
+			if got := readyNow(); got != wantReady {
+				t.Fatalf("%d results count against the budget, want %d maps and tails", got, wantReady)
+			}
+			takeTails(t, maps, n, nParts)
+			if got := reduces.Load(); got != nParts {
+				t.Fatalf("Reduce ran %d times for %d tails", got, nParts)
+			}
+			if got := readyNow(); got != 0 {
+				t.Fatalf("%d results still count against the budget", got)
+			}
+		})
+	}
+}
+
+// TestTailsStopWithTheJob: once the job fails, no worker claims another
+// tail; the ones running are dropped, and every reducer computes its own.
+func TestTailsStopWithTheJob(t *testing.T) {
+	const n, nParts = 4, 6
+	withProcs(t, 2)
+	c, b := testBase()
+	j := b.Begin("tails", sched.Solo(c.Eng, c.N()), 0)
+	gate, started := make(chan struct{}), make(chan int, nParts)
+	open := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
+	var reduces atomic.Int64
+	spec := tailSpec(&reduces)
+	reduce := spec.Reduce
+	spec.Reduce = func(key []byte, values [][]byte) []kv.Pair {
+		if started != nil {
+			started <- 0
+			<-gate
+		}
+		return reduce(key, values)
+	}
+	maps := Ahead(j, "", make([]*dfs.Block, n), nParts, 0, 1, func(i int) Mapped { return mappedOf(i, nParts) })
+	Tails(&spec, maps, nParts)
+	<-started
+	<-started // both workers hold a tail in Reduce
+	j.Fail(errors.New("boom"))
+	open()
+	until(t, "the running tails", func() bool { return ahead.workers == 0 })
+	if got := reduces.Load(); got != 2 {
+		t.Fatalf("Reduce ran %d times after the stop, want the 2 already running", got)
+	}
+	started = nil
+	takeTails(t, maps, n, nParts)
+	if got := reduces.Load(); got != 2+nParts {
+		t.Fatalf("Reduce ran %d times, want every tail again on the caller", got)
+	}
+}
+
+// TestTailsLeaveFailedOrSharedMapsToTheCaller: a map error or a panic on
+// a worker keeps every tail off the workers, and so does a job whose map
+// results all came from the record table; each reducer merges its own.
+func TestTailsLeaveFailedOrSharedMapsToTheCaller(t *testing.T) {
+	const n, nParts = 4, 3
+	withProcs(t, 2)
+	for _, how := range []string{"error", "panic"} {
+		t.Run(how, func(t *testing.T) {
+			_, b := testBase()
+			var reduces atomic.Int64
+			spec := tailSpec(&reduces)
+			j := sharedJob(t, b)
+			maps := Ahead(j, "", make([]*dfs.Block, n), nParts, 0, 1, func(i int) Mapped {
+				switch {
+				case i != 1:
+				case how == "error":
+					return Mapped{Err: errors.New("input: bad block")}
+				default:
+					panic("kaboom")
+				}
+				return mappedOf(i, nParts)
+			})
+			Tails(&spec, maps, nParts)
+			until(t, "the maps", func() bool {
+				return !slices.ContainsFunc(maps.slots, func(s slot[Mapped]) bool { return s.state != ready })
+			})
+			time.Sleep(10 * time.Millisecond)
+			if maps.reduce.tails != nil || reduces.Load() != 0 {
+				t.Fatal("the tails went ahead of a failed map")
+			}
+			for ri := range nParts {
+				if text, _ := maps.Tail(ri, nil); text != nil {
+					t.Fatalf("tail %d over no runs: %q", ri, text)
+				}
+			}
+		})
+	}
+	t.Run("shared", func(t *testing.T) {
+		_, b := testBase()
+		var calls atomic.Int64
+		spec := countedWords(b, "words", &calls)
+		blocks := spec.Input.Blocks
+		first := aheadMaps(t, b, &spec, nParts)
+		for i := range blocks {
+			first.Take(i)
+		}
+		second := aheadMaps(t, b, &spec, nParts)
+		Tails(&spec, second, nParts)
+		until(t, "the second job's maps", func() bool { return int(second.reduce.have) == len(blocks) })
+		if second.reduce.own || second.reduce.tails != nil {
+			t.Fatal("the tails of a job that computed no map went ahead")
 		}
 	})
 }

@@ -29,9 +29,10 @@ func Framed(part []kv.Pair, scale float64) float64 {
 }
 
 // mergeSeam, when set, sees every set of runs before MergeRuns,
-// MergeReduce or Base.ReduceTail merges it. Every merge requires each
-// run sorted; the engine tests set it (through MergeSeam) to assert that
-// of every run an engine hands over.
+// MergeReduce or ReduceTail merges it, and the runs a reducer pulled
+// when it takes a tail computed ahead (Pending.Tail). Every merge
+// requires each run sorted; the engine tests set it (through MergeSeam)
+// to assert that of every run an engine hands over.
 var mergeSeam func(runs [][]kv.Pair)
 
 // MergeRuns merges sorted runs into one sorted run.
@@ -53,7 +54,10 @@ func MergeReduce(runs [][]kv.Pair, reduce kv.Reducer) []kv.Pair {
 }
 
 // MergeSeam is where a test installs the check that sees the runs handed
-// to MergeRuns, MergeReduce and Base.ReduceTail.
+// to MergeRuns, MergeReduce and ReduceTail, and those of a reducer
+// taking its tail from Pending.Tail. ReduceTail runs on the Ahead workers
+// too, so the check may run on several goroutines at once: it must be
+// safe for that. Install it while no job runs.
 func MergeSeam() *func(runs [][]kv.Pair) { return &mergeSeam }
 
 // Partitioned is a map-side task's output: one sorted run per consumer,
@@ -268,14 +272,14 @@ func (rb *Buffer) Charge(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort,
 }
 
 // ReduceTail is every engine's record half of a reduce tail; it touches
-// no simulation state. It merges runs (each sorted) into text lines
-// (job.AppendTextLine), rendering each key group as the merge meets it —
-// every value for the identity reducer, the reducer's pairs otherwise —
-// and returns them exact-size (nil for a spec with no Output) with the
-// output record count. A fingerprinted spec over runs that all are
-// partitions the record table keeps merges once per (fingerprint,
-// Output != "", runs in order); later tasks share its text, read-only.
-func (b *Base) ReduceTail(spec *job.Spec, runs [][]kv.Pair) (text []byte, records int) {
+// no simulation state, so it may run ahead of the task (see Tails). It
+// merges runs (each sorted) into text lines (job.AppendTextLine),
+// rendering each key group as the merge meets it — every value for the
+// identity reducer, the reducer's pairs otherwise — and returns them
+// exact-size (nil for a spec with no Output) with the output record
+// count. Engines call it through Pending.Tail, which shares it between
+// jobs of one fingerprint.
+func ReduceTail(spec *job.Spec, runs [][]kv.Pair) (text []byte, records int) {
 	if mergeSeam != nil {
 		mergeSeam(runs)
 	}
@@ -285,14 +289,6 @@ func (b *Base) ReduceTail(spec *job.Spec, runs [][]kv.Pair) (text []byte, record
 			records += len(r)
 		}
 		return nil, records
-	}
-	var key string
-	if spec.Fingerprint != "" {
-		tl, found, k := b.rec.lookupTail(spec.Fingerprint, encode, runs)
-		if found {
-			return tl.text, tl.records
-		}
-		key = k
 	}
 	bp := textPool.Get().(*[]byte)
 	lines := (*bp)[:0]
@@ -319,9 +315,6 @@ func (b *Base) ReduceTail(spec *job.Spec, runs [][]kv.Pair) (text []byte, record
 	if cap(lines) <= maxPooledText {
 		*bp = lines[:0]
 		textPool.Put(bp)
-	}
-	if key != "" {
-		b.rec.storeTail(key, tail{text, records})
 	}
 	return text, records
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -317,7 +318,7 @@ func (outOfRange) Partition(key []byte, n int) int { return n }
 // TestReduceSide holds Buffer.Charge, the cost half of the reduce tail,
 // to the charges mr and core each spelled out: the three-term CPU charge
 // in their order of evaluation, their overhead rule beside it, the
-// spilled bytes read back. It merges nothing: that is Base.ReduceTail's.
+// spilled bytes read back. It merges nothing: that is ReduceTail's.
 func TestReduceSide(t *testing.T) {
 	runs := [][]kv.Pair{
 		{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("c"), Value: []byte("2")}},
@@ -344,9 +345,9 @@ func TestReduceSide(t *testing.T) {
 			spec := job.Spec{FS: b.FS, ReduceCPUFactor: 2, EngineCPUFactor: map[string]float64{"test": 1.5}}
 			spec.Normalize()
 			var gotCPU, gotOverhead, secs float64
-			seen := 0
+			var seen atomic.Int32
 			defer func(prev func([][]kv.Pair)) { mergeSeam = prev }(mergeSeam)
-			mergeSeam = func([][]kv.Pair) { seen++ }
+			mergeSeam = func([][]kv.Pair) { seen.Add(1) }
 			runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
 				buf := b.Buffer(p, 3, tc.cap, nil)
 				buf.Add(fetched / 2)
@@ -375,8 +376,8 @@ func TestReduceSide(t *testing.T) {
 			if want := max(gotCPU, gotOverhead, readBack); math.Abs(secs-want) > 1e-9*want {
 				t.Fatalf("took %v s, want %v (cpu %v, overhead %v, read-back %v)", secs, want, gotCPU, gotOverhead, readBack)
 			}
-			if seen != 0 {
-				t.Fatalf("the cost half merged %d sets of runs", seen)
+			if n := seen.Load(); n != 0 {
+				t.Fatalf("the cost half merged %d sets of runs", n)
 			}
 		})
 	}
@@ -436,7 +437,7 @@ var tailReducers = []kv.Reducer{
 	},
 }
 
-// FuzzReduceTailMatchesOracle holds Base.ReduceTail, the record half of
+// FuzzReduceTailMatchesOracle holds ReduceTail, the record half of
 // every engine's reduce tail, to the pair tail it replaced:
 // job.EncodeTextOutput over kv.GroupReduce over kv.MergeRuns (MergeRuns
 // alone for the identity reducer), byte for byte, with that tail's record
@@ -481,16 +482,15 @@ func FuzzReduceTailMatchesOracle(f *testing.F) {
 			wantText = job.EncodeTextOutput(want)
 		}
 
-		seen := 0
+		var seen atomic.Int32
 		defer func(prev func([][]kv.Pair)) { mergeSeam = prev }(mergeSeam)
-		mergeSeam = func([][]kv.Pair) { seen++ }
-		_, b := testBase()
-		text, records := b.ReduceTail(&spec, runs)
+		mergeSeam = func([][]kv.Pair) { seen.Add(1) }
+		text, records := ReduceTail(&spec, runs)
 		sort := job.Spec{Output: "/out"}
 		sort.Normalize()
-		other, _ := b.ReduceTail(&sort, [][]kv.Pair{{{Key: []byte("~~~~"), Value: []byte("~")}}})
-		if seen != 2 {
-			t.Fatalf("merge seam saw %d sets of runs, want 2", seen)
+		other, _ := ReduceTail(&sort, [][]kv.Pair{{{Key: []byte("~~~~"), Value: []byte("~")}}})
+		if n := seen.Load(); n != 2 {
+			t.Fatalf("merge seam saw %d sets of runs, want 2", n)
 		}
 		if !bytes.Equal(text, wantText) || (text == nil) != (len(wantText) == 0) || cap(text) != len(text) {
 			t.Fatalf("text %q (cap %d), want %q", text, cap(text), wantText)

@@ -2,33 +2,29 @@ package taskrt
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"github.com/datampi/datampi-go/internal/dfs"
-	"github.com/datampi/datampi-go/internal/kv"
 )
 
 // recordTable is an engine's shared record work: the map-side results of
 // the jobs whose spec has a fingerprint (job.Spec.Fingerprint), one per
-// (block, fingerprint, shape), and the reduce tails (Base.ReduceTail)
-// over the map results it holds. Jobs that repeat a query over the same
-// data ask for the same key again and again; the table computes each key
-// once and hands the result to every later caller, who must treat it as
-// immutable. Simulated charges never depend on it: every caller charges
-// its task in full. An entry two jobs asked for lives as long as the
-// engine; see join.
+// (block, fingerprint, shape), and the reduce tails (Pending.Tail) over
+// them. Jobs that repeat a query over the same data ask for the same key
+// again and again; the table computes each key once and hands the result
+// to every later caller, who must treat it as immutable. Simulated
+// charges never depend on it: every caller charges its task in full. An
+// entry two jobs asked for lives as long as the engine; see join.
 type recordTable struct {
 	mu      sync.Mutex
-	settled sync.Cond           // an entry in flight settled; L is &mu
+	settled sync.Cond           // a computation in flight settled; L is &mu
 	shapes  map[shapeKey]uint32 // every shape asked for, numbered from 0
 	maps    map[mapKey]any      // *mapEntry[T]
-	// runs identifies the partitions of the kept entries by their
-	// first pair: the table holds them for good, so no other live run can
-	// start at the same address.
-	runs  map[*kv.Pair]runRef
-	tails map[string]tail
-	ids   uint32 // the last id handed to a registered entry
-	key   []byte // scratch for a reduce tail's key; mu held
+	tails   map[string]*tailEntry
+	lastID  uint32   // the last id handed to a done entry
+	key     []byte   // scratch for a reduce tail's key; mu held
+	ids     []uint32 // scratch for a reduce tail's entries; mu held
 }
 
 func newRecordTable() *recordTable {
@@ -72,9 +68,10 @@ type mapEntry[T any] struct {
 	key   mapKey
 	val   T
 	state entryState
-	jobs  int    // the jobs that asked for it and have not ended
-	kept  bool   // a second job asked for it: it lives as long as the engine
-	id    uint32 // nonzero once val's partitions are in runs
+	jobs  int      // the jobs that asked for it and have not ended
+	kept  bool     // a second job asked for it: it lives as long as the engine
+	id    uint32   // names val in the keys of the reduce tails over it; set once done
+	tails []string // the tails that go when it does (see reduceTail)
 }
 
 type entryState uint8
@@ -107,7 +104,6 @@ func join[T any](t *recordTable, shape uint32, blocks []*dfs.Block) []*mapEntry[
 		}
 		if e.jobs++; e.jobs > 1 {
 			e.kept = true
-			e.publish(t)
 		}
 		es[i] = e
 	}
@@ -124,31 +120,39 @@ func leave[T any](t *recordTable, es []*mapEntry[T]) {
 	}
 }
 
-// drop deletes e from the table once no running job asked for it, none
-// kept it and no caller computes it, so that a job joining later starts
-// afresh while a computation in flight stays the only one. t.mu is held.
+// drop deletes e, and the tails that go with it, from the table once no
+// running job asked for it, none kept it and no caller computes it, so
+// that a job joining later starts afresh while a computation in flight
+// stays the only one. t.mu is held.
 func (e *mapEntry[T]) drop(t *recordTable) {
 	if e.jobs == 0 && !e.kept && e.state != inFlight && t.maps[e.key] == any(e) {
 		delete(t.maps, e.key)
+		for _, k := range e.tails {
+			delete(t.tails, k)
+		}
+		e.tails = nil
 	}
 }
 
+// live reports whether e is still the table's entry for its key. t.mu is
+// held.
+func (e *mapEntry[T]) live(t *recordTable) bool { return t.maps[e.key] == any(e) }
+
 // share returns e's value, computing it as work(i) on the caller when
-// nobody has. One computation per entry is in flight at a time; a second
-// caller waits for it. A work that panics leaves the entry idle, so the
-// next caller computes afresh.
-func share[T any](t *recordTable, e *mapEntry[T], work func(i int) T, i int) T {
+// nobody has; computed reports that it did. One computation per entry is
+// in flight at a time; a second caller waits for it. A work that panics
+// leaves the entry idle, so the next caller computes afresh.
+func share[T any](t *recordTable, e *mapEntry[T], work func(i int) T, i int) (v T, computed bool) {
 	t.mu.Lock()
 	for e.state == inFlight {
 		t.settled.Wait()
 	}
 	if e.state == done {
 		t.mu.Unlock()
-		return e.val
+		return e.val, false
 	}
 	e.state = inFlight
 	t.mu.Unlock()
-	computed := false
 	defer func() {
 		if !computed { // work panicked
 			t.mu.Lock()
@@ -158,50 +162,25 @@ func share[T any](t *recordTable, e *mapEntry[T], work func(i int) T, i int) T {
 			t.mu.Unlock()
 		}
 	}()
-	v := work(i)
+	v = work(i)
 	computed = true
 	t.mu.Lock()
 	e.val, e.state = v, done
-	e.publish(t)
+	t.lastID++
+	e.id = t.lastID
 	e.drop(t)
 	t.settled.Broadcast()
 	t.mu.Unlock()
-	return v
+	return v, true
 }
 
-// partitioned is a map-side result's sized output: Mapped's, or that of
-// an engine's own result type embedding Partitioned (empty on failure).
+// partitioned is a map-side result that carries its sized output:
+// Mapped, or an engine's own result type embedding Partitioned (empty on
+// failure).
+type partitioned interface{ partitioned() *Partitioned }
+
 func (p *Partitioned) partitioned() *Partitioned { return p }
 func (m *Mapped) partitioned() *Partitioned      { return &m.Out }
-
-// publish gives a kept entry that carries partitions an id once it is
-// done and records its non-empty partitions in runs. t.mu is held.
-func (e *mapEntry[T]) publish(t *recordTable) {
-	if e.state != done || !e.kept || e.id != 0 {
-		return
-	}
-	m, ok := any(&e.val).(interface{ partitioned() *Partitioned })
-	if !ok {
-		return
-	}
-	if t.runs == nil {
-		t.runs = map[*kv.Pair]runRef{}
-	}
-	t.ids++
-	e.id = t.ids
-	for pi, part := range m.partitioned().Parts {
-		if len(part) > 0 {
-			t.runs[&part[0]] = runRef{id: e.id, pi: uint32(pi), n: len(part)}
-		}
-	}
-}
-
-// runRef is one registered partition: its entry's id, its index and its
-// length.
-type runRef struct {
-	id, pi uint32
-	n      int
-}
 
 // tail is one reduce task's output text and record count.
 type tail struct {
@@ -209,48 +188,89 @@ type tail struct {
 	records int
 }
 
-// lookupTail finds the reduce tail of a spec with fingerprint fp over
-// runs, encoded into text or not. found reports a stored one. Otherwise a
-// non-empty key means every run is a registered partition — an empty one
-// stands for itself — and the caller stores its own tail under key;
-// an empty key means some run was built outside the table, and nothing
-// is stored.
-func (t *recordTable) lookupTail(fp string, encode bool, runs [][]kv.Pair) (tl tail, found bool, key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	k := binary.AppendUvarint(t.key[:0], uint64(len(fp)))
-	k = append(k, fp...)
-	if encode {
-		k = append(k, 1)
-	} else {
-		k = append(k, 0)
-	}
-	for _, r := range runs {
-		if len(r) == 0 {
-			k = append(k, 0)
-			continue
-		}
-		ref, ok := t.runs[&r[0]]
-		if !ok || ref.n != len(r) {
-			t.key = k
-			return tail{}, false, ""
-		}
-		k = binary.AppendUvarint(k, uint64(ref.id))
-		k = binary.AppendUvarint(k, uint64(ref.pi))
-	}
-	t.key = k
-	if tl, found = t.tails[string(k)]; found {
-		return tl, true, ""
-	}
-	return tail{}, false, string(k)
+// tailEntry is one reduce tail in the table.
+type tailEntry struct {
+	state entryState // inFlight or done
+	tail
 }
 
-// storeTail keeps tl under a key lookupTail returned.
-func (t *recordTable) storeTail(key string, tl tail) {
+// reduceTail returns the reduce tail of a spec with fingerprint fp,
+// encoded into text or not, over partition ri of the results of es —
+// done entries, which one job asked for and has not left — computing it
+// as compute() on the caller when nobody has; one computation is in
+// flight at a time, and a second caller waits for it. The key names the
+// entries whose partition ri is non-empty, by id and sorted: kv.Compare
+// orders pairs totally, so the merge's text depends on the runs' contents
+// alone, not on their order, and empty runs add nothing to it. A tail
+// over an entry nobody kept goes with the first such entry in es (with
+// jobs that share only some blocks another can go first, which leaves
+// the tail unreachable until then), so a job that shares nothing keeps
+// nothing; one over kept entries alone lives as long as they do.
+func reduceTail[T any](t *recordTable, fp string, encode bool, es []*mapEntry[T], ri int, compute func() tail) tail {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.tails == nil {
-		t.tails = map[string]tail{}
+	ids := t.ids[:0]
+	var anchor *mapEntry[T] // the contributor whose drop takes the tail
+	for _, e := range es {
+		if e.state != done || !e.live(t) {
+			t.ids = ids
+			t.mu.Unlock()
+			return compute()
+		}
+		if len(any(&e.val).(partitioned).partitioned().Parts[ri]) > 0 {
+			ids = append(ids, e.id)
+			if anchor == nil && !e.kept {
+				anchor = e
+			}
+		}
 	}
-	t.tails[key] = tl
+	slices.Sort(ids)
+	flag := uint64(ri) << 1
+	if encode {
+		flag |= 1
+	}
+	k := binary.AppendUvarint(t.key[:0], uint64(len(fp)))
+	k = append(k, fp...)
+	k = binary.AppendUvarint(k, flag)
+	for _, id := range ids {
+		k = binary.AppendUvarint(k, uint64(id))
+	}
+	t.ids, t.key = ids, k
+	te := t.tails[string(k)]
+	if te != nil && te.state == done {
+		t.mu.Unlock()
+		return te.tail
+	}
+	key := string(k) // t.key is scratch another caller reuses while this one waits
+	for te != nil && te.state == inFlight {
+		t.settled.Wait()
+		te = t.tails[key]
+	}
+	if te != nil {
+		t.mu.Unlock()
+		return te.tail
+	}
+	if t.tails == nil {
+		t.tails = map[string]*tailEntry{}
+	}
+	te = &tailEntry{state: inFlight}
+	t.tails[key] = te
+	t.mu.Unlock()
+	var tl tail
+	computed := false
+	defer func() {
+		t.mu.Lock()
+		if !computed || anchor != nil && !anchor.live(t) {
+			delete(t.tails, key) // compute panicked, or the job left: keep nothing
+		} else {
+			te.state, te.tail = done, tl
+			if anchor != nil {
+				anchor.tails = append(anchor.tails, key)
+			}
+		}
+		t.settled.Broadcast()
+		t.mu.Unlock()
+	}()
+	tl = compute()
+	computed = true
+	return tl
 }

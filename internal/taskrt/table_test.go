@@ -2,9 +2,11 @@ package taskrt
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 )
@@ -84,100 +86,135 @@ func TestAheadSharesOneFingerprintsMapSide(t *testing.T) {
 }
 
 // countedReduces wraps spec's reducer to count its calls in reduces.
-func countedReduces(spec *job.Spec, reduces *int) {
+func countedReduces(spec *job.Spec, reduces *atomic.Int64) {
 	reduce := spec.Reduce
 	spec.Reduce = func(key []byte, values [][]byte) []kv.Pair {
-		*reduces++
+		reduces.Add(1)
 		return reduce(key, values)
 	}
 }
 
-// TestMergeReduceSharesOnlyTableRuns: Base.ReduceTail, called with no
-// simulation, hands a stored tail only to a task whose runs are all
-// partitions of map results the record table holds; a run built outside
-// it, or a prefix of a held one, gets a fresh merge.
-func TestMergeReduceSharesOnlyTableRuns(t *testing.T) {
-	_, b := testBase()
-	var calls atomic.Int64
-	spec := countedWords(b, "words", &calls)
-	var reduces int
-	countedReduces(&spec, &reduces)
-	// The second job's takes register the partitions the first computed.
-	var runs [][]kv.Pair
-	for range 2 {
-		p := aheadMaps(t, b, &spec, 2)
-		runs = runs[:0]
-		for i := range spec.Input.Blocks {
-			runs = append(runs, p.Take(i).Out.Parts[1])
+// tailJob starts spec's map side over blocks as a job of b into two
+// partitions, with its reduce tails, as mr does.
+func tailJob(t *testing.T, b *Base, spec *job.Spec, blocks []*dfs.Block) (*Job, *Pending[Mapped]) {
+	scale := b.Scale()
+	j := sharedJob(t, b)
+	p := Ahead(j, spec.Fingerprint, blocks, 2, 0, spec.EmitScale(),
+		func(i int) Mapped { return MapBlock(spec, blocks[i], 2, 0, scale) })
+	Tails(spec, p, 2)
+	return j, p
+}
+
+// allTails takes every map result of p, then each reducer's tail over
+// them.
+func allTails[T any, PT interface {
+	*T
+	partitioned() *Partitioned
+}](t *testing.T, p *Pending[T]) (texts [][]byte, records int64) {
+	t.Helper()
+	outs := make([]*Partitioned, len(p.slots))
+	for i := range outs {
+		v := p.Take(i)
+		if outs[i] = PT(&v).partitioned(); len(outs[i].Parts) == 0 {
+			t.Fatalf("map %d failed", i)
 		}
 	}
-	copied := append([][]kv.Pair(nil), runs...)
-	copied[1] = append([]kv.Pair(nil), runs[1]...)
-	prefix := append([][]kv.Pair(nil), runs...)
-	prefix[0] = runs[0][:len(runs[0])-1]
+	for ri := range int(p.reduce.n) {
+		var runs [][]kv.Pair
+		for _, o := range outs {
+			runs = append(runs, o.Parts[ri])
+		}
+		text, n := p.Tail(ri, runs)
+		texts, records = append(texts, text), records+int64(n)
+	}
+	return texts, records
+}
 
-	var texts [][]byte
-	var merges []int
-	discard := spec
-	discard.Output = ""
-	// A job that writes no output stores a tail without text, which one
-	// that does must not take.
-	discarded, _ := b.ReduceTail(&discard, runs)
-	for _, rs := range [][][]kv.Pair{runs, runs, copied, copied, prefix} {
-		before := reduces
-		text, _ := b.ReduceTail(&spec, rs)
-		texts, merges = append(texts, text), append(merges, reduces-before)
+// TestMergeReduceSharesOnlyTableRuns: jobs of one fingerprint share each
+// reduce tail over the same record table entries, whatever order their
+// blocks come in, and only when they also agree on writing text: a job
+// with no fingerprint or no output merges its own. Reduce, one call per
+// output record here, runs once per tail computed, on a worker or on the
+// caller. The tails of entries no second job asked for go when their job
+// ends.
+func TestMergeReduceSharesOnlyTableRuns(t *testing.T) {
+	_, b := testBase()
+	var calls, reduces atomic.Int64
+	spec := countedWords(b, "words", &calls)
+	countedReduces(&spec, &reduces)
+	blocks := spec.Input.Blocks
+	reversed := slices.Clone(blocks)
+	slices.Reverse(reversed)
+	discard, own := spec, spec
+	discard.Output, own.Fingerprint = "", ""
+
+	// Four jobs at once over one input; the first three share entries.
+	_, first := tailJob(t, b, &spec, blocks)
+	_, backwards := tailJob(t, b, &spec, reversed)
+	_, discarding := tailJob(t, b, &discard, blocks)
+	_, alone := tailJob(t, b, &own, blocks)
+	texts, n := allTails(t, first)
+	again, _ := allTails(t, backwards)
+	discarded, nd := allTails(t, discarding)
+	mine, _ := allTails(t, alone)
+	for ri, text := range texts {
+		if len(text) == 0 || &again[ri][0] != &text[0] {
+			t.Fatalf("partition %d: the job with its blocks reversed did not take the first one's tail", ri)
+		}
+		if discarded[ri] != nil {
+			t.Fatalf("partition %d: a job that writes no output has %d bytes of text", ri, len(discarded[ri]))
+		}
+		if !bytes.Equal(mine[ri], text) || &mine[ri][0] == &text[0] {
+			t.Fatalf("partition %d: a job with no fingerprint took another's tail, or merged other text", ri)
+		}
 	}
-	if discarded != nil || len(texts[0]) == 0 {
-		t.Fatalf("discarded %d bytes of text, then wrote %d", len(discarded), len(texts[0]))
+	if bytes.Equal(texts[0], texts[1]) || nd != n {
+		t.Fatalf("partition 0 took partition 1's tail, or a job that writes no output counted %d records of %d", nd, n)
 	}
-	if merges[0] == 0 || merges[1] != 0 || &texts[0][0] != &texts[1][0] {
-		t.Fatalf("held runs: merged %v keys, the second task got its own text: %v", merges[:2], &texts[0][0] != &texts[1][0])
+	if got := reduces.Load(); got != 3*n {
+		t.Fatalf("Reduce ran %d times, want %d: once for each tail of three", got, 3*n)
 	}
-	if merges[2] == 0 || merges[3] == 0 || &texts[2][0] == &texts[0][0] {
-		t.Fatalf("a copied run: merged %v keys, want a fresh merge each time", merges[2:4])
-	}
-	if !bytes.Equal(texts[2], texts[0]) {
-		t.Fatalf("the copied run's tail %q differs from the held one's %q", texts[2], texts[0])
-	}
-	if merges[4] == 0 {
-		t.Fatal("a prefix of a held run took the whole run's tail")
+
+	// A job no other joined keeps nothing once it ends.
+	lone := spec
+	lone.Fingerprint = "lone words"
+	j, p := tailJob(t, b, &lone, blocks)
+	allTails(t, p)
+	j.stopAhead()
+	before := reduces.Load()
+	_, later := tailJob(t, b, &lone, blocks)
+	allTails(t, later)
+	if reduces.Load() != before+n {
+		t.Fatal("a later job took the tails of a job that had ended alone")
 	}
 }
 
-// TestReduceTailSharesOwnResultTypes: a kept entry whose type is an
+// TestReduceTailSharesOwnResultTypes: a map result whose type is an
 // engine's own, not Mapped, but embeds Partitioned (as rdd's task results
-// do) registers its partitions: a second tail over them is a lookup.
+// do) carries tails too: a second job's tails over the same entries are
+// lookups.
 func TestReduceTailSharesOwnResultTypes(t *testing.T) {
 	_, b := testBase()
-	var calls atomic.Int64
+	var calls, reduces atomic.Int64
 	spec := countedWords(b, "words", &calls)
-	var reduces int
 	countedReduces(&spec, &reduces)
 	type own struct {
 		Partitioned
 		err error
 	}
 	blocks, scale := spec.Input.Blocks, b.Scale()
-	var runs [][]kv.Pair
+	var ps []*Pending[own]
 	for range 2 {
 		p := Ahead(sharedJob(t, b), spec.Fingerprint, blocks, 2, 0, spec.EmitScale(), func(i int) own {
 			m := MapBlock(&spec, blocks[i], 2, 0, scale)
 			return own{m.Out, m.Err}
 		})
-		runs = runs[:0]
-		for i := range blocks {
-			o := p.Take(i)
-			if o.err != nil {
-				t.Fatal(o.err)
-			}
-			runs = append(runs, o.Parts[0])
-		}
+		Tails(&spec, p, 2)
+		ps = append(ps, p)
 	}
-	first, _ := b.ReduceTail(&spec, runs)
-	merged := reduces
-	second, _ := b.ReduceTail(&spec, runs)
-	if merged == 0 || len(first) == 0 || reduces != merged || &second[0] != &first[0] {
-		t.Fatalf("merged %d keys, then %d more: the second tail was not a lookup", merged, reduces-merged)
+	first, n := allTails(t, ps[0])
+	second, _ := allTails(t, ps[1])
+	if len(first[0]) == 0 || &second[0][0] != &first[0][0] || reduces.Load() != n {
+		t.Fatalf("Reduce ran %d times for %d keys: the second job's tails were not lookups", reduces.Load(), n)
 	}
 }

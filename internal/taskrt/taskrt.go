@@ -14,7 +14,7 @@
 //   - map side and reduce side: MapBlock / Collect size a task's
 //     partitioned output (framed bytes once, in one form); a reduce tail
 //     is Buffer.Charge (mr's and core's read-back and three-term CPU
-//     charge), then Base.ReduceTail, every engine's merge that reduces
+//     charge), then ReduceTail, every engine's merge that reduces
 //     each key group as it meets it and renders it straight into the
 //     part file's text;
 //   - shuffle edge: Outputs is the disk-materialized edge of mr and rdd.
@@ -37,8 +37,11 @@
 //     shape) is computed once — a second caller waits for the one in
 //     flight — and kept for the engine's life once two jobs asked for
 //     it, and so is each reduce tail over kept map results;
-//     every job is still charged in full. The event loop stays
-//     single-threaded and sees the same bytes;
+//     every job is still charged in full. Tails starts each reducer's
+//     record half on the same workers once the job's map results all
+//     exist, and the reducer takes it (Pending.Tail) when the simulation
+//     reaches its tail. The event loop stays single-threaded and sees
+//     the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - charges every engine makes the same way: StartCPU, StartSend,
 //     GCOverhead.
