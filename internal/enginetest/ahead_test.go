@@ -246,8 +246,9 @@ func (r *recorder) Run(spec job.Spec) job.Result {
 // half on the Ahead workers once its job's map side is computed. One
 // worker or four, every simulated number of the result and every output
 // byte is the same, at eight reducers over 4 MB blocks: for the
-// fingerprinted specs, whose tails go through the record table and whose
-// output equals the sequential reference's, and for a K-means iteration,
+// fingerprinted specs, whose tails go through the record table — nobody
+// writes into what it holds (enginetest.CheckFrozen) — and whose output
+// equals the sequential reference's, and for a K-means iteration,
 // which has no fingerprint. Its combiner sums floats per map task, so its
 // centroids are checked against KMeansReference to 1e-6 instead, as
 // bdb's own K-means test does.
@@ -259,6 +260,7 @@ func TestReduceAheadIsInvisible(t *testing.T) {
 	for engName, mk := range aheadEngines {
 		for _, specName := range []string{"TextSort", "WordCount", "NormalSort", "KMeans"} {
 			t.Run(engName+"/"+specName, func(t *testing.T) {
+				frozen := enginetest.CheckFrozen(t)
 				var got []run
 				for _, procs := range []int{1, 4} {
 					atProcs(procs, func() {
@@ -284,6 +286,9 @@ func TestReduceAheadIsInvisible(t *testing.T) {
 						}
 						got = append(got, run{timingOf(eng.res), job.ReadTextOutput(fs, out)})
 					})
+				}
+				if frozen.Load() == 0 != (specName == "KMeans") {
+					t.Fatalf("the freeze check saw %d shared cells", frozen.Load())
 				}
 				if !reflect.DeepEqual(got[0].timing, got[1].timing) {
 					t.Fatalf("one worker:\n%+v\nfour:\n%+v", got[0].timing, got[1].timing)

@@ -4,8 +4,10 @@ package enginetest
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -128,6 +130,57 @@ func CheckMerges(t *testing.T) *atomic.Int64 {
 		}
 	}
 	return checked
+}
+
+// CheckFrozen installs, at the runtime's freeze seam (taskrt.FrozenSeam),
+// a record of every record table cell as it turns done — an FNV-64 hash
+// of a map entry's partitions, every key and value, or of a reduce
+// tail's text — and, when the test ends, removes it, hashes each cell
+// again and fails the test for each that changed, naming the fingerprint
+// and the block or partition: nobody may write into what a table shares.
+// The returned counter is how many cells have been recorded so far.
+func CheckFrozen(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	type frozen struct {
+		fingerprint, what string
+		parts             [][]kv.Pair
+		text              []byte
+		sum               uint64
+	}
+	var mu sync.Mutex
+	var cells []frozen
+	recorded := new(atomic.Int64)
+	orig := taskrt.FrozenSeam(func(fingerprint, what string, parts [][]kv.Pair, text []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		cells = append(cells, frozen{fingerprint, what, parts, text, hashCell(parts, text)})
+		recorded.Add(1)
+	})
+	t.Cleanup(func() {
+		taskrt.FrozenSeam(orig)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range cells {
+			if hashCell(c.parts, c.text) != c.sum {
+				t.Errorf("fingerprint %q, %s: shared bytes changed after the table handed them out", c.fingerprint, c.what)
+			}
+		}
+	})
+	return recorded
+}
+
+// hashCell is the FNV-64 hash of every key and value of parts, then of
+// text.
+func hashCell(parts [][]kv.Pair, text []byte) uint64 {
+	h := fnv.New64a()
+	for _, run := range parts {
+		for _, p := range run {
+			h.Write(p.Key)
+			h.Write(p.Value)
+		}
+	}
+	h.Write(text)
+	return h.Sum64()
 }
 
 func sortedStrings(ps []kv.Pair) []string {

@@ -45,7 +45,8 @@ const failAt = 17
 // the input once between the six copies, or at least six times), and
 // so does Reduce for WordCount and Grep: every engine computes each
 // reduce tail once, whatever order the map outputs reach its reducers
-// in, and shares it. Every simulated number of every job and of
+// in, and shares it. Nobody writes into what the tables share
+// (enginetest.CheckFrozen). Every simulated number of every job and of
 // the tracker is bit-identical between the two, every output matches the
 // sequential reference and the engine ends quiesced.
 func TestSharedRecordWorkIsInvisible(t *testing.T) {
@@ -68,6 +69,7 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 		for specName, mkSpec := range sharedSpecs {
 			for armName, a := range arms {
 				t.Run(engName+"/"+specName+"/"+armName, func(t *testing.T) {
+					frozen := enginetest.CheckFrozen(t)
 					var got []run
 					var reduces [2]int64 // shared, own
 					var keys int64       // output records of one job
@@ -124,6 +126,9 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 					// six times that.
 					if specName != "TextSort" && (reduces[0] != keys || reduces[1] < 6*keys) {
 						t.Fatalf("Reduce ran %d times shared, %d times not, over %d keys a job", reduces[0], reduces[1], keys)
+					}
+					if frozen.Load() == 0 {
+						t.Fatal("the freeze check saw no shared cell")
 					}
 					st := got[0].tracker
 					if armName == "straggler" && st.Backups == 0 {

@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -15,66 +16,116 @@ import (
 // admitted jobs does not hold its map output long before its tasks run.
 const aheadBudget = 256
 
-// ahead schedules the record work that Ahead and Tails start: at most
-// GOMAXPROCS worker goroutines in the process, which claim items in the
-// order the Pendings were queued and then in index order, while fewer
-// than aheadBudget results wait for a Take, and exit when no Pending has
-// an unclaimed item. Its mutex guards every Pending too. It is
+// ahead is the record plane: it schedules the record work that Ahead and
+// Tails start — at most GOMAXPROCS worker goroutines in the process,
+// which claim items in the order the Pendings were queued and then in
+// index order, while fewer than aheadBudget results wait for a Take, and
+// exit when no Pending has an unclaimed item — and its mutex guards every
+// cell, every Pending and every engine's record table. It is
 // process-wide, as a sync.Pool is: what it bounds — host CPUs and the
 // memory results hold — is too.
 var ahead aheadSched
 
-func init() { ahead.filled.L, ahead.room.L = &ahead.mu, &ahead.mu }
+func init() { ahead.settled.L, ahead.room.L = &ahead.mu, &ahead.mu }
 
 type aheadSched struct {
 	mu      sync.Mutex
-	filled  sync.Cond // a worker filled a slot
+	settled sync.Cond // a cell's computation settled
 	room    sync.Cond // the budget has room again
 	queue   []claimer // Pendings that may have unclaimed items, oldest first
 	workers int       // live worker goroutines
-	ready   int       // filled slots no Take has had
+	ready   int       // items a worker computed that no Take has had
 }
 
-// claimer is a Pending as the workers see it; ahead.mu is held for claim.
+// cell is one value of the record plane, computed once: a Pending's item
+// (its own cell, from which its first Take has it), a record table's map
+// entry or reduce tail. ahead.mu guards it.
+type cell[T any] struct {
+	state cellState
+	val   T
+	panic any // what a worker computing a Pending's item panicked with
+}
+
+type cellState uint8
+
+const (
+	idle    cellState = iota // nobody computed it, or the computation panicked
+	running                  // a worker or a caller is computing it
+	done                     // val, or panic, is set
+)
+
+// get returns c's value — raising a worker's panic stored with it —
+// waiting for the computation in flight if there is one, or computes it
+// as compute() on the caller when nobody has; computed reports that it
+// did. ahead.mu is held, and released while get waits or compute runs.
+func (c *cell[T]) get(compute func() T) (v T, computed bool) {
+	for c.state == running {
+		ahead.settled.Wait()
+	}
+	if c.state == done {
+		if c.panic != nil {
+			panic(c.panic)
+		}
+		return c.val, false
+	}
+	c.state = running
+	c.fill(compute)
+	return c.val, true
+}
+
+// fill runs compute for c, which its caller set running, with ahead.mu
+// released, and settles c: done with the value, or idle again, the panic
+// propagating, if compute panicked. ahead.mu is held again on return.
+func (c *cell[T]) fill(compute func() T) {
+	ahead.mu.Unlock()
+	var v T
+	ok := false
+	defer func() {
+		ahead.mu.Lock()
+		c.state = idle
+		if ok {
+			c.state, c.val = done, v
+		}
+		ahead.settled.Broadcast()
+	}()
+	v = compute()
+	ok = true
+}
+
+// claimer is a Pending as the workers see it; ahead.mu is held for both.
 type claimer interface {
 	claim() int // the next unclaimed index, now running; -1 if none
-	run(i int)  // compute item i and fill its slot
+	run(i int)  // compute item i into its cell
 }
 
 // Pending holds the results of record work a job started ahead of its
 // simulated tasks (see Ahead).
 type Pending[T any] struct {
 	work    func(i int) T
-	slots   []slot[T]
-	next    int  // the lowest index that may still be unclaimed
-	stopped bool // no worker claims another item
-	left    bool // the job's interest in es has ended
-	// held counts the ready slots: the budget the Pending holds. A job
-	// that neither finishes nor fails (a queue that deadlocked) never
-	// stops its Pending, so a cleanup returns held when the GC drops it.
+	items   []*cell[T] // each item's first result; nil once a Take had it or a stop dropped it
+	next    int        // the lowest index that may still be unclaimed
+	stopped bool       // no worker claims another item
+	own     bool       // the job computed an item, rather than found it in the record table
+	// held counts the items a worker computed that no Take has had: the
+	// budget the Pending holds. A job that neither finishes nor fails (a
+	// queue that deadlocked) never stops its Pending, so a cleanup returns
+	// held when the GC drops it.
 	held *int
-	// With a fingerprint, es are the job's record table entries, one per
-	// item, in rec; the first stop ends the job's interest in them.
+	// With a fingerprint fp, es are the job's record table entries, one
+	// per item, in rec; the stop ends the job's interest in them.
+	fp     string
 	rec    *recordTable
 	es     []*mapEntry[T]
 	reduce tailsOf // the reduce tails over the results (see Tails)
 }
 
-type slot[T any] struct {
-	state aheadState
-	own   bool // a worker computed val, rather than found it in the record table
-	val   T    // kept past its first Take when the Pending has tails
-	panic any  // what work panicked with on a worker, re-raised by Take
+func newPending[T any](n int, held *int, work func(i int) T) *Pending[T] {
+	p := &Pending[T]{work: work, items: make([]*cell[T], n), held: held}
+	for i := range p.items {
+		p.items[i] = new(cell[T])
+	}
+	return p
 }
-
-type aheadState uint8
-
-const (
-	unclaimed aheadState = iota
-	running              // a worker is computing it
-	ready                // a worker finished it; no Take yet
-	taken                // a Take has had it, or a stop dropped it
-)
 
 // Ahead starts work(i), the record work of blocks[i], for every block on
 // worker goroutines — at most GOMAXPROCS in the process, so
@@ -97,12 +148,7 @@ const (
 // nothing: blocks then only counts the items.
 func Ahead[T any](j *Job, fingerprint string, blocks []*dfs.Block, nParts int, sortBuf, emitScale float64,
 	work func(i int) T) *Pending[T] {
-	p := &Pending[T]{work: work, slots: make([]slot[T], len(blocks)), held: new(int)}
-	if fingerprint != "" {
-		p.rec = j.b.rec
-		shape := p.rec.shape(shapeKey{fingerprint, nParts, sortBuf, j.b.Scale(), emitScale})
-		p.es = join[T](p.rec, shape, blocks)
-	}
+	p := newPending(len(blocks), new(int), work)
 	runtime.AddCleanup(p, func(held *int) {
 		ahead.mu.Lock()
 		ahead.release(held, *held)
@@ -112,6 +158,10 @@ func Ahead[T any](j *Job, fingerprint string, blocks []*dfs.Block, nParts int, s
 	s := &ahead
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if fingerprint != "" {
+		p.fp, p.rec = fingerprint, j.b.rec
+		p.es = join[T](p.rec, shapeKey{fingerprint, nParts, sortBuf, j.b.Scale(), emitScale}, blocks)
+	}
 	s.enqueue(p, len(blocks))
 	return p
 }
@@ -139,9 +189,7 @@ func (s *aheadSched) worker() {
 			s.workers--
 			return
 		}
-		s.mu.Unlock()
 		p.run(i)
-		s.mu.Lock()
 	}
 }
 
@@ -159,50 +207,56 @@ func (s *aheadSched) claim() (claimer, int) {
 }
 
 func (p *Pending[T]) claim() int {
-	for !p.stopped && p.next < len(p.slots) {
-		if i := p.next; p.slots[i].state == unclaimed {
-			p.slots[i].state = running
-			return i
+	for ; !p.stopped && p.next < len(p.items); p.next++ {
+		if c := p.items[p.next]; c != nil && c.state == idle {
+			c.state = running
+			return p.next
 		}
-		p.next++
 	}
 	return -1
 }
 
+// run computes item i on a worker; a panic is stored with the value, for
+// the first Take to raise on the caller's goroutine.
 func (p *Pending[T]) run(i int) {
-	v, own, pv := p.compute(i)
-	s := &ahead
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p.stopped {
-		// Nobody will take it: a later Take computes it afresh.
-		p.slots[i] = slot[T]{state: taken}
-	} else {
-		p.slots[i] = slot[T]{state: ready, own: own, val: v, panic: pv}
-		s.ready++
-		*p.held++
-		if pv == nil && p.reduce.spec != nil {
-			p.landed(own)
+	c, own := p.items[i], false
+	c.fill(func() (v T) {
+		defer func() { c.panic = recover() }()
+		v, own = p.do(i)
+		return v
+	})
+	p.own = p.own || own
+	if p.items[i] == c { // no Take waits for it
+		if p.stopped {
+			p.items[i] = nil // nobody will take it: a later Take computes it afresh
+		} else {
+			ahead.ready++
+			*p.held++
 		}
 	}
-	s.filled.Broadcast()
-}
-
-// compute runs item i on a worker; a panic comes back as a value, for
-// Take to raise on the caller's goroutine.
-func (p *Pending[T]) compute(i int) (v T, own bool, pv any) {
-	defer func() { pv = recover() }()
-	v, own = p.do(i)
-	return v, own, nil
+	if c.panic == nil {
+		p.landed(i, &c.val)
+	}
 }
 
 // do runs work(i), through the record table with a fingerprint; own
 // reports that it computed the result rather than found it there.
 func (p *Pending[T]) do(i int) (v T, own bool) {
-	if p.es != nil {
-		return share(p.rec, p.es[i], p.work, i)
+	if p.es == nil {
+		return p.work(i), true
 	}
-	return p.work(i), true
+	e := p.es[i]
+	ahead.mu.Lock()
+	defer ahead.mu.Unlock()
+	defer e.drop(p.rec) // once nobody computes it, a panic included
+	if v, own = e.get(func() T { return p.work(i) }); own {
+		p.rec.lastID++
+		e.id = p.rec.lastID
+		if pt, ok := any(&e.val).(partitioned); ok && frozenSeam != nil {
+			frozenSeam(p.fp, fmt.Sprintf("block %d", e.key.blk.ID), pt.partitioned().Parts, nil)
+		}
+	}
+	return v, own
 }
 
 // Take returns item i's result. The first Take of i returns what a worker
@@ -212,88 +266,74 @@ func (p *Pending[T]) do(i int) (v T, own bool) {
 // which with a fingerprint is a lookup in the engine's record table, not
 // a recomputation. Take keeps no reference to the result; the caller must
 // not write into it, since the table may hand it to other jobs too.
-//
-// A Pending with tails keeps each item's first value, a worker's or the
-// one its first Take computed, until the job stops.
 func (p *Pending[T]) Take(i int) T {
-	v, state := p.first(i)
-	if state == ready {
-		return v
-	}
-	v, own := p.do(i)
-	if state == unclaimed && p.reduce.spec != nil {
-		s := &ahead
-		s.mu.Lock()
-		if !p.stopped {
-			p.slots[i].val = v
-			p.landed(own)
-		}
-		s.mu.Unlock()
-	}
+	v, _ := p.take(i, func() (T, bool) { return p.do(i) })
 	return v
 }
 
-// first hands item i's first Take what a worker computed, waiting for it
-// if a worker is on it, and raises the worker's panic. Otherwise it
-// reports the state the item was in — unclaimed for a first Take no
-// worker started, taken for a later one — and no worker will start it:
-// the caller computes it.
-func (p *Pending[T]) first(i int) (v T, state aheadState) {
-	s := &ahead
-	s.mu.Lock()
-	for p.slots[i].state == running {
-		s.filled.Wait()
+// take is Take with compute, which also reports whether the job computed
+// the result itself, in place of do(i); worker reports that a worker
+// computed what it returns.
+func (p *Pending[T]) take(i int, compute func() (T, bool)) (v T, worker bool) {
+	ahead.mu.Lock()
+	c := p.items[i]
+	if c == nil || p.stopped {
+		ahead.mu.Unlock()
+		v, _ = compute() // a later Take, or one after the stop: not kept
+		return v, false
 	}
-	sl := &p.slots[i]
-	state, v, pv := sl.state, sl.val, sl.panic
-	sl.state, sl.panic = taken, nil
-	if state == ready {
-		if p.reduce.spec == nil || pv != nil {
-			sl.val = *new(T)
-		}
-		s.release(p.held, 1)
+	defer ahead.mu.Unlock()
+	p.items[i] = nil
+	if c.state == done {
+		ahead.release(p.held, 1)
 	}
-	s.mu.Unlock()
-	if pv != nil {
-		panic(pv)
+	own := false
+	v, computed := c.get(func() (v T) {
+		v, own = compute()
+		return v
+	})
+	if computed {
+		p.own = p.own || own
+		p.landed(i, &c.val)
 	}
-	return v, state
+	return v, !computed
 }
 
 // stop keeps the workers from claiming another item, drops the results
-// no Take has had and the values kept for tails, and stops the tails;
-// items being computed run to the end and are dropped too.
+// no Take has had and stops the tails; items being computed run to the
+// end and are dropped too. The job's interest in its record table
+// entries ends.
 func (p *Pending[T]) stop() {
-	s := &ahead
-	s.mu.Lock()
+	ahead.mu.Lock()
+	defer ahead.mu.Unlock()
 	p.stopLocked()
-	if tp := p.reduce.tails; tp != nil {
-		tp.stopLocked()
-		p.reduce.tails = nil
-	}
-	leaving := p.es != nil && !p.left
-	p.left = true
-	s.mu.Unlock()
-	if leaving {
-		leave(p.rec, p.es)
-	}
 }
 
-// stopLocked is stop's half under ahead.mu, without the table or the
-// tails.
+// stopLocked is stop under ahead.mu; a second stop does nothing.
 func (p *Pending[T]) stopLocked() {
+	if p.stopped {
+		return
+	}
 	p.stopped = true
 	dropped := 0
-	for i := range p.slots {
-		switch p.slots[i].state {
-		case ready:
-			dropped++
-			fallthrough
-		case taken:
-			p.slots[i] = slot[T]{state: taken}
+	for i, c := range p.items {
+		if c == nil || c.state == running {
+			continue // a worker's: dropped when it is done
 		}
+		if c.state == done {
+			dropped++
+		}
+		p.items[i] = nil
 	}
 	ahead.release(p.held, dropped)
+	if tp := p.reduce.tails; tp != nil {
+		tp.stopLocked()
+	}
+	p.reduce.tails, p.reduce.runs = nil, nil
+	for _, e := range p.es {
+		e.jobs--
+		e.drop(p.rec)
+	}
 }
 
 // release returns n of the results a Pending holds to the budget. s.mu is
@@ -310,10 +350,10 @@ func (s *aheadSched) release(held *int, n int) {
 // over them once Tails was called (spec non-nil).
 type tailsOf struct {
 	spec  *job.Spec
-	tails *Pending[tail] // started once the last value landed
+	tails *Pending[tail] // started once every item has its first value
+	runs  [][][]kv.Pair  // item -> partition -> run, of each first value; nil: none goes ahead
+	have  int32          // items in runs
 	n     int32          // reducers; 0: none goes ahead
-	have  int32          // items holding their first value
-	own   bool           // the job computed one of them itself
 }
 
 // Tails arranges the record half of the reduce tails of spec's n
@@ -337,36 +377,37 @@ func Tails[T any, PT interface {
 	if spec.HasIdentityReduce() && spec.Output == "" {
 		n = 0
 	}
-	s := &ahead
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	ahead.mu.Lock()
+	defer ahead.mu.Unlock()
 	maps.reduce = tailsOf{spec: spec, n: int32(n)}
-	for i := range maps.slots {
-		if sl := &maps.slots[i]; sl.state == ready && sl.panic == nil {
-			maps.landed(sl.own)
+	if n > 0 {
+		maps.reduce.runs = make([][][]kv.Pair, len(maps.items))
+	}
+	for i, c := range maps.items {
+		if c != nil && c.state == done && c.panic == nil {
+			maps.landed(i, &c.val)
 		}
 	}
 }
 
-// landed counts one item's first value and starts the tails once every
+// landed records item i's first value v and starts the tails once every
 // item has one. ahead.mu is held.
-func (p *Pending[T]) landed(own bool) {
+func (p *Pending[T]) landed(i int, v *T) {
 	r := &p.reduce
-	r.have++
-	r.own = r.own || own
-	if int(r.have) < len(p.slots) || !r.own || r.n == 0 || p.stopped {
+	if r.runs == nil || r.runs[i] != nil || p.stopped {
 		return
 	}
-	runs := make([][][]kv.Pair, len(p.slots)) // item -> partition -> run
-	for i := range p.slots {
-		if runs[i] = any(&p.slots[i].val).(partitioned).partitioned().Parts; len(runs[i]) != int(r.n) {
-			return
-		}
+	if r.runs[i] = any(v).(partitioned).partitioned().Parts; len(r.runs[i]) != int(r.n) {
+		r.runs = nil // a failed map
+		return
 	}
-	r.tails = &Pending[tail]{slots: make([]slot[tail], r.n), held: p.held}
+	if r.have++; int(r.have) < len(r.runs) || !p.own {
+		return
+	}
 	// The work reads p, so p — whose cleanup returns the budget its tails
 	// share — lives while a tail may still fill.
-	r.tails.work = func(ri int) tail {
+	runs := r.runs
+	r.tails = newPending(int(r.n), p.held, func(ri int) tail {
 		return p.tail(ri, func() tail {
 			in := runsPool.Get().(*[][]kv.Pair)
 			for i := range runs {
@@ -378,7 +419,7 @@ func (p *Pending[T]) landed(own bool) {
 			runsPool.Put(in)
 			return tl
 		})
-	}
+	})
 	ahead.enqueue(r.tails, int(r.n))
 }
 
@@ -411,18 +452,17 @@ var runsPool = sync.Pool{New: func() any { return new([][]kv.Pair) }}
 // two jobs asked for.
 func (p *Pending[T]) Tail(ri int, runs [][]kv.Pair) (text []byte, records int) {
 	r := &p.reduce
-	s := &ahead
-	s.mu.Lock()
+	compute := func() tail { return p.tail(ri, func() tail { return r.merge(runs) }) }
+	ahead.mu.Lock()
 	tp := r.tails
-	s.mu.Unlock()
-	if tp != nil {
-		if tl, state := tp.first(ri); state == ready {
-			if mergeSeam != nil {
-				mergeSeam(runs)
-			}
-			return tl.text, tl.records
-		}
+	ahead.mu.Unlock()
+	if tp == nil {
+		tl := compute()
+		return tl.text, tl.records
 	}
-	tl := p.tail(ri, func() tail { return r.merge(runs) })
+	tl, worker := tp.take(ri, func() (tail, bool) { return compute(), true })
+	if worker && mergeSeam != nil {
+		mergeSeam(runs)
+	}
 	return tl.text, tl.records
 }

@@ -163,6 +163,18 @@ func TestAheadStopsAtFinishAndFail(t *testing.T) {
 	}
 }
 
+// panicOf returns what f panics with; nil if it returns.
+func panicOf(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestAheadTakeSeesWorkErrorsAndPanics: a result's error reaches its Take
+// as it is, and a panic on a worker is raised again by the item's first
+// Take — under a fingerprint too, where it leaves the shared cell idle, so
+// the next caller, another job's or a later Take, computes afresh. A tail
+// whose merge panics leaves no entry in the record table.
 func TestAheadTakeSeesWorkErrorsAndPanics(t *testing.T) {
 	withProcs(t, 2)
 	errs := []error{errors.New("zero"), nil, errors.New("two")}
@@ -173,17 +185,93 @@ func TestAheadTakeSeesWorkErrorsAndPanics(t *testing.T) {
 		}
 	}
 
-	gate, started := make(chan struct{}), make(chan int, 1)
-	q := start(t, 1, func(int) int { started <- 0; <-gate; panic("kaboom") })
-	<-started // on a worker, not the caller
-	close(gate)
-	defer func() {
-		if r := recover(); r != "kaboom" {
+	// The work panics on its first call alone, so a Take that computed the
+	// item afresh would return 1.
+	onWorker := func() (func(int) int, func()) {
+		gate, started := make(chan struct{}), make(chan int, 1)
+		var calls atomic.Int32
+		return func(int) int {
+				if calls.Add(1) == 1 {
+					started <- 0
+					<-gate
+					panic("kaboom")
+				}
+				return 1
+			}, func() {
+				<-started // on a worker, not the caller
+				close(gate)
+			}
+	}
+	t.Run("own", func(t *testing.T) {
+		work, release := onWorker()
+		q := start(t, 1, work)
+		release()
+		if r := panicOf(func() { q.Take(0) }); r != "kaboom" {
 			t.Fatalf("Take panicked with %v, want the worker's panic", r)
 		}
-	}()
-	q.Take(0)
-	t.Fatal("Take returned past a panic in work")
+	})
+	t.Run("fingerprint", func(t *testing.T) {
+		_, b := testBase()
+		blocks := []*dfs.Block{{ID: 1}}
+		work, release := onWorker()
+		first := Ahead(sharedJob(t, b), "kaboom", blocks, 0, 0, 1, work)
+		release()
+		if r := panicOf(func() { first.Take(0) }); r != "kaboom" {
+			t.Fatalf("Take panicked with %v, want the worker's panic", r)
+		}
+		ahead.mu.Lock()
+		state := first.es[0].state
+		ahead.mu.Unlock()
+		if state != idle {
+			t.Fatalf("the shared cell is in state %d after a panic, want idle", state)
+		}
+		second := Ahead(sharedJob(t, b), "kaboom", blocks, 0, 0, 1, func(int) int { return 7 })
+		if got := second.Take(0); got != 7 {
+			t.Fatalf("a second job of the fingerprint took %d, want its own 7", got)
+		}
+		if got := first.Take(0); got != 7 {
+			t.Fatalf("a later Take took %d, want the table's 7", got)
+		}
+	})
+	t.Run("tail", func(t *testing.T) {
+		_, b := testBase()
+		var calls atomic.Int64
+		spec := countedWords(b, "words", &calls)
+		var boom atomic.Bool
+		boom.Store(true)
+		reduce := spec.Reduce
+		spec.Reduce = func(key []byte, values [][]byte) []kv.Pair {
+			if boom.Load() {
+				panic("kaboom")
+			}
+			return reduce(key, values)
+		}
+		_, maps := tailJob(t, b, &spec, spec.Input.Blocks)
+		var runs [][]kv.Pair
+		for i := range spec.Input.Blocks {
+			runs = append(runs, maps.Take(i).Out.Parts[0])
+		}
+		tails := func() int {
+			ahead.mu.Lock()
+			defer ahead.mu.Unlock()
+			return len(b.rec.tails)
+		}
+		// On a worker or on the caller, as the tail was reached.
+		if r := panicOf(func() { maps.Tail(0, runs) }); r != "kaboom" {
+			t.Fatalf("Tail panicked with %v, want the merge's panic", r)
+		}
+		until(t, "the other tail", func() bool { return ahead.workers == 0 }) // it panics too
+		if n := tails(); n != 0 {
+			t.Fatalf("%d tails in the table after a panic", n)
+		}
+		boom.Store(false)
+		if text, _ := maps.Tail(0, runs); len(text) == 0 {
+			t.Fatal("a later Tail merged no text")
+		}
+		if n := tails(); n != 1 {
+			t.Fatalf("%d tails in the table, want the later one", n)
+		}
+	})
 }
 
 func TestAheadStaysWithinItsBudget(t *testing.T) {
@@ -197,8 +285,8 @@ func TestAheadStaysWithinItsBudget(t *testing.T) {
 		for {
 			ahead.mu.Lock()
 			busy := false
-			for _, sl := range p.slots {
-				busy = busy || sl.state == running
+			for _, c := range p.items {
+				busy = busy || c != nil && c.state == running
 			}
 			full := ahead.ready >= aheadBudget && !busy
 			ahead.mu.Unlock()
@@ -284,6 +372,12 @@ func until(t *testing.T, what string, cond func() bool) {
 	})
 }
 
+// allDone reports whether a worker has computed every item of p and no
+// Take has had one yet. ahead.mu is held.
+func allDone[T any](p *Pending[T]) bool {
+	return !slices.ContainsFunc(p.items, func(c *cell[T]) bool { return c == nil || c.state != done })
+}
+
 // takeTails takes every map's result, then each reducer's tail over
 // them, and checks the text.
 func takeTails(t *testing.T, maps *Pending[Mapped], n, nParts int) {
@@ -333,12 +427,12 @@ func TestTailsStartOnceEveryMapHasAValue(t *testing.T) {
 			})
 			Tails(&spec, maps, nParts)
 			if onCaller {
-				until(t, "the worker reaching item 0", func() bool { return maps.slots[0].state == running })
+				until(t, "the worker reaching item 0", func() bool { return maps.items[0].state == running })
 				for i := 1; i < n; i++ {
 					maps.Take(i)
 				}
 			} else {
-				until(t, "the other maps", func() bool { return maps.slots[last].state == running && maps.reduce.have == n-1 })
+				until(t, "the other maps", func() bool { return maps.items[last].state == running && maps.reduce.have == n-1 })
 			}
 			time.Sleep(10 * time.Millisecond)
 			if reduces.Load() != 0 || maps.reduce.tails != nil {
@@ -347,7 +441,7 @@ func TestTailsStartOnceEveryMapHasAValue(t *testing.T) {
 			open()
 			until(t, "the tails", func() bool {
 				tp := maps.reduce.tails
-				return tp != nil && !slices.ContainsFunc(tp.slots, func(s slot[tail]) bool { return s.state != ready })
+				return tp != nil && allDone(tp)
 			})
 			wantReady := nParts + n
 			if onCaller {
@@ -428,7 +522,7 @@ func TestTailsLeaveFailedOrSharedMapsToTheCaller(t *testing.T) {
 			})
 			Tails(&spec, maps, nParts)
 			until(t, "the maps", func() bool {
-				return !slices.ContainsFunc(maps.slots, func(s slot[Mapped]) bool { return s.state != ready })
+				return allDone(maps)
 			})
 			time.Sleep(10 * time.Millisecond)
 			if maps.reduce.tails != nil || reduces.Load() != 0 {
@@ -453,7 +547,7 @@ func TestTailsLeaveFailedOrSharedMapsToTheCaller(t *testing.T) {
 		second := aheadMaps(t, b, &spec, nParts)
 		Tails(&spec, second, nParts)
 		until(t, "the second job's maps", func() bool { return int(second.reduce.have) == len(blocks) })
-		if second.reduce.own || second.reduce.tails != nil {
+		if second.own || second.reduce.tails != nil {
 			t.Fatal("the tails of a job that computed no map went ahead")
 		}
 	})

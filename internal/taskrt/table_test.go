@@ -3,6 +3,7 @@ package taskrt
 import (
 	"bytes"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -112,7 +113,7 @@ func allTails[T any, PT interface {
 	partitioned() *Partitioned
 }](t *testing.T, p *Pending[T]) (texts [][]byte, records int64) {
 	t.Helper()
-	outs := make([]*Partitioned, len(p.slots))
+	outs := make([]*Partitioned, len(p.items))
 	for i := range outs {
 		v := p.Take(i)
 		if outs[i] = PT(&v).partitioned(); len(outs[i].Parts) == 0 {
@@ -216,5 +217,43 @@ func TestReduceTailSharesOwnResultTypes(t *testing.T) {
 	second, _ := allTails(t, ps[1])
 	if len(first[0]) == 0 || &second[0][0] != &first[0][0] || reduces.Load() != n {
 		t.Fatalf("Reduce ran %d times for %d keys: the second job's tails were not lookups", reduces.Load(), n)
+	}
+}
+
+// TestAheadOnTwoEnginesAtOnce: two engines run jobs of one
+// fingerprint on two goroutines at once, as the harness's sweep workers
+// run points, under the one record-plane lock. Each engine's table
+// computes its own entries — Map runs once per record of the input per
+// engine, between two jobs — and every tail equals the one a job with no
+// fingerprint merges.
+func TestAheadOnTwoEnginesAtOnce(t *testing.T) {
+	withProcs(t, 4)
+	var ready sync.WaitGroup
+	ready.Add(2)
+	for _, name := range []string{"first", "second"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			_, b := testBase()
+			var calls, alone atomic.Int64
+			spec := countedWords(b, "words", &calls)
+			own := countedWords(b, "", &alone)
+			blocks := spec.Input.Blocks
+			ready.Done()
+			ready.Wait() // both engines' jobs start together
+			_, p := tailJob(t, b, &spec, blocks)
+			_, q := tailJob(t, b, &spec, blocks)
+			_, mine := tailJob(t, b, &own, own.Input.Blocks)
+			texts, n := allTails(t, p)
+			again, _ := allTails(t, q)
+			want, wantN := allTails(t, mine)
+			if got, records := calls.Load(), alone.Load(); got != records {
+				t.Fatalf("Map ran %d times for two jobs of one fingerprint, %d for one job", got, records)
+			}
+			for ri := range texts {
+				if !bytes.Equal(texts[ri], want[ri]) || !bytes.Equal(again[ri], want[ri]) || n != wantN {
+					t.Fatalf("partition %d: the shared tails differ from a job's own", ri)
+				}
+			}
+		})
 	}
 }

@@ -32,16 +32,16 @@
 //     attempt — on worker goroutines at submission. A task's first Take
 //     picks up its result when the simulation reaches it; a later one (a
 //     backup, a retry, a lost output's regeneration) computes it on the
-//     caller. A spec with a fingerprint (job.Spec.Fingerprint) routes
-//     both through the engine's record table: each (block, fingerprint,
-//     shape) is computed once — a second caller waits for the one in
-//     flight — and kept for the engine's life once two jobs asked for
-//     it, and so is each reduce tail over kept map results;
-//     every job is still charged in full. Tails starts each reducer's
-//     record half on the same workers once the job's map results all
-//     exist, and the reducer takes it (Pending.Tail) when the simulation
-//     reaches its tail. The event loop stays single-threaded and sees
-//     the same bytes;
+//     caller. Tails starts each reducer's record half on the same workers
+//     once the job's map results all exist, and the reducer takes it
+//     (Pending.Tail) when the simulation reaches its tail. All of it is
+//     one store of compute-once cells under one lock: a job's items, and
+//     with a fingerprint (job.Spec.Fingerprint) the engine's record
+//     table, whose cells — one per (block, fingerprint, shape) and per
+//     reduce tail over them — are computed once, a second caller waiting
+//     for the one in flight, and kept for the engine's life once two jobs
+//     asked for them. Every job is still charged in full. The event loop
+//     stays single-threaded and sees the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - charges every engine makes the same way: StartCPU, StartSend,
 //     GCOverhead.
@@ -87,7 +87,7 @@ func NewBase(name string, fs *dfs.FS, override, def transport.Profile) Base {
 		override = def
 	}
 	c := fs.Cluster()
-	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, override), rec: newRecordTable()}
+	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, override), rec: new(recordTable)}
 }
 
 // Name implements job.Engine.
