@@ -15,15 +15,16 @@ type Fabric struct {
 	loopbackBW float64
 
 	// Per-node traffic integrals for utilization accounting, settled
-	// lazily from the running rate sums below.
+	// lazily from the links' rate sums.
 	rxIntegral []float64
 	txIntegral []float64
 
 	// Incremental allocator state (see fabric_fast.go).
-	links     []fLink  // per-link flow registries: egress i -> i, ingress i -> nodes+i
-	cheap     flowHeap // completions keyed by (predicted finish time, seq)
-	rxRate    []float64
-	txRate    []float64
+	links     []fLink   // per-link pair registries: egress i -> i, ingress i -> nodes+i
+	pairOf    []*fPair  // open pair src*nodes+dst, nil when idle
+	ppool     []*fPair  // closed pairs, reused with their flow slices
+	pheap     pairHeap  // pairs in flight by earliest (predicted finish, seq) flow
+	nflows    int       // flows in flight
 	nodeLast  []float64 // per-node integral settle time
 	vtimer    *Timer    // reusable completion timer
 	seqCtr    int64
@@ -49,11 +50,15 @@ type Fabric struct {
 	zfire func()
 }
 
-// fLink is one directed link's flow registry, kept sorted by
-// (Src, Dst, seq) so refills touch flows in a deterministic order.
-// cap/count/mark are scratch state for the current fill pass.
+// fLink is one directed link's pair registry, kept in (Src, Dst) order so
+// refills touch pairs (and so flows) in a deterministic order. flows
+// counts the network flows crossing the link and sum is their rate sum as
+// of the last refill; cap/count/mark are scratch state for the current
+// fill pass.
 type fLink struct {
-	flows []*Flow
+	pairs []*fPair
+	flows int
+	sum   float64
 	cap   float64
 	count int
 	mark  int
@@ -69,8 +74,6 @@ type Flow struct {
 	seq       int64
 	settledAt float64 // sim time at which remaining was last materialized
 	finish    float64 // predicted completion time, absolute
-	hidx      int     // index in the completion heap
-	mark      int     // fill epoch in which a rate was assigned
 	loop      bool    // node-local transfer, fixed loopback rate
 }
 
@@ -88,8 +91,6 @@ func NewFabric(eng *Engine, n int, linkBW float64) *Fabric {
 		rxIntegral: make([]float64, n),
 		txIntegral: make([]float64, n),
 		links:      make([]fLink, 2*n),
-		rxRate:     make([]float64, n),
-		txRate:     make([]float64, n),
 		nodeLast:   make([]float64, n),
 	}
 }
@@ -165,7 +166,7 @@ func (fb *Fabric) newFlow(src, dst int, bytes float64, onDone func()) *Flow {
 }
 
 // RxIntegral returns total bytes received by node i so far. O(1): only
-// node i's integral is settled from its running rate sum, instead of
+// node i's integral is settled from its links' rate sums, instead of
 // advancing every flow in the fabric per profiler sample.
 func (fb *Fabric) RxIntegral(i int) float64 {
 	fb.settleNode(i)
@@ -179,4 +180,4 @@ func (fb *Fabric) TxIntegral(i int) float64 {
 }
 
 // ActiveFlows returns the number of in-flight transfers.
-func (fb *Fabric) ActiveFlows() int { return len(fb.cheap) }
+func (fb *Fabric) ActiveFlows() int { return fb.nflows }

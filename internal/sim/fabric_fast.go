@@ -1,103 +1,115 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Incremental max-min fabric: Fabric's allocator.
 //
+// Every network flow from src to dst crosses the same two links (egress
+// src, ingress dst), so all flows of one (src, dst) pair always get the
+// same max-min rate. The fabric keeps in-flight flows per pair, and each
+// link's registry lists its pairs in (Src, Dst) order: the component
+// flood, the progressive filling and the rate-sum refresh walk at most
+// n(n-1) pairs, however many flows are in flight (an all-to-all shuffle
+// keeps hundreds).
+//
 // Max-min fair allocations decompose over connected components of the
-// flow-link incidence graph: a flow arrival or completion can only change
-// rates within the component reachable from the links it touches. The
-// fabric therefore keeps a per-link registry of flows in maintained
-// (Src, Dst, seq) sorted order and, on each flow event, refills only the
-// dirty component instead of re-sorting and re-filling the whole fabric.
+// pair-link incidence graph: a flow arrival or completion can only change
+// rates within the component reachable from the links it touches, so on
+// each flow event only that dirty component is refilled.
 //
-// Completions come off a min-heap keyed by predicted absolute finish
-// time; flows whose rate did not change in a refill keep their heap entry
-// untouched and their remaining bytes are settled lazily, only when the
-// rate actually changes. Per-node RX/TX rates are running sums (O(1) for
-// the profiler) and the per-node traffic integrals settle lazily from
-// them.
+// Completions come off a min-heap of pairs keyed by each pair's earliest
+// (predicted finish, seq) flow; a pair's entry is repaired the moment its
+// flows' finish times move, so the heap is whole whenever anything reads
+// it. Loopback flows from node s are pair (s, s): in the heap, never on a
+// link. Flows whose rate did not change keep their finish time, and
+// their remaining bytes are settled lazily, only when the rate actually
+// changes. Per-node traffic integrals settle lazily from per-link rate
+// sums, which each refill refreshes for its component.
 //
-// The full re-sort-and-refill this replaced survives as the test oracle
-// (refFabric in oracle_test.go). Within a component the progressive
-// filling visits links and flows in the oracle's order, so assigned
-// rates match it bit-for-bit.
+// Every float operation is the per-flow allocator's, in its order: a pair
+// of k flows takes the fair share off each of its links k times, not k
+// times the share once, and adds its rate to each link's sum k times. So
+// every rate, finish time and integral equals, bit for bit, the per-flow
+// allocator's (perFlowFabric in oracle_test.go, FuzzFabricMatchesPerFlow),
+// and the full re-sort-and-refill oracle's (refFabric) to rounding.
 
-// flowHeap orders in-flight flows by predicted finish, start order on
-// ties, maintaining each flow's heap index for O(log F) Fix on reroute.
-type flowHeap []*Flow
-
-func (h flowHeap) Len() int { return len(h) }
-func (h flowHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].seq < h[j].seq
+// fPair is one (src, dst) pair's in-flight flows, in start (seq) order.
+// Every flow carries rate once the pair has been through a fill; flows
+// admitted since (fresh) carry 0 until the next one.
+type fPair struct {
+	src, dst int
+	flows    []*Flow
+	first    *Flow // earliest (finish, seq) flow, the pair's heap key
+	rate     float64
+	hidx     int // slot in the pair heap
+	mark     int // fill epoch in which the pair's flows got their rate
+	fresh    bool
 }
-func (h flowHeap) Swap(i, j int) {
+
+// before is the completion order: predicted finish, start order on ties.
+// seq is unique, so the order is total.
+func (f *Flow) before(g *Flow) bool {
+	return f.finish < g.finish || (f.finish == g.finish && f.seq < g.seq)
+}
+
+// flowCmp is the completion-callback order: (Src, Dst), then start order.
+func flowCmp(a, b *Flow) int {
+	if a.Src != b.Src {
+		return a.Src - b.Src
+	}
+	if a.Dst != b.Dst {
+		return a.Dst - b.Dst
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// pairCmp is the link registry order: (Src, Dst).
+func pairCmp(a, b *fPair) int {
+	if a.src != b.src {
+		return a.src - b.src
+	}
+	return a.dst - b.dst
+}
+
+// pairHeap orders in-flight pairs by their earliest flow, maintaining each
+// pair's heap index for O(log n) Fix when its flows' finish times move.
+type pairHeap []*fPair
+
+func (h pairHeap) Len() int           { return len(h) }
+func (h pairHeap) Less(i, j int) bool { return h[i].first.before(h[j].first) }
+func (h pairHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].hidx = i
 	h[j].hidx = j
 }
-func (h *flowHeap) Push(x any) {
-	f := x.(*Flow)
-	f.hidx = len(*h)
-	*h = append(*h, f)
+func (h *pairHeap) Push(x any) {
+	p := x.(*fPair)
+	p.hidx = len(*h)
+	*h = append(*h, p)
 }
-func (h *flowHeap) Pop() any {
+func (h *pairHeap) Pop() any {
 	old := *h
 	n := len(old)
-	f := old[n-1]
+	p := old[n-1]
 	old[n-1] = nil
-	f.hidx = -1
 	*h = old[:n-1]
-	return f
+	return p
 }
 
-// flowLess is the registry (and completion-callback) order.
-func flowLess(a, b *Flow) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	return a.seq < b.seq
-}
-
-// insertFlow adds f to a registry kept in flowLess order.
-func insertFlow(s []*Flow, f *Flow) []*Flow {
-	i := sort.Search(len(s), func(k int) bool { return flowLess(f, s[k]) })
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = f
-	return s
-}
-
-// removeFlow deletes f from a registry; (Src, Dst, seq) is unique, so the
-// binary search lands exactly on f.
-func removeFlow(s []*Flow, f *Flow) []*Flow {
-	i := sort.Search(len(s), func(k int) bool { return !flowLess(s[k], f) })
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
-	return s[:len(s)-1]
-}
-
-// settleNode brings node i's traffic integrals up to now from its running
-// rate sums. Must run before any of the node's flow rates change.
+// settleNode brings node i's traffic integrals up to now from its links'
+// rate sums. Must run before a refill changes the sums.
 func (fb *Fabric) settleNode(i int) {
 	now := fb.eng.now
-	dt := now - fb.nodeLast[i]
-	fb.nodeLast[i] = now
-	if dt <= 0 {
-		return
+	if dt := now - fb.nodeLast[i]; dt > 0 {
+		fb.nodeLast[i] = now
+		fb.rxIntegral[i] += fb.links[fb.nodes+i].sum * dt
+		fb.txIntegral[i] += fb.links[i].sum * dt
 	}
-	fb.rxIntegral[i] += fb.rxRate[i] * dt
-	fb.txIntegral[i] += fb.txRate[i] * dt
 }
 
 // fastStart admits a flow: complete anything that finished on the way
@@ -107,26 +119,115 @@ func (fb *Fabric) fastStart(f *Flow) {
 	f.seq = fb.seqCtr
 	fb.seqCtr++
 	f.settledAt = now
-	f.hidx = -1
 	dirty := fb.fastCollect()
 	if f.Src == f.Dst {
 		f.loop = true
 		f.rate = fb.loopbackBW
 		f.finish = now + f.remaining/fb.loopbackBW
-		heap.Push(&fb.cheap, f)
+		fb.admit(f)
 	} else {
-		eg, in := f.Src, fb.nodes+f.Dst
-		fb.links[eg].flows = insertFlow(fb.links[eg].flows, f)
-		fb.links[in].flows = insertFlow(fb.links[in].flows, f)
 		f.rate = 0
 		f.finish = math.Inf(1)
-		heap.Push(&fb.cheap, f)
-		dirty = append(dirty, eg, in)
+		fb.admit(f)
+		dirty = append(dirty, f.Src, fb.nodes+f.Dst)
 	}
 	if len(dirty) > 0 {
 		fb.refill(dirty)
 	}
 	fb.fastProgram()
+}
+
+// admit adds a flow to its pair, opening the pair if it had no flow in
+// flight. A network newcomer's finish is +Inf and its seq the largest, so
+// an open pair's heap key stands; a loopback one may be the earliest.
+func (fb *Fabric) admit(f *Flow) {
+	if fb.pairOf == nil {
+		fb.pairOf = make([]*fPair, fb.nodes*fb.nodes)
+	}
+	fb.nflows++
+	id := f.Src*fb.nodes + f.Dst
+	p := fb.pairOf[id]
+	if p == nil {
+		p = fb.openPair(f)
+		fb.pairOf[id] = p
+	} else {
+		p.flows = append(p.flows, f)
+		if f.before(p.first) {
+			p.first = f
+			heap.Fix(&fb.pheap, p.hidx)
+		}
+	}
+	if !f.loop {
+		fb.links[f.Src].flows++
+		fb.links[fb.nodes+f.Dst].flows++
+		p.fresh = true
+	}
+}
+
+// openPair takes a pooled pair for f's (Src, Dst) with f its one flow and
+// enters it in the heap and, for a network pair, in both links'
+// registries.
+func (fb *Fabric) openPair(f *Flow) *fPair {
+	var p *fPair
+	if n := len(fb.ppool); n > 0 {
+		p = fb.ppool[n-1]
+		fb.ppool = fb.ppool[:n-1]
+	} else {
+		p = &fPair{}
+	}
+	p.src, p.dst = f.Src, f.Dst
+	p.flows = append(p.flows, f)
+	p.first, p.rate = f, f.rate
+	heap.Push(&fb.pheap, p)
+	if !f.loop {
+		eg, in := &fb.links[f.Src], &fb.links[fb.nodes+f.Dst]
+		i, _ := slices.BinarySearchFunc(eg.pairs, p, pairCmp)
+		eg.pairs = slices.Insert(eg.pairs, i, p)
+		i, _ = slices.BinarySearchFunc(in.pairs, p, pairCmp)
+		in.pairs = slices.Insert(in.pairs, i, p)
+	}
+	return p
+}
+
+// release takes a finished flow out of its pair, repairing the pair's
+// heap entry, or closing the pair back into the pool if it was the last.
+func (fb *Fabric) release(f *Flow) {
+	fb.nflows--
+	id := f.Src*fb.nodes + f.Dst
+	p := fb.pairOf[id]
+	i := slices.Index(p.flows, f)
+	p.flows = slices.Delete(p.flows, i, i+1)
+	if !f.loop {
+		fb.links[f.Src].flows--
+		fb.links[fb.nodes+f.Dst].flows--
+	}
+	if len(p.flows) > 0 {
+		p.first = earliest(p.flows)
+		heap.Fix(&fb.pheap, p.hidx)
+		return
+	}
+	heap.Remove(&fb.pheap, p.hidx)
+	if !f.loop {
+		eg, in := &fb.links[f.Src], &fb.links[fb.nodes+f.Dst]
+		i, _ = slices.BinarySearchFunc(eg.pairs, p, pairCmp)
+		eg.pairs = slices.Delete(eg.pairs, i, i+1)
+		i, _ = slices.BinarySearchFunc(in.pairs, p, pairCmp)
+		in.pairs = slices.Delete(in.pairs, i, i+1)
+	}
+	p.first = nil
+	fb.pairOf[id] = nil
+	fb.ppool = append(fb.ppool, p)
+}
+
+// earliest returns the flow that completes first among flows.
+func earliest(flows []*Flow) *Flow {
+	first := flows[0]
+	for _, f := range flows[1:] {
+		if f.before(first) {
+			first = f
+		}
+	}
+	return first
 }
 
 // fastTick is the completion-timer body.
@@ -138,46 +239,36 @@ func (fb *Fabric) fastTick() {
 	fb.fastProgram()
 }
 
-// fastCollect pops every finished flow off the completion heap, fires its
+// fastCollect pops every finished flow in completion order, fires its
 // callback in (Src, Dst), then start order, and returns the links those
 // flows vacated.
 func (fb *Fabric) fastCollect() []int {
 	fb.dirty = fb.dirty[:0]
-	if len(fb.cheap) == 0 {
-		return fb.dirty
-	}
 	now := fb.eng.now
 	batch := fb.fbatch[:0]
-	for len(fb.cheap) > 0 {
-		f := fb.cheap[0]
+	for len(fb.pheap) > 0 {
+		f := fb.pheap[0].first
 		rem := f.remaining - f.rate*(now-f.settledAt)
 		if !flowDone(rem, f.rate) && !(f.finish <= now) {
 			break
 		}
-		heap.Pop(&fb.cheap)
+		fb.release(f)
 		batch = append(batch, f)
 	}
 	fb.fbatch = batch[:0]
 	if len(batch) == 0 {
 		return fb.dirty
 	}
-	sort.Slice(batch, func(i, j int) bool { return flowLess(batch[i], batch[j]) })
+	slices.SortFunc(batch, flowCmp)
 	for _, f := range batch {
 		if !f.loop {
-			eg, in := f.Src, fb.nodes+f.Dst
-			fb.links[eg].flows = removeFlow(fb.links[eg].flows, f)
-			fb.links[in].flows = removeFlow(fb.links[in].flows, f)
-			fb.settleNode(f.Src)
-			fb.settleNode(f.Dst)
-			fb.txRate[f.Src] -= f.rate
-			fb.rxRate[f.Dst] -= f.rate
-			fb.dirty = append(fb.dirty, eg, in)
+			fb.dirty = append(fb.dirty, f.Src, fb.nodes+f.Dst)
 		}
 		if f.onDone != nil {
 			fb.eng.Post(0, f.onDone)
 		}
-		// The flow is out of the registries and the heap and its callback
-		// is queued by value; the object can serve the next transfer.
+		// The flow is out of its pair and the heap and its callback is
+		// queued by value; the object can serve the next transfer.
 		f.onDone = nil
 		fb.fpool = append(fb.fpool, f)
 	}
@@ -187,13 +278,13 @@ func (fb *Fabric) fastCollect() []int {
 // refill recomputes max-min rates for the connected component of links
 // reachable from the dirty set, leaving every other flow untouched. The
 // progressive filling visits bottleneck links by smallest fair share
-// (ties to the lowest link index) and flows within a bottleneck in
-// (Src, Dst, seq) order.
+// (ties to the lowest link index) and pairs within a bottleneck in
+// (Src, Dst) order.
 func (fb *Fabric) refill(dirtyLinks []int) {
 	fb.fillEpoch++
 	ep := fb.fillEpoch
 
-	// Flood the component over the flow-link incidence graph.
+	// Flood the component over the pair-link incidence graph.
 	comp := fb.comp[:0]
 	stack := fb.stack[:0]
 	for _, li := range dirtyLinks {
@@ -206,10 +297,10 @@ func (fb *Fabric) refill(dirtyLinks []int) {
 		li := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		comp = append(comp, li)
-		for _, f := range fb.links[li].flows {
-			other := f.Src
-			if li == f.Src {
-				other = fb.nodes + f.Dst
+		for _, p := range fb.links[li].pairs {
+			other := p.src
+			if li == p.src {
+				other = fb.nodes + p.dst
 			}
 			if fb.links[other].mark != ep {
 				fb.links[other].mark = ep
@@ -218,16 +309,22 @@ func (fb *Fabric) refill(dirtyLinks []int) {
 		}
 	}
 	fb.comp, fb.stack = comp, stack[:0]
-	sort.Ints(comp)
+	slices.Sort(comp)
 
+	// Settle the touched nodes' integrals at the old rate sums.
 	unassigned := 0
 	for _, li := range comp {
+		node := li
+		if li >= fb.nodes {
+			node = li - fb.nodes
+		}
+		fb.settleNode(node)
 		l := &fb.links[li]
 		l.cap = fb.linkBW
-		l.count = len(l.flows)
+		l.count = l.flows
 		unassigned += l.count
 	}
-	unassigned /= 2 // every non-loop flow sits on exactly two component links
+	unassigned /= 2 // every network flow sits on exactly two component links
 
 	now := fb.eng.now
 	for unassigned > 0 {
@@ -244,64 +341,72 @@ func (fb *Fabric) refill(dirtyLinks []int) {
 		if bottleneck < 0 {
 			break
 		}
-		for _, f := range fb.links[bottleneck].flows {
-			if f.mark == ep {
+		for _, p := range fb.links[bottleneck].pairs {
+			if p.mark == ep {
 				continue
 			}
-			f.mark = ep
-			eg, in := f.Src, fb.nodes+f.Dst
-			fb.links[eg].cap -= best
-			fb.links[eg].count--
-			fb.links[in].cap -= best
-			fb.links[in].count--
-			unassigned--
-			fb.applyRate(f, best, now)
+			p.mark = ep
+			k := len(p.flows)
+			// One subtraction per flow, as the per-flow fill does them.
+			eg, in := &fb.links[p.src], &fb.links[fb.nodes+p.dst]
+			egCap, inCap := eg.cap, in.cap
+			for range k {
+				egCap -= best
+				inCap -= best
+			}
+			eg.cap, in.cap = egCap, inCap
+			eg.count -= k
+			in.count -= k
+			unassigned -= k
+			fb.applyRate(p, best, now)
 		}
 		if fb.links[bottleneck].cap < 0 {
 			fb.links[bottleneck].cap = 0
 		}
 	}
 
-	// Refresh the touched nodes' running rate sums wholesale (bounding
-	// float drift), settling their integrals at the old sums first.
+	// Refresh the component's rate sums: each pair's rate is added once
+	// per flow, in (Src, Dst) order, as the per-flow allocator summed its
+	// flows.
 	for _, li := range comp {
-		node := li
-		if li >= fb.nodes {
-			node = li - fb.nodes
-		}
-		fb.settleNode(node)
-	}
-	for _, li := range comp {
+		l := &fb.links[li]
 		sum := 0.0
-		for _, f := range fb.links[li].flows {
-			sum += f.rate
+		for _, p := range l.pairs {
+			for range len(p.flows) {
+				sum += p.rate
+			}
 		}
-		if li < fb.nodes {
-			fb.txRate[li] = sum
-		} else {
-			fb.rxRate[li-fb.nodes] = sum
-		}
+		l.sum = sum
 	}
 }
 
-// applyRate installs a flow's new rate, settling its remaining bytes at
-// the old rate first and refreshing its heap position. Flows whose rate
-// is unchanged are left completely alone — their heap entry stands.
-func (fb *Fabric) applyRate(f *Flow, rate, now float64) {
-	if rate == f.rate {
+// applyRate installs a pair's new rate on each of its flows whose rate
+// differs, settling the flow's remaining bytes at the old rate first, and
+// repairs the pair's heap entry at once. A pair whose rate is unchanged
+// and that admitted no flow since its last fill is left completely alone:
+// its flows keep their finish times and its heap entry stands.
+func (fb *Fabric) applyRate(p *fPair, rate, now float64) {
+	if rate == p.rate && !p.fresh {
 		return
 	}
-	if d := now - f.settledAt; d > 0 {
-		f.remaining -= f.rate * d
+	p.rate, p.fresh = rate, false
+	for _, f := range p.flows {
+		if f.rate == rate {
+			continue
+		}
+		if d := now - f.settledAt; d > 0 {
+			f.remaining -= f.rate * d
+		}
+		f.settledAt = now
+		f.rate = rate
+		if rate > 0 {
+			f.finish = now + f.remaining/rate
+		} else {
+			f.finish = math.Inf(1)
+		}
 	}
-	f.settledAt = now
-	f.rate = rate
-	if rate > 0 {
-		f.finish = now + f.remaining/rate
-	} else {
-		f.finish = math.Inf(1)
-	}
-	heap.Fix(&fb.cheap, f.hidx)
+	p.first = earliest(p.flows)
+	heap.Fix(&fb.pheap, p.hidx)
 }
 
 // fastProgram arms the completion timer for the earliest predicted
@@ -312,10 +417,10 @@ func (fb *Fabric) fastProgram() {
 	} else {
 		fb.vtimer.Cancel()
 	}
-	if len(fb.cheap) == 0 {
+	if len(fb.pheap) == 0 {
 		return
 	}
-	next := fb.cheap[0].finish
+	next := fb.pheap[0].first.finish
 	if math.IsInf(next, 1) {
 		return
 	}

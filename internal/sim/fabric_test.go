@@ -269,3 +269,39 @@ func TestZeroByteFlowOracle(t *testing.T) {
 		t.Fatal("oracle zero-byte completion lost")
 	}
 }
+
+// BenchmarkFabricAllToAll is one flow per op, start to completion, under
+// the DataMPI shuffle pattern on 8 nodes: 7 O tasks per node each push a
+// partition to every node at once and push the next wave when all 8 are
+// delivered, so about 400 flows, seven per (src, dst) pair, stay in
+// flight. Partition sizes are drawn per flow.
+func BenchmarkFabricAllToAll(b *testing.B) {
+	const nodes, tasks = 8, 7
+	b.ReportAllocs()
+	e := NewEngine()
+	fb := NewFabric(e, nodes, 117<<20)
+	rng := rand.New(rand.NewSource(1))
+	started := 0
+	var wave func(src int)
+	wave = func(src int) {
+		left := nodes
+		delivered := func() {
+			if left--; left == 0 && started < b.N {
+				wave(src)
+			}
+		}
+		for dst := 0; dst < nodes; dst++ {
+			started++
+			fb.StartFlow(src, dst, (1+rng.Float64())*(4<<20), delivered)
+		}
+	}
+	b.ResetTimer()
+	for src := 0; src < nodes; src++ {
+		for t := 0; t < tasks; t++ {
+			wave(src)
+		}
+	}
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -163,3 +163,46 @@ func FuzzAllocatorsMatchOracle(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFabricMatchesPerFlow holds Fabric to the per-flow allocator it
+// replaced at tolerance 0. The input is read twice: as up to five bursts
+// of the DataMPI shuffle pattern on 8 nodes (decodeBursts: waves of O
+// tasks pushing a partition to every destination at one instant, several
+// flows per pair, chained forwards), compared on completion order, time
+// bits, pair, start sequence and traffic integrals; and as a 4-node
+// FuzzAllocatorsMatchOracle schedule (procs, kills, PS resources),
+// compared bit for bit. The seed corpus holds the all-to-all family,
+// small masked bursts and the oracle fuzzer's seeds.
+func FuzzFabricMatchesPerFlow(f *testing.F) {
+	for seed := int64(0); seed < allToAllSeeds; seed++ {
+		f.Add(encodeBursts(allToAllBursts(seed)))
+	}
+	for seed := int64(0); seed < scenarioSeeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, fuzzEventBytes*(5+rng.Intn(60)))
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Add(churnCorpus())
+	// Two masked waves at one instant (lower half to upper half and
+	// back) and, 1/8 s later, a chained all-to-all wave.
+	f.Add([]byte{0, 0x0f, 0xf0, 3, 0, 0, 0, 0xf0, 0x0f, 3, 0, shapeTaskSizes, 1, 0xff, 0xff, 0, 255, shapeChain | shapeDstSizes})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if bs := decodeBursts(data); len(bs) > 0 {
+			if err := matchPerFlow(bs); err != nil {
+				t.Fatalf("bursts: %v", err)
+			}
+		}
+		got, err := runFuzzSchedule(production, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runFuzzSchedule(perFlow, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameBits(got, want); err != nil {
+			t.Fatalf("schedule: %v", err)
+		}
+	})
+}

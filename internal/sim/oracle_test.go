@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"sort"
 )
@@ -363,6 +364,348 @@ func (fb *refFabric) TxIntegral(i int) float64 {
 
 func (fb *refFabric) ActiveFlows() int { return len(fb.flows) }
 
+// perFlowFabric is the per-flow incremental max-min allocator Fabric ran
+// on before it kept flows per (src, dst) pair: each link lists its flows
+// in (Src, Dst, seq) order, a refill floods and fills the dirty component
+// flow by flow, and completions come off one container/heap of flows,
+// repaired with a Fix per flow whose rate moved. Fabric does the same
+// float operations in the same order, so FuzzFabricMatchesPerFlow holds
+// it to this allocator at tolerance 0.
+type perFlowFabric struct {
+	eng        *Engine
+	nodes      int
+	linkBW     float64
+	loopbackBW float64
+
+	rxIntegral []float64
+	txIntegral []float64
+
+	links     []pfLink
+	cheap     pfHeap // completions keyed by (predicted finish time, seq)
+	rxRate    []float64
+	txRate    []float64
+	nodeLast  []float64
+	timer     *Timer
+	seqCtr    int64
+	fillEpoch int
+}
+
+type pfLink struct {
+	flows []*pfFlow
+	cap   float64
+	count int
+	mark  int
+}
+
+// pfFlow is a Flow with the heap index and fill mark the per-flow
+// allocator keeps on each flow.
+type pfFlow struct {
+	Flow
+	hidx int
+	mark int
+}
+
+type pfHeap []*pfFlow
+
+func (h pfHeap) Len() int { return len(h) }
+func (h pfHeap) Less(i, j int) bool {
+	if h[i].finish != h[j].finish {
+		return h[i].finish < h[j].finish
+	}
+	return h[i].seq < h[j].seq
+}
+func (h pfHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].hidx = i
+	h[j].hidx = j
+}
+func (h *pfHeap) Push(x any) {
+	f := x.(*pfFlow)
+	f.hidx = len(*h)
+	*h = append(*h, f)
+}
+func (h *pfHeap) Pop() any {
+	old := *h
+	n := len(old)
+	f := old[n-1]
+	old[n-1] = nil
+	f.hidx = -1
+	*h = old[:n-1]
+	return f
+}
+
+// pfLess is the registry (and completion-callback) order.
+func pfLess(a, b *pfFlow) bool {
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	if a.Dst != b.Dst {
+		return a.Dst < b.Dst
+	}
+	return a.seq < b.seq
+}
+
+func newPerFlowFabric(eng *Engine, n int, linkBW float64) *perFlowFabric {
+	return &perFlowFabric{
+		eng:        eng,
+		nodes:      n,
+		linkBW:     linkBW,
+		loopbackBW: 40 * linkBW,
+		rxIntegral: make([]float64, n),
+		txIntegral: make([]float64, n),
+		links:      make([]pfLink, 2*n),
+		rxRate:     make([]float64, n),
+		txRate:     make([]float64, n),
+		nodeLast:   make([]float64, n),
+	}
+}
+
+func (fb *perFlowFabric) Transfer(p *Proc, src, dst int, bytes float64, reason string) {
+	if bytes <= workEpsilon {
+		return
+	}
+	fb.start(&pfFlow{Flow: Flow{Src: src, Dst: dst, remaining: bytes, onDone: p.Unpark}})
+	p.Park(reason)
+}
+
+func (fb *perFlowFabric) StartFlow(src, dst int, bytes float64, onDone func()) *Flow {
+	f := &pfFlow{Flow: Flow{Src: src, Dst: dst, remaining: bytes, onDone: onDone}}
+	if bytes <= workEpsilon {
+		if onDone != nil {
+			fb.eng.Post(0, onDone)
+		}
+		return &f.Flow
+	}
+	fb.start(f)
+	return &f.Flow
+}
+
+func (fb *perFlowFabric) settleNode(i int) {
+	now := fb.eng.now
+	dt := now - fb.nodeLast[i]
+	fb.nodeLast[i] = now
+	if dt <= 0 {
+		return
+	}
+	fb.rxIntegral[i] += fb.rxRate[i] * dt
+	fb.txIntegral[i] += fb.txRate[i] * dt
+}
+
+func (fb *perFlowFabric) start(f *pfFlow) {
+	now := fb.eng.now
+	f.seq = fb.seqCtr
+	fb.seqCtr++
+	f.settledAt = now
+	f.hidx = -1
+	dirty := fb.collect()
+	if f.Src == f.Dst {
+		f.loop = true
+		f.rate = fb.loopbackBW
+		f.finish = now + f.remaining/fb.loopbackBW
+		heap.Push(&fb.cheap, f)
+	} else {
+		eg, in := f.Src, fb.nodes+f.Dst
+		fb.links[eg].flows = pfInsert(fb.links[eg].flows, f)
+		fb.links[in].flows = pfInsert(fb.links[in].flows, f)
+		f.rate = 0
+		f.finish = math.Inf(1)
+		heap.Push(&fb.cheap, f)
+		dirty = append(dirty, eg, in)
+	}
+	if len(dirty) > 0 {
+		fb.refill(dirty)
+	}
+	fb.program()
+}
+
+func (fb *perFlowFabric) tick() {
+	if dirty := fb.collect(); len(dirty) > 0 {
+		fb.refill(dirty)
+	}
+	fb.program()
+}
+
+func pfInsert(s []*pfFlow, f *pfFlow) []*pfFlow {
+	i := sort.Search(len(s), func(k int) bool { return pfLess(f, s[k]) })
+	s = append(s, nil)
+	copy(s[i+1:], s[i:])
+	s[i] = f
+	return s
+}
+
+func pfRemove(s []*pfFlow, f *pfFlow) []*pfFlow {
+	i := sort.Search(len(s), func(k int) bool { return !pfLess(s[k], f) })
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = nil
+	return s[:len(s)-1]
+}
+
+// collect pops every finished flow, fires callbacks in (Src, Dst, seq)
+// order and returns the links the flows vacated.
+func (fb *perFlowFabric) collect() []int {
+	var dirty []int
+	now := fb.eng.now
+	var batch []*pfFlow
+	for len(fb.cheap) > 0 {
+		f := fb.cheap[0]
+		rem := f.remaining - f.rate*(now-f.settledAt)
+		if !flowDone(rem, f.rate) && !(f.finish <= now) {
+			break
+		}
+		heap.Pop(&fb.cheap)
+		batch = append(batch, f)
+	}
+	sort.Slice(batch, func(i, j int) bool { return pfLess(batch[i], batch[j]) })
+	for _, f := range batch {
+		if !f.loop {
+			eg, in := f.Src, fb.nodes+f.Dst
+			fb.links[eg].flows = pfRemove(fb.links[eg].flows, f)
+			fb.links[in].flows = pfRemove(fb.links[in].flows, f)
+			fb.settleNode(f.Src)
+			fb.settleNode(f.Dst)
+			fb.txRate[f.Src] -= f.rate
+			fb.rxRate[f.Dst] -= f.rate
+			dirty = append(dirty, eg, in)
+		}
+		if f.onDone != nil {
+			fb.eng.Post(0, f.onDone)
+		}
+	}
+	return dirty
+}
+
+// refill recomputes max-min rates over the component reachable from the
+// dirty links, flow by flow.
+func (fb *perFlowFabric) refill(dirtyLinks []int) {
+	fb.fillEpoch++
+	ep := fb.fillEpoch
+	var comp, stack []int
+	for _, li := range dirtyLinks {
+		if fb.links[li].mark != ep {
+			fb.links[li].mark = ep
+			stack = append(stack, li)
+		}
+	}
+	for len(stack) > 0 {
+		li := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		comp = append(comp, li)
+		for _, f := range fb.links[li].flows {
+			other := f.Src
+			if li == f.Src {
+				other = fb.nodes + f.Dst
+			}
+			if fb.links[other].mark != ep {
+				fb.links[other].mark = ep
+				stack = append(stack, other)
+			}
+		}
+	}
+	sort.Ints(comp)
+
+	unassigned := 0
+	for _, li := range comp {
+		l := &fb.links[li]
+		l.cap = fb.linkBW
+		l.count = len(l.flows)
+		unassigned += l.count
+	}
+	unassigned /= 2
+
+	now := fb.eng.now
+	for unassigned > 0 {
+		bottleneck, best := -1, math.Inf(1)
+		for _, li := range comp {
+			l := &fb.links[li]
+			if l.count == 0 {
+				continue
+			}
+			if share := l.cap / float64(l.count); share < best {
+				best, bottleneck = share, li
+			}
+		}
+		if bottleneck < 0 {
+			break
+		}
+		for _, f := range fb.links[bottleneck].flows {
+			if f.mark == ep {
+				continue
+			}
+			f.mark = ep
+			eg, in := f.Src, fb.nodes+f.Dst
+			fb.links[eg].cap -= best
+			fb.links[eg].count--
+			fb.links[in].cap -= best
+			fb.links[in].count--
+			unassigned--
+			fb.applyRate(f, best, now)
+		}
+		if fb.links[bottleneck].cap < 0 {
+			fb.links[bottleneck].cap = 0
+		}
+	}
+
+	for _, li := range comp {
+		node := li
+		if li >= fb.nodes {
+			node = li - fb.nodes
+		}
+		fb.settleNode(node)
+	}
+	for _, li := range comp {
+		sum := 0.0
+		for _, f := range fb.links[li].flows {
+			sum += f.rate
+		}
+		if li < fb.nodes {
+			fb.txRate[li] = sum
+		} else {
+			fb.rxRate[li-fb.nodes] = sum
+		}
+	}
+}
+
+func (fb *perFlowFabric) applyRate(f *pfFlow, rate, now float64) {
+	if rate == f.rate {
+		return
+	}
+	if d := now - f.settledAt; d > 0 {
+		f.remaining -= f.rate * d
+	}
+	f.settledAt = now
+	f.rate = rate
+	if rate > 0 {
+		f.finish = now + f.remaining/rate
+	} else {
+		f.finish = math.Inf(1)
+	}
+	heap.Fix(&fb.cheap, f.hidx)
+}
+
+func (fb *perFlowFabric) program() {
+	if fb.timer == nil {
+		fb.timer = &Timer{eng: fb.eng, index: -1, fn: fb.tick}
+	} else {
+		fb.timer.Cancel()
+	}
+	if len(fb.cheap) == 0 || math.IsInf(fb.cheap[0].finish, 1) {
+		return
+	}
+	fb.eng.rearm(fb.timer, fb.cheap[0].finish-fb.eng.now)
+}
+
+func (fb *perFlowFabric) RxIntegral(i int) float64 {
+	fb.settleNode(i)
+	return fb.rxIntegral[i]
+}
+
+func (fb *perFlowFabric) TxIntegral(i int) float64 {
+	fb.settleNode(i)
+	return fb.txIntegral[i]
+}
+
+func (fb *perFlowFabric) ActiveFlows() int { return len(fb.cheap) }
+
 // psAlloc and netAlloc are what a differential schedule drives; PSResource
 // and refPS, Fabric and refFabric satisfy them.
 type psAlloc interface {
@@ -397,6 +740,14 @@ var (
 			return r
 		},
 		net: func(e *Engine, nodes int, linkBW float64) netAlloc { return NewFabric(e, nodes, linkBW) },
+	}
+	// perFlow is production PSResource with the per-flow fabric.
+	perFlow = allocators{
+		name: "per-flow",
+		ps: func(e *Engine, capacity, perFlowCap float64, allowance int, alpha float64) psAlloc {
+			return production.ps(e, capacity, perFlowCap, allowance, alpha)
+		},
+		net: func(e *Engine, nodes int, linkBW float64) netAlloc { return newPerFlowFabric(e, nodes, linkBW) },
 	}
 	oracle = allocators{
 		name: "oracle",
