@@ -273,66 +273,52 @@ func centroidShift(a, b [][]float64) float64 {
 // Common-mode port of the "Mahout actuating logic" works (Section 4.6).
 func KMeansMR(eng job.Engine, fsys *dfs.FS, in *dfs.File, outPrefix string,
 	k, reducers, maxIter int, epsilon float64) KMeansResult {
-	var res KMeansResult
-	cents, err := InitialCentroids(in, k)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	start := fsys.Cluster().Eng.Now()
-	for iter := 1; iter <= maxIter; iter++ {
+	return kmeansLoop(fsys, in, k, maxIter, epsilon, func(iter int, cents [][]float64) ([]kv.Pair, job.Result) {
 		out := fmt.Sprintf("%s/clusters-%d", outPrefix, iter)
 		jr := eng.Run(kmeansIterSpec(fsys, in, out, reducers, cents))
 		if jr.Err != nil {
-			res.Err = jr.Err
-			return res
+			return nil, jr
 		}
-		res.IterTimes = append(res.IterTimes, jr.Elapsed)
-		if iter == 1 {
-			res.FirstIter = fsys.Cluster().Eng.Now() - start
-		}
-		next, shift, err := nextCentroids(cents, job.ReadTextOutput(fsys, out))
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		cents = next
-		res.Iterations = iter
-		if shift < epsilon {
-			break
-		}
-	}
-	res.Centroids = cents
-	res.Elapsed = fsys.Cluster().Eng.Now() - start
-	return res
+		return job.ReadTextOutput(fsys, out), jr
+	})
 }
 
 // KMeansSpark trains K-means on the RDD engine with the input vectors
 // cached in memory after the first pass — Spark's headline iterative
 // advantage ("outstanding performance ... after caching the data in the
-// RDDs", Section 4.6).
+// RDDs", Section 4.6). Each iteration is KMeansMR's job, collected.
 func KMeansSpark(e *rdd.Engine, in *dfs.File, k, reducers, maxIter int, epsilon float64) KMeansResult {
+	e.Cache(in)
+	return kmeansLoop(e.FS, in, k, maxIter, epsilon, func(_ int, cents [][]float64) ([]kv.Pair, job.Result) {
+		return e.Collect(kmeansIterSpec(e.FS, in, "", reducers, cents))
+	})
+}
+
+// kmeansLoop runs Lloyd iterations from the first k vectors of in until
+// the centroids move less than epsilon or maxIter ran: iterate runs
+// iteration iter (from 1) against cents and returns its reduced partial
+// sums and its job's result.
+func kmeansLoop(fsys *dfs.FS, in *dfs.File, k, maxIter int, epsilon float64,
+	iterate func(iter int, cents [][]float64) ([]kv.Pair, job.Result)) KMeansResult {
 	var res KMeansResult
 	cents, err := InitialCentroids(in, k)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	start := e.C.Eng.Now()
-	vectors := e.TextFile(in).Cache()
+	clock := fsys.Cluster().Eng
+	start := clock.Now()
 	for iter := 1; iter <= maxIter; iter++ {
-		partials := vectors.FlatMapKV(kmeansAssign(cents, norms2(cents)), KMeansCPUFactor).
-			ReduceByKey(kmeansCombine, kmeansReduce, reducers)
-		pairs, jr := partials.Collect()
+		reduced, jr := iterate(iter, cents)
 		if jr.Err != nil {
 			res.Err = jr.Err
 			return res
 		}
 		res.IterTimes = append(res.IterTimes, jr.Elapsed)
 		if iter == 1 {
-			res.FirstIter = e.C.Eng.Now() - start
+			res.FirstIter = clock.Now() - start
 		}
-		next, shift, err := nextCentroids(cents, pairs)
+		next, shift, err := nextCentroids(cents, reduced)
 		if err != nil {
 			res.Err = err
 			return res
@@ -344,7 +330,7 @@ func KMeansSpark(e *rdd.Engine, in *dfs.File, k, reducers, maxIter int, epsilon 
 		}
 	}
 	res.Centroids = cents
-	res.Elapsed = e.C.Eng.Now() - start
+	res.Elapsed = clock.Now() - start
 	return res
 }
 

@@ -15,11 +15,16 @@ import (
 // TestFingerprintedSpecsArePure: a spec with a fingerprint has its record
 // work shared between jobs and run on several goroutines at once, on
 // every engine (taskrt.Ahead and the engine's record table, map side and
-// reduce tail alike), so that work may depend on its arguments alone. For
-// each fingerprinted constructor, concurrent taskrt.MapBlock calls on one
-// block give the partitions a lone call gives, and Reduce over a cloned
-// key group leaves the group's values byte-identical: a reducer never
-// writes into the values it is handed.
+// reduce tail alike), so that work may depend on its arguments alone.
+// Every engine runs the reduce tails of unfingerprinted specs ahead too,
+// several partitions and jobs at once, so those are checked as well: a
+// K-means iteration and the three Naive Bayes counting jobs. For each
+// spec, concurrent taskrt.MapBlock calls on one block give the partitions
+// a lone call gives; concurrent taskrt.ReduceTail calls over each
+// partition of every block's map output give the text and record count a
+// lone call gives; and Reduce over a cloned key group leaves the group's
+// values byte-identical: a reducer never writes into the values it is
+// handed.
 func TestFingerprintedSpecsArePure(t *testing.T) {
 	const nParts, concurrent, rounds = 4, 4, 3
 	// Enough threads that the concurrent calls interleave on any box.
@@ -30,16 +35,27 @@ func TestFingerprintedSpecsArePure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := map[string]job.Spec{
-		"WordCount":  WordCountSpec(fsys, text, "/out", nParts),
-		"Grep":       GrepSpec(fsys, text, "/out", "th[ae]", nParts),
-		"TextSort":   TextSortSpec(fsys, text, "/out", nParts),
-		"NormalSort": NormalSortSpec(fsys, seq, "/out", nParts),
+	vec, _ := GenerateVectorFile(fsys, "/vec", 3, 256*cluster.KB)
+	cents, err := InitialCentroids(vec, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
+	docs := GenerateLabeledDocs(fsys, "/docs", 3, 256*cluster.KB)
+	specs := map[string]job.Spec{
+		"WordCount":    WordCountSpec(fsys, text, "/out", nParts),
+		"Grep":         GrepSpec(fsys, text, "/out", "th[ae]", nParts),
+		"TextSort":     TextSortSpec(fsys, text, "/out", nParts),
+		"NormalSort":   NormalSortSpec(fsys, seq, "/out", nParts),
+		"KMeansIter":   kmeansIterSpec(fsys, vec, "/out", nParts, cents),
+		"NBTermFreq":   NBTermFreqSpec(fsys, docs, "/out", nParts),
+		"NBLabelTerm":  NBLabelTermSpec(fsys, docs, "/out", nParts),
+		"NBLabelCount": NBLabelCountSpec(fsys, docs, "/out", nParts),
+	}
+	unshared := map[string]bool{"KMeansIter": true, "NBTermFreq": true, "NBLabelTerm": true, "NBLabelCount": true}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
-			if spec.Fingerprint == "" {
-				t.Fatal("the spec has no fingerprint")
+			if spec.Fingerprint == "" != unshared[name] {
+				t.Fatalf("fingerprint %q", spec.Fingerprint)
 			}
 			spec.Normalize()
 			blk := spec.Input.Blocks[0]
@@ -69,6 +85,7 @@ func TestFingerprintedSpecsArePure(t *testing.T) {
 					}
 				}
 			}
+			checkReduceTails(t, &spec, nParts, concurrent, rounds)
 			kv.MergeGroups(want.Out.Parts, func(key []byte, values [][]byte) {
 				clones := make([][]byte, len(values))
 				for i, v := range values {
@@ -82,6 +99,53 @@ func TestFingerprintedSpecsArePure(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// checkReduceTails runs taskrt.ReduceTail over each of the nParts
+// partitions of every block's map output (a lone taskrt.MapBlock each)
+// from concurrent goroutines at once, rounds times, and requires the
+// text and record count of a lone call.
+func checkReduceTails(t *testing.T, spec *job.Spec, nParts, concurrent, rounds int) {
+	t.Helper()
+	var maps []taskrt.Mapped
+	for _, blk := range spec.Input.Blocks {
+		maps = append(maps, taskrt.MapBlock(spec, blk, nParts, 0, 1))
+	}
+	type tail struct {
+		text    []byte
+		records int
+	}
+	total := 0
+	for pi := range nParts {
+		runs := make([][]kv.Pair, len(maps))
+		for i, m := range maps {
+			runs[i] = m.Out.Parts[pi]
+		}
+		var want tail
+		want.text, want.records = taskrt.ReduceTail(spec, runs)
+		total += want.records
+		for round := range rounds {
+			got := make([]tail, concurrent)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i].text, got[i].records = taskrt.ReduceTail(spec, runs)
+				}()
+			}
+			wg.Wait()
+			for i, g := range got {
+				if g.records != want.records || !bytes.Equal(g.text, want.text) {
+					t.Fatalf("round %d, call %d: partition %d's tail has %d records in %d bytes, a lone call's %d in %d",
+						round, i, pi, g.records, len(g.text), want.records, len(want.text))
+				}
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no reduce tail had a record")
 	}
 }
 

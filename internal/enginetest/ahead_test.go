@@ -90,7 +90,7 @@ func TestMapSideAheadIsInvisible(t *testing.T) {
 			})
 		}
 	}
-	for name, build := range aheadLineages {
+	for name, build := range aheadCached {
 		t.Run("rdd/"+name, func(t *testing.T) {
 			type actions struct {
 				timing []timing
@@ -103,11 +103,12 @@ func TestMapSideAheadIsInvisible(t *testing.T) {
 					fs := dfs.New(c, dfs.Config{BlockSize: 8 * cluster.MB, Replication: 3, Scale: 256, Seed: 1})
 					aheadSpecs(t, fs, 64*cluster.MB)
 					eng := rdd.New(fs, rdd.DefaultConfig())
-					r := build(t, fs, eng)
+					spec := build(t, fs)
+					eng.Cache(spec.Input)
 					var a actions
 					// The second action reads the cache the first filled.
 					for range 2 {
-						pairs, res := r.Collect()
+						pairs, res := eng.Collect(spec)
 						if res.Err != nil {
 							t.Fatalf("GOMAXPROCS %d: %v", procs, res.Err)
 						}
@@ -129,25 +130,30 @@ func TestMapSideAheadIsInvisible(t *testing.T) {
 	}
 }
 
-// aheadLineages are rdd lineages no job.Spec builds, over aheadSpecs'
-// files: stages rooted at a block that feed no shuffle, each materialising
-// a cache.
-var aheadLineages = map[string]func(t *testing.T, fs *dfs.FS, eng *rdd.Engine) *rdd.RDD{
-	// K-means' shape: a cached text source, then a flat-map into a
-	// combining shuffle over the cached partitions.
-	"CachedTextIntoReduceByKey": func(t *testing.T, fs *dfs.FS, eng *rdd.Engine) *rdd.RDD {
+// aheadCached are specs over aheadSpecs' files that an rdd engine
+// collects over a cached input: a fill stage rooted at each block, whose
+// partitions the next action maps from memory.
+var aheadCached = map[string]func(t *testing.T, fs *dfs.FS) job.Spec{
+	// K-means' shape: a cached text input mapped into a combining
+	// shuffle.
+	"CachedTextIntoReduceByKey": func(t *testing.T, fs *dfs.FS) job.Spec {
 		words := func(k, v []byte, emit job.Emit) {
 			for _, w := range bytes.Fields(v) {
 				emit(w, []byte("1"))
 			}
 		}
-		return eng.TextFile(open(t, fs, "/text")).Cache().FlatMapKV(words, 1).ReduceByKey(kv.SumCombiner, kv.SumReducer, 4)
+		return job.Spec{Name: "words", FS: fs, Input: open(t, fs, "/text"), InputFormat: job.Text, Reducers: 4,
+			Map: words, Combine: kv.SumCombiner, Reduce: kv.SumReducer}
 	},
-	// A Filter alone keeps the records in the inflate buffers the cache
-	// then holds.
-	"CachedSeqGzipFilter": func(t *testing.T, fs *dfs.FS, eng *rdd.Engine) *rdd.RDD {
-		even := func(p kv.Pair) bool { return len(p.Value)%2 == 0 }
-		return eng.SequenceFile(open(t, fs, "/seq"), job.SeqGzip).Filter(even).Cache()
+	// The cache keeps a seq+gzip input's records in their inflate
+	// buffers; a filtering map passes them on as they are.
+	"CachedSeqGzipFilter": func(t *testing.T, fs *dfs.FS) job.Spec {
+		even := func(k, v []byte, emit job.Emit) {
+			if len(v)%2 == 0 {
+				emit(k, v)
+			}
+		}
+		return job.Spec{Name: "even", FS: fs, Input: open(t, fs, "/seq"), InputFormat: job.SeqGzip, Reducers: 4, Map: even}
 	},
 }
 

@@ -51,8 +51,7 @@ func (f Format) Borrowable() bool { return f == Text || f == Seq }
 
 // Emit passes one intermediate record out of a map function. Every
 // receiver copies key and value before it returns (the kv collector into
-// its slab, the rdd mid-chain ops into the task arena, RunSequential into
-// fresh slices), so the caller may emit from a buffer it reuses for the
+// its slab, RunSequential into fresh slices), so the caller may emit from a buffer it reuses for the
 // next record — and an Emit implementation must keep copying. The one
 // exception is a collector lent the task's block (kv's
 // PartitionCollector.Borrow): it keeps a record that lies in that
@@ -79,11 +78,12 @@ type Spec struct {
 	Output      string // output file path ("" = discard)
 	Reducers    int
 
-	// Map, Combine and Part may run at the same time on different
-	// goroutines, for different blocks of one job and across jobs (the
-	// engines run each map side ahead of its tasks): scratch any of them
-	// keeps between calls must be per goroutine. Reduce runs on the
-	// simulation's goroutine only.
+	// Map, Combine, Part and Reduce may run at the same time on
+	// different goroutines — for different blocks and partitions of one
+	// job and across jobs — because the engines run each map side and
+	// each reduce tail ahead of its tasks: none of them may share mutable
+	// state between calls, and scratch any of them keeps from one call to
+	// the next is per goroutine (a sync.Pool, as bdb's accumulators use).
 	Map     MapFunc
 	Combine kv.Combiner // optional map-side aggregation
 	Reduce  kv.Reducer  // nil = identity (emit pairs as grouped)

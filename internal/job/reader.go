@@ -25,9 +25,9 @@ import (
 // every simulation in the process: Close hands that buffer to the next
 // Open, so call it only once nothing still refers to a record Next
 // returned — that is, after a drain whose every sink copied (job.Emit's
-// contract: the kv collector, the rdd arena). A caller that keeps the
-// records as they are (Records, an rdd Filter, a source-only stage) never
-// calls Close and the buffer is the garbage collector's.
+// contract: the kv collector). A caller that keeps the records as they
+// are (Records, and through it an rdd cache) never calls Close and the
+// buffer is the garbage collector's.
 type Reader struct {
 	format   Format
 	rest     []byte  // undecoded tail of the block (of the inflated bytes for SeqGzip)

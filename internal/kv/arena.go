@@ -92,8 +92,3 @@ func (a *Arena) Copy(b []byte) []byte {
 	copy(out, b)
 	return out
 }
-
-// CopyPair copies one record into the arena.
-func (a *Arena) CopyPair(key, value []byte) Pair {
-	return Pair{Key: a.Copy(key), Value: a.Copy(value)}
-}

@@ -202,7 +202,10 @@ func SampleBoundaries(sample [][]byte, n int) [][]byte {
 // PartitionCollector.Borrow), so a reducer must never write into them.
 // The pairs it returns are retained as they are (they become the job's
 // output), so their values must be fresh memory, never a buffer the
-// reducer will write again; the key may be the one passed in.
+// reducer will write again; the key may be the one passed in. Engines
+// run reduce tails ahead of their tasks, several partitions and jobs at
+// once on different goroutines, so a reducer must not share mutable
+// state between calls: its scratch is per goroutine (see job.Spec).
 type Reducer func(key []byte, values [][]byte) []Pair
 
 // GroupReduce walks sorted pairs, grouping equal keys and applying reduce.

@@ -11,103 +11,56 @@ import (
 	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
-// stage is a maximal chain of narrow ops rooted at a source RDD, a cached
-// RDD, or a wide (shuffle) dependency.
-type stage struct {
-	root     *RDD // source or post-shuffle RDD at the bottom of the chain
-	narrow   []*narrowOp
-	target   *RDD    // the RDD this stage materializes
-	consumer *wideOp // the shuffle this stage feeds (nil: it returns partitions)
+// stage is one of the stages an action declares, run in this order.
+type stage uint8
 
-	// fromCache marks a stage planned to read the root RDD's cached
-	// partitions; cache is the snapshot it reads. The snapshot is taken
-	// at plan time when the cache is already materialized, else at stage
-	// start (the producing stage ran just before it in the same action),
-	// so a node failure invalidating the cache mid-action cannot dangle a
-	// running stage — at worst the snapshot is gone before the stage
-	// starts and the action fails cleanly for the caller to resubmit.
-	fromCache bool
-	cache     []partData
-	// evicted marks a stage whose target is cached but whose output did
-	// not fit the executor cache.
-	evicted bool
-	// ahead holds the record half of a stage rooted at a block (mapBlock
-	// over each block), started when the action is submitted; nil for a
-	// stage rooted at a cache or a shuffle.
-	ahead *taskrt.Pending[mapped]
-	// tails is, on a spec's last stage, the ahead work of the stage
-	// feeding its shuffle, which starts the stage's reduce tails
-	// (taskrt.Tails).
-	tails *taskrt.Pending[mapped]
+const (
+	// fill decodes each block of a cached input that is not resident
+	// and pins the records in executor memory (the paper's Spark Stage 0,
+	// which "creates the RDD").
+	fill stage = iota
+	// mapping maps each block, or each cached partition, into the
+	// spec's shuffle.
+	mapping
+	// reduce merges each shuffle partition and writes it as a part file,
+	// or collects its reduced pairs.
+	reduce
+)
+
+// action is one job over a spec: its declared stages and what their
+// tasks share.
+type action struct {
+	e       *Engine
+	spec    *job.Spec
+	collect bool // return the reduced pairs, write no part files
+	j       *taskrt.Job
+	slots   *sched.SlotPool
+	stages  []stage
+
+	// cache is the input's when it is marked cached (nil otherwise): the
+	// map stage then reads cached, the partitions resident when the action
+	// was submitted, or else what the fill stage leaves — the resident
+	// cache, or the filled partitions themselves when they did not fit,
+	// which Spark hands straight to the consumer.
+	cache  *cache
+	cached []partData
+
+	// blocks is the record half (mapBlock or decodeBlock over each block)
+	// of the one stage that reads the input's blocks, started when the
+	// action is submitted; nil when the map stage reads a resident cache.
+	blocks *taskrt.Pending[mapped]
+	edge   *taskrt.Outputs // the shuffle the map stage writes
+
+	mapFactor float64 // the map's CPU factor on this engine
+	emitScale float64 // nominal shuffle bytes per actual one: the filesystem's Scale, 1 behind a combiner
+	sorted    bool    // range-partitioned: the reduce side materializes and sorts (OOM risk)
 }
 
-// plan walks the lineage and produces stages bottom-up, linking each
-// stage to the wide op that consumes its output.
-func plan(r *RDD) []*stage {
-	var stages []*stage
-	var walk func(r *RDD) *stage
-	// from returns the stage an op over par extends. The stage is cut at a
-	// cached parent, narrow or wide op alike: the parent is materialized
-	// (and pinned) by its own stage, then the op reads from the cache.
-	from := func(par *RDD) *stage {
-		if !par.cached {
-			return walk(par)
-		}
-		if !par.inCache {
-			stages = append(stages, walk(par))
-		}
-		return &stage{root: par, target: par, fromCache: true, cache: par.cacheData}
-	}
-	walk = func(r *RDD) *stage {
-		switch {
-		case r.cached && r.inCache:
-			return &stage{root: r, target: r, fromCache: true, cache: r.cacheData}
-		case r.source != nil:
-			return &stage{root: r, target: r}
-		case r.narrow != nil:
-			st := from(r.narrow.parent)
-			st.narrow = append(st.narrow, r.narrow)
-			st.target = r
-			return st
-		case r.wide != nil:
-			parent := from(r.wide.parent)
-			parent.consumer = r.wide
-			stages = append(stages, parent)
-			return &stage{root: r, target: r}
-		default:
-			panic("rdd: malformed lineage")
-		}
-	}
-	last := walk(r)
-	stages = append(stages, last)
-	return stages
-}
-
-// Collect computes the RDD and returns all pairs (partition order).
-func (r *RDD) Collect() ([]kv.Pair, job.Result) {
-	var out []kv.Pair
-	res := r.eng.runAction(r, nil, func(parts []partData) {
-		for _, pd := range parts {
-			out = append(out, pd.pairs...)
-		}
-	})
-	return out, res
-}
-
-// runAction executes the staged computation of target exclusively inside
-// the simulation, optionally saving spec's output or collecting results
-// (see taskrt.Base.RunSolo for the drain and accounting contract).
-func (e *Engine) runAction(target *RDD, spec *job.Spec, collect func([]partData)) job.Result {
-	return e.RunSolo(func(ctl *sched.JobControl) *taskrt.Job {
-		return e.submitAction("action", target, spec, collect, ctl, nil)
-	})
-}
-
-// submitAction spawns the action's driver and task processes; a spec
-// (target is its lineage) saves its output. done (optional) runs in
+// submit spawns the action's driver over the (normalized) spec; a collect
+// action appends the reduced pairs to out. done (optional) runs in
 // simulation context when the driver completes. Each stage is one phase
-// of the job ("stage0", "stage1", ...).
-func (e *Engine) submitAction(name string, target *RDD, spec *job.Spec, collect func([]partData),
+// of the job ("stage0", "stage1", "stage2").
+func (e *Engine) submit(name string, spec *job.Spec, collect bool, out *[]kv.Pair,
 	ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 
 	cfg := &e.Cfg
@@ -115,36 +68,40 @@ func (e *Engine) submitAction(name string, target *RDD, spec *job.Spec, collect 
 	if err != nil {
 		return e.Reject(name, err, done)
 	}
-	slots := pools[0]
 	// The per-node daemon plus the executors' base residency.
 	j := e.Begin(name, ctl, cfg.DaemonMem+float64(cfg.WorkersPerNode)*cfg.ExecutorBaseMem)
 
-	stages := plan(target)
 	scale := e.Scale()
-	for _, st := range stages {
-		if !st.fromCache && st.root.source != nil {
-			// A source a job.Spec's lineage built carries the spec's
-			// fingerprint: its stage's record work is shared with the
-			// engine's other actions of that fingerprint (taskrt.Ahead).
-			blocks := st.root.source.Blocks
-			nParts, emitScale := 0, scale
-			if w := st.consumer; w != nil {
-				nParts = w.nParts
-				if w.combine != nil {
-					emitScale = 1 // see collect
-				}
-			}
-			st.ahead = taskrt.Ahead(j, st.root.fingerprint, blocks, nParts, 0, emitScale,
-				func(i int) mapped { return st.mapBlock(blocks[i], scale) })
-		}
+	_, sorted := spec.Part.(*kv.RangePartitioner)
+	a := &action{
+		e: e, spec: spec, collect: collect, j: j, slots: pools[0],
+		cache:     e.cacheOf(spec.Input),
+		mapFactor: spec.MapCPUFactor * spec.CPUAdjust(e.Name()),
+		emitScale: scale,
+		sorted:    sorted,
 	}
-	if spec != nil {
-		// A spec's lineage is a source stage feeding the shuffle of the
-		// last (see lineage): each last task's record half depends on its
-		// partition of every source task's output alone.
-		last, src := stages[len(stages)-1], stages[len(stages)-2]
-		taskrt.Tails(spec, src.ahead, last.root.wide.nParts)
-		last.tails = src.ahead
+	if spec.Combine != nil {
+		a.emitScale = 1 // cardinality-bound: see job.Spec.SaturatingIntermediate
+	}
+	blocks := spec.Input.Blocks
+	switch {
+	case a.cache == nil:
+		// The map stage's record work is shared with the engine's other
+		// actions of the spec's fingerprint (taskrt.Ahead).
+		a.stages = []stage{mapping, reduce}
+		a.blocks = taskrt.Ahead(j, spec.Fingerprint, blocks, spec.Reducers, 0, a.emitScale,
+			func(i int) mapped { return a.mapBlock(blocks[i], scale) })
+		if !collect {
+			// Each reduce task's record half depends on its partition of
+			// every map task's output alone.
+			taskrt.Tails(spec, a.blocks, spec.Reducers)
+		}
+	case a.cache.parts == nil:
+		a.stages = []stage{fill, mapping, reduce}
+		a.blocks = taskrt.Ahead(j, "", blocks, 0, 0, scale,
+			func(i int) mapped { return decodeBlock(spec.InputFormat, blocks[i], scale) })
+	default:
+		a.stages, a.cached = []stage{mapping, reduce}, a.cache.parts
 	}
 
 	e.C.Eng.Go("spark-driver", func(driver *sim.Proc) {
@@ -154,29 +111,27 @@ func (e *Engine) submitAction(name string, target *RDD, spec *job.Spec, collect 
 			e.appStarted = true
 			driver.Sleep(cfg.AppLaunch)
 		}
-		var current []partData // the previous stage's partitions
-		var in *taskrt.Outputs // the shuffle the previous stage wrote
-		for si, st := range stages {
-			if st.fromCache && st.cache == nil {
-				// The producing stage just ran: pick up its materialized
-				// partitions. If they did not fit the cache, Spark hands an
-				// unstored partition straight to its consumer: read the
-				// stage's output, pin nothing, and leave the RDD uncached so
-				// the next action recomputes it from lineage.
-				if st.cache = st.root.cacheData; st.cache == nil && si > 0 && stages[si-1].evicted {
-					st.cache = current
-				}
+		var parts []partData // the reduce stage's partitions
+		for si, st := range a.stages {
+			var err error
+			switch st {
+			case fill:
+				err = a.runFill(driver, si, ctl)
+			case mapping:
+				err = a.runMap(driver, si, ctl)
+			case reduce:
+				parts, err = a.runReduce(driver, si)
 			}
-			parts, out, err := e.runStage(driver, st, in, slots, ctl, si, si == len(stages)-1, spec, j)
 			if err != nil {
 				j.Fail(err)
 				break
 			}
-			current, in = parts, out
 			j.Phase(stageName(si), "")
 		}
-		if j.Err() == nil && collect != nil {
-			collect(current)
+		if j.Err() == nil && collect {
+			for _, pd := range parts {
+				*out = append(*out, pd.pairs...)
+			}
 		}
 		driver.Sleep(cfg.JobFinalize)
 		j.Finish(done)
@@ -184,139 +139,117 @@ func (e *Engine) submitAction(name string, target *RDD, spec *job.Spec, collect 
 	return j
 }
 
-// taskIn is one stage task's immutable input — kept per stage so a lost
-// shuffle output can be regenerated by re-running the producing task.
-type taskIn struct {
-	node    int
-	pairs   []kv.Pair
-	nominal float64
-	blk     *dfs.Block // source tasks read this
-	wide    *wideOp    // post-shuffle tasks pull their partition of it
-}
-
-// runStage executes one stage's tasks over worker slots. A stage that
-// feeds a shuffle publishes its tasks' outputs to the shuffle edge it
-// returns; any other returns its materialized partitions. in is the edge
-// a post-shuffle stage pulls from.
-func (e *Engine) runStage(driver *sim.Proc, st *stage, in *taskrt.Outputs, slots *sched.SlotPool, ctl *sched.JobControl,
-	si int, isLast bool, spec *job.Spec, j *taskrt.Job) ([]partData, *taskrt.Outputs, error) {
-
-	cfg := &e.Cfg
-
-	var tasks []taskIn
-
-	switch {
-	case st.fromCache:
-		if st.cache == nil {
-			// The cache was invalidated (node failure) between planning and
-			// this stage, and re-materialization did not land. Fail the
-			// action cleanly rather than deadlock on missing partitions.
-			return nil, nil, fmt.Errorf("rdd: cached partitions lost with a failed node mid-job")
-		}
-		for _, pd := range st.cache {
-			tasks = append(tasks, taskIn{node: pd.node, pairs: pd.pairs, nominal: pd.nominal})
-		}
-	case st.root.source != nil:
-		blocks := st.root.source.Blocks
-		if len(blocks) == 0 {
-			return nil, nil, fmt.Errorf("rdd: empty input file")
-		}
-		nodeOf := ctl.Placer().Place(blocks)
-		for i, blk := range blocks {
-			tasks = append(tasks, taskIn{node: nodeOf[i], blk: blk})
-		}
-	case st.root.wide != nil:
-		w := st.root.wide
-		for pi := 0; pi < w.nParts; pi++ {
-			tasks = append(tasks, taskIn{node: pi % e.C.N(), wide: w})
-		}
-	default:
-		return nil, nil, fmt.Errorf("rdd: stage with no root")
-	}
-
-	// The shuffle this stage writes. A consumer whose fetch targets a dead
-	// node regenerates the producing task inline on its own node, from
-	// the task's immutable input (Spark's lost-shuffle-output recompute,
-	// without modeling the full stage-abort round trip).
-	var out *taskrt.Outputs
-	if st.consumer != nil {
-		out = j.Outputs(len(tasks), "t", func(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
-			return e.runTask(p, att, st, &tasks[ti], false, nil, ti, in)
-		})
-	}
-
-	results := make([]partData, 0, len(tasks))
-	for ti := range tasks {
-		tin := &tasks[ti]
-		// Every stage's tasks are restartable: inputs (block, cache slice,
-		// shuffle edge) are immutable, outputs publish only through Done,
-		// and final-stage DFS writes go through the attempt-scoped
-		// committer — so even output-writing tasks can race speculative
-		// backups with exactly-once committed files.
+// launch runs stage si as one task per entry of nodes, on that node, and
+// waits for them: body is a task's cost half, and done takes the value of
+// the attempt that won. Every task is restartable: its input (a block, a
+// cached partition, a shuffle edge) is immutable, its output publishes
+// only through done, and part files go through the attempt-scoped
+// committer — so even output-writing tasks can race speculative backups
+// with exactly-once committed files.
+func (a *action) launch(driver *sim.Proc, si int, nodes []int,
+	body func(p *sim.Proc, att *sched.Attempt, ti int) (any, error), done func(ti int, att *sched.Attempt, v any)) error {
+	j, cfg := a.j, &a.e.Cfg
+	for ti, node := range nodes {
 		j.Launch(sched.TaskSpec{
 			Name:        fmt.Sprintf("spark-task-%d", ti),
-			Node:        tin.node,
-			Pool:        slots,
+			Node:        node,
+			Pool:        a.slots,
 			Group:       stageName(si),
 			Restartable: true,
 			Pre:         func(p *sim.Proc) bool { return j.Err() != nil },
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 				p.Sleep(cfg.TaskDispatch)
 				att.Report(0.05)
-				return e.runTask(p, att, st, tin, isLast, spec, ti, in)
+				return body(p, att, ti)
 			},
 			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-				switch v := v.(type) {
-				case *taskrt.Output:
-					out.Publish(ti, att, v)
-				case partData:
-					results = append(results, v)
-				}
-				if isLast {
-					j.DependsOn(att)
-				}
+				done(ti, att, v)
 				return nil
 			},
 		})
 	}
 	j.Wait(driver)
-	if err := j.Err(); err != nil {
-		return nil, nil, err
-	}
+	return j.Err()
+}
 
-	// Cache materialization: pin this stage's output in executor memory.
-	if out == nil && st.target.cached && !st.target.inCache {
+// runFill runs the fill stage, one task per block, and pins what it
+// decoded in executor memory if every node's share fits; the map stage
+// reads the resident cache, or what the fill decoded when it did not fit.
+func (a *action) runFill(driver *sim.Proc, si int, ctl *sched.JobControl) error {
+	e, cfg := a.e, &a.e.Cfg
+	blocks := a.spec.Input.Blocks
+	results := make([]partData, 0, len(blocks))
+	err := a.launch(driver, si, ctl.Placer().Place(blocks), a.blockTask,
+		func(_ int, _ *sched.Attempt, v any) { results = append(results, v.(partData)) })
+	if err != nil {
+		return err
+	}
+	c := a.cache
+	if c.parts == nil { // else another action filled it meanwhile
 		total := map[int]float64{}
 		for _, pd := range results {
 			total[pd.node] += pd.nominal * cfg.ExpansionFactor
 		}
-		fits := true
 		for n, b := range total {
-			budget := float64(cfg.WorkersPerNode)*cfg.WorkerHeap - e.usedExecutorMem(n)
-			if b > budget {
-				fits = false
-				break
+			if b > float64(cfg.WorkersPerNode)*cfg.WorkerHeap-e.usedExecutorMem(n) {
+				// Spark silently evicts: the input is simply not cached,
+				// this action maps what it decoded, and later actions
+				// fill it again.
+				a.cached = results
+				return nil
 			}
 		}
-		if fits {
-			for _, pd := range results {
-				e.C.Node(pd.node).Mem.MustAlloc(pd.nominal * cfg.ExpansionFactor)
-			}
-			st.target.cacheData = results
-			st.target.inCache = true
-			e.registerCached(st.target)
-			if st.target.lostParts > 0 {
-				// This materialization recomputed partitions that died with
-				// a failed executor — charge them to the recovery counters.
-				ctl.Tracker().NoteCacheRecomputes(st.target.lostParts)
-				st.target.lostParts = 0
-			}
+		for _, pd := range results {
+			e.C.Node(pd.node).Mem.MustAlloc(pd.nominal * cfg.ExpansionFactor)
 		}
-		// If it does not fit, Spark silently evicts: the RDD is simply
-		// not cached and later actions recompute it.
-		st.evicted = !fits
+		c.parts = results
+		if c.lost > 0 {
+			// This fill recomputed partitions that died with a failed
+			// executor — charge them to the recovery counters.
+			ctl.Tracker().NoteCacheRecomputes(c.lost)
+			c.lost = 0
+		}
 	}
-	return results, out, nil
+	a.cached = c.parts
+	return nil
+}
+
+// runMap runs the map stage, one task per block or per cached partition,
+// into the shuffle edge the reduce stage pulls. A consumer whose fetch
+// targets a dead node regenerates the producing task inline on its own
+// node, from the task's immutable input (Spark's lost-shuffle-output
+// recompute, without modeling the full stage-abort round trip).
+func (a *action) runMap(driver *sim.Proc, si int, ctl *sched.JobControl) error {
+	var nodes []int
+	body := a.blockTask
+	if a.cache != nil {
+		for _, pd := range a.cached {
+			nodes = append(nodes, pd.node)
+		}
+		body = a.cacheTask
+	} else {
+		nodes = ctl.Placer().Place(a.spec.Input.Blocks)
+	}
+	a.edge = a.j.Outputs(len(nodes), "t", body)
+	return a.launch(driver, si, nodes, body,
+		func(ti int, att *sched.Attempt, v any) { a.edge.Publish(ti, att, v.(*taskrt.Output)) })
+}
+
+// runReduce runs the reduce stage, one task per shuffle partition, and
+// returns the reduced partitions (pairs only when collecting).
+func (a *action) runReduce(driver *sim.Proc, si int) ([]partData, error) {
+	nodes := make([]int, a.spec.Reducers)
+	for pi := range nodes {
+		nodes[pi] = pi % a.e.C.N()
+	}
+	results := make([]partData, 0, len(nodes))
+	err := a.launch(driver, si, nodes, a.reduceTask, func(_ int, att *sched.Attempt, v any) {
+		if pd, ok := v.(partData); ok { // nil: the pull woke to a failed job
+			results = append(results, pd)
+		}
+		a.j.DependsOn(att)
+	})
+	return results, err
 }
 
 func (e *Engine) usedExecutorMem(node int) float64 {
@@ -332,15 +265,15 @@ type mapStep uint8
 
 const (
 	mapOK      mapStep = iota
-	mapOpen            // the block did not open: nothing was read
+	mapOpen            // the block did not open (or, filling, did not decode): nothing was read
 	mapDecode          // a record did not decode: the block was read
 	mapCollect         // the collector failed: the input was read and mapped
 )
 
-// mapped is the record half of a task: its input (nominal bytes, actual
-// records), then its sized shuffle output when the stage feeds a shuffle
-// or else its one output partition, or the error that stopped it and the
-// step it struck at.
+// mapped is the record half of a task reading the input: its size
+// (nominal bytes, actual records), then its sized shuffle output (a map
+// task) or its decoded records (a fill task), or the error that stopped
+// it and the step it struck at.
 type mapped struct {
 	inNominal float64
 	inRecords int
@@ -350,282 +283,211 @@ type mapped struct {
 	failed mapStep
 }
 
-// mapBlock is the record half of a task of a stage rooted at a block: it
-// streams blk (decodes it into pairs when no narrow op is there to feed)
-// into records, at scale (the filesystem's) nominal bytes per actual
-// one. It touches no simulation state, so the action runs it ahead of the
-// task (taskrt.Ahead).
-func (st *stage) mapBlock(blk *dfs.Block, scale float64) mapped {
+// mapBlock is the record half of a map task over blk: it streams the
+// block's records through the spec's map into a fresh collector, lent
+// the block when its records alias it, and sizes the output at scale
+// (the filesystem's) nominal bytes per actual one. It touches no
+// simulation state, so the action runs it ahead of the task
+// (taskrt.Ahead).
+func (a *action) mapBlock(blk *dfs.Block, scale float64) mapped {
 	var rd job.Reader
-	var in recordIter
-	var inflated int
-	var err error
-	var lend []byte
-	if len(st.narrow) > 0 {
-		err = rd.Open(st.root.format, blk.Data)
-		inflated, in.rd = rd.Inflated(), &rd
-		if st.root.format.Borrowable() {
-			lend = blk.Data
-		}
-	} else {
-		in.pairs, inflated, err = job.Records(st.root.format, blk.Data)
-	}
-	if err != nil {
+	if err := rd.Open(a.spec.InputFormat, blk.Data); err != nil {
 		return mapped{err: fmt.Errorf("rdd: input: %w", err), failed: mapOpen}
 	}
-	m, aliased := st.records(in, float64(inflated)*scale, lend, scale)
-	if !aliased {
-		// Every record left the reader's buffer as a copy or lies in the
-		// lent block. A chain of Filters alone keeps the records
-		// themselves (a cached RDD may hold them for the engine's
-		// lifetime): see job.Reader.
-		rd.Close()
+	defer rd.Close() // every record left the reader as a copy or lies in the lent block
+	m := mapped{inNominal: float64(rd.Inflated()) * scale}
+	coll := a.collector()
+	if a.spec.InputFormat.Borrowable() {
+		coll.Borrow(blk.Data)
 	}
+	emit := coll.Emit // one method value, not one per record
+	for k, v, ok := rd.Next(); ok; k, v, ok = rd.Next() {
+		a.spec.Map(k, v, emit)
+	}
+	if err := rd.Err(); err != nil {
+		m.err, m.failed = fmt.Errorf("rdd: input: %w", err), mapDecode
+		return m
+	}
+	m.inRecords = rd.Records()
+	a.finish(&m, coll)
 	return m
 }
 
-// records is the record half of every task: it applies the fused narrow
-// chain to in (nominal bytes), then sizes the shuffle's partitions in a
-// fresh collector lent lend (at scale nominal bytes per actual one), or
-// returns the task's one output partition. aliased reports whether that
-// partition still points into in.
-func (st *stage) records(in recordIter, nominal float64, lend []byte, scale float64) (m mapped, aliased bool) {
-	m = mapped{inNominal: nominal, inRecords: len(in.pairs)}
-	var coll *kv.PartitionCollector
-	if st.consumer != nil {
-		coll = st.collector()
-		if lend != nil {
-			coll.Borrow(lend)
-		}
+// mapPairs is the record half of a map task over a cached partition of
+// nominal bytes.
+func (a *action) mapPairs(pairs []kv.Pair, nominal float64) mapped {
+	m := mapped{inNominal: nominal, inRecords: len(pairs)}
+	coll := a.collector()
+	emit := coll.Emit
+	for _, pr := range pairs {
+		a.spec.Map(pr.Key, pr.Value, emit)
 	}
-	pairs, aliased := st.chain(in, coll)
-	if in.rd != nil {
-		if err := in.rd.Err(); err != nil {
-			m.err, m.failed = fmt.Errorf("rdd: input: %w", err), mapDecode
-			return m, aliased
-		}
-		m.inRecords = in.rd.Records()
-	}
-	if coll == nil {
-		m.pairs = pairs
-		return m, aliased
-	}
-	var err error
-	if m.Partitioned, err = st.collect(coll, pairs, scale); err != nil {
-		m.err, m.failed = err, mapCollect
-	}
-	return m, aliased
+	a.finish(&m, coll)
+	return m
 }
 
-// runTask is the cost half of every task, on att's node: it obtains tin's
-// record half — a block's from the stage's ahead work after charging its
-// read and the streaming window, a cached partition's, or a pulled and
-// merged partition's after charging the pull — charges the CPU, then
-// writes the shuffle output (an *taskrt.Output), the cached partition's
-// objects or the final file (a partData), stopping where the record
-// half's error struck; a spec's last stage takes its part file's text
-// from its reduce tail (taskrt.Pending.Tail). att is the owning attempt
-// — the consuming task's when re-entered as a lost-shuffle regeneration.
-func (e *Engine) runTask(p *sim.Proc, att *sched.Attempt, st *stage, tin *taskIn,
-	isLast bool, spec *job.Spec, taskIdx int, edge *taskrt.Outputs) (any, error) {
+// collector returns a fresh partition collector for the spec's shuffle.
+func (a *action) collector() *kv.PartitionCollector {
+	return kv.NewPartitionCollector(a.spec.Reducers, 0, a.spec.Combine, a.spec.Part)
+}
 
-	cfg := &e.Cfg
-	scale := e.Scale()
-	eng := e.C.Eng
+// finish sizes coll's partitions into m, or records why they failed.
+func (a *action) finish(m *mapped, coll *kv.PartitionCollector) {
+	var err error
+	if m.Partitioned, err = taskrt.Collect(coll, a.emitScale); err != nil {
+		m.err, m.failed = fmt.Errorf("rdd: shuffle %w", err), mapCollect
+	}
+}
+
+// decodeBlock is the record half of a fill task: blk's records, at scale
+// nominal bytes per actual one. The cache keeps them as they are — they
+// alias the block, or for SeqGzip an inflate buffer that is now theirs
+// (job.Records never closes its Reader).
+func decodeBlock(format job.Format, blk *dfs.Block, scale float64) mapped {
+	pairs, inflated, err := job.Records(format, blk.Data)
+	if err != nil {
+		return mapped{err: fmt.Errorf("rdd: input: %w", err), failed: mapOpen}
+	}
+	return mapped{inNominal: float64(inflated) * scale, inRecords: len(pairs), pairs: pairs}
+}
+
+// blockTask is the cost half of a task reading block ti, on att's node:
+// it takes the block's record half from the action's ahead work after
+// charging the read and the streaming window, charges the CPU, then
+// writes the shuffle output (an *taskrt.Output) or, filling, builds the
+// cached partition's objects (a partData), stopping where the record
+// half's error struck. att is the owning attempt — the consuming task's
+// when re-entered as a lost-shuffle regeneration.
+func (a *action) blockTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
+	e, cfg := a.e, &a.e.Cfg
 	node := att.Node()
-	mem := e.C.Node(node).Mem
-	wide := tin.wide
-
-	var wg sim.WaitGroup
-	var cpuSec float64
-	var m mapped
-	var text []byte
-
-	// Record-processing CPU is charged on the records entering the stage;
-	// cardinality-bound data (records and outputs of combining shuffles)
-	// is charged unscaled — see job.Spec.SaturatingIntermediate for the
-	// rule.
-	outScale := scale
-	if wide != nil && wide.combine != nil {
-		outScale = 1
-	}
-
-	switch {
-	case tin.blk != nil:
-		if m = st.ahead.Take(taskIdx); m.failed == mapOpen {
-			return nil, m.err
-		}
-		if err := e.FS.StartRead(tin.blk, node, &wg); err != nil {
-			return nil, err
-		}
-		// Streaming stages hold only a window of the partition as live
-		// objects (the iterator pipeline), not the whole expansion.
-		transient := 0.35 * m.inNominal * cfg.ExpansionFactor
-		mem.MustAlloc(transient)
-		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
-		if m.failed == mapDecode {
-			return nil, m.err
-		}
-	case tin.pairs != nil:
-		m, _ = st.records(recordIter{pairs: tin.pairs}, tin.nominal, nil, scale)
-	default:
-		// Shuffle fetch (an empty cached partition lands here too, with
-		// nothing to pull): pull every map task's slice of this partition,
-		// reporting fractional per-fetch progress so the straggler monitor
-		// sees fetch rates rather than one opaque milestone. Fetched data
-		// past the buffer spills to local disk; the heap it occupies is the
-		// transient working memory charged below. Each run is a partition a
-		// collector's Finish sorted, which is what lets the wide op below
-		// merge them.
-		var runs [][]kv.Pair
-		var inputNominal float64
-		if wide != nil {
-			buf := e.Buffer(p, node, cfg.ShuffleBufferBytes, nil)
-			var err error
-			runs, err = edge.Pull(p, att, taskIdx,
-				func(pulled, n int) { att.Report(0.1 + 0.6*float64(pulled)/float64(n)) },
-				func(nominal float64) {
-					inputNominal += nominal
-					buf.Add(nominal)
-				})
-			if runs == nil {
-				return nil, err
-			}
-		}
-
-		// Materialization for the wide op: sort stages hold the whole
-		// partition as objects — the OOM point.
-		if wide != nil && wide.sorted {
-			workingSet := inputNominal * cfg.ExpansionFactor * cfg.SortOverheadFactor
-			if workingSet > cfg.WorkerHeap {
-				return nil, &sim.OOMError{
-					Account:   fmt.Sprintf("spark-worker[%d]", node),
-					Requested: workingSet,
-					Used:      0,
-					Limit:     cfg.WorkerHeap,
-				}
-			}
-		}
-		// Transient working memory with GC lag.
-		transient := inputNominal * cfg.ExpansionFactor
-		mem.MustAlloc(transient)
-		defer mem.FreeLazy(eng, transient, cfg.GCLagSecs)
-
-		cpuSec += cfg.CPUPerByteSort * inputNominal // 0 without a wide op
-		cpuSec += cfg.CPUPerByteReduce * inputNominal
-		switch {
-		case isLast && spec != nil: // no narrow op follows a spec's wide op
-			m.inNominal = inputNominal
-			text, m.inRecords = st.tails.Tail(taskIdx, runs)
-		case wide != nil && wide.reduce != nil:
-			m, _ = st.records(recordIter{pairs: taskrt.MergeReduce(runs, wide.reduce)}, inputNominal, nil, scale)
-		default:
-			m, _ = st.records(recordIter{pairs: taskrt.MergeRuns(runs)}, inputNominal, nil, scale)
-		}
-	}
-
-	nominalRecords := float64(m.inRecords) * outScale
-	cpuSec += cfg.CPUPerByteMap*st.cpuFactor()*m.inNominal + cfg.CPUPerRecord*nominalRecords
-	e.StartCPU(&wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
-	if m.err != nil {
+	m := a.blocks.Take(ti)
+	if m.failed == mapOpen {
 		return nil, m.err
 	}
-	if st.consumer != nil {
-		return e.writeShuffle(p, &wg, node, m.Partitioned)
+	var wg sim.WaitGroup
+	if err := e.FS.StartRead(a.spec.Input.Blocks[ti], node, &wg); err != nil {
+		return nil, err
 	}
-
-	// The action's last stage, or one feeding a cached materialization
-	// without a shuffle: the task's pairs (or a spec's text) are its output.
-	outNominal := taskrt.Framed(m.pairs, outScale)
-	if !isLast && cfg.CacheCPUPerByte > 0 && st.target.cached {
-		// Building the RDD's in-memory representation costs CPU
-		// (deserialization into JVM objects — the "creates the RDD"
-		// cost of the paper's Spark Stage 0).
+	// Streaming stages hold only a window of the partition as live
+	// objects (the iterator pipeline), not the whole expansion.
+	mem := e.C.Node(node).Mem
+	window := 0.35 * m.inNominal * cfg.ExpansionFactor
+	mem.MustAlloc(window)
+	defer mem.FreeLazy(e.C.Eng, window, cfg.GCLagSecs)
+	if m.failed == mapDecode {
+		return nil, m.err
+	}
+	if a.cache == nil {
+		return a.writeShuffle(p, &wg, node, m)
+	}
+	scale := e.Scale()
+	e.startCPU(&wg, node, 0, 1, m.inNominal, float64(m.inRecords)*scale)
+	outNominal := taskrt.Framed(m.pairs, scale)
+	if cfg.CacheCPUPerByte > 0 {
+		// Building the cached records' in-memory representation costs
+		// CPU (deserialization into JVM objects).
 		wg.Add(1)
 		e.C.Node(node).CPU.Start(cfg.CacheCPUPerByte*outNominal, wg.Done)
 	}
 	wg.WaitAs(p, "disk")
-	if isLast {
-		att.Report(0.9)
-		if spec != nil {
-			if err := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-%05d", taskIdx), outScale, text); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return partData{pairs: m.pairs, nominal: outNominal, node: node}, nil
 }
 
-// cpuFactor is the product of the CPU factors of the stage's narrow ops.
-func (st *stage) cpuFactor() float64 {
-	f := 1.0
-	for _, n := range st.narrow {
-		f *= n.cpuFactor
+// cacheTask is the cost half of a map task over cached partition ti, on
+// att's node: the map's CPU, then its shuffle output.
+func (a *action) cacheTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
+	pd := &a.cached[ti]
+	var wg sim.WaitGroup
+	return a.writeShuffle(p, &wg, att.Node(), a.mapPairs(pd.pairs, pd.nominal))
+}
+
+// reduceTask is the cost half of reduce task ti, on att's node: it pulls
+// its partition of every map task's output, reporting fractional
+// per-fetch progress so the straggler monitor sees fetch rates rather
+// than one opaque milestone, charges the merge, and writes the part file
+// whose text comes from its reduce tail (taskrt.Pending.Tail) — or, when
+// collecting, returns the reduced pairs. Fetched data past the buffer
+// spills to local disk; the heap it occupies is the transient working
+// memory charged below.
+func (a *action) reduceTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
+	e, cfg, spec := a.e, &a.e.Cfg, a.spec
+	node := att.Node()
+	buf := e.Buffer(p, node, cfg.ShuffleBufferBytes, nil)
+	var inNominal float64
+	runs, err := a.edge.Pull(p, att, ti,
+		func(pulled, n int) { att.Report(0.1 + 0.6*float64(pulled)/float64(n)) },
+		func(nominal float64) {
+			inNominal += nominal
+			buf.Add(nominal)
+		})
+	if runs == nil {
+		return nil, err
 	}
-	return f
-}
-
-// collector returns a fresh partition collector for the shuffle the
-// stage feeds.
-func (st *stage) collector() *kv.PartitionCollector {
-	next := st.consumer
-	return kv.NewPartitionCollector(next.nParts, 0, next.combine, next.part)
-}
-
-// chain applies the stage's fused narrow ops (really), one op at a time:
-// the first reads in — a block's reader when the stage streams one, the
-// pairs the task already holds otherwise (shuffle fetch, cached
-// partition) — and every later op reads its predecessor's output. With a
-// collector, the last op emits straight into it, which keeps what lies in
-// a streamed Text or Seq block without a copy, and pairs comes back
-// empty. Every other op materialises its output, copying into the task's
-// arena what does not alias the input (map functions may reuse their
-// buffers). aliased reports whether pairs still point into the stage's
-// input; with no op at all, pairs is in's.
-func (st *stage) chain(in recordIter, coll *kv.PartitionCollector) (pairs []kv.Pair, aliased bool) {
-	pairs, aliased = in.pairs, true
-	var arena kv.Arena
-	for i, n := range st.narrow {
-		var out []kv.Pair
-		var sink job.Emit
-		switch {
-		case coll != nil && i == len(st.narrow)-1:
-			sink, aliased = coll.Emit, false
-		case n.aliasesInput:
-			sink = func(k, v []byte) { out = append(out, kv.Pair{Key: k, Value: v}) }
-		default:
-			sink, aliased = func(k, v []byte) { out = append(out, arena.CopyPair(k, v)) }, false
+	// A sort holds the whole partition as objects — the OOM point.
+	if workingSet := inNominal * cfg.ExpansionFactor * cfg.SortOverheadFactor; a.sorted && workingSet > cfg.WorkerHeap {
+		return nil, &sim.OOMError{
+			Account:   fmt.Sprintf("spark-worker[%d]", node),
+			Requested: workingSet,
+			Used:      0,
+			Limit:     cfg.WorkerHeap,
 		}
-		for k, v, ok := in.next(); ok; k, v, ok = in.next() {
-			n.f(k, v, sink)
+	}
+	// Transient working memory with GC lag.
+	mem := e.C.Node(node).Mem
+	transient := inNominal * cfg.ExpansionFactor
+	mem.MustAlloc(transient)
+	defer mem.FreeLazy(e.C.Eng, transient, cfg.GCLagSecs)
+
+	var text []byte
+	var pairs []kv.Pair
+	var records int
+	switch {
+	case a.collect:
+		pairs = taskrt.MergeReduce(runs, spec.Reduce)
+		records = len(pairs)
+	case a.cache == nil:
+		text, records = a.blocks.Tail(ti, runs)
+	default: // no tail went ahead of a map over the cache
+		text, records = taskrt.ReduceTail(spec, runs)
+	}
+	var wg sim.WaitGroup
+	e.startCPU(&wg, node, cfg.CPUPerByteSort*inNominal+cfg.CPUPerByteReduce*inNominal, 1,
+		inNominal, float64(records)*a.emitScale)
+	outNominal := taskrt.Framed(pairs, a.emitScale)
+	wg.WaitAs(p, "disk")
+	att.Report(0.9)
+	if !a.collect {
+		if err := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-%05d", ti), a.emitScale, text); err != nil {
+			return nil, err
 		}
-		pairs, in = out, recordIter{pairs: out}
 	}
-	return pairs, aliased
+	return partData{pairs: pairs, nominal: outNominal, node: node}, nil
 }
 
-// collect emits pairs (what no narrow op sent to the collector) into
-// coll and sizes the shuffle output: at scale nominal bytes per actual
-// one, or unscaled behind a combiner (see job.Spec.SaturatingIntermediate).
-func (st *stage) collect(coll *kv.PartitionCollector, pairs []kv.Pair, scale float64) (taskrt.Partitioned, error) {
-	if st.consumer.combine != nil {
-		scale = 1
-	}
-	for _, pr := range pairs {
-		coll.Emit(pr.Key, pr.Value)
-	}
-	sized, err := taskrt.Collect(coll, scale)
-	if err != nil {
-		return sized, fmt.Errorf("rdd: shuffle %w", err)
-	}
-	return sized, nil
+// startCPU charges a task's CPU on node into wg: cpuSec already owed,
+// plus the map rate times factor per nominal input byte and the record
+// rate per nominal record, with the JVM's GC on top. Record-processing
+// CPU is charged on the records entering the task; cardinality-bound
+// records (those of combining shuffles) are charged unscaled — see
+// job.Spec.SaturatingIntermediate for the rule.
+func (e *Engine) startCPU(wg *sim.WaitGroup, node int, cpuSec, factor, inNominal, nominalRecords float64) {
+	cfg := &e.Cfg
+	cpuSec += cfg.CPUPerByteMap*factor*inNominal + cfg.CPUPerRecord*nominalRecords
+	e.StartCPU(wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
 }
 
-// writeShuffle charges the write of a task's shuffle output, sized, on
-// node (Spark 0.8 hash shuffle materializes map outputs on the local
-// disks of the map side), waits for it and every charge already in wg,
-// and returns the output.
-func (e *Engine) writeShuffle(p *sim.Proc, wg *sim.WaitGroup, node int, sized taskrt.Partitioned) (any, error) {
+// writeShuffle charges map task m's CPU on node, then the write of its
+// shuffle output (Spark 0.8 hash shuffle materializes map outputs on the
+// local disks of the map side), waits for it and every charge already in
+// wg, and returns the output.
+func (a *action) writeShuffle(p *sim.Proc, wg *sim.WaitGroup, node int, m mapped) (any, error) {
+	e := a.e
+	e.startCPU(wg, node, 0, a.mapFactor, m.inNominal, float64(m.inRecords)*e.Scale())
+	if m.err != nil {
+		return nil, m.err
+	}
+	sized := m.Partitioned
 	if sized.OutNominal > 0 {
 		wg.Add(1)
 		e.C.Node(node).Disk.Start(sized.OutNominal, wg.Done)
@@ -642,24 +504,4 @@ func (e *Engine) writeShuffle(p *sim.Proc, wg *sim.WaitGroup, node int, sized ta
 	}
 	wg.WaitAs(p, "disk")
 	return &taskrt.Output{Partitioned: sized, Node: node}, nil
-}
-
-// recordIter is the input of a narrow op: a block's reader, or the pairs
-// an earlier step of the task materialised.
-type recordIter struct {
-	rd    *job.Reader
-	pairs []kv.Pair
-	i     int // next of pairs
-}
-
-func (it *recordIter) next() (key, value []byte, ok bool) {
-	if it.rd != nil {
-		return it.rd.Next()
-	}
-	if it.i >= len(it.pairs) {
-		return nil, nil, false
-	}
-	p := &it.pairs[it.i]
-	it.i++
-	return p.Key, p.Value, true
 }

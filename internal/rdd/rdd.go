@@ -1,10 +1,14 @@
-// Package rdd implements the Spark 0.8-like baseline: resilient
-// distributed datasets with lazy narrow transformations fused into
-// stages, a DAG scheduler that breaks stages at shuffle boundaries,
-// hash-based shuffle with disk-backed map outputs, in-memory partition
-// caching with Java-object expansion, and — critically for the paper's
-// Figure 3 — OutOfMemory failures when a sort stage's working set
-// exceeds the worker heap.
+// Package rdd implements the Spark 0.8-like baseline. Every action has
+// the one shape of the paper's Spark workloads (Sort, WordCount, Grep,
+// K-means): it maps a job.Spec's input — read from the DFS, or from
+// executor memory once the input is cached — into the spec's shuffle,
+// written to disk on the map side, and then either writes each reduced
+// partition as a part file or collects the reduced pairs. Its stages are
+// declared from the spec, not planned: a cache-fill stage when the input
+// is marked cached but not resident, a map stage and a reduce stage.
+// Cached partitions pay Java-object expansion, and — critically for the
+// paper's Figure 3 — a range-partitioned (sorting) reduce stage fails
+// with OutOfMemory when its working set exceeds the worker heap.
 //
 // Spark's structural advantages over Hadoop are modeled directly: one
 // executor launch per application instead of per-task JVMs,
@@ -15,10 +19,13 @@
 package rdd
 
 import (
+	"strconv"
+
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
+	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/taskrt"
 	"github.com/datampi/datampi-go/internal/transport"
 )
@@ -83,10 +90,10 @@ func DefaultConfig() Config {
 }
 
 // Engine is the Spark-like engine. Create one per application; cached
-// RDDs persist across jobs run on the same engine (as they do across
-// actions in one SparkContext) — until an executor holding cached
-// partitions dies, which invalidates the affected RDDs for recompute.
-// The job lifecycle, shuffle edge and part-file commit come from the
+// inputs persist across jobs run on the same engine (as cached RDDs do
+// across actions in one SparkContext) — until an executor holding cached
+// partitions dies, which drops the affected caches for recompute. The
+// job lifecycle, shuffle edge and part-file commit come from the
 // embedded runtime.
 type Engine struct {
 	taskrt.Base
@@ -94,9 +101,24 @@ type Engine struct {
 
 	appStarted bool
 
-	// cachedRDDs registers every RDD materialized into executor memory,
-	// so a node failure can drop the partitions that died with it.
-	cachedRDDs []*RDD
+	// caches are the inputs Cache marked, in the order it marked them.
+	caches []*cache
+}
+
+var _ sched.Engine = (*Engine)(nil)
+
+// cache is one input marked for executor memory: the decoded records of
+// its blocks, one partition per block, once an action filled it.
+type cache struct {
+	in    *dfs.File
+	parts []partData // resident partitions; nil while not resident
+	lost  int        // partitions dropped with failed nodes, awaiting recompute accounting
+}
+
+type partData struct {
+	pairs   []kv.Pair
+	nominal float64
+	node    int
 }
 
 // New creates an engine (a SparkContext, in effect) over a filesystem.
@@ -113,21 +135,39 @@ func New(fs *dfs.FS, cfg Config) *Engine {
 	return e
 }
 
-// dropCachesOn invalidates every cached RDD with a partition on the dead
-// node — Spark loses an executor's in-memory blocks with the executor.
-// Cache residency is all-or-nothing here, so the whole RDD drops: pins on
-// surviving nodes are freed too, and the next action recomputes and
-// re-materializes it through the normal lineage plan, charging the lost
-// partitions to the tracker's cache-recompute counter when the refill
-// lands. Stages already running keep the plan-time snapshot they hold;
-// data an executor already fetched is not clawed back mid-task.
-func (e *Engine) dropCachesOn(node int) {
-	for _, r := range e.cachedRDDs {
-		if !r.inCache {
-			continue
+// Cache marks in for executor memory, as Spark's textFile(...).cache():
+// the next action over in fills the cache with its decoded records, and
+// the actions after it map those instead of reading the file. A cache
+// that does not fit is not kept: its action maps what it filled, and the
+// next action fills it again.
+func (e *Engine) Cache(in *dfs.File) {
+	if e.cacheOf(in) == nil {
+		e.caches = append(e.caches, &cache{in: in})
+	}
+}
+
+// cacheOf returns in's cache, nil when in is not marked.
+func (e *Engine) cacheOf(in *dfs.File) *cache {
+	for _, c := range e.caches {
+		if c.in == in {
+			return c
 		}
+	}
+	return nil
+}
+
+// dropCachesOn drops every cache with a partition on the dead node —
+// Spark loses an executor's in-memory blocks with the executor. Cache
+// residency is all-or-nothing here, so the whole cache drops: pins on
+// surviving nodes are freed too, and the next action over the input
+// fills it again, charging the lost partitions to the tracker's
+// cache-recompute counter when the refill lands. Actions already running
+// keep the partitions they took; data an executor already fetched is not
+// clawed back mid-task.
+func (e *Engine) dropCachesOn(node int) {
+	for _, c := range e.caches {
 		lost := 0
-		for _, pd := range r.cacheData {
+		for _, pd := range c.parts {
 			if pd.node == node {
 				lost++
 			}
@@ -135,136 +175,49 @@ func (e *Engine) dropCachesOn(node int) {
 		if lost == 0 {
 			continue
 		}
-		for _, pd := range r.cacheData {
+		for _, pd := range c.parts {
 			e.C.Node(pd.node).Mem.Free(pd.nominal * e.Cfg.ExpansionFactor)
 		}
-		r.cacheData = nil
-		r.inCache = false
-		r.lostParts += lost
+		c.parts = nil
+		c.lost += lost
 	}
 }
 
-// registerCached remembers a materialized RDD for failure invalidation.
-func (e *Engine) registerCached(r *RDD) {
-	for _, c := range e.cachedRDDs {
-		if c == r {
-			return
-		}
+// Run implements job.Engine: it runs the spec's action exclusively,
+// driving the simulation to completion, and writes the reduced
+// partitions as part files. The solo action (and its job span) is called
+// "action"; the result carries the spec's name.
+func (e *Engine) Run(spec job.Spec) job.Result {
+	_, res := e.runSolo(spec, false)
+	return res
+}
+
+// Collect runs the spec's action exclusively, like Run, but writes
+// nothing: it returns the reduced pairs of every partition, in the order
+// the reduce tasks finished.
+func (e *Engine) Collect(spec job.Spec) ([]kv.Pair, job.Result) {
+	return e.runSolo(spec, true)
+}
+
+func (e *Engine) runSolo(spec job.Spec, collect bool) ([]kv.Pair, job.Result) {
+	if j := e.RejectInvalid(&spec, nil); j != nil {
+		return nil, j.Res
 	}
-	e.cachedRDDs = append(e.cachedRDDs, r)
+	var out []kv.Pair
+	res := e.RunSolo(func(ctl *sched.JobControl) *taskrt.Job {
+		return e.submit("action", &spec, collect, &out, ctl, nil)
+	})
+	res.Job = spec.Name
+	return out, res
 }
 
-// RDD is a lazily evaluated dataset. Narrow transformations extend the
-// lineage; wide (shuffle) transformations mark stage boundaries.
-type RDD struct {
-	eng *Engine
-
-	// Exactly one of the following describes how this RDD is produced.
-	source *dfs.File // textFile/sequenceFile source
-	narrow *narrowOp
-	wide   *wideOp
-
-	format job.Format
-	// fingerprint is the job.Spec.Fingerprint of the spec whose lineage
-	// this source roots ("" for a hand-built chain): it names the record
-	// work of the stage rooted here.
-	fingerprint string
-	cached      bool
-	cacheData   []partData // materialized when cached and computed
-	inCache     bool
-	lostParts   int // cached partitions dropped with failed nodes, awaiting recompute accounting
-}
-
-// narrowOp is one fused per-record transformation. f emits through a
-// job.Emit so the last op of a stage that feeds a shuffle writes straight
-// into the partition collector, and takes one record at a time so the
-// first op of a stage rooted at a block is fed by a job.Reader;
-// aliasesInput says the emitted bytes are the input record's own (a sink
-// that keeps them need not copy).
-type narrowOp struct {
-	parent       *RDD
-	f            job.MapFunc
-	aliasesInput bool
-	cpuFactor    float64
-}
-
-type wideOp struct {
-	parent  *RDD
-	nParts  int
-	part    kv.Partitioner
-	combine kv.Combiner
-	reduce  kv.Reducer
-	sorted  bool // sortByKey semantics: materialize + sort (OOM risk)
-}
-
-type partData struct {
-	pairs   []kv.Pair
-	nominal float64
-	node    int
-}
-
-// TextFile creates a source RDD over a DFS file of newline-separated
-// records.
-func (e *Engine) TextFile(f *dfs.File) *RDD {
-	return &RDD{eng: e, source: f, format: job.Text}
-}
-
-// SequenceFile creates a source RDD over kv-encoded (optionally gzipped)
-// records.
-func (e *Engine) SequenceFile(f *dfs.File, format job.Format) *RDD {
-	return &RDD{eng: e, source: f, format: format}
-}
-
-// FlatMapKV applies a record-level map function (like flatMap over pairs).
-// cpuFactor scales the per-byte CPU cost of this transformation.
-func (r *RDD) FlatMapKV(f job.MapFunc, cpuFactor float64) *RDD {
-	if cpuFactor <= 0 {
-		cpuFactor = 1
+// Submit implements sched.Engine: it admits the spec's action onto the
+// shared simulation without driving the event loop.
+func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) {
+	if e.RejectInvalid(&spec, done) != nil {
+		return
 	}
-	return &RDD{eng: r.eng, narrow: &narrowOp{parent: r, f: f, cpuFactor: cpuFactor}}
+	e.submit(spec.Name, &spec, false, nil, ctl, done)
 }
 
-// Filter keeps pairs for which pred returns true.
-func (r *RDD) Filter(pred func(kv.Pair) bool) *RDD {
-	return &RDD{eng: r.eng, narrow: &narrowOp{
-		parent: r,
-		f: func(key, value []byte, emit job.Emit) {
-			if pred(kv.Pair{Key: key, Value: value}) {
-				emit(key, value)
-			}
-		},
-		aliasesInput: true,
-		cpuFactor:    1,
-	}}
-}
-
-// ReduceByKey shuffles by hash partitioning with map-side combining and
-// reduces values per key — no global sort, so no sort OOM risk.
-func (r *RDD) ReduceByKey(combine kv.Combiner, reduce kv.Reducer, nParts int) *RDD {
-	return &RDD{eng: r.eng, wide: &wideOp{
-		parent: r, nParts: nParts, part: kv.HashPartitioner{},
-		combine: combine, reduce: reduce,
-	}}
-}
-
-// GroupByKey shuffles with no combining and applies reduce per key group.
-func (r *RDD) GroupByKey(reduce kv.Reducer, nParts int) *RDD {
-	return &RDD{eng: r.eng, wide: &wideOp{
-		parent: r, nParts: nParts, part: kv.HashPartitioner{}, reduce: reduce,
-	}}
-}
-
-// SortByKey performs a total-order sort via range partitioning. The
-// receiving partitions are fully materialized in worker memory for the
-// sort, which is where Spark 0.8 throws OutOfMemoryError on large inputs.
-func (r *RDD) SortByKey(part kv.Partitioner, reduce kv.Reducer, nParts int) *RDD {
-	return &RDD{eng: r.eng, wide: &wideOp{
-		parent: r, nParts: nParts, part: part, reduce: reduce, sorted: true,
-	}}
-}
-
-// Cache marks the RDD for in-memory persistence after first computation.
-func (r *RDD) Cache() *RDD {
-	r.cached = true
-	return r
-}
+func stageName(i int) string { return "stage" + strconv.Itoa(i) }

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -18,7 +18,6 @@ import (
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
 	"github.com/datampi/datampi-go/internal/sim"
-	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
 func testSetup(blockSize float64, scale float64) (*cluster.Cluster, *dfs.FS, *Engine) {
@@ -190,42 +189,44 @@ func TestSort8GBSucceeds(t *testing.T) {
 func TestCacheSpeedsUpSecondAction(t *testing.T) {
 	_, fs, eng := testSetup(16*cluster.KB, 1)
 	in := fs.PreloadAligned("/in", genText(5, 128*1024), '\n')
-	rdd := eng.TextFile(in).FlatMapKV(func(k, v []byte, emit job.Emit) {
-		emit(v, nil)
-	}, 1).Cache()
-
-	_, r1 := rdd.Collect()
+	eng.Cache(in)
+	spec := wcSpec(fs, in, "", 4)
+	_, r1 := eng.Collect(spec)
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
-	t1 := r1.Elapsed
-	_, r2 := rdd.Collect()
+	_, r2 := eng.Collect(spec)
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
-	t2 := r2.Elapsed
-	if t2 >= t1 {
-		t.Fatalf("cached action (%.2fs) not faster than first (%.2fs)", t2, t1)
+	if r2.Elapsed >= r1.Elapsed {
+		t.Fatalf("cached action (%.2fs) not faster than first (%.2fs)", r2.Elapsed, r1.Elapsed)
+	}
+	// The first action fills the cache, maps it and reduces; the second
+	// maps the cache and reduces.
+	if len(r1.Phases) != 3 || len(r2.Phases) != 2 || r1.Phases["stage2"] <= 0 || r2.Phases["stage1"] <= 0 {
+		t.Fatalf("phases %v then %v, want stage0..stage2 then stage0..stage1", r1.Phases, r2.Phases)
 	}
 }
 
-// TestCacheLossRecompute: a node failure drops every cached RDD holding a
-// partition on it (frees the pins, invalidates the cache) and the next
-// action transparently recomputes and re-materializes through lineage,
-// tallying the lost partitions for the recovery counters.
+// TestCacheLossRecompute: a node failure drops every cache holding a
+// partition on it (frees the pins, drops the partitions) and the next
+// action over the input transparently fills it again, tallying the lost
+// partitions for the recovery counters.
 func TestCacheLossRecompute(t *testing.T) {
 	c, fs, eng := testSetup(16*cluster.KB, 1)
 	in := fs.PreloadAligned("/in", genText(11, 128*1024), '\n')
-	rdd := eng.TextFile(in).FlatMapKV(func(k, v []byte, emit job.Emit) {
-		emit(v, nil)
-	}, 1).Cache()
+	eng.Cache(in)
+	eng.Cache(in) // marking twice keeps one cache
+	spec := wcSpec(fs, in, "", 4)
+	cache := eng.cacheOf(in)
 
-	p1, r1 := rdd.Collect()
+	p1, r1 := eng.Collect(spec)
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
-	if !rdd.inCache || len(eng.cachedRDDs) != 1 {
-		t.Fatalf("cache not materialized/registered: inCache=%v registered=%d", rdd.inCache, len(eng.cachedRDDs))
+	if cache.parts == nil || len(eng.caches) != 1 {
+		t.Fatalf("cache not filled or marked twice: resident=%v caches=%d", cache.parts != nil, len(eng.caches))
 	}
 	pinned := 0.0
 	for i := 0; i < c.N(); i++ {
@@ -235,12 +236,12 @@ func TestCacheLossRecompute(t *testing.T) {
 		t.Fatal("no cache pins held between actions")
 	}
 
-	victim := rdd.cacheData[0].node
+	victim := cache.parts[0].node
 	fs.NodeDown(victim)
-	if rdd.inCache || rdd.cacheData != nil {
-		t.Fatal("node failure did not invalidate the cached RDD")
+	if cache.parts != nil {
+		t.Fatal("node failure did not drop the cache")
 	}
-	if rdd.lostParts == 0 {
+	if cache.lost == 0 {
 		t.Fatal("lost partitions not tallied")
 	}
 	for i := 0; i < c.N(); i++ {
@@ -249,26 +250,23 @@ func TestCacheLossRecompute(t *testing.T) {
 		}
 	}
 
-	// Next action recomputes through lineage and re-materializes.
+	// The next action fills the cache again.
 	fs.NodeUp(victim)
-	p2, r2 := rdd.Collect()
+	p2, r2 := eng.Collect(spec)
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
 	if len(p2) != len(p1) {
 		t.Fatalf("recomputed action returned %d records, want %d", len(p2), len(p1))
 	}
-	if !rdd.inCache {
-		t.Fatal("recompute did not re-materialize the cache")
+	if cache.parts == nil {
+		t.Fatal("recompute did not refill the cache")
 	}
-	if rdd.lostParts != 0 {
-		t.Fatalf("lost-partition tally not charged on refill: %d", rdd.lostParts)
-	}
-	if len(eng.cachedRDDs) != 1 {
-		t.Fatalf("re-registration duplicated the RDD: %d entries", len(eng.cachedRDDs))
+	if cache.lost != 0 {
+		t.Fatalf("lost-partition tally not charged on refill: %d", cache.lost)
 	}
 	// And the cache works again: a third action reads it.
-	_, r3 := rdd.Collect()
+	_, r3 := eng.Collect(spec)
 	if r3.Err != nil {
 		t.Fatal(r3.Err)
 	}
@@ -277,11 +275,11 @@ func TestCacheLossRecompute(t *testing.T) {
 	}
 }
 
-// TestCacheTooSmallFeedsTheSameAction: a cached RDD whose partitions do
-// not fit the executor cache is silently not cached, and a from-cache
-// stage later in the same action reads the producing stage's output
-// instead of failing on a missing snapshot; nothing stays pinned, and
-// the next action recomputes the RDD from lineage.
+// TestCacheTooSmallFeedsTheSameAction: a cached input whose partitions do
+// not fit the executor cache is silently not cached, and the map stage
+// of the same action reads what the fill stage decoded instead of
+// failing on a missing cache; nothing stays pinned, and the next action
+// fills the cache again.
 func TestCacheTooSmallFeedsTheSameAction(t *testing.T) {
 	c := cluster.New(cluster.DefaultHardware())
 	fs := dfs.New(c, dfs.Config{BlockSize: 16 * cluster.KB, Replication: 3, Scale: 1, Seed: 1, PerBlockOverhead: 0.05})
@@ -289,30 +287,25 @@ func TestCacheTooSmallFeedsTheSameAction(t *testing.T) {
 	cfg.WorkerHeap = 1 // no partition fits
 	eng := New(fs, cfg)
 	in := fs.PreloadAligned("/in", genText(5, 128*1024), '\n')
-	cached := eng.TextFile(in).FlatMapKV(func(k, v []byte, emit job.Emit) {
-		emit(v, nil)
-	}, 1).Cache()
-	derived := cached.FlatMapKV(func(k, v []byte, emit job.Emit) {
-		emit(k, nil)
-	}, 1)
-
-	var want int
+	eng.Cache(in)
+	spec := wcSpec(fs, in, "", 4)
+	want, err := job.RunSequential(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for action := 0; action < 2; action++ {
-		pairs, res := derived.Collect()
+		pairs, res := eng.Collect(spec)
 		if res.Err != nil {
 			t.Fatalf("action %d: %v", action, res.Err)
 		}
-		if action == 0 {
-			want = len(pairs)
+		if len(pairs) != len(want) {
+			t.Fatalf("action %d returned %d counts, want %d", action, len(pairs), len(want))
 		}
-		if len(pairs) == 0 || len(pairs) != want {
-			t.Fatalf("action %d returned %d records, want %d (non-zero)", action, len(pairs), want)
+		if _, ok := res.Phases["stage2"]; !ok {
+			t.Fatalf("action %d did not run the fill, map and reduce stages: %v", action, res.Phases)
 		}
-		if _, ok := res.Phases["stage1"]; !ok {
-			t.Fatalf("action %d did not run the producing stage and the from-cache stage: %v", action, res.Phases)
-		}
-		if cached.inCache || cached.cacheData != nil || len(eng.cachedRDDs) != 0 {
-			t.Fatalf("action %d cached an RDD that does not fit", action)
+		if eng.cacheOf(in).parts != nil {
+			t.Fatalf("action %d cached an input that does not fit", action)
 		}
 		for i := 0; i < c.N(); i++ {
 			if used := c.Node(i).Mem.Used(); used != 0 {
@@ -322,15 +315,15 @@ func TestCacheTooSmallFeedsTheSameAction(t *testing.T) {
 	}
 }
 
-// TestCachedRDDFeedingAShuffleKeepsItsRecords: a cached RDD that feeds a
-// shuffle directly is materialized by a stage of its own, so a later
-// action reads the RDD's records, not the shuffle's combined output.
+// TestCachedRDDFeedingAShuffleKeepsItsRecords: the cache holds the
+// input's records, not what the map or the shuffle's combiner made of
+// them, so a later action with another map reads the input's lines.
 func TestCachedRDDFeedingAShuffleKeepsItsRecords(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	data := genText(8, 32*1024)
-	spec := wcSpec(fs, fs.PreloadAligned("/in", data, '\n'), "", 4)
-	words := eng.TextFile(spec.Input).FlatMapKV(spec.Map, 1).Cache()
-	counts, res := words.ReduceByKey(kv.SumCombiner, spec.Reduce, 4).Collect()
+	in := fs.PreloadAligned("/in", data, '\n')
+	eng.Cache(in)
+	counts, res := eng.Collect(wcSpec(fs, in, "", 4))
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -342,15 +335,38 @@ func TestCachedRDDFeedingAShuffleKeepsItsRecords(t *testing.T) {
 	if len(counts) != 8 || total != int64(want) {
 		t.Fatalf("%d distinct words counting %d, want 8 counting %d", len(counts), total, want)
 	}
-	if !words.inCache {
-		t.Fatal("the cached RDD was not materialized")
+	if eng.cacheOf(in).parts == nil {
+		t.Fatal("the cached input was not filled")
 	}
-	got, res := words.Collect()
+	lines := wcSpec(fs, in, "", 1)
+	lines.Map = func(k, v []byte, emit job.Emit) { emit([]byte("lines"), []byte("1")) }
+	got, res := eng.Collect(lines)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if len(got) != want {
-		t.Fatalf("the cached RDD holds %d records, want its %d words", len(got), want)
+	if n := bytes.Count(data, []byte("\n")); len(got) != 1 || kv.ParseInt(got[0].Value) != int64(n) {
+		t.Fatalf("the cache holds %v, want its %d lines", got, n)
+	}
+}
+
+// TestSpecOverACachedInputMatchesSequential: a spec saved over a cached
+// input — filling the cache, then reading it — writes what the
+// sequential reference computes.
+func TestSpecOverACachedInputMatchesSequential(t *testing.T) {
+	_, fs, eng := testSetup(8*cluster.KB, 1)
+	in := fs.PreloadAligned("/in", genText(12, 64*1024), '\n')
+	eng.Cache(in)
+	for i, phases := range []int{3, 2} {
+		out := fmt.Sprintf("/out%d", i)
+		spec := wcSpec(fs, in, out, 4)
+		res := eng.Run(spec)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if len(res.Phases) != phases {
+			t.Fatalf("action %d: phases %v, want %d", i, res.Phases, phases)
+		}
+		enginetest.AssertMatchesSequential(t, fs, out+"/", spec)
 	}
 }
 
@@ -391,115 +407,37 @@ func TestFailedJobRegeneratesNothing(t *testing.T) {
 	enginetest.AssertQuiesced(t, eng)
 }
 
-// TestChainedShufflesFailCleanlyAtReplicationOne: node 3 dies while the
-// last of two chained wide stages pulls. Its consumers regenerate the lost
-// middle-stage outputs, whose own pulls need first-stage outputs that
-// cannot be regenerated (their input blocks died too). One regeneration
-// fails the job; the others wake to the failed job with no output, and the
-// job must end with that error, not crash the simulation.
-func TestChainedShufflesFailCleanlyAtReplicationOne(t *testing.T) {
-	c := cluster.New(cluster.DefaultHardware())
-	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: 1, Scale: 8192, Seed: 1, PerBlockOverhead: 0.05})
-	eng := New(fs, DefaultConfig())
-	spec := wcSpec(fs, fs.PreloadAligned("/in", genText(21, 1024*1024), '\n'), "", 24)
-	sorted := eng.TextFile(spec.Input).FlatMapKV(spec.Map, 1).ReduceByKey(spec.Combine, spec.Reduce, 24).
-		SortByKey(kv.HashPartitioner{}, nil, 24)
-	var tr *sched.TaskTracker
-	res := eng.RunSolo(func(ctl *sched.JobControl) *taskrt.Job {
-		tr = ctl.Tracker()
-		// The clean run's last wide stage pulls from 17.0 s to 17.17 s.
-		c.Eng.Schedule(17.08, func() {
-			fs.NodeDown(3)
-			c.NodeDown(3)
-			tr.NodeDown(3)
-		})
-		return eng.submitAction("action", sorted, nil, nil, ctl, nil)
-	})
-	if res.Err == nil {
-		t.Fatal("the job survived losing its only input replicas")
-	}
-	if n := tr.Stats().Recomputes; n < 2 {
-		t.Fatalf("%d regenerations, want the middle stage's and the failed first stage's", n)
-	}
-	enginetest.AssertQuiesced(t, eng)
-}
-
 func TestCollectReturnsData(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
-	data := genText(6, 8*1024)
-	in := fs.PreloadAligned("/in", data, '\n')
-	pairs, res := eng.TextFile(in).Collect()
+	spec := wcSpec(fs, fs.PreloadAligned("/in", genText(6, 8*1024), '\n'), "/out", 4)
+	pairs, res := eng.Collect(spec)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	nLines := 0
-	for _, l := range bytes.Split(data, []byte("\n")) {
-		if len(l) > 0 {
-			nLines++
-		}
+	want, err := job.RunSequential(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(pairs) != nLines {
-		t.Fatalf("collected %d records, want %d", len(pairs), nLines)
+	got := slices.SortedFunc(slices.Values(pairs), kv.Compare)
+	if !reflect.DeepEqual(got, slices.SortedFunc(slices.Values(want), kv.Compare)) {
+		t.Fatalf("collected %v, want %v", got, want)
 	}
-}
-
-func TestFilter(t *testing.T) {
-	_, fs, eng := testSetup(8*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(7, 8*1024), '\n')
-	pairs, res := eng.TextFile(in).Filter(func(p kv.Pair) bool {
-		return bytes.Contains(p.Value, []byte("alpha"))
-	}).Collect()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if len(pairs) == 0 {
-		t.Fatal("filter dropped everything")
-	}
-	for _, p := range pairs {
-		if !bytes.Contains(p.Value, []byte("alpha")) {
-			t.Fatalf("filter leaked %q", p.Value)
-		}
+	if files := fs.ListPrefix("/out"); len(files) != 0 {
+		t.Fatalf("a collect wrote %d files", len(files))
 	}
 }
 
 func TestAppLaunchOnlyOnce(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(8, 8*1024), '\n')
-	_, r1 := eng.TextFile(in).Collect()
-	_, r2 := eng.TextFile(in).Collect()
+	spec := wcSpec(fs, fs.PreloadAligned("/in", genText(8, 8*1024), '\n'), "", 4)
+	_, r1 := eng.Collect(spec)
+	_, r2 := eng.Collect(spec)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
 	if r2.Elapsed >= r1.Elapsed {
 		t.Fatalf("second job (%.2f) should skip app launch of first (%.2f)", r2.Elapsed, r1.Elapsed)
 	}
-}
-
-// TestStageNamesPastNine: an 11-stage lineage (ten chained ReduceByKey)
-// reports its phases as stage0..stage10 — the decimal index the task
-// groups already use, not a rune offset from '0' (which made stage 10
-// "stage:").
-func TestStageNamesPastNine(t *testing.T) {
-	_, fs, eng := testSetup(8*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(15, 32*1024), '\n')
-	spec := wcSpec(fs, in, "", 4)
-	chain := eng.TextFile(in).FlatMapKV(spec.Map, 1)
-	for i := 0; i < 10; i++ {
-		chain = chain.ReduceByKey(kv.SumCombiner, kv.SumReducer, 4)
-	}
-	_, res := chain.Collect()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if len(res.Phases) != 11 {
-		t.Fatalf("%d phases for 11 stages: %v", len(res.Phases), res.Phases)
-	}
-	for i := 0; i <= 10; i++ {
-		if d, ok := res.Phases[fmt.Sprintf("stage%d", i)]; !ok || d <= 0 {
-			t.Fatalf("phase stage%d missing or empty: %v", i, res.Phases)
-		}
-	}
-	enginetest.AssertQuiesced(t, eng)
 }
 
 func TestDeterministic(t *testing.T) {
@@ -514,77 +452,6 @@ func TestDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
-	}
-}
-
-// TestNarrowChainCopiesWhatMapFunctionsReuse chains narrow ops whose map
-// function emits from a reused buffer and overwrites it right after. An
-// op in the middle of a chain must copy what it is handed, a Filter may
-// pass its input through, and the last op of a stage that feeds a shuffle
-// emits straight into the partition collector: all three must see every
-// record intact. The buffers come from a sync.Pool, because map functions
-// of different blocks may run at once (see job.Spec).
-func TestNarrowChainCopiesWhatMapFunctionsReuse(t *testing.T) {
-	_, fs, eng := testSetup(8*cluster.KB, 1)
-	data := genText(9, 32*1024)
-	in := fs.PreloadAligned("/in", data, '\n')
-	var scratch sync.Pool
-	emitFrom := func(emit job.Emit, v []byte, parts ...[]byte) {
-		buf, _ := scratch.Get().(*[]byte)
-		if buf == nil {
-			buf = new([]byte)
-		}
-		*buf = (*buf)[:0]
-		for _, p := range parts {
-			*buf = append(*buf, p...)
-		}
-		emit(*buf, v)
-		for i := range *buf {
-			(*buf)[i] = '#'
-		}
-		scratch.Put(buf)
-	}
-	words := func(k, v []byte, emit job.Emit) {
-		for _, w := range bytes.Fields(v) {
-			emitFrom(emit, []byte("1"), w)
-		}
-	}
-	double := func(k, v []byte, emit job.Emit) { emitFrom(emit, v, k, k) }
-	notBeta := func(p kv.Pair) bool { return !bytes.HasPrefix(p.Key, []byte("beta")) }
-	want := map[string]int64{}
-	for _, w := range bytes.Fields(data) {
-		if !bytes.Equal(w, []byte("beta")) {
-			want[string(w)+string(w)]++
-		}
-	}
-	chains := map[string]*RDD{
-		"filter last":   eng.TextFile(in).FlatMapKV(words, 1).FlatMapKV(double, 1).Filter(notBeta),
-		"flat-map last": eng.TextFile(in).FlatMapKV(words, 1).Filter(notBeta).FlatMapKV(double, 1),
-	}
-	for name, chain := range chains {
-		counted, res := chain.ReduceByKey(kv.SumCombiner, kv.SumReducer, 4).Collect()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		got := map[string]int64{}
-		for _, p := range counted {
-			got[string(p.Key)] += kv.ParseInt(p.Value)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s, into a shuffle: counts %v, want %v", name, got, want)
-		}
-		// The same chain with no shuffle behind it: every op materialises.
-		flat, res := chain.Collect()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		got = map[string]int64{}
-		for _, p := range flat {
-			got[string(p.Key)] += kv.ParseInt(p.Value)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s, collected: counts %v, want %v", name, got, want)
-		}
 	}
 }
 
@@ -612,12 +479,12 @@ func seqGzipFile(t *testing.T, fs *dfs.FS, name string, blocks [][]string) *dfs.
 	return fs.PreloadParts(name, parts)
 }
 
-// TestCachedFilterOverSeqGzipKeepsItsBytes is the no-Close rule of
-// job.Reader: a Filter's output is the input records themselves, which
-// for a seq+gzip source live in the block's inflate buffer. Cached, they
-// must survive every later block of the same format that other tasks
-// decode, recycle and decode again.
-func TestCachedFilterOverSeqGzipKeepsItsBytes(t *testing.T) {
+// TestCachedSeqGzipInputKeepsItsBytes is the no-Close rule of
+// job.Reader: a cached seq+gzip input's records live in their blocks'
+// inflate buffers, which the cache then holds. They must survive every
+// later block of the same format that other tasks decode, recycle and
+// decode again.
+func TestCachedSeqGzipInputKeepsItsBytes(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	var kept, other [][]string
 	var want []string
@@ -634,11 +501,18 @@ func TestCachedFilterOverSeqGzipKeepsItsBytes(t *testing.T) {
 			}
 		}
 	}
-	even := func(p kv.Pair) bool { return (p.Key[len("keep-0-00")]-'0')%2 == 0 }
-	cached := eng.SequenceFile(seqGzipFile(t, fs, "/kept", kept), job.SeqGzip).Filter(even).Cache()
+	// even keeps the even lines of each block, as they are.
+	even := func(k, v []byte, emit job.Emit) {
+		if (k[len("keep-0-00")]-'0')%2 == 0 {
+			emit(k, v)
+		}
+	}
+	in := seqGzipFile(t, fs, "/kept", kept)
+	eng.Cache(in)
+	spec := job.Spec{Name: "even", FS: fs, Input: in, InputFormat: job.SeqGzip, Reducers: 3, Map: even}
 	check := func(when string) {
 		t.Helper()
-		got, res := cached.Collect()
+		got, res := eng.Collect(spec)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -651,22 +525,24 @@ func TestCachedFilterOverSeqGzipKeepsItsBytes(t *testing.T) {
 		}
 		sort.Strings(lines)
 		if !reflect.DeepEqual(lines, want) {
-			t.Fatalf("%s: the cached partitions hold %d records %q..., want %d %q...", when, len(lines), lines[:3], len(want), want[:3])
+			t.Fatalf("%s: collected %d records %q..., want %d %q...", when, len(lines), lines[:3], len(want), want[:3])
 		}
 	}
 	check("first action")
-	if !cached.inCache {
-		t.Fatal("the filtered RDD was not cached")
+	if eng.cacheOf(in).parts == nil {
+		t.Fatal("the input was not cached")
 	}
-	// Blocks of the same size and format, through chains that do close
-	// their readers: a flat-map into the arena, and one into a shuffle.
-	overwrite := eng.SequenceFile(seqGzipFile(t, fs, "/other", other), job.SeqGzip)
-	ident := func(k, v []byte, emit job.Emit) { emit(k, v) }
+	// Blocks of the same size and format, through map tasks that do
+	// close their readers: collected, and written.
+	overwrite := spec
+	overwrite.Input = seqGzipFile(t, fs, "/other", other)
+	overwrite.Map = func(k, v []byte, emit job.Emit) { emit(k, v) }
 	for i := 0; i < 3; i++ {
-		if _, res := overwrite.FlatMapKV(ident, 1).Collect(); res.Err != nil {
+		if _, res := eng.Collect(overwrite); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		if _, res := overwrite.FlatMapKV(ident, 1).GroupByKey(nil, 3).Collect(); res.Err != nil {
+		overwrite.Output = fmt.Sprintf("/other-out%d", i)
+		if res := eng.Run(overwrite); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}
@@ -674,26 +550,31 @@ func TestCachedFilterOverSeqGzipKeepsItsBytes(t *testing.T) {
 }
 
 // TestCorruptSeqBlockFailsTheJob: a malformed record in the middle of a
-// block now surfaces while the stage streams it (Records used to refuse
-// the whole block before the task charged anything). The job must still
-// fail with the decode error and leave nothing allocated or parked, on
-// every stage rooted at the block: each takes the error from its record
-// half, run ahead, whether it feeds a shuffle, the collect or a cache.
+// block surfaces while the task streams it (or, filling a cache, decodes
+// it). The job must fail with the decode error and leave nothing
+// allocated or parked, on every stage that reads the block: each takes
+// the error from its record half, run ahead, whether the action collects,
+// writes, or fills a cache.
 func TestCorruptSeqBlockFailsTheJob(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
 	good := kv.EncodeAll([]kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}})
 	bad := append(append([]byte(nil), good...), 0x05, 'x') // a key of 5 bytes, 1 present
 	in := fs.PreloadParts("/in", [][]byte{good, bad, good})
-	ident := func(k, v []byte, emit job.Emit) { emit(k, v) }
-	for name, r := range map[string]*RDD{
-		"collected":      eng.SequenceFile(in, job.Seq).FlatMapKV(ident, 1),
-		"into a shuffle": eng.SequenceFile(in, job.Seq).FlatMapKV(ident, 1).GroupByKey(nil, 2),
-		"source only":    eng.SequenceFile(in, job.Seq),
-		"cached source":  eng.SequenceFile(in, job.Seq).Cache(),
+	spec := job.Spec{Name: "ident", FS: fs, Input: in, InputFormat: job.Seq, Reducers: 2,
+		Map: func(k, v []byte, emit job.Emit) { emit(k, v) }}
+	saved := spec
+	saved.Output = "/out"
+	for _, action := range []struct {
+		name string
+		run  func() job.Result
+	}{
+		{"collected", func() job.Result { _, res := eng.Collect(spec); return res }},
+		{"into part files", func() job.Result { return eng.Run(saved) }},
+		{"filling a cache", func() job.Result { eng.Cache(in); _, res := eng.Collect(spec); return res }},
 	} {
-		_, res := r.Collect()
+		res := action.run()
 		if res.Err == nil || !strings.Contains(res.Err.Error(), "truncated key") {
-			t.Fatalf("%s: err = %v, want the block's decode error", name, res.Err)
+			t.Fatalf("%s: err = %v, want the block's decode error", action.name, res.Err)
 		}
 		enginetest.AssertQuiesced(t, eng)
 	}
@@ -704,7 +585,7 @@ func TestCorruptSeqBlockFailsTheJob(t *testing.T) {
 // fails with it.
 func TestPartitionerOutOfRangeFailsTheJob(t *testing.T) {
 	_, fs, eng := testSetup(8*cluster.KB, 1)
-	in := fs.PreloadAligned("/in", genText(4, 32*1024), '\n')
-	_, res := eng.TextFile(in).SortByKey(enginetest.OutOfRange{}, nil, 4).Collect()
-	enginetest.AssertPartitionError(t, eng, res, 4)
+	spec := wcSpec(fs, fs.PreloadAligned("/in", genText(4, 32*1024), '\n'), "/out", 4)
+	spec.Part = enginetest.OutOfRange{}
+	enginetest.AssertPartitionError(t, eng, eng.Run(spec), 4)
 }

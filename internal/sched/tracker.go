@@ -406,7 +406,7 @@ func (t *TaskTracker) Tracer() *trace.Tracer { return t.tr }
 func (t *TaskTracker) NoteRecompute() { t.stats.Recomputes++ }
 
 // NoteCacheRecomputes records n cached partitions an engine recomputed
-// because the executor holding them died (Spark's cache-loss lineage
+// because the executor holding them died (Spark's cache-loss
 // recompute).
 func (t *TaskTracker) NoteCacheRecomputes(n int) { t.stats.CacheRecomputes += n }
 

@@ -45,7 +45,7 @@ func MergeRuns(runs [][]kv.Pair) []kv.Pair {
 
 // MergeReduce merges sorted runs and reduces each key's group as it
 // meets it: kv.GroupReduce over MergeRuns, without the merged slice. It
-// is a hand-built rdd lineage's merge, whose pairs stay pairs.
+// is the merge of an rdd collect, whose pairs stay pairs.
 func MergeReduce(runs [][]kv.Pair, reduce kv.Reducer) []kv.Pair {
 	if mergeSeam != nil {
 		mergeSeam(runs)

@@ -27,7 +27,7 @@
 //     staged wire, chosen here and in internal/transport only) and Buffer
 //     is the reduce-side shuffle buffer;
 //   - ahead: Ahead starts a job's record work over its blocks (mr maps,
-//     core O splits, every rdd task rooted at a block) — which depends
+//     core O splits, rdd's map and cache-fill tasks) — which depends
 //     on the spec and the block, never on the clock, the node or the
 //     attempt — on worker goroutines at submission. A task's first Take
 //     picks up its result when the simulation reaches it; a later one (a
