@@ -76,19 +76,12 @@ func NBTermFreqSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Sp
 				emit(text[i:j], one)
 			}
 		},
-		Combine:         kv.SumCombiner,
-		Reduce:          kv.SumReducer,
-		MapCPUFactor:    BayesCPUFactor,
-		EngineCPUFactor: bayesEngineFactors,
+		Combine:      kv.SumCombiner,
+		Reduce:       kv.SumReducer,
+		MapCPUFactor: BayesCPUFactor,
+		Ported:       true,
 	}
 }
-
-// bayesEngineFactors models the paper's DataMPI applications being ports
-// of Mahout's actuating logic and data structures (Section 4.6): the
-// port retains some JVM-era inefficiency, so DataMPI's native per-byte
-// advantage shrinks for Naive Bayes (the paper's gain is ~33%, below the
-// micro-benchmark gains).
-var bayesEngineFactors = map[string]float64{"DataMPI": 1.3}
 
 // NBLabelTermSpec is job 2: per-(label, term) occurrence counting — the
 // term-frequency-per-class statistics the trainer consumes.
@@ -107,10 +100,10 @@ func NBLabelTermSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.S
 				emit(k, one)
 			}
 		},
-		Combine:         kv.SumCombiner,
-		Reduce:          kv.SumReducer,
-		MapCPUFactor:    BayesCPUFactor,
-		EngineCPUFactor: bayesEngineFactors,
+		Combine:      kv.SumCombiner,
+		Reduce:       kv.SumReducer,
+		MapCPUFactor: BayesCPUFactor,
+		Ported:       true,
 	}
 }
 
@@ -273,10 +266,10 @@ func NBClassifySpec(fsys *dfs.FS, in *dfs.File, out string, m *NBModel, reducers
 			pred := m.Classify(words)
 			emit([]byte(string(label)+"->"+pred), one)
 		},
-		Combine:         kv.SumCombiner,
-		Reduce:          kv.SumReducer,
-		MapCPUFactor:    BayesCPUFactor,
-		EngineCPUFactor: bayesEngineFactors,
+		Combine:      kv.SumCombiner,
+		Reduce:       kv.SumReducer,
+		MapCPUFactor: BayesCPUFactor,
+		Ported:       true,
 	}
 }
 

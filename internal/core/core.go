@@ -41,25 +41,13 @@ import (
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
-// Config is the DataMPI cost/configuration profile.
+// Config is the DataMPI cost/configuration profile (4 O and 4 A tasks per
+// node; native processes, so no memory-pressure GC).
 type Config struct {
-	TasksPerNode int // concurrent O tasks per node; also A tasks per node
-
-	MPIRunLaunch float64 // mpirun + process spawn across the cluster (s)
-	TaskStart    float64 // per-task initialization (s)
-	JobFinalize  float64 // result commit + MPI_Finalize (s)
+	taskrt.Profile
 
 	SendBufferBytes float64 // per-destination O-side send buffer (pipelining unit)
 	ABufferBytes    float64 // A-side in-memory intermediate buffer per task
-
-	CPUPerByteO    float64 // core-sec per nominal input byte in O tasks (native code)
-	CPUPerByteA    float64 // core-sec per nominal buffered byte in A tasks
-	CPUPerByteSort float64
-	CPUPerRecord   float64
-	OverheadFactor float64 // background library overhead per task core-sec
-
-	ProcBaseMem float64 // resident memory per MPI process
-	DaemonMem   float64 // per-node runtime residency
 
 	// DisablePipelining is an ablation switch: when set, O tasks send
 	// their partitioned output only after the read and computation
@@ -68,28 +56,27 @@ type Config struct {
 	// mechanism (Section 2.3: "Data movement is pipelining with the
 	// computation overlapped in O tasks").
 	DisablePipelining bool
-
-	// Transport overrides the engine's staged communication profile
-	// (transport.DataMPIProfile when unset, i.e. Name == "").
-	Transport transport.Profile
 }
 
 // DefaultConfig returns the calibrated DataMPI profile.
 func DefaultConfig() Config {
 	return Config{
-		TasksPerNode:    4,
-		MPIRunLaunch:    5.0,
-		TaskStart:       0.5,
-		JobFinalize:     3.0,
+		Profile: taskrt.Profile{
+			TasksPerNode:     4,
+			JobLaunch:        5.0, // mpirun spawns every process at once
+			TaskStart:        0.5,
+			JobTeardown:      3.0,
+			MapCPUPerByte:    0.32e-7, // native record processing, ~2x leaner than JVM
+			ReduceCPUPerByte: 0.50e-7,
+			SortCPUPerByte:   0.25e-7,
+			RecordCPU:        0.5e-6,
+			Overhead:         0.08,
+			TaskMem:          0.6 * cluster.GB,
+			DaemonMem:        0.2 * cluster.GB,
+			PortedCPUFactor:  1.3, // ported Naive Bayes: a ~33 % gain, below the micro-benchmarks'
+		},
 		SendBufferBytes: 4 * cluster.MB,
 		ABufferBytes:    512 * cluster.MB,
-		CPUPerByteO:     0.32e-7, // native record processing, ~2x leaner than JVM
-		CPUPerByteA:     0.50e-7,
-		CPUPerByteSort:  0.25e-7,
-		CPUPerRecord:    0.5e-6,
-		OverheadFactor:  0.08,
-		ProcBaseMem:     0.6 * cluster.GB,
-		DaemonMem:       0.2 * cluster.GB,
 	}
 }
 
@@ -106,7 +93,9 @@ var _ sched.Engine = (*Engine)(nil)
 
 // New creates a DataMPI engine over a filesystem.
 func New(fs *dfs.FS, cfg Config) *Engine {
-	return &Engine{Base: taskrt.NewBase("DataMPI", fs, cfg.Transport, transport.DataMPIProfile()), Cfg: cfg}
+	e := &Engine{Cfg: cfg}
+	e.Base = taskrt.NewBase("DataMPI", fs, &e.Cfg.Profile, transport.DataMPIProfile())
+	return e
 }
 
 // Run executes a Common-mode job exclusively: the equivalent of one
@@ -208,7 +197,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	eng.Go("datampi-driver:"+spec.Name, func(driver *sim.Proc) {
 		// mpirun spawns every task process across the cluster at once —
 		// no per-wave JVM costs, the paper's "low overhead" property.
-		driver.Sleep(e.Cfg.MPIRunLaunch)
+		driver.Sleep(e.Cfg.JobLaunch)
 
 		oDone := 0
 		for o := 0; o < nO; o++ {
@@ -244,7 +233,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 			})
 		}
 		j.Wait(driver)
-		driver.Sleep(e.Cfg.JobFinalize)
+		driver.Sleep(e.Cfg.JobTeardown)
 		j.Finish(done)
 	})
 	return j
@@ -355,8 +344,8 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	node := att.Node()
 	mem := e.C.Node(node).Mem
 	p.Sleep(cfg.TaskStart)
-	mem.MustAlloc(cfg.ProcBaseMem)
-	defer mem.Free(cfg.ProcBaseMem)
+	mem.MustAlloc(cfg.TaskMem)
+	defer mem.Free(cfg.TaskMem)
 	var sendBufHeld float64
 	defer func() { mem.Free(sendBufHeld) }()
 
@@ -381,15 +370,13 @@ func (e *Engine) runOTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 		mem.MustAlloc(sendBufMem)
 		sendBufHeld += sendBufMem
 
-		cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteO*spec.MapCPUFactor*inflatedNominal +
-			e.Transport().Profile().EmitCPUPerByte*out.OutNominal +
-			cfg.CPUPerRecord*nominalRecords)
+		cpuSec := e.MapCPU(spec, spec.MapCPUFactor, inflatedNominal, nominalRecords, out.OutNominal)
 
 		var wg sim.WaitGroup
 		if err := e.FS.StartRead(blk, node, &wg); err != nil {
 			return err
 		}
-		e.StartCPU(&wg, node, cpuSec, cfg.OverheadFactor*cpuSec)
+		e.StartCPU(&wg, node, cpuSec, e.Overhead(node, cpuSec))
 		sendAll := func(sg *sim.WaitGroup) {
 			for a := 0; a < nA; a++ {
 				sg.Add(1)
@@ -442,8 +429,8 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	node := att.Node()
 	mem := e.C.Node(node).Mem
 	p.Sleep(cfg.TaskStart)
-	mem.MustAlloc(cfg.ProcBaseMem)
-	defer mem.Free(cfg.ProcBaseMem)
+	mem.MustAlloc(cfg.TaskMem)
+	defer mem.Free(cfg.TaskMem)
 	if w.NodeOf(rank) != node {
 		// The rank was re-homed off its failed preferred node: sends from
 		// here on route to the new node.
@@ -514,8 +501,7 @@ func (e *Engine) runATask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, w *mp
 	// Every run is one O task's partition, which its collector already
 	// sorted, so the A side merges the runs rather than sorting their
 	// concatenation.
-	buf.Charge(spec, runs, cfg.CPUPerByteA, cfg.CPUPerByteSort, cfg.CPUPerRecord,
-		func(cpuSec float64) float64 { return cfg.OverheadFactor * cpuSec })
+	buf.Charge(spec, runs)
 	text, records := maps.Tail(a, runs)
 	res.OutRecords += int64(records)
 	return e.WritePart(p, att, spec.Output, fmt.Sprintf("part-a-%05d", a), spec.EmitScale(), text)

@@ -133,7 +133,7 @@ func TestFasterThanHadoopOverheads(t *testing.T) {
 		t.Fatalf("small DataMPI job took %.1fs, want under Hadoop's ~35s", res.Elapsed)
 	}
 	cfg := DefaultConfig()
-	if res.Elapsed < cfg.MPIRunLaunch+cfg.JobFinalize {
+	if res.Elapsed < cfg.JobLaunch+cfg.JobTeardown {
 		t.Fatalf("job faster than launch overheads: %.2fs", res.Elapsed)
 	}
 }
@@ -286,7 +286,7 @@ func TestIterationModeConverges(t *testing.T) {
 // TestIterationFailedLoadReleasesMemory: at replication 1 with the only
 // replica's node down, an O-load rank fails its first read after charging
 // its process memory; the failed job must hand back every rank's
-// ProcBaseMem and every cache already pinned, so the engine is reusable.
+// TaskMem and every cache already pinned, so the engine is reusable.
 func TestIterationFailedLoadReleasesMemory(t *testing.T) {
 	c := cluster.New(cluster.DefaultHardware())
 	fs := dfs.New(c, dfs.Config{BlockSize: 8 * cluster.KB, Replication: 1, Scale: 1, Seed: 1})

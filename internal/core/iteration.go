@@ -118,15 +118,15 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 				e.C.Node(world.NodeOf(o)).Mem.Free(bytes)
 			}
 		}()
-		driver.Sleep(cfg.MPIRunLaunch)
+		driver.Sleep(cfg.JobLaunch)
 
 		// Load phase: O tasks read and cache their splits.
 		for o := 0; o < nO; o++ {
 			launch(fmt.Sprintf("O-load-%d", o), "load", o, oSlots, func(p *sim.Proc, node int) error {
 				p.Sleep(cfg.TaskStart)
 				mem := e.C.Node(node).Mem
-				mem.MustAlloc(cfg.ProcBaseMem)
-				resident[o] = cfg.ProcBaseMem
+				mem.MustAlloc(cfg.TaskMem)
+				resident[o] = cfg.TaskMem
 				var recs []kv.Pair
 				var inflated int
 				for _, blk := range splitsOf[o] {
@@ -139,7 +139,7 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 						return err
 					}
 					// Parse CPU overlapped with the read.
-					e.StartCPU(&wg, node, cfg.CPUPerByteO*float64(inf)*scale, 0)
+					e.StartCPU(&wg, node, cfg.MapCPUPerByte*float64(inf)*scale, 0)
 					wg.WaitAs(p, "disk")
 					recs = append(recs, r...)
 					inflated += inf
@@ -171,7 +171,7 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 						return err
 					}
 					var wg sim.WaitGroup
-					e.StartCPU(&wg, node, cfg.CPUPerByteO*it.CPUFactorO*cachedNominal[o], 0)
+					e.StartCPU(&wg, node, cfg.MapCPUPerByte*it.CPUFactorO*cachedNominal[o], 0)
 					for a := 0; a < nA; a++ {
 						wg.Add(1)
 						world.Isend(o, nO+a, round, out.Nominal[a], out.Parts[a], wg.Done)
@@ -193,7 +193,7 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 						totalNominal += m.Nominal
 					}
 					all := taskrt.MergeRuns(runs)
-					e.C.Node(node).CPU.Use(p, cfg.CPUPerByteA*totalNominal+cfg.CPUPerRecord*float64(len(all))*scale, "cpu")
+					e.C.Node(node).CPU.Use(p, cfg.ReduceCPUPerByte*totalNominal+cfg.RecordCPU*float64(len(all))*scale, "cpu")
 					aggParts[a] = it.RunA(round, all)
 					return nil
 				})
@@ -227,7 +227,7 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 			}
 		}
 		if j.Err() == nil {
-			driver.Sleep(cfg.JobFinalize)
+			driver.Sleep(cfg.JobTeardown)
 		}
 		j.Finish(nil)
 	})

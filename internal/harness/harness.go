@@ -265,7 +265,7 @@ func NewRig(fw Framework, rc RigConfig) *Rig {
 		r.Engine = e
 	case Spark:
 		cfg := rdd.DefaultConfig()
-		cfg.WorkersPerNode = rc.TasksPerNode
+		cfg.TasksPerNode = rc.TasksPerNode
 		cfg.Transport = rc.Transport
 		e := rdd.New(fsys, cfg)
 		e.Prof = r.Prof

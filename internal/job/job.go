@@ -101,19 +101,16 @@ type Spec struct {
 	// Reduce computes must clear it.
 	Fingerprint string
 
-	// MapCPUFactor and ReduceCPUFactor scale the engines' per-byte CPU
-	// cost relative to plain record parsing (1.0). K-means distance
-	// computation, for example, is far more CPU-intensive per byte than
-	// Sort's identity map.
-	MapCPUFactor    float64
-	ReduceCPUFactor float64
+	// MapCPUFactor scales the engines' per-byte map CPU cost relative to
+	// plain record parsing (1.0). K-means distance computation, for
+	// example, is far more CPU-intensive per byte than Sort's identity map.
+	MapCPUFactor float64
 
-	// EngineCPUFactor further scales per-byte CPU cost for a specific
-	// engine (keyed by Engine.Name()). The paper transplants Mahout's
-	// actuating logic and data structures into its DataMPI applications
-	// (Section 4.6), which keeps some JVM-era inefficiency in DataMPI's
-	// application code; workloads model that here.
-	EngineCPUFactor map[string]float64
+	// Ported marks a job whose application code is a port of Mahout's
+	// actuating logic and data structures, as the paper's Naive Bayes is
+	// (Section 4.6); each engine's cost profile says what that costs
+	// (taskrt.Profile.PortedCPUFactor).
+	Ported bool
 
 	// SaturatingIntermediate declares that the job's intermediate and
 	// output data sizes are bounded by key cardinality (a vocabulary, a
@@ -150,9 +147,6 @@ func (s *Spec) Normalize() {
 	if s.MapCPUFactor <= 0 {
 		s.MapCPUFactor = 1
 	}
-	if s.ReduceCPUFactor <= 0 {
-		s.ReduceCPUFactor = 1
-	}
 	if s.Reduce == nil {
 		s.Reduce = IdentityReduce
 		s.identityReduce = true
@@ -160,14 +154,6 @@ func (s *Spec) Normalize() {
 	if s.Combine != nil {
 		s.SaturatingIntermediate = true
 	}
-}
-
-// CPUAdjust returns the engine-specific CPU multiplier (1 by default).
-func (s *Spec) CPUAdjust(engineName string) float64 {
-	if f, ok := s.EngineCPUFactor[engineName]; ok && f > 0 {
-		return f
-	}
-	return 1
 }
 
 // EmitScale returns the nominal-bytes multiplier for intermediate and

@@ -65,8 +65,8 @@ func TestNormalizeDefaults(t *testing.T) {
 	if s.Reducers != 1 || s.Part == nil || s.Reduce == nil {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
-	if s.MapCPUFactor != 1 || s.ReduceCPUFactor != 1 {
-		t.Fatal("cpu factors not defaulted")
+	if s.MapCPUFactor != 1 {
+		t.Fatal("map cpu factor not defaulted")
 	}
 	if s.SaturatingIntermediate {
 		t.Fatal("no combiner should mean non-saturating")
@@ -75,16 +75,6 @@ func TestNormalizeDefaults(t *testing.T) {
 	s2.Normalize()
 	if !s2.SaturatingIntermediate {
 		t.Fatal("combiner should imply saturating intermediates")
-	}
-}
-
-func TestCPUAdjust(t *testing.T) {
-	s := Spec{EngineCPUFactor: map[string]float64{"DataMPI": 1.3}}
-	if got := s.CPUAdjust("DataMPI"); got != 1.3 {
-		t.Fatalf("CPUAdjust(DataMPI) = %v", got)
-	}
-	if got := s.CPUAdjust("Hadoop"); got != 1 {
-		t.Fatalf("CPUAdjust(Hadoop) = %v", got)
 	}
 }
 

@@ -25,70 +25,45 @@ import (
 )
 
 // Config is the Hadoop cost/configuration profile. Defaults follow the
-// paper's setup (Hadoop 1.2.1, 4 concurrent tasks per node) with timing
-// constants calibrated once against the paper's Section 4 measurements;
-// see README "Transport model" and bench/paper_refs.json.
+// paper's setup (Hadoop 1.2.1, 4 map and 4 reduce slots per node) with
+// timing constants calibrated once against the paper's Section 4
+// measurements; see README "Transport model" and bench/paper_refs.json.
 type Config struct {
-	TasksPerNode int // map slots per node; also reduce slots per node
-
-	JobInit    float64 // job submission, staging, JobTracker init (s)
-	TaskLaunch float64 // JVM spawn + heartbeat assignment per task (s)
-	JobCommit  float64 // output commit + job cleanup (s)
+	taskrt.Profile
 
 	SortBufferBytes   float64 // io.sort.mb map output buffer (nominal bytes)
 	ReduceBufferBytes float64 // reduce-side in-memory shuffle buffer
 
-	CPUPerByteMap    float64 // core-sec per nominal input byte in map
-	CPUPerByteReduce float64 // core-sec per nominal shuffled byte in reduce
-	CPUPerByteSort   float64 // core-sec per nominal byte sorted/merged
-	CPUPerRecord     float64 // core-sec per nominal record (both sides)
-	GCFactor         float64 // background JVM overhead per task core-sec
-	// MemPressureGC adds GC storm overhead when node memory utilization
-	// exceeds 70%: extra background CPU per task core-second, scaled by
-	// how deep into the red zone the node is. This is what makes 6 tasks
-	// per node slower than 4 on 16 GB nodes (Figure 2(b)).
-	MemPressureGC float64
-
 	SlowstartFraction float64 // reducers launch after this fraction of maps
 
-	JVMBaseMem     float64 // resident heap per running task
 	GarbageFactor  float64 // extra heap per nominal byte processed (capped)
 	GarbageCap     float64 // cap on garbage heap per task
 	HeapLingerSecs float64 // lazy GC: heap freed this long after task exit
-	DaemonMem      float64 // TaskTracker + DataNode residency per node
-
-	OutputReplication int
-
-	// Transport overrides the engine's staged communication profile
-	// (transport.HadoopProfile when unset, i.e. Name == ""). Map-side
-	// spill/output serialization is the profile's EmitCPUPerByte; the
-	// merge passes read CPUPerByteSort — merging is sorting, not
-	// serialization.
-	Transport transport.Profile
 }
 
 // DefaultConfig returns the calibrated Hadoop profile.
 func DefaultConfig() Config {
 	return Config{
-		TasksPerNode:      4,
-		JobInit:           7.5,
-		TaskLaunch:        1.8,
-		JobCommit:         3.0,
+		Profile: taskrt.Profile{
+			TasksPerNode:     4,
+			JobLaunch:        7.5,
+			TaskStart:        1.8, // JVM spawn + heartbeat assignment
+			JobTeardown:      3.0,
+			MapCPUPerByte:    0.62e-7, // ~62 ns/byte: JVM record reader + Writable
+			ReduceCPUPerByte: 0.6e-7,
+			SortCPUPerByte:   0.3e-7,
+			RecordCPU:        0.7e-6,
+			Overhead:         0.55,
+			MemPressureGC:    2.5,
+			TaskMem:          0.7 * cluster.GB, // JVM heap
+			DaemonMem:        1.0 * cluster.GB, // TaskTracker + DataNode
+		},
 		SortBufferBytes:   100 * cluster.MB,
 		ReduceBufferBytes: 140 * cluster.MB,
-		CPUPerByteMap:     0.62e-7, // ~62 ns/byte: JVM record reader + Writable
-		CPUPerByteReduce:  0.6e-7,
-		CPUPerByteSort:    0.3e-7,
-		CPUPerRecord:      0.7e-6,
-		GCFactor:          0.55,
-		MemPressureGC:     2.5,
 		SlowstartFraction: 0.05,
-		JVMBaseMem:        0.7 * cluster.GB,
 		GarbageFactor:     4.0,
 		GarbageCap:        1.3 * cluster.GB,
 		HeapLingerSecs:    12,
-		DaemonMem:         1.0 * cluster.GB,
-		OutputReplication: 3,
 	}
 }
 
@@ -105,7 +80,9 @@ var _ sched.Engine = (*Engine)(nil)
 
 // New creates an engine over a cluster and filesystem.
 func New(fs *dfs.FS, cfg Config) *Engine {
-	return &Engine{Base: taskrt.NewBase("Hadoop", fs, cfg.Transport, transport.HadoopProfile()), Cfg: cfg}
+	e := &Engine{Cfg: cfg}
+	e.Base = taskrt.NewBase("Hadoop", fs, &e.Cfg.Profile, transport.HadoopProfile())
+	return e
 }
 
 // Run executes the job exclusively and returns its result (see
@@ -157,7 +134,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	e.C.Eng.Go("jobtracker:"+spec.Name, func(driver *sim.Proc) {
 		// Job submission: client uploads the job jar and splits; the
 		// JobTracker initializes the job and TaskTrackers heartbeat in.
-		driver.Sleep(e.Cfg.JobInit)
+		driver.Sleep(e.Cfg.JobLaunch)
 
 		for mi := 0; mi < nMaps; mi++ {
 			// Map tasks are restartable: the body re-reads its immutable
@@ -169,7 +146,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 				Group:       "map",
 				Restartable: true,
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					p.Sleep(e.Cfg.TaskLaunch)
+					p.Sleep(e.Cfg.TaskStart)
 					att.Report(0.05)
 					return e.runMapTask(p, att, &spec, blocks[mi], maps.Take(mi), mi, outs)
 				},
@@ -227,7 +204,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 			})
 		}
 		j.Wait(driver)
-		driver.Sleep(e.Cfg.JobCommit)
+		driver.Sleep(e.Cfg.JobTeardown)
 		j.Finish(done)
 	})
 	return j
@@ -256,20 +233,18 @@ func (e *Engine) runMapTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, blk
 	if garbage > cfg.GarbageCap {
 		garbage = cfg.GarbageCap
 	}
-	heap := cfg.JVMBaseMem + garbage
+	heap := cfg.TaskMem + garbage
 	mem := e.C.Node(node).Mem
 	mem.MustAlloc(heap)
 	defer mem.FreeLazy(e.C.Eng, heap, cfg.HeapLingerSecs)
 
-	// Spill/output serialization reads the consolidated profile constant.
-	// Spill and final map output writes to local disk. If there were
-	// intermediate spills, the merge re-reads them before the final write.
+	// Spill and final map output writes to local disk, each serialized
+	// (the emit charge). If there were intermediate spills, the merge
+	// re-reads them before the final write.
 	diskBytes, mergeRead := out.Spilled+out.OutNominal, out.Merged
-	cpuSec := spec.CPUAdjust(e.Name()) * (cfg.CPUPerByteMap*spec.MapCPUFactor*inflatedNominal +
-		cfg.CPUPerRecord*nominalRecords +
-		e.Transport().Profile().EmitCPUPerByte*diskBytes)
+	cpuSec := e.MapCPU(spec, spec.MapCPUFactor, inflatedNominal, nominalRecords, diskBytes)
 	// Background JVM/GC overhead contends for CPU in parallel.
-	gc := e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC)
+	gc := e.Overhead(node, cpuSec)
 	profileDisk := func() {
 		e.Prof.AddDiskWrite(node, diskBytes)
 		e.Prof.AddDiskRead(node, mergeRead)
@@ -348,14 +323,14 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 	cfg := &e.Cfg
 	node := att.Node()
 	mem := e.C.Node(node).Mem
-	p.Sleep(cfg.TaskLaunch)
-	mem.MustAlloc(cfg.JVMBaseMem)
+	p.Sleep(cfg.TaskStart)
+	mem.MustAlloc(cfg.TaskMem)
 
 	buf := e.Buffer(p, node, cfg.ReduceBufferBytes, mem)
 	handoff := false
 	release := func() {
 		buf.Release()
-		mem.FreeLazy(e.C.Eng, cfg.JVMBaseMem, cfg.HeapLingerSecs)
+		mem.FreeLazy(e.C.Eng, cfg.TaskMem, cfg.HeapLingerSecs)
 	}
 	defer func() {
 		if !handoff {
@@ -373,8 +348,7 @@ func (e *Engine) runReduceTask(p *sim.Proc, att *sched.Attempt, spec *job.Spec, 
 	}
 	att.Report(0.8)
 
-	buf.Charge(spec, runs, cfg.CPUPerByteReduce, cfg.CPUPerByteSort, cfg.CPUPerRecord,
-		func(cpuSec float64) float64 { return e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC) })
+	buf.Charge(spec, runs)
 	text, records := maps.Tail(ri, runs)
 	handoff = true
 	return &reduceOut{text: text, records: records, release: release}, nil

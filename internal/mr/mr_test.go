@@ -236,7 +236,7 @@ func TestJobOverheadDominatesSmallJobs(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	cfg := DefaultConfig()
-	minOverhead := cfg.JobInit + cfg.TaskLaunch + cfg.JobCommit
+	minOverhead := cfg.JobLaunch + cfg.TaskStart + cfg.JobTeardown
 	if res.Elapsed < minOverhead {
 		t.Fatalf("small job took %.1fs, below overhead floor %.1fs", res.Elapsed, minOverhead)
 	}

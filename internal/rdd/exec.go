@@ -51,7 +51,6 @@ type action struct {
 	blocks *taskrt.Pending[mapped]
 	edge   *taskrt.Outputs // the shuffle the map stage writes
 
-	mapFactor float64 // the map's CPU factor on this engine
 	emitScale float64 // nominal shuffle bytes per actual one: the filesystem's Scale, 1 behind a combiner
 	sorted    bool    // range-partitioned: the reduce side materializes and sorts (OOM risk)
 }
@@ -64,19 +63,18 @@ func (e *Engine) submit(name string, spec *job.Spec, collect bool, out *[]kv.Pai
 	ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 
 	cfg := &e.Cfg
-	pools, err := ctl.Pools(cfg.WorkersPerNode, "spark-worker")
+	pools, err := ctl.Pools(cfg.TasksPerNode, "spark-worker")
 	if err != nil {
 		return e.Reject(name, err, done)
 	}
 	// The per-node daemon plus the executors' base residency.
-	j := e.Begin(name, ctl, cfg.DaemonMem+float64(cfg.WorkersPerNode)*cfg.ExecutorBaseMem)
+	j := e.Begin(name, ctl, cfg.DaemonMem+float64(cfg.TasksPerNode)*cfg.TaskMem)
 
 	scale := e.Scale()
 	_, sorted := spec.Part.(*kv.RangePartitioner)
 	a := &action{
 		e: e, spec: spec, collect: collect, j: j, slots: pools[0],
 		cache:     e.cacheOf(spec.Input),
-		mapFactor: spec.MapCPUFactor * spec.CPUAdjust(e.Name()),
 		emitScale: scale,
 		sorted:    sorted,
 	}
@@ -109,7 +107,7 @@ func (e *Engine) submit(name string, spec *job.Spec, collect bool, out *[]kv.Pai
 			// Latch before sleeping so concurrently submitted actions do
 			// not each pay the one-off SparkContext launch cost.
 			e.appStarted = true
-			driver.Sleep(cfg.AppLaunch)
+			driver.Sleep(cfg.JobLaunch)
 		}
 		var parts []partData // the reduce stage's partitions
 		for si, st := range a.stages {
@@ -133,7 +131,7 @@ func (e *Engine) submit(name string, spec *job.Spec, collect bool, out *[]kv.Pai
 				*out = append(*out, pd.pairs...)
 			}
 		}
-		driver.Sleep(cfg.JobFinalize)
+		driver.Sleep(cfg.JobTeardown)
 		j.Finish(done)
 	})
 	return j
@@ -158,7 +156,7 @@ func (a *action) launch(driver *sim.Proc, si int, nodes []int,
 			Restartable: true,
 			Pre:         func(p *sim.Proc) bool { return j.Err() != nil },
 			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-				p.Sleep(cfg.TaskDispatch)
+				p.Sleep(cfg.TaskStart)
 				att.Report(0.05)
 				return body(p, att, ti)
 			},
@@ -191,7 +189,7 @@ func (a *action) runFill(driver *sim.Proc, si int, ctl *sched.JobControl) error 
 			total[pd.node] += pd.nominal * cfg.ExpansionFactor
 		}
 		for n, b := range total {
-			if b > float64(cfg.WorkersPerNode)*cfg.WorkerHeap-e.usedExecutorMem(n) {
+			if b > float64(cfg.TasksPerNode)*cfg.WorkerHeap-e.usedExecutorMem(n) {
 				// Spark silently evicts: the input is simply not cached,
 				// this action maps what it decoded, and later actions
 				// fill it again.
@@ -253,7 +251,7 @@ func (a *action) runReduce(driver *sim.Proc, si int) ([]partData, error) {
 }
 
 func (e *Engine) usedExecutorMem(node int) float64 {
-	used := e.C.Node(node).Mem.Used() - e.Cfg.DaemonMem - float64(e.Cfg.WorkersPerNode)*e.Cfg.ExecutorBaseMem
+	used := e.C.Node(node).Mem.Used() - e.Cfg.DaemonMem - float64(e.Cfg.TasksPerNode)*e.Cfg.TaskMem
 	if used < 0 {
 		used = 0
 	}
@@ -382,7 +380,8 @@ func (a *action) blockTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error)
 		return a.writeShuffle(p, &wg, node, m)
 	}
 	scale := e.Scale()
-	e.startCPU(&wg, node, 0, 1, m.inNominal, float64(m.inRecords)*scale)
+	cpuSec := e.MapCPU(a.spec, 1, m.inNominal, float64(m.inRecords)*scale, 0) // decoding is plain parsing
+	e.StartCPU(&wg, node, cpuSec, e.Overhead(node, cpuSec))
 	outNominal := taskrt.Framed(m.pairs, scale)
 	if cfg.CacheCPUPerByte > 0 {
 		// Building the cached records' in-memory representation costs
@@ -425,7 +424,7 @@ func (a *action) reduceTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error
 		return nil, err
 	}
 	// A sort holds the whole partition as objects — the OOM point.
-	if workingSet := inNominal * cfg.ExpansionFactor * cfg.SortOverheadFactor; a.sorted && workingSet > cfg.WorkerHeap {
+	if workingSet := inNominal * cfg.ExpansionFactor * cfg.SortWorkingSetFactor; a.sorted && workingSet > cfg.WorkerHeap {
 		return nil, &sim.OOMError{
 			Account:   fmt.Sprintf("spark-worker[%d]", node),
 			Requested: workingSet,
@@ -451,9 +450,13 @@ func (a *action) reduceTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error
 	default: // no tail went ahead of a map over the cache
 		text, records = taskrt.ReduceTail(spec, runs)
 	}
+	// The sort and reduce rates, then the map rate, per nominal byte, and
+	// the record rate per nominal record (cardinality-bound records are
+	// charged unscaled: see job.Spec.SaturatingIntermediate).
+	cpuSec := cfg.SortCPUPerByte*inNominal + cfg.ReduceCPUPerByte*inNominal +
+		(cfg.MapCPUPerByte*inNominal + cfg.RecordCPU*(float64(records)*a.emitScale))
 	var wg sim.WaitGroup
-	e.startCPU(&wg, node, cfg.CPUPerByteSort*inNominal+cfg.CPUPerByteReduce*inNominal, 1,
-		inNominal, float64(records)*a.emitScale)
+	e.StartCPU(&wg, node, cpuSec, e.Overhead(node, cpuSec))
 	outNominal := taskrt.Framed(pairs, a.emitScale)
 	wg.WaitAs(p, "disk")
 	att.Report(0.9)
@@ -465,25 +468,16 @@ func (a *action) reduceTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error
 	return partData{pairs: pairs, nominal: outNominal, node: node}, nil
 }
 
-// startCPU charges a task's CPU on node into wg: cpuSec already owed,
-// plus the map rate times factor per nominal input byte and the record
-// rate per nominal record, with the JVM's GC on top. Record-processing
-// CPU is charged on the records entering the task; cardinality-bound
-// records (those of combining shuffles) are charged unscaled — see
-// job.Spec.SaturatingIntermediate for the rule.
-func (e *Engine) startCPU(wg *sim.WaitGroup, node int, cpuSec, factor, inNominal, nominalRecords float64) {
-	cfg := &e.Cfg
-	cpuSec += cfg.CPUPerByteMap*factor*inNominal + cfg.CPUPerRecord*nominalRecords
-	e.StartCPU(wg, node, cpuSec, e.GCOverhead(node, cpuSec, cfg.GCFactor, cfg.MemPressureGC))
-}
-
 // writeShuffle charges map task m's CPU on node, then the write of its
 // shuffle output (Spark 0.8 hash shuffle materializes map outputs on the
 // local disks of the map side), waits for it and every charge already in
 // wg, and returns the output.
 func (a *action) writeShuffle(p *sim.Proc, wg *sim.WaitGroup, node int, m mapped) (any, error) {
 	e := a.e
-	e.startCPU(wg, node, 0, a.mapFactor, m.inNominal, float64(m.inRecords)*e.Scale())
+	// Shuffle-write serialization is not in this sum: it runs on the
+	// shuffle writer thread, below.
+	cpuSec := e.MapCPU(a.spec, a.spec.MapCPUFactor, m.inNominal, float64(m.inRecords)*e.Scale(), 0)
+	e.StartCPU(wg, node, cpuSec, e.Overhead(node, cpuSec))
 	if m.err != nil {
 		return nil, m.err
 	}

@@ -30,37 +30,22 @@ import (
 	"github.com/datampi/datampi-go/internal/transport"
 )
 
-// Config is the Spark cost/configuration profile.
+// Config is the Spark cost/configuration profile; TasksPerNode counts
+// workers, and JobLaunch is paid once per application.
 type Config struct {
-	WorkersPerNode int // concurrent tasks per node
+	taskrt.Profile
 
-	AppLaunch    float64 // driver + executor launch (s)
-	TaskDispatch float64 // per-task scheduling (s) — milliseconds in Spark
-	JobFinalize  float64
-
-	CPUPerByteMap    float64
-	CPUPerByteReduce float64
-	CPUPerByteSort   float64
-	CacheCPUPerByte  float64 // building cached RDD objects per nominal byte
-	CPUPerRecord     float64
-	GCFactor         float64
-	MemPressureGC    float64 // GC storm overhead above 70% node memory
+	CacheCPUPerByte float64 // building cached RDD objects per nominal byte
 
 	// ExpansionFactor is the in-memory size of data as JVM objects
-	// relative to its serialized bytes; SortOverheadFactor is the extra
+	// relative to its serialized bytes; SortWorkingSetFactor is the extra
 	// working-set multiplier while sort buffers are live.
-	ExpansionFactor    float64
-	SortOverheadFactor float64
-	WorkerHeap         float64 // heap per worker ("as large as possible")
-	ExecutorBaseMem    float64
-	DaemonMem          float64
-	GCLagSecs          float64 // transient garbage lingers this long
+	ExpansionFactor      float64
+	SortWorkingSetFactor float64
+	WorkerHeap           float64 // heap per worker ("as large as possible")
+	GCLagSecs            float64 // transient garbage lingers this long
 
 	ShuffleBufferBytes float64 // reduce-side fetch buffer before spilling
-
-	// Transport overrides the engine's staged communication profile
-	// (transport.SparkProfile when unset, i.e. Name == "").
-	Transport transport.Profile
 }
 
 // DefaultConfig returns the calibrated Spark profile. WorkerHeap follows
@@ -68,24 +53,26 @@ type Config struct {
 // possible" — (16 - 2) GB over 4 workers.
 func DefaultConfig() Config {
 	return Config{
-		WorkersPerNode:     4,
-		AppLaunch:          3.5,
-		TaskDispatch:       0.15,
-		JobFinalize:        1.0,
-		CPUPerByteMap:      0.28e-7,
-		CPUPerByteReduce:   0.35e-7,
-		CPUPerByteSort:     0.20e-7,
-		CacheCPUPerByte:    1.0e-7,
-		CPUPerRecord:       0.8e-6,
-		GCFactor:           0.35,
-		MemPressureGC:      2.0,
-		ExpansionFactor:    4.5,
-		SortOverheadFactor: 1.6,
-		WorkerHeap:         3.5 * cluster.GB,
-		ExecutorBaseMem:    1.0 * cluster.GB,
-		DaemonMem:          0.8 * cluster.GB,
-		GCLagSecs:          6,
-		ShuffleBufferBytes: 256 * cluster.MB,
+		Profile: taskrt.Profile{
+			TasksPerNode:     4,
+			JobLaunch:        3.5,
+			TaskStart:        0.15, // task dispatch: milliseconds in Spark
+			JobTeardown:      1.0,
+			MapCPUPerByte:    0.28e-7,
+			ReduceCPUPerByte: 0.35e-7,
+			SortCPUPerByte:   0.20e-7,
+			RecordCPU:        0.8e-6,
+			Overhead:         0.35,
+			MemPressureGC:    2.0,
+			TaskMem:          1.0 * cluster.GB, // executor base, per worker
+			DaemonMem:        0.8 * cluster.GB,
+		},
+		CacheCPUPerByte:      1.0e-7,
+		ExpansionFactor:      4.5,
+		SortWorkingSetFactor: 1.6,
+		WorkerHeap:           3.5 * cluster.GB,
+		GCLagSecs:            6,
+		ShuffleBufferBytes:   256 * cluster.MB,
 	}
 }
 
@@ -126,7 +113,8 @@ type partData struct {
 // with datanodes, so a node going down also loses the executor cache
 // partitions it held (see dropCachesOn).
 func New(fs *dfs.FS, cfg Config) *Engine {
-	e := &Engine{Base: taskrt.NewBase("Spark", fs, cfg.Transport, transport.SparkProfile()), Cfg: cfg}
+	e := &Engine{Cfg: cfg}
+	e.Base = taskrt.NewBase("Spark", fs, &e.Cfg.Profile, transport.SparkProfile())
 	fs.OnNodeEvent(func(node int, down bool) {
 		if down {
 			e.dropCachesOn(node)

@@ -109,10 +109,7 @@ func BenchmarkTrackerTick(b *testing.B) {
 	if st := tr.Stats(); st.Backups != 0 {
 		b.Fatalf("%d backups launched", st.Backups)
 	}
-	// Unwind every attempt; a cancelled attempt settles no task, so the
-	// monitor stops first or it would tick forever.
-	tr.SetSpeculation(SpeculationConfig{})
-	tr.timer.Cancel()
+	// Unwind every attempt: each fails its task, so the monitor disarms.
 	eng.CancelAll()
 	if err := eng.Run(); err != nil {
 		b.Fatal(err)

@@ -114,7 +114,7 @@ func TestQueueMixedSlotWidthsRefused(t *testing.T) {
 				wide = mr.New(fs, cfg)
 			case "Spark":
 				cfg := rdd.DefaultConfig()
-				cfg.WorkersPerNode = 6
+				cfg.TasksPerNode = 6
 				wide = rdd.New(fs, cfg)
 			default:
 				cfg := core.DefaultConfig()

@@ -138,7 +138,15 @@ type TaskSpec struct {
 	// it still holds its slot: output commit (may consume simulated time)
 	// and job accounting. A non-nil error fails the task.
 	Done func(p *sim.Proc, v any, att *Attempt) error
-	// Fail runs exactly once if the winning attempt's Body or Done errored.
+	// Fail runs exactly once if the winning attempt's Body or Done errored,
+	// or the task failed for good (see NodeDown). An attempt whose proc
+	// had started and is killed by anything but the tracker —
+	// sim.Engine.CancelAll, as taskrt.Base.RunSolo unwinds a deadlock —
+	// fails its task once no other attempt of it is live: Fail gets an
+	// error naming the task and the attempt, then Final runs. An attempt
+	// cancelled before its proc first runs never runs its body, so it
+	// settles nothing. (The tracker's own kills are a winner cancelling
+	// its siblings, a preemption and a node-down requeue.)
 	Fail func(err error)
 	// Final runs exactly once per task, after the slot is released — the
 	// engine's completion bookkeeping (e.g. WaitGroup.Done).
@@ -497,6 +505,11 @@ func (t *TaskTracker) spawn(task *trackedTask, node int, backup bool) {
 			if holding {
 				t.releaseSlot(task, att, node)
 			}
+			if !att.killed && !task.settled && !live(task) {
+				// A kill the tracker did not order: nothing respawns the
+				// task, so it fails (see TaskSpec).
+				t.failTask(task, fmt.Errorf("sched: task %s: attempt %d killed outside the tracker", task.spec.Name, att.index))
+			}
 			att.done = true
 		}()
 		if task.spec.Pre != nil && !task.gatePassed {
@@ -710,14 +723,7 @@ func (t *TaskTracker) NodesDown(nodes []int) {
 				t.tr.Instant("kill:"+task.spec.Name, "fault", a.node, t.eng.Now())
 			}
 		}
-		live := false
-		for _, a := range task.attempts {
-			if !a.finished && !a.killed {
-				live = true
-				break
-			}
-		}
-		if live {
+		if live(task) {
 			continue // a healthy sibling attempt still races to settle it
 		}
 		lost := false
@@ -735,6 +741,17 @@ func (t *TaskTracker) NodesDown(nodes []int) {
 		}
 		t.requeue(task, node)
 	}
+}
+
+// live reports whether some attempt of task is neither finished nor
+// killed: one that may still settle it.
+func live(task *trackedTask) bool {
+	for _, a := range task.attempts {
+		if !a.finished && !a.killed {
+			return true
+		}
+	}
+	return false
 }
 
 // NodeUp returns a failed node to scheduling service: later launches,

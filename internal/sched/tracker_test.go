@@ -340,3 +340,93 @@ func TestTrackerStatsString(t *testing.T) {
 		t.Fatalf("%%+v of a value prints %q", got)
 	}
 }
+
+// TestExternalKillSettlesTask cancels every proc from outside the tracker
+// (sim.Engine.CancelAll, as taskrt.Base.RunSolo unwinds a deadlock) while
+// tasks run, wait for a slot, wait at their Pre gate and race speculative
+// backups. Every task must settle as failed exactly once, so the monitor
+// disarms and the simulation drains.
+func TestExternalKillSettlesTask(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec SpeculationConfig
+		pre  PreemptionConfig
+	}{
+		{"speculation", SpeculationConfig{Enabled: true, CheckInterval: 1}, PreemptionConfig{}},
+		{"preemption", SpeculationConfig{}, PreemptionConfig{Enabled: true, Patience: 5, CheckInterval: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			pool := NewSlotPool(Fair, 4, 2)
+			tr := NewTaskTracker(eng, tc.spec, tc.pre)
+			var stuck sim.Cond // nothing signals it
+			fails, finals := map[string]int{}, map[string]int{}
+			launch := func(name string, h *JobHandle, d float64, pre bool) {
+				ts := TaskSpec{
+					Name: name, Node: len(finals) % 4, Pool: pool, Handle: h, Group: "g", Restartable: true,
+					Body: func(p *sim.Proc, att *Attempt) (any, error) {
+						if d > 0 {
+							p.Sleep(d)
+						} else {
+							stuck.Wait(p, "stuck")
+						}
+						return nil, nil
+					},
+					Fail: func(err error) {
+						if !strings.Contains(err.Error(), "killed outside the tracker") {
+							t.Errorf("%s failed with %v", name, err)
+						}
+						fails[name]++
+					},
+					Final: func() { finals[name]++ },
+				}
+				if pre {
+					ts.Pre = func(p *sim.Proc) bool { stuck.Wait(p, "gate"); return false }
+				}
+				finals[name] = 0
+				tr.Launch(ts)
+			}
+			a, b := &JobHandle{name: "a", weight: 1}, &JobHandle{name: "b", weight: 1}
+			for i := 0; i < 3; i++ {
+				launch(fmt.Sprintf("quick-%d", i), a, 1, false)
+			}
+			for i := 0; i < 10; i++ {
+				launch(fmt.Sprintf("stuck-%d", i), a, 0, false)
+			}
+			launch("gated", a, 0, true)
+			eng.Schedule(8, func() {
+				for i := 0; i < 4; i++ {
+					launch(fmt.Sprintf("starved-%d", i), b, 0, false)
+				}
+			})
+			if _, err := eng.RunUntil(30); err != nil {
+				t.Fatal(err)
+			}
+			if st := tr.Stats(); st.Backups+st.Preemptions == 0 {
+				t.Fatalf("%v: the monitor acted on nothing before the kill", st)
+			}
+			eng.CancelAll()
+			if _, err := eng.RunUntil(1e6); err != nil {
+				t.Fatal(err)
+			}
+			if tr.outstanding != 0 || tr.timer != nil {
+				t.Fatalf("%d tasks outstanding, monitor armed=%v, after every attempt was killed", tr.outstanding, tr.timer != nil)
+			}
+			for name, n := range finals {
+				wantFail := 1
+				if strings.HasPrefix(name, "quick") {
+					wantFail = 0
+				}
+				if n != 1 || fails[name] != wantFail {
+					t.Fatalf("%s: Final ran %d times, Fail %d; want 1 and %d", name, n, fails[name], wantFail)
+				}
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if free := pool.Free(0) + pool.Free(1) + pool.Free(2) + pool.Free(3); free != 8 {
+				t.Fatalf("%d of 8 slots free after the unwind", free)
+			}
+		})
+	}
+}

@@ -247,11 +247,10 @@ var textPool = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledText = 4 << 20
 
 // Charge is the cost half of a reduce tail: the spilled runs come back
-// from disk while the task pays CPU, perByte (times the spec's reduce
-// factor) plus perByteSort per nominal byte buffered and perRecord per
-// nominal record in runs, with overhead(cpuSec) of background work.
-func (rb *Buffer) Charge(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort, perRecord float64,
-	overhead func(cpuSec float64) float64) {
+// from disk while the task pays CPU (reduceCPU over the nominal bytes
+// buffered and the nominal records in runs), with the runtime's Overhead
+// beside it.
+func (rb *Buffer) Charge(spec *job.Spec, runs [][]kv.Pair) {
 	b, total := rb.b, rb.buffered+rb.spilled
 	var wg sim.WaitGroup
 	if rb.spilled > 0 {
@@ -266,8 +265,8 @@ func (rb *Buffer) Charge(spec *job.Spec, runs [][]kv.Pair, perByte, perByteSort,
 	// Intermediate record counts follow the same saturation rule as
 	// intermediate bytes.
 	nominalRecords := float64(n) * spec.EmitScale()
-	cpuSec := spec.CPUAdjust(b.name) * (perByte*spec.ReduceCPUFactor*total + perByteSort*total + perRecord*nominalRecords)
-	b.StartCPU(&wg, rb.node, cpuSec, overhead(cpuSec))
+	cpuSec := b.cost.reduceCPU(spec, total, nominalRecords)
+	b.StartCPU(&wg, rb.node, cpuSec, b.Overhead(rb.node, cpuSec))
 	wg.WaitAs(rb.p, "disk")
 }
 

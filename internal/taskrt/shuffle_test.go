@@ -151,7 +151,7 @@ func bufferBalance(t *testing.T, capBytes float64, fetches []float64, charge boo
 			}
 		}
 		start := c.Eng.Now()
-		buf.Charge(&job.Spec{}, nil, 0, 0, 0, func(float64) float64 { return 0 })
+		buf.Charge(&job.Spec{}, nil)
 		if read := c.Eng.Now() > start; read != (spilled > 0) {
 			t.Fatalf("read-back ran=%v with %.0f bytes spilled", read, spilled)
 		}
@@ -245,7 +245,7 @@ func TestMapSide(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cluster.New(cluster.DefaultHardware())
 			fs := dfs.New(c, dfs.Config{BlockSize: float64(len(text)) * tc.scale, Replication: 1, Scale: tc.scale, Seed: 1})
-			b := NewBase("test", fs, transport.Profile{}, transport.HadoopProfile())
+			b := NewBase("test", fs, &Profile{}, transport.HadoopProfile())
 			spec := job.Spec{FS: fs, Input: fs.Preload("/in", text), Map: wordsMap, Combine: tc.combine, Reducers: tc.nParts}
 			spec.Normalize()
 			blk := spec.Input.Blocks[0]
@@ -316,9 +316,11 @@ type outOfRange struct{}
 func (outOfRange) Partition(key []byte, n int) int { return n }
 
 // TestReduceSide holds Buffer.Charge, the cost half of the reduce tail,
-// to the charges mr and core each spelled out: the three-term CPU charge
-// in their order of evaluation, their overhead rule beside it, the
-// spilled bytes read back. It merges nothing: that is ReduceTail's.
+// to the charge it reads off the engine's profile: the three-term CPU
+// charge in its order of evaluation (times the ported factor of a ported
+// spec), the runtime's overhead beside it, the spilled bytes read back.
+// It merges nothing: that is ReduceTail's. Each case's rates make any
+// other order of the three terms round differently.
 func TestReduceSide(t *testing.T) {
 	runs := [][]kv.Pair{
 		{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("c"), Value: []byte("2")}},
@@ -326,55 +328,55 @@ func TestReduceSide(t *testing.T) {
 	}
 	const fetched = 96 * cluster.MB
 	for _, tc := range []struct {
-		name                         string
-		perByte, perByteSort, perRec float64
-		cap                          float64
-		// overhead returns the engine's rule over b.
-		overhead func(b *Base, node int) func(float64) float64
+		name   string
+		cost   Profile
+		cap    float64
+		ported float64 // the factor the ported spec pays
 	}{
-		{"mr: JVM per-byte costs, GC overhead, buffer spills", 0.6e-7, 0.3e-7, 0.7e-6, 64 * cluster.MB,
-			func(b *Base, node int) func(float64) float64 {
-				return func(cpu float64) float64 { return b.GCOverhead(node, cpu, 0.55, 2.5) }
-			}},
-		{"core: native costs, flat overhead, all in memory", 0.5e-7, 0.25e-7, 0.5e-6, 512 * cluster.MB,
-			func(*Base, int) func(float64) float64 { return func(cpu float64) float64 { return 0.08 * cpu } }},
+		{"mr: JVM per-byte costs, GC overhead, buffer spills",
+			Profile{ReduceCPUPerByte: 0.5e-7, SortCPUPerByte: 0.22e-7, RecordCPU: 0.41e-6, Overhead: 0.55, MemPressureGC: 2.5},
+			64 * cluster.MB, 1},
+		{"core: native costs, flat overhead, all in memory",
+			Profile{ReduceCPUPerByte: 0.5e-7, SortCPUPerByte: 0.22e-7, RecordCPU: 0.47e-6, Overhead: 0.08, PortedCPUFactor: 1.3},
+			512 * cluster.MB, 1.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, b := testBase()
+			b.cost = &tc.cost
 			b.Prof = metrics.NewProfiler(c, 1)
-			spec := job.Spec{FS: b.FS, ReduceCPUFactor: 2, EngineCPUFactor: map[string]float64{"test": 1.5}}
+			spec := job.Spec{FS: b.FS, Ported: true}
 			spec.Normalize()
-			var gotCPU, gotOverhead, secs float64
+			var secs float64
 			var seen atomic.Int32
 			defer func(prev func([][]kv.Pair)) { mergeSeam = prev }(mergeSeam)
 			mergeSeam = func([][]kv.Pair) { seen.Add(1) }
+			cpu := c.Node(3).CPU
 			runAttempt(t, c, nil, 3, func(p *sim.Proc, att *sched.Attempt) {
 				buf := b.Buffer(p, 3, tc.cap, nil)
 				buf.Add(fetched / 2)
 				buf.Add(fetched / 2)
 				start := c.Eng.Now()
-				rule := tc.overhead(b, 3)
-				buf.Charge(&spec, runs, tc.perByte, tc.perByteSort, tc.perRec, func(cpu float64) float64 {
-					gotCPU, gotOverhead = cpu, rule(cpu)
-					return gotOverhead
-				})
+				buf.Charge(&spec, runs)
 				secs = c.Eng.Now() - start
 			})
-			// As mr.runReduceTask and core.runATask wrote it.
 			totalNominal, nominalRecords := float64(fetched), 4*spec.EmitScale()
-			wantCPU := spec.CPUAdjust("test") * (tc.perByte*spec.ReduceCPUFactor*totalNominal +
-				tc.perByteSort*totalNominal +
-				tc.perRec*nominalRecords)
-			if gotCPU != wantCPU || gotOverhead <= 0 {
-				t.Fatalf("cpu %v s (overhead %v), want %v", gotCPU, gotOverhead, wantCPU)
+			wantCPU := tc.ported * (tc.cost.ReduceCPUPerByte*totalNominal +
+				tc.cost.SortCPUPerByte*totalNominal +
+				tc.cost.RecordCPU*nominalRecords)
+			if got := tc.cost.reduceCPU(&spec, totalNominal, nominalRecords); got != wantCPU {
+				t.Fatalf("reduceCPU = %v core-s, want %v bit for bit", got, wantCPU)
+			}
+			wantOverhead := tc.cost.Overhead * wantCPU // an idle node: no memory pressure
+			if got := cpu.BusyIntegral(); math.Abs(got-(wantCPU+wantOverhead)) > 1e-9*got {
+				t.Fatalf("%v core-s charged, want %v cpu + %v overhead", got, wantCPU, wantOverhead)
 			}
 			readBack := 0.0
 			if fetched > tc.cap {
 				readBack = fetched / c.Node(3).Disk.Capacity()
 			}
 			// Task CPU, its overhead and the read-back run side by side.
-			if want := max(gotCPU, gotOverhead, readBack); math.Abs(secs-want) > 1e-9*want {
-				t.Fatalf("took %v s, want %v (cpu %v, overhead %v, read-back %v)", secs, want, gotCPU, gotOverhead, readBack)
+			if want := max(wantCPU, wantOverhead, readBack); math.Abs(secs-want) > 1e-9*want {
+				t.Fatalf("took %v s, want %v (cpu %v, overhead %v, read-back %v)", secs, want, wantCPU, wantOverhead, readBack)
 			}
 			if n := seen.Load(); n != 0 {
 				t.Fatalf("the cost half merged %d sets of runs", n)

@@ -43,10 +43,13 @@
 //     asked for them. Every job is still charged in full. The event loop
 //     stays single-threaded and sees the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
-//   - charges every engine makes the same way: StartCPU, StartSend,
-//     GCOverhead.
+//   - costs: Profile is every engine's cost profile, one field per
+//     mechanism, embedded in each engine's Config; the charges read it —
+//     MapCPU (mr's map, core's O task, rdd's map and cache fill),
+//     Overhead (the runtime's background CPU), Buffer.Charge (a reduce
+//     tail) — and StartCPU and StartSend start them.
 //
-// Cost constants and task shapes stay in the engines, and so does
+// The profile's values and task shapes stay in the engines, and so does
 // DataMPI's O-side replay: its intermediate data lives at the consumer,
 // not the producer.
 package taskrt
@@ -78,16 +81,19 @@ type Base struct {
 	profiling sched.Profiling  // refcounted sampling across jobs
 	tp        *transport.Transport
 	rec       *recordTable // record work shared across the engine's jobs
+	cost      *Profile     // the engine's cost profile, read by the charges
 }
 
-// NewBase builds the shared half of the engine called name over fs. An
-// unset override (Name == "") resolves to def.
-func NewBase(name string, fs *dfs.FS, override, def transport.Profile) Base {
-	if override.Name == "" {
-		override = def
+// NewBase builds the shared half of the engine called name over fs, whose
+// charges read cost (the engine's own, so a later edit is seen). An unset
+// cost.Transport (Name == "") resolves to def.
+func NewBase(name string, fs *dfs.FS, cost *Profile, def transport.Profile) Base {
+	tp := cost.Transport
+	if tp.Name == "" {
+		tp = def
 	}
 	c := fs.Cluster()
-	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, override), rec: new(recordTable)}
+	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, tp), rec: new(recordTable), cost: cost}
 }
 
 // Name implements job.Engine.
@@ -306,7 +312,10 @@ func (j *Job) release() {
 // to that point. A simulation that deadlocks instead ends the job there
 // with the kernel's error: what Begin charged is released and the stuck
 // procs — all the job's, on a testbed it owns — are cancelled and
-// unwound, so the engine stays reusable.
+// unwound, so the engine stays reusable. The unwind fails each task whose
+// attempt the cancel killed (sched.TaskSpec.Fail), so the engine's Fail
+// and Final callbacks run in it, and so does what they start (core's
+// abort sends, a chained O-side replay round); its error is dropped.
 func (b *Base) RunSolo(submit func(ctl *sched.JobControl) *Job) job.Result {
 	eng := b.C.Eng
 	j := submit(sched.Solo(eng, b.C.N()))
@@ -320,7 +329,7 @@ func (b *Base) RunSolo(submit func(ctl *sched.JobControl) *Job) job.Result {
 			j.release() // the driver never reached Finish
 		}
 		eng.CancelAll()
-		_ = eng.Run() // the unwinds; a proc that parks again while unwinding cannot exist
+		_ = eng.Run() // the unwinds (see above)
 	}
 	if j.finished && j.rest != "" {
 		before := j.marks[len(j.marks)-2].end - res.Start // the phases ahead of rest
@@ -344,28 +353,4 @@ func (b *Base) WritePart(p *sim.Proc, att *sched.Attempt, dir, part string, scal
 		return err
 	}
 	return w.Close(p)
-}
-
-// StartCPU charges cpuSec of task compute on node, plus overhead (JVM GC,
-// library background work) as a second flow contending for the CPU in
-// parallel; wg completes when both have.
-func (b *Base) StartCPU(wg *sim.WaitGroup, node int, cpuSec, overhead float64) {
-	cpu := b.C.Node(node).CPU
-	wg.Add(1)
-	cpu.Start(cpuSec, wg.Done)
-	if overhead > 0 {
-		wg.Add(1)
-		cpu.Start(overhead, wg.Done)
-	}
-}
-
-// GCOverhead returns the background JVM CPU charged alongside cpuSec of
-// task compute on node: the baseline gcFactor plus a memory-pressure GC
-// storm term once the node's memory utilization exceeds 70 %.
-func (b *Base) GCOverhead(node int, cpuSec, gcFactor, pressureGC float64) float64 {
-	gc := gcFactor * cpuSec
-	if press := b.C.Node(node).Mem.Pressure(); press > 0.7 {
-		gc += pressureGC * (press - 0.7) / 0.3 * cpuSec
-	}
-	return gc
 }

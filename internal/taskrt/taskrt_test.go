@@ -20,7 +20,7 @@ const daemonMem = 64 * cluster.MB
 func testBase() (*cluster.Cluster, *Base) {
 	c := cluster.New(cluster.DefaultHardware())
 	fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.KB, Replication: 3, Scale: 1, Seed: 1})
-	b := NewBase("test", fs, transport.Profile{}, transport.HadoopProfile())
+	b := NewBase("test", fs, &Profile{}, transport.HadoopProfile())
 	return c, &b
 }
 
@@ -192,15 +192,46 @@ func TestFraming(t *testing.T) {
 	}
 }
 
-func TestGCOverheadPressureTerm(t *testing.T) {
+func TestOverheadPressureTerm(t *testing.T) {
 	c, b := testBase()
-	if got := b.GCOverhead(0, 10, 0.5, 2); got != 5 {
+	b.cost = &Profile{Overhead: 0.5, MemPressureGC: 2}
+	if got := b.Overhead(0, 10); got != 5 {
 		t.Fatalf("idle node: gc = %v, want 5", got)
 	}
 	mem := c.Node(0).Mem
 	mem.MustAlloc(0.85 * mem.Limit())
 	want := 0.5*10 + 2*(mem.Pressure()-0.7)/0.3*10
-	if got := b.GCOverhead(0, 10, 0.5, 2); got != want || got <= 5 {
+	if got := b.Overhead(0, 10); got != want || got <= 5 {
 		t.Fatalf("node at 85%%: gc = %v, want %v", got, want)
+	}
+	// Both rates zero switch the overhead off at any memory pressure.
+	b.cost = &Profile{}
+	for _, frac := range []float64{0, 0.1} {
+		mem.MustAlloc(frac * mem.Limit())
+		if got := b.Overhead(0, 10); got != 0 {
+			t.Fatalf("zero profile at %.0f%% memory: gc = %v, want 0", 100*mem.Pressure(), got)
+		}
+	}
+}
+
+// TestPortedCPUFactor: a ported spec pays the profile's PortedCPUFactor on
+// every CPU charge, an unmarked spec or an unset factor pays nothing more.
+// MapCPU sums map, record, then emit: the rates make any other order of
+// the three terms round differently.
+func TestPortedCPUFactor(t *testing.T) {
+	_, b := testBase() // Hadoop's transport: EmitCPUPerByte 0.3e-7
+	b.cost = &Profile{MapCPUPerByte: 0.11e-7, RecordCPU: 0.7e-6, PortedCPUFactor: 1.5}
+	factor, in, records, emitted := 1.7, float64(64*cluster.MB), 1e5+7, float64(80*cluster.MB+13)
+	sum := b.cost.MapCPUPerByte*factor*in + b.cost.RecordCPU*records + b.tp.Profile().EmitCPUPerByte*emitted
+	plain, ported := &job.Spec{}, &job.Spec{Ported: true}
+	if got := b.MapCPU(plain, factor, in, records, emitted); got != sum {
+		t.Fatalf("unmarked spec: %v core-s, want %v", got, sum)
+	}
+	if got := b.MapCPU(ported, factor, in, records, emitted); got != 1.5*sum {
+		t.Fatalf("ported spec: %v core-s, want %v", got, 1.5*sum)
+	}
+	b.cost.PortedCPUFactor = 0
+	if got := b.MapCPU(ported, factor, in, records, emitted); got != sum {
+		t.Fatalf("ported spec, factor unset: %v core-s, want %v", got, sum)
 	}
 }
