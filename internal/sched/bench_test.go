@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/dfs"
@@ -55,10 +56,10 @@ func BenchmarkSlotPoolChurn(b *testing.B) {
 // BenchmarkTrackerTick measures one straggler-monitor tick (ns/op) over
 // the shape tenants-mix gives the tracker: about 2,000 launched tasks of
 // three jobs under speculation, of which 16 hold the slots of a Fair pool
-// (8 nodes x 2) and run while the rest queue behind them. A tick scans
-// every unsettled task to find the running attempts. The running tasks
-// sleep past the end of the benchmark and MinRuntime is never reached, so
-// no tick launches a backup and every tick sees the same state.
+// (8 nodes x 2) and run while the rest queue behind them. A tick walks the
+// 16 running attempts, not the queued tasks. The running tasks sleep past
+// the end of the benchmark and MinRuntime is never reached, so no tick
+// launches a backup and every tick sees the same state.
 func BenchmarkTrackerTick(b *testing.B) {
 	eng := sim.NewEngine()
 	spec := SpeculationConfig{Enabled: true, MinRuntime: 1e12}
@@ -78,7 +79,7 @@ func BenchmarkTrackerTick(b *testing.B) {
 		}
 	}
 	// Short tasks first, so every job's group has completed attempts and
-	// the scan reads its medians; then the long ones.
+	// the walk reads its medians; then the long ones.
 	iv := tr.interval()
 	for _, phase := range []struct {
 		n    int
@@ -89,27 +90,74 @@ func BenchmarkTrackerTick(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	running := 0
-	for _, task := range tr.tasks {
-		for _, a := range task.attempts {
-			if a.started && !a.finished {
-				running++
-			}
+	if len(running(tr)) != 16 || tr.outstanding != 2000 {
+		b.Fatalf("%d running of %d unsettled tasks, want 16 of 2000", len(running(tr)), tr.outstanding)
+	}
+	benchTicks(b, eng, iv)
+	if st := tr.Stats(); st.Backups != 0 {
+		b.Fatalf("%d backups launched", st.Backups)
+	}
+}
+
+// BenchmarkTrackerTickPreempt measures one preemption-monitor tick
+// (ns/op) with 800 queued (node, job) FIFO heads: 16 jobs hold one slot
+// each of a Fair pool (8 nodes x 2), 100 jobs queue one task on every
+// node behind them, and a heavy job admitted last starves. A tick finds
+// the starved job and walks the running attempts for a victim; none is
+// over its share, so no tick kills and every tick sees the same state.
+func BenchmarkTrackerTickPreempt(b *testing.B) {
+	eng := sim.NewEngine()
+	tr := NewTaskTracker(eng, SpeculationConfig{}, PreemptionConfig{Enabled: true, Patience: 1, CheckInterval: 1})
+	pool := NewSlotPool(Fair, 8, 2)
+	launch := func(h *JobHandle, node int) {
+		tr.Launch(TaskSpec{
+			Name: h.name, Node: node, Pool: pool, Handle: h, Group: "map", Restartable: true,
+			Body: func(p *sim.Proc, att *Attempt) (any, error) {
+				p.Sleep(1e12)
+				return nil, nil
+			},
+		})
+	}
+	seq := 0
+	job := func(weight float64) *JobHandle {
+		seq++
+		return &JobHandle{name: fmt.Sprint("j", seq), seq: seq, weight: weight}
+	}
+	for i := range 16 {
+		launch(job(1), i%8)
+	}
+	for range 100 {
+		h := job(1)
+		for node := range 8 {
+			launch(h, node)
 		}
 	}
-	if running != 16 || len(tr.tasks) != 2000 {
-		b.Fatalf("%d running of %d unsettled tasks, want 16 of 2000", running, len(tr.tasks))
+	starved := job(1000)
+	for node := range 8 {
+		launch(starved, node)
 	}
+	iv := tr.interval()
+	if _, err := eng.RunUntil(eng.Now() + 5*iv); err != nil {
+		b.Fatal(err)
+	}
+	if h, _ := pool.Starved(eng.Now(), tr.pre.Patience); h != starved || len(running(tr)) != 16 {
+		b.Fatalf("starved job %v, %d running; want %v and 16", h, len(running(tr)), starved)
+	}
+	benchTicks(b, eng, iv)
+	if st := tr.Stats(); st.Preemptions != 0 {
+		b.Fatalf("%d preemptions", st.Preemptions)
+	}
+}
+
+// benchTicks times one monitor tick per iteration, then unwinds every
+// attempt: each fails its task, so the monitor disarms.
+func benchTicks(b *testing.B, eng *sim.Engine, iv float64) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if n, err := eng.RunUntil(eng.Now() + iv); err != nil || n != 1 {
 			b.Fatalf("%d events, %v; want one tick", n, err)
 		}
 	}
-	if st := tr.Stats(); st.Backups != 0 {
-		b.Fatalf("%d backups launched", st.Backups)
-	}
-	// Unwind every attempt: each fails its task, so the monitor disarms.
 	eng.CancelAll()
 	if err := eng.Run(); err != nil {
 		b.Fatal(err)

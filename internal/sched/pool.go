@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/datampi/datampi-go/internal/sim"
@@ -30,6 +31,9 @@ type SlotPool struct {
 	free    []int
 	waiting [][]*jobQueue // per node: the FIFOs of the jobs waiting there
 	info    map[*JobHandle]*handleInfo
+	// waitJobs lists the jobs with a queued waiter on some node, by
+	// admission seq: the order Starved tries them in.
+	waitJobs []waitingJob
 	// wSum is the summed weight of the jobs currently holding or wanting
 	// slots — FairShare's denominator, kept as jobs enter and leave the
 	// active set. It resets to an exact 0 whenever the active set empties,
@@ -46,6 +50,7 @@ type poolWaiter struct {
 	p       *sim.Proc
 	seq     int64   // arrival order, kept across grants for FIFO-within-job
 	at      float64 // simulated enqueue time, for starvation detection
+	node    int32   // the node it queues on
 	granted bool    // slot assigned, wake pending
 }
 
@@ -53,17 +58,26 @@ type poolWaiter struct {
 // are strictly FIFO, so the head is the oldest, lowest-seq waiter: it
 // carries the queue's tie-break key and its starvation age.
 type jobQueue struct {
-	h  *JobHandle
-	hi *handleInfo // live while the queue is: a waiting job has demand
-	ws []*poolWaiter
+	h    *JobHandle
+	hi   *handleInfo // live while the queue is: a waiting job has demand
+	next *jobQueue   // the job's FIFO on another node, in no order
+	ws   []*poolWaiter
+}
+
+// waitingJob is one waitJobs entry. It carries the job's admission seq,
+// so a search of the list reads no job.
+type waitingJob struct {
+	seq int
+	hi  *handleInfo
 }
 
 // handleInfo is one job's live accounting in the pool, created when the
 // job first holds or wants a slot and deleted when both counts return to
-// zero.
+// zero. It is created and dropped as often as a job's demand comes and
+// goes, so it stays two counts and a pointer wide.
 type handleInfo struct {
-	held    int
-	waiting int
+	held, waiting int32
+	queues        *jobQueue // the job's FIFOs, one per node it queues on, linked by next
 }
 
 // NewSlotPool creates a pool with perNode slots on each of nodes nodes.
@@ -105,7 +119,7 @@ func (sp *SlotPool) Held(h *JobHandle) int {
 	if hi == nil {
 		return 0
 	}
-	return hi.held
+	return int(hi.held)
 }
 
 // Policy returns the pool's grant-arbitration policy.
@@ -121,8 +135,8 @@ func (sp *SlotPool) count(h *JobHandle, held, waiting int) *handleInfo {
 		sp.info[h] = hi
 		sp.wSum += h.weight
 	}
-	hi.held += held
-	hi.waiting += waiting
+	hi.held += int32(held)
+	hi.waiting += int32(waiting)
 	if hi.held < 0 {
 		panic("sched: Release without matching Acquire")
 	}
@@ -149,13 +163,18 @@ func (sp *SlotPool) Acquire(p *sim.Proc, node int, h *JobHandle, reason string) 
 		sp.count(h, 1, 0)
 		return
 	}
-	w := &poolWaiter{p: p, seq: sp.arrival, at: p.Engine().Now()}
+	w := &poolWaiter{p: p, seq: sp.arrival, at: p.Engine().Now(), node: int32(node)}
 	sp.arrival++
 	hi := sp.count(h, 0, 1)
 	qs := sp.waiting[node]
 	i := slices.IndexFunc(qs, func(q *jobQueue) bool { return q.h == h })
 	if i < 0 {
-		sp.waiting[node] = append(qs, &jobQueue{h: h, hi: hi, ws: []*poolWaiter{w}})
+		q := &jobQueue{h: h, hi: hi, next: hi.queues, ws: []*poolWaiter{w}}
+		sp.waiting[node] = append(qs, q)
+		if q.next == nil {
+			sp.waitJobs = slices.Insert(sp.waitJobs, sp.waitJobPos(h.seq), waitingJob{h.seq, hi})
+		}
+		hi.queues = q
 	} else {
 		qs[i].ws = append(qs[i].ws, w)
 	}
@@ -192,14 +211,37 @@ func (sp *SlotPool) removeWaiter(node int, h *JobHandle, w *poolWaiter) {
 	sp.count(h, 0, -1)
 }
 
-// dropQueue removes node's drained FIFO at index i. The FIFOs' order on a
-// node carries no meaning: a grant takes the minimum of a total order.
+// dropQueue removes node's drained FIFO at index i, and its job from
+// waitJobs when that was the job's last FIFO. The FIFOs' order on a node
+// or in a job carries no meaning: a grant takes the minimum of a total
+// order, and Starved the oldest head.
 func (sp *SlotPool) dropQueue(node, i int) {
 	qs := sp.waiting[node]
+	q := qs[i]
 	last := len(qs) - 1
 	qs[i] = qs[last]
 	qs[last] = nil
 	sp.waiting[node] = qs[:last]
+	hi := q.hi
+	if hi.queues == q && q.next == nil {
+		j := sp.waitJobPos(q.h.seq)
+		for sp.waitJobs[j].hi != hi { // past any other job of the same seq
+			j++
+		}
+		sp.waitJobs = slices.Delete(sp.waitJobs, j, j+1)
+	}
+	pq := &hi.queues
+	for *pq != q {
+		pq = &(*pq).next
+	}
+	*pq = q.next
+}
+
+// waitJobPos returns the first index in waitJobs whose job's admission
+// seq is not below seq.
+func (sp *SlotPool) waitJobPos(seq int) int {
+	i, _ := slices.BinarySearchFunc(sp.waitJobs, seq, func(w waitingJob, seq int) int { return cmp.Compare(w.seq, seq) })
+	return i
 }
 
 // Release returns one of h's slots on node, granting it to the best
@@ -327,31 +369,31 @@ func (sp *SlotPool) FairShare(h *JobHandle) float64 {
 
 // Starved returns the earliest-admitted job that has had a waiter queued
 // for at least patience while holding less than its weighted fair share,
-// together with the node its oldest qualifying waiter queues on; (nil, -1)
-// when no job starves. The preemption monitor kills for the returned node
-// so the freed slot reaches the starved waiter. Only FIFO heads need
-// inspection: within a job waiters age and rank monotonically, and the
-// share test is per-job, so a FIFO's best candidate is always its head.
+// together with the node its oldest waiter queues on; (nil, -1) when no
+// job starves. The preemption monitor kills for the returned node so the
+// freed slot reaches the starved waiter. It tries the waiting jobs in
+// admission order, and per job only its oldest FIFO head: the share test
+// is per job, and a job's waiters age in arrival order on every node, so
+// when its oldest waiter has not waited out patience none of its others
+// has either.
 func (sp *SlotPool) Starved(now, patience float64) (*JobHandle, int) {
-	var starved *JobHandle
-	var starvedSeq int64
-	node := -1
-	for n, qs := range sp.waiting {
-		for _, q := range qs {
-			w := q.ws[0]
-			if now-w.at < patience {
-				continue
-			}
-			if float64(q.hi.held)+1 > sp.FairShare(q.h)+1e-9 {
-				continue
-			}
-			if starved == nil || q.h.seq < starved.seq ||
-				(q.h == starved && w.seq < starvedSeq) {
-				starved, starvedSeq, node = q.h, w.seq, n
+	for _, w := range sp.waitJobs {
+		hi := w.hi
+		h := hi.queues.h // a waiting job has a FIFO, which names it
+		if float64(hi.held)+1 > sp.FairShare(h)+1e-9 {
+			continue
+		}
+		oldest := hi.queues.ws[0]
+		for q := hi.queues.next; q != nil; q = q.next {
+			if q.ws[0].seq < oldest.seq {
+				oldest = q.ws[0]
 			}
 		}
+		if now-oldest.at >= patience {
+			return h, int(oldest.node)
+		}
 	}
-	return starved, node
+	return nil, -1
 }
 
 // PoolSet lazily creates named slot pools shared by every job admitted to

@@ -101,6 +101,29 @@ func TestWeightedFairShares(t *testing.T) {
 	}
 }
 
+// checkQuiesced asserts that a tracker whose engine has drained holds
+// nothing: every task settled, no attempt on the running list, no monitor
+// tick pending.
+func checkQuiesced(t *testing.T, tr *TaskTracker) {
+	t.Helper()
+	if n := len(running(tr)); tr.outstanding != 0 || n != 0 || tr.timer != nil {
+		t.Fatalf("drained tracker: %d tasks outstanding, %d attempts running, monitor armed=%v",
+			tr.outstanding, n, tr.timer != nil)
+	}
+}
+
+// running returns the attempts on the tracker's running list, without
+// the holes finished attempts leave until the next tidy.
+func running(tr *TaskTracker) []*Attempt {
+	var out []*Attempt
+	for _, a := range tr.running {
+		if a != nil {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // trackerRig is a minimal testbed for tracker tests: an engine and one
 // Fair pool of 1 slot on each of 8 nodes.
 func trackerRig() (*sim.Engine, *SlotPool) {
@@ -178,6 +201,7 @@ func TestStragglerBackupFirstFinisherWins(t *testing.T) {
 	if eng.Now() >= 100 {
 		t.Fatalf("speculation did not shorten the run: finished at %v", eng.Now())
 	}
+	checkQuiesced(t, tr)
 }
 
 // TestBackupCancelledWhenOriginalWins flags a task as slow, then lets the
@@ -241,6 +265,7 @@ func TestBackupCancelledWhenOriginalWins(t *testing.T) {
 			if eng.Now() != 30 {
 				t.Fatalf("drained at t=%v, want 30 (the original's finish)", eng.Now())
 			}
+			checkQuiesced(t, tr)
 		})
 	}
 }
@@ -305,6 +330,7 @@ func TestPreemptionKillAndRequeue(t *testing.T) {
 	if pool.Free(0) != 4 {
 		t.Fatalf("pool leaked slots: free=%d", pool.Free(0))
 	}
+	checkQuiesced(t, tr)
 }
 
 // TestTrackerDisabledAddsNoEvents: with speculation and preemption off the
@@ -409,9 +435,6 @@ func TestExternalKillSettlesTask(t *testing.T) {
 			if _, err := eng.RunUntil(1e6); err != nil {
 				t.Fatal(err)
 			}
-			if tr.outstanding != 0 || tr.timer != nil {
-				t.Fatalf("%d tasks outstanding, monitor armed=%v, after every attempt was killed", tr.outstanding, tr.timer != nil)
-			}
 			for name, n := range finals {
 				wantFail := 1
 				if strings.HasPrefix(name, "quick") {
@@ -427,6 +450,7 @@ func TestExternalKillSettlesTask(t *testing.T) {
 			if free := pool.Free(0) + pool.Free(1) + pool.Free(2) + pool.Free(3); free != 8 {
 				t.Fatalf("%d of 8 slots free after the unwind", free)
 			}
+			checkQuiesced(t, tr)
 		})
 	}
 }

@@ -7,9 +7,10 @@
 # and prints every workload's sim_digest and out_digest for both commits
 # side by side, marking the ones that moved. Then it diffs
 # `datampi-bench run all -quick` between the two commits, without the
-# `completed in` lines (host time). It only reports: a moved digest is
-# expected of a change to a simulated cost and a finding for any other.
-# About 1.5 minutes on 2 cores.
+# `completed in` lines (host time), once at the default GOMAXPROCS and
+# once at GOMAXPROCS=1. It only reports: a moved digest is expected of a
+# change to a simulated cost and a finding for any other. About 2
+# minutes on 2 cores.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -59,11 +60,23 @@ for seed in 1 5; do
 done
 echo "$moved digest(s) moved"
 
-(cd "$tmp" && ./cli-base run all -quick | grep -v 'completed in' >all-base.txt) || true
-(cd "$tmp" && ./cli-head run all -quick | grep -v 'completed in' >all-head.txt) || true
-if diff -u "$tmp/all-base.txt" "$tmp/all-head.txt" >"$tmp/all.diff"; then
-	echo "run all -quick: identical"
-else
-	echo "run all -quick: differs"
-	cat "$tmp/all.diff"
-fi
+# runAll <side> <procs> writes `run all -quick` without host time to
+# all-<side>-<procs>.txt; procs "default" leaves GOMAXPROCS unset.
+runAll() {
+	if [ "$2" = default ]; then
+		(cd "$tmp" && "./cli-$1" run all -quick | grep -v 'completed in' >"all-$1-$2.txt") || true
+	else
+		(cd "$tmp" && GOMAXPROCS="$2" "./cli-$1" run all -quick | grep -v 'completed in' >"all-$1-$2.txt") || true
+	fi
+}
+
+for procs in default 1; do
+	runAll base "$procs"
+	runAll head "$procs"
+	if diff -u "$tmp/all-base-$procs.txt" "$tmp/all-head-$procs.txt" >"$tmp/all.diff"; then
+		echo "run all -quick (GOMAXPROCS $procs): identical"
+	else
+		echo "run all -quick (GOMAXPROCS $procs): differs"
+		cat "$tmp/all.diff"
+	fi
+done
