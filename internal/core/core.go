@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/dfs"
@@ -112,8 +113,8 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	e.submit(spec, ctl, done)
 }
 
-// submit spawns the job's driver and task processes. done (optional) runs
-// in simulation context when the driver completes.
+// submit declares the job's O and A stages and drives them. done
+// (optional) runs in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 	j, slots := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done, e.Cfg.TasksPerNode, "dm-o")
 	if slots == nil {
@@ -129,56 +130,48 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 
 	// Each split's record work depends on the split alone, so it starts
 	// now, on worker goroutines, over the splits rank by rank; an O task
-	// picks up its splits' results when it reaches them.
+	// picks up its splits' results when it reaches them. An A rank's
+	// record half depends on its partition of every split alone, so it
+	// starts on the same workers once they all exist.
 	first := make([]int, nO) // O rank -> index of its first split
 	var flat []*dfs.Block
 	for o, splits := range splitsOf {
 		first[o] = len(flat)
 		flat = append(flat, splits...)
 	}
-	scale := e.Scale()
-	maps := taskrt.Ahead(j, spec.Fingerprint, flat, nA, 0, spec.EmitScale(),
-		func(i int) taskrt.Mapped { return taskrt.MapBlock(&spec, flat[i], nA, 0, scale) })
-	// An A rank's record half depends on its partition of every split
-	// alone, so it starts on the same workers once they all exist.
-	taskrt.Tails(&spec, maps, nA)
+	maps := taskrt.MapAhead(j, &spec, flat, nA, 0, true)
 	oSlots, aSlots := slots[0], e.aPool(ctl, nA)
 
-	// launchO launches O rank o as the task called name. O tasks are
+	// oStage declares the O ranks as the tasks called name. O tasks are
 	// restartable: the body re-reads its immutable splits and re-streams
 	// partitions, and duplicate sends are harmless because the A side
 	// keeps one message per split tag and discards re-deliveries (the
 	// duplicate bytes still cross the simulated network, as real
-	// speculative shuffles do). counter is what the launch's winner counts
-	// as. An O task that
-	// fails for good will never send its split tags, and every A rank
-	// waits for every tag: the failure is handed to each of them
-	// (MPI_Abort in miniature), so the job ends when the rank does.
-	launchO := func(o int, name, counter string, final func()) {
-		j.Launch(sched.TaskSpec{
-			Name:        name,
-			Node:        world.NodeOf(o),
-			Pool:        oSlots,
-			Group:       "O",
-			Restartable: true,
-			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
+	// speculative shuffles do). counter is what each winner counts as. An
+	// O task that fails for good will never send its split tags, and
+	// every A rank waits for every tag: the failure is handed to each of
+	// them (MPI_Abort in miniature), so the job ends when the rank does.
+	oStage := func(name, counter string, final func()) taskrt.Stage {
+		return taskrt.Stage{
+			Name: name, Group: "O", Nodes: e.Spread(nO), Pool: oSlots, Restart: taskrt.Restartable,
+			Body: func(p *sim.Proc, att *sched.Attempt, o int) (any, error) {
 				oSpans[o] = att.TraceSpan().SpanID()
 				return nil, e.runOTask(p, att, &spec, world, o, nO, nA, splitsOf[o],
 					func(si int) taskrt.Mapped { return maps.Take(first[o] + si) })
 			},
-			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
+			Done: func(p *sim.Proc, att *sched.Attempt, o int, v any) error {
 				res.AddCounter(counter, 1)
 				oSpans[o] = att.TraceSpan().SpanID()
 				return nil
 			},
-			Fail: func(err error) {
+			Fail: func(o int, err error) {
 				j.Fail(err)
 				for a := 0; a < nA; a++ {
 					world.Isend(o, nO+a, abortTag, 0, err, nil)
 				}
 			},
 			Final: final,
-		})
+		}
 	}
 
 	// A-side recovery: a restarted A rank lost its in-memory intermediate
@@ -186,56 +179,46 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	// send reaches every A rank, and the live ones discard the duplicate
 	// streams by split tag. Rounds are shared: ranks restarted together
 	// ride one replay.
-	var rec *aRecovery
-	rec = &aRecovery{nO: nO, pendingAt: -1, launch: func(o, gen int) {
-		ctl.Tracker().NoteRecompute()
-		// taskDone may chain a pending round: it runs as the task's Final,
-		// ahead of the job's own count (see taskrt.Job.Launch).
-		launchO(o, fmt.Sprintf("O-%d~r%d", o, gen), "o_replays", func() { rec.taskDone(eng.Now()) })
-	}}
-
-	eng.Go("datampi-driver:"+spec.Name, func(driver *sim.Proc) {
-		// mpirun spawns every task process across the cluster at once —
-		// no per-wave JVM costs, the paper's "low overhead" property.
-		driver.Sleep(e.Cfg.JobLaunch)
-
-		oDone := 0
+	rec := &aRecovery{nO: nO, pendingAt: -1}
+	rec.launch = func(gen int) {
 		for o := 0; o < nO; o++ {
-			launchO(o, fmt.Sprintf("O-%d", o), "o_tasks", func() {
-				if oDone++; oDone == nO {
-					j.Phase("O", "A")
-				}
-			})
+			ctl.Tracker().NoteRecompute()
 		}
-		for a := 0; a < nA; a++ {
-			// A tasks are never speculated: dichotomic A ranks accumulate
-			// the job's intermediate data in memory as it streams in, so a
-			// backup could not re-receive consumed messages. They are
-			// Retryable, though: losing the node restarts the rank on a
-			// healthy one (PreRetry widens the gang-scheduled pool so the
-			// re-homed rank can get a slot the failure took out of
-			// service), and the engine replays the O side into it.
-			j.Launch(sched.TaskSpec{
-				Name:      fmt.Sprintf("A-%d", a),
-				Node:      world.NodeOf(nO + a),
-				Pool:      aSlots,
-				Group:     "A",
-				Retryable: true,
-				PreRetry:  func() { aSlots.Grow(aSlots.PerNode() + 1) },
-				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					return nil, e.runATask(p, att, &spec, world, nO, a, len(blocks), j, rec, oSpans, maps)
-				},
-				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-					res.AddCounter("a_tasks", 1)
-					j.DependsOn(att)
-					return nil
-				},
-			})
-		}
-		j.Wait(driver)
-		driver.Sleep(e.Cfg.JobTeardown)
-		j.Finish(done)
-	})
+		// taskDone may chain a pending round: it runs as the task's Final,
+		// ahead of the job's own count (see taskrt.Stage).
+		j.Run(oStage("O-%d~r"+strconv.Itoa(gen), "o_replays", func() { rec.taskDone(eng.Now()) }))
+	}
+
+	// mpirun spawns every task process across the cluster at once — no
+	// per-wave JVM costs, the paper's "low overhead" property.
+	j.Drive("datampi-driver:"+spec.Name, true, func(*sim.Proc) bool {
+		oDone := 0
+		j.Run(oStage("O-%d", "o_tasks", func() {
+			if oDone++; oDone == nO {
+				j.Phase("O", "A")
+			}
+		}))
+		// A tasks are never speculated: dichotomic A ranks accumulate the
+		// job's intermediate data in memory as it streams in, so a backup
+		// could not re-receive consumed messages. They are Retryable,
+		// though: losing the node restarts the rank on a healthy one
+		// (PreRetry widens the gang-scheduled pool so the re-homed rank
+		// can get a slot the failure took out of service), and the engine
+		// replays the O side into it.
+		j.Run(taskrt.Stage{
+			Name: "A-%d", Group: "A", Nodes: e.Spread(nA), Pool: aSlots, Restart: taskrt.Retryable,
+			PreRetry: func() { aSlots.Grow(aSlots.PerNode() + 1) },
+			Body: func(p *sim.Proc, att *sched.Attempt, a int) (any, error) {
+				return nil, e.runATask(p, att, &spec, world, nO, a, len(blocks), j, rec, oSpans, maps)
+			},
+			Done: func(p *sim.Proc, att *sched.Attempt, a int, v any) error {
+				res.AddCounter("a_tasks", 1)
+				j.DependsOn(att)
+				return nil
+			},
+		})
+		return true
+	}, done)
 	return j
 }
 
@@ -248,7 +231,7 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 // flush arriving mid-round queues one follow-up round.
 type aRecovery struct {
 	nO          int
-	launch      func(o, gen int)
+	launch      func(gen int) // launches replay round gen
 	active      bool
 	started     float64 // sim time the in-flight round began
 	outstanding int     // replay tasks still to finish in the round
@@ -276,9 +259,7 @@ func (r *aRecovery) start(now float64) {
 	r.outstanding = r.nO
 	r.pendingAt = -1
 	r.gen++
-	for o := 0; o < r.nO; o++ {
-		r.launch(o, r.gen)
-	}
+	r.launch(r.gen)
 }
 
 // taskDone retires one replay task; completing a round starts the queued
@@ -299,20 +280,11 @@ func (r *aRecovery) taskDone(now float64) {
 // locality preference and balanced waves, then round-robin over that
 // node's local O ranks (see sched.Placer.PlaceOnRanks).
 func (e *Engine) layout(pl sched.Placer, blocks []*dfs.Block, nA int) (nO int, w *mpi.World, splitsOf [][]*dfs.Block) {
-	nO = e.Cfg.TasksPerNode * e.C.N()
-	if nO > len(blocks) {
-		nO = len(blocks)
-	}
-	nodeOf := make([]int, nO+nA)
-	for o := 0; o < nO; o++ {
-		nodeOf[o] = o % e.C.N()
-	}
-	for a := 0; a < nA; a++ {
-		nodeOf[nO+a] = a % e.C.N()
-	}
-	w = mpi.NewWorld(e.C, nodeOf)
+	nO = min(e.Cfg.TasksPerNode*e.C.N(), len(blocks))
+	oNodes := e.Spread(nO)
+	w = mpi.NewWorld(e.C, append(oNodes, e.Spread(nA)...))
 	w.SetTransport(e.Transport())
-	return nO, w, pl.PlaceOnRanks(blocks, nodeOf[:nO])
+	return nO, w, pl.PlaceOnRanks(blocks, oNodes)
 }
 
 // aPool returns the job's A-rank slots. A job takes its O slots, "dm-o"

@@ -72,11 +72,10 @@ func RunIteration[S any](e *Engine, it IterationJob[S], initial S) IterationResu
 	return res
 }
 
-// submitIteration spawns the job's driver, which launches the O ranks'
-// load tasks and then, round by round, their compute tasks and the A
-// ranks' aggregation tasks, folding each round into res.
+// submitIteration declares the O ranks' load stage and then, round by
+// round, their compute stage and the A ranks' aggregation stage, and
+// drives them, folding each round into res.
 func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult[S], ctl *sched.JobControl) *taskrt.Job {
-	eng := e.C.Eng
 	cfg := &e.Cfg
 	scale := e.Scale()
 	blocks := it.Input.Blocks
@@ -94,64 +93,60 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 	nA := e.C.N() // one aggregator per node
 	nO, world, splitsOf := e.layout(ctl.Placer(), blocks, nA)
 	oSlots, aSlots := oPool[0], e.aPool(ctl, nA)
+	oNodes, aNodes := e.Spread(nO), e.Spread(nA)
 
 	// Persistent task state: what each O rank cached at load, its nominal
-	// size, and the memory the rank's process holds with it.
+	// size, and the memory the rank's process holds with it. The ranks
+	// outlive their tasks: what they hold is released when the driver
+	// ends, however it ends (a deadlocked run unwinds it).
 	cached := make([]any, nO)
 	cachedNominal := make([]float64, nO)
 	resident := make([]float64, nO)
-
-	// launch runs body as one task of rank, on the rank's node. The ranks
-	// are persistent processes holding state between tasks, so no task is
-	// restartable: one that fails fails the job.
-	launch := func(name, group string, rank int, pool *sched.SlotPool, body func(p *sim.Proc, node int) error) {
-		node := world.NodeOf(rank)
-		j.Launch(sched.TaskSpec{Name: name, Group: group, Node: node, Pool: pool,
-			Body: func(p *sim.Proc, _ *sched.Attempt) (any, error) { return nil, body(p, node) }})
+	j.OnEnd = func() {
+		for o, bytes := range resident {
+			e.C.Node(oNodes[o]).Mem.Free(bytes)
+		}
 	}
 
-	eng.Go("datampi-iter:"+it.Name, func(driver *sim.Proc) {
-		// The ranks outlive their tasks: what they hold is released when the
-		// driver ends, however it ends (a deadlocked run unwinds it).
-		defer func() {
-			for o, bytes := range resident {
-				e.C.Node(world.NodeOf(o)).Mem.Free(bytes)
-			}
-		}()
-		driver.Sleep(cfg.JobLaunch)
+	// stage declares body as one task per rank on nodes, the ranks' own.
+	// The ranks are persistent processes holding state between tasks, so
+	// no task is restartable: one that fails fails the job.
+	stage := func(name, group string, nodes []int, pool *sched.SlotPool, body func(p *sim.Proc, node, i int) error) taskrt.Stage {
+		return taskrt.Stage{Name: name, Group: group, Nodes: nodes, Pool: pool,
+			Body: func(p *sim.Proc, _ *sched.Attempt, i int) (any, error) { return nil, body(p, nodes[i], i) }}
+	}
 
+	j.Drive("datampi-iter:"+it.Name, true, func(driver *sim.Proc) bool {
 		// Load phase: O tasks read and cache their splits.
-		for o := 0; o < nO; o++ {
-			launch(fmt.Sprintf("O-load-%d", o), "load", o, oSlots, func(p *sim.Proc, node int) error {
-				p.Sleep(cfg.TaskStart)
-				mem := e.C.Node(node).Mem
-				mem.MustAlloc(cfg.TaskMem)
-				resident[o] = cfg.TaskMem
-				var recs []kv.Pair
-				var inflated int
-				for _, blk := range splitsOf[o] {
-					var wg sim.WaitGroup
-					if err := e.FS.StartRead(blk, node, &wg); err != nil {
-						return err
-					}
-					r, inf, err := job.Records(it.InputFormat, blk.Data)
-					if err != nil {
-						return err
-					}
-					// Parse CPU overlapped with the read.
-					e.StartCPU(&wg, node, cfg.MapCPUPerByte*float64(inf)*scale, 0)
-					wg.WaitAs(p, "disk")
-					recs = append(recs, r...)
-					inflated += inf
+		j.Run(stage("O-load-%d", "load", oNodes, oSlots, func(p *sim.Proc, node, o int) error {
+			p.Sleep(cfg.TaskStart)
+			mem := e.C.Node(node).Mem
+			mem.MustAlloc(cfg.TaskMem)
+			resident[o] = cfg.TaskMem
+			var recs []kv.Pair
+			var inflated int
+			for _, blk := range splitsOf[o] {
+				var wg sim.WaitGroup
+				if err := e.FS.StartRead(blk, node, &wg); err != nil {
+					return err
 				}
-				cached[o] = it.LoadO(recs)
-				cachedNominal[o] = float64(inflated) * scale
-				// Cached data stays resident for the whole job.
-				mem.MustAlloc(cachedNominal[o])
-				resident[o] += cachedNominal[o]
-				return nil
-			})
-		}
+				r, inf, err := job.Records(it.InputFormat, blk.Data)
+				if err != nil {
+					return err
+				}
+				// Parse CPU overlapped with the read.
+				e.StartCPU(&wg, node, cfg.MapCPUPerByte*float64(inf)*scale, 0)
+				wg.WaitAs(p, "disk")
+				recs = append(recs, r...)
+				inflated += inf
+			}
+			cached[o] = it.LoadO(recs)
+			cachedNominal[o] = float64(inflated) * scale
+			// Cached data stays resident for the whole job.
+			mem.MustAlloc(cachedNominal[o])
+			resident[o] += cachedNominal[o]
+			return nil
+		}))
 		j.Wait(driver)
 		j.Phase("load", "")
 
@@ -159,45 +154,42 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 		roundStart := j.Res.Start
 		for round := 1; j.Err() == nil && round <= it.Rounds; round++ {
 			aggParts := make([][]kv.Pair, nA)
+			r := strconv.Itoa(round)
 			// O compute + pipelined send.
-			for o := 0; o < nO; o++ {
-				launch(fmt.Sprintf("O-r%d-%d", round, o), "O", o, oSlots, func(p *sim.Proc, node int) error {
-					coll := kv.NewPartitionCollector(nA, 0, nil, kv.HashPartitioner{})
-					it.RunO(round, res.State, cached[o], coll.Emit)
-					// Round results are aggregates (cardinality-bound),
-					// charged unscaled.
-					out, err := taskrt.Collect(coll, 1)
-					if err != nil {
-						return err
-					}
-					var wg sim.WaitGroup
-					e.StartCPU(&wg, node, cfg.MapCPUPerByte*it.CPUFactorO*cachedNominal[o], 0)
-					for a := 0; a < nA; a++ {
-						wg.Add(1)
-						world.Isend(o, nO+a, round, out.Nominal[a], out.Parts[a], wg.Done)
-					}
-					wg.WaitAs(p, "cpu")
-					return nil
-				})
-			}
+			j.Run(stage("O-r"+r+"-%d", "O", oNodes, oSlots, func(p *sim.Proc, node, o int) error {
+				coll := kv.NewPartitionCollector(nA, 0, nil, kv.HashPartitioner{})
+				it.RunO(round, res.State, cached[o], coll.Emit)
+				// Round results are aggregates (cardinality-bound),
+				// charged unscaled.
+				out, err := taskrt.Collect(coll, 1)
+				if err != nil {
+					return err
+				}
+				var wg sim.WaitGroup
+				e.StartCPU(&wg, node, cfg.MapCPUPerByte*it.CPUFactorO*cachedNominal[o], 0)
+				for a := 0; a < nA; a++ {
+					wg.Add(1)
+					world.Isend(o, nO+a, round, out.Nominal[a], out.Parts[a], wg.Done)
+				}
+				wg.WaitAs(p, "cpu")
+				return nil
+			}))
 			// A aggregate.
-			for a := 0; a < nA; a++ {
-				launch(fmt.Sprintf("A-r%d-%d", round, a), "A", nO+a, aSlots, func(p *sim.Proc, node int) error {
-					// Each payload is a partition an O task's collector
-					// sorted: merge the runs.
-					runs := make([][]kv.Pair, 0, nO)
-					totalNominal := 0.0
-					for i := 0; i < nO; i++ {
-						m := world.Recv(p, nO+a, mpi.AnySource, round)
-						runs = append(runs, m.Payload.([]kv.Pair))
-						totalNominal += m.Nominal
-					}
-					all := taskrt.MergeRuns(runs)
-					e.C.Node(node).CPU.Use(p, cfg.ReduceCPUPerByte*totalNominal+cfg.RecordCPU*float64(len(all))*scale, "cpu")
-					aggParts[a] = it.RunA(round, all)
-					return nil
-				})
-			}
+			j.Run(stage("A-r"+r+"-%d", "A", aNodes, aSlots, func(p *sim.Proc, node, a int) error {
+				// Each payload is a partition an O task's collector
+				// sorted: merge the runs.
+				runs := make([][]kv.Pair, 0, nO)
+				totalNominal := 0.0
+				for i := 0; i < nO; i++ {
+					m := world.Recv(p, nO+a, mpi.AnySource, round)
+					runs = append(runs, m.Payload.([]kv.Pair))
+					totalNominal += m.Nominal
+				}
+				all := taskrt.MergeRuns(runs)
+				e.C.Node(node).CPU.Use(p, cfg.ReduceCPUPerByte*totalNominal+cfg.RecordCPU*float64(len(all))*scale, "cpu")
+				aggParts[a] = it.RunA(round, all)
+				return nil
+			}))
 			j.Wait(driver)
 			if j.Err() != nil {
 				break
@@ -214,8 +206,8 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 			for n := 1; n < e.C.N(); n++ {
 				e.C.Net.StartFlow(0, n, it.StateNominalBytes, nil)
 			}
-			now := eng.Now()
-			j.Phase("round"+strconv.Itoa(round), "")
+			now := driver.Engine().Now()
+			j.Phase("round"+r, "")
 			res.RoundTimes = append(res.RoundTimes, now-roundStart)
 			if round == 1 {
 				res.FirstRound = now - j.Res.Start
@@ -226,10 +218,8 @@ func submitIteration[S any](e *Engine, it *IterationJob[S], res *IterationResult
 				break
 			}
 		}
-		if j.Err() == nil {
-			driver.Sleep(cfg.JobTeardown)
-		}
-		j.Finish(nil)
-	})
+		// A failed run skips the teardown.
+		return j.Err() == nil
+	}, nil)
 	return j
 }

@@ -252,8 +252,9 @@ func Records(format Format, data []byte) (pairs []kv.Pair, inflated int, err err
 
 // MapBlock runs the spec's map function over one input block, record by
 // record, and returns what the engines charge for it: the block's record
-// count and its decoded size. emit must copy what it keeps (Emit's
-// contract), because the block's inflate buffer is recycled on return.
+// count and its decoded size (0 for a block that did not open). emit
+// must copy what it keeps (Emit's contract), because the block's inflate
+// buffer is recycled on return.
 func (s *Spec) MapBlock(data []byte, emit Emit) (records, inflated int, err error) {
 	var rd Reader
 	if err := rd.Open(s.InputFormat, data); err != nil {

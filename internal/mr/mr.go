@@ -97,14 +97,13 @@ func (e *Engine) Submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 	e.submit(spec, ctl, done)
 }
 
-// submit spawns the job's driver and task processes. done (optional) runs
-// in simulation context when the driver completes.
+// submit declares the job's map and reduce stages and drives them. done
+// (optional) runs in simulation context when the driver completes.
 func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 	j, slots := e.Admit(&spec, ctl, e.Cfg.DaemonMem, done, e.Cfg.TasksPerNode, "mr-map", "mr-reduce")
 	if slots == nil {
 		return j
 	}
-	mapSlots, reduceSlots := slots[0], slots[1]
 	blocks := spec.Input.Blocks
 	nMaps := len(blocks)
 	res := &j.Res
@@ -114,13 +113,10 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 
 	// Each map's record work depends on its block alone, so it starts now,
 	// on worker goroutines (or is shared with other jobs of the spec's
-	// fingerprint), and the map task picks it up when it runs.
-	scale, sortBuf := e.Scale(), e.Cfg.SortBufferBytes
-	maps := taskrt.Ahead(j, spec.Fingerprint, blocks, nReduce, sortBuf, spec.EmitScale(),
-		func(mi int) taskrt.Mapped { return taskrt.MapBlock(&spec, blocks[mi], nReduce, sortBuf, scale) })
-	// Each reducer's record half depends on its partition of every map
-	// output alone, so it starts on the same workers once they all exist.
-	taskrt.Tails(&spec, maps, nReduce)
+	// fingerprint), and the map task picks it up when it runs. Each
+	// reducer's record half depends on its partition of every map output
+	// alone, so it starts on the same workers once they all exist.
+	maps := taskrt.MapAhead(j, &spec, blocks, nReduce, e.Cfg.SortBufferBytes, true)
 
 	// outs is the map→reduce edge. A map output lost with its node is
 	// refetched from a surviving copy or regenerated inside the reducer
@@ -131,82 +127,61 @@ func (e *Engine) submit(spec job.Spec, ctl *sched.JobControl, done func(job.Resu
 		return e.runMapTask(p, att, &spec, blocks[mi], maps.Take(mi), mi, nil)
 	})
 
-	e.C.Eng.Go("jobtracker:"+spec.Name, func(driver *sim.Proc) {
-		// Job submission: client uploads the job jar and splits; the
-		// JobTracker initializes the job and TaskTrackers heartbeat in.
-		driver.Sleep(e.Cfg.JobLaunch)
-
-		for mi := 0; mi < nMaps; mi++ {
-			// Map tasks are restartable: the body re-reads its immutable
-			// split and publishes its output only through Done.
-			j.Launch(sched.TaskSpec{
-				Name:        fmt.Sprintf("map-%d", mi),
-				Node:        assignment[mi],
-				Pool:        mapSlots,
-				Group:       "map",
-				Restartable: true,
-				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					p.Sleep(e.Cfg.TaskStart)
-					att.Report(0.05)
-					return e.runMapTask(p, att, &spec, blocks[mi], maps.Take(mi), mi, outs)
-				},
-				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-					res.AddCounter("maps", 1)
-					if e.FS.IsLocal(blocks[mi], att.Node()) {
-						res.AddCounter("data_local_maps", 1)
+	slowstart := min(int(float64(nMaps)*e.Cfg.SlowstartFraction)+1, nMaps)
+	// Job submission: the client uploads the job jar and splits; the
+	// JobTracker initializes the job and TaskTrackers heartbeat in.
+	j.Drive("jobtracker:"+spec.Name, true, func(*sim.Proc) bool {
+		// Map tasks are restartable: the body re-reads its immutable split
+		// and publishes its output only through Done.
+		j.Run(taskrt.Stage{
+			Name: "map-%d", Group: "map", Nodes: assignment, Pool: slots[0], Restart: taskrt.Restartable,
+			Body: func(p *sim.Proc, att *sched.Attempt, mi int) (any, error) {
+				p.Sleep(e.Cfg.TaskStart)
+				att.Report(0.05)
+				return e.runMapTask(p, att, &spec, blocks[mi], maps.Take(mi), mi, outs)
+			},
+			Done: func(p *sim.Proc, att *sched.Attempt, mi int, v any) error {
+				res.AddCounter("maps", 1)
+				if e.FS.IsLocal(blocks[mi], att.Node()) {
+					res.AddCounter("data_local_maps", 1)
+				}
+				if outs.Publish(mi, att, v.(*taskrt.Output)) == nMaps {
+					j.Phase("map", "reduce")
+				}
+				return nil
+			},
+		})
+		// Reduce tasks are restartable: map outputs persist on the map
+		// nodes' disks, so a backup attempt re-fetches every partition and
+		// only the winner commits the output file in Done.
+		j.Run(taskrt.Stage{
+			Name: "reduce-%d", Group: "reduce", Nodes: e.Spread(nReduce), Pool: slots[1], Restart: taskrt.Restartable,
+			// Slow-start: the JobTracker does not launch reducers until
+			// enough maps have finished.
+			Pre: func(p *sim.Proc) bool { return !outs.Await(p, slowstart) },
+			Body: func(p *sim.Proc, att *sched.Attempt, ri int) (any, error) {
+				return e.runReduceTask(p, att, &spec, ri, outs, maps, res)
+			},
+			Done: func(p *sim.Proc, att *sched.Attempt, ri int, v any) error {
+				j.DependsOn(att)
+				// Commit order: the output write (to the attempt-scoped
+				// temp path, renamed by the tracker right after Done) goes
+				// first, while the task still holds the memory the text
+				// sits in; then that memory is released, then the counter.
+				if out, ok := v.(*reduceOut); ok {
+					res.OutRecords += int64(out.records)
+					werr := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-r-%05d", ri), spec.EmitScale(), out.text)
+					out.release()
+					if werr != nil {
+						return werr
 					}
-					if outs.Publish(mi, att, v.(*taskrt.Output)) == nMaps {
-						j.Phase("map", "reduce")
-					}
-					return nil
-				},
-			})
-		}
-
-		slowstart := int(float64(nMaps)*e.Cfg.SlowstartFraction) + 1
-		if slowstart > nMaps {
-			slowstart = nMaps
-		}
-		for ri := 0; ri < nReduce; ri++ {
-			// Reduce tasks are restartable: map outputs persist on the map
-			// nodes' disks, so a backup attempt re-fetches every partition
-			// and only the winner commits the output file in Done.
-			j.Launch(sched.TaskSpec{
-				Name:        fmt.Sprintf("reduce-%d", ri),
-				Node:        ri % e.C.N(),
-				Pool:        reduceSlots,
-				Group:       "reduce",
-				Restartable: true,
-				// Slow-start: the JobTracker does not launch reducers until
-				// enough maps have finished.
-				Pre: func(p *sim.Proc) bool { return !outs.Await(p, slowstart) },
-				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-					return e.runReduceTask(p, att, &spec, ri, outs, maps, res)
-				},
-				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-					j.DependsOn(att)
-					// Commit order: the output write (to the attempt-scoped
-					// temp path, renamed by the tracker right after Done)
-					// goes first, while the task still holds the memory the
-					// text sits in; then that memory is released, then the
-					// counter.
-					if out, ok := v.(*reduceOut); ok {
-						res.OutRecords += int64(out.records)
-						werr := e.WritePart(p, att, spec.Output, fmt.Sprintf("part-r-%05d", ri), spec.EmitScale(), out.text)
-						out.release()
-						if werr != nil {
-							return werr
-						}
-					}
-					res.AddCounter("reduces", 1)
-					return nil
-				},
-			})
-		}
-		j.Wait(driver)
-		driver.Sleep(e.Cfg.JobTeardown)
-		j.Finish(done)
-	})
+				}
+				res.AddCounter("reduces", 1)
+				return nil
+			},
+		})
+		return true
+	}, done)
 	return j
 }
 

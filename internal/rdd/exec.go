@@ -11,22 +11,6 @@ import (
 	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
-// stage is one of the stages an action declares, run in this order.
-type stage uint8
-
-const (
-	// fill decodes each block of a cached input that is not resident
-	// and pins the records in executor memory (the paper's Spark Stage 0,
-	// which "creates the RDD").
-	fill stage = iota
-	// mapping maps each block, or each cached partition, into the
-	// spec's shuffle.
-	mapping
-	// reduce merges each shuffle partition and writes it as a part file,
-	// or collects its reduced pairs.
-	reduce
-)
-
 // action is one job over a spec: its declared stages and what their
 // tasks share.
 type action struct {
@@ -34,8 +18,14 @@ type action struct {
 	spec    *job.Spec
 	collect bool // return the reduced pairs, write no part files
 	j       *taskrt.Job
+	ctl     *sched.JobControl
 	slots   *sched.SlotPool
-	stages  []stage
+	// stages are the action's stages, run in this order, each as stage si
+	// and waited for: runFill (the paper's Spark Stage 0, which "creates
+	// the RDD") when the input is cached but not resident, runMap and
+	// runReduce, which leaves its partitions in parts.
+	stages []func(driver *sim.Proc, si int) error
+	parts  []partData
 
 	// cache is the input's when it is marked cached (nil otherwise): the
 	// map stage then reads cached, the partitions resident when the action
@@ -45,20 +35,21 @@ type action struct {
 	cache  *cache
 	cached []partData
 
-	// blocks is the record half (mapBlock or decodeBlock over each block)
-	// of the one stage that reads the input's blocks, started when the
-	// action is submitted; nil when the map stage reads a resident cache.
-	blocks *taskrt.Pending[mapped]
+	// blocks is the record half (taskrt.MapBlock, or decodeBlock when
+	// filling) of the one stage that reads the input's blocks, started
+	// when the action is submitted; nil when the map stage reads a
+	// resident cache.
+	blocks *taskrt.Pending[taskrt.Mapped]
 	edge   *taskrt.Outputs // the shuffle the map stage writes
 
-	emitScale float64 // nominal shuffle bytes per actual one: the filesystem's Scale, 1 behind a combiner
+	emitScale float64 // nominal shuffle bytes per actual one (job.Spec.EmitScale)
 	sorted    bool    // range-partitioned: the reduce side materializes and sorts (OOM risk)
 }
 
-// submit spawns the action's driver over the (normalized) spec; a collect
-// action appends the reduced pairs to out. done (optional) runs in
-// simulation context when the driver completes. Each stage is one phase
-// of the job ("stage0", "stage1", "stage2").
+// submit declares the action's stages over the (normalized) spec and
+// drives them; a collect action appends the reduced pairs to out. done
+// (optional) runs in simulation context when the driver completes. Each
+// stage is one phase of the job ("stage0", "stage1", "stage2").
 func (e *Engine) submit(name string, spec *job.Spec, collect bool, out *[]kv.Pair,
 	ctl *sched.JobControl, done func(job.Result)) *taskrt.Job {
 
@@ -73,99 +64,71 @@ func (e *Engine) submit(name string, spec *job.Spec, collect bool, out *[]kv.Pai
 	scale := e.Scale()
 	_, sorted := spec.Part.(*kv.RangePartitioner)
 	a := &action{
-		e: e, spec: spec, collect: collect, j: j, slots: pools[0],
+		e: e, spec: spec, collect: collect, j: j, ctl: ctl, slots: pools[0],
 		cache:     e.cacheOf(spec.Input),
-		emitScale: scale,
+		emitScale: spec.EmitScale(),
 		sorted:    sorted,
-	}
-	if spec.Combine != nil {
-		a.emitScale = 1 // cardinality-bound: see job.Spec.SaturatingIntermediate
 	}
 	blocks := spec.Input.Blocks
 	switch {
 	case a.cache == nil:
 		// The map stage's record work is shared with the engine's other
-		// actions of the spec's fingerprint (taskrt.Ahead).
-		a.stages = []stage{mapping, reduce}
-		a.blocks = taskrt.Ahead(j, spec.Fingerprint, blocks, spec.Reducers, 0, a.emitScale,
-			func(i int) mapped { return a.mapBlock(blocks[i], scale) })
-		if !collect {
-			// Each reduce task's record half depends on its partition of
-			// every map task's output alone.
-			taskrt.Tails(spec, a.blocks, spec.Reducers)
-		}
+		// actions of the spec's fingerprint; each reduce task's record
+		// half, when it writes, depends on its partition of every map
+		// task's output alone.
+		a.blocks = taskrt.MapAhead(j, spec, blocks, spec.Reducers, 0, !collect)
 	case a.cache.parts == nil:
-		a.stages = []stage{fill, mapping, reduce}
+		a.stages = append(a.stages, a.runFill)
 		a.blocks = taskrt.Ahead(j, "", blocks, 0, 0, scale,
-			func(i int) mapped { return decodeBlock(spec.InputFormat, blocks[i], scale) })
+			func(i int) taskrt.Mapped { return decodeBlock(spec.InputFormat, blocks[i], scale) })
 	default:
-		a.stages, a.cached = []stage{mapping, reduce}, a.cache.parts
+		a.cached = a.cache.parts
 	}
+	a.stages = append(a.stages, a.runMap, a.runReduce)
 
-	e.C.Eng.Go("spark-driver", func(driver *sim.Proc) {
-		if !e.appStarted {
-			// Latch before sleeping so concurrently submitted actions do
-			// not each pay the one-off SparkContext launch cost.
-			e.appStarted = true
-			driver.Sleep(cfg.JobLaunch)
-		}
-		var parts []partData // the reduce stage's partitions
-		for si, st := range a.stages {
-			var err error
-			switch st {
-			case fill:
-				err = a.runFill(driver, si, ctl)
-			case mapping:
-				err = a.runMap(driver, si, ctl)
-			case reduce:
-				parts, err = a.runReduce(driver, si)
-			}
-			if err != nil {
+	// The SparkContext launches once per application: the first action
+	// submitted pays it, and concurrently submitted ones do not.
+	launch := !e.appStarted
+	e.appStarted = true
+	j.Drive("spark-driver", launch, func(driver *sim.Proc) bool {
+		for si, run := range a.stages {
+			if err := run(driver, si); err != nil {
 				j.Fail(err)
 				break
 			}
 			j.Phase(stageName(si), "")
 		}
 		if j.Err() == nil && collect {
-			for _, pd := range parts {
+			for _, pd := range a.parts {
 				*out = append(*out, pd.pairs...)
 			}
 		}
-		driver.Sleep(cfg.JobTeardown)
-		j.Finish(done)
-	})
+		return true
+	}, done)
 	return j
 }
 
-// launch runs stage si as one task per entry of nodes, on that node, and
-// waits for them: body is a task's cost half, and done takes the value of
-// the attempt that won. Every task is restartable: its input (a block, a
-// cached partition, a shuffle edge) is immutable, its output publishes
-// only through done, and part files go through the attempt-scoped
-// committer — so even output-writing tasks can race speculative backups
-// with exactly-once committed files.
-func (a *action) launch(driver *sim.Proc, si int, nodes []int,
+// run runs stage si as one task per entry of nodes and waits for them:
+// body is a task's cost half after its dispatch, done takes the winner's
+// value. Every task is restartable: its input (a block, a cached
+// partition, a shuffle edge) is immutable, its output publishes only
+// through done, and part files go through the attempt-scoped committer.
+func (a *action) run(driver *sim.Proc, si int, nodes []int,
 	body func(p *sim.Proc, att *sched.Attempt, ti int) (any, error), done func(ti int, att *sched.Attempt, v any)) error {
 	j, cfg := a.j, &a.e.Cfg
-	for ti, node := range nodes {
-		j.Launch(sched.TaskSpec{
-			Name:        fmt.Sprintf("spark-task-%d", ti),
-			Node:        node,
-			Pool:        a.slots,
-			Group:       stageName(si),
-			Restartable: true,
-			Pre:         func(p *sim.Proc) bool { return j.Err() != nil },
-			Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
-				p.Sleep(cfg.TaskStart)
-				att.Report(0.05)
-				return body(p, att, ti)
-			},
-			Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
-				done(ti, att, v)
-				return nil
-			},
-		})
-	}
+	j.Run(taskrt.Stage{
+		Name: "spark-task-%d", Group: stageName(si), Nodes: nodes, Pool: a.slots, Restart: taskrt.Restartable,
+		Pre: func(p *sim.Proc) bool { return j.Err() != nil },
+		Body: func(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
+			p.Sleep(cfg.TaskStart)
+			att.Report(0.05)
+			return body(p, att, ti)
+		},
+		Done: func(p *sim.Proc, att *sched.Attempt, ti int, v any) error {
+			done(ti, att, v)
+			return nil
+		},
+	})
 	j.Wait(driver)
 	return j.Err()
 }
@@ -173,11 +136,11 @@ func (a *action) launch(driver *sim.Proc, si int, nodes []int,
 // runFill runs the fill stage, one task per block, and pins what it
 // decoded in executor memory if every node's share fits; the map stage
 // reads the resident cache, or what the fill decoded when it did not fit.
-func (a *action) runFill(driver *sim.Proc, si int, ctl *sched.JobControl) error {
-	e, cfg := a.e, &a.e.Cfg
+func (a *action) runFill(driver *sim.Proc, si int) error {
+	e, cfg, ctl := a.e, &a.e.Cfg, a.ctl
 	blocks := a.spec.Input.Blocks
 	results := make([]partData, 0, len(blocks))
-	err := a.launch(driver, si, ctl.Placer().Place(blocks), a.blockTask,
+	err := a.run(driver, si, ctl.Placer().Place(blocks), a.blockTask,
 		func(_ int, _ *sched.Attempt, v any) { results = append(results, v.(partData)) })
 	if err != nil {
 		return err
@@ -217,7 +180,7 @@ func (a *action) runFill(driver *sim.Proc, si int, ctl *sched.JobControl) error 
 // targets a dead node regenerates the producing task inline on its own
 // node, from the task's immutable input (Spark's lost-shuffle-output
 // recompute, without modeling the full stage-abort round trip).
-func (a *action) runMap(driver *sim.Proc, si int, ctl *sched.JobControl) error {
+func (a *action) runMap(driver *sim.Proc, si int) error {
 	var nodes []int
 	body := a.blockTask
 	if a.cache != nil {
@@ -226,28 +189,24 @@ func (a *action) runMap(driver *sim.Proc, si int, ctl *sched.JobControl) error {
 		}
 		body = a.cacheTask
 	} else {
-		nodes = ctl.Placer().Place(a.spec.Input.Blocks)
+		nodes = a.ctl.Placer().Place(a.spec.Input.Blocks)
 	}
 	a.edge = a.j.Outputs(len(nodes), "t", body)
-	return a.launch(driver, si, nodes, body,
+	return a.run(driver, si, nodes, body,
 		func(ti int, att *sched.Attempt, v any) { a.edge.Publish(ti, att, v.(*taskrt.Output)) })
 }
 
 // runReduce runs the reduce stage, one task per shuffle partition, and
-// returns the reduced partitions (pairs only when collecting).
-func (a *action) runReduce(driver *sim.Proc, si int) ([]partData, error) {
-	nodes := make([]int, a.spec.Reducers)
-	for pi := range nodes {
-		nodes[pi] = pi % a.e.C.N()
-	}
-	results := make([]partData, 0, len(nodes))
-	err := a.launch(driver, si, nodes, a.reduceTask, func(_ int, att *sched.Attempt, v any) {
+// keeps the reduced partitions (pairs only when collecting) in parts.
+func (a *action) runReduce(driver *sim.Proc, si int) error {
+	nodes := a.e.Spread(a.spec.Reducers)
+	a.parts = make([]partData, 0, len(nodes))
+	return a.run(driver, si, nodes, a.reduceTask, func(_ int, att *sched.Attempt, v any) {
 		if pd, ok := v.(partData); ok { // nil: the pull woke to a failed job
-			results = append(results, pd)
+			a.parts = append(a.parts, pd)
 		}
 		a.j.DependsOn(att)
 	})
-	return results, err
 }
 
 func (e *Engine) usedExecutorMem(node int) float64 {
@@ -258,95 +217,26 @@ func (e *Engine) usedExecutorMem(node int) float64 {
 	return used
 }
 
-// mapStep names how far a task's record work got before its error.
-type mapStep uint8
-
-const (
-	mapOK      mapStep = iota
-	mapOpen            // the block did not open (or, filling, did not decode): nothing was read
-	mapDecode          // a record did not decode: the block was read
-	mapCollect         // the collector failed: the input was read and mapped
-)
-
-// mapped is the record half of a task reading the input: its size
-// (nominal bytes, actual records), then its sized shuffle output (a map
-// task) or its decoded records (a fill task), or the error that stopped
-// it and the step it struck at.
-type mapped struct {
-	inNominal float64
-	inRecords int
-	taskrt.Partitioned
-	pairs  []kv.Pair
-	err    error
-	failed mapStep
-}
-
-// mapBlock is the record half of a map task over blk: it streams the
-// block's records through the spec's map into a fresh collector, lent
-// the block when its records alias it, and sizes the output at scale
-// (the filesystem's) nominal bytes per actual one. It touches no
-// simulation state, so the action runs it ahead of the task
-// (taskrt.Ahead).
-func (a *action) mapBlock(blk *dfs.Block, scale float64) mapped {
-	var rd job.Reader
-	if err := rd.Open(a.spec.InputFormat, blk.Data); err != nil {
-		return mapped{err: fmt.Errorf("rdd: input: %w", err), failed: mapOpen}
-	}
-	defer rd.Close() // every record left the reader as a copy or lies in the lent block
-	m := mapped{inNominal: float64(rd.Inflated()) * scale}
-	coll := a.collector()
-	if a.spec.InputFormat.Borrowable() {
-		coll.Borrow(blk.Data)
-	}
-	emit := coll.Emit // one method value, not one per record
-	for k, v, ok := rd.Next(); ok; k, v, ok = rd.Next() {
-		a.spec.Map(k, v, emit)
-	}
-	if err := rd.Err(); err != nil {
-		m.err, m.failed = fmt.Errorf("rdd: input: %w", err), mapDecode
-		return m
-	}
-	m.inRecords = rd.Records()
-	a.finish(&m, coll)
-	return m
-}
-
-// mapPairs is the record half of a map task over a cached partition of
-// nominal bytes.
-func (a *action) mapPairs(pairs []kv.Pair, nominal float64) mapped {
-	m := mapped{inNominal: nominal, inRecords: len(pairs)}
-	coll := a.collector()
-	emit := coll.Emit
-	for _, pr := range pairs {
-		a.spec.Map(pr.Key, pr.Value, emit)
-	}
-	a.finish(&m, coll)
-	return m
-}
-
-// collector returns a fresh partition collector for the spec's shuffle.
-func (a *action) collector() *kv.PartitionCollector {
-	return kv.NewPartitionCollector(a.spec.Reducers, 0, a.spec.Combine, a.spec.Part)
-}
-
-// finish sizes coll's partitions into m, or records why they failed.
-func (a *action) finish(m *mapped, coll *kv.PartitionCollector) {
-	var err error
-	if m.Partitioned, err = taskrt.Collect(coll, a.emitScale); err != nil {
-		m.err, m.failed = fmt.Errorf("rdd: shuffle %w", err), mapCollect
-	}
-}
-
-// decodeBlock is the record half of a fill task: blk's records, at scale
-// nominal bytes per actual one. The cache keeps them as they are — they
-// alias the block, or for SeqGzip an inflate buffer that is now theirs
-// (job.Records never closes its Reader).
-func decodeBlock(format job.Format, blk *dfs.Block, scale float64) mapped {
+// decodeBlock is the record half of a fill task: blk's records, as they
+// lie in the block, as its output's one partition, at scale nominal bytes
+// per actual one. The cache keeps them as they are — they alias the
+// block, or for SeqGzip an inflate buffer that is now theirs (job.Records
+// never closes its Reader).
+func decodeBlock(format job.Format, blk *dfs.Block, scale float64) taskrt.Mapped {
 	pairs, inflated, err := job.Records(format, blk.Data)
 	if err != nil {
-		return mapped{err: fmt.Errorf("rdd: input: %w", err), failed: mapOpen}
+		return taskrt.Mapped{Err: fmt.Errorf("input: %w", err), Failed: taskrt.MapOpen}
 	}
-	return mapped{inNominal: float64(inflated) * scale, inRecords: len(pairs), pairs: pairs}
+	return taskrt.Mapped{InNominal: float64(inflated) * scale, InRecords: float64(len(pairs)) * scale,
+		Out: taskrt.Partitioned{Parts: [][]kv.Pair{pairs}}}
+}
+
+// mapErr is the error m's record work stopped at, as the task reports it.
+func mapErr(m *taskrt.Mapped) error {
+	if m.Failed == taskrt.MapCollect {
+		return fmt.Errorf("rdd: shuffle %w", m.Err)
+	}
+	return fmt.Errorf("rdd: %w", m.Err)
 }
 
 // blockTask is the cost half of a task reading block ti, on att's node:
@@ -360,8 +250,8 @@ func (a *action) blockTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error)
 	e, cfg := a.e, &a.e.Cfg
 	node := att.Node()
 	m := a.blocks.Take(ti)
-	if m.failed == mapOpen {
-		return nil, m.err
+	if m.Failed == taskrt.MapOpen {
+		return nil, mapErr(&m)
 	}
 	var wg sim.WaitGroup
 	if err := e.FS.StartRead(a.spec.Input.Blocks[ti], node, &wg); err != nil {
@@ -370,19 +260,19 @@ func (a *action) blockTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error)
 	// Streaming stages hold only a window of the partition as live
 	// objects (the iterator pipeline), not the whole expansion.
 	mem := e.C.Node(node).Mem
-	window := 0.35 * m.inNominal * cfg.ExpansionFactor
+	window := 0.35 * m.InNominal * cfg.ExpansionFactor
 	mem.MustAlloc(window)
 	defer mem.FreeLazy(e.C.Eng, window, cfg.GCLagSecs)
-	if m.failed == mapDecode {
-		return nil, m.err
+	if m.Failed == taskrt.MapDecode {
+		return nil, mapErr(&m)
 	}
 	if a.cache == nil {
-		return a.writeShuffle(p, &wg, node, m)
+		return a.writeShuffle(p, &wg, node, &m)
 	}
-	scale := e.Scale()
-	cpuSec := e.MapCPU(a.spec, 1, m.inNominal, float64(m.inRecords)*scale, 0) // decoding is plain parsing
+	cpuSec := e.MapCPU(a.spec, 1, m.InNominal, m.InRecords, 0) // decoding is plain parsing
 	e.StartCPU(&wg, node, cpuSec, e.Overhead(node, cpuSec))
-	outNominal := taskrt.Framed(m.pairs, scale)
+	pairs := m.Out.Parts[0]
+	outNominal := taskrt.Framed(pairs, e.Scale())
 	if cfg.CacheCPUPerByte > 0 {
 		// Building the cached records' in-memory representation costs
 		// CPU (deserialization into JVM objects).
@@ -390,15 +280,16 @@ func (a *action) blockTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error)
 		e.C.Node(node).CPU.Start(cfg.CacheCPUPerByte*outNominal, wg.Done)
 	}
 	wg.WaitAs(p, "disk")
-	return partData{pairs: m.pairs, nominal: outNominal, node: node}, nil
+	return partData{pairs: pairs, nominal: outNominal, node: node}, nil
 }
 
 // cacheTask is the cost half of a map task over cached partition ti, on
 // att's node: the map's CPU, then its shuffle output.
 func (a *action) cacheTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error) {
 	pd := &a.cached[ti]
+	m := taskrt.MapPairs(a.spec, pd.pairs, a.spec.Reducers, pd.nominal, a.e.Scale())
 	var wg sim.WaitGroup
-	return a.writeShuffle(p, &wg, att.Node(), a.mapPairs(pd.pairs, pd.nominal))
+	return a.writeShuffle(p, &wg, att.Node(), &m)
 }
 
 // reduceTask is the cost half of reduce task ti, on att's node: it pulls
@@ -472,16 +363,16 @@ func (a *action) reduceTask(p *sim.Proc, att *sched.Attempt, ti int) (any, error
 // shuffle output (Spark 0.8 hash shuffle materializes map outputs on the
 // local disks of the map side), waits for it and every charge already in
 // wg, and returns the output.
-func (a *action) writeShuffle(p *sim.Proc, wg *sim.WaitGroup, node int, m mapped) (any, error) {
+func (a *action) writeShuffle(p *sim.Proc, wg *sim.WaitGroup, node int, m *taskrt.Mapped) (any, error) {
 	e := a.e
 	// Shuffle-write serialization is not in this sum: it runs on the
 	// shuffle writer thread, below.
-	cpuSec := e.MapCPU(a.spec, a.spec.MapCPUFactor, m.inNominal, float64(m.inRecords)*e.Scale(), 0)
+	cpuSec := e.MapCPU(a.spec, a.spec.MapCPUFactor, m.InNominal, m.InRecords, 0)
 	e.StartCPU(wg, node, cpuSec, e.Overhead(node, cpuSec))
-	if m.err != nil {
-		return nil, m.err
+	if m.Err != nil {
+		return nil, mapErr(m)
 	}
-	sized := m.Partitioned
+	sized := m.Out
 	if sized.OutNominal > 0 {
 		wg.Add(1)
 		e.C.Node(node).Disk.Start(sized.OutNominal, wg.Done)

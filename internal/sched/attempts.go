@@ -82,10 +82,24 @@ func (t *TaskTracker) spawn(task *trackedTask, node int, backup bool) {
 			if holding {
 				t.releaseSlot(task, att, node)
 			}
-			if !att.killed && !task.settled && !live(task) {
+			killed := func() error {
+				return fmt.Errorf("sched: task %s: attempt %d killed outside the tracker", task.spec.Name, att.index)
+			}
+			switch {
+			case att.won:
+				// A winner killed while its Done commits (nothing but an
+				// outside kill reaches a settled task's winner): the task
+				// settled, but its Fail and Final are still owed.
+				if task.spec.Fail != nil {
+					task.spec.Fail(killed())
+				}
+				if task.spec.Final != nil {
+					task.spec.Final()
+				}
+			case !att.killed && !task.settled && !live(task):
 				// A kill the tracker did not order: nothing respawns the
 				// task, so it fails (see TaskSpec).
-				t.failTask(task, fmt.Errorf("sched: task %s: attempt %d killed outside the tracker", task.spec.Name, att.index))
+				t.failTask(task, killed())
 			}
 			t.unwound(task, att)
 		}()

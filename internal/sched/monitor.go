@@ -96,7 +96,8 @@ func (t *TaskTracker) tidyRunning() {
 }
 
 // speculate scans running attempts for stragglers and launches backup
-// attempts on alternate nodes, at most one per task and tick. spawn only
+// attempts on alternate nodes, at most one per task and tick; an attempt
+// cancelled from outside but not yet unwound is no straggler. spawn only
 // schedules the backup's proc, so the running list cannot change under
 // the walk.
 func (t *TaskTracker) speculate() {
@@ -104,7 +105,7 @@ func (t *TaskTracker) speculate() {
 	var last *trackedTask // the task this tick last launched a backup for
 	for _, a := range t.running {
 		task := a.task
-		if task == last || task.settled || !task.spec.Restartable || int(task.backups) >= t.spec.MaxBackupsPerTask {
+		if task == last || task.settled || a.proc.Cancelled() || !task.spec.Restartable || int(task.backups) >= t.spec.MaxBackupsPerTask {
 			continue
 		}
 		// MinCompleted is at least 1, so a group no attempt has won yet
@@ -181,7 +182,8 @@ func (t *TaskTracker) backupNode(task *trackedTask) int {
 
 // preempt reclaims slots for starved jobs in Fair pools: it kills the
 // newest restartable attempt of an over-share job on the starved node and
-// requeues the task on its preferred node.
+// requeues the task on its preferred node. An attempt cancelled from
+// outside but not yet unwound is no victim: its kill fails its task.
 func (t *TaskTracker) preempt() {
 	now := t.eng.Now()
 	for _, pool := range t.pools {
@@ -202,7 +204,7 @@ func (t *TaskTracker) preempt() {
 		var victim *Attempt
 		for _, a := range t.running {
 			task := a.task
-			if a.node != node || task.settled || !task.spec.Restartable || task.spec.Pool != pool {
+			if a.node != node || task.settled || a.proc.Cancelled() || !task.spec.Restartable || task.spec.Pool != pool {
 				continue
 			}
 			h := task.spec.Handle

@@ -19,7 +19,8 @@ import (
 // unsettled task and every (node, job) FIFO head — on the state the tick
 // is about to see; after the tick the backups it launched (task and node,
 // in launch order) and each pool's preemption victim must be the
-// oracle's. At quiesce the tracker must hold nothing.
+// oracle's. At quiesce the tracker must hold nothing, and every task's
+// Final has run once.
 func FuzzMonitorMatchesFullScan(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
@@ -151,7 +152,7 @@ func fullScanBackups(t *TaskTracker) []string {
 		}
 		medianRate, medianDur := g.rates.median(), g.durs.median()
 		for _, a := range task.attempts {
-			if !a.started || a.finished {
+			if !a.started || a.finished || a.proc.Cancelled() {
 				continue
 			}
 			elapsed := now - a.start
@@ -197,7 +198,7 @@ func fullScanVictims(t *TaskTracker) []*Attempt {
 				continue
 			}
 			for _, a := range task.attempts {
-				if !a.started || a.finished || a.node != node {
+				if !a.started || a.finished || a.proc.Cancelled() || a.node != node {
 					continue
 				}
 				if victim == nil || a.start >= victim.start {
@@ -263,6 +264,7 @@ func checkMonitor(t *testing.T, data []byte) (TrackerStats, int) {
 	}
 	var stuck []*stuckTask
 	var committing []*Attempt // winners whose Done may still be running
+	var finals []int          // task (launch order) -> Final calls
 	launched := 0
 	launch := func(arg int) {
 		h := jobs[arg%len(jobs)]
@@ -271,11 +273,14 @@ func checkMonitor(t *testing.T, data []byte) (TrackerStats, int) {
 		if arg%13 == 0 {
 			pool = pools[1]
 		}
+		ti := launched
 		ts := TaskSpec{
 			Name: fmt.Sprintf("%s%d", h.name, launched), Node: node, Pool: pool, Handle: h,
 			Group: fmt.Sprint(arg % 2), Restartable: arg%7 != 0, Retryable: arg%5 == 0,
+			Final: func() { finals[ti]++ },
 		}
 		launched++
+		finals = append(finals, 0)
 		if arg%4 == 1 {
 			ts.Done = func(p *sim.Proc, v any, att *Attempt) error {
 				committing = append(committing, att)
@@ -358,5 +363,10 @@ func checkMonitor(t *testing.T, data []byte) (TrackerStats, int) {
 		t.Fatal(err)
 	}
 	checkQuiesced(t, tr)
+	for ti, n := range finals {
+		if n != 1 {
+			t.Fatalf("task %d of %d: Final ran %d times", ti, launched, n)
+		}
+	}
 	return tr.Stats(), r.ticks
 }

@@ -141,8 +141,9 @@ type TaskSpec struct {
 	// or the task failed for good (see NodeDown). An attempt whose proc
 	// had started and is killed by anything but the tracker —
 	// sim.Engine.CancelAll, as taskrt.Base.RunSolo unwinds a deadlock —
-	// fails its task once no other attempt of it is live: Fail gets an
-	// error naming the task and the attempt, then Final runs. An attempt
+	// fails its task once no other attempt of it is live, and a winner so
+	// killed while its Done runs fails its task too: Fail gets an error
+	// naming the task and the attempt, then Final runs. An attempt
 	// cancelled before its proc first runs never runs its body, so it
 	// settles nothing. (The tracker's own kills are a winner cancelling
 	// its siblings, a preemption and a node-down requeue.)

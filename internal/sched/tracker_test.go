@@ -454,3 +454,83 @@ func TestExternalKillSettlesTask(t *testing.T) {
 		})
 	}
 }
+
+// TestOutsideKillOfCommittingWinnerFailsTask cancels every proc from
+// outside the tracker while a task's winner runs its Done (an output
+// commit that takes simulated time). The task already settled, yet its
+// Fail and Final are owed: each must run exactly once, Fail with the
+// kill's error.
+func TestOutsideKillOfCommittingWinnerFailsTask(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := NewSlotPool(FIFO, 1, 1)
+	tr := NewTaskTracker(eng, SpeculationConfig{}, PreemptionConfig{})
+	var fails []error
+	finals := 0
+	tr.Launch(TaskSpec{
+		Name: "commit", Pool: pool, Handle: &JobHandle{name: "a", weight: 1},
+		Body:  func(p *sim.Proc, att *Attempt) (any, error) { p.Sleep(1); return nil, nil },
+		Done:  func(p *sim.Proc, v any, att *Attempt) error { p.Sleep(5); return nil },
+		Fail:  func(err error) { fails = append(fails, err) },
+		Final: func() { finals++ },
+	})
+	if _, err := eng.RunUntil(3); err != nil { // the winner is inside Done
+		t.Fatal(err)
+	}
+	eng.CancelAll()
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fails) != 1 || !strings.Contains(fails[0].Error(), "killed outside the tracker") || finals != 1 {
+		t.Fatalf("Fail got %v, Final ran %d times; want one kill error and one Final", fails, finals)
+	}
+	if pool.Free(0) != 1 {
+		t.Fatal("the killed winner kept its slot")
+	}
+	checkQuiesced(t, tr)
+}
+
+// TestOutsideKillAtTickIsNoVictim cancels every proc from outside the
+// tracker at the instant of the first monitor tick that finds job b
+// starved: the tick must not preempt one of job a's attempts, which are
+// cancelled but not yet unwound (a preemption would take over the kill
+// and requeue the task), and every task fails with the kill, as in
+// TestExternalKillSettlesTask.
+func TestOutsideKillAtTickIsNoVictim(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := NewSlotPool(Fair, 1, 2)
+	tr := NewTaskTracker(eng, SpeculationConfig{}, PreemptionConfig{Enabled: true, Patience: 2, CheckInterval: 1})
+	// Scheduled first, so it runs ahead of the tick at t=5, which is
+	// armed at t=4; the unwinds run after the tick.
+	eng.Schedule(5, eng.CancelAll)
+	fails, finals := map[string]int{}, map[string]int{}
+	launch := func(name string, h *JobHandle) {
+		finals[name] = 0
+		tr.Launch(TaskSpec{
+			Name: name, Pool: pool, Handle: h, Group: "g", Restartable: true,
+			Body: func(p *sim.Proc, att *Attempt) (any, error) { p.Sleep(100); return nil, nil },
+			Fail: func(err error) {
+				if !strings.Contains(err.Error(), "killed outside the tracker") {
+					t.Errorf("%s failed with %v", name, err)
+				}
+				fails[name]++
+			},
+			Final: func() { finals[name]++ },
+		})
+	}
+	a, b := &JobHandle{name: "a", weight: 1}, &JobHandle{name: "b", weight: 1}
+	launch("a0", a)
+	launch("a1", a)
+	eng.Schedule(3, func() { launch("b0", b) }) // starved from t=5 on
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.Stats(); st.Preemptions != 0 {
+		t.Fatalf("%d preemptions of attempts killed from outside", st.Preemptions)
+	}
+	for name, n := range finals {
+		if n != 1 || fails[name] != 1 {
+			t.Fatalf("%s: Final ran %d times, Fail %d; want 1 and 1", name, n, fails[name])
+		}
+	}
+	checkQuiesced(t, tr)
+}

@@ -390,6 +390,20 @@ func Tails[T any, PT interface {
 	}
 }
 
+// MapAhead starts the record half of a job's map stage — MapBlock of
+// each of blocks into nParts partitions, spilling past sortBuf nominal
+// bytes, shared by spec's fingerprint (Ahead) — and, with tails, the
+// nParts reducers' tails over the results (Tails).
+func MapAhead(j *Job, spec *job.Spec, blocks []*dfs.Block, nParts int, sortBuf float64, tails bool) *Pending[Mapped] {
+	scale := j.b.Scale()
+	maps := Ahead(j, spec.Fingerprint, blocks, nParts, sortBuf, spec.EmitScale(),
+		func(i int) Mapped { return MapBlock(spec, blocks[i], nParts, sortBuf, scale) })
+	if tails {
+		Tails(spec, maps, nParts)
+	}
+	return maps
+}
+
 // landed records item i's first value v and starts the tails once every
 // item has one. ahead.mu is held.
 func (p *Pending[T]) landed(i int, v *T) {

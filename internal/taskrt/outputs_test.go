@@ -79,7 +79,7 @@ func runEdge(t *testing.T, ec edgeCase) edgeRun {
 		producers, consumers := ctl.Pool("producer", n), ctl.Pool("consumer", nc)
 		c.Eng.Go("driver", func(driver *sim.Proc) {
 			for i := range ec.nodes {
-				j.Launch(sched.TaskSpec{Name: fmt.Sprintf("p%d", i), Node: ec.nodes[i], Pool: producers,
+				j.launch(sched.TaskSpec{Name: fmt.Sprintf("p%d", i), Node: ec.nodes[i], Pool: producers,
 					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 						out := edgeOutput(i, nc, att.Node())
 						st := o.Stream(att, i, &out.Partitioned)
@@ -101,7 +101,7 @@ func runEdge(t *testing.T, ec edgeCase) edgeRun {
 				})
 			}
 			for ci, node := range ec.consumers {
-				j.Launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: node, Pool: consumers,
+				j.launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: node, Pool: consumers,
 					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 						p.Sleep(ec.start + float64(ci)*ec.stagger)
 						last := -1
@@ -257,7 +257,7 @@ func TestOutputsQuiesceAfterFailedRegeneration(t *testing.T) {
 		})
 		pool := ctl.Pool("consumer", 2)
 		c.Eng.Go("driver", func(driver *sim.Proc) {
-			j.Launch(sched.TaskSpec{Name: "p", Node: 0, Pool: pool,
+			j.launch(sched.TaskSpec{Name: "p", Node: 0, Pool: pool,
 				Body: func(p *sim.Proc, att *sched.Attempt) (any, error) { return edgeOutput(0, 2, 0), nil },
 				Done: func(p *sim.Proc, v any, att *sched.Attempt) error {
 					o.Publish(0, att, v.(*Output))
@@ -266,7 +266,7 @@ func TestOutputsQuiesceAfterFailedRegeneration(t *testing.T) {
 				},
 			})
 			for ci := 0; ci < 2; ci++ {
-				j.Launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: 1 + ci, Pool: pool,
+				j.launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: 1 + ci, Pool: pool,
 					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 						mem := c.Node(att.Node()).Mem
 						mem.MustAlloc(cluster.MB)
@@ -312,7 +312,7 @@ func TestOutputsNestedRegenerationAfterFailure(t *testing.T) {
 		pool := ctl.Pool("worker", 3)
 		c.Eng.Go("driver", func(driver *sim.Proc) {
 			publish := func(o *Outputs, name string, i int, delay float64) {
-				j.Launch(sched.TaskSpec{Name: name, Node: 0, Pool: pool,
+				j.launch(sched.TaskSpec{Name: name, Node: 0, Pool: pool,
 					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 						p.Sleep(delay)
 						return edgeOutput(i, 2, 0), nil
@@ -327,7 +327,7 @@ func TestOutputsNestedRegenerationAfterFailure(t *testing.T) {
 			publish(second, "x0", 0, 1)
 			publish(second, "x1", 1, 1.5)
 			for ci := 0; ci < 2; ci++ {
-				j.Launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: 2 + ci, Pool: pool,
+				j.launch(sched.TaskSpec{Name: fmt.Sprintf("c%d", ci), Node: 2 + ci, Pool: pool,
 					Body: func(p *sim.Proc, att *sched.Attempt) (any, error) {
 						p.Sleep(5)
 						_, err := second.Pull(p, att, ci, func(int, int) {}, func(float64) {})

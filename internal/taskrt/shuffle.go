@@ -90,15 +90,26 @@ func Collect(coll *kv.PartitionCollector, scale float64) (Partitioned, error) {
 	return out, nil
 }
 
-// Mapped is one map-side task's record work: the block's decoded size
+// Mapped is one map-side task's record work: the input's decoded size
 // and record count, both nominal, and the sized output — or the error
 // that stopped it, reading "input: ..." or "output: ..." for the engine
-// to prefix.
+// to prefix, and the step it struck at.
 type Mapped struct {
 	InNominal, InRecords float64
 	Out                  Partitioned
 	Err                  error
+	Failed               MapStep
 }
+
+// MapStep names how far a task's record work got before its error (zero:
+// none): the cost half charges what came before it.
+type MapStep uint8
+
+const (
+	MapOpen    MapStep = iota + 1 // the block did not open (a fill: did not decode): nothing was read
+	MapDecode                     // a record did not decode: the block was read
+	MapCollect                    // the collector failed: the input was read and mapped
+)
 
 // MapBlock streams blk through spec's map function into a collector of
 // nParts sorted, combined partitions that spills past sortBuf nominal
@@ -113,11 +124,38 @@ func MapBlock(spec *job.Spec, blk *dfs.Block, nParts int, sortBuf, scale float64
 		coll.Borrow(blk.Data)
 	}
 	records, inflated, err := spec.MapBlock(blk.Data, coll.Emit)
+	m := Mapped{InNominal: float64(inflated) * scale}
 	if err != nil {
-		return Mapped{Err: fmt.Errorf("input: %w", err)}
+		m.Err, m.Failed = fmt.Errorf("input: %w", err), MapDecode
+		if inflated == 0 { // a block that did not open has no size (job.Spec.MapBlock)
+			m.Failed = MapOpen
+		}
+		return m
 	}
-	out, err := Collect(coll, spec.EmitScale())
-	return Mapped{InNominal: float64(inflated) * scale, InRecords: float64(records) * scale, Out: out, Err: err}
+	m.InRecords = float64(records) * scale
+	m.collect(spec, coll)
+	return m
+}
+
+// MapPairs is MapBlock over records already decoded (an rdd cache
+// partition) of nominal bytes.
+func MapPairs(spec *job.Spec, pairs []kv.Pair, nParts int, nominal, scale float64) Mapped {
+	coll := kv.NewPartitionCollector(nParts, 0, spec.Combine, spec.Part)
+	emit := coll.Emit // one method value, not one per record
+	for _, pr := range pairs {
+		spec.Map(pr.Key, pr.Value, emit)
+	}
+	m := Mapped{InNominal: nominal, InRecords: float64(len(pairs)) * scale}
+	m.collect(spec, coll)
+	return m
+}
+
+// collect sizes coll's partitions into m at spec's emit scale, or records
+// why they failed.
+func (m *Mapped) collect(spec *job.Spec, coll *kv.PartitionCollector) {
+	if m.Out, m.Err = Collect(coll, spec.EmitScale()); m.Err != nil {
+		m.Failed = MapCollect
+	}
 }
 
 // StartSend charges the staged sender-side path (serialize, then copy or

@@ -301,12 +301,18 @@ func TestMapSide(t *testing.T) {
 		_, b := testBase()
 		spec := job.Spec{Input: b.FS.Preload("/in", text), Map: wordsMap, Part: outOfRange{}}
 		spec.Normalize()
-		if err := MapBlock(&spec, spec.Input.Blocks[0], 4, 0, b.Scale()).Err; err == nil || !strings.HasPrefix(err.Error(), "output: ") {
-			t.Fatalf("partitioner error: %v", err)
+		blk := spec.Input.Blocks[0]
+		if m := MapBlock(&spec, blk, 4, 0, b.Scale()); m.Err == nil || !strings.HasPrefix(m.Err.Error(), "output: ") || m.Failed != MapCollect {
+			t.Fatalf("partitioner error: %v at step %d", m.Err, m.Failed)
 		}
-		spec.Part, spec.InputFormat = kv.HashPartitioner{}, job.SeqGzip
-		if err := MapBlock(&spec, spec.Input.Blocks[0], 4, 0, b.Scale()).Err; err == nil || !strings.HasPrefix(err.Error(), "input: ") {
-			t.Fatalf("undecodable block: %v", err)
+		spec.Part, spec.InputFormat = kv.HashPartitioner{}, job.Seq
+		if m := MapBlock(&spec, blk, 4, 0, b.Scale()); m.Err == nil || !strings.HasPrefix(m.Err.Error(), "input: ") ||
+			m.Failed != MapDecode || m.InNominal != float64(len(blk.Data))*b.Scale() {
+			t.Fatalf("malformed record: %v at step %d, %v nominal bytes read", m.Err, m.Failed, m.InNominal)
+		}
+		spec.InputFormat = job.SeqGzip
+		if m := MapBlock(&spec, blk, 4, 0, b.Scale()); m.Err == nil || !strings.HasPrefix(m.Err.Error(), "input: ") || m.Failed != MapOpen {
+			t.Fatalf("block that does not open: %v at step %d", m.Err, m.Failed)
 		}
 	})
 }

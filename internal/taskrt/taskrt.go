@@ -9,14 +9,17 @@
 //     resolution, job and phase spans, the solo-run drain). Admit is the
 //     one admission prologue, and every mode of every engine — DataMPI's
 //     Iteration mode included — lives between Begin and Finish;
-//   - task set: Job.Launch is the only road from an engine to
-//     internal/sched and Job.Wait the driver's barrier;
-//   - map side and reduce side: MapBlock / Collect size a task's
-//     partitioned output (framed bytes once, in one form); a reduce tail
-//     is Buffer.Charge (mr's and core's read-back and three-term CPU
-//     charge), then ReduceTail, every engine's merge that reduces
-//     each key group as it meets it and renders it straight into the
-//     part file's text;
+//   - stages and driver: an engine declares each set of like tasks as a
+//     Stage (name pattern, group, nodes, pool, restart class, the cost
+//     half Body, Done, Fail, Final); Job.Run launches it — the only road
+//     to internal/sched — and Job.Drive is every job's driver: launch
+//     sleep, the engine's stages, Wait, teardown sleep, Finish;
+//   - map side and reduce side: MapAhead is every engine's map record
+//     half — MapBlock (MapPairs over cached records) sizes a task's
+//     output as a Mapped, framed once in one form; a reduce tail is
+//     Buffer.Charge (mr's and core's read-back and CPU charge), then
+//     ReduceTail, the merge that renders each reduced key group
+//     straight into the part file's text;
 //   - shuffle edge: Outputs is the disk-materialized edge of mr and rdd.
 //     Producers publish to it in Done order; it holds their pipelined
 //     streams and surviving copies; its one consumer loop, Pull, drains
@@ -26,22 +29,19 @@
 //     Fetches pulls a materialized partition to its consumer (fluid or
 //     staged wire, chosen here and in internal/transport only) and Buffer
 //     is the reduce-side shuffle buffer;
-//   - ahead: Ahead starts a job's record work over its blocks (mr maps,
-//     core O splits, rdd's map and cache-fill tasks) — which depends
-//     on the spec and the block, never on the clock, the node or the
-//     attempt — on worker goroutines at submission. A task's first Take
-//     picks up its result when the simulation reaches it; a later one (a
-//     backup, a retry, a lost output's regeneration) computes it on the
-//     caller. Tails starts each reducer's record half on the same workers
-//     once the job's map results all exist, and the reducer takes it
-//     (Pending.Tail) when the simulation reaches its tail. All of it is
-//     one store of compute-once cells under one lock: a job's items, and
-//     with a fingerprint (job.Spec.Fingerprint) the engine's record
-//     table, whose cells — one per (block, fingerprint, shape) and per
-//     reduce tail over them — are computed once, a second caller waiting
-//     for the one in flight, and kept for the engine's life once two jobs
-//     asked for them. Every job is still charged in full. The event loop
-//     stays single-threaded and sees the same bytes;
+//   - ahead: Ahead starts a job's record work (map tasks, O splits, rdd's
+//     cache fill) — which depends on the spec and the block, never on
+//     the clock, the node or the attempt — on worker goroutines at
+//     submission; a task's first Take picks up its result, a later one
+//     (a backup, a retry, a regeneration) computes it on the caller.
+//     Tails starts each reducer's record half on the same workers once
+//     the map results all exist (Pending.Tail). All of it is one store
+//     of compute-once cells under one lock: a job's items and, with a
+//     fingerprint (job.Spec.Fingerprint), the engine's record table — a
+//     cell per (block, fingerprint, shape) and per reduce tail, computed
+//     once and kept for the engine's life once two jobs asked for it.
+//     Every job is still charged in full; the event loop stays
+//     single-threaded and sees the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - costs: Profile is every engine's cost profile, one field per
 //     mechanism, embedded in each engine's Config; the charges read it —
@@ -49,9 +49,9 @@
 //     Overhead (the runtime's background CPU), Buffer.Charge (a reduce
 //     tail) — and StartCPU and StartSend start them.
 //
-// The profile's values and task shapes stay in the engines, and so does
-// DataMPI's O-side replay: its intermediate data lives at the consumer,
-// not the producer.
+// The profile's values and each stage's cost half stay in the engines,
+// and so does DataMPI's O-side replay: its intermediate data lives at
+// the consumer, not the producer.
 package taskrt
 
 import (
@@ -112,6 +112,16 @@ func (b *Base) AttachProfiler(p *metrics.Profiler) { b.Prof = p }
 // Scale returns nominal bytes per actual byte.
 func (b *Base) Scale() float64 { return b.FS.Config().Scale }
 
+// Spread returns the nodes of n tasks laid out round-robin over the
+// cluster, from node 0.
+func (b *Base) Spread(n int) []int {
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i % b.C.N()
+	}
+	return nodes
+}
+
 // ActiveJobs reports how many begun jobs have not finished — the holders
 // of the daemon residency.
 func (b *Base) ActiveJobs() int { return b.residency.Jobs() }
@@ -121,6 +131,9 @@ func (b *Base) ActiveJobs() int { return b.residency.Jobs() }
 // releases, exactly once.
 type Job struct {
 	Res job.Result
+	// OnEnd (optional) runs as the job's driver ends, after Finish or in
+	// a deadlocked RunSolo's unwind: what outlives the tasks goes here.
+	OnEnd func()
 
 	b        *Base
 	ctl      *sched.JobControl
@@ -242,32 +255,6 @@ func (j *Job) stopAhead() {
 
 // Err returns the first error passed to Fail.
 func (j *Job) Err() error { return j.Res.Err }
-
-// Launch routes one task of the job through the task tracker — the only
-// way an engine reaches internal/sched. The task commits through the
-// engine's filesystem, fails the job unless ts.Fail says otherwise, and
-// joins the set Wait waits for: its own Final (optional) runs first, so a
-// Final that launches follow-up work cannot let the driver slip through a
-// zero.
-func (j *Job) Launch(ts sched.TaskSpec) {
-	ts.CommitFS = j.b.FS
-	if ts.Fail == nil {
-		ts.Fail = j.Fail
-	}
-	final := ts.Final
-	ts.Final = func() {
-		if final != nil {
-			final()
-		}
-		j.tasks.Done()
-	}
-	j.tasks.Add(1)
-	j.ctl.Launch(ts)
-}
-
-// Wait parks the driver until every task launched so far — and every task
-// those launched in turn — has settled.
-func (j *Job) Wait(driver *sim.Proc) { j.tasks.Wait(driver) }
 
 // DependsOn records that the job's completion waited on att — the edge the
 // critical-path walk follows from the job span into its last tasks.

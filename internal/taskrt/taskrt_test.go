@@ -2,6 +2,9 @@ package taskrt
 
 import (
 	"errors"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/datampi/datampi-go/internal/cluster"
@@ -233,5 +236,67 @@ func TestPortedCPUFactor(t *testing.T) {
 	b.cost.PortedCPUFactor = 0
 	if got := b.MapCPU(ported, factor, in, records, emitted); got != sum {
 		t.Fatalf("ported spec, factor unset: %v core-s, want %v", got, sum)
+	}
+}
+
+// TestDriveOwnsTheJobsTimeline: Drive pays JobLaunch only when told to,
+// runs the stages (task i of a Stage named after the pattern, on
+// Nodes[i]), waits for every task, pays JobTeardown unless the stages
+// said not to, finishes the job, and runs OnEnd once after done — also
+// when the run deadlocks and RunSolo unwinds the driver.
+func TestDriveOwnsTheJobsTimeline(t *testing.T) {
+	for _, tc := range []struct {
+		launch, teardown, stuck bool
+		elapsed                 float64
+	}{
+		{true, true, false, 2 + 1 + 3},
+		{false, true, false, 1 + 3},
+		{true, false, false, 2 + 1},
+		{true, true, true, 2},
+	} {
+		c, b := testBase()
+		b.cost = &Profile{JobLaunch: 2, JobTeardown: 3}
+		var order []string
+		var never sim.Cond
+		res := b.RunSolo(func(ctl *sched.JobControl) *Job {
+			pools, err := ctl.Pools(2, "test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := b.Begin("driven", ctl, daemonMem)
+			j.OnEnd = func() { order = append(order, "end") }
+			j.Drive("driver:driven", tc.launch, func(driver *sim.Proc) bool {
+				j.Run(Stage{Name: "t-%d", Group: "g", Nodes: []int{1, 0}, Pool: pools[0],
+					Body: func(p *sim.Proc, att *sched.Attempt, i int) (any, error) {
+						if tc.stuck {
+							never.Wait(p, "never")
+						}
+						p.Sleep(1)
+						return p.Name() + "@" + strconv.Itoa(att.Node()), nil
+					},
+					Done: func(p *sim.Proc, att *sched.Attempt, i int, v any) error {
+						order = append(order, strconv.Itoa(i)+":"+v.(string))
+						return nil
+					},
+					Final: func() { order = append(order, "final") },
+				})
+				return tc.teardown
+			}, func(job.Result) { order = append(order, "done") })
+			return j
+		})
+		if res.Elapsed != tc.elapsed || (res.Err != nil) != tc.stuck {
+			t.Fatalf("%+v: Elapsed %v, Err %v", tc, res.Elapsed, res.Err)
+		}
+		want := "0:t-0@1 final 1:t-1@0 final done end"
+		if tc.stuck {
+			// The unwind fails both tasks, in no particular order with the
+			// driver's.
+			want = "end final final"
+			slices.Sort(order)
+		}
+		if got := strings.Join(order, " "); got != want {
+			t.Fatalf("%+v: %q, want %q", tc, got, want)
+		}
+		assertReleased(t, c, b)
 	}
 }
