@@ -1,6 +1,7 @@
 package bdb
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -66,6 +67,33 @@ func TestGeneratorsByteIdentical(t *testing.T) {
 	for _, c := range cases {
 		if got := c.gen(); got != c.want {
 			t.Errorf("%s: hash %s, recorded on the parent %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestGenerateTextFileIsPrefixStable: a larger text input of one seed
+// begins with the smaller one's bytes. At 8 and 16 GB nominal (scale
+// 8192, 256 MB blocks, as the figures stage them) the two files share
+// every block but the smaller one's last, which is a byte prefix of the
+// larger one's block there. The record store's hits across input sizes
+// rest on it: equal blocks are one key.
+func TestGenerateTextFileIsPrefixStable(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		gen := func(gb float64) *dfs.File {
+			return GenerateTextFile(freshFS(256*cluster.MB, 8192), "/text", LDAWiki1W(), seed, gb*cluster.GB)
+		}
+		small, large := gen(8), gen(16)
+		n := len(small.Blocks)
+		if n < 2 || len(large.Blocks) <= n {
+			t.Fatalf("seed %d: %d and %d blocks", seed, n, len(large.Blocks))
+		}
+		for i, blk := range small.Blocks[:n-1] {
+			if !bytes.Equal(blk.Data, large.Blocks[i].Data) {
+				t.Fatalf("seed %d: block %d differs between 8 and 16 GB", seed, i)
+			}
+		}
+		if last := small.Blocks[n-1].Data; !bytes.HasPrefix(large.Blocks[n-1].Data, last) {
+			t.Fatalf("seed %d: the 8 GB file's last block (%d bytes) is not a prefix of the 16 GB file's block %d", seed, len(last), n-1)
 		}
 	}
 }

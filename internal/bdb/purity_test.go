@@ -14,8 +14,8 @@ import (
 
 // TestFingerprintedSpecsArePure: a spec with a fingerprint has its record
 // work shared between jobs and run on several goroutines at once, on
-// every engine (taskrt.Ahead and the engine's record table, map side and
-// reduce tail alike), so that work may depend on its arguments alone.
+// every engine (taskrt.Ahead and the process's record store, map side
+// and reduce tail alike), so that work may depend on its arguments alone.
 // Every engine runs the reduce tails of unfingerprinted specs ahead too,
 // several partitions and jobs at once, so those are checked as well: a
 // K-means iteration and the three Naive Bayes counting jobs. For each

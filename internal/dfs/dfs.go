@@ -14,8 +14,10 @@ package dfs
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"github.com/datampi/datampi-go/internal/cluster"
 	"github.com/datampi/datampi-go/internal/metrics"
@@ -64,6 +66,22 @@ type Block struct {
 	Locations []int   // nodes holding replicas, primary first
 	Gen       int64   // generation stamp
 	LocGens   []int64 // per-location stamps; nil = all current
+	hash      atomic.Uint64
+}
+
+var contentSeed = maphash.MakeSeed()
+
+// ContentHash returns a hash of the block's bytes (a maphash with a seed
+// of the process), computed on its first call and kept, since a block's
+// Data never changes: jobs that read one block again and again hash it
+// once.
+func (b *Block) ContentHash() uint64 {
+	if h := b.hash.Load(); h != 0 {
+		return h
+	}
+	h := maphash.Bytes(contentSeed, b.Data) | 1 // 0 marks "not yet"
+	b.hash.Store(h)
+	return h
 }
 
 // ensureGens materializes LocGens at the block's current generation.

@@ -19,6 +19,7 @@ import (
 	"github.com/datampi/datampi-go/internal/mr"
 	"github.com/datampi/datampi-go/internal/rdd"
 	"github.com/datampi/datampi-go/internal/sched"
+	"github.com/datampi/datampi-go/internal/taskrt"
 	"github.com/datampi/datampi-go/internal/trace"
 )
 
@@ -73,6 +74,7 @@ func TestMapSideAheadIsInvisible(t *testing.T) {
 				var got []timing
 				for _, procs := range []int{1, 4} {
 					atProcs(procs, func() {
+						defer taskrt.EmptyStore()()
 						c := cluster.New(cluster.DefaultHardware())
 						fs := dfs.New(c, dfs.Config{BlockSize: 8 * cluster.MB, Replication: 3, Scale: 256, Seed: 1})
 						spec := aheadSpecs(t, fs, 64*cluster.MB)[specName]
@@ -204,6 +206,7 @@ func TestMapSideAheadUnderBackups(t *testing.T) {
 				var got []timing
 				for _, procs := range []int{1, 4} {
 					atProcs(procs, func() {
+						defer taskrt.EmptyStore()()
 						c := cluster.New(cluster.DefaultHardware())
 						fs := dfs.New(c, dfs.Config{BlockSize: 64 * cluster.MB, Replication: 3, Scale: 8192, Seed: 1})
 						spec := aheadSpecs(t, fs, 8*cluster.GB)["WordCount"]
@@ -250,14 +253,14 @@ func (r *recorder) Run(spec job.Spec) job.Result {
 
 // TestReduceAheadIsInvisible: each engine starts every reducer's record
 // half on the Ahead workers once its job's map side is computed. One
-// worker or four, every simulated number of the result and every output
-// byte is the same, at eight reducers over 4 MB blocks: for the
-// fingerprinted specs, whose tails go through the record table — nobody
-// writes into what it holds (enginetest.CheckFrozen) — and whose output
-// equals the sequential reference's, and for a K-means iteration,
-// which has no fingerprint. Its combiner sums floats per map task, so its
-// centroids are checked against KMeansReference to 1e-6 instead, as
-// bdb's own K-means test does.
+// worker or four, each on an empty record store, every simulated number
+// of the result and every output byte is the same, at eight reducers over
+// 4 MB blocks: for the fingerprinted specs, whose tails go through the
+// store — nobody writes into what it holds (enginetest.CheckFrozen) —
+// and whose output equals the sequential reference's, and for a K-means
+// iteration, which has no fingerprint. Its combiner sums floats per map
+// task, so its centroids are checked against KMeansReference to 1e-6
+// instead, as bdb's own K-means test does.
 func TestReduceAheadIsInvisible(t *testing.T) {
 	type run struct {
 		timing timing
@@ -270,6 +273,7 @@ func TestReduceAheadIsInvisible(t *testing.T) {
 				var got []run
 				for _, procs := range []int{1, 4} {
 					atProcs(procs, func() {
+						defer taskrt.EmptyStore()()
 						c := cluster.New(cluster.DefaultHardware())
 						fs := dfs.New(c, dfs.Config{BlockSize: 4 * cluster.MB, Replication: 3, Scale: 256, Seed: 1})
 						eng := &recorder{Engine: mk(fs)}

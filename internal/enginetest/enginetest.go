@@ -133,11 +133,13 @@ func CheckMerges(t *testing.T) *atomic.Int64 {
 }
 
 // CheckFrozen installs, at the runtime's freeze seam (taskrt.FrozenSeam),
-// a record of every record table cell as it turns done — an FNV-64 hash
+// a record of every record store cell as it turns done — an FNV-64 hash
 // of a map entry's partitions, every key and value, or of a reduce
 // tail's text — and, when the test ends, removes it, hashes each cell
 // again and fails the test for each that changed, naming the fingerprint
-// and the block or partition: nobody may write into what a table shares.
+// and the block or partition: nobody may write into what the store
+// shares. A test that must see every cell its jobs share runs them on an
+// empty store (taskrt.EmptyStore).
 // The returned counter is how many cells have been recorded so far.
 func CheckFrozen(t *testing.T) *atomic.Int64 {
 	t.Helper()
@@ -162,7 +164,7 @@ func CheckFrozen(t *testing.T) *atomic.Int64 {
 		defer mu.Unlock()
 		for _, c := range cells {
 			if hashCell(c.parts, c.text) != c.sum {
-				t.Errorf("fingerprint %q, %s: shared bytes changed after the table handed them out", c.fingerprint, c.what)
+				t.Errorf("fingerprint %q, %s: shared bytes changed after the store handed them out", c.fingerprint, c.what)
 			}
 		}
 	})

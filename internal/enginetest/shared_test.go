@@ -14,6 +14,7 @@ import (
 	"github.com/datampi/datampi-go/internal/job"
 	"github.com/datampi/datampi-go/internal/kv"
 	"github.com/datampi/datampi-go/internal/sched"
+	"github.com/datampi/datampi-go/internal/taskrt"
 )
 
 // sharedSpecs are the fingerprinted specs the shared-record-work tests
@@ -36,39 +37,47 @@ func sharedRig(repl int) (*cluster.Cluster, *dfs.FS, *dfs.File) {
 // admitted at 10 and 15 s run, on every engine.
 const failAt = 17
 
+// sharedArm is a perturbation of a rig at replication repl, which arm
+// applies to the rig's queue.
+type sharedArm struct {
+	repl int
+	arm  func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue)
+}
+
+// sharedArms are the perturbations the shared-record-work tests run
+// under, so that backups, retries and regenerations take shared map
+// outputs and reduce tails: a straggling node, or a node failing
+// mid-job at replication 2.
+var sharedArms = map[string]sharedArm{
+	"straggler": {3, func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue) {
+		c.SlowNode(c.N()-1, 4)
+	}},
+	"node failure": {2, func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue) {
+		enginetest.FailNodeAt(q, fs, eng, failAt, 3)
+	}},
+}
+
 // TestSharedRecordWorkIsInvisible: six copies of one fingerprinted spec
-// go through one queue with speculation on — against a straggling node,
-// or with a node failing mid-job at replication 2, so that backups,
-// retries and regenerations take shared map outputs and reduce tails.
+// go through one queue with speculation on, under each of sharedArms.
 // With the fingerprint set the copies share their record work; with it
 // cleared, on a fresh identical rig, each computes its own (Map runs over
-// the input once between the six copies, or at least six times), and
-// so does Reduce for WordCount and Grep: every engine computes each
-// reduce tail once, whatever order the map outputs reach its reducers
-// in, and shares it. Nobody writes into what the tables share
-// (enginetest.CheckFrozen). Every simulated number of every job and of
-// the tracker is bit-identical between the two, every output matches the
-// sequential reference and the engine ends quiesced.
+// the input once between the six copies, on an empty record store, or at
+// least six times), and so does Reduce for WordCount and Grep: every
+// engine computes each reduce tail once, whatever order the map outputs
+// reach its reducers in, and shares it. Nobody writes into what the
+// store shares (enginetest.CheckFrozen). Every simulated number of every
+// job and of the tracker is bit-identical between the two, every output
+// matches the sequential reference and the engine ends quiesced.
 func TestSharedRecordWorkIsInvisible(t *testing.T) {
 	type run struct {
 		jobs    []timing
 		tracker sched.TrackerStats
 	}
-	arms := map[string]struct {
-		repl int
-		arm  func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue)
-	}{
-		"straggler": {3, func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue) {
-			c.SlowNode(c.N()-1, 4)
-		}},
-		"node failure": {2, func(c *cluster.Cluster, fs *dfs.FS, eng enginetest.Engine, q *sched.Queue) {
-			enginetest.FailNodeAt(q, fs, eng, failAt, 3)
-		}},
-	}
 	for engName, mk := range aheadEngines {
 		for specName, mkSpec := range sharedSpecs {
-			for armName, a := range arms {
+			for armName, a := range sharedArms {
 				t.Run(engName+"/"+specName+"/"+armName, func(t *testing.T) {
+					t.Cleanup(taskrt.EmptyStore())
 					frozen := enginetest.CheckFrozen(t)
 					var got []run
 					var reduces [2]int64 // shared, own
@@ -151,8 +160,7 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 // never take each other's results — Grep at three patterns over the same
 // blocks (fig3-scan's shape), then Text Sort and WordCount, each at 4
 // and 8 reducers over one input (WordCount's fingerprint is the same at
-// both). A copy of each job beside it makes every entry one the table
-// keeps.
+// both). A copy of each job beside it takes every entry from the store.
 func TestSharedRecordWorkNeverCrossesSpecs(t *testing.T) {
 	for engName, mk := range aheadEngines {
 		t.Run(engName, func(t *testing.T) {
@@ -190,7 +198,8 @@ func TestSharedRecordWorkNeverCrossesSpecs(t *testing.T) {
 // reducers write byte-identical part files, matched by part index, on
 // mr, rdd and core — the engines differ in how they run a job, never in
 // what it writes. Each engine runs two copies at once, so the second
-// copy's parts come from its record table.
+// copy's parts come from the record store, as may the first's from the
+// engine before.
 func TestOneSpecSameBytesOnEveryEngine(t *testing.T) {
 	for specName, mkSpec := range sharedSpecs {
 		t.Run(specName, func(t *testing.T) {
@@ -223,6 +232,68 @@ func TestOneSpecSameBytesOnEveryEngine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneStoreServesEveryEngine: Spark runs a fingerprinted spec, then
+// DataMPI runs it on a second rig over equal bytes, each under one of
+// sharedArms. The two engines ask for one shape, so DataMPI's map outputs
+// all come from the record store, where Spark's job left them idle: its
+// Map never runs. Its result and part files equal those of a DataMPI run
+// on an empty store, and nobody writes into what the store shares
+// (enginetest.CheckFrozen).
+func TestOneStoreServesEveryEngine(t *testing.T) {
+	type run struct {
+		res   job.Result
+		parts [][]byte
+	}
+	for specName, mkSpec := range sharedSpecs {
+		for armName, a := range sharedArms {
+			t.Run(specName+"/"+armName, func(t *testing.T) {
+				frozen := enginetest.CheckFrozen(t)
+				// runOn runs the spec on engName on a fresh rig and counts
+				// its Map calls.
+				runOn := func(engName string) (run, int64) {
+					c, fs, in := sharedRig(a.repl)
+					eng := aheadEngines[engName](fs)
+					q := sched.NewQueue(c.Eng, c.N(), sched.FIFO)
+					q.SetSpeculation(sched.SpeculationConfig{Enabled: true})
+					a.arm(c, fs, eng, q)
+					spec := mkSpec(fs, in, "/out")
+					var maps atomic.Int64
+					counted := spec
+					counted.Map = func(k, v []byte, emit job.Emit) {
+						maps.Add(1)
+						spec.Map(k, v, emit)
+					}
+					q.Admit("", 0, 1, eng, counted)
+					res := q.Run()[0]
+					if res.Err != nil {
+						t.Fatalf("%s: %v", engName, res.Err)
+					}
+					enginetest.AssertMatchesSequential(t, fs, "/out/", spec)
+					enginetest.AssertQuiesced(t, eng)
+					res.OutputFile = nil // of its own rig
+					return run{res, partBytes(fs, "/out/")}, maps.Load()
+				}
+				t.Cleanup(taskrt.EmptyStore())
+				if _, n := runOn("rdd"); n == 0 {
+					t.Fatal("Spark's Map never ran on an empty store")
+				}
+				got, n := runOn("core")
+				if n != 0 {
+					t.Fatalf("DataMPI's Map ran %d times after Spark's job over equal bytes", n)
+				}
+				t.Cleanup(taskrt.EmptyStore())
+				want, _ := runOn("core")
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("after Spark:\n%+v\non an empty store:\n%+v", got.res, want.res)
+				}
+				if frozen.Load() == 0 {
+					t.Fatal("the freeze check saw no shared cell")
+				}
+			})
+		}
 	}
 }
 

@@ -139,7 +139,8 @@ type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
-	procs  map[*Proc]struct{} // live procs
+	procs  map[*Proc]uint64 // live procs, by spawn sequence number
+	spawns uint64           // procs spawned so far
 
 	// blocked counts parked procs by (block reason, node), maintained at
 	// Park/resume so the metrics profiler's wait-I/O attribution is O(1)
@@ -164,7 +165,7 @@ type Engine struct {
 // NewEngine returns a fresh simulation engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{
-		procs:   make(map[*Proc]struct{}),
+		procs:   make(map[*Proc]uint64),
 		blocked: make(map[string]map[int]int),
 	}
 }
@@ -345,10 +346,15 @@ func (p *Proc) Cancel() {
 }
 
 // CancelAll cancels every live proc: the way out of a deadlock for an
-// owner of the whole simulation. The next Run unwinds them, in no
-// particular order at one simulated instant.
+// owner of the whole simulation. The next Run unwinds them at one
+// simulated instant, in the order they were spawned.
 func (e *Engine) CancelAll() {
+	live := make([]*Proc, 0, len(e.procs))
 	for p := range e.procs {
+		live = append(live, p)
+	}
+	sort.Slice(live, func(i, j int) bool { return e.procs[live[i]] < e.procs[live[j]] })
+	for _, p := range live {
 		p.Cancel()
 	}
 }
@@ -463,7 +469,8 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	resume := func() { e.resume(p) }
 	p.unparkT = Timer{eng: e, fn: resume, index: -1}
 	p.sleepT = Timer{eng: e, fn: resume, index: -1}
-	e.procs[p] = struct{}{}
+	e.spawns++
+	e.procs[p] = e.spawns
 	if n := len(e.idle); n > 0 {
 		p.co = e.idle[n-1]
 		e.idle[n-1] = nil

@@ -16,17 +16,29 @@ import (
 // admitted jobs does not hold its map output long before its tasks run.
 const aheadBudget = 256
 
+// storeBudget caps the bytes the record store keeps of entries no running
+// job asked for (see recordStore.park): room to carry a block's map
+// output from one engine's job to the next engine's over the same bytes,
+// and from one input size to the next larger one, whose first blocks are
+// the same (bdb.GenerateTextFile is prefix-stable). Idle bytes raise peak
+// RSS by up to twice their size, since the GC's heap goal doubles what is
+// live, so a larger budget buys hits at that price.
+const storeBudget = 23 << 19 // 11.5 MB
+
 // ahead is the record plane: it schedules the record work that Ahead and
 // Tails start — at most GOMAXPROCS worker goroutines in the process,
 // which claim items in the order the Pendings were queued and then in
 // index order, while fewer than aheadBudget results wait for a Take, and
 // exit when no Pending has an unclaimed item — and its mutex guards every
-// cell, every Pending and every engine's record table. It is
-// process-wide, as a sync.Pool is: what it bounds — host CPUs and the
-// memory results hold — is too.
+// cell, every Pending and the record store. It is process-wide, as a
+// sync.Pool is: what it bounds — host CPUs and the memory results hold —
+// is too, and so is the store, which every engine's jobs share.
 var ahead aheadSched
 
-func init() { ahead.settled.L, ahead.room.L = &ahead.mu, &ahead.mu }
+func init() {
+	ahead.settled.L, ahead.room.L = &ahead.mu, &ahead.mu
+	ahead.store = newRecordStore(storeBudget)
+}
 
 type aheadSched struct {
 	mu      sync.Mutex
@@ -35,10 +47,11 @@ type aheadSched struct {
 	queue   []claimer // Pendings that may have unclaimed items, oldest first
 	workers int       // live worker goroutines
 	ready   int       // items a worker computed that no Take has had
+	store   *recordStore
 }
 
 // cell is one value of the record plane, computed once: a Pending's item
-// (its own cell, from which its first Take has it), a record table's map
+// (its own cell, from which its first Take has it), a record store's map
 // entry or reduce tail. ahead.mu guards it.
 type cell[T any] struct {
 	state cellState
@@ -105,16 +118,17 @@ type Pending[T any] struct {
 	items   []*cell[T] // each item's first result; nil once a Take had it or a stop dropped it
 	next    int        // the lowest index that may still be unclaimed
 	stopped bool       // no worker claims another item
-	own     bool       // the job computed an item, rather than found it in the record table
+	own     bool       // the job computed an item, rather than found it in the record store
 	// held counts the items a worker computed that no Take has had: the
 	// budget the Pending holds. A job that neither finishes nor fails (a
 	// queue that deadlocked) never stops its Pending, so a cleanup returns
 	// held when the GC drops it.
 	held *int
-	// With a fingerprint fp, es are the job's record table entries, one
-	// per item, in rec; the stop ends the job's interest in them.
+	// With a fingerprint fp, es are the job's record store entries, one
+	// per item, in rec (the store they joined); the stop ends the job's
+	// interest in them.
 	fp     string
-	rec    *recordTable
+	rec    *recordStore
 	es     []*mapEntry[T]
 	reduce tailsOf // the reduce tails over the results (see Tails)
 }
@@ -139,13 +153,14 @@ func newPending[T any](n int, held *int, work func(i int) T) *Pending[T] {
 // the results no Take has had.
 //
 // With a non-empty fingerprint (the spec's job.Spec.Fingerprint) every
-// work(i), ahead or in a Take, goes through the engine's record table:
-// the result for (blocks[i], fingerprint, nParts partitions, sortBuf,
-// the engine's Scale, emitScale) is computed once while a job that asked
-// for it runs — for the engine's life once two jobs have — and every
-// other caller gets the same immutable value, waiting for the
-// computation in flight if there is one. An empty fingerprint shares
-// nothing: blocks then only counts the items.
+// work(i), ahead or in a Take, goes through the process's record store:
+// the result for (the bytes of blocks[i], fingerprint, nParts
+// partitions, sortBuf, the engine's Scale, emitScale) is computed once —
+// by this job or any engine's job over the same bytes — and every other
+// caller gets the same immutable value, waiting for the computation in
+// flight if there is one. It is kept while a job that asked for it runs,
+// and then while the store's idle bytes leave room for it. An empty
+// fingerprint shares nothing: blocks then only counts the items.
 func Ahead[T any](j *Job, fingerprint string, blocks []*dfs.Block, nParts int, sortBuf, emitScale float64,
 	work func(i int) T) *Pending[T] {
 	p := newPending(len(blocks), new(int), work)
@@ -155,12 +170,19 @@ func Ahead[T any](j *Job, fingerprint string, blocks []*dfs.Block, nParts int, s
 		ahead.mu.Unlock()
 	}, p.held)
 	j.ahead = append(j.ahead, p)
+	var hashes []uint64
+	if fingerprint != "" {
+		hashes = make([]uint64, len(blocks))
+		for i, blk := range blocks {
+			hashes[i] = contentHash(blk)
+		}
+	}
 	s := &ahead
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if fingerprint != "" {
-		p.fp, p.rec = fingerprint, j.b.rec
-		p.es = join[T](p.rec, shapeKey{fingerprint, nParts, sortBuf, j.b.Scale(), emitScale}, blocks)
+		p.fp, p.rec = fingerprint, s.store
+		p.es = join[T](p.rec, shapeKey{fingerprint, nParts, sortBuf, j.b.Scale(), emitScale}, blocks, hashes)
 	}
 	s.enqueue(p, len(blocks))
 	return p
@@ -239,7 +261,7 @@ func (p *Pending[T]) run(i int) {
 	}
 }
 
-// do runs work(i), through the record table with a fingerprint; own
+// do runs work(i), through the record store with a fingerprint; own
 // reports that it computed the result rather than found it there.
 func (p *Pending[T]) do(i int) (v T, own bool) {
 	if p.es == nil {
@@ -249,11 +271,16 @@ func (p *Pending[T]) do(i int) (v T, own bool) {
 	ahead.mu.Lock()
 	defer ahead.mu.Unlock()
 	defer e.drop(p.rec) // once nobody computes it, a panic included
-	if v, own = e.get(func() T { return p.work(i) }); own {
+	size := 0
+	if v, own = e.get(func() T {
+		v := p.work(i)
+		size = entryBytes + pairBytes(&v)
+		return v
+	}); own {
 		p.rec.lastID++
-		e.id = p.rec.lastID
+		e.id, e.size = p.rec.lastID, size
 		if pt, ok := any(&e.val).(partitioned); ok && frozenSeam != nil {
-			frozenSeam(p.fp, fmt.Sprintf("block %d", e.key.blk.ID), pt.partitioned().Parts, nil)
+			frozenSeam(p.fp, fmt.Sprintf("block %016x/%d", e.key.hash, e.key.size), pt.partitioned().Parts, nil)
 		}
 	}
 	return v, own
@@ -263,9 +290,9 @@ func (p *Pending[T]) do(i int) (v T, own bool) {
 // computed, waiting for it if a worker is on it, or runs work(i) on the
 // caller if none has started it. Every later Take of i — a speculative
 // backup, a retry, a regeneration — runs work(i) on the caller again,
-// which with a fingerprint is a lookup in the engine's record table, not
-// a recomputation. Take keeps no reference to the result; the caller must
-// not write into it, since the table may hand it to other jobs too.
+// which with a fingerprint is a lookup in the record store, not a
+// recomputation. Take keeps no reference to the result; the caller must
+// not write into it, since the store may hand it to other jobs too.
 func (p *Pending[T]) Take(i int) T {
 	v, _ := p.take(i, func() (T, bool) { return p.do(i) })
 	return v
@@ -301,7 +328,7 @@ func (p *Pending[T]) take(i int, compute func() (T, bool)) (v T, worker bool) {
 
 // stop keeps the workers from claiming another item, drops the results
 // no Take has had and stops the tails; items being computed run to the
-// end and are dropped too. The job's interest in its record table
+// end and are dropped too. The job's interest in its record store
 // entries ends.
 func (p *Pending[T]) stop() {
 	ahead.mu.Lock()
@@ -368,8 +395,8 @@ type tailsOf struct {
 // No tail goes ahead when the reducers have no record work (the identity
 // reducer with no output), when some map result failed — a panic, or an
 // error, which leaves a result no partitions — or when every map result
-// came from the record table: the job did none of its own map-side work,
-// and its tails are most likely table lookups too.
+// came from the record store: the job did none of its own map-side work,
+// and its tails are most likely store lookups too.
 func Tails[T any, PT interface {
 	*T
 	partitioned
@@ -438,7 +465,7 @@ func (p *Pending[T]) landed(i int, v *T) {
 }
 
 // tail is reducer ri's tail as compute merges it, through the record
-// table with a fingerprint.
+// store with a fingerprint.
 func (p *Pending[T]) tail(ri int, compute func() tail) tail {
 	r := &p.reduce
 	if p.es == nil || r.n == 0 {
@@ -460,10 +487,9 @@ var runsPool = sync.Pool{New: func() any { return new([][]kv.Pair) }}
 // are the reducer's pulled partitions: partition ri of every item's
 // result, in any order. It returns the tail a worker computed ahead, or,
 // when no worker had it, ReduceTail(spec, runs) on the caller. With a
-// fingerprint the tail goes through the engine's record table: computed
-// once while the job runs — a backup's or another job's Tail over the
-// same results takes it — and kept for the engine's life over entries
-// two jobs asked for.
+// fingerprint the tail goes through the record store: computed once — a
+// backup's or another job's Tail over the same results, on any engine,
+// takes it — and kept as long as the first entry it merges.
 func (p *Pending[T]) Tail(ri int, runs [][]kv.Pair) (text []byte, records int) {
 	r := &p.reduce
 	compute := func() tail { return p.tail(ri, func() tail { return r.merge(runs) }) }

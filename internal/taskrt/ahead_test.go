@@ -174,7 +174,8 @@ func panicOf(f func()) (r any) {
 // as it is, and a panic on a worker is raised again by the item's first
 // Take — under a fingerprint too, where it leaves the shared cell idle, so
 // the next caller, another job's or a later Take, computes afresh. A tail
-// whose merge panics leaves no entry in the record table.
+// whose merge panics leaves no entry in the record store. Both run on an
+// empty store.
 func TestAheadTakeSeesWorkErrorsAndPanics(t *testing.T) {
 	withProcs(t, 2)
 	errs := []error{errors.New("zero"), nil, errors.New("two")}
@@ -211,6 +212,7 @@ func TestAheadTakeSeesWorkErrorsAndPanics(t *testing.T) {
 		}
 	})
 	t.Run("fingerprint", func(t *testing.T) {
+		emptyStore(t, storeBudget)
 		_, b := testBase()
 		blocks := []*dfs.Block{{ID: 1}}
 		work, release := onWorker()
@@ -230,10 +232,11 @@ func TestAheadTakeSeesWorkErrorsAndPanics(t *testing.T) {
 			t.Fatalf("a second job of the fingerprint took %d, want its own 7", got)
 		}
 		if got := first.Take(0); got != 7 {
-			t.Fatalf("a later Take took %d, want the table's 7", got)
+			t.Fatalf("a later Take took %d, want the store's 7", got)
 		}
 	})
 	t.Run("tail", func(t *testing.T) {
+		store := emptyStore(t, storeBudget)
 		_, b := testBase()
 		var calls atomic.Int64
 		spec := countedWords(b, "words", &calls)
@@ -254,7 +257,7 @@ func TestAheadTakeSeesWorkErrorsAndPanics(t *testing.T) {
 		tails := func() int {
 			ahead.mu.Lock()
 			defer ahead.mu.Unlock()
-			return len(b.rec.tails)
+			return len(store.tails)
 		}
 		// On a worker or on the caller, as the tail was reached.
 		if r := panicOf(func() { maps.Tail(0, runs) }); r != "kaboom" {
@@ -262,14 +265,14 @@ func TestAheadTakeSeesWorkErrorsAndPanics(t *testing.T) {
 		}
 		until(t, "the other tail", func() bool { return ahead.workers == 0 }) // it panics too
 		if n := tails(); n != 0 {
-			t.Fatalf("%d tails in the table after a panic", n)
+			t.Fatalf("%d tails in the store after a panic", n)
 		}
 		boom.Store(false)
 		if text, _ := maps.Tail(0, runs); len(text) == 0 {
 			t.Fatal("a later Tail merged no text")
 		}
 		if n := tails(); n != 1 {
-			t.Fatalf("%d tails in the table, want the later one", n)
+			t.Fatalf("%d tails in the store, want the later one", n)
 		}
 	})
 }
@@ -500,7 +503,7 @@ func TestTailsStopWithTheJob(t *testing.T) {
 
 // TestTailsLeaveFailedOrSharedMapsToTheCaller: a map error or a panic on
 // a worker keeps every tail off the workers, and so does a job whose map
-// results all came from the record table; each reducer merges its own.
+// results all came from the record store; each reducer merges its own.
 func TestTailsLeaveFailedOrSharedMapsToTheCaller(t *testing.T) {
 	const n, nParts = 4, 3
 	withProcs(t, 2)

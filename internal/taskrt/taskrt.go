@@ -35,12 +35,13 @@
 //     submission; a task's first Take picks up its result, a later one
 //     (a backup, a retry, a regeneration) computes it on the caller.
 //     Tails starts each reducer's record half on the same workers once
-//     the map results all exist (Pending.Tail). All of it is one store
-//     of compute-once cells under one lock: a job's items and, with a
-//     fingerprint (job.Spec.Fingerprint), the engine's record table — a
-//     cell per (block, fingerprint, shape) and per reduce tail, computed
-//     once and kept for the engine's life once two jobs asked for it.
-//     Every job is still charged in full; the event loop stays
+//     the map results all exist (Pending.Tail). All of it is compute-once
+//     cells under one lock: a job's items and, with a fingerprint
+//     (job.Spec.Fingerprint), the process's one record store, shared by
+//     every engine — a cell per (block content, fingerprint, shape) and
+//     per reduce tail, computed once, kept while a job that asked for it
+//     runs and then on an idle list bounded in bytes, oldest evicted
+//     first. Every job is still charged in full; the event loop stays
 //     single-threaded and sees the same bytes;
 //   - commit: WritePart is the attempt-scoped part-file writer;
 //   - costs: Profile is every engine's cost profile, one field per
@@ -80,8 +81,7 @@ type Base struct {
 	residency *sched.Residency // per-node runtime daemons, held while any job is active
 	profiling sched.Profiling  // refcounted sampling across jobs
 	tp        *transport.Transport
-	rec       *recordTable // record work shared across the engine's jobs
-	cost      *Profile     // the engine's cost profile, read by the charges
+	cost      *Profile // the engine's cost profile, read by the charges
 }
 
 // NewBase builds the shared half of the engine called name over fs, whose
@@ -93,7 +93,7 @@ func NewBase(name string, fs *dfs.FS, cost *Profile, def transport.Profile) Base
 		tp = def
 	}
 	c := fs.Cluster()
-	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, tp), rec: new(recordTable), cost: cost}
+	return Base{C: c, FS: fs, name: name, residency: sched.NewResidency(c), tp: transport.New(c, tp), cost: cost}
 }
 
 // Name implements job.Engine.
