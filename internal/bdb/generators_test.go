@@ -30,8 +30,10 @@ func hashBytes(b []byte) string {
 // TestGeneratorsByteIdentical pins "same seed, same bytes" for every
 // generator. The hashes were recorded with math/rand.Zipf behind the
 // sampler and a sequential ToSeqFile; every bench sim_digest sits
-// downstream of these bytes.
+// downstream of these bytes. They run on an empty staging store, so they
+// pin what the generators make, not what an earlier test left there.
 func TestGeneratorsByteIdentical(t *testing.T) {
+	t.Cleanup(EmptyStage())
 	cases := []struct {
 		name string
 		gen  func() string

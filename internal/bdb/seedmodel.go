@@ -17,6 +17,8 @@
 // are drawn through an exact table inversion of math/rand.Zipf (zipf.go)
 // and copied from one immutable vocabulary, and ToSeqFile compresses its
 // blocks on parallel workers — same seed, same bytes, on any GOMAXPROCS.
+// One staging store per process (stage.go) makes each generated file and
+// each seq+gzip member once, for every FS, rig and engine that stages it.
 package bdb
 
 import (

@@ -22,7 +22,18 @@ import (
 // time. Each input block becomes one gzip member so block-level
 // decompression remains well-defined — and so blocks compress
 // independently, on parallel workers, into the same bytes in the same
-// places whatever the worker count.
+// places whatever the worker count. A member is a function of its text
+// block's bytes, so the staging store deflates each block once for every
+// FS that converts equal bytes.
+//
+// The members are real gzip, not a measured ratio applied to the text:
+// Normal Sort's map tasks inflate and decode them (job.SeqGzip), so the
+// records they sort, the bytes each engine reads, shuffles and writes,
+// and the nominal size of each block, which every disk charge and the
+// paper's size axis read, all come from the compressed bytes. A ratio
+// would fix each block's size from a sample and leave the records to be
+// read from somewhere else; with the store each member costs one deflate
+// per process, a small price for keeping Normal Sort's input real.
 func ToSeqFile(fsys *dfs.FS, textName, seqName string) (*dfs.File, error) {
 	src, err := fsys.Open(textName)
 	if err != nil {
@@ -31,29 +42,34 @@ func ToSeqFile(fsys *dfs.FS, textName, seqName string) (*dfs.File, error) {
 	parts := make([][]byte, len(src.Blocks))
 	err = eachBlock(len(parts), func() func(int) error {
 		// One compressor (a flate writer is over a megabyte of state), one
-		// record buffer and one output buffer serve a worker's every block.
+		// record buffer and one output buffer serve a worker's every block
+		// that the staging store does not hold; a worker whose blocks it
+		// all holds makes none.
 		var enc []byte
 		var zbuf bytes.Buffer
-		zw, _ := gzip.NewWriterLevel(&zbuf, gzip.DefaultCompression) // the level is valid
+		var zw *gzip.Writer
 		return func(i int) error {
-			enc = enc[:0]
-			for data := src.Blocks[i].Data; len(data) > 0; {
-				line, rest, _ := bytes.Cut(data, newline)
-				data = rest
-				if len(line) == 0 {
-					continue
+			blk := src.Blocks[i]
+			k := stageKey{kind: seqMember, size: len(blk.Data), hash: contentHash(blk)}
+			parts[i] = staging(k, blk.Data, func() staged {
+				if zw == nil {
+					zw, _ = gzip.NewWriterLevel(&zbuf, gzip.DefaultCompression) // the level is valid
 				}
-				enc = kv.Encode(enc, kv.Pair{Key: line, Value: line})
-			}
-			zbuf.Reset()
-			zw.Reset(&zbuf)
-			if _, err := zw.Write(enc); err != nil {
-				return err
-			}
-			if err := zw.Close(); err != nil {
-				return err
-			}
-			parts[i] = bytes.Clone(zbuf.Bytes())
+				enc = enc[:0]
+				for data := blk.Data; len(data) > 0; {
+					line, rest, _ := bytes.Cut(data, newline)
+					data = rest
+					if len(line) == 0 {
+						continue
+					}
+					enc = kv.Encode(enc, kv.Pair{Key: line, Value: line})
+				}
+				zbuf.Reset()
+				zw.Reset(&zbuf)
+				zw.Write(enc) // writes to a bytes.Buffer do not fail
+				zw.Close()
+				return staged{data: bytes.Clone(zbuf.Bytes())}
+			}).data
 			return nil
 		}
 	})

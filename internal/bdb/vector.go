@@ -150,10 +150,17 @@ func tfVector(v *SparseVec, counts []float64, doc []int32) {
 // vector lines, each drawn from one of the five amazon seed models (the
 // paper: "five seed models, amazon1-amazon5, are used"). Returns the file
 // plus the ground-truth model index per line for clustering-quality
-// checks in tests.
+// checks in tests; the truth slice is the caller's own. The lines come
+// from the staging store.
 func GenerateVectorFile(fsys *dfs.FS, name string, seed int64, nominalBytes float64) (*dfs.File, []int) {
-	scale := fsys.Config().Scale
-	target := int(nominalBytes / scale)
+	target := int(nominalBytes / fsys.Config().Scale)
+	v := staging(stageKey{kind: vectorFile, seed: seed, size: target}, nil, func() staged {
+		return generateVectors(seed, target)
+	})
+	return fsys.PreloadAligned(name, v.data, '\n'), slices.Clone(v.truth)
+}
+
+func generateVectors(seed int64, target int) staged {
 	samplers := make([]*Sampler, 5)
 	for i := range samplers {
 		samplers[i] = Amazon(i + 1).NewSampler(seed + int64(i)*7919)
@@ -174,15 +181,21 @@ func GenerateVectorFile(fsys *dfs.FS, name string, seed int64, nominalBytes floa
 		buf = append(vec.appendText(buf), '\n')
 		truth = append(truth, mi)
 	}
-	return fsys.PreloadAligned(name, buf, '\n'), truth
+	return staged{data: buf, truth: truth}
 }
 
 // GenerateLabeledDocs produces the Naive Bayes input: "labelN<TAB>text"
 // lines where label i's text comes from amazon(i+1) — BigDataBench's five
-// document categories.
+// document categories. The lines come from the staging store.
 func GenerateLabeledDocs(fsys *dfs.FS, name string, seed int64, nominalBytes float64) *dfs.File {
-	scale := fsys.Config().Scale
-	target := int(nominalBytes / scale)
+	target := int(nominalBytes / fsys.Config().Scale)
+	v := staging(stageKey{kind: docFile, seed: seed, size: target}, nil, func() staged {
+		return staged{data: generateDocs(seed, target)}
+	})
+	return fsys.PreloadAligned(name, v.data, '\n')
+}
+
+func generateDocs(seed int64, target int) []byte {
 	samplers := make([]*Sampler, 5)
 	for i := range samplers {
 		samplers[i] = Amazon(i + 1).NewSampler(seed + int64(i)*104729)
@@ -195,13 +208,16 @@ func GenerateLabeledDocs(fsys *dfs.FS, name string, seed int64, nominalBytes flo
 		buf = append(strconv.AppendInt(append(buf, "label"...), int64(mi), 10), '\t')
 		buf = append(s.appendWords(buf, words, 20+s.rng.Intn(40)), '\n')
 	}
-	return fsys.PreloadAligned(name, buf, '\n')
+	return buf
 }
 
 // GenerateTextFile produces the micro-benchmark text input (Text Sort,
-// WordCount, Grep) from a seed model at the given nominal size.
+// WordCount, Grep) from a seed model at the given nominal size. The text
+// comes from the staging store.
 func GenerateTextFile(fsys *dfs.FS, name string, m *SeedModel, seed int64, nominalBytes float64) *dfs.File {
-	scale := fsys.Config().Scale
-	data := m.GenerateText(seed, int(nominalBytes/scale))
-	return fsys.PreloadAligned(name, data, '\n')
+	n := int(nominalBytes / fsys.Config().Scale)
+	v := staging(stageKey{kind: textStream, model: *m, seed: seed, size: n}, nil, func() staged {
+		return staged{data: m.GenerateText(seed, n)}
+	})
+	return fsys.PreloadAligned(name, v.data, '\n')
 }

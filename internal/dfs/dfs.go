@@ -429,7 +429,8 @@ func (fs *FS) Preload(name string, data []byte) *File {
 	abs := fs.actualBlockSize()
 	var parts [][]byte
 	for off := 0; off < len(data); off += abs {
-		parts = append(parts, data[off:min(off+abs, len(data))])
+		end := min(off+abs, len(data))
+		parts = append(parts, data[off:end:end])
 	}
 	return fs.PreloadParts(name, parts)
 }
@@ -437,20 +438,23 @@ func (fs *FS) Preload(name string, data []byte) *File {
 // PreloadAligned installs a file like Preload but only splits blocks at
 // the separator byte, so no record straddles a block boundary — the
 // logical behaviour of Hadoop's LineRecordReader, which assembles whole
-// records across block edges before handing them to the mapper.
+// records across block edges before handing them to the mapper. Both
+// clip each block's capacity to its length: an append through one block
+// never writes into the next, which other FSes may share (bdb's staging
+// store hands one generated buffer to every FS that stages it).
 func (fs *FS) PreloadAligned(name string, data []byte, sep byte) *File {
 	abs := fs.actualBlockSize()
 	var parts [][]byte
 	for len(data) > 0 {
 		if len(data) <= abs {
-			parts = append(parts, data)
+			parts = append(parts, data[:len(data):len(data)])
 			break
 		}
 		cut := abs
 		for cut < len(data) && data[cut-1] != sep {
 			cut++
 		}
-		parts = append(parts, data[:cut])
+		parts = append(parts, data[:cut:cut])
 		data = data[cut:]
 	}
 	return fs.PreloadParts(name, parts)

@@ -269,7 +269,7 @@ func TestReduceAheadIsInvisible(t *testing.T) {
 	for engName, mk := range aheadEngines {
 		for _, specName := range []string{"TextSort", "WordCount", "NormalSort", "KMeans"} {
 			t.Run(engName+"/"+specName, func(t *testing.T) {
-				frozen := enginetest.CheckFrozen(t)
+				frozen := enginetest.CheckFrozen(t, bdb.FrozenSeam)
 				var got []run
 				for _, procs := range []int{1, 4} {
 					atProcs(procs, func() {

@@ -5,6 +5,7 @@ package enginetest
 import (
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -132,6 +133,10 @@ func CheckMerges(t *testing.T) *atomic.Int64 {
 	return checked
 }
 
+// StagingSeam is bdb.FrozenSeam. bdb drives the engines whose tests
+// import this package, so the caller passes it in.
+type StagingSeam = func(f func(key string, data []byte)) (old func(key string, data []byte))
+
 // CheckFrozen installs, at the runtime's freeze seam (taskrt.FrozenSeam),
 // a record of every record store cell as it turns done — an FNV-64 hash
 // of a map entry's partitions, every key and value, or of a reduce
@@ -141,7 +146,14 @@ func CheckMerges(t *testing.T) *atomic.Int64 {
 // shares. A test that must see every cell its jobs share runs them on an
 // empty store (taskrt.EmptyStore).
 // The returned counter is how many cells have been recorded so far.
-func CheckFrozen(t *testing.T) *atomic.Int64 {
+//
+// It does the same, at staging's freeze seam (bdb.FrozenSeam), for the
+// staged inputs: every generated file and seq+gzip member the staging
+// store holds when the test starts or makes during it, which every FS
+// that stages it shares, is hashed then and again at the end, and a
+// change fails the test naming the staged value's key. Those are not
+// counted.
+func CheckFrozen(t *testing.T, staging StagingSeam) *atomic.Int64 {
 	t.Helper()
 	type frozen struct {
 		fingerprint, what string
@@ -151,6 +163,18 @@ func CheckFrozen(t *testing.T) *atomic.Int64 {
 	}
 	var mu sync.Mutex
 	var cells []frozen
+	type stagedBytes struct {
+		key  string
+		data []byte
+		sum  uint64
+	}
+	var staged []stagedBytes
+	seed := maphash.MakeSeed()
+	origStage := staging(func(key string, data []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		staged = append(staged, stagedBytes{key, data, maphash.Bytes(seed, data)})
+	})
 	recorded := new(atomic.Int64)
 	orig := taskrt.FrozenSeam(func(fingerprint, what string, parts [][]kv.Pair, text []byte) {
 		mu.Lock()
@@ -160,11 +184,17 @@ func CheckFrozen(t *testing.T) *atomic.Int64 {
 	})
 	t.Cleanup(func() {
 		taskrt.FrozenSeam(orig)
+		staging(origStage)
 		mu.Lock()
 		defer mu.Unlock()
 		for _, c := range cells {
 			if hashCell(c.parts, c.text) != c.sum {
 				t.Errorf("fingerprint %q, %s: shared bytes changed after the store handed them out", c.fingerprint, c.what)
+			}
+		}
+		for _, s := range staged {
+			if maphash.Bytes(seed, s.data) != s.sum {
+				t.Errorf("staged %s: bytes changed after the staging store handed them out", s.key)
 			}
 		}
 	})

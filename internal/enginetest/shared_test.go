@@ -78,7 +78,7 @@ func TestSharedRecordWorkIsInvisible(t *testing.T) {
 			for armName, a := range sharedArms {
 				t.Run(engName+"/"+specName+"/"+armName, func(t *testing.T) {
 					t.Cleanup(taskrt.EmptyStore())
-					frozen := enginetest.CheckFrozen(t)
+					frozen := enginetest.CheckFrozen(t, bdb.FrozenSeam)
 					var got []run
 					var reduces [2]int64 // shared, own
 					var keys int64       // output records of one job
@@ -250,7 +250,7 @@ func TestOneStoreServesEveryEngine(t *testing.T) {
 	for specName, mkSpec := range sharedSpecs {
 		for armName, a := range sharedArms {
 			t.Run(specName+"/"+armName, func(t *testing.T) {
-				frozen := enginetest.CheckFrozen(t)
+				frozen := enginetest.CheckFrozen(t, bdb.FrozenSeam)
 				// runOn runs the spec on engName on a fresh rig and counts
 				// its Map calls.
 				runOn := func(engName string) (run, int64) {

@@ -121,7 +121,9 @@ func (m *memo) measure(p point) *measured {
 // runPoint stages p's input and runs its job. Every paper figure's data
 // comes from here: input at /bench/in (seq+gzip copy at /bench/seq),
 // output under /bench/out, seed by the workload's stream, reducers =
-// tasks per node x nodes.
+// tasks per node x nodes. The bytes come from bdb's staging store, so the
+// points of one input, on any system and in any figure, generate and
+// deflate it once; each still preloads it into its own rig's FS.
 func runPoint(p point) *measured {
 	rig := NewRig(p.fw, p.rc)
 	fsys := rig.FS
