@@ -80,6 +80,7 @@ func NBTermFreqSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.Sp
 		Reduce:       kv.SumReducer,
 		MapCPUFactor: BayesCPUFactor,
 		Ported:       true,
+		Fingerprint:  "NBTermFreq",
 	}
 }
 
@@ -104,6 +105,7 @@ func NBLabelTermSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.S
 		Reduce:       kv.SumReducer,
 		MapCPUFactor: BayesCPUFactor,
 		Ported:       true,
+		Fingerprint:  "NBLabelTerm",
 	}
 }
 
@@ -122,6 +124,7 @@ func NBLabelCountSpec(fsys *dfs.FS, in *dfs.File, out string, reducers int) job.
 		Combine:      kv.SumCombiner,
 		Reduce:       kv.SumReducer,
 		MapCPUFactor: 1.0,
+		Fingerprint:  "NBLabelCount",
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/big"
 	"reflect"
 	"runtime"
 	"slices"
@@ -152,6 +153,7 @@ func checkKernelsAgainstOracle(t *testing.T, data []byte) {
 	assign := kmeansAssign(cents, norms)
 	for _, val := range values {
 		line := val[bytes.IndexByte(val, '|')+1:]
+		checkParseAgainstOracle(t, line)
 		var gotK, gotV []byte
 		emitted := 0
 		assign(nil, line, func(k, v []byte) {
@@ -166,8 +168,46 @@ func checkKernelsAgainstOracle(t *testing.T, data []byte) {
 	// Every accumulator went back to the pool empty.
 	p := partialPool.Get().(*partialSum)
 	defer partialPool.Put(p)
-	if len(p.touched) != 0 || slices.ContainsFunc(p.sum, func(x float64) bool { return x != 0 }) || slices.Contains(p.seen, true) {
+	if slices.ContainsFunc(p.sum, func(x float64) bool { return x != 0 }) || slices.ContainsFunc(p.touched, func(w uint64) bool { return w != 0 }) {
 		t.Fatal("a pooled accumulator is not empty")
+	}
+}
+
+// checkParseAgainstOracle: the parser gives the old parser's components
+// bit for bit, or the error the old parser gives first with the same
+// text, where an index outside int32 (which the old parser narrowed) is
+// an error of its own (see TestParseSparseVecMatchesOldParser).
+func checkParseAgainstOracle(t *testing.T, line []byte) {
+	t.Helper()
+	want := ""
+	for _, tok := range bytes.Fields(line) {
+		_, _, err := oracleParse(tok)
+		if c := bytes.IndexByte(tok, ':'); c >= 0 {
+			if i, aerr := strconv.Atoi(string(tok[:c])); aerr == nil && (i < 0 || i > math.MaxInt32) {
+				err = fmt.Errorf("bdb: index out of range in %q", tok)
+			}
+		}
+		if err != nil {
+			want = err.Error()
+			break
+		}
+	}
+	var v SparseVec
+	_, err := v.parse(line)
+	if got := fmt.Sprint(err); err == nil && want != "" || err != nil && got != want {
+		t.Fatalf("parse %q: error %v, want %q", line, err, want)
+	}
+	if err != nil {
+		return
+	}
+	idx, val, _ := oracleParse(line)
+	if len(v.Idx) != len(idx) {
+		t.Fatalf("parse %q: %d components, old parser %d", line, len(v.Idx), len(idx))
+	}
+	for i := range idx {
+		if int(v.Idx[i]) != idx[i] || math.Float64bits(v.Val[i]) != math.Float64bits(val[i]) {
+			t.Fatalf("parse %q: component %d is %d:%v, old parser %d:%v", line, i, v.Idx[i], v.Val[i], idx[i], val[i])
+		}
 	}
 }
 
@@ -192,6 +232,16 @@ var partialCases = []struct{ name, data string }{
 	{"malformed tokens", "1|3\n1|x:1\n1|3:y\n1|3:1 4\nx|3:1\n|3:1\n3:1\n1|:1\n1|3:\n\n1|+3:1 -0:2"},
 	{"runs of ASCII space", "1| 3:1\t\t4:2 \r5:3\v\f \n1|  "},
 	{"second separator", "1|2|3:1\n1|3:1|4"},
+	{"15 and 16 significant digits", "1|1:0.123456789012345 2:0.1234567890123456 3:123456789012345 4:1234567890123456 5:-9.99999999999999 6:0.000000000000000123456789012345 7:0.9999999999999999 8:9007199254740993 9:0.12345678901234567"},
+	{"22 and 23 fraction digits", "1|1:0.0000000000000000000001 2:0.00000000000000000000001 3:0.1234567890123450000000 4:1.00000000000000000000000 5:-0.9999999999999999999999"},
+	{"%.6g ties", "1|1:0.1234565 2:0.12345650 3:1234565 4:123456.5 5:0.0001234565 6:-0.1234565\n1|1:0.1234575 4:0.5"},
+	{"edges of 1e-4 and 1e6", "1|1:0.0001 2:0.00009999 3:0.0000999995 4:0.00009999995 5:999999 6:1000000 7:999999.5 8:100000 9:999999.4 10:-0.0001\n1|1:0.00009999\n1|1:0.00001\n1|1:1000000\n1|1:999999\n1|1:-0.0001"},
+	{"-0 and zero forms", "1|1:-0 2:0 3:-0.0 4:0.000 5:-\n1|1:. 2:-. 3:0.0\n1|1:-0 2:0.5\n1|1:1.2.3\n1|1:..5"},
+	{"leading and trailing zeros", "1|01:0.25 2:000.25 3:0.2500 4:100 5:100.0 6:5. 7:.5 8:-.5 9:007\n1|0:0.25 00:1\n1|1:5.\n1|1:0.25 2:5.\n1|1:0.250\n1|01:0.25\n1|0:0.5 02:0.25"},
+	{"exponent forms", "1|1:1e-4 2:1E5 3:2.5e+00 4:1e6 5:0.1e1 6:1e-05 7:-2.5E-3"},
+	{"duplicate and descending indices", "1|3:0.25 3:0.5\n1|5:0.25 4:0.5\n1|4:0.5 4:-0.5\n1|0:1 1:1 1:1"},
+	{"index outside int32 before a bad value", "1|-1:\n1|4294967297:x\n1|3:1 -1:\n1|3:x -1:1"},
+	{"doubled spaces and tabs", "1|1:0.5  2:0.25\n1|1:0.5\t2:0.25\n1| 1:0.5\n1|1:0.5 \n1|1:0.5\r"},
 }
 
 func TestPartialMatchesDenseOracle(t *testing.T) {
@@ -223,6 +273,93 @@ func FuzzPartialMatchesDenseOracle(f *testing.F) {
 		}
 		checkKernelsAgainstOracle(t, data)
 	})
+}
+
+// FuzzFormatMatchesStrconv pins the %g writer to strconv.AppendFloat at
+// the codec's two precisions, for any float64 and for one in the fast
+// path's range built from the same bits: mantissa and sign from bits, a
+// binary exponent in [-14, 50).
+func FuzzFormatMatchesStrconv(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 2.5, 1234.5, 0.1234565, 123456.5, 999999.5,
+		9999.5, 1e-4, math.Nextafter(1e-4, 0), math.Nextafter(1e-4, 1), 1e-5, 1e6, math.Nextafter(1e6, 0),
+		1e15, math.Nextafter(1e15, 0), 999999999999999.9, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), 0.1, 0.3, 1.0 / 3, 123456789, 0.00012345, -0.00999995} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		inRange := math.Float64frombits(bits&(1<<63|(1<<52-1)) | uint64(1023-14+int(bits>>52%64))<<52)
+		for _, x := range []float64{math.Float64frombits(bits), inRange} {
+			for _, prec := range []int{4, 6} {
+				if got, want := appendG(nil, x, prec), strconv.AppendFloat(nil, x, 'g', prec, 64); !bytes.Equal(got, want) {
+					t.Fatalf("%%.%dg of %v (%#x): %q, strconv %q", prec, x, math.Float64bits(x), got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestDecadesBoundExactPowers: a >= decades[i] exactly when a >= 10^(i-4),
+// for every float64 a, because no float64 lies in [10^(i-4), decades[i]).
+func TestDecadesBoundExactPowers(t *testing.T) {
+	for i, d := range decades {
+		exact := big.NewRat(1, 1)
+		ten := big.NewRat(10, 1)
+		for range i - 4 {
+			exact.Mul(exact, ten)
+		}
+		for range 4 - i {
+			exact.Quo(exact, ten)
+		}
+		below := new(big.Rat).SetFloat64(math.Nextafter(d, 0))
+		if new(big.Rat).SetFloat64(d).Cmp(exact) < 0 || below.Cmp(exact) >= 0 {
+			t.Fatalf("decades[%d] = %v does not bound 10^%d from above", i, d, i-4)
+		}
+	}
+}
+
+// TestGeneratedVectorsAreVerbatim: every generated vector takes the
+// assign step's verbatim path, so a generator or codec change that turns
+// it off fails here rather than only costing time.
+func TestGeneratedVectorsAreVerbatim(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		in, _ := GenerateVectorFile(freshFS(64*cluster.KB, 1), "/vec", seed, 256*cluster.KB)
+		var v SparseVec
+		for _, blk := range in.Blocks {
+			for _, ln := range bytes.Split(blk.Data, []byte("\n")) {
+				if len(ln) == 0 {
+					continue
+				}
+				if verbatim, err := v.parseTerms(ln); err != nil || !verbatim {
+					t.Fatalf("seed %d: %q: verbatim %v, err %v", seed, ln, verbatim, err)
+				}
+			}
+		}
+	}
+}
+
+// TestParseReportsVerbatim: parse calls a line verbatim when it is what
+// partialSum.encode(1) prints after "1|" with every value in fixed form,
+// and only then.
+func TestParseReportsVerbatim(t *testing.T) {
+	for _, ln := range []string{"0:0.5 7:-0.0001 12:123456 13:0.25 9999:1", "5:999999", "3:100000 4:0.000123457"} {
+		var v SparseVec
+		verbatim, err := v.parse([]byte(ln))
+		p := partialPool.Get().(*partialSum)
+		p.add(v)
+		enc := string(p.encode(1))
+		partialPool.Put(p)
+		if err != nil || !verbatim || enc != "1|"+ln {
+			t.Errorf("%q: verbatim %v (err %v), encodes as %q", ln, verbatim, err, enc)
+		}
+	}
+	for _, ln := range []string{"1:1e-05", "1:0.00001", "1:1000000", "1:0.1234567", "01:0.5", "0:0.5 00:1",
+		"2:1 1:1", "1:1 1:1", "1:0.5  2:1", "1:0.5\t2:1", " 1:0.5", "1:0.5 ", "1:0", "1:-0", "1:0.50", "1:.5",
+		"1:5.", "1:+5", "1:05", "-1:1", ""} {
+		var v SparseVec
+		if verbatim, _ := v.parse([]byte(ln)); verbatim {
+			t.Errorf("%q: verbatim", ln)
+		}
+	}
 }
 
 // TestParseSparseVecMatchesOldParser: same components, and an error

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -38,7 +39,7 @@ func InitialCentroids(in *dfs.File, k int) ([][]float64, error) {
 			if line = bytes.TrimSuffix(line, []byte("\n")); len(line) == 0 {
 				continue
 			}
-			if err := v.parseTerms(line); err != nil {
+			if _, err := v.parseTerms(line); err != nil {
 				return nil, err
 			}
 			if cents = append(cents, v.dense()); len(cents) == k {
@@ -53,16 +54,16 @@ func InitialCentroids(in *dfs.File, k int) ([][]float64, error) {
 // KMeansDim-wide dense centroids and sums cannot hold makes the vector
 // malformed too (parse already rejected negative ones). Every vector the
 // kernels add or expand has passed it.
-func (v *SparseVec) parseTerms(line []byte) error {
-	if err := v.parse(line); err != nil {
-		return err
+func (v *SparseVec) parseTerms(line []byte) (verbatim bool, err error) {
+	if verbatim, err = v.parse(line); err != nil {
+		return false, err
 	}
 	for _, idx := range v.Idx {
 		if idx >= KMeansDim {
-			return fmt.Errorf("bdb: index %d outside the %d-term space", idx, KMeansDim)
+			return false, fmt.Errorf("bdb: index %d outside the %d-term space", idx, KMeansDim)
 		}
 	}
-	return nil
+	return verbatim, nil
 }
 
 // dense expands a parseTerms vector into a fresh dense centroid.
@@ -101,23 +102,23 @@ func NearestCentroid(v SparseVec, cents [][]float64, norms []float64) int {
 }
 
 // partialSum is the one accumulator behind every K-means kernel: a
-// cluster's partial sum held dense, plus the list of slots it touched, so
-// adding a ~70-term vector, encoding the sum and emptying the accumulator
-// cost O(terms touched), never O(KMeansDim). It carries the kernels'
-// parse target and encode buffers too. Accumulators live in partialPool;
-// a kernel call takes what it needs and puts it back, empty, before it
-// returns — per call and not per job, because a Map that is emitting may
-// re-enter the combiner through a collector spill.
+// cluster's partial sum held dense, plus a bitmap of the slots it
+// touched, so adding a ~70-term vector costs O(terms) and encoding the
+// sum walks the touched slots in index order, a bitmap word at a time,
+// with no sort. It carries the kernels' parse target and encode buffers
+// too. Accumulators live in partialPool; a kernel call takes what it
+// needs and puts it back, empty, before it returns — per call and not
+// per job, because a Map that is emitting may re-enter the combiner
+// through a collector spill.
 type partialSum struct {
-	sum      []float64 // KMeansDim wide, zero outside touched
-	seen     []bool    // seen[i]: i is in touched (its sum may have cancelled to 0 since)
-	touched  []int32
+	sum      []float64 // KMeansDim wide, zero outside the touched slots
+	touched  []uint64  // bit i%64 of word i/64: slot i was added to (its sum may have cancelled to 0 since)
 	vec      SparseVec // parse target
 	key, buf []byte    // encode scratch, handed to emit
 }
 
 var partialPool = sync.Pool{New: func() any {
-	return &partialSum{sum: make([]float64, KMeansDim), seen: make([]bool, KMeansDim)}
+	return &partialSum{sum: make([]float64, KMeansDim), touched: make([]uint64, (KMeansDim+63)/64)}
 }}
 
 // partialSep separates the count from the vector in "count|idx:val ...".
@@ -127,10 +128,7 @@ var partialSep = []byte{'|'}
 // the dense AddTo used, so sums round the same way).
 func (p *partialSum) add(v SparseVec) {
 	for i, idx := range v.Idx {
-		if !p.seen[idx] {
-			p.seen[idx] = true
-			p.touched = append(p.touched, idx)
-		}
+		p.touched[idx/64] |= 1 << (idx % 64)
 		p.sum[idx] += v.Val[i]
 	}
 }
@@ -144,7 +142,10 @@ func (p *partialSum) addPartials(values [][]byte) (total int64) {
 			continue
 		}
 		n, err := strconv.ParseInt(string(count), 10, 64)
-		if err != nil || p.vec.parseTerms(vec) != nil {
+		if err != nil {
+			continue
+		}
+		if _, err := p.vec.parseTerms(vec); err != nil {
 			continue
 		}
 		total += n
@@ -155,30 +156,35 @@ func (p *partialSum) addPartials(values [][]byte) (total int64) {
 
 // divide turns the sum into a mean, over exactly the slots add touched.
 func (p *partialSum) divide(n int64) {
-	for _, idx := range p.touched {
-		p.sum[idx] /= float64(n)
+	for w, word := range p.touched {
+		for ; word != 0; word &= word - 1 {
+			p.sum[w*64+bits.TrailingZeros64(word)] /= float64(n)
+		}
 	}
 }
 
 // encode renders the partial sum as "count|idx:val ..." — indices
 // ascending, %.6g values, sums that are exactly 0 dropped — and empties
-// the accumulator, zeroing only what was touched. The result is p's own
-// buffer, valid until p is used again: emit copies it; a combiner or
-// reducer, whose result is retained, must clone it.
+// the accumulator. The result is p's own buffer, valid until p is used
+// again: emit copies it; a combiner or reducer, whose result is
+// retained, must clone it.
 func (p *partialSum) encode(n int64) []byte {
-	slices.Sort(p.touched)
 	dst := append(strconv.AppendInt(p.buf[:0], n, 10), partialSep...)
 	head := len(dst)
-	for _, idx := range p.touched {
-		if x := p.sum[idx]; x != 0 {
-			if len(dst) > head {
-				dst = append(dst, ' ')
+	for w, word := range p.touched {
+		for ; word != 0; word &= word - 1 {
+			idx := w*64 + bits.TrailingZeros64(word)
+			if x := p.sum[idx]; x != 0 {
+				if len(dst) > head {
+					dst = append(dst, ' ')
+				}
+				dst = appendComponent(dst, int32(idx), x, 6)
 			}
-			dst = appendComponent(dst, idx, x, 6)
+			p.sum[idx] = 0
 		}
-		p.sum[idx], p.seen[idx] = 0, false
 	}
-	p.touched, p.buf = p.touched[:0], dst
+	clear(p.touched)
+	p.buf = dst
 	return dst
 }
 
@@ -208,16 +214,26 @@ func kmeansReduce(key []byte, values [][]byte) []kv.Pair {
 }
 
 // kmeansAssign is the assign step of one Lloyd iteration as a map
-// function: each input vector becomes (nearest cluster, "1|vector").
+// function: each input vector becomes (nearest cluster, "1|vector"). A
+// verbatim line (see parse) is already the encoded vector and is emitted
+// as it is.
 func kmeansAssign(cents [][]float64, norms []float64) job.MapFunc {
 	return func(key, value []byte, emit job.Emit) {
 		p := partialPool.Get().(*partialSum)
 		defer partialPool.Put(p)
-		if p.vec.parseTerms(value) != nil || len(p.vec.Idx) == 0 {
+		verbatim, err := p.vec.parseTerms(value)
+		if err != nil || len(p.vec.Idx) == 0 {
 			return
 		}
-		p.add(p.vec)
-		p.emitPartial(NearestCentroid(p.vec, cents, norms), 1, emit)
+		ci := NearestCentroid(p.vec, cents, norms)
+		if !verbatim {
+			p.add(p.vec)
+			p.emitPartial(ci, 1, emit)
+			return
+		}
+		p.key = strconv.AppendInt(p.key[:0], int64(ci), 10)
+		p.buf = append(append(p.buf[:0], '1', '|'), value...)
+		emit(p.key, p.buf)
 	}
 }
 
@@ -249,7 +265,7 @@ func nextCentroids(prev [][]float64, reduced []kv.Pair) ([][]float64, float64, e
 		if !ok {
 			return nil, 0, fmt.Errorf("bdb: bad partial %q", r.Value)
 		}
-		if err := v.parseTerms(vec); err != nil {
+		if _, err := v.parseTerms(vec); err != nil {
 			return nil, 0, err
 		}
 		next[ci] = v.dense()
@@ -367,7 +383,7 @@ func KMeansDataMPI(e *core.Engine, in *dfs.File, k, maxIter int, epsilon float64
 			blk := &vecBlock{off: make([]int, 1, len(records)+1)}
 			var v SparseVec
 			for _, r := range records {
-				if v.parseTerms(r.Value) == nil && len(v.Idx) > 0 {
+				if _, err := v.parseTerms(r.Value); err == nil && len(v.Idx) > 0 {
 					blk.idx = append(blk.idx, v.Idx...)
 					blk.val = append(blk.val, v.Val...)
 					blk.off = append(blk.off, len(blk.idx))
@@ -432,7 +448,7 @@ func KMeansReference(in *dfs.File, cents [][]float64, iters int) ([][]float64, e
 				continue
 			}
 			var v SparseVec
-			if err := v.parseTerms(line); err != nil {
+			if _, err := v.parseTerms(line); err != nil {
 				return nil, err
 			}
 			if len(v.Idx) > 0 {

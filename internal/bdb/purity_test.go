@@ -18,7 +18,7 @@ import (
 // and reduce tail alike), so that work may depend on its arguments alone.
 // Every engine runs the reduce tails of unfingerprinted specs ahead too,
 // several partitions and jobs at once, so those are checked as well: a
-// K-means iteration and the three Naive Bayes counting jobs. For each
+// K-means iteration. For each
 // spec, concurrent taskrt.MapBlock calls on one block give the partitions
 // a lone call gives; concurrent taskrt.ReduceTail calls over each
 // partition of every block's map output give the text and record count a
@@ -51,7 +51,7 @@ func TestFingerprintedSpecsArePure(t *testing.T) {
 		"NBLabelTerm":  NBLabelTermSpec(fsys, docs, "/out", nParts),
 		"NBLabelCount": NBLabelCountSpec(fsys, docs, "/out", nParts),
 	}
-	unshared := map[string]bool{"KMeansIter": true, "NBTermFreq": true, "NBLabelTerm": true, "NBLabelCount": true}
+	unshared := map[string]bool{"KMeansIter": true}
 	for name, spec := range specs {
 		t.Run(name, func(t *testing.T) {
 			if spec.Fingerprint == "" != unshared[name] {

@@ -70,7 +70,94 @@ func (v SparseVec) appendText(dst []byte) []byte {
 func appendComponent(dst []byte, idx int32, val float64, prec int) []byte {
 	dst = strconv.AppendInt(dst, int64(idx), 10)
 	dst = append(dst, ':')
-	return strconv.AppendFloat(dst, val, 'g', prec, 64)
+	return appendG(dst, val, prec)
+}
+
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// decades[i] is the float64 nearest 10^(i-4). Each negative power rounds
+// up, so a >= decades[i] exactly when a >= 10^(i-4) for every float64 a
+// (TestDecadesBoundExactPowers).
+var decades = [...]float64{1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6,
+	1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// gGuard is the guard band around a rounding tie, in units of the last
+// digit kept: the scaled value is off its exact product by at most 2^-33
+// (one rounding below 2^20), so outside the band it rounds as the exact
+// product would.
+const gGuard = 1.0 / (1 << 20)
+
+// appendG appends x as strconv.AppendFloat(dst, x, 'g', prec, 64) does,
+// for prec 1 to 6. Inside [1e-4, 1e15) in magnitude, x scaled by one
+// exact power of ten to prec integer digits rounds with one Floor; a
+// value within gGuard of a tie (exact ties round to even in strconv) and
+// every value outside the range go to strconv.
+func appendG(dst []byte, x float64, prec int) []byte {
+	a := math.Abs(x)
+	if !(a >= decades[0] && a < decades[len(decades)-1]) {
+		return strconv.AppendFloat(dst, x, 'g', prec, 64)
+	}
+	e := 0 // a's decimal exponent: decades[e] <= a < decades[e+1], then less 4
+	for a >= decades[e+1] {
+		e++
+	}
+	e -= 4
+	var y float64
+	if k := prec - 1 - e; k >= 0 {
+		y = a * pow10[k]
+	} else {
+		y = a / pow10[-k]
+	}
+	n := math.Floor(y)
+	switch f := y - n; {
+	case math.Abs(f-0.5) < gGuard:
+		return strconv.AppendFloat(dst, x, 'g', prec, 64)
+	case f > 0.5:
+		n++
+	}
+	if n == pow10[prec] { // rounded up to the next decade
+		n, e = pow10[prec-1], e+1
+	}
+	var digs [6]byte
+	for i, u := prec-1, uint64(n); i >= 0; i, u = i-1, u/10 {
+		digs[i] = byte('0' + u%10)
+	}
+	nd := prec
+	for nd > 1 && digs[nd-1] == '0' {
+		nd--
+	}
+	if x < 0 {
+		dst = append(dst, '-')
+	}
+	switch {
+	case e >= prec: // %e form; e < -4 is outside the range
+		dst = append(dst, digs[0])
+		if nd > 1 {
+			dst = append(append(dst, '.'), digs[1:nd]...)
+		}
+		dst = append(dst, 'e', '+')
+		if e < 10 {
+			dst = append(dst, '0')
+		}
+		return strconv.AppendInt(dst, int64(e), 10)
+	case e < 0:
+		dst = append(dst, '0', '.')
+		for range -e - 1 {
+			dst = append(dst, '0')
+		}
+		return append(dst, digs[:nd]...)
+	case nd <= e+1:
+		dst = append(dst, digs[:nd]...)
+		for range e + 1 - nd {
+			dst = append(dst, '0')
+		}
+		return dst
+	default:
+		dst = append(dst, digs[:e+1]...)
+		return append(append(dst, '.'), digs[e+1:nd]...)
+	}
 }
 
 // ParseSparseVec parses the MarshalText format into a fresh vector, sized
@@ -78,7 +165,7 @@ func appendComponent(dst []byte, idx int32, val float64, prec int) []byte {
 func ParseSparseVec(b []byte) (SparseVec, error) {
 	n := bytes.Count(b, []byte(":"))
 	v := SparseVec{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
-	err := v.parse(b)
+	_, err := v.parse(b)
 	return v, err
 }
 
@@ -86,29 +173,124 @@ func ParseSparseVec(b []byte) (SparseVec, error) {
 // v's slices: a caller that keeps v across lines parses without
 // allocating. Fields are split on ASCII space (every generated line is
 // ASCII). An index outside [0, 2^31) is malformed, not narrowed.
-func (v *SparseVec) parse(b []byte) error {
+//
+// verbatim reports a line that is exactly what partialSum.encode(1)
+// prints after "1|" for v: fields one space apart, indices strictly
+// ascending in canonical decimal, and values non-zero and written as
+// %.6g writes them in fixed form. Every generated vector is one (%.4g
+// values in (0, 1]).
+func (v *SparseVec) parse(b []byte) (verbatim bool, err error) {
 	v.Idx, v.Val = v.Idx[:0], v.Val[:0]
-	for i, j := nextField(b, 0); j > i; i, j = nextField(b, j) {
-		tok := b[i:j]
-		c := bytes.IndexByte(tok, ':')
-		if c < 0 {
-			return fmt.Errorf("bdb: bad vector component %q", tok)
+	verbatim = true
+	next := 0 // where a verbatim line's next field starts
+	for i := skipSpace(b, 0); i < len(b); i = skipSpace(b, i) {
+		idx, val, canonical, j, ok := scanComponent(b, i)
+		if !ok {
+			_, j = nextField(b, i)
+			if idx, val, err = parseComponent(b[i:j]); err != nil {
+				return false, err
+			}
 		}
-		idx, err := strconv.Atoi(string(tok[:c]))
-		if err != nil {
-			return fmt.Errorf("bdb: bad index in %q: %v", tok, err)
-		}
-		if idx < 0 || idx > math.MaxInt32 {
-			return fmt.Errorf("bdb: index out of range in %q", tok)
-		}
-		val, err := strconv.ParseFloat(string(tok[c+1:]), 64)
-		if err != nil {
-			return fmt.Errorf("bdb: bad value in %q: %v", tok, err)
-		}
-		v.Idx = append(v.Idx, int32(idx))
+		verbatim = verbatim && i == next && (i == 0 || b[i-1] == ' ') && canonical &&
+			(len(v.Idx) == 0 || idx > v.Idx[len(v.Idx)-1])
+		next, i = j+1, j
+		v.Idx = append(v.Idx, idx)
 		v.Val = append(v.Val, val)
 	}
-	return nil
+	return verbatim && next == len(b)+1, nil
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && asciiSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+// scanComponent reads the field at b[i:] by hand when it is plain: one
+// to nine digits, ':', then a plain decimal (an optional leading '-',
+// digits and at most one '.') with at most 15 significant and 22
+// fraction digits, up to ASCII space or the end of b. Such a value is
+// m / 10^f with m and 10^f both exact float64s, so the one division
+// rounds correctly, as strconv.ParseFloat does. Any other field (signs,
+// exponents, Inf, NaN, hex, underscores, long or malformed tokens) is
+// not ok, and parseComponent reads it. canonical reports an index without
+// a leading zero and a non-zero value written as %.6g writes it in fixed
+// form: at most six significant digits, no leading or trailing zero, and
+// a decimal exponent in [-4, 6).
+func scanComponent(b []byte, i int) (idx int32, x float64, canonical bool, end int, ok bool) {
+	k := i
+	for ; k < len(b) && k-i < 10 && '0' <= b[k] && b[k] <= '9'; k++ {
+		idx = idx*10 + int32(b[k]-'0')
+	}
+	if n := k - i; n == 0 || n > 9 || k == len(b) || b[k] != ':' {
+		return 0, 0, false, 0, false
+	}
+	canonIdx := b[i] != '0' || k == i+1
+	k++
+	neg := k < len(b) && b[k] == '-'
+	if neg {
+		k++
+	}
+	start := k
+	var m uint64
+	sig, dot := 0, -1
+	for ; k < len(b); k++ {
+		if d := b[k] - '0'; d <= 9 {
+			if m = m*10 + uint64(d); m != 0 {
+				sig++ // m wraps only past 19 significant digits
+			}
+			continue
+		}
+		if b[k] == '.' && dot < 0 {
+			dot = k - start
+			continue
+		}
+		if !asciiSpace(b[k]) {
+			return 0, 0, false, 0, false
+		}
+		break
+	}
+	body := b[start:k]
+	digits, frac := len(body), 0
+	if dot >= 0 {
+		digits, frac = digits-1, len(body)-dot-1
+	}
+	if digits == 0 || sig > 15 || frac > 22 {
+		return 0, 0, false, 0, false
+	}
+	if x = float64(m) / pow10[frac]; neg {
+		x = -x
+	}
+	intLen := dot
+	if dot < 0 {
+		intLen = len(body)
+	}
+	canonical = canonIdx && m != 0 && sig <= 6 && intLen > 0 &&
+		(dot < 0 || frac > 0 && body[len(body)-1] != '0') &&
+		(body[0] != '0' || intLen == 1 && frac-sig <= 3)
+	return idx, x, canonical, k, true
+}
+
+// parseComponent reads one "idx:val" field with strconv; its errors name
+// the field.
+func parseComponent(tok []byte) (int32, float64, error) {
+	c := bytes.IndexByte(tok, ':')
+	if c < 0 {
+		return 0, 0, fmt.Errorf("bdb: bad vector component %q", tok)
+	}
+	idx, err := strconv.Atoi(string(tok[:c]))
+	if err != nil {
+		return 0, 0, fmt.Errorf("bdb: bad index in %q: %v", tok, err)
+	}
+	if idx < 0 || idx > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("bdb: index out of range in %q", tok)
+	}
+	val, err := strconv.ParseFloat(string(tok[c+1:]), 64)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bdb: bad value in %q: %v", tok, err)
+	}
+	return int32(idx), val, nil
 }
 
 // stopwordCutoff drops the Zipf head when vectorizing, as Mahout's

@@ -97,7 +97,7 @@ type Spec struct {
 	// shape; simulated charges do not change. Empty (the default)
 	// shares nothing. A constructor sets it when its record work depends
 	// only on its arguments (bdb.WordCountSpec, GrepSpec, TextSortSpec,
-	// NormalSortSpec); a wrapper that changes what Map, Combine, Part or
+	// NormalSortSpec and the three Naive Bayes counting jobs); a wrapper that changes what Map, Combine, Part or
 	// Reduce computes must clear it.
 	Fingerprint string
 
